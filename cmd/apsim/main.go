@@ -179,16 +179,20 @@ func main() {
 		}
 		fmt.Printf("checkpoint:    dir %s, every %d symbols, epoch %d\n", *ckDir, ev, epoch)
 	}
-	// mkRunner builds the per-system checkpoint stream; the chaos hook is
-	// wired even without -checkpoint so crash plans kill plain runs too.
+	// mkRunner builds the per-system checkpoint stream, or nil when the run
+	// has neither a store nor a crash plan; the chaos hook is wired even
+	// without -checkpoint so crash plans kill plain runs too.
+	useCk := store != nil || plan.CrashRate > 0
 	mkRunner := func(name string) *sparseap.CheckpointRunner {
+		if !useCk {
+			return nil
+		}
 		r := &sparseap.CheckpointRunner{Store: store, Name: name, Every: *ckEvery}
 		if inj.Active() {
 			r.CrashAt = func(pos int64) bool { return inj.CrashAt(epoch, pos) }
 		}
 		return r
 	}
-	useCk := store != nil || plan.CrashRate > 0
 	markDone := func() {
 		if store != nil && manifest != nil {
 			manifest.Done = true
@@ -288,15 +292,10 @@ func main() {
 		var res *sparseap.ExecResult
 		g := sparseap.DefaultGuard()
 		g.Preflight = *preflight
-		switch {
-		case useCk && *guard:
+		if *guard {
 			res, err = eng.RunGuardedCheckpointed(ctx, part, input, g, mkRunner("spap"))
-		case useCk:
+		} else {
 			res, err = eng.RunBaseAPSpAPCheckpointed(ctx, part, input, mkRunner("spap"))
-		case *guard:
-			res, err = eng.RunGuarded(ctx, part, input, g)
-		default:
-			res, err = eng.RunBaseAPSpAPContext(ctx, part, input)
 		}
 		cancel()
 		crashExit(err)

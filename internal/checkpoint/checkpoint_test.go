@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -239,6 +240,9 @@ func TestRunnerDisabledDegradesToNoops(t *testing.T) {
 		t.Fatal(err)
 	}
 	r = &Runner{} // no store
+	if (*Runner)(nil).Next(0) != math.MaxInt64 || r.Next(0) != math.MaxInt64 {
+		t.Fatal("a runner with neither store nor crash hook asks for control")
+	}
 	if err := r.Save(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +263,21 @@ func TestRunnerDueCadenceAndCrashHook(t *testing.T) {
 			t.Errorf("Due(%d) = %v, want %v", pos, got, want)
 		}
 	}
-	// Crash hook fires even without a store.
+	// Next names exactly the due positions, from any starting point.
+	for from := int64(0); from <= 201; from++ {
+		want := from
+		for !r.Due(want) {
+			want++
+		}
+		if got := r.Next(from); got != want {
+			t.Fatalf("Next(%d) = %d, want %d", from, got, want)
+		}
+	}
+	// Crash hook fires even without a store, and is polled everywhere.
 	bare := &Runner{CrashAt: func(pos int64) bool { return pos == 7 }}
+	if got := bare.Next(5); got != 5 {
+		t.Fatalf("Next(5) with a crash hook = %d, want 5", got)
+	}
 	if err := bare.Check(6); err != nil {
 		t.Fatal(err)
 	}

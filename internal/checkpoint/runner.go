@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // DefaultEvery is the capture interval (in input symbols) used when a
@@ -18,8 +19,9 @@ const DefaultEvery = 8192
 var ErrCrashInjected = errors.New("checkpoint: injected crash")
 
 // Runner bundles a Store with one named checkpoint stream and its capture
-// policy. Executors call Due at each loop position, Save with the encoded
-// state when it is, and Check to give the chaos hook a kill point.
+// policy. Executors call Due at each loop position (or only at the
+// positions Next names), Save with the encoded state when it is, and Check
+// to give the chaos hook a kill point.
 type Runner struct {
 	// Store is the backing store (any Store implementation — a DirStore
 	// or a replicated wrapper); nil disables checkpointing (every method
@@ -54,6 +56,27 @@ func (r *Runner) Enabled() bool { return r != nil && r.Store != nil }
 // Position 0 is never due (there is nothing to save yet).
 func (r *Runner) Due(pos int64) bool {
 	return r.Enabled() && pos > 0 && pos%r.every() == 0
+}
+
+// Next returns the first loop position ≥ pos at which the runner needs
+// control — a capture is Due or the chaos hook wants polling — so a
+// streaming loop pays one integer compare per symbol and calls Due and
+// Check only there. The chaos hook is polled at every position; a runner
+// with neither store nor hook (or a nil one) never needs control.
+func (r *Runner) Next(pos int64) int64 {
+	switch {
+	case r == nil:
+		return math.MaxInt64
+	case r.CrashAt != nil:
+		return pos
+	case r.Store == nil:
+		return math.MaxInt64
+	}
+	every := r.every()
+	if pos <= 0 {
+		return every
+	}
+	return (pos + every - 1) / every * every
 }
 
 // Check polls the chaos hook at pos, returning ErrCrashInjected on a hit.

@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sparseap/internal/checkpoint"
 	"sparseap/internal/fault"
 	"sparseap/internal/hotcold"
+	"sparseap/internal/hotness"
 	"sparseap/internal/regexc"
+	"sparseap/internal/sim"
 )
 
 // chainApp builds a long stream over the "abcde" chain pattern profiled
@@ -27,9 +32,10 @@ func chainApp(t *testing.T, n int) (p *hotcold.Partition, input []byte) {
 	return buildPartition(t, net, input[:2]), input
 }
 
-// ckResultsEqual asserts a checkpointed result is identical to the plain
-// executor's, field by field (Resume bookkeeping excluded by design).
-func ckResultsEqual(t *testing.T, tag string, got, want *Result) {
+// countersEqual asserts two results agree on every counter, the fault and
+// guard statistics and the pre-flight verdict — everything but the report
+// list and the Resume bookkeeping.
+func countersEqual(t *testing.T, tag string, got, want *Result) {
 	t.Helper()
 	if got.BaseAPBatches != want.BaseAPBatches || got.ColdBatches != want.ColdBatches ||
 		got.SpAPExecutions != want.SpAPExecutions ||
@@ -51,15 +57,6 @@ func ckResultsEqual(t *testing.T, tag string, got, want *Result) {
 	if !(math.IsNaN(got.JumpRatio) && math.IsNaN(want.JumpRatio)) && got.JumpRatio != want.JumpRatio {
 		t.Fatalf("%s: JumpRatio %v vs %v", tag, got.JumpRatio, want.JumpRatio)
 	}
-	if len(got.Reports) != len(want.Reports) {
-		t.Fatalf("%s: %d reports vs %d", tag, len(got.Reports), len(want.Reports))
-	}
-	for i := range got.Reports {
-		if got.Reports[i] != want.Reports[i] {
-			t.Fatalf("%s: report %d = %+v, want %+v (order must be bit-identical)",
-				tag, i, got.Reports[i], want.Reports[i])
-		}
-	}
 	if got.Fault != want.Fault {
 		t.Fatalf("%s: fault stats %+v vs %+v", tag, got.Fault, want.Fault)
 	}
@@ -78,6 +75,26 @@ func ckResultsEqual(t *testing.T, tag string, got, want *Result) {
 			if a.TripPos[i] != b.TripPos[i] {
 				t.Fatalf("%s: TripPos %v vs %v", tag, a.TripPos, b.TripPos)
 			}
+		}
+		if !reflect.DeepEqual(a.Preflight, b.Preflight) {
+			t.Fatalf("%s: preflight verdict %+v vs %+v", tag, a.Preflight, b.Preflight)
+		}
+	}
+}
+
+// ckResultsEqual asserts two runs of the machine returned the same
+// result, field by field and report by report (Resume bookkeeping
+// excluded by design).
+func ckResultsEqual(t *testing.T, tag string, got, want *Result) {
+	t.Helper()
+	countersEqual(t, tag, got, want)
+	if len(got.Reports) != len(want.Reports) {
+		t.Fatalf("%s: %d reports vs %d", tag, len(got.Reports), len(want.Reports))
+	}
+	for i := range got.Reports {
+		if got.Reports[i] != want.Reports[i] {
+			t.Fatalf("%s: report %d = %+v, want %+v (order must be bit-identical)",
+				tag, i, got.Reports[i], want.Reports[i])
 		}
 	}
 }
@@ -146,25 +163,136 @@ func runUntilDone(t *testing.T, sched *killSched, store checkpoint.Store, every 
 	}
 }
 
+// crashCell is one crash/resume cell: run executes the workload with the
+// runner it is given. The cell runs it with no runner, with a store and no
+// interruption, and under nKills seeded kills on a second store, and
+// asserts the three results agree field by field and report by report. It
+// returns the crash-resumed result and the phases it resumed into.
+func crashCell(t *testing.T, nKills int, run func(ck *checkpoint.Runner) (*Result, error)) (*Result, []string) {
+	t.Helper()
+	want, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() checkpoint.Store {
+		store, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	stored, err := run(&checkpoint.Runner{Store: open(), Name: "spap", Every: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckResultsEqual(t, "store attached, uninterrupted", stored, want)
+	if stored.Resume.Resumed || stored.Resume.Saves == 0 {
+		t.Fatalf("uninterrupted run with a store: Resume = %+v", stored.Resume)
+	}
+	sched := seededKills(t, nKills, func(ck *checkpoint.Runner) error {
+		_, err := run(ck)
+		return err
+	})
+	got, phases := runUntilDone(t, sched, open(), 64, run)
+	ckResultsEqual(t, "crash-resumed", got, want)
+	return got, phases
+}
+
+func hasPhase(phases []string, want string) bool {
+	for _, ph := range phases {
+		if ph == want {
+			return true
+		}
+	}
+	return false
+}
+
+// streamHash fingerprints a report stream, order included.
+func streamHash(rs []sim.Report) uint64 {
+	h := fnv.New64a()
+	for _, r := range rs {
+		fmt.Fprintf(h, "%d:%d,", r.Pos, r.State)
+	}
+	return h.Sum64()
+}
+
+// Golden results of the two deterministic fixtures, recorded at the last
+// commit that still had the separate plain (runBaseAPMode/runSpAPMode) and
+// guarded (runGuarded/runColdGuarded/baselineFallback) executors, from
+// those executors: the evidence that folding them into the phase machine
+// changed no counter. chain is chainApp(2048), storm is
+// buildStorm(4, 16, 4096), both at capacity 100.
+var (
+	goldenChain = Result{BaseAPBatches: 1, ColdBatches: 1, SpAPExecutions: 1, IntermediateReports: 227,
+		QueueRefills: 1, BaseAPCycles: 2048, SpAPCycles: 454, SpAPProcessed: 454,
+		SpAPBatchCycles: []int64{454}, TotalCycles: 2502, JumpRatio: 0.7783203125, NumReports: 227}
+	goldenChainHash = uint64(0xb0105fad96196d1c)
+	goldenStormHash = uint64(0x68a9f4f649121a4d)
+
+	goldenGuards = []struct {
+		name string
+		g    Guard
+	}{
+		{"healthy", Guard{}},
+		{"widen-retry", Guard{MinReports: 64, HopelessFactor: 1000}},
+		{"hopeless-fallback", Guard{MinReports: 64}},
+		{"batch-fallback", Guard{ReportBudget: 100, StallBudget: 1e-9, MinReports: 1 << 40}},
+	}
+	// The chain never storms: every guard case leaves it on the plain path.
+	goldenChainGuard = GuardStats{Attempts: 1}
+	goldenStorm      = map[string]Result{
+		"plain": {BaseAPBatches: 1, ColdBatches: 1, SpAPExecutions: 1, IntermediateReports: 16380,
+			EnableStalls: 12285, QueueRefills: 127, BaseAPCycles: 4096, SpAPCycles: 16380, SpAPProcessed: 4095,
+			SpAPBatchCycles: []int64{16380}, TotalCycles: 20476, JumpRatio: 0.000244140625, NumReports: 16380},
+		"healthy": {TotalCycles: 4225, JumpRatio: math.NaN(), NumReports: 16380,
+			Guard: &GuardStats{Attempts: 1, Trips: 1, TripPos: []int64{129}, WastedCycles: 129,
+				FallbackBaseline: true, FallbackCycles: 4096}},
+		"widen-retry": {BaseAPBatches: 1, BaseAPCycles: 4096, TotalCycles: 4113, JumpRatio: math.NaN(), NumReports: 16380,
+			Guard: &GuardStats{Attempts: 2, Trips: 1, TripPos: []int64{17}, WastedCycles: 17, Widened: true}},
+		"hopeless-fallback": {TotalCycles: 4113, JumpRatio: math.NaN(), NumReports: 16380,
+			Guard: &GuardStats{Attempts: 1, Trips: 1, TripPos: []int64{17}, WastedCycles: 17,
+				FallbackBaseline: true, FallbackCycles: 4096}},
+		"batch-fallback": {BaseAPBatches: 1, ColdBatches: 1, IntermediateReports: 16380, BaseAPCycles: 4096,
+			TotalCycles: 8192, JumpRatio: math.NaN(), NumReports: 16380,
+			Guard: &GuardStats{Attempts: 1, BatchFallbacks: 1, FallbackCycles: 4096}},
+	}
+)
+
+// goldenCheck asserts got carries the pinned counters and report-stream
+// fingerprint, and that the stream is sim.Run's on the un-partitioned
+// network.
+func goldenCheck(t *testing.T, tag string, got *Result, want Result, hash uint64, p *hotcold.Partition, input []byte) {
+	t.Helper()
+	countersEqual(t, tag, got, &want)
+	if int64(len(got.Reports)) != want.NumReports || streamHash(got.Reports) != hash {
+		t.Fatalf("%s: report stream (%d reports, hash %#x) is not the pinned one (%d, %#x)",
+			tag, len(got.Reports), streamHash(got.Reports), want.NumReports, hash)
+	}
+	if !reportsEqual(sim.Run(p.Net, input, sim.Options{CollectReports: true}).Reports, got.Reports) {
+		t.Fatalf("%s: report stream differs from sim.Run", tag)
+	}
+}
+
+// The unguarded machine with no runner: pinned counters on the fixtures,
+// and over random applications a report stream bit-identical to sim.Run on
+// the un-partitioned network — as emitted for a guarded run, which
+// delivers in (position, state) order like the engine, and as a multiset
+// for a plain one, which delivers hot-network finals before cold ones.
 func TestCheckpointedDisabledMatchesPlain(t *testing.T) {
 	ctx := context.Background()
-	p, input := chainApp(t, 2048)
 	cfg, opts := cfgWithCapacity(100), Options{CollectReports: true}
-	want, err := RunBaseAPSpAP(p, input, cfg, opts)
+	p, input := chainApp(t, 2048)
+	got, err := RunBaseAPSpAP(p, input, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, nil)
-	if err != nil {
+	goldenCheck(t, "chain", got, goldenChain, goldenChainHash, p, input)
+	p, input = buildStorm(t, 4, 16, 4096)
+	if got, err = RunBaseAPSpAP(p, input, cfg, opts); err != nil {
 		t.Fatal(err)
 	}
-	ckResultsEqual(t, "chain", got, want)
-	if got.Resume == nil || got.Resume.Resumed || got.Resume.Saves != 0 {
-		t.Fatalf("disabled-runner Resume = %+v", got.Resume)
-	}
+	goldenCheck(t, "storm", got, goldenStorm["plain"], goldenStormHash, p, input)
 
-	// Property sweep: random applications, random inputs — the
-	// checkpointed phase machine must be execution-equivalent.
 	r := rand.New(rand.NewSource(4099))
 	for trial := 0; trial < 40; trial++ {
 		net, in := randomApp(r)
@@ -175,196 +303,293 @@ func TestCheckpointedDisabledMatchesPlain(t *testing.T) {
 		if err != nil {
 			continue // unprofilable app; equivalence is vacuous
 		}
-		capacity := 5 + r.Intn(60)
-		w, werr := RunBaseAPSpAP(pp, in, cfgWithCapacity(capacity), opts)
-		g, gerr := RunBaseAPSpAPCheckpointed(ctx, pp, in, cfgWithCapacity(capacity), opts, nil)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("trial %d: error divergence: %v vs %v", trial, werr, gerr)
+		c := cfgWithCapacity(5 + r.Intn(60))
+		want := sim.Run(net, in, sim.Options{CollectReports: true})
+		plain, perr := RunBaseAPSpAPCheckpointed(ctx, pp, in, c, opts, nil)
+		guarded, gerr := RunGuardedCheckpointed(ctx, pp, in, c, Guard{}, opts, nil)
+		if (perr == nil) != (gerr == nil) {
+			t.Fatalf("trial %d: error divergence: %v vs %v", trial, perr, gerr)
 		}
-		if werr == nil {
-			ckResultsEqual(t, "random", g, w)
+		if perr != nil {
+			continue // an NFA does not fit the drawn capacity
+		}
+		if !reportsEqual(want.Reports, plain.Reports) {
+			t.Fatalf("trial %d: plain report multiset differs from sim.Run", trial)
+		}
+		if len(guarded.Reports) != len(want.Reports) {
+			t.Fatalf("trial %d: guarded run delivered %d reports, sim.Run %d", trial, len(guarded.Reports), len(want.Reports))
+		}
+		for i, rp := range want.Reports {
+			if guarded.Reports[i] != rp {
+				t.Fatalf("trial %d: guarded report %d = %+v, sim.Run %+v", trial, i, guarded.Reports[i], rp)
+			}
+		}
+		if plain.TotalCycles != guarded.TotalCycles || plain.NumReports != want.NumReports {
+			t.Fatalf("trial %d: healthy guarded run costs %d cycles, plain %d", trial, guarded.TotalCycles, plain.TotalCycles)
 		}
 	}
 }
 
+// The four outcomes of the guard ladder, pinned on both fixtures.
 func TestCheckpointedGuardedLadderMatchesPlain(t *testing.T) {
-	ctx := context.Background()
-	cases := []struct {
-		name  string
-		g     Guard
-		storm bool
-	}{
-		{"healthy", Guard{}, false},
-		{"widen-retry", Guard{MinReports: 64, HopelessFactor: 1000}, true},
-		{"hopeless-fallback", Guard{MinReports: 64}, true},
-		{"batch-fallback", Guard{ReportBudget: 100, StallBudget: 1e-9, MinReports: 1 << 40}, false},
-	}
-	for _, tc := range cases {
+	cfg, opts := cfgWithCapacity(100), Options{CollectReports: true}
+	for _, tc := range goldenGuards {
 		t.Run(tc.name, func(t *testing.T) {
-			var p *hotcold.Partition
-			var input []byte
-			if tc.storm {
-				p, input = buildStorm(t, 4, 16, 4096)
-			} else {
-				p, input = chainApp(t, 2048)
-			}
-			want, err := RunGuarded(ctx, p, input, cfgWithCapacity(100), tc.g, Options{CollectReports: true})
+			p, input := chainApp(t, 2048)
+			got, err := RunGuarded(context.Background(), p, input, cfg, tc.g, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunGuardedCheckpointed(ctx, p, input, cfgWithCapacity(100), tc.g, Options{CollectReports: true}, nil)
-			if err != nil {
+			want := goldenChain
+			want.Guard = &goldenChainGuard
+			goldenCheck(t, "chain", got, want, goldenChainHash, p, input)
+
+			p, input = buildStorm(t, 4, 16, 4096)
+			if got, err = RunGuarded(context.Background(), p, input, cfg, tc.g, opts); err != nil {
 				t.Fatal(err)
 			}
-			ckResultsEqual(t, tc.name, got, want)
+			goldenCheck(t, "storm", got, goldenStorm[tc.name], goldenStormHash, p, input)
 		})
 	}
 }
 
+// No runner, a store and no interruption, and a store under seeded kills
+// agree on every ladder outcome; a rerun on a finished store replays the
+// done-phase record.
 func TestCheckpointedUninterruptedWithStoreMatchesPlain(t *testing.T) {
 	ctx := context.Background()
-	p, input := chainApp(t, 2048)
 	cfg, opts := cfgWithCapacity(100), Options{CollectReports: true}
-	want, err := RunBaseAPSpAP(p, input, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range goldenGuards {
+		p, input := buildStorm(t, 4, 16, 4096)
+		crashCell(t, 3, func(ck *checkpoint.Runner) (*Result, error) {
+			return RunGuardedCheckpointed(ctx, p, input, cfg, tc.g, opts, ck)
+		})
 	}
+
+	p, input := chainApp(t, 2048)
 	store, err := checkpoint.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ck := &checkpoint.Runner{Store: store, Name: "spap", Every: 64}
-	got, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
+	first, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckResultsEqual(t, "with-store", got, want)
-	if got.Resume.Saves == 0 {
-		t.Fatal("expected periodic saves with an enabled store")
-	}
-	// A second invocation short-circuits on the done-phase record.
+	goldenCheck(t, "with-store", first, goldenChain, goldenChainHash, p, input)
 	again, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckResultsEqual(t, "done-replay", again, want)
+	ckResultsEqual(t, "done-replay", again, first)
 	if !again.Resume.Resumed || again.Resume.Phase != "done" {
 		t.Fatalf("done replay Resume = %+v", again.Resume)
 	}
 }
 
 func TestCheckpointedCrashResumeUnguarded(t *testing.T) {
-	ctx := context.Background()
 	p, input := chainApp(t, 4096)
-	cfg, opts := cfgWithCapacity(100), Options{CollectReports: true}
-	want, err := RunBaseAPSpAP(p, input, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := seededKills(t, 5, func(ck *checkpoint.Runner) error {
-		_, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
-		return err
+	_, phases := crashCell(t, 5, func(ck *checkpoint.Runner) (*Result, error) {
+		return RunBaseAPSpAPCheckpointed(context.Background(), p, input, cfgWithCapacity(100), Options{CollectReports: true}, ck)
 	})
-	store, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, phases := runUntilDone(t, sched, store, 64, func(ck *checkpoint.Runner) (*Result, error) {
-		return RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
-	})
-	ckResultsEqual(t, "crash-resume", got, want)
-	seen := map[string]bool{}
-	for _, ph := range phases {
-		seen[ph] = true
-	}
-	if !seen["baseap"] || !seen["spap"] {
+	if !hasPhase(phases, "baseap") || !hasPhase(phases, "spap") {
 		t.Fatalf("kill points did not span both phases: resumed into %v", phases)
 	}
 }
 
 func TestCheckpointedCrashResumeGuardedWiden(t *testing.T) {
-	ctx := context.Background()
 	p, input := buildStorm(t, 4, 16, 4096)
 	g := Guard{MinReports: 64, HopelessFactor: 1000}
-	want, err := RunGuarded(ctx, p, input, cfgWithCapacity(100), g, Options{CollectReports: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := seededKills(t, 5, func(ck *checkpoint.Runner) error {
-		_, err := RunGuardedCheckpointed(ctx, p, input, cfgWithCapacity(100), g, Options{CollectReports: true}, ck)
-		return err
+	got, _ := crashCell(t, 5, func(ck *checkpoint.Runner) (*Result, error) {
+		return RunGuardedCheckpointed(context.Background(), p, input, cfgWithCapacity(100), g, Options{CollectReports: true}, ck)
 	})
-	store, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := runUntilDone(t, sched, store, 64, func(ck *checkpoint.Runner) (*Result, error) {
-		return RunGuardedCheckpointed(ctx, p, input, cfgWithCapacity(100), g, Options{CollectReports: true}, ck)
-	})
-	ckResultsEqual(t, "guarded-widen", got, want)
 	if got.Guard == nil || !got.Guard.Widened || got.Guard.Attempts != 2 {
 		t.Fatalf("widen ladder lost across resumes: %+v", got.Guard)
 	}
 }
 
 func TestCheckpointedCrashResumeGuardedFallback(t *testing.T) {
-	ctx := context.Background()
 	p, input := buildStorm(t, 4, 16, 4096)
 	g := Guard{MinReports: 64} // hopeless storm: falls back to baseline
-	want, err := RunGuarded(ctx, p, input, cfgWithCapacity(100), g, Options{CollectReports: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := seededKills(t, 5, func(ck *checkpoint.Runner) error {
-		_, err := RunGuardedCheckpointed(ctx, p, input, cfgWithCapacity(100), g, Options{CollectReports: true}, ck)
-		return err
+	got, phases := crashCell(t, 5, func(ck *checkpoint.Runner) (*Result, error) {
+		return RunGuardedCheckpointed(context.Background(), p, input, cfgWithCapacity(100), g, Options{CollectReports: true}, ck)
 	})
-	store, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, phases := runUntilDone(t, sched, store, 64, func(ck *checkpoint.Runner) (*Result, error) {
-		return RunGuardedCheckpointed(ctx, p, input, cfgWithCapacity(100), g, Options{CollectReports: true}, ck)
-	})
-	ckResultsEqual(t, "guarded-fallback", got, want)
 	if got.Guard == nil || !got.Guard.FallbackBaseline {
 		t.Fatalf("fallback ladder lost across resumes: %+v", got.Guard)
 	}
-	seen := map[string]bool{}
-	for _, ph := range phases {
-		seen[ph] = true
-	}
-	if !seen["fallback"] {
+	if !hasPhase(phases, "fallback") {
 		t.Fatalf("no kill point landed in the fallback phase: resumed into %v", phases)
 	}
 }
 
 func TestCheckpointedFaultPlanCrashResume(t *testing.T) {
-	ctx := context.Background()
 	p, input := chainApp(t, 4096)
 	inj := fault.New(fault.Plan{Seed: 3, EnableFlipRate: 0.002, ReportDropRate: 0.1})
-	cfg := cfgWithCapacity(100)
-	opts := Options{CollectReports: true, Faults: inj}
-	want, err := RunBaseAPSpAP(p, input, cfg, opts)
-	if err != nil {
+	// The fault plan is hash-seeded by position, so the interrupted run
+	// replays the exact same flips and drops as the uninterrupted one.
+	got, _ := crashCell(t, 5, func(ck *checkpoint.Runner) (*Result, error) {
+		return RunBaseAPSpAPCheckpointed(context.Background(), p, input, cfgWithCapacity(100), Options{CollectReports: true, Faults: inj}, ck)
+	})
+	if got.Fault.Flips == 0 && got.Fault.DroppedReports == 0 {
+		t.Fatal("fault plan never fired; test is vacuous")
+	}
+}
+
+// The three pre-flight verdicts of preflight_test.go as crash/resume
+// cells: the verdict is part of the persisted state, so a resumed run
+// reports the same Preflight and follows the same ladder as an
+// uninterrupted one.
+func TestCheckpointedCrashResumePreflight(t *testing.T) {
+	ctx := context.Background()
+	cfg, opts := cfgWithCapacity(100), Options{CollectReports: true}
+	g := Guard{Preflight: true, MinReports: 64}
+	cell := func(t *testing.T, p *hotcold.Partition, input []byte) (*GuardStats, []string) {
+		got, phases := crashCell(t, 4, func(ck *checkpoint.Runner) (*Result, error) {
+			return RunGuardedCheckpointed(ctx, p, input, cfg, g, opts, ck)
+		})
+		if !reportsEqual(sim.Run(p.Net, input, sim.Options{CollectReports: true}).Reports, got.Reports) {
+			t.Fatal("report stream differs from sim.Run")
+		}
+		if got.Guard.Preflight == nil {
+			t.Fatalf("guard stats lack the pre-flight verdict: %+v", got.Guard)
+		}
+		return got.Guard, phases
+	}
+	t.Run("safe", func(t *testing.T) {
+		p, input := chainApp(t, 4096)
+		gs, _ := cell(t, p, input)
+		if !gs.Preflight.Safe || gs.Attempts != 1 || gs.Trips != 0 || gs.Widened || gs.FallbackBaseline {
+			t.Fatalf("guard stats = %+v (preflight %+v), want Safe and an untouched run", gs, gs.Preflight)
+		}
+	})
+	t.Run("sized", func(t *testing.T) {
+		p, input := buildStorm(t, 4, 16, 4096)
+		gs, phases := cell(t, p, input)
+		if gs.Preflight.K == nil || gs.Attempts != 1 || gs.Trips != 0 || !gs.Widened || gs.FallbackBaseline || gs.WastedCycles != 0 {
+			t.Fatalf("guard stats = %+v (preflight %+v), want a pre-widened single attempt", gs, gs.Preflight)
+		}
+		if !hasPhase(phases, "baseap") {
+			t.Fatalf("no kill landed in the pre-widened attempt: resumed into %v", phases)
+		}
+	})
+	t.Run("hopeless", func(t *testing.T) {
+		p, input := buildDeepStorm(t, 4, 16, 3, 4096)
+		gs, phases := cell(t, p, input)
+		if !gs.Preflight.Hopeless || gs.Attempts != 0 || gs.Trips != 0 || !gs.FallbackBaseline || gs.WastedCycles != 0 {
+			t.Fatalf("guard stats = %+v (preflight %+v), want zero attempts and a baseline fallback", gs, gs.Preflight)
+		}
+		if !hasPhase(phases, "fallback") {
+			t.Fatalf("no kill landed in the fallback: resumed into %v", phases)
+		}
+	})
+}
+
+// TestRunGuardedFeedsCalibrator's storm run as a crash/resume cell: the
+// run that completes feeds the calibrator exactly once, with the evidence
+// an uninterrupted run feeds; the killed attempts feed nothing.
+func TestCheckpointedCrashResumeFeedsCalibrator(t *testing.T) {
+	ctx := context.Background()
+	p, input := buildStorm(t, 4, 16, 4096)
+	g := Guard{MinReports: 64, HopelessFactor: 1000}
+	run := func(cal *hotness.Calibrator) func(ck *checkpoint.Runner) (*Result, error) {
+		return func(ck *checkpoint.Runner) (*Result, error) {
+			return RunGuardedCheckpointed(ctx, p, input, cfgWithCapacity(100), g, Options{Calibrate: cal}, ck)
+		}
+	}
+	ref := &hotness.Calibrator{}
+	if _, err := run(ref)(nil); err != nil {
 		t.Fatal(err)
 	}
-	sched := seededKills(t, 5, func(ck *checkpoint.Runner) error {
-		_, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
+	sched := seededKills(t, 3, func(ck *checkpoint.Runner) error {
+		_, err := run(&hotness.Calibrator{})(ck)
 		return err
 	})
 	store, err := checkpoint.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := runUntilDone(t, sched, store, 64, func(ck *checkpoint.Runner) (*Result, error) {
-		return RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
-	})
-	// The fault plan is hash-seeded by position, so the interrupted run
-	// replays the exact same flips and drops as the uninterrupted one.
-	ckResultsEqual(t, "faulted", got, want)
-	if got.Fault.Flips == 0 && got.Fault.DroppedReports == 0 {
-		t.Fatal("fault plan never fired; test is vacuous")
+	cal := &hotness.Calibrator{}
+	runUntilDone(t, sched, store, 64, run(cal))
+	if _, seen := cal.Density(); seen != 1 {
+		t.Fatalf("calibrator saw %d observations across %d kills, want 1", seen, len(sched.at))
+	}
+	if cal.Bias() <= 0 || cal.Bias() != ref.Bias() {
+		t.Fatalf("bias after the resumed run = %g, uninterrupted %g (want equal and > 0)", cal.Bias(), ref.Bias())
+	}
+}
+
+// The nil-hook contract: what each absent hook leaves out of the Result.
+func TestNilHookContract(t *testing.T) {
+	ctx := context.Background()
+	cfg := cfgWithCapacity(100)
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := []struct {
+		name string
+		ck   func() *checkpoint.Runner
+	}{
+		{"no runner", func() *checkpoint.Runner { return nil }},
+		{"runner without store", func() *checkpoint.Runner { return &checkpoint.Runner{} }},
+		{"runner with store", func() *checkpoint.Runner {
+			store.Clear()
+			return &checkpoint.Runner{Store: store, Name: "spap", Every: 64}
+		}},
+	}
+	guards := append([]struct {
+		name string
+		g    Guard
+	}{{name: "unguarded"}}, goldenGuards...)
+	for _, storm := range []bool{false, true} {
+		p, input := chainApp(t, 2048)
+		if storm {
+			p, input = buildStorm(t, 4, 16, 4096)
+		}
+		for _, gc := range guards {
+			for _, rc := range runners {
+				for _, collect := range []bool{false, true} {
+					ck, opts := rc.ck(), Options{CollectReports: collect}
+					var res *Result
+					if gc.name == "unguarded" {
+						res, err = RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
+					} else {
+						res, err = RunGuardedCheckpointed(ctx, p, input, cfg, gc.g, opts, ck)
+					}
+					tag := fmt.Sprintf("storm=%v %s, %s, collect=%v", storm, gc.name, rc.name, collect)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if (res.Resume == nil) != (ck == nil) {
+						t.Errorf("%s: Resume = %+v", tag, res.Resume)
+					}
+					if (res.Guard == nil) != (gc.name == "unguarded") {
+						t.Errorf("%s: Guard = %+v", tag, res.Guard)
+					}
+					if collect && int64(len(res.Reports)) != res.NumReports || !collect && res.Reports != nil {
+						t.Errorf("%s: %d reports retained, %d counted", tag, len(res.Reports), res.NumReports)
+					}
+					if res.NumReports == 0 {
+						t.Errorf("%s: no reports counted; the cell is vacuous", tag)
+					}
+				}
+			}
+		}
+	}
+
+	// apsim -fault crash= without -checkpoint: the chaos hook fires on a
+	// runner that has no store, guarded or not.
+	p, input := chainApp(t, 2048)
+	hookOnly := func() *checkpoint.Runner {
+		return &checkpoint.Runner{CrashAt: (&killSched{at: []int64{400}}).hook}
+	}
+	res, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, Options{}, hookOnly())
+	if !errors.Is(err, checkpoint.ErrCrashInjected) || res == nil || res.Resume == nil || res.Resume.Saves != 0 {
+		t.Fatalf("store-less crash hook, unguarded: res %+v, err %v", res, err)
+	}
+	res, err = RunGuardedCheckpointed(ctx, p, input, cfg, Guard{}, Options{}, hookOnly())
+	if !errors.Is(err, checkpoint.ErrCrashInjected) || res == nil || res.Guard == nil {
+		t.Fatalf("store-less crash hook, guarded: res %+v, err %v", res, err)
 	}
 }
 

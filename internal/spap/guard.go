@@ -1,8 +1,9 @@
-// Adaptive guarded execution: a mid-run watchdog over BaseAP mode plus a
-// per-batch stall pre-flight over SpAP mode, degrading gracefully when a
-// partition turns out to be storm-prone (the PEN pathology of the paper's
-// own evaluation: simultaneous intermediate reports serialize through the
-// single enable port and SpAP mode ends up slower than the baseline).
+// The adaptive guard, one of the phase machine's hooks (machine.go): a
+// mid-run watchdog over BaseAP mode plus a per-batch stall pre-flight over
+// SpAP mode, degrading gracefully when a partition turns out to be
+// storm-prone (the PEN pathology of the paper's own evaluation:
+// simultaneous intermediate reports serialize through the single enable
+// port and SpAP mode ends up slower than the baseline).
 //
 // The degradation ladder is:
 //
@@ -26,15 +27,12 @@ package spap
 
 import (
 	"context"
-	"errors"
-	"math"
 	"sort"
 
 	"sparseap/internal/ap"
 	"sparseap/internal/automata"
-	"sparseap/internal/fault"
+	"sparseap/internal/checkpoint"
 	"sparseap/internal/hotcold"
-	"sparseap/internal/hotness"
 	"sparseap/internal/lint"
 	"sparseap/internal/sim"
 )
@@ -139,10 +137,6 @@ type GuardStats struct {
 	Preflight *Preflight
 }
 
-// errGuardTripped aborts BaseAP mode internally; it never escapes
-// RunGuarded.
-var errGuardTripped = errors.New("spap: guard watchdog tripped")
-
 // watchdogStride is how often the watchdog checkpoints its counters for
 // the recent-window rate; watchdogWindow is the window length in symbols.
 const (
@@ -231,102 +225,27 @@ func (w *watchdog) hopeless() bool {
 	return w.rate > w.g.HopelessFactor*w.g.ReportBudget
 }
 
-func (w *watchdog) isTripped() bool { return w.tripped }
-
 // RunGuarded executes the partition under the BaseAP/SpAP system with the
 // adaptive guard. When no budget is exceeded the result is cycle-for-cycle
-// identical to RunBaseAPSpAPContext (plus a populated Result.Guard); when
-// a budget trips, execution degrades per the ladder above and
-// Result.TotalCycles additionally accounts the wasted and fallback cycles,
-// so TimeNS remains the honest end-to-end figure. The report multiset is
-// preserved in every path. On cancellation the partial result is returned
-// with ctx.Err().
+// identical to RunBaseAPSpAPContext (plus a populated Result.Guard and a
+// (pos, state)-sorted report stream); when a budget trips, execution
+// degrades per the ladder above and Result.TotalCycles additionally
+// accounts the wasted and fallback cycles, so TimeNS remains the honest
+// end-to-end figure. The report multiset is preserved in every path. On
+// cancellation the partial result is returned with ctx.Err().
 func RunGuarded(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, g Guard, opts Options) (*Result, error) {
-	res, err := runGuarded(ctx, p, input, cfg, g, opts)
-	// Close the static-prediction loop: every intermediate report is a
-	// hot→cold boundary crossing the partition cut failed to keep hot, so
-	// the guarded run's outcome is exactly the misprediction evidence the
-	// hotness calibrator consumes.
-	if opts.Calibrate != nil && res != nil && res.Guard != nil {
-		fb := hotness.Feedback{
-			Mispredicts: int(res.IntermediateReports),
-			Symbols:     len(input),
-			Trips:       res.Guard.Trips,
-		}
-		if res.Guard.Widened {
-			fb.Widened = 1
-		}
-		if res.Guard.FallbackBaseline {
-			fb.FallbackBaseline = 1
-		}
-		opts.Calibrate.Observe(fb)
-	}
-	return res, err
+	return RunGuardedCheckpointed(ctx, p, input, cfg, g, opts, nil)
 }
 
-func runGuarded(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, g Guard, opts Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// RunGuardedCheckpointed is RunGuarded with the checkpoint runner
+// attached: the guard ladder (pre-flight verdict, attempt count, widened
+// layers, watchdog counters, batch fallbacks) is part of the persisted
+// state, so a run killed mid-attempt, mid-batch, or mid-fallback resumes
+// exactly where it was — including re-entering BaseAP mode on an
+// already-widened partition.
+func RunGuardedCheckpointed(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, g Guard, opts Options, ck *checkpoint.Runner) (*Result, error) {
 	g = g.withDefaults()
-	gs := &GuardStats{}
-	inner := opts
-	inner.CollectReports = true // per-batch fallback splices report lists
-	var acc fault.Stats         // fault counters from aborted attempts
-	cur := p
-	if g.Preflight {
-		pf := PreflightPartition(p, g, cfg.EnablePorts)
-		gs.Preflight = pf
-		if pf.Hopeless {
-			gs.FallbackBaseline = true
-			return baselineFallback(ctx, p, input, cfg, opts, gs, acc)
-		}
-		if pf.K != nil {
-			if np, err := hotcold.Build(p.Net, p.Topo, pf.K, hotcold.Options{}); err == nil {
-				cur = np
-				gs.Widened = true
-			}
-		}
-	}
-	for {
-		gs.Attempts++
-		wd := &watchdog{g: g, ports: cfg.EnablePorts}
-		if gs.Preflight != nil && gs.Preflight.Safe {
-			// The static bound proves the watchdog can never trip; skip
-			// its bookkeeping entirely.
-			wd = nil
-		}
-		res, inter, err := runBaseAPMode(ctx, cur, input, cfg, inner, wd)
-		if errors.Is(err, errGuardTripped) {
-			gs.Trips++
-			gs.TripPos = append(gs.TripPos, wd.pos)
-			gs.WastedCycles += res.BaseAPCycles
-			acc.Add(res.Fault)
-			if gs.Attempts-1 < g.MaxRetries && !wd.hopeless() {
-				if np, ok := widenPartition(cur, g.WidenFactor); ok {
-					gs.Widened = true
-					cur = np
-					continue
-				}
-			}
-			gs.FallbackBaseline = true
-			return baselineFallback(ctx, cur, input, cfg, opts, gs, acc)
-		}
-		if err != nil {
-			if res != nil {
-				res.Guard = gs
-				res.Fault.Add(acc)
-				trimReports(res, opts)
-			}
-			return finalize(res, cfg), err
-		}
-		err = runColdGuarded(ctx, cur, input, cfg, inner, res, inter, g, gs)
-		res.Guard = gs
-		res.Fault.Add(acc)
-		sortReports(res.Reports)
-		trimReports(res, opts)
-		return finalize(res, cfg), err
-	}
+	return run(ctx, p, input, cfg, &g, opts, ck)
 }
 
 // widenPartition rebuilds the partition with every NFA's layer multiplied
@@ -355,25 +274,6 @@ func widenPartition(p *hotcold.Partition, factor int32) (*hotcold.Partition, boo
 	return np, true
 }
 
-// baselineFallback runs the whole original network as plain baseline
-// batches; the entire cost lands in GuardStats.FallbackCycles (plus the
-// already-recorded WastedCycles).
-func baselineFallback(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options, gs *GuardStats, acc fault.Stats) (*Result, error) {
-	batches, err := ap.PartitionNFAs(p.Net, cfg.Capacity)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{JumpRatio: math.NaN(), Guard: gs, Fault: acc}
-	if err := loadConfigs(opts.Faults, &res.Fault, 0, len(batches)); err != nil {
-		return finalize(res, cfg), err
-	}
-	sres, err := sim.RunContext(ctx, p.Net, input, sim.Options{CollectReports: opts.CollectReports})
-	res.NumReports = sres.NumReports
-	res.Reports = sres.Reports
-	gs.FallbackCycles = int64(len(batches)) * sres.Symbols
-	return finalize(res, cfg), err
-}
-
 // predictStalls computes, exactly, the enable stalls Algorithm 1 will pay
 // to replay this (position-sorted) report list through a batch.
 func predictStalls(reports []IntermediateReport, ports int) int64 {
@@ -391,64 +291,13 @@ func predictStalls(reports []IntermediateReport, ports int) int64 {
 	return stalls
 }
 
-// runColdGuarded is runSpAPMode with a pre-flight: a batch whose report
-// list predicts more stalls than StallBudget × len(input) is not executed
-// in SpAP mode; its NFAs run un-split as baseline batches instead.
-func runColdGuarded(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options, res *Result, inter []IntermediateReport, g Guard, gs *GuardStats) error {
-	if p.Cold.Len() == 0 {
-		return nil
-	}
-	coldBatches, err := ap.PartitionNFAs(p.Cold, cfg.Capacity)
-	if err != nil {
-		return err
-	}
-	res.ColdBatches = len(coldBatches)
-	if len(inter) == 0 {
-		return nil
-	}
-	perBatch := routeReports(p, coldBatches, inter)
-	stallCap := int64(g.StallBudget * float64(len(input)))
-	for bi, reports := range perBatch {
-		if len(reports) == 0 {
-			continue
-		}
-		if cancelled(ctx) {
-			return ctx.Err()
-		}
-		if predictStalls(reports, cfg.EnablePorts) > stallCap {
-			if err := batchFallback(ctx, p, input, cfg, opts, res, coldBatches[bi], gs); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := loadConfigs(opts.Faults, &res.Fault, res.BaseAPBatches+bi, 1); err != nil {
-			return err
-		}
-		res.SpAPExecutions++
-		st, err := runSpAPBatch(ctx, p, input, reports, cfg, opts, res)
-		res.SpAPBatchCycles = append(res.SpAPBatchCycles, st.cycles)
-		res.SpAPCycles += st.cycles
-		res.SpAPProcessed += st.cycles - st.stalls
-		res.EnableStalls += st.stalls
-		res.QueueRefills += st.refills
-		if err != nil {
-			return err
-		}
-	}
-	if res.SpAPExecutions > 0 {
-		denom := float64(res.SpAPExecutions) * float64(len(input))
-		res.JumpRatio = 1 - float64(res.SpAPProcessed)/denom
-	}
-	return nil
-}
-
 // batchFallback replaces one SpAP batch with baseline batched execution of
 // its NFAs, un-split: the full original NFAs owning the batch's cold
 // fragments re-run over the whole input, and their reports replace both
 // the skipped SpAP-mode reports and the BaseAP-mode final reports those
 // NFAs already produced (the full-NFA run regenerates them). NFAs are
 // independent, so the overall report multiset is exactly preserved.
-func batchFallback(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options, res *Result, batch ap.Batch, gs *GuardStats) error {
+func batchFallback(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, res *Result, batch ap.Batch, gs *GuardStats) error {
 	fb := make(map[int32]bool)
 	for _, cn := range batch.NFAs {
 		lo, _ := p.Cold.NFAStates(cn)
@@ -489,12 +338,4 @@ func sortReports(rs []sim.Report) {
 		}
 		return rs[a].State < rs[b].State
 	})
-}
-
-// trimReports drops the internally collected report list when the caller
-// did not ask for it.
-func trimReports(res *Result, opts Options) {
-	if !opts.CollectReports {
-		res.Reports = nil
-	}
 }

@@ -12,7 +12,9 @@
 //     forward to the next report's position (Algorithm 1).
 //
 // Multiple reports at one input position serialize through the single
-// enable port, stalling input processing (enable stalls). The package also
+// enable port, stalling input processing (enable stalls). One phase
+// machine (machine.go) implements both modes; every Run* entry point is
+// that machine with a different set of hooks attached. The package also
 // provides the AP–CPU comparison system, where mis-prediction handling runs
 // on a modeled CPU instead of SpAP mode.
 package spap
@@ -20,11 +22,10 @@ package spap
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 
 	"sparseap/internal/ap"
 	"sparseap/internal/automata"
+	"sparseap/internal/checkpoint"
 	"sparseap/internal/fault"
 	"sparseap/internal/hotcold"
 	"sparseap/internal/hotness"
@@ -117,11 +118,12 @@ type Result struct {
 	// Fault counts the runtime faults an active injector applied (all
 	// zero when Options.Faults is nil or inactive).
 	Fault fault.Stats
-	// Guard holds watchdog statistics when the run went through
-	// RunGuarded; nil otherwise.
+	// Guard holds the guard's statistics; nil exactly when the run had no
+	// guard (the RunBaseAPSpAP* and RunAPCPU* entry points).
 	Guard *GuardStats
-	// Resume holds checkpoint/resume bookkeeping when the run went
-	// through a checkpointed entry point; nil otherwise.
+	// Resume holds checkpoint/resume bookkeeping; nil exactly when the
+	// run had no checkpoint runner (a nil *checkpoint.Runner). A runner
+	// without a Store yields a non-nil Resume with zero Saves.
 	Resume *ResumeStats
 }
 
@@ -141,125 +143,35 @@ type Options struct {
 	// Calibrate, when non-nil, receives each guarded run's misprediction
 	// outcome (intermediate-report count, guard trips/widenings/
 	// fallbacks) so the static hotness analysis can recalibrate its
-	// score weights online. Only RunGuarded observes it; the unguarded
-	// entry points leave it untouched.
+	// score weights online. Only guarded runs (RunGuarded,
+	// RunGuardedCheckpointed) observe it; the unguarded entry points
+	// leave it untouched.
 	Calibrate *hotness.Calibrator
 }
 
 // RunBaseAPSpAP executes the partition under the BaseAP/SpAP system of
 // Table III and returns cycle-accurate statistics.
 func RunBaseAPSpAP(p *hotcold.Partition, input []byte, cfg ap.Config, opts Options) (*Result, error) {
-	return RunBaseAPSpAPContext(context.Background(), p, input, cfg, opts)
+	return run(context.Background(), p, input, cfg, nil, opts, nil)
 }
 
 // RunBaseAPSpAPContext is RunBaseAPSpAP with cancellation: both execution
 // modes poll ctx and stop within cancelCheckInterval cycles of it firing.
 // On cancellation (and on injected configuration-load failure) the partial
 // result accumulated so far is returned together with the error; the
-// result is nil only for configuration or partitioning errors.
+// result is nil only when the run never started (invalid configuration).
 func RunBaseAPSpAPContext(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	res, reports, err := runBaseAPMode(ctx, p, input, cfg, opts, nil)
-	if err != nil {
-		return finalize(res, cfg), err
-	}
-	if err := runSpAPMode(ctx, p, input, cfg, opts, res, reports); err != nil {
-		return finalize(res, cfg), err
-	}
-	return finalize(res, cfg), nil
+	return run(ctx, p, input, cfg, nil, opts, nil)
 }
 
-// finalize fills the derived totals; it tolerates a nil partial result.
-func finalize(res *Result, cfg ap.Config) *Result {
-	if res == nil {
-		return nil
-	}
-	res.TotalCycles = res.BaseAPCycles + res.SpAPCycles
-	if res.Guard != nil {
-		res.TotalCycles += res.Guard.WastedCycles + res.Guard.FallbackCycles
-	}
-	res.TimeNS = float64(res.TotalCycles) * cfg.CycleNS
-	return res
-}
-
-// runBaseAPMode executes the hot network in batches, separating final
-// reports from intermediate reports. A non-nil watchdog observes every
-// cycle and aborts the mode with errGuardTripped when its budget is
-// exceeded (see RunGuarded); ctx cancellation and injected
-// configuration-load failures abort it with the corresponding error. In
-// all abort cases the partial result is returned with BaseAPCycles
-// reflecting the symbols actually processed.
-func runBaseAPMode(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options, wd *watchdog) (*Result, []IntermediateReport, error) {
-	hotBatches, err := ap.PartitionNFAs(p.Hot, cfg.Capacity)
-	if err != nil {
-		return nil, nil, fmt.Errorf("spap: hot network: %w", err)
-	}
-	res := &Result{
-		BaseAPBatches: len(hotBatches),
-		BaseAPCycles:  int64(len(hotBatches)) * int64(len(input)),
-		JumpRatio:     math.NaN(),
-	}
-	inj := opts.Faults
-	if err := loadConfigs(inj, &res.Fault, 0, len(hotBatches)); err != nil {
-		res.BaseAPCycles = 0
-		return res, nil, err
-	}
-	var inter []IntermediateReport
-	interSeen := int64(0) // generated intermediate reports, including dropped
-	eng := sim.AcquireEngine(p.Hot, sim.Options{})
-	defer eng.Release()
-	eng.OnReport = func(pos int64, s automata.StateID) {
-		if orig := p.HotOrig[s]; orig != automata.None {
-			res.NumReports++
-			if opts.CollectReports {
-				res.Reports = append(res.Reports, sim.Report{Pos: pos, State: orig})
-			}
-			return
-		}
-		idx := interSeen
-		interSeen++
-		if inj.DropReport(idx) {
-			res.Fault.DroppedReports++
-			return
-		}
-		inter = append(inter, IntermediateReport{Pos: pos, Target: p.Intermediate[s]})
-	}
-	active := inj.Active()
-	abort := func(processed int) (*Result, []IntermediateReport, error) {
-		res.BaseAPCycles = int64(len(hotBatches)) * int64(processed)
-		res.IntermediateReports = int64(len(inter))
-		return res, inter, nil
-	}
-	for i, b := range input {
-		if i&(cancelCheckInterval-1) == 0 && cancelled(ctx) {
-			r, in, _ := abort(i)
-			return r, in, ctx.Err()
-		}
-		if active {
-			if s, ok := inj.FlipAt(int64(i), p.Hot.Len()); ok {
-				eng.ToggleState(s)
-				res.Fault.Flips++
-			}
-		}
-		before := len(inter)
-		eng.Step(int64(i), b)
-		if wd != nil {
-			wd.observe(int64(i)+1, len(inter)-before, int64(len(inter)))
-			if wd.isTripped() {
-				r, in, _ := abort(i + 1)
-				return r, in, errGuardTripped
-			}
-		}
-	}
-	res.IntermediateReports = int64(len(inter))
-	// The engine emits reports in cycle order (and ascending state order
-	// within a cycle), which Algorithm 1 permits (all same-position
-	// reports are enabled together). Sort defensively by position for the
-	// queue model.
-	sort.SliceStable(inter, func(a, b int) bool { return inter[a].Pos < inter[b].Pos })
-	return res, inter, nil
+// RunBaseAPSpAPCheckpointed is RunBaseAPSpAPContext with the checkpoint
+// runner attached: state is captured every Runner.Every processed symbols
+// (and at every phase and batch boundary), and a rerun resumes from the
+// newest valid checkpoint with exactly-once report delivery. The Result
+// is the one RunBaseAPSpAPContext returns, plus Resume bookkeeping when ck
+// is non-nil.
+func RunBaseAPSpAPCheckpointed(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options, ck *checkpoint.Runner) (*Result, error) {
+	return run(ctx, p, input, cfg, nil, opts, ck)
 }
 
 // routeReports assigns each intermediate report to the cold batch owning
@@ -278,119 +190,6 @@ func routeReports(p *hotcold.Partition, coldBatches []ap.Batch, inter []Intermed
 		perBatch[bi] = append(perBatch[bi], r)
 	}
 	return perBatch
-}
-
-// runSpAPMode executes the cold network in batches under Algorithm 1.
-func runSpAPMode(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options, res *Result, inter []IntermediateReport) error {
-	if p.Cold.Len() == 0 {
-		return nil
-	}
-	coldBatches, err := ap.PartitionNFAs(p.Cold, cfg.Capacity)
-	if err != nil {
-		return fmt.Errorf("spap: cold network: %w", err)
-	}
-	res.ColdBatches = len(coldBatches)
-	if len(inter) == 0 {
-		return nil
-	}
-	perBatch := routeReports(p, coldBatches, inter)
-	for bi, reports := range perBatch {
-		if len(reports) == 0 {
-			continue
-		}
-		if cancelled(ctx) {
-			return ctx.Err()
-		}
-		// Cold batches share the global configuration-ID space with the
-		// BaseAP batches, and load lazily: a batch that receives no
-		// reports is never configured.
-		if err := loadConfigs(opts.Faults, &res.Fault, res.BaseAPBatches+bi, 1); err != nil {
-			return err
-		}
-		res.SpAPExecutions++
-		st, err := runSpAPBatch(ctx, p, input, reports, cfg, opts, res)
-		res.SpAPBatchCycles = append(res.SpAPBatchCycles, st.cycles)
-		res.SpAPCycles += st.cycles
-		res.SpAPProcessed += st.cycles - st.stalls
-		res.EnableStalls += st.stalls
-		res.QueueRefills += st.refills
-		if err != nil {
-			return err
-		}
-	}
-	if res.SpAPExecutions > 0 {
-		denom := float64(res.SpAPExecutions) * float64(len(input))
-		res.JumpRatio = 1 - float64(res.SpAPProcessed)/denom
-	}
-	return nil
-}
-
-// batchStats carries per-batch SpAP accounting.
-type batchStats struct {
-	cycles  int64 // symbols processed + enable stalls
-	stalls  int64
-	refills int64
-}
-
-// runSpAPBatch is Algorithm 1. The whole cold network is simulated, driven
-// only by this batch's reports; because NFAs are independent, states
-// outside the batch are never enabled, so the result is identical to
-// simulating the batch alone. Cancellation returns the stats accumulated
-// so far together with ctx.Err().
-func runSpAPBatch(ctx context.Context, p *hotcold.Partition, input []byte, reports []IntermediateReport, cfg ap.Config, opts Options, res *Result) (batchStats, error) {
-	eng := sim.AcquireEngine(p.Cold, sim.Options{})
-	defer eng.Release()
-	eng.OnReport = func(pos int64, s automata.StateID) {
-		res.NumReports++
-		if opts.CollectReports {
-			res.Reports = append(res.Reports, sim.Report{Pos: pos, State: p.ColdOrig[s]})
-		}
-	}
-	inj := opts.Faults
-	active := inj.Active()
-	var st batchStats
-	n := int64(len(input))
-	i := int64(0)
-	j := 0
-	for i < n {
-		if st.cycles&(cancelCheckInterval-1) == 0 && cancelled(ctx) {
-			st.cycles += st.stalls
-			return st, ctx.Err()
-		}
-		if eng.FrontierEmpty() {
-			if j >= len(reports) {
-				break
-			}
-			i = reports[j].Pos // jump operation
-		}
-		if active {
-			if s, ok := inj.FlipAt(i, p.Cold.Len()); ok {
-				eng.ToggleState(s)
-				res.Fault.Flips++
-			}
-		}
-		// Enable every report generated at this position. EnablePorts
-		// enables overlap with one symbol cycle; each additional full
-		// port-width of simultaneous reports stalls input processing for
-		// one cycle (Section V-B describes the 1-port design).
-		enabled := 0
-		for j < len(reports) && reports[j].Pos == i {
-			eng.EnableState(p.ColdID[reports[j].Target])
-			if j%cfg.ReportQueueLen == cfg.ReportQueueLen-1 {
-				st.refills++
-			}
-			j++
-			enabled++
-		}
-		if enabled > cfg.EnablePorts {
-			st.stalls += int64((enabled+cfg.EnablePorts-1)/cfg.EnablePorts - 1)
-		}
-		eng.Step(i, input[i])
-		st.cycles++
-		i++
-	}
-	st.cycles += st.stalls
-	return st, nil
 }
 
 // CPUModel is the cost model substituted for the paper's wall-clock CPU
@@ -423,15 +222,16 @@ func RunAPCPU(p *hotcold.Partition, input []byte, cfg ap.Config, cpu CPUModel, o
 // (flips, queue drops, configuration loads); the software interpreter is
 // modeled fault-free.
 func RunAPCPUContext(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, cpu CPUModel, opts Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	x, err := newMachine(ctx, p, input, cfg, nil, opts, nil)
+	if err != nil {
 		return nil, err
 	}
-	res, inter, err := runBaseAPMode(ctx, p, input, cfg, opts, nil)
+	err = x.runBase()
+	base, inter := x.st.res, x.st.inter
+	res := &base
 	if err != nil {
-		if res != nil {
-			res.TotalCycles = res.BaseAPCycles
-			res.TimeNS = float64(res.BaseAPCycles) * cfg.CycleNS
-		}
+		res.TotalCycles = res.BaseAPCycles
+		res.TimeNS = float64(res.BaseAPCycles) * cfg.CycleNS
 		return res, err
 	}
 	if len(inter) > 0 {

@@ -5,7 +5,8 @@
 #   scripts/check.sh -short    # skip the race pass (quick pre-commit loop)
 #
 # Steps: gofmt, go vet, staticcheck and govulncheck (when installed),
-# build, full test suite, race-detector pass over the whole module, a fuzz
+# build, full test suite, vet and smoke test of the bench/ module,
+# race-detector pass over the whole module, a fuzz
 # smoke pass over the parser/compiler/rewriter fuzz targets, the
 # fault-injection smoke sweep, a chaos-soak smoke cell (kill/resume with
 # stream comparison), a serve-soak smoke cell (real SIGKILL of a live
@@ -59,6 +60,11 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+# bench/ is a module of its own (replace sparseap => ../), so the build
+# and test above cannot see a change breaking the ledger's imports.
+echo "== bench module (vet + smoke test) =="
+(cd bench && go vet . && go test .)
 
 if [[ $short -eq 0 ]]; then
     echo "== go test -race (whole module) =="
