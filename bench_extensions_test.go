@@ -3,18 +3,15 @@ package sparseap_test
 import (
 	"testing"
 
-	"sparseap"
 	"sparseap/internal/ap"
-	"sparseap/internal/dfa"
 	"sparseap/internal/exp"
 	"sparseap/internal/sim"
 	"sparseap/internal/workloads"
 )
 
 // Ablation benches for the design choices DESIGN.md calls out: the value
-// of profiling vs behaviour-blind partitioning, compile-time automata
-// optimization, the excluded output-reporting overhead, DFA vs NFA
-// execution, and chunk-parallel simulation.
+// of profiling vs behaviour-blind partitioning and the excluded
+// output-reporting overhead.
 
 func BenchmarkAblationPartitionStrategies(b *testing.B) {
 	s := benchSuite()
@@ -29,21 +26,6 @@ func BenchmarkAblationPartitionStrategies(b *testing.B) {
 	b.ReportMetric(profiled, "geoProfiled")
 	b.ReportMetric(fixed, "geoFixedCut")
 	b.ReportMetric(oracle, "geoOracle")
-}
-
-func BenchmarkAblationOptimize(b *testing.B) {
-	app, err := workloads.Build("Snort", workloads.Config{InputLen: 8192, Divisor: 32, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var before, after int
-	for i := 0; i < b.N; i++ {
-		opt, stats := sparseap.Optimize(app.Net)
-		before, after = stats.Before, stats.After
-		_ = opt
-	}
-	b.ReportMetric(float64(before), "statesBefore")
-	b.ReportMetric(float64(after), "statesAfter")
 }
 
 // BenchmarkAblationOutputOverhead quantifies the report-output stalls the
@@ -67,53 +49,4 @@ func BenchmarkAblationOutputOverhead(b *testing.B) {
 	}
 	b.ReportMetric(float64(overhead), "outputStallCycles")
 	b.ReportMetric(float64(len(positions)), "reports")
-}
-
-// BenchmarkDFAvsNFA compares determinized execution against the frontier
-// simulator on the ExactMatch rule set (the DFA-friendliest workload).
-func BenchmarkDFAvsNFA(b *testing.B) {
-	app, err := workloads.Build("EM", workloads.Config{InputLen: 32768, Divisor: 32, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("NFA", func(b *testing.B) {
-		b.SetBytes(int64(len(app.Input)))
-		for i := 0; i < b.N; i++ {
-			sim.Run(app.Net, app.Input, sim.Options{})
-		}
-	})
-	b.Run("DFA", func(b *testing.B) {
-		d := dfa.New(app.Net, dfa.Options{MaxStates: 1 << 20})
-		if err := d.Run(app.Input, nil); err != nil {
-			b.Skip("state explosion on this rule set:", err)
-		}
-		b.SetBytes(int64(len(app.Input)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := d.Run(app.Input, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(d.NumStates()), "dfaStates")
-	})
-}
-
-// BenchmarkParallelSim measures chunk-parallel simulation scaling on an
-// acyclic rule set.
-func BenchmarkParallelSim(b *testing.B) {
-	app, err := workloads.Build("EM", workloads.Config{InputLen: 65536, Divisor: 32, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(map[int]string{1: "w1", 2: "w2", 4: "w4", 8: "w8"}[workers], func(b *testing.B) {
-			b.SetBytes(int64(len(app.Input)))
-			for i := 0; i < b.N; i++ {
-				if _, err := sparseap.MatchParallel(app.Net, app.Input,
-					sparseap.ParallelOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -232,7 +232,7 @@ func TestChaosSoakBaselineWithCorruption(t *testing.T) {
 // serveChaosHarness is one in-process server generation over a shared
 // checkpoint directory: aborting it and starting the next generation is
 // the in-process stand-in for SIGKILL + restart (the out-of-process
-// version, with a real SIGKILL, lives in scripts/serve_soak.sh).
+// version, with a real SIGKILL, lives in scripts/serve_soak.sh restart).
 type serveChaosHarness struct {
 	t    *testing.T
 	dir  string
@@ -405,7 +405,7 @@ func TestChaosServeOverload(t *testing.T) {
 // client must fail over to B, resume from the replicated slots, and
 // assemble a report stream bit-identical to an uninterrupted local run
 // — without ever restarting from scratch. The out-of-process version,
-// with a real SIGKILL, lives in scripts/cluster_soak.sh.
+// with a real SIGKILL, lives in scripts/serve_soak.sh failover.
 func TestChaosServeClusterFailover(t *testing.T) {
 	cfg := workloads.Config{Divisor: 64, InputLen: 131072}
 	app, err := workloads.Build("HM", cfg)

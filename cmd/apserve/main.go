@@ -24,10 +24,10 @@
 // follower holding the replicated slots. Pass -peers to the loadgen too
 // so its clients exercise the same failover path.
 //
-// Loadgen mode exercises a running server and writes a benchmark record:
+// Loadgen mode exercises a running server and prints a summary:
 //
 //	apserve -loadgen -url http://127.0.0.1:8425 -apps HM,PEN,TCP \
-//	        -streams 2 -requests 64 -overload 32 -bench BENCH_serve.json
+//	        -streams 2 -requests 64 -overload 32
 //
 // Every completed stream is verified bit-identical against a local
 // uninterrupted run, so the loadgen doubles as an end-to-end checker.
@@ -67,8 +67,6 @@ func main() {
 		burst        = flag.Float64("burst", 0, "per-tenant admission burst (0 = 2x rate)")
 		memBudget    = flag.Int64("membudget", 0, "resident memory budget in bytes (0 = unlimited)")
 		drainWait    = flag.Duration("drain", 30*time.Second, "graceful drain timeout on SIGTERM")
-		batchLanes   = flag.Int("batch-streams", 0, "coalesce concurrent /v1/match calls into batch ticks of up to N lanes (0/1 = solo path)")
-		batchWindow  = flag.Duration("batch-window", 0, "admission window a lone match waits for batch company (0 = 500us default)")
 
 		peers    = flag.String("peers", "", "comma-separated sibling node base URLs: migration targets for /v1/migrate, SIGTERM drain-migrates live sessions to them; loadgen mode fails clients over to them")
 		replicas = flag.String("replicas", "", "comma-separated follower base URLs: every committed checkpoint slot is shipped to them, so sessions survive this node's loss (requires -store)")
@@ -81,7 +79,6 @@ func main() {
 		overload = flag.Int("overload", 0, "concurrent burst size for the overload phase (loadgen mode, 0 = skip)")
 		tenants  = flag.Int("tenants", 4, "tenant identities to spread load across (loadgen mode)")
 		pace     = flag.Duration("pace", 0, "sleep between stream chunk writes, stretching streams for chaos kills (loadgen mode)")
-		benchOut = flag.String("bench", "", "write the benchmark record JSON to this file (loadgen mode)")
 	)
 	flag.Parse()
 
@@ -89,7 +86,7 @@ func main() {
 	abbrs := splitList(*apps)
 
 	if *loadgen {
-		runLoadgen(*url, splitList(*peers), abbrs, cfg, *streams, *requests, *overload, *tenants, *pace, *benchOut)
+		runLoadgen(*url, splitList(*peers), abbrs, cfg, *streams, *requests, *overload, *tenants, *pace)
 		return
 	}
 
@@ -101,8 +98,6 @@ func main() {
 		RatePerSec:   *rate,
 		Burst:        *burst,
 		MemBudget:    *memBudget,
-		BatchStreams: *batchLanes,
-		BatchWindow:  *batchWindow,
 		Peers:        splitList(*peers),
 	}
 	if *storeDir != "" {
@@ -173,7 +168,7 @@ func main() {
 	<-drained
 }
 
-func runLoadgen(url string, peers, abbrs []string, cfg workloads.Config, streams, requests, overload, tenants int, pace time.Duration, benchOut string) {
+func runLoadgen(url string, peers, abbrs []string, cfg workloads.Config, streams, requests, overload, tenants int, pace time.Duration) {
 	bench, err := serve.RunLoadgen(context.Background(), serve.LoadgenOptions{
 		URL:           url,
 		Peers:         peers,
@@ -200,12 +195,6 @@ func runLoadgen(url string, peers, abbrs []string, cfg workloads.Config, streams
 	}
 	if bench.FailedAccepted > 0 {
 		fatal(fmt.Errorf("loadgen: %d accepted requests failed — admission control lied", bench.FailedAccepted))
-	}
-	if benchOut != "" {
-		if err := serve.WriteBenchServe(benchOut, bench); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("loadgen: wrote %s\n", benchOut)
 	}
 }
 

@@ -55,11 +55,11 @@ func ExampleHammingNFA() {
 	// hits: 1
 }
 
-// ExampleOptimize shows compile-time prefix sharing across rules.
-func ExampleOptimize() {
+// ExampleMinimize shows compile-time prefix sharing across rules.
+func ExampleMinimize() {
 	net, _ := sparseap.CompileRegex([]string{"prefix-one", "prefix-two"})
-	_, stats := sparseap.Optimize(net)
-	fmt.Println("states saved:", stats.Before-stats.After)
+	_, stats, _ := sparseap.Minimize(net)
+	fmt.Println("states saved:", stats.StatesRemoved())
 	// Output:
 	// states saved: 7
 }

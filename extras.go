@@ -1,28 +1,12 @@
 package sparseap
 
 import (
-	"context"
-
-	"sparseap/internal/automata"
-	"sparseap/internal/dfa"
 	"sparseap/internal/rewrite"
 	"sparseap/internal/sim"
 )
 
 // This file exposes the toolchain extensions around the core pipeline:
-// compile-time automata optimization, parallel and streaming matching, and
-// the DFA comparison engine.
-
-// OptStats summarizes an Optimize run.
-type OptStats = automata.OptStats
-
-// Optimize applies the compiler passes AP toolchains run before placement
-// — unreachable-state pruning, dead-end pruning, and equivalence merging —
-// and returns the reduced network. Matching behaviour (per-position report
-// counts) is preserved; state identities are renumbered.
-func Optimize(net *Network) (*Network, OptStats) {
-	return automata.Optimize(net)
-}
+// compile-time automata minimization and streaming matching.
 
 // MinimizeStats summarizes a Minimize run: states/edges/NFAs before and
 // after, and what each rewrite phase removed.
@@ -31,32 +15,15 @@ type MinimizeStats = rewrite.Stats
 // Minimize runs the proof-carrying semantic rewriter (dataflow-based
 // unreachable/dead elimination, edge pruning, subsumption, and
 // capacity-guarded bisimulation merging, including cross-NFA start
-// folding). It subsumes Optimize: every removal and merge carries a
-// certificate that is machine-checked before being applied, and the
-// report stream is bit-identical up to state renumbering.
+// folding). Every removal and merge carries a certificate that is
+// machine-checked before being applied, and the report stream is
+// bit-identical up to state renumbering.
 func Minimize(net *Network) (*Network, MinimizeStats, error) {
 	res, err := rewrite.Rewrite(net, rewrite.Options{})
 	if err != nil {
 		return nil, MinimizeStats{}, err
 	}
 	return res.Net, res.Stats, nil
-}
-
-// MatchParallel runs the matcher over input with chunked parallelism (the
-// Parallel Automata Processor execution style). Exact for acyclic
-// networks; cyclic networks are rejected unless opts allows approximation.
-type ParallelOptions = sim.ParallelOptions
-
-// MatchParallel returns all reports, sorted by position.
-func MatchParallel(net *Network, input []byte, opts ParallelOptions) ([]Report, error) {
-	return sim.ParallelRun(net, input, opts)
-}
-
-// MatchParallelContext is MatchParallel with cancellation: workers stop
-// early when ctx fires and the partial reports gathered so far are
-// returned with ctx.Err().
-func MatchParallelContext(ctx context.Context, net *Network, input []byte, opts ParallelOptions) ([]Report, error) {
-	return sim.ParallelRunContext(ctx, net, input, opts)
 }
 
 // Streamer is an incremental matcher implementing io.Writer; reports are
@@ -80,10 +47,3 @@ func NewStreamer(net *Network) *Streamer { return sim.NewStreamer(net) }
 func NewStreamerOpts(net *Network, opts StreamerOptions) *Streamer {
 	return sim.NewStreamerOpts(net, opts)
 }
-
-// DFA is a lazily determinized matcher over the same network model — the
-// CPU-side baseline the paper's related work contrasts with AP execution.
-type DFA = dfa.DFA
-
-// NewDFA prepares a lazy DFA with the default state cap.
-func NewDFA(net *Network) *DFA { return dfa.New(net, dfa.Options{}) }

@@ -6,38 +6,6 @@ import (
 	"sparseap"
 )
 
-func TestOptimizeFacade(t *testing.T) {
-	// Two patterns sharing a prefix, compiled as one NFA via alternation.
-	net, err := sparseap.CompileRegex([]string{"ab(c|d)", "zz"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, stats := sparseap.Optimize(net)
-	if stats.Before != net.Len() || stats.After != opt.Len() {
-		t.Fatalf("stats inconsistent: %+v", stats)
-	}
-	in := []byte("abd zz abc")
-	if len(sparseap.Match(opt, in)) != len(sparseap.Match(net, in)) {
-		t.Fatal("optimization changed match count")
-	}
-}
-
-func TestMatchParallelFacade(t *testing.T) {
-	net, err := sparseap.CompileRegex([]string{"abcd"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := []byte("xx abcd yy abcd zz abcd")
-	got, err := sparseap.MatchParallel(net, input, sparseap.ParallelOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sparseap.Match(net, input)
-	if len(got) != len(want) {
-		t.Fatalf("parallel %d vs serial %d", len(got), len(want))
-	}
-}
-
 func TestStreamerFacade(t *testing.T) {
 	net, err := sparseap.CompileRegex([]string{"ab"})
 	if err != nil {
@@ -50,23 +18,5 @@ func TestStreamerFacade(t *testing.T) {
 	st.Write([]byte("b ab"))
 	if n != 2 {
 		t.Fatalf("streaming matches = %d, want 2", n)
-	}
-}
-
-func TestDFAFacade(t *testing.T) {
-	net, err := sparseap.CompileRegex([]string{"needle"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := sparseap.NewDFA(net)
-	n := 0
-	if err := d.Run([]byte("hay needle hay needle"), func(pos int64, s sparseap.StateID) { n++ }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("DFA matches = %d, want 2", n)
-	}
-	if d.NumStates() == 0 {
-		t.Fatal("no DFA states constructed")
 	}
 }

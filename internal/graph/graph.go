@@ -104,22 +104,6 @@ func SCC(n *automata.Network) *SCCResult {
 	return &SCCResult{Comp: comp, NumComps: int(ncomp), Size: sizes}
 }
 
-// HasCycle reports whether the network contains any directed cycle. A
-// cycle exists exactly when some edge stays inside one component — this
-// covers both multi-state SCCs and self-loops (an SCC of size 1 with an
-// edge to itself), so callers need no separate self-loop scan.
-func (r *SCCResult) HasCycle(n *automata.Network) bool {
-	for u := 0; u < n.Len(); u++ {
-		cu := r.Comp[u]
-		for _, v := range n.States[u].Succ {
-			if r.Comp[v] == cu {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Topo holds the layered topological order of a network's states.
 type Topo struct {
 	// Order[s] is topoorder(s): 1 for source layers, 1 + max over

@@ -239,72 +239,6 @@ func TestPropSCCSizesSum(t *testing.T) {
 	}
 }
 
-func TestHasCycle(t *testing.T) {
-	cases := []struct {
-		name  string
-		n     int
-		edges [][2]int
-		want  bool
-	}{
-		{"chain", 4, [][2]int{{0, 1}, {1, 2}, {2, 3}}, false},
-		{"diamond", 4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}, false},
-		{"self-loop only", 3, [][2]int{{0, 1}, {1, 1}, {1, 2}}, true},
-		{"two-cycle", 3, [][2]int{{0, 1}, {1, 2}, {2, 1}}, true},
-		{"empty", 2, nil, false},
-	}
-	for _, tc := range cases {
-		net := buildNet(tc.n, tc.edges)
-		if got := SCC(net).HasCycle(net); got != tc.want {
-			t.Errorf("%s: HasCycle = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// Property: HasCycle agrees with a DFS three-color cycle detector.
-func TestPropHasCycleAgainstDFS(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(10)
-		var edges [][2]int
-		for e := 0; e < r.Intn(2*n); e++ {
-			edges = append(edges, [2]int{r.Intn(n), r.Intn(n)})
-		}
-		net := buildNet(n, edges)
-		want := dfsHasCycle(net)
-		if got := SCC(net).HasCycle(net); got != want {
-			t.Fatalf("trial %d (n=%d edges=%v): HasCycle = %v, DFS says %v",
-				trial, n, edges, got, want)
-		}
-	}
-}
-
-func dfsHasCycle(n *automata.Network) bool {
-	const white, gray, black = 0, 1, 2
-	color := make([]int, n.Len())
-	var visit func(u int) bool
-	visit = func(u int) bool {
-		color[u] = gray
-		for _, v := range n.States[u].Succ {
-			switch color[v] {
-			case gray:
-				return true
-			case white:
-				if visit(int(v)) {
-					return true
-				}
-			}
-		}
-		color[u] = black
-		return false
-	}
-	for u := 0; u < n.Len(); u++ {
-		if color[u] == white && visit(u) {
-			return true
-		}
-	}
-	return false
-}
-
 func TestNormalizedDepthDegenerateLayer(t *testing.T) {
 	// An NFA whose maximum order is 0 (a Topo over a degenerate or
 	// hand-built layer map) must report full depth 1, not NaN: the old

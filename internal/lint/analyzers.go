@@ -129,7 +129,7 @@ var analyzerUnreachable = &Analyzer{
 			if !reach[s] {
 				out = append(out, p.stateDiag(a, Warning, automata.StateID(s),
 					"unreachable from any start state",
-					"run automata.PruneUnreachable"))
+					"run apopt (removes unreachable states)"))
 			}
 		}
 		return out
@@ -149,7 +149,7 @@ var analyzerDeadEnd = &Analyzer{
 			if !co[s] {
 				out = append(out, p.stateDiag(a, Warning, automata.StateID(s),
 					"no reporting state is reachable from this state",
-					"run automata.PruneDeadEnds"))
+					"run apopt (removes dead ends)"))
 			}
 		}
 		return out
@@ -251,7 +251,7 @@ var analyzerRedundant = &Analyzer{
 		// sorted succs); states sharing a key are enabled on exactly the
 		// same cycles and activate exactly the same targets, so one STE
 		// could stand for all of them. This is one refinement step of the
-		// full backward bisimulation in automata.MergeEquivalent — precise
+		// full backward bisimulation in rewrite.Rewrite — precise
 		// (no false positives) but not exhaustive.
 		type key struct {
 			match      symset.Set
@@ -284,7 +284,7 @@ var analyzerRedundant = &Analyzer{
 			if f, dup := first[k]; dup {
 				out = append(out, p.stateDiag(a, Info, automata.StateID(s),
 					fmt.Sprintf("structurally identical to state %d", f),
-					"run automata.MergeEquivalent"))
+					"run apopt (merges equivalent states)"))
 			} else {
 				first[k] = automata.StateID(s)
 			}

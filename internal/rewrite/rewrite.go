@@ -481,9 +481,9 @@ func (p *plan) planSubsumption() {
 	}
 }
 
-// planMerge partitions the network by backward bisimulation — the
-// refinement of automata.MergeEquivalent with three generalizations:
-// matches compare under the alphabet, predecessors that provably never
+// planMerge partitions the network by backward bisimulation with three
+// generalizations over the textbook refinement: matches compare under
+// the alphabet, predecessors that provably never
 // fire are ignored (they cannot affect enabling), and all-input start
 // states are exempt from the predecessor condition entirely (they are
 // enabled every cycle, which is what lets redundant start states fold

@@ -437,7 +437,6 @@ func (s *Server) DrainMigrate(timeout time.Duration) error {
 	if hs != nil {
 		hs.Close()
 	}
-	s.stopBatchers()
 	s.stopPeers()
 	if stranded > 0 {
 		return fmt.Errorf("serve: drain-migrate timed out with %d sessions still live", stranded)

@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -474,7 +473,8 @@ func (o LoadgenOptions) withDefaults() LoadgenOptions {
 	return o
 }
 
-// BenchServe is the benchmark record written to BENCH_serve.json.
+// BenchServe is the loadgen's record: what RunLoadgen verified and
+// measured.
 type BenchServe struct {
 	Apps          []string `json:"apps"`
 	Streams       int      `json:"streams"`
@@ -700,15 +700,6 @@ func RunLoadgen(ctx context.Context, o LoadgenOptions) (*BenchServe, error) {
 		owg.Wait()
 	}
 	return bench, nil
-}
-
-// WriteBenchServe writes the benchmark record as indented JSON.
-func WriteBenchServe(path string, b *BenchServe) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // sameReports verifies got and want are the identical sequence.

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"sparseap/internal/sim"
@@ -22,7 +21,7 @@ import (
 // matchResponse is the /v1/match reply.
 type matchResponse struct {
 	App        string     `json:"app"`
-	Mode       string     `json:"mode"` // guarded | probe | baseline | batch
+	Mode       string     `json:"mode"` // guarded | probe | baseline
 	NumReports int64      `json:"numReports"`
 	Reports    [][2]int64 `json:"reports"` // [pos, state]
 }
@@ -35,14 +34,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown app", http.StatusNotFound)
 		return
 	}
-	cost := a.engineCost()
-	if s.batchingEnabled() {
-		// A batched request shares one batch engine with its lane
-		// neighbours; charge it the per-lane slice instead of a whole
-		// solo engine (worst-case sized, like the solo charge).
-		cost = a.laneCost()
+	deadline, err := headerInt(r.Header, "X-Deadline-Ms", maxDeadlineMs)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	adm := s.admit(tenant, cost)
+	adm := s.admit(tenant, a.engineCost())
 	if !adm.ok {
 		s.shed(w, tenant, adm.status, adm.retryAfter, adm.reason)
 		return
@@ -50,8 +47,8 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	defer adm.release()
 
 	ctx := r.Context()
-	if ms, _ := strconv.ParseInt(r.Header.Get("X-Deadline-Ms"), 10, 64); ms > 0 {
-		c, cancel := context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+	if deadline > 0 {
+		c, cancel := context.WithTimeout(ctx, time.Duration(deadline)*time.Millisecond)
 		defer cancel()
 		ctx = c
 	}
@@ -68,21 +65,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 
 	resp := matchResponse{App: a.name}
 	var reports []sim.Report
-	if s.batchingEnabled() {
-		// The batch kernel's per-lane streams are bit-identical to solo
-		// runs (property-tested in internal/sim), so batching bypasses
-		// the degradation ladder without changing any answer.
-		resp.Mode = "batch"
-		var berr error
-		reports, resp.NumReports, berr = s.batchMatch(ctx, a, input)
-		if berr != nil {
-			matchError(w, berr)
-			return
-		}
-		s.finishMatch(w, tenant, &resp, reports)
-		return
-	}
-
 	t := s.tenantOf(tenant)
 	mode := t.ladder.Next()
 	resp.Mode = mode.String()
@@ -139,14 +121,8 @@ func (s *Server) finishMatch(w http.ResponseWriter, tenant string, resp *matchRe
 }
 
 // matchError maps executor errors to HTTP: deadline and cancellation are
-// the caller's timeout (504), shutdown is retriable on the next process
-// (503), anything else is a server fault.
+// the caller's timeout (504), anything else is a server fault.
 func matchError(w http.ResponseWriter, err error) {
-	if status, ok := batchStatus(err); ok {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), status)
-		return
-	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
 		return

@@ -97,16 +97,6 @@ type Config struct {
 	// Ladder configures per-tenant guard escalation.
 	Ladder spap.LadderConfig
 
-	// BatchStreams enables batched one-shot matching when > 1: concurrent
-	// /v1/match requests for the same application coalesce into one
-	// multi-stream batch-kernel walk of up to this many lanes (capped at
-	// sim.MaxLanes). 0 or 1 keeps the solo per-request path.
-	BatchStreams int
-	// BatchWindow is how long a lone match request waits for company
-	// before its batch starts ticking (default 500µs; only meaningful
-	// with BatchStreams > 1).
-	BatchWindow time.Duration
-
 	// Peers are base URLs of sibling serve nodes (e.g.
 	// "http://10.0.0.2:8425"): migration targets for /v1/migrate and
 	// DrainMigrate, health-watched with hysteresis (see cluster.go). An
@@ -144,12 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Capacity <= 0 {
 		c.Capacity = ap.DefaultConfig().Capacity
-	}
-	if c.BatchStreams > sim.MaxLanes {
-		c.BatchStreams = sim.MaxLanes
-	}
-	if c.BatchStreams > 1 && c.BatchWindow <= 0 {
-		c.BatchWindow = defaultBatchWindow
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
@@ -200,12 +184,6 @@ func (a *app) engineCost() int64 {
 	return a.img.EngineFootprintBounded(a.frontierBound()) + sessionOverheadBytes
 }
 
-// laneCost is the admission charge of one batched match: the per-lane
-// slice of a batch engine sized for the certified worst-case frontier.
-func (a *app) laneCost() int64 {
-	return a.img.BatchLaneFootprintBounded(a.frontierBound()) + sessionOverheadBytes
-}
-
 // partition builds (once) the static hot/cold partition the SpAP match
 // path runs on.
 func (a *app) partition(capacity int) (*hotcold.Partition, error) {
@@ -234,11 +212,6 @@ type Server struct {
 	killCh chan struct{} // closed by Abort: simulated crash for chaos tests
 	idle   sync.Cond     // broadcast when nSess drops (Drain waits on it)
 
-	batchers     map[string]*batcher // per-app match batchers (see batch.go)
-	batchStop    chan struct{}       // closed by stopBatchers
-	batchStopped bool
-	batchWG      sync.WaitGroup
-
 	peers       []*peer       // watched migration targets (see cluster.go)
 	peerStop    chan struct{} // closed by stopPeers
 	peerStopped bool
@@ -264,9 +237,7 @@ func New(cfg Config) *Server {
 		active:  map[string]*session{},
 		killCh:  make(chan struct{}),
 
-		batchers:  map[string]*batcher{},
-		batchStop: make(chan struct{}),
-		peerStop:  make(chan struct{}),
+		peerStop: make(chan struct{}),
 	}
 	s.idle.L = &s.mu
 	s.startPeerWatch()
@@ -369,9 +340,6 @@ func (s *Server) Drain(timeout time.Duration) error {
 	if hs != nil {
 		hs.Close()
 	}
-	// Sessions have unwound (or timed out), so no match request can be in
-	// a batch lane; stop the batcher workers before returning.
-	s.stopBatchers()
 	s.stopPeers()
 	if stranded > 0 {
 		return fmt.Errorf("serve: drain timed out with %d sessions still live", stranded)
@@ -397,9 +365,6 @@ func (s *Server) Abort() {
 	if hs != nil {
 		hs.Close()
 	}
-	// Batcher workers see the kill at their next check tick, retire every
-	// in-flight lane with a 503, and exit.
-	s.stopBatchers()
 	s.stopPeers()
 }
 
@@ -458,6 +423,28 @@ func (s *Server) shed(w http.ResponseWriter, tenant string, status int, retryAft
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	http.Error(w, fmt.Sprintf("shed: %s (retry after %ds)", reason, secs), status)
+}
+
+// maxDeadlineMs bounds X-Deadline-Ms at 24 h: far beyond any real
+// request, far below where time.Duration(ms)*time.Millisecond overflows
+// into a deadline already past.
+const maxDeadlineMs = 24 * 60 * 60 * 1000
+
+// headerInt reads an optional non-negative integer request header. An
+// absent header is 0; one that does not parse, is negative or exceeds
+// max is an error naming the header, which the handlers answer 400 —
+// reading garbage as "not sent" would silently drop a deadline or replay
+// a window the client already holds.
+func headerInt(h http.Header, name string, max int64) (int64, error) {
+	v := h.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || n < 0 || n > max {
+		return 0, fmt.Errorf("invalid %s %q: want an integer in [0, %d]", name, v, max)
+	}
+	return n, nil
 }
 
 // newSessionID returns a fresh 16-hex-digit session ID.

@@ -52,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -299,6 +300,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown app", http.StatusNotFound)
 		return
 	}
+	deadline, err := headerInt(r.Header, "X-Deadline-Ms", maxDeadlineMs)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	have, err := headerInt(r.Header, "X-Have-Reports", math.MaxInt64)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	adm := s.admit(tenant, a.engineCost())
 	if !adm.ok {
 		s.shed(w, tenant, adm.status, adm.retryAfter, adm.reason)
@@ -337,15 +348,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// the engine through the Streamer's context poll.
 	ctx := r.Context()
 	rc := http.NewResponseController(w)
-	if ms, _ := strconv.ParseInt(r.Header.Get("X-Deadline-Ms"), 10, 64); ms > 0 {
+	if deadline > 0 {
 		var cancel context.CancelFunc
-		d := time.Duration(ms) * time.Millisecond
+		d := time.Duration(deadline) * time.Millisecond
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 		rc.SetReadDeadline(time.Now().Add(d)) // body reads obey it too
 	}
 
-	have, _ := strconv.ParseInt(r.Header.Get("X-Have-Reports"), 10, 64)
 	restart := r.Header.Get("X-Restart") == "1"
 	resumable := s.cfg.Store != nil
 

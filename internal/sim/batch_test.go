@@ -289,21 +289,3 @@ func TestRunBatchMoreStreamsThanLanes(t *testing.T) {
 		requireLaneEqualsSolo(t, 0, i, res.Reports, want)
 	}
 }
-
-// BatchEngineFootprint must dominate the engine's real resident arrays so
-// serve's memory-cap admission never undercounts a batch engine.
-func TestBatchEngineFootprint(t *testing.T) {
-	net := figure2()
-	img := ImageOf(net)
-	fp := img.BatchEngineFootprint()
-	// Lane-transposed arrays alone: 3 n-length uint64 arrays.
-	if min := 3 * int64(img.n) * 8; fp < min {
-		t.Fatalf("BatchEngineFootprint %d below the lane arrays' %d bytes", fp, min)
-	}
-	if per := img.BatchLaneFootprint(); per <= 0 || per > fp {
-		t.Fatalf("BatchLaneFootprint %d out of range (engine %d)", per, fp)
-	}
-	if img.EngineFootprint() <= 0 {
-		t.Fatal("solo EngineFootprint must stay positive")
-	}
-}

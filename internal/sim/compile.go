@@ -245,48 +245,6 @@ func (img *Image) EngineFootprintBounded(bound int) int64 {
 	return 2*int64(img.words)*8 + 2*int64(bound)*4
 }
 
-// BatchEngineFootprint estimates the per-batch-engine dynamic bytes: the
-// three lane-transposed n-word arrays (current/next frontier lane masks
-// and the per-cycle activation accumulator), the two union bitmaps, and,
-// in the worst case, full frontier/activation lists plus the per-lane
-// bookkeeping. One batch engine serves up to MaxLanes concurrent streams,
-// so per admitted stream the charge is BatchLaneFootprint.
-func (img *Image) BatchEngineFootprint() int64 {
-	b := 3 * int64(img.n) * 8     // curLane + nxtLane + actLane
-	b += 2 * int64(img.words) * 8 // union bitmaps
-	b += 4 * int64(img.n) * 4     // frontier, next, actList, repBuf
-	b += 64 * 64                  // lane bookkeeping
-	return b
-}
-
-// BatchLaneFootprint is the per-stream share of a fully loaded batch
-// engine — what the admission controller charges a batched session
-// instead of EngineFootprint.
-func (img *Image) BatchLaneFootprint() int64 {
-	return (img.BatchEngineFootprint() + 63) / 64
-}
-
-// BatchEngineFootprintBounded is BatchEngineFootprint under a certified
-// frontier bound. The three lane-transposed arrays are allocated
-// n-sized up front regardless, so only the union frontier/activation
-// lists shrink with the bound.
-func (img *Image) BatchEngineFootprintBounded(bound int) int64 {
-	if bound < 0 || bound > img.n {
-		bound = img.n
-	}
-	b := 3 * int64(img.n) * 8     // curLane + nxtLane + actLane
-	b += 2 * int64(img.words) * 8 // union bitmaps
-	b += 4 * int64(bound) * 4     // frontier, next, actList, repBuf
-	b += 64 * 64                  // lane bookkeeping
-	return b
-}
-
-// BatchLaneFootprintBounded is the per-stream share of
-// BatchEngineFootprintBounded.
-func (img *Image) BatchLaneFootprintBounded(bound int) int64 {
-	return (img.BatchEngineFootprintBounded(bound) + 63) / 64
-}
-
 // Read-only structural accessors for static analyses (internal/worstcase
 // walks the image to synthesize adversarial inputs). All returned slices
 // alias the image's immutable arrays and must not be mutated.

@@ -95,25 +95,6 @@ func BenchmarkSparseFrontier(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRun measures the pooled chunk runtime end to end;
-// allocs/op is the interesting column (steady state reuses pooled
-// engines, and the k-way merge replaced the global sort).
-func BenchmarkParallelRun(b *testing.B) {
-	net := sparseBenchNet(512, 8)
-	input := benchInput(1<<16, 3)
-	if _, err := ParallelRun(net, input, ParallelOptions{Workers: 4}); err != nil {
-		b.Fatal(err) // also warms the engine pool
-	}
-	b.SetBytes(int64(len(input)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		if _, err := ParallelRun(net, input, ParallelOptions{Workers: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkHotStates measures the profiling primitive on a pooled engine.
 func BenchmarkHotStates(b *testing.B) {
 	net := sparseBenchNet(512, 8)

@@ -116,6 +116,35 @@ func TestPropKernelsIdentical(t *testing.T) {
 	}
 }
 
+// randomDAGNet builds a random acyclic network (edges only forward).
+func randomDAGNet(r *rand.Rand, nfas int) *automata.Network {
+	machines := make([]*automata.NFA, nfas)
+	for u := range machines {
+		n := 2 + r.Intn(8)
+		m := automata.NewNFA()
+		for s := 0; s < n; s++ {
+			start := automata.StartNone
+			if s == 0 {
+				start = automata.StartAllInput
+			}
+			m.Add(symset.Single(byte('a'+r.Intn(4))), start, r.Intn(3) == 0)
+		}
+		for e := 0; e < 1+r.Intn(2*n); e++ {
+			u := r.Intn(n - 1)
+			v := u + 1 + r.Intn(n-u-1)
+			m.Connect(automata.StateID(u), automata.StateID(v))
+		}
+		m.Dedup()
+		machines[u] = m
+	}
+	return automata.NewNetwork(machines...)
+}
+
+// reportLess orders reports by (Pos, State) — the canonical stream order.
+func reportLess(a, b Report) bool {
+	return a.Pos < b.Pos || (a.Pos == b.Pos && a.State < b.State)
+}
+
 // Reports must come out sorted by (Pos, State): positions ascend by
 // construction and the canonical within-cycle order ascends by state.
 func TestReportsCanonicallyOrdered(t *testing.T) {
@@ -180,38 +209,9 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// The pooled parallel runtime must not allocate engines in steady state:
-// after a first call has populated the pool, repeat calls reuse them.
-func TestParallelSteadyStateReusesEngines(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	net := randomDAGNet(r, 3)
-	input := make([]byte, 4096)
-	for i := range input {
-		input[i] = byte('a' + r.Intn(4))
-	}
-	first, err := ParallelRun(net, input, ParallelOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 5; round++ {
-		got, err := ParallelRun(net, input, ParallelOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(first) {
-			t.Fatalf("round %d: %d reports, first %d", round, len(got), len(first))
-		}
-		for i := range got {
-			if got[i] != first[i] {
-				t.Fatalf("round %d: report[%d] = %+v, first %+v", round, i, got[i], first[i])
-			}
-		}
-	}
-}
-
-// Race coverage for the pooled runtime: concurrent ParallelRun, serial
-// RunContext, and HotStatesContext over one shared network (hence one
-// shared image and engine pool). Run under -race in scripts/check.sh.
+// Race coverage for the pooled runtime: concurrent RunContext calls and
+// HotStatesContext over one shared network (hence one shared image and
+// engine pool). Run under -race in scripts/check.sh.
 func TestPooledRuntimeConcurrentUse(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	net := randomDAGNet(r, 4)
@@ -224,28 +224,19 @@ func TestPooledRuntimeConcurrentUse(t *testing.T) {
 	errs := make(chan error, 12)
 	for g := 0; g < 4; g++ {
 		wg.Add(3)
-		go func() {
-			defer wg.Done()
-			got, err := ParallelRun(net, input, ParallelOptions{Workers: 3})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if len(got) != len(want) {
-				t.Errorf("parallel: %d reports, want %d", len(got), len(want))
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			res, err := RunContext(context.Background(), net, input, Options{CollectReports: true})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if len(res.Reports) != len(want) {
-				t.Errorf("serial: %d reports, want %d", len(res.Reports), len(want))
-			}
-		}()
+		for i := 0; i < 2; i++ {
+			go func() {
+				defer wg.Done()
+				res, err := RunContext(context.Background(), net, input, Options{CollectReports: true})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(res.Reports) != len(want) {
+					t.Errorf("serial: %d reports, want %d", len(res.Reports), len(want))
+				}
+			}()
+		}
 		go func() {
 			defer wg.Done()
 			if _, err := HotStatesContext(context.Background(), net, input); err != nil {
@@ -292,75 +283,6 @@ func TestHotStatesMatchesTrackedRun(t *testing.T) {
 			if hot.Get(s) != res.EverEnabled.Get(s) {
 				t.Fatalf("trial %d: HotStates[%d] = %v, Run says %v",
 					trial, s, hot.Get(s), res.EverEnabled.Get(s))
-			}
-		}
-	}
-}
-
-// A self-loop is the only cycle here: every SCC has size 1, so a
-// condensation-size check alone would wrongly admit the network. The
-// folded HasCycle check must reject it (regression for the former
-// two-phase cyclic scan).
-func TestParallelRejectsSelfLoopOnly(t *testing.T) {
-	m := automata.NewNFA()
-	a := m.Add(symset.Single('a'), automata.StartAllInput, false)
-	loop := m.Add(symset.All(), automata.StartNone, false)
-	rep := m.Add(symset.Single('b'), automata.StartNone, true)
-	m.Connect(a, loop)
-	m.Connect(loop, loop) // the lone cycle: SCC of size 1 with a self-edge
-	m.Connect(loop, rep)
-	net := automata.NewNetwork(m)
-	if _, err := ParallelRun(net, []byte("axxb"), ParallelOptions{Workers: 2}); err != ErrCyclic {
-		t.Fatalf("err = %v, want ErrCyclic", err)
-	}
-	// An explicit Overlap alone must not bypass the cycle check either.
-	if _, err := ParallelRun(net, []byte("axxb"), ParallelOptions{Workers: 2, Overlap: 4}); err != ErrCyclic {
-		t.Fatalf("explicit overlap: err = %v, want ErrCyclic", err)
-	}
-	// With AllowCycles and an overlap covering the whole prefix the
-	// approximation is exact on this input.
-	got, err := ParallelRun(net, []byte("axxb"), ParallelOptions{Workers: 2, Overlap: 4, AllowCycles: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Run(net, []byte("axxb"), Options{CollectReports: true}).Reports
-	if len(got) != len(want) {
-		t.Fatalf("approximate run: %d reports, want %d", len(got), len(want))
-	}
-}
-
-func TestMergeSortedReports(t *testing.T) {
-	mk := func(pairs ...int64) []Report {
-		out := make([]Report, 0, len(pairs)/2)
-		for i := 0; i < len(pairs); i += 2 {
-			out = append(out, Report{Pos: pairs[i], State: automata.StateID(pairs[i+1])})
-		}
-		return out
-	}
-	cases := []struct {
-		name   string
-		chunks [][]Report
-		want   []Report
-	}{
-		{"empty", nil, nil},
-		{"all empty", [][]Report{nil, {}}, nil},
-		{"single", [][]Report{mk(1, 0, 2, 1)}, mk(1, 0, 2, 1)},
-		{"disjoint fast path", [][]Report{mk(0, 1, 1, 0), mk(5, 2), mk(9, 0)},
-			mk(0, 1, 1, 0, 5, 2, 9, 0)},
-		{"with gaps", [][]Report{mk(0, 0), nil, mk(7, 3)}, mk(0, 0, 7, 3)},
-		{"interleaved general merge", [][]Report{mk(0, 0, 4, 1, 8, 0), mk(1, 2, 4, 0, 9, 9)},
-			mk(0, 0, 1, 2, 4, 0, 4, 1, 8, 0, 9, 9)},
-		{"same pos different state", [][]Report{mk(3, 5), mk(3, 1)}, mk(3, 1, 3, 5)},
-	}
-	for _, tc := range cases {
-		got := mergeSortedReports(tc.chunks)
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: %d reports, want %d", tc.name, len(got), len(tc.want))
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("%s: [%d] = %+v, want %+v", tc.name, i, got[i], tc.want[i])
 			}
 		}
 	}

@@ -13,7 +13,7 @@ import (
 
 // leakNet builds a small acyclic network shaped like the workload NFAs:
 // an all-input start fanning into a chain, so every input symbol keeps
-// the frontier non-empty and parallel chunks have real work.
+// the frontier non-empty.
 func leakNet(t *testing.T) *automata.Network {
 	t.Helper()
 	nfa := automata.NewNFA()
@@ -32,39 +32,6 @@ func leakInput(n int) []byte {
 		in[i] = byte('a' + i%26)
 	}
 	return in
-}
-
-// TestParallelRunContextCancelNoLeak cancels a chunked parallel run
-// mid-flight — the tenant-disconnect shape — and requires every worker
-// goroutine to unwind: a disconnect must never strand workers.
-func TestParallelRunContextCancelNoLeak(t *testing.T) {
-	testleak.Check(t)
-	net := leakNet(t)
-	input := leakInput(1 << 16)
-	for trial := 0; trial < 4; trial++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // cancelled before (or during) the workers' first poll
-		if _, err := ParallelRunContext(ctx, net, input, ParallelOptions{Workers: 8}); err == nil {
-			t.Fatal("expected cancellation error")
-		}
-	}
-}
-
-// TestParallelRunContextMidRunCancelNoLeak cancels from a concurrent
-// goroutine while workers are streaming, covering the partially-complete
-// path (some chunks done, some mid-warm-up).
-func TestParallelRunContextMidRunCancelNoLeak(t *testing.T) {
-	testleak.Check(t)
-	net := leakNet(t)
-	input := leakInput(1 << 18)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = ParallelRunContext(ctx, net, input, ParallelOptions{Workers: 8})
-	}()
-	cancel()
-	<-done
 }
 
 // TestBatchAcquireReleaseSteadyStateNoAlloc drives the batch-engine pool

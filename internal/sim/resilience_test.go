@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"sparseap/internal/automata"
@@ -67,19 +69,45 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	cancel()
 }
 
-func TestParallelRunContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	input := bytes.Repeat([]byte("a"), 8*cancelCheckInterval)
-	reports, err := ParallelRunContext(ctx, everyA(), input, ParallelOptions{Workers: 4})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+func TestStreamerMatchesBatch(t *testing.T) {
+	m := automata.NewNFA()
+	a := m.Add(symset.Single('a'), automata.StartAllInput, false)
+	b := m.Add(symset.Single('b'), automata.StartNone, true)
+	m.Connect(a, b)
+	net := automata.NewNetwork(m)
+
+	var got []Report
+	st := NewStreamer(net)
+	st.OnReport = func(pos int64, s automata.StateID) {
+		got = append(got, Report{Pos: pos, State: s})
 	}
-	// Whatever partial reports came back must be sorted by position.
-	for i := 1; i < len(reports); i++ {
-		if reports[i].Pos < reports[i-1].Pos {
-			t.Fatal("partial reports not sorted")
+	// Feed in awkward fragments, crossing the "ab" boundary.
+	if _, err := io.Copy(st, strings.NewReader("xa")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Write([]byte("bxxab")); err != nil {
+		t.Fatal(err)
+	}
+	want := Run(net, []byte("xabxxab"), Options{CollectReports: true}).Reports
+	if len(got) != len(want) {
+		t.Fatalf("streaming reports %v, batch %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("streaming reports %v, batch %v", got, want)
 		}
+	}
+	if st.Pos() != 7 {
+		t.Fatalf("Pos = %d", st.Pos())
+	}
+	st.Reset()
+	if st.Pos() != 0 {
+		t.Fatal("Reset did not rewind position")
+	}
+	got = got[:0]
+	st.Write([]byte("ab"))
+	if len(got) != 1 || got[0].Pos != 1 {
+		t.Fatalf("after Reset: %v", got)
 	}
 }
 

@@ -9,9 +9,9 @@
 # race-detector pass over the whole module, a fuzz
 # smoke pass over the parser/compiler/rewriter fuzz targets, the
 # fault-injection smoke sweep, a chaos-soak smoke cell (kill/resume with
-# stream comparison), a serve-soak smoke cell (real SIGKILL of a live
-# apserve with resumed streams), a cluster-soak smoke cell (SIGKILL of a
-# replicating node with client failover to its follower),
+# stream comparison), the two serve-soak smoke cells (real SIGKILL of a
+# live apserve with resumed streams; SIGKILL of a replicating node with
+# client failover to its follower),
 # throughput and prediction smoke cells of apbench,
 # a batch-kernel smoke cell (64-stream solo-vs-batch with the per-lane
 # equivalence and aligned-speedup gates), a worst-case smoke cell
@@ -122,17 +122,17 @@ if [[ $short -eq 0 ]]; then
     # checkpoint store; the loadgen verifies the resumed stream is
     # bit-identical. The full app set runs in CI's serve-soak job.
     echo "== serve soak smoke (1 app, real SIGKILL) =="
-    SERVE_SOAK_INPUT=65536 SERVE_SOAK_KILLS=1 scripts/serve_soak.sh HM
+    SERVE_SOAK_INPUT=65536 SERVE_SOAK_KILLS=1 scripts/serve_soak.sh restart HM
 fi
 
 if [[ $short -eq 0 ]]; then
-    # Cluster-soak smoke: node A replicates every checkpoint slot to
+    # Failover smoke: node A replicates every checkpoint slot to
     # follower B, takes a real SIGKILL mid-stream, and never comes back;
     # the loadgen's clients must fail over to B and resume from the
     # replicated slots with zero forced restarts. The full app set runs
     # in CI's serve-soak job.
-    echo "== cluster soak smoke (1 app, SIGKILL owner, failover to follower) =="
-    CLUSTER_SOAK_INPUT=65536 CLUSTER_SOAK_PACE=40ms scripts/cluster_soak.sh HM
+    echo "== serve soak failover smoke (1 app, SIGKILL owner, failover to follower) =="
+    SERVE_SOAK_INPUT=65536 SERVE_SOAK_PACE=40ms scripts/serve_soak.sh failover HM
 fi
 
 # One-app smoke of the throughput mode: exercises the kernel benchmarks,

@@ -31,8 +31,8 @@ type (
 	StreamResult = serve.StreamResult
 	// LoadgenOptions configures RunServeLoadgen.
 	LoadgenOptions = serve.LoadgenOptions
-	// BenchServe is the serve benchmark record (latency percentiles,
-	// shed/resume counts) written to BENCH_serve.json.
+	// BenchServe is the serve loadgen's record (latency percentiles,
+	// shed/resume counts).
 	BenchServe = serve.BenchServe
 	// MetricsRegistry is the per-tenant counter registry the serve path
 	// reports into; its WriteText renders Prometheus text exposition.
@@ -74,6 +74,3 @@ func NewGuardLadder(cfg LadderConfig) *GuardLadder { return spap.NewLadder(cfg) 
 func RunServeLoadgen(ctx context.Context, o LoadgenOptions) (*BenchServe, error) {
 	return serve.RunLoadgen(ctx, o)
 }
-
-// WriteBenchServe writes a serve benchmark record as indented JSON.
-func WriteBenchServe(path string, b *BenchServe) error { return serve.WriteBenchServe(path, b) }
