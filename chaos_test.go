@@ -5,14 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sparseap"
+	"sparseap/internal/checkpoint/ckpttest"
 	"sparseap/internal/workloads"
 )
 
@@ -207,17 +206,9 @@ func TestChaosSoakBaselineWithCorruption(t *testing.T) {
 			t.Fatalf("attempt %d: %v", attempt, err)
 		}
 		if !corrupted {
-			// Flip a byte in the newest slot; the next resume must fall
-			// back to the rotated previous checkpoint.
-			path := filepath.Join(dir, "baseline.ckpt")
-			b, rerr := os.ReadFile(path)
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
-			b[len(b)-1] ^= 0xff
-			if werr := os.WriteFile(path, b, 0o644); werr != nil {
-				t.Fatal(werr)
-			}
+			// Flip a byte in the newest record; the next resume must fall
+			// back to the checkpoint before it.
+			ckpttest.DamageLatest(t, dir, "baseline")
 			corrupted = true
 		}
 	}

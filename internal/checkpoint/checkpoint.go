@@ -7,15 +7,19 @@
 // serialize their own state with Enc/Dec and hand the bytes to a Store.
 // The Store's job is crash consistency:
 //
-//   - every save is write-to-temp + fsync + rename, so a kill at any
-//     instant leaves either the old checkpoint or the new one, never a
-//     torn file;
-//   - the previous checkpoint is rotated to a fallback slot before the
-//     rename, so even a save whose rename sequence is interrupted (or a
-//     latest file corrupted at rest) recovers to the previous good one;
-//   - every file carries a magic, a format version, a sequence number,
-//     and a CRC32-C over the payload; Load verifies all four and falls
-//     back, returning ErrNoCheckpoint only when no slot survives.
+//   - a name owns one slot file of three block-aligned regions; the save
+//     with sequence number seq overwrites region seq%3 in place and
+//     syncs it before returning, so it touches neither the latest nor
+//     the previous record and a kill or power cut at any instant leaves
+//     both loadable;
+//   - the first save of a name, and one whose record outgrew its region,
+//     writes a whole new image (create, or temp + rename), syncs it and
+//     then the directory, carrying the latest and previous records over;
+//   - every record carries a magic, a format version, a sequence number,
+//     its length and a CRC32-C over all of those and the payload; Load
+//     returns the newest record that verifies and LoadPrevious the one
+//     before it, whatever happened to the rest of the file, and
+//     ErrNoCheckpoint only when none survives.
 //
 // A Manifest ties the checkpoint files of one logical run together: the
 // run's fingerprint (application, scale, seed, capacity, system, fault
@@ -28,6 +32,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,14 +41,25 @@ import (
 	"sync"
 )
 
-// Magic identifies a checkpoint file (8 bytes, versioned separately).
+// Magic identifies a checkpoint record (8 bytes, versioned separately).
 const Magic = "SPAPCKPT"
 
 // headerLen is magic(8) + version(4) + seq(8) + payloadLen(8) + crc(4).
 const headerLen = 8 + 4 + 8 + 8 + 4
 
-// ErrNoCheckpoint is returned by Load when neither the latest nor the
-// fallback slot holds a valid checkpoint.
+const (
+	// numRegions is how many records a slot file holds: the one being
+	// written, the latest completed one and the one before it.
+	numRegions = 3
+	// blockSize aligns the regions, so a torn write of one region cannot
+	// reach a block a neighbouring record lives in.
+	blockSize = 4096
+	// numStripes is how many locks the names of a store are hashed onto.
+	numStripes = 64
+)
+
+// ErrNoCheckpoint is returned by Load when no record of the name
+// verifies.
 var ErrNoCheckpoint = errors.New("checkpoint: no valid checkpoint found")
 
 // ErrMismatch is returned when a checkpoint exists but does not belong to
@@ -58,45 +75,75 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // implementation; replica.Store wraps one and ships every committed slot
 // to follower nodes. The contract every implementation must honor:
 //
-//   - Save is atomic and rotates the previous latest to a fallback slot;
-//     when Save returns nil the payload is durable (an implementation
-//     with a stronger barrier — e.g. a replication quorum — returns only
-//     once that barrier holds, because callers release side effects the
+//   - Save is atomic and keeps the previous latest as the fallback; when
+//     Save returns nil the payload is durable (an implementation with a
+//     stronger barrier — e.g. a replication quorum — returns only once
+//     that barrier holds, because callers release side effects the
 //     moment Save returns);
-//   - Load prefers the latest slot and falls back to the previous good
-//     one, returning ErrNoCheckpoint only when neither survives;
+//   - Load prefers the latest record and falls back to the previous good
+//     one, returning ErrNoCheckpoint only when none survives;
 //   - all methods are safe for concurrent use across names.
 type Store interface {
-	// Save atomically persists payload as the latest checkpoint of name,
-	// rotating the previous latest to the fallback slot.
+	// Save atomically persists payload as the latest checkpoint of name;
+	// the previous latest becomes the fallback.
 	Save(name string, version uint32, payload []byte) error
-	// Load returns the newest valid checkpoint of name, falling back to
-	// the previous-good slot; fellback reports that the latest slot was
-	// skipped. ErrNoCheckpoint means no slot survives.
+	// Load returns the newest valid checkpoint of name; fellback reports
+	// that a damaged record was skipped on the way. ErrNoCheckpoint means
+	// none survives.
 	Load(name string) (payload []byte, version uint32, fellback bool, err error)
-	// LoadPrevious returns the fallback slot directly, or ErrNoCheckpoint.
+	// LoadPrevious returns the checkpoint before the one Load returns, or
+	// ErrNoCheckpoint.
 	LoadPrevious(name string) (payload []byte, version uint32, err error)
-	// Names lists the checkpoint names with a latest slot, sorted.
+	// Names lists the checkpoint names in the store, sorted.
 	Names() ([]string, error)
-	// Remove deletes every slot of name.
+	// Remove deletes every checkpoint of name.
 	Remove(name string) error
 	// Clear removes every checkpoint in the store.
 	Clear() error
 }
 
-// DirStore persists named checkpoints in one directory. Each name owns
-// two slots: <name>.ckpt (latest) and <name>.ckpt.prev (previous good).
+// DirStore persists named checkpoints in one directory, one slot file
+// <name>.ckpt per name:
+//
+//	region 0            region 1            region 2
+//	[record | zeros...] [record | zeros...] [record | zeros...]
+//	0                   cap                 2*cap               3*cap
+//
+// cap is a multiple of blockSize, about twice the record that sized the
+// file. The save with sequence number seq goes to region seq%3, so the
+// two regions it leaves alone hold the latest completed save and the one
+// before it. Only the first save of a name (in this process) and a record
+// larger than cap write a whole image; every other save is one positioned
+// write and one data sync of a file whose size and blocks do not change.
 //
 // A DirStore is safe for concurrent use: a serving process checkpoints
-// many sessions through one shared store, so Save/Load/Remove serialize
-// on an internal mutex. Concurrent writers to *different* names never
-// corrupt each other's slots; concurrent writers to the *same* name are
-// serialized, last writer wins (the serve layer guarantees one writer per
-// session name).
+// many sessions through one shared store. Operations on one name are
+// serialized (the serve layer guarantees one writer per session name
+// anyway); operations on different names wait on one another only when
+// their names hash to the same stripe, so their syncs overlap. Names and
+// Clear wait for every operation in flight.
 type DirStore struct {
-	mu  sync.Mutex
-	dir string
-	seq map[string]uint64 // next sequence number per name
+	dir  string
+	seed maphash.Seed
+
+	// all is held shared by every per-name operation and exclusively by
+	// Names and Clear, which need the whole directory to hold still.
+	all     sync.RWMutex
+	stripes [numStripes]stripe
+}
+
+// stripe serializes the names that hash to it and holds what this process
+// knows of their slot files.
+type stripe struct {
+	mu    sync.Mutex
+	slots map[string]slot
+}
+
+// slot is the in-memory state of a name this process has saved: enough to
+// overwrite the next region without reading the file. Remove drops it.
+type slot struct {
+	seq uint64 // sequence number of the next save
+	cap int64  // region capacity of the file on disk
 }
 
 var _ Store = (*DirStore)(nil)
@@ -106,18 +153,44 @@ func Open(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return &DirStore{dir: dir, seq: map[string]uint64{}}, nil
+	s := &DirStore{dir: dir, seed: maphash.MakeSeed()}
+	for i := range s.stripes {
+		s.stripes[i].slots = map[string]slot{}
+	}
+	return s, nil
 }
 
 // Dir returns the store's directory.
 func (s *DirStore) Dir() string { return s.dir }
 
-// path returns the latest-slot path for name.
+// path returns the slot file of name.
 func (s *DirStore) path(name string) string { return filepath.Join(s.dir, name+".ckpt") }
 
-// encodeFile renders the on-disk record: header + payload, CRC over
+// lock takes name's stripe (and the shared side of all); unlock undoes it.
+func (s *DirStore) lock(name string) *stripe {
+	s.all.RLock()
+	st := &s.stripes[maphash.String(s.seed, name)%numStripes]
+	st.mu.Lock()
+	return st
+}
+
+func (s *DirStore) unlock(st *stripe) {
+	st.mu.Unlock()
+	s.all.RUnlock()
+}
+
+// record is one verified record of a slot file.
+type record struct {
+	seq     uint64
+	version uint32
+	raw     []byte // header + payload, aliasing the file image
+}
+
+func (r record) payload() []byte { return r.raw[headerLen:] }
+
+// encodeRecord renders the on-disk record: header + payload, CRC over
 // version|seq|len|payload so header corruption is also caught.
-func encodeFile(version uint32, seq uint64, payload []byte) []byte {
+func encodeRecord(version uint32, seq uint64, payload []byte) []byte {
 	var e Enc
 	e.buf = make([]byte, 0, headerLen+len(payload))
 	e.buf = append(e.buf, Magic...)
@@ -131,137 +204,264 @@ func encodeFile(version uint32, seq uint64, payload []byte) []byte {
 	return e.buf
 }
 
-// decodeFile verifies and unwraps an on-disk record.
-func decodeFile(b []byte) (version uint32, seq uint64, payload []byte, err error) {
+// decodeRecord verifies the record that starts at b[0]. Whatever follows
+// it in b — region padding, the tail of a longer record it overwrote — is
+// ignored.
+func decodeRecord(b []byte) (record, error) {
 	if len(b) < headerLen || string(b[:8]) != Magic {
-		return 0, 0, nil, fmt.Errorf("checkpoint: bad magic")
+		return record{}, fmt.Errorf("bad magic")
 	}
-	d := NewDec(b[8:])
-	version = d.U32()
-	seq = d.U64()
+	d := NewDec(b[8:headerLen])
+	version := d.U32()
+	seq := d.U64()
 	n := d.U64()
 	crc := d.U32()
-	if d.Err() != nil {
-		return 0, 0, nil, d.Err()
+	if n > uint64(len(b)-headerLen) {
+		return record{}, fmt.Errorf("truncated payload (%d of %d bytes)", len(b)-headerLen, n)
 	}
-	payload = b[headerLen:]
-	if uint64(len(payload)) != n {
-		return 0, 0, nil, fmt.Errorf("checkpoint: truncated payload (%d of %d bytes)", len(payload), n)
-	}
-	got := crc32.Update(0, castagnoli, b[8:headerLen-4])
-	got = crc32.Update(got, castagnoli, payload)
+	raw := b[:headerLen+int(n)]
+	got := crc32.Update(crc32.Checksum(raw[8:headerLen-4], castagnoli), castagnoli, raw[headerLen:])
 	if got != crc {
-		return 0, 0, nil, fmt.Errorf("checkpoint: CRC mismatch")
+		return record{}, fmt.Errorf("CRC mismatch")
 	}
-	return version, seq, payload, nil
+	return record{seq: seq, version: version, raw: raw}, nil
 }
 
-// Save atomically persists payload as the latest checkpoint of name. The
-// previous latest (if any) becomes the fallback slot first, so a crash at
-// any point of the sequence leaves at least one valid checkpoint behind.
+// regionCap returns the region capacity of a slot file of the given size,
+// or 0 for a size no slot image has: a file the parent format wrote (one
+// record at offset 0) or one something truncated.
+func regionCap(size int64) int64 {
+	if size > 0 && size%(numRegions*blockSize) == 0 {
+		return size / numRegions
+	}
+	return 0
+}
+
+// scan returns the records of a slot file image that verify, newest
+// first, and the first verification failure of a region that has been
+// written (nil when every written region verifies). A well-formed image is
+// read at its three region offsets; any other file is searched at every
+// block boundary, which finds the single record of a parent-format file
+// and whatever records a truncation left whole.
+func scan(img []byte) (recs []record, damage error) {
+	step := regionCap(int64(len(img)))
+	if step == 0 {
+		step = blockSize
+	}
+	for off := int64(0); off < int64(len(img)); {
+		r, err := decodeRecord(img[off:])
+		if err == nil {
+			recs = append(recs, r)
+			off = roundUp(off+int64(len(r.raw)), step)
+			continue
+		}
+		if damage == nil && !allZero(img[off:min(off+step, int64(len(img)))]) {
+			damage = fmt.Errorf("record at offset %d: %v", off, err)
+		}
+		off += step
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].seq > recs[j].seq })
+	return recs, damage
+}
+
+func roundUp(n, to int64) int64 { return (n + to - 1) / to * to }
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// buildImage lays out a slot image holding rec (sequence number seq) and
+// up to two records carried over from the file it replaces, each in the
+// region its sequence number names. Regions are about twice rec, never
+// smaller than minCap and never smaller than a carried record.
+func buildImage(seq uint64, rec []byte, carry []record, minCap int64) (img []byte, capacity int64) {
+	carry = carry[:min(len(carry), numRegions-1)]
+	capacity = max(roundUp(2*int64(len(rec)), blockSize), minCap)
+	for _, r := range carry {
+		capacity = max(capacity, roundUp(int64(len(r.raw)), blockSize))
+	}
+	img = make([]byte, numRegions*capacity)
+	// Oldest first: should two sequence numbers name one region (only a
+	// file this code did not write can do that), the newer record wins.
+	for i := len(carry) - 1; i >= 0; i-- {
+		copy(img[int64(carry[i].seq%numRegions)*capacity:], carry[i].raw)
+	}
+	copy(img[int64(seq%numRegions)*capacity:], rec)
+	return img, capacity
+}
+
+// Save persists payload as the latest checkpoint of name and returns once
+// it is durable. The records of the two saves before it are not touched,
+// so a crash at any point leaves them loadable.
 func (s *DirStore) Save(name string, version uint32, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.path(name)
-	prev := cur + ".prev"
-	tmp := cur + ".tmp"
-
-	seq := s.seq[name]
-	if seq == 0 {
-		// First save of this process: continue the on-disk sequence.
-		if _, diskSeq, _, err := s.loadSlot(cur); err == nil {
-			seq = diskSeq + 1
-		}
+	st := s.lock(name)
+	defer s.unlock(st)
+	sl, known := st.slots[name]
+	var err error
+	inPlace := known && headerLen+int64(len(payload)) <= sl.cap
+	if inPlace {
+		err = overwrite(s.path(name), encodeRecord(version, sl.seq, payload), int64(sl.seq%numRegions)*sl.cap)
+		// A slot file that vanished under us is written anew.
+		inPlace = !errors.Is(err, fs.ErrNotExist)
 	}
-	s.seq[name] = seq + 1
-
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if !inPlace {
+		// Also the first save of name in this process, and a record that
+		// outgrew its region.
+		sl, err = s.rebuild(name, version, payload, sl, known)
+	}
 	if err != nil {
+		delete(st.slots, name)
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := f.Write(encodeFile(version, seq, payload)); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	// Rotate latest -> fallback, then publish tmp -> latest. A crash
-	// between the renames leaves prev (old good) + tmp (new, complete);
-	// Load falls back to prev, losing at most one capture interval.
-	if _, err := os.Stat(cur); err == nil {
-		if err := os.Rename(cur, prev); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-	}
-	if err := os.Rename(tmp, cur); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
+	sl.seq++
+	st.slots[name] = sl
 	return nil
 }
 
-// loadSlot reads and verifies one slot file.
-func (s *DirStore) loadSlot(path string) (payload []byte, seq uint64, version uint32, err error) {
-	b, err := os.ReadFile(path)
+// overwrite writes rec at off in the existing slot file and syncs the
+// data. The file's size and block map do not change, so the data sync
+// needs no journal commit and nothing about the directory has to be
+// flushed.
+func overwrite(path string, rec []byte, off int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
-		return nil, 0, 0, err
+		return err
 	}
-	version, seq, payload, err = decodeFile(b)
-	return payload, seq, version, err
+	_, err = f.WriteAt(rec, off)
+	if err == nil {
+		err = datasync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// Load returns the newest valid checkpoint of name: the latest slot when
-// it verifies, otherwise the fallback slot (corruption detection with
-// previous-good fallback). ErrNoCheckpoint means neither slot survives.
-// The returned Fellback flag tells callers a corrupted latest was
-// skipped, so they can log the recovery.
-func (s *DirStore) Load(name string) (payload []byte, version uint32, fellback bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.path(name)
-	if payload, _, version, err = s.loadSlot(cur); err == nil {
-		return payload, version, false, nil
+// rebuild writes a whole new slot image for name: the new record plus the
+// latest and previous ones of the file it replaces, which may be a slot
+// file with smaller regions, a parent-format single-record file, or
+// damaged. Without a file the image is created under the final name;
+// otherwise it is written beside it and renamed over it, so the old
+// records stay loadable until the new image is complete. Either way the
+// directory is synced before returning: a new name has to survive a power
+// cut too.
+func (s *DirStore) rebuild(name string, version uint32, payload []byte, sl slot, known bool) (slot, error) {
+	path := s.path(name)
+	old, err := os.ReadFile(path)
+	exists := err == nil
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return sl, err
 	}
-	firstErr := err
-	if payload, _, version, err = s.loadSlot(cur + ".prev"); err == nil {
-		return payload, version, true, nil
-	}
-	if os.IsNotExist(firstErr) && os.IsNotExist(err) {
-		return nil, 0, false, ErrNoCheckpoint
-	}
-	return nil, 0, false, fmt.Errorf("%w (latest: %v; fallback: %v)", ErrNoCheckpoint, firstErr, err)
-}
-
-// LoadPrevious returns the fallback (previous-good) slot of name
-// directly, bypassing the latest slot. A session consumer that fell
-// behind the latest checkpoint's delivery floor resumes one capture
-// interval further back; ErrNoCheckpoint means no fallback slot exists.
-func (s *DirStore) LoadPrevious(name string) (payload []byte, version uint32, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	payload, _, version, err = s.loadSlot(s.path(name) + ".prev")
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, ErrNoCheckpoint
+	carry, _ := scan(old)
+	if !known {
+		// First save of this process: continue the on-disk sequence.
+		sl.seq = 0
+		if len(carry) > 0 {
+			sl.seq = carry[0].seq + 1
 		}
-		return nil, 0, fmt.Errorf("%w (fallback: %v)", ErrNoCheckpoint, err)
 	}
-	return payload, version, nil
+	var img []byte
+	img, sl.cap = buildImage(sl.seq, encodeRecord(version, sl.seq, payload), carry, regionCap(int64(len(old))))
+	if exists {
+		tmp := path + ".tmp"
+		if err := writeSynced(tmp, os.O_TRUNC, img); err != nil {
+			return sl, err
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			os.Remove(tmp)
+			return sl, err
+		}
+	} else if err := writeSynced(path, os.O_EXCL, img); err != nil {
+		return sl, err
+	}
+	return sl, syncDir(s.dir)
 }
 
-// Names lists the checkpoint names with a latest slot in the store,
-// sorted. A restarting server enumerates it to discover which sessions
-// are resumable.
+// writeSynced creates path (flag says what an existing file means), writes
+// img and syncs it; a file it could not complete is removed.
+func writeSynced(path string, flag int, img []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|flag, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(img)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
+}
+
+// read returns the verifying records of name's slot file, newest first,
+// and what kept a written region (or the whole file) from being read. A
+// missing file is no records and no damage.
+func (s *DirStore) read(name string) (recs []record, damage error) {
+	st := s.lock(name)
+	defer s.unlock(st)
+	img, err := os.ReadFile(s.path(name))
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	return scan(img)
+}
+
+// noCheckpoint is ErrNoCheckpoint, carrying the damage that explains it.
+func noCheckpoint(damage error) error {
+	if damage == nil {
+		return ErrNoCheckpoint
+	}
+	return fmt.Errorf("%w (%v)", ErrNoCheckpoint, damage)
+}
+
+// Load returns the newest checkpoint of name that verifies, whatever
+// happened to the rest of the file (corruption detection with
+// previous-good fallback). fellback is true exactly when a region that has
+// been written fails verification — a save cut short by a crash, or
+// damage at rest — so callers can log the recovery. ErrNoCheckpoint means
+// no record survives.
+func (s *DirStore) Load(name string) (payload []byte, version uint32, fellback bool, err error) {
+	recs, damage := s.read(name)
+	if len(recs) == 0 {
+		return nil, 0, false, noCheckpoint(damage)
+	}
+	return recs[0].payload(), recs[0].version, damage != nil, nil
+}
+
+// LoadPrevious returns the checkpoint before the one Load returns. A
+// session consumer that fell behind the latest checkpoint's delivery
+// floor resumes one capture interval further back. When damage left a
+// single record, that record is the previous-good one Load fell back to,
+// and LoadPrevious returns it as well; ErrNoCheckpoint means there is no
+// earlier checkpoint.
+func (s *DirStore) LoadPrevious(name string) (payload []byte, version uint32, err error) {
+	recs, damage := s.read(name)
+	switch {
+	case len(recs) >= 2:
+		return recs[1].payload(), recs[1].version, nil
+	case len(recs) == 1 && damage != nil:
+		return recs[0].payload(), recs[0].version, nil
+	}
+	return nil, 0, noCheckpoint(damage)
+}
+
+// Names lists the checkpoint names in the store, sorted. A restarting
+// server enumerates it to discover which sessions are resumable.
 func (s *DirStore) Names() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.all.Lock()
+	defer s.all.Unlock()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -276,11 +476,14 @@ func (s *DirStore) Names() ([]string, error) {
 	return names, nil
 }
 
-// Remove deletes every slot of name (latest, fallback, temp). Completed
-// runs use it to retire per-section state while keeping the manifest.
+// Remove deletes name's slot file and what this process remembers of it.
+// Completed runs use it to retire per-section state while keeping the
+// manifest. The .prev and .tmp files are what the parent format, or an
+// image write cut short, may have left behind.
 func (s *DirStore) Remove(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	st := s.lock(name)
+	defer s.unlock(st)
+	delete(st.slots, name)
 	cur := s.path(name)
 	var first error
 	for _, p := range []string{cur, cur + ".prev", cur + ".tmp"} {
@@ -294,8 +497,8 @@ func (s *DirStore) Remove(name string) error {
 // Clear removes every checkpoint file in the store's directory — the
 // fresh-start path when a run begins without -resume.
 func (s *DirStore) Clear() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.all.Lock()
+	defer s.all.Unlock()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -308,6 +511,8 @@ func (s *DirStore) Clear() error {
 			}
 		}
 	}
-	s.seq = map[string]uint64{}
+	for i := range s.stripes {
+		s.stripes[i].slots = map[string]slot{}
+	}
 	return nil
 }

@@ -4,8 +4,9 @@ import (
 	"errors"
 	"math"
 	"os"
-	"path/filepath"
 	"testing"
+
+	"sparseap/internal/checkpoint/ckpttest"
 )
 
 func TestEncDecRoundTrip(t *testing.T) {
@@ -123,16 +124,8 @@ func TestCorruptLatestFallsBackToPrev(t *testing.T) {
 	if err := s.Save("run", 1, []byte("newer")); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte in the latest slot; the prev slot must win.
-	path := filepath.Join(dir, "run.ckpt")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-1] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Flip a payload byte in the latest record; the previous one must win.
+	ckpttest.DamageLatest(t, dir, "run")
 	payload, _, fellback, err := s.Load("run")
 	if err != nil || !fellback || string(payload) != "good" {
 		t.Fatalf("fallback Load = %q fellback=%v err=%v, want \"good\" via prev", payload, fellback, err)
@@ -151,9 +144,9 @@ func TestTruncatedLatestFallsBackToPrev(t *testing.T) {
 	if err := s.Save("run", 1, []byte("newer-but-truncated")); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "run.ckpt")
-	b, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+	// Cut the file in the middle of the latest record.
+	path, off, n := ckpttest.Latest(t, dir, "run")
+	if err := os.Truncate(path, off+n/2); err != nil {
 		t.Fatal(err)
 	}
 	payload, _, fellback, err := s.Load("run")
@@ -174,13 +167,10 @@ func TestBothSlotsCorruptIsAnError(t *testing.T) {
 	if err := s.Save("run", 1, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"run.ckpt", "run.ckpt.prev"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Both slots corrupt degrades to a fresh start (wrapped ErrNoCheckpoint
-	// carrying the per-slot detail), never a torn resume.
+	ckpttest.DamageLatest(t, dir, "run")
+	ckpttest.DamageLatest(t, dir, "run")
+	// Both records corrupt degrades to a fresh start (wrapped ErrNoCheckpoint
+	// carrying the detail), never a torn resume.
 	_, _, _, err = s.Load("run")
 	if !errors.Is(err, ErrNoCheckpoint) || err == ErrNoCheckpoint {
 		t.Fatalf("double corruption: err = %v, want wrapped ErrNoCheckpoint with detail", err)
@@ -196,10 +186,13 @@ func TestBadMagicRejected(t *testing.T) {
 	if err := s.Save("run", 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "run.ckpt")
-	b, _ := os.ReadFile(path)
-	copy(b, "WRONGMAG")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	path, off, _ := ckpttest.Latest(t, dir, "run")
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte("WRONGMAG"), off); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := s.Load("run"); err == nil {

@@ -2,10 +2,10 @@ package checkpoint
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
+
+	"sparseap/internal/checkpoint/ckpttest"
 )
 
 // TestConcurrentWritersSharedStore hammers one Store from many goroutines,
@@ -138,16 +138,8 @@ func TestConcurrentCorruptionFallback(t *testing.T) {
 			}
 		}
 	}()
-	// Corrupt the victim's latest slot mid-traffic.
-	path := filepath.Join(dir, "victim.ckpt")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-1] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Corrupt the victim's latest record mid-traffic.
+	ckpttest.DamageLatest(t, dir, "victim")
 	wg.Wait()
 
 	payload, _, fellback, err := store.Load("victim")

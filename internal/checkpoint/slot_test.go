@@ -1,0 +1,489 @@
+package checkpoint
+
+import (
+	"bytes"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+)
+
+// payloadOf is save number i's payload: n bytes nothing else saves.
+func payloadOf(i, n int) []byte {
+	return bytes.Repeat([]byte{byte('a' + i%26), byte(i)}, (n+1)/2)[:n]
+}
+
+func mustOpen(t testing.TB, dir string) *DirStore {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func mustSave(t testing.TB, s *DirStore, name string, payload []byte) {
+	t.Helper()
+	if err := s.Save(name, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wantLoads checks Load and LoadPrevious of "run" against the payloads
+// given; a nil prev means LoadPrevious must find nothing.
+func wantLoads(t testing.TB, s *DirStore, latest, prev []byte) {
+	t.Helper()
+	got, _, _, err := s.Load("run")
+	if err != nil || !bytes.Equal(got, latest) {
+		t.Fatalf("Load = %d bytes %.12q, err %v; want %d bytes %.12q", len(got), got, err, len(latest), latest)
+	}
+	got, _, err = s.LoadPrevious("run")
+	if prev == nil {
+		if !errors.Is(err, ErrNoCheckpoint) {
+			t.Fatalf("LoadPrevious = %.12q, err %v; want ErrNoCheckpoint", got, err)
+		}
+		return
+	}
+	if err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("LoadPrevious = %d bytes %.12q, err %v; want %d bytes %.12q", len(got), got, err, len(prev), prev)
+	}
+}
+
+// slotOf is what the store remembers of name.
+func (s *DirStore) slotOf(name string) (slot, bool) {
+	st := s.lock(name)
+	defer s.unlock(st)
+	sl, ok := st.slots[name]
+	return sl, ok
+}
+
+// onDisk returns the sequence numbers found in name's slot file, indexed
+// by region (-1: no valid record there), and the file's size.
+func onDisk(t testing.TB, s *DirStore, name string) (seqs [numRegions]int64, size int64) {
+	t.Helper()
+	img, err := os.ReadFile(s.path(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := regionCap(int64(len(img)))
+	if c == 0 {
+		t.Fatalf("%s: %d bytes is not a slot image", name, len(img))
+	}
+	for r := range seqs {
+		seqs[r] = -1
+		if rec, err := decodeRecord(img[int64(r)*c : int64(r+1)*c]); err == nil {
+			seqs[r] = int64(rec.seq)
+		}
+	}
+	return seqs, int64(len(img))
+}
+
+// TestSaveCrashPoints kills save n+1 at every point where its bytes can
+// stop reaching the disk and reopens the directory: the last completed
+// save and the one before it must both load, without an error, and the
+// retried save must go through.
+func TestSaveCrashPoints(t *testing.T) {
+	const small, big = 1000, 100 << 10
+	recoverAndRetry := func(t *testing.T, dir string, n int) {
+		t.Helper()
+		s := mustOpen(t, dir)
+		wantLoads(t, s, payloadOf(n, small), payloadOf(n-1, small))
+		mustSave(t, s, "run", payloadOf(n+1, small))
+		wantLoads(t, s, payloadOf(n+1, small), payloadOf(n, small))
+		if _, err := os.Stat(s.path("run") + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("temp image left behind: %v", err)
+		}
+	}
+	// n = 1, 2, 3 puts the interrupted save in each of the three regions.
+	for n := 1; n <= 3; n++ {
+		completed := func(t *testing.T) (*DirStore, string) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir)
+			for i := 0; i <= n; i++ {
+				mustSave(t, s, "run", payloadOf(i, small))
+			}
+			return s, dir
+		}
+		rec := encodeRecord(1, uint64(n+1), payloadOf(n+1, small))
+		for _, cut := range []int{0, 1, headerLen - 1, headerLen, headerLen + small/2, len(rec) - 1} {
+			t.Run(fmt.Sprintf("n=%d/overwrite cut at %d", n, cut), func(t *testing.T) {
+				s, dir := completed(t)
+				sl, _ := s.slotOf("run")
+				f, err := os.OpenFile(s.path("run"), os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				if _, err := f.WriteAt(rec[:cut], int64(sl.seq%numRegions)*sl.cap); err != nil {
+					t.Fatal(err)
+				}
+				recoverAndRetry(t, dir, n)
+			})
+		}
+		// The regrow path: save n+1 no longer fits and writes a new image
+		// beside the file.
+		for _, c := range []struct {
+			name string
+			part func(int) int
+		}{
+			{"temp partial", func(n int) int { return n / 2 }},
+			{"temp complete, not renamed", func(n int) int { return n }},
+		} {
+			t.Run(fmt.Sprintf("n=%d/regrow %s", n, c.name), func(t *testing.T) {
+				s, dir := completed(t)
+				old, err := os.ReadFile(s.path("run"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				carry, _ := scan(old)
+				img, _ := buildImage(uint64(n+1), encodeRecord(1, uint64(n+1), payloadOf(n+1, big)), carry, regionCap(int64(len(old))))
+				if err := os.WriteFile(s.path("run")+".tmp", img[:c.part(len(img))], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				recoverAndRetry(t, dir, n)
+			})
+		}
+	}
+	// The first image of a name is written under its final name; cut
+	// short it holds nothing, and there was nothing before it to keep.
+	for _, part := range []int{0, 1, headerLen + small/2, blockSize, 2 * blockSize} {
+		t.Run(fmt.Sprintf("first image cut at %d", part), func(t *testing.T) {
+			dir := t.TempDir()
+			img, _ := buildImage(0, encodeRecord(1, 0, payloadOf(0, small)), nil, 0)
+			if err := os.WriteFile(filepath.Join(dir, "run.ckpt"), img[:part], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := mustOpen(t, dir)
+			first := payloadOf(0, small)
+			if part < headerLen+small {
+				first = nil
+				if got, _, _, err := s.Load("run"); !errors.Is(err, ErrNoCheckpoint) {
+					t.Fatalf("Load of a cut first image = %.12q, err %v; want ErrNoCheckpoint", got, err)
+				}
+			} else {
+				// The record itself made it; only padding is missing.
+				wantLoads(t, s, first, nil)
+			}
+			mustSave(t, s, "run", payloadOf(1, small))
+			wantLoads(t, s, payloadOf(1, small), first)
+		})
+	}
+}
+
+// TestFellbackMeansAWrittenRegionFailed pins the flag: damage a reader
+// has to step over sets it, bytes no record owns do not.
+func TestFellbackMeansAWrittenRegionFailed(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	fellback := func() bool {
+		t.Helper()
+		_, _, fb, err := s.Load("run")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fb
+	}
+	poke := func(off int64, b byte) {
+		t.Helper()
+		f, err := os.OpenFile(s.path("run"), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte{b}, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSave(t, s, "run", payloadOf(0, 1000))
+	if fellback() {
+		t.Fatal("two regions never written count as damage")
+	}
+	// A shorter record over a longer one leaves the old tail behind it.
+	for i := 1; i <= 3; i++ {
+		mustSave(t, s, "run", payloadOf(i, 1000-300*i))
+	}
+	wantLoads(t, s, payloadOf(3, 100), payloadOf(2, 400))
+	if fellback() {
+		t.Fatal("the tail of an overwritten longer record counts as damage")
+	}
+	sl, _ := s.slotOf("run")
+	poke(3*sl.cap-1, 0xee) // padding of the last region
+	if fellback() {
+		t.Fatal("a byte in region padding counts as damage")
+	}
+	poke(int64((sl.seq-2)%numRegions)*sl.cap+headerLen+5, 0xee) // payload of save 2
+	if !fellback() {
+		t.Fatal("a damaged record is not reported")
+	}
+	wantLoads(t, s, payloadOf(3, 100), payloadOf(1, 700))
+}
+
+// TestRegrowKeepsLatestAndPrevious walks a name through 1 KB → 100 KB →
+// 1 KB records: both loadable records survive every step, the file grows
+// once and never shrinks, and a reopened store continues the sequence and
+// the rotation where the first one stopped.
+func TestRegrowKeepsLatestAndPrevious(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	mustSave(t, s, "run", payloadOf(0, 1<<10))
+	wantLoads(t, s, payloadOf(0, 1<<10), nil)
+	mustSave(t, s, "run", payloadOf(1, 1<<10))
+	wantLoads(t, s, payloadOf(1, 1<<10), payloadOf(0, 1<<10))
+	_, smallSize := onDisk(t, s, "run")
+
+	mustSave(t, s, "run", payloadOf(2, 100<<10))
+	wantLoads(t, s, payloadOf(2, 100<<10), payloadOf(1, 1<<10))
+	seqs, bigSize := onDisk(t, s, "run")
+	if bigSize < 3*(100<<10) || bigSize <= smallSize {
+		t.Fatalf("file is %d bytes after a 100 KB record (was %d)", bigSize, smallSize)
+	}
+	if seqs != [numRegions]int64{0, 1, 2} {
+		t.Fatalf("regions hold %v after the regrow, want [0 1 2]", seqs)
+	}
+
+	mustSave(t, s, "run", payloadOf(3, 1<<10))
+	wantLoads(t, s, payloadOf(3, 1<<10), payloadOf(2, 100<<10))
+	mustSave(t, s, "run", payloadOf(4, 1<<10))
+	wantLoads(t, s, payloadOf(4, 1<<10), payloadOf(3, 1<<10))
+
+	// A fresh process: its first save rewrites the image, and must keep
+	// the size, the sequence and the region each number names.
+	s = mustOpen(t, dir)
+	mustSave(t, s, "run", payloadOf(5, 1<<10))
+	wantLoads(t, s, payloadOf(5, 1<<10), payloadOf(4, 1<<10))
+	mustSave(t, s, "run", payloadOf(6, 1<<10))
+	wantLoads(t, s, payloadOf(6, 1<<10), payloadOf(5, 1<<10))
+	seqs, size := onDisk(t, s, "run")
+	if size != bigSize {
+		t.Fatalf("file went from %d to %d bytes", bigSize, size)
+	}
+	if seqs != [numRegions]int64{6, 4, 5} {
+		t.Fatalf("regions hold %v after the reopen, want [6 4 5]", seqs)
+	}
+}
+
+// A directory the parent commit wrote: one record per file, the latest in
+// name.ckpt and the one before it in name.ckpt.prev (bytes taken from
+// that commit's encodeFile), plus a temp file a kill left behind.
+const (
+	parentLatest = "53504150434b505403000000070000000000000014000000000000000e4645ac706172656e742d666f726d6174206c6174657374"
+	parentPrev   = "53504150434b5054030000000600000000000000160000000000000035e399a3706172656e742d666f726d61742070726576696f7573"
+)
+
+func parentFormatDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, content := range map[string]string{"run.ckpt": parentLatest, "run.ckpt.prev": parentPrev, "run.ckpt.tmp": parentPrev[:40]} {
+		b, err := hex.DecodeString(content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+func TestParentFormatDirectoryResumes(t *testing.T) {
+	dir := parentFormatDir(t)
+	s := mustOpen(t, dir)
+	payload, version, fellback, err := s.Load("run")
+	if err != nil || fellback || version != 3 || string(payload) != "parent-format latest" {
+		t.Fatalf("Load = %q v%d fellback=%v err=%v", payload, version, fellback, err)
+	}
+	wantLoads(t, s, []byte("parent-format latest"), nil) // the .prev file is not read
+	if names, err := s.Names(); err != nil || len(names) != 1 || names[0] != "run" {
+		t.Fatalf("Names = %v, %v", names, err)
+	}
+	// The next save turns the file into a slot image that carries the old
+	// record and continues its sequence (7).
+	mustSave(t, s, "run", []byte("first save of this commit"))
+	wantLoads(t, s, []byte("first save of this commit"), []byte("parent-format latest"))
+	if seqs, _ := onDisk(t, s, "run"); seqs != [numRegions]int64{-1, 7, 8} {
+		t.Fatalf("regions hold %v, want [-1 7 8]", seqs)
+	}
+	if err := s.Remove("run"); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("Remove left %v behind", left)
+	}
+
+	s = mustOpen(t, parentFormatDir(t))
+	if err := s.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(s.Dir()); len(left) != 0 {
+		t.Fatalf("Clear left %v behind", left)
+	}
+}
+
+// TestRemoveDropsInMemoryState: a long-lived server saves and retires one
+// name per session; nothing of a retired name may stay in memory.
+func TestRemoveDropsInMemoryState(t *testing.T) {
+	dir, rounds := t.TempDir(), 200
+	if fi, err := os.Stat("/dev/shm"); err == nil && fi.IsDir() {
+		// An image creation costs a file sync and a directory sync, a few
+		// milliseconds on a disk and nothing on a memory filesystem.
+		if dir, err = os.MkdirTemp("/dev/shm", "ckpt-leak-"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { os.RemoveAll(dir) })
+		rounds = 10000
+	}
+	s := mustOpen(t, dir)
+	for i := 0; i < rounds; i++ {
+		name := fmt.Sprintf("sess-%d", i)
+		mustSave(t, s, name, []byte("x"))
+		if err := s.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range s.stripes {
+		if n := len(s.stripes[i].slots); n != 0 {
+			t.Fatalf("stripe %d still remembers %d removed names", i, n)
+		}
+	}
+}
+
+// TestConcurrentNamesClearLoad runs writers on distinct names with Names,
+// Load and Clear beside them (the -race cell of the per-name locking): a
+// Clear may take a name's checkpoints away at any moment, but whatever
+// loads must be something that name's writer saved.
+func TestConcurrentNamesClearLoad(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	const writers, saves = 6, 30
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			name := fmt.Sprintf("sess-%d", w)
+			for i := 0; i < saves; i++ {
+				if err := s.Save(name, 1, []byte(fmt.Sprintf("%s capture %d", name, i))); err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
+				for _, load := range []func() ([]byte, error){
+					func() ([]byte, error) { p, _, _, err := s.Load(name); return p, err },
+					func() ([]byte, error) { p, _, err := s.LoadPrevious(name); return p, err },
+				} {
+					p, err := load()
+					if err != nil && !errors.Is(err, ErrNoCheckpoint) {
+						t.Errorf("%s: %v", name, err)
+					} else if err == nil && !bytes.HasPrefix(p, []byte(name+" capture ")) {
+						t.Errorf("%s loaded %q", name, p)
+					}
+				}
+			}
+		}(w)
+	}
+	var side sync.WaitGroup
+	side.Add(1)
+	go func() {
+		defer side.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.Names(); err != nil {
+				t.Errorf("Names: %v", err)
+			}
+			if i%8 == 7 {
+				if err := s.Clear(); err != nil {
+					t.Errorf("Clear: %v", err)
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	side.Wait()
+}
+
+// FuzzSlotFileDamage overwrites arbitrary bytes inside one region of a
+// slot file, or truncates the file at an arbitrary length. Whatever is
+// left, Load and LoadPrevious return exactly the newest and second-newest
+// records whose bytes survived — never anything that was not saved — and
+// damage confined to one region leaves the other two loadable.
+func FuzzSlotFileDamage(f *testing.F) {
+	// Five saves, the first one the largest (it sizes the regions at two
+	// blocks, so a truncation can land on another plausible image size):
+	// the file holds saves 2, 3 and 4, each followed by an older tail.
+	sizes := []int{3000, 2500, 2000, 900, 1500}
+	src := mustOpen(f, f.TempDir())
+	for i, n := range sizes {
+		mustSave(f, src, "run", payloadOf(i, n))
+	}
+	pristine, err := os.ReadFile(src.path("run"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	regionSize := regionCap(int64(len(pristine)))
+	saved, _ := scan(pristine) // saves 4, 3, 2
+
+	f.Add([]byte("junk"), uint8(0), uint32(0), false)
+	f.Add([]byte{0}, uint8(1), uint32(headerLen), false)
+	f.Add(bytes.Repeat([]byte{0xff}, 9000), uint8(2), uint32(100), false)
+	f.Add([]byte(Magic), uint8(1), uint32(0), false)
+	f.Add([]byte(nil), uint8(0), uint32(2*blockSize), true)
+	f.Add([]byte(nil), uint8(0), uint32(numRegions*blockSize), true)
+	f.Add([]byte(nil), uint8(0), uint32(len(pristine)-1), true)
+	f.Fuzz(func(t *testing.T, data []byte, region uint8, at uint32, truncate bool) {
+		img := append([]byte(nil), pristine...)
+		if truncate {
+			img = img[:int(at)%(len(img)+1)]
+		} else {
+			start := int64(region%numRegions) * regionSize
+			off := int64(at) % regionSize
+			copy(img[start+off:start+regionSize], data)
+		}
+		var survivors []record
+		for _, r := range saved {
+			off := int64(r.seq%numRegions) * regionSize
+			if end := off + int64(len(r.raw)); end <= int64(len(img)) && bytes.Equal(img[off:end], r.raw) {
+				survivors = append(survivors, r)
+			}
+		}
+		if !truncate && len(survivors) < numRegions-1 {
+			t.Fatalf("damage to one region took %d records", numRegions-len(survivors))
+		}
+
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "run.ckpt"), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := mustOpen(t, dir)
+		latest, _, _, err := s.Load("run")
+		prev, _, perr := s.LoadPrevious("run")
+		switch len(survivors) {
+		case 0:
+			if !errors.Is(err, ErrNoCheckpoint) || !errors.Is(perr, ErrNoCheckpoint) {
+				t.Fatalf("nothing survived, yet Load = %.12q (%v), LoadPrevious = %.12q (%v)", latest, err, prev, perr)
+			}
+		case 1:
+			// LoadPrevious has nothing older to offer: the survivor again
+			// (it is the previous-good record) or nothing, never anything else.
+			if err != nil || !bytes.Equal(latest, survivors[0].payload()) {
+				t.Fatalf("Load = %.12q (%v), want save %d", latest, err, survivors[0].seq)
+			}
+			if (perr == nil && !bytes.Equal(prev, survivors[0].payload())) || (perr != nil && !errors.Is(perr, ErrNoCheckpoint)) {
+				t.Fatalf("LoadPrevious = %.12q (%v) with only save %d left", prev, perr, survivors[0].seq)
+			}
+		default:
+			if err != nil || !bytes.Equal(latest, survivors[0].payload()) {
+				t.Fatalf("Load = %.12q (%v), want save %d", latest, err, survivors[0].seq)
+			}
+			if perr != nil || !bytes.Equal(prev, survivors[1].payload()) {
+				t.Fatalf("LoadPrevious = %.12q (%v), want save %d", prev, perr, survivors[1].seq)
+			}
+		}
+	})
+}

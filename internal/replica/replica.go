@@ -31,6 +31,7 @@
 package replica
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -280,7 +281,7 @@ func (s *Store) resyncFollower(f *follower) bool {
 
 // post ships one request with the replication headers.
 func (s *Store) post(url, name string, seq uint64, version uint32, body []byte) error {
-	req, err := http.NewRequest(http.MethodPost, url+"?name="+neturl.QueryEscape(name), strings.NewReader(string(body)))
+	req, err := http.NewRequest(http.MethodPost, url+"?name="+neturl.QueryEscape(name), bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

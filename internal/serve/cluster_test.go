@@ -172,6 +172,9 @@ func TestClusterMigrateLiveHandoff(t *testing.T) {
 
 // refuseLoop polls /v1/migrate until the target refuses with wantCode,
 // failing fast if the target ever accepts or the stream finishes first.
+// The first attempt waits for the source's first capture: a handoff that
+// lands before the session has read anything suspends it at position 0,
+// and a reconnect at 0 is a fresh start, not a resume the client counts.
 func refuseLoop(t *testing.T, a *clusterNode, to string, done chan error, wantCode string) {
 	t.Helper()
 	for {
@@ -179,6 +182,10 @@ func refuseLoop(t *testing.T, a *clusterNode, to string, done chan error, wantCo
 		case err := <-done:
 			t.Fatalf("stream finished before any migration was attempted (err=%v)", err)
 		default:
+		}
+		if a.reg.Snapshot()["serve_checkpoint_saves"] == 0 {
+			time.Sleep(time.Millisecond)
+			continue
 		}
 		for _, v := range migrateAll(t, a, to) {
 			if v == "ok" {

@@ -85,6 +85,43 @@ func TestStreamEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStreamEOFSavesOnlyUnsavedState counts the captures of whole
+// sessions: one per boundary, plus one at the end of input only when the
+// slot does not already hold that state — the input stopped between two
+// boundaries, or nothing was ever saved.
+func TestStreamEOFSavesOnlyUnsavedState(t *testing.T) {
+	testleak.Check(t)
+	net := testNet(t)
+	const every = 1024
+	for _, c := range []struct {
+		inputLen  int
+		wantSaves int64
+	}{
+		{8 * every, 8},     // ends on a boundary: the eighth capture is the final state
+		{8*every + 100, 9}, // a tail (with reports in its window) past the last boundary
+		{every - 1, 1},     // no boundary reached
+		{0, 1},             // empty input: position 0 was never saved
+	} {
+		store, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := startServer(t, Config{Store: store, Every: every}, net)
+		input := testInput(c.inputLen)
+		cl := &Client{URL: func() string { return h.ts.URL }, Tenant: "t0"}
+		res, err := cl.Stream(context.Background(), "test", input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameReports(res.Reports, expectedReports(net, input)); err != nil {
+			t.Fatalf("%d symbols: stream diverged: %v", c.inputLen, err)
+		}
+		if got := h.s.Registry().Snapshot()["serve_checkpoint_saves"]; got != c.wantSaves {
+			t.Errorf("%d symbols: %d saves, want %d", c.inputLen, got, c.wantSaves)
+		}
+	}
+}
+
 // TestStreamResumeAfterAbort is the in-package kill/resume cell: the
 // server is aborted (crash semantics, no saves) mid-stream, a second
 // server over the same store directory takes over, and the client's

@@ -86,6 +86,9 @@ type session struct {
 
 	snap *sim.Snapshot  // reused capture buffer
 	enc  checkpoint.Enc // reused encode buffer
+	out  []byte         // reused buffer a window is rendered into
+
+	savedPos int64 // input position of the last durable capture (-1: none yet)
 
 	drainCh chan struct{}
 
@@ -330,6 +333,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		app:     a,
 		drainCh: make(chan struct{}),
 		snap:    &sim.Snapshot{},
+
+		savedPos: -1,
 	}
 	if !s.registerSession(id, sess) {
 		http.Error(w, "session busy", http.StatusConflict)
@@ -389,6 +394,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resumePos = dec.state.snap.Pos
+		sess.savedPos = resumePos
 		sess.floor = dec.state.snap.NumReports
 		s.reg.Tenant("serve_sessions_resumed", tenant).Inc()
 	} else {
@@ -400,9 +406,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	rc.EnableFullDuplex() // HTTP/1.1: interleave body reads with writes
 	// Replay the window suffix the client is missing, then go live.
-	for _, rep := range dec.replay {
-		fmt.Fprintf(w, "r %d %d\n", rep.Pos, rep.State)
-	}
+	sess.writeReports(w, dec.replay)
 	s.reg.Counter("serve_reports_delivered").Add(int64(len(dec.replay)))
 	rc.Flush()
 
@@ -419,18 +423,36 @@ func (s *Server) saveFlush(w http.ResponseWriter, rc *http.ResponseController, s
 			return err
 		}
 		s.reg.Counter("serve_checkpoint_saves").Inc()
+		sess.savedPos = sess.snap.Pos
 	}
-	for _, rep := range sess.window {
-		if _, err := fmt.Fprintf(w, "r %d %d\n", rep.Pos, rep.State); err != nil {
-			// The client is gone; the reports stay durable in the slot
-			// and the reconnect replays (and then counts) them.
-			sess.releaseWindow()
-			return err
-		}
+	if err := sess.writeReports(w, sess.window); err != nil {
+		// The client is gone; the reports stay durable in the slot and
+		// the reconnect replays (and then counts) them.
+		sess.releaseWindow()
+		return err
 	}
 	s.reg.Counter("serve_reports_delivered").Add(int64(len(sess.window)))
 	sess.releaseWindow()
 	return rc.Flush()
+}
+
+// writeReports renders reports as "r <pos> <state>" lines and hands them
+// to w in one write.
+func (sess *session) writeReports(w io.Writer, reports []sim.Report) error {
+	if len(reports) == 0 {
+		return nil
+	}
+	b := sess.out[:0]
+	for _, rep := range reports {
+		b = append(b, "r "...)
+		b = strconv.AppendInt(b, rep.Pos, 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(rep.State), 10)
+		b = append(b, '\n')
+	}
+	sess.out = b
+	_, err := w.Write(b)
+	return err
 }
 
 func (sess *session) releaseWindow() {
@@ -525,9 +547,12 @@ func (s *Server) streamLoop(ctx context.Context, w http.ResponseWriter, rc *http
 			continue
 		case errors.Is(rerr, io.EOF):
 			// Clean end of input: flush the tail, mark the stream done,
-			// and retire the session's slots.
-			if err := s.saveFlush(w, rc, sess, resumable); err != nil {
-				return
+			// and retire the session's slots. When the input ended on a
+			// capture boundary the slot already holds this very state.
+			if !resumable || pos != sess.savedPos || len(sess.window) > 0 {
+				if err := s.saveFlush(w, rc, sess, resumable); err != nil {
+					return
+				}
 			}
 			fmt.Fprintf(w, "end %d %d\n", sess.st.Pos(), sess.st.NumReports())
 			rc.Flush()

@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"sparseap/internal/automata"
 	"sparseap/internal/checkpoint"
+	"sparseap/internal/checkpoint/ckpttest"
 	"sparseap/internal/symset"
 )
 
@@ -214,17 +213,9 @@ func TestRunCheckpointedRecoversFromCorruptLatest(t *testing.T) {
 	if _, err := RunCheckpointedContext(context.Background(), net, input, opts, ck); !errors.Is(err, checkpoint.ErrCrashInjected) {
 		t.Fatalf("expected injected crash, got %v", err)
 	}
-	// Flip a payload byte in the newest slot (run.ckpt); run.ckpt.prev
-	// holds the save before it.
-	path := filepath.Join(dir, "run.ckpt")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-1] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Flip a payload byte in the newest record; the save before it must
+	// take over.
+	ckpttest.DamageLatest(t, dir, "run")
 	res, err := RunCheckpointedContext(context.Background(), net, input, opts, ck)
 	if err != nil {
 		t.Fatalf("resume after corruption: %v", err)

@@ -5,9 +5,10 @@
 #   scripts/check.sh -short    # skip the race pass (quick pre-commit loop)
 #
 # Steps: gofmt, go vet, staticcheck and govulncheck (when installed),
-# build, full test suite, vet and smoke test of the bench/ module,
+# build (native, then cross-built for darwin and windows), full test
+# suite, vet and smoke test of the bench/ module,
 # race-detector pass over the whole module, a fuzz
-# smoke pass over the parser/compiler/rewriter fuzz targets, the
+# smoke pass over the parser/compiler/rewriter/slot-file fuzz targets, the
 # fault-injection smoke sweep, a chaos-soak smoke cell (kill/resume with
 # stream comparison), the two serve-soak smoke cells (real SIGKILL of a
 # live apserve with resumed streams; SIGKILL of a replicating node with
@@ -58,6 +59,13 @@ fi
 echo "== go build =="
 go build ./...
 
+# The checkpoint store syncs through a per-OS helper (fdatasync exists in
+# syscall on Linux only); building the module for the other two families
+# keeps that file pair, and everything else, portable.
+echo "== cross-build (darwin/arm64, windows) =="
+GOOS=darwin GOARCH=arm64 go build ./...
+GOOS=windows go build ./...
+
 echo "== go test =="
 go test ./...
 
@@ -77,10 +85,11 @@ fi
 if [[ $short -eq 0 ]]; then
     # Fuzz smoke: a few seconds per target catches regressions in the
     # corpus-seeded paths without turning the gate into a fuzz campaign.
-    echo "== fuzz smoke (parser, compiler, rewriter) =="
+    echo "== fuzz smoke (parser, compiler, rewriter, slot file) =="
     go test -run ZZZ -fuzz FuzzParseANML -fuzztime 5s ./internal/anml
     go test -run ZZZ -fuzz FuzzCompileRegex -fuzztime 5s ./internal/regexc
     go test -run ZZZ -fuzz FuzzRewriteEquivalence -fuzztime 10s ./internal/rewrite
+    go test -run ZZZ -fuzz FuzzSlotFileDamage -fuzztime 5s ./internal/checkpoint
 fi
 
 if [[ $short -eq 0 ]]; then

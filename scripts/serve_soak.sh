@@ -27,19 +27,22 @@
 #   SERVE_SOAK_EVERY     checkpoint interval           (default 2048)
 #   SERVE_SOAK_KILLS     SIGKILLs, restart only        (default 2)
 #   SERVE_SOAK_STREAMS   verified streams per app      (default 2)
-#   SERVE_SOAK_PACE      per-chunk stream pacing       (default 10ms restart, 20ms failover)
+#   SERVE_SOAK_PACE      per-chunk stream pacing       (default 20ms)
 #
-# The stream phase must outlast the kill delay (0.2s restart, 0.4s
-# failover): with the loadgen's 4096-byte chunks a stream takes
-# (INPUT/4096)*PACE, so keep that product comfortably above the delay
-# when overriding INPUT or PACE.
+# The stream phase must outlast the kill plan (restart: a kill 0.2s in and
+# another 0.2s after each restart; failover: one kill 0.4s in): with the
+# loadgen's 4096-byte chunks a stream takes (INPUT/4096)*PACE plus its
+# checkpoint saves, and nothing else — at 10ms the default restart plan
+# used to land its second kill only because 64 saves took long enough —
+# so keep that product comfortably above the plan when overriding INPUT
+# or PACE.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode=${1:-}
 case "$mode" in
-restart) kill_delay=0.2 default_pace=10ms ;;
-failover) kill_delay=0.4 default_pace=20ms ;;
+restart) kill_delay=0.2 ;;
+failover) kill_delay=0.4 ;;
 *)
     echo "usage: scripts/serve_soak.sh restart|failover [apps...]" >&2
     exit 2
@@ -55,7 +58,7 @@ every=${SERVE_SOAK_EVERY:-2048}
 kills=${SERVE_SOAK_KILLS:-2}
 [[ $mode == failover ]] && kills=1 # A dies once and stays dead
 streams=${SERVE_SOAK_STREAMS:-2}
-pace=${SERVE_SOAK_PACE:-$default_pace}
+pace=${SERVE_SOAK_PACE:-20ms}
 apps=("$@")
 [[ ${#apps[@]} -eq 0 ]] && apps=(HM PEN TCP)
 applist=$(IFS=,; echo "${apps[*]}")

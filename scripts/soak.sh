@@ -3,7 +3,8 @@
 # checkpoint store, and require the final report stream to be bit-identical
 # to an uninterrupted fault-free run — zero duplicate, zero lost reports.
 # One cell per suite application, plus a corrupted-checkpoint recovery cell
-# that truncates the newest slot and expects the previous-good fallback.
+# that damages the newest checkpoint record in place and expects the resume
+# to fall back to the record before it.
 #
 #   scripts/soak.sh                 # default app set
 #   scripts/soak.sh HM Snort        # explicit app list (smoke: one app)
@@ -31,6 +32,34 @@ apsim="$work/apsim"
 go build -o "$apsim" ./cmd/apsim
 
 common=(-divisor "$divisor" -input "$input" -capacity 375 -system spap -guard -nolint)
+
+# u64_at FILE OFFSET: the 64-bit integer at OFFSET (od reads in host byte
+# order; the records are little-endian, like every host this runs on).
+u64_at() { od -An -tu8 -j "$2" -N8 "$1" | tr -d ' '; }
+
+# damage_newest_record FILE: flip the last byte of the record with the
+# highest sequence number, in place (the file keeps its size and its other
+# records). A slot file holds up to three records, each starting on a
+# 4 KiB boundary with the header "SPAPCKPT" version:u32 seq:u64 len:u64
+# crc:u32 (28 bytes, little-endian) followed by len payload bytes.
+damage_newest_record() {
+    local file=$1 size off best=-1 best_off=0 seq
+    size=$(stat -c %s "$file")
+    for (( off = 0; off + 28 <= size; off += 4096 )); do
+        [[ $(dd if="$file" bs=1 skip="$off" count=8 2>/dev/null) == SPAPCKPT ]] || continue
+        seq=$(u64_at "$file" $((off + 12)))
+        if (( seq > best )); then best=$seq best_off=$off; fi
+    done
+    if (( best < 0 )); then
+        echo "soak: no checkpoint record found in $file" >&2
+        exit 1
+    fi
+    local last=$(( best_off + 28 + $(u64_at "$file" $((best_off + 20))) - 1 ))
+    local byte
+    byte=$(od -An -tu1 -j "$last" -N1 "$file" | tr -d ' ')
+    printf "$(printf '\\x%02x' $(( byte ^ 0xff )))" \
+        | dd of="$file" bs=1 seek="$last" conv=notrunc 2>/dev/null
+}
 
 # run_soak_cell APP SEED EXTRA_CORRUPTION(0/1): reference run, then a
 # kill/resume loop under an injected-crash plan; streams must match.
@@ -60,12 +89,12 @@ run_soak_cell() {
         elif (( status == 17 )); then
             crashes=$((crashes + 1))
             if [[ $corrupt == 1 && $crashes == 1 ]]; then
-                # Maim the newest slot: recovery must come from the
-                # rotated previous-good checkpoint.
+                # Maim the newest record of the newest slot file: recovery
+                # must come from the record before it.
                 local slot
                 slot=$(ls -t "$dir"/*.ckpt 2>/dev/null | head -1 || true)
                 if [[ -n "$slot" ]]; then
-                    truncate -s $(( $(stat -c %s "$slot") / 2 )) "$slot"
+                    damage_newest_record "$slot"
                 fi
             fi
         else
