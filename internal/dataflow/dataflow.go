@@ -68,9 +68,11 @@ type Facts struct {
 }
 
 // Analyze runs both passes over the network under the given input
-// alphabet. An empty alphabet means the full 256-symbol alphabet (the
-// zero value is "no restriction", matching lint.Options).
-func Analyze(net *automata.Network, alphabet symset.Set) *Facts {
+// alphabet. topo is graph.TopoOrder(net): the forward pass walks its
+// condensation order instead of deriving one of its own. An empty alphabet
+// means the full 256-symbol alphabet (the zero value is "no restriction",
+// matching lint.Options).
+func Analyze(net *automata.Network, topo *graph.Topo, alphabet symset.Set) *Facts {
 	if alphabet.IsEmpty() {
 		alphabet = symset.All()
 	}
@@ -81,56 +83,15 @@ func Analyze(net *automata.Network, alphabet symset.Set) *Facts {
 		Enable:   make([]symset.Set, net.Len()),
 		Live:     make([]bool, net.Len()),
 	}
-	f.forward()
+	f.forward(topo)
 	f.backward()
 	return f
 }
 
 // forward computes Fire and Enable by worklist iteration over the SCC
 // condensation in topological order.
-func (f *Facts) forward() {
+func (f *Facts) forward(topo *graph.Topo) {
 	n := f.Net
-	if n.Len() == 0 {
-		return
-	}
-	scc := graph.SCC(n)
-
-	// Topologically order the components with Kahn's algorithm over the
-	// condensation (dedup via last-seen marker, as graph.TopoOrder does).
-	nc := scc.NumComps
-	// members[c] lists the states of component c in ascending ID order.
-	members := make([][]automata.StateID, nc)
-	for s := 0; s < n.Len(); s++ {
-		c := scc.Comp[s]
-		members[c] = append(members[c], automata.StateID(s))
-	}
-	// Indegrees count distinct predecessor components. Sources must be
-	// scanned grouped by component for the last-seen dedup to be valid —
-	// interleaved sources would count one (cu, cv) pair twice and leave
-	// cv unreleased forever.
-	indeg := make([]int32, nc)
-	lastSeen := make([]int32, nc)
-	for i := range lastSeen {
-		lastSeen[i] = -1
-	}
-	for cu := int32(0); cu < int32(nc); cu++ {
-		for _, u := range members[cu] {
-			for _, v := range n.States[u].Succ {
-				cv := scc.Comp[v]
-				if cu == cv || lastSeen[cv] == cu {
-					continue
-				}
-				lastSeen[cv] = cu
-				indeg[cv]++
-			}
-		}
-	}
-	order := make([]int32, 0, nc)
-	for c := 0; c < nc; c++ {
-		if indeg[c] == 0 {
-			order = append(order, int32(c))
-		}
-	}
 	preds := n.Preds()
 	// eval recomputes one state's facts; returns true if Fire grew.
 	eval := func(s automata.StateID) bool {
@@ -151,53 +112,25 @@ func (f *Facts) forward() {
 		f.Fire[s] = fire
 		return true
 	}
-	for qi := 0; qi < len(order); qi++ {
-		c := order[qi]
-		ms := members[c]
-		if len(ms) == 1 && !selfLoop(n, ms[0]) {
+	for _, c := range topo.CompOrder {
+		ms := topo.SCC.Members(c)
+		if !topo.SCC.Cyclic[c] {
 			eval(ms[0])
-		} else {
-			// Iterate the cyclic component to a local fixpoint. The
-			// lattice has height ≤ |alphabet| per state, so this
-			// terminates; in practice one extra round suffices because
-			// Fire only switches empty → match∩A.
-			for changed := true; changed; {
-				changed = false
-				for _, s := range ms {
-					if eval(s) {
-						changed = true
-					}
-				}
-			}
+			continue
 		}
-		// Release successor components whose inputs are now final.
-		for _, s := range ms {
-			for _, v := range n.States[s].Succ {
-				cv := scc.Comp[v]
-				if cv == c {
-					continue
-				}
-				if lastSeen[cv] == ^c { // already decremented for (c, cv)
-					continue
-				}
-				lastSeen[cv] = ^c
-				indeg[cv]--
-				if indeg[cv] == 0 {
-					order = append(order, cv)
+		// Iterate the cyclic component to a local fixpoint. The lattice
+		// has height ≤ |alphabet| per state, so this terminates; in
+		// practice one extra round suffices because Fire only switches
+		// empty → match∩A.
+		for changed := true; changed; {
+			changed = false
+			for _, s := range ms {
+				if eval(s) {
+					changed = true
 				}
 			}
 		}
 	}
-}
-
-// selfLoop reports whether state s has an edge to itself.
-func selfLoop(n *automata.Network, s automata.StateID) bool {
-	for _, v := range n.States[s].Succ {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // backward computes Live with a reverse reachability pass restricted to

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/graph"
 	"sparseap/internal/symset"
 )
 
@@ -21,7 +22,7 @@ func chainNet(a, b, c symset.Set) *automata.Network {
 
 func TestForwardChain(t *testing.T) {
 	net := chainNet(symset.Single('a'), symset.Single('b'), symset.Single('c'))
-	f := Analyze(net, symset.Set{})
+	f := Analyze(net, graph.TopoOrder(net), symset.Set{})
 	for s := 0; s < 3; s++ {
 		want := net.States[s].Match
 		if !f.Fire[s].Equal(want) {
@@ -42,7 +43,7 @@ func TestForwardChain(t *testing.T) {
 func TestEmptySymsetBlocksPropagation(t *testing.T) {
 	// The middle state matches nothing, so the tail can never be enabled.
 	net := chainNet(symset.Single('a'), symset.Empty(), symset.Single('c'))
-	f := Analyze(net, symset.Set{})
+	f := Analyze(net, graph.TopoOrder(net), symset.Set{})
 	if !f.Fire[0].Equal(symset.Single('a')) {
 		t.Errorf("Fire[0] = %s, want a", f.Fire[0])
 	}
@@ -66,7 +67,7 @@ func TestEmptySymsetBlocksPropagation(t *testing.T) {
 func TestAlphabetRestriction(t *testing.T) {
 	// Under the DNA alphabet ACGT, a state matching only 'x' never fires.
 	net := chainNet(symset.Single('A'), symset.Single('x'), symset.Single('C'))
-	f := Analyze(net, symset.Of('A', 'C', 'G', 'T'))
+	f := Analyze(net, graph.TopoOrder(net), symset.Of('A', 'C', 'G', 'T'))
 	if !f.Fire[0].Equal(symset.Single('A')) {
 		t.Errorf("Fire[0] = %s, want A", f.Fire[0])
 	}
@@ -75,7 +76,7 @@ func TestAlphabetRestriction(t *testing.T) {
 	}
 
 	// Under the unrestricted alphabet the same chain is fully live.
-	f = Analyze(net, symset.Set{})
+	f = Analyze(net, graph.TopoOrder(net), symset.Set{})
 	if f.Fire[1].IsEmpty() || !f.Live[0] {
 		t.Error("chain should be live under the full alphabet")
 	}
@@ -94,7 +95,7 @@ func TestCycleFixpoint(t *testing.T) {
 	m.Connect(v, u)
 	m.Connect(v, rep)
 	net := automata.NewNetwork(m)
-	f := Analyze(net, symset.Set{})
+	f := Analyze(net, graph.TopoOrder(net), symset.Set{})
 	for s := 0; s < 4; s++ {
 		if f.Fire[s].IsEmpty() {
 			t.Errorf("Fire[%d] empty, want nonempty", s)
@@ -117,7 +118,7 @@ func TestCycleWithNoReport(t *testing.T) {
 	m.Connect(s0, u)
 	m.Connect(u, u)
 	net := automata.NewNetwork(m)
-	f := Analyze(net, symset.Set{})
+	f := Analyze(net, graph.TopoOrder(net), symset.Set{})
 	if f.Fire[u].IsEmpty() {
 		t.Error("cycle member should fire")
 	}
@@ -134,7 +135,7 @@ func TestSelfLoopOnlyStart(t *testing.T) {
 	s0 := m.Add(symset.Single('a'), automata.StartAllInput, true)
 	m.Connect(s0, s0)
 	net := automata.NewNetwork(m)
-	f := Analyze(net, symset.Set{})
+	f := Analyze(net, graph.TopoOrder(net), symset.Set{})
 	if !f.Fire[0].Equal(symset.Single('a')) || !f.Live[0] {
 		t.Errorf("self-loop start: Fire=%s Live=%v", f.Fire[0], f.Live[0])
 	}
@@ -149,7 +150,7 @@ func TestStartOfDataFires(t *testing.T) {
 	s1 := m.Add(symset.Single('b'), automata.StartNone, true)
 	m.Connect(s0, s1)
 	net := automata.NewNetwork(m)
-	f := Analyze(net, symset.Set{})
+	f := Analyze(net, graph.TopoOrder(net), symset.Set{})
 	if f.Fire[0].IsEmpty() || f.Fire[1].IsEmpty() {
 		t.Error("start-of-data chain should fire")
 	}
@@ -157,7 +158,7 @@ func TestStartOfDataFires(t *testing.T) {
 
 func TestEmptyNetwork(t *testing.T) {
 	net := &automata.Network{}
-	f := Analyze(net, symset.Set{})
+	f := Analyze(net, graph.TopoOrder(net), symset.Set{})
 	if len(f.Fire) != 0 || len(f.Live) != 0 {
 		t.Error("empty network should produce empty fact slices")
 	}
@@ -173,7 +174,7 @@ func TestFireProb(t *testing.T) {
 	m.Add(symset.Single('a'), automata.StartAllInput, true)
 	m.Add(symset.Single('b'), automata.StartAllInput, true)
 	net := automata.NewNetwork(m)
-	f := Analyze(net, symset.Set{})
+	f := Analyze(net, graph.TopoOrder(net), symset.Set{})
 	if got := f.FireProb(0); got != 0.5 {
 		t.Errorf("FireProb(0) = %v, want 0.5", got)
 	}
@@ -194,7 +195,7 @@ func TestUnreachableBranchUnderAlphabet(t *testing.T) {
 	m.Connect(bad, badTail)
 	m.Connect(s0, good)
 	net := automata.NewNetwork(m)
-	f := Analyze(net, symset.Range('a', 'z'))
+	f := Analyze(net, graph.TopoOrder(net), symset.Range('a', 'z'))
 	if !f.Unreachable(bad) || !f.Unreachable(badTail) {
 		t.Error("branch outside the alphabet should be unreachable")
 	}
@@ -248,7 +249,7 @@ func TestFireProbProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		net := randomNet(r)
-		f := Analyze(net, symset.Set{})
+		f := Analyze(net, graph.TopoOrder(net), symset.Set{})
 		for s := 0; s < net.Len(); s++ {
 			id := automata.StateID(s)
 			p := f.FireProb(id)
@@ -270,7 +271,7 @@ func TestFireProbProperties(t *testing.T) {
 		widened := net.Clone()
 		widened.States[s].Match = widened.States[s].Match.Union(
 			symset.Range(byte(r.Intn(128)), byte(128+r.Intn(128))))
-		f2 := Analyze(widened, symset.Set{})
+		f2 := Analyze(widened, graph.TopoOrder(widened), symset.Set{})
 		if after := f2.FireProb(s); after < before-1e-12 {
 			t.Fatalf("trial %d: FireProb(%d) decreased under widening: %g -> %g",
 				trial, s, before, after)

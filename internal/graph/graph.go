@@ -20,6 +20,22 @@ type SCCResult struct {
 	NumComps int
 	// Size[c] is the number of states in component c.
 	Size []int32
+	// Cyclic[c] reports whether component c contains a cycle: more than
+	// one state, or a single state with a self-loop. Fixpoint analyses
+	// sweep such components repeatedly and visit every other state once.
+	Cyclic []bool
+
+	// States grouped by component: component c owns
+	// members[memberStart[c]:memberStart[c+1]], in ascending state ID.
+	members     []automata.StateID
+	memberStart []int32
+}
+
+// Members returns the states of component c in ascending ID order — the
+// order cyclic-component sweeps iterate in. The slice is shared; callers
+// must not modify it.
+func (r *SCCResult) Members(c int32) []automata.StateID {
+	return r.members[r.memberStart[c]:r.memberStart[c+1]]
 }
 
 // SCC computes strongly connected components with an iterative Tarjan
@@ -40,6 +56,7 @@ func SCC(n *automata.Network) *SCCResult {
 		counter int32
 		ncomp   int32
 		sizes   []int32
+		cyclic  []bool
 	)
 	// Explicit DFS stack: frame is (node, next successor index).
 	type frame struct {
@@ -97,11 +114,37 @@ func SCC(n *automata.Network) *SCCResult {
 					}
 				}
 				sizes = append(sizes, size)
+				cyclic = append(cyclic, size > 1 || selfLoop(n, automata.StateID(v)))
 				ncomp++
 			}
 		}
 	}
-	return &SCCResult{Comp: comp, NumComps: int(ncomp), Size: sizes}
+	// Group states by component with a counting sort; scanning states in
+	// ID order leaves each group ascending.
+	start := make([]int32, ncomp+1)
+	for c, size := range sizes {
+		start[c+1] = start[c] + size
+	}
+	members := make([]automata.StateID, nn)
+	next := append([]int32(nil), start[:ncomp]...)
+	for s, c := range comp {
+		members[next[c]] = automata.StateID(s)
+		next[c]++
+	}
+	return &SCCResult{
+		Comp: comp, NumComps: int(ncomp), Size: sizes, Cyclic: cyclic,
+		members: members, memberStart: start,
+	}
+}
+
+// selfLoop reports whether state s has an edge to itself.
+func selfLoop(n *automata.Network, s automata.StateID) bool {
+	for _, v := range n.States[s].Succ {
+		if v == s {
+			return true
+		}
+	}
+	return false
 }
 
 // Topo holds the layered topological order of a network's states.
@@ -113,6 +156,11 @@ type Topo struct {
 	MaxPerNFA []int32
 	// SCC is the component decomposition the order was derived from.
 	SCC *SCCResult
+	// CompOrder lists every component of SCC in a topological order of
+	// the condensation: each cross-component edge goes from an earlier
+	// entry to a later one, so an analysis that walks CompOrder finds a
+	// component's predecessors final when it gets there.
+	CompOrder []int32
 }
 
 // TopoOrder computes the layered topological order of Section III-A: the
@@ -153,9 +201,10 @@ func TopoOrder(n *automata.Network) *Topo {
 			queue = append(queue, int32(c))
 		}
 	}
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
+	// The queue is never truncated: once drained it is the order the
+	// components were released in, which is Topo.CompOrder.
+	for head := 0; head < len(queue); head++ {
+		c := queue[head]
 		for _, d := range adj[c] {
 			if order[c]+1 > order[d] {
 				order[d] = order[c] + 1
@@ -170,6 +219,7 @@ func TopoOrder(n *automata.Network) *Topo {
 		Order:     make([]int32, n.Len()),
 		MaxPerNFA: make([]int32, n.NumNFAs()),
 		SCC:       scc,
+		CompOrder: queue,
 	}
 	for s := 0; s < n.Len(); s++ {
 		o := order[scc.Comp[s]]

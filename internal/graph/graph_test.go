@@ -257,3 +257,78 @@ func TestNormalizedDepthDegenerateLayer(t *testing.T) {
 		t.Errorf("Bucket(%v) = %v, want Deep (by definition, not by NaN fallthrough)", d, b)
 	}
 }
+
+// Property: CompOrder is a permutation of the components in which every
+// cross-component edge goes forward — what lets an analysis walk it and
+// find each component's predecessors final.
+func TestPropCompOrderIsCondensationOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 30; trial++ {
+		nStates := 1 + r.Intn(40)
+		net := randomNetwork(r, nStates, r.Intn(80))
+		tp := TopoOrder(net)
+		if len(tp.CompOrder) != tp.SCC.NumComps {
+			t.Fatalf("trial %d: CompOrder has %d entries for %d components", trial, len(tp.CompOrder), tp.SCC.NumComps)
+		}
+		pos := make([]int, tp.SCC.NumComps)
+		for i := range pos {
+			pos[i] = -1
+		}
+		for i, c := range tp.CompOrder {
+			if pos[c] != -1 {
+				t.Fatalf("trial %d: component %d listed twice", trial, c)
+			}
+			pos[c] = i
+		}
+		for u := 0; u < nStates; u++ {
+			for _, v := range net.States[u].Succ {
+				cu, cv := tp.SCC.Comp[u], tp.SCC.Comp[v]
+				if cu != cv && pos[cu] >= pos[cv] {
+					t.Fatalf("trial %d: edge %d->%d goes from position %d to %d", trial, u, v, pos[cu], pos[cv])
+				}
+			}
+		}
+	}
+}
+
+// Property: Members partitions the states by component, each group in
+// ascending ID order (the sweep order of cyclic components), and Cyclic
+// marks exactly the components with a cycle.
+func TestPropMembersPartitionStates(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 30; trial++ {
+		nStates := 1 + r.Intn(50)
+		net := randomNetwork(r, nStates, r.Intn(100))
+		res := SCC(net)
+		seen := make([]bool, nStates)
+		for c := int32(0); c < int32(res.NumComps); c++ {
+			ms := res.Members(c)
+			if len(ms) != int(res.Size[c]) {
+				t.Fatalf("trial %d: component %d has %d members, Size %d", trial, c, len(ms), res.Size[c])
+			}
+			cyclic := len(ms) > 1
+			for i, s := range ms {
+				if res.Comp[s] != c || seen[s] {
+					t.Fatalf("trial %d: state %d misplaced in component %d", trial, s, c)
+				}
+				seen[s] = true
+				if i > 0 && ms[i-1] >= s {
+					t.Fatalf("trial %d: component %d members not ascending: %v", trial, c, ms)
+				}
+				for _, v := range net.States[s].Succ {
+					if v == s {
+						cyclic = true
+					}
+				}
+			}
+			if res.Cyclic[c] != cyclic {
+				t.Fatalf("trial %d: Cyclic[%d] = %v, want %v", trial, c, res.Cyclic[c], cyclic)
+			}
+		}
+		for s, ok := range seen {
+			if !ok {
+				t.Fatalf("trial %d: state %d in no component", trial, s)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ package hotcold
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"sparseap/internal/automata"
 	"sparseap/internal/bitvec"
@@ -312,11 +313,8 @@ func fillBatches(net *automata.Network, topo *graph.Topo, k []int32, capacity in
 	for i := range order {
 		order[i] = i
 	}
-	for i := 1; i < len(order); i++ { // insertion sort by size desc (stable)
-		for j := i; j > 0 && size[order[j]] > size[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	// Stable, so equal-sized fragments keep NFA order and K is reproducible.
+	sort.SliceStable(order, func(i, j int) bool { return size[order[i]] > size[order[j]] })
 	type batch struct {
 		nfas []int
 		used int

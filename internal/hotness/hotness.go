@@ -76,7 +76,7 @@ func FromHistogram(sample []byte) Model {
 }
 
 // mass returns the total weight of the symbols in set.
-func (m Model) mass(set symset.Set) float64 {
+func (m *Model) mass(set symset.Set) float64 {
 	var t float64
 	for w := 0; w < 4; w++ {
 		word := set[w]
@@ -92,26 +92,24 @@ func (m Model) mass(set symset.Set) float64 {
 // ProbWithin returns the probability that a symbol drawn from the model,
 // conditioned on landing inside universe, lands inside set. An empty or
 // zero-mass universe yields 0. The zero-value model behaves uniformly.
-func (m Model) ProbWithin(set, universe symset.Set) float64 {
-	if m.isZero() {
-		m = Uniform()
+func (m *Model) ProbWithin(set, universe symset.Set) float64 {
+	m = m.orUniform()
+	if u := m.mass(universe); u != 0 {
+		return m.mass(set.Intersect(universe)) / u
 	}
-	u := m.mass(universe)
-	if u == 0 {
-		return 0
-	}
-	return m.mass(set.Intersect(universe)) / u
+	return 0
 }
 
-// isZero reports whether every weight is zero (the "uniform by default"
-// zero value).
-func (m Model) isZero() bool {
+// orUniform resolves the "uniform by default" zero value: it returns m
+// unless every weight is zero, and the uniform model then.
+func (m *Model) orUniform() *Model {
 	for _, w := range m {
 		if w != 0 {
-			return false
+			return m
 		}
 	}
-	return true
+	u := Uniform()
+	return &u
 }
 
 // Weights combines the converged activity estimate with the structural
@@ -263,14 +261,16 @@ func Analyze(net *automata.Network, cfg Config) *Analysis {
 		a.Topo = graph.TopoOrder(net)
 	}
 	if a.Facts == nil {
-		a.Facts = dataflow.Analyze(net, cfg.Alphabet)
+		a.Facts = dataflow.Analyze(net, a.Topo, cfg.Alphabet)
 	}
-	if net.Len() == 0 {
-		return a
-	}
+	// The model (2 KiB) and the live alphabet's mass are the same for
+	// every state: resolve both once.
+	model := cfg.Model.orUniform()
 	live := a.Facts.LiveAlphabet()
-	for s := 0; s < net.Len(); s++ {
-		a.FireP[s] = cfg.Model.ProbWithin(a.Facts.Fire[s], live)
+	if total := model.mass(live); total != 0 {
+		for s, fire := range a.Facts.Fire {
+			a.FireP[s] = model.mass(fire.Intersect(live)) / total
+		}
 	}
 	a.fixpoint()
 	a.scoreAll()
@@ -278,27 +278,13 @@ func Analyze(net *automata.Network, cfg Config) *Analysis {
 }
 
 // fixpoint iterates act(s) = min(1, drive + Σ act(pred)) · q(s) to
-// convergence over the SCC condensation in topological order. Because
-// cross-component edges strictly increase the layered order, processing
-// components by ascending Topo.Order is a valid condensation
-// topological order, and each component's inputs are final when it runs.
+// convergence over the SCC condensation, walking Topo.CompOrder so each
+// component's inputs are final when it runs. A component's value depends
+// only on those final inputs, so any valid order yields the same floats.
 func (a *Analysis) fixpoint() {
 	n := a.Net
 	scc := a.Topo.SCC
 	preds := n.Preds()
-
-	// Group states by component and sort components by their layer.
-	members := make([][]automata.StateID, scc.NumComps)
-	for s := 0; s < n.Len(); s++ {
-		c := scc.Comp[s]
-		members[c] = append(members[c], automata.StateID(s))
-	}
-	order := make([]int32, 0, scc.NumComps)
-	for c := int32(0); c < int32(scc.NumComps); c++ {
-		order = append(order, c)
-	}
-	layerOf := func(c int32) int32 { return a.Topo.Order[members[c][0]] }
-	sortInt32By(order, layerOf)
 
 	drive := func(s automata.StateID) float64 {
 		switch n.States[s].Start {
@@ -320,9 +306,9 @@ func (a *Analysis) fixpoint() {
 		a.Iterations++
 		return enable * a.FireP[s]
 	}
-	for _, c := range order {
-		ms := members[c]
-		if len(ms) == 1 && !selfLoop(n, ms[0]) {
+	for _, c := range a.Topo.CompOrder {
+		ms := scc.Members(c)
+		if !scc.Cyclic[c] {
 			a.Activity[ms[0]] = eval(ms[0])
 			continue
 		}
@@ -346,26 +332,6 @@ func (a *Analysis) fixpoint() {
 	}
 }
 
-// sortInt32By is an insertion sort (component counts are modest and the
-// input is already nearly sorted by construction order).
-func sortInt32By(xs []int32, key func(int32) int32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && key(xs[j]) < key(xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// selfLoop reports whether state s has an edge to itself.
-func selfLoop(n *automata.Network, s automata.StateID) bool {
-	for _, v := range n.States[s].Succ {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
 // scoreAll combines activity and structural features into Score.
 func (a *Analysis) scoreAll() {
 	n := a.Net
@@ -379,7 +345,7 @@ func (a *Analysis) scoreAll() {
 		depth := a.Topo.NormalizedDepth(n, id)
 		q := a.FireP[s]
 		cyc := 0.0
-		if scc.Size[scc.Comp[s]] > 1 || selfLoop(n, id) {
+		if scc.Cyclic[scc.Comp[s]] {
 			cyc = 1
 		}
 		score := w.Activity*sat +

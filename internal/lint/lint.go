@@ -319,7 +319,7 @@ func (p *Pass) CoReach() []bool {
 // from NeedsSound analyzers — the analysis traverses successor edges.
 func (p *Pass) Facts() *dataflow.Facts {
 	if p.facts == nil {
-		p.facts = dataflow.Analyze(p.Net, p.Opts.Alphabet)
+		p.facts = dataflow.Analyze(p.Net, p.Topo(), p.Opts.Alphabet)
 	}
 	return p.facts
 }

@@ -20,6 +20,7 @@ import (
 
 	"sparseap/internal/automata"
 	"sparseap/internal/dataflow"
+	"sparseap/internal/graph"
 	"sparseap/internal/symset"
 )
 
@@ -299,7 +300,7 @@ func planRewrite(net *automata.Network, opts Options) *plan {
 	p := &plan{
 		net:        net,
 		opts:       opts,
-		facts:      dataflow.Analyze(net, opts.Alphabet),
+		facts:      dataflow.Analyze(net, graph.TopoOrder(net), opts.Alphabet),
 		removed:    make([]bool, net.Len()),
 		removeKind: make([]CertKind, net.Len()),
 	}

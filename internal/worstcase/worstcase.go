@@ -89,6 +89,7 @@ import (
 
 	"sparseap/internal/automata"
 	"sparseap/internal/dataflow"
+	"sparseap/internal/graph"
 	"sparseap/internal/sim"
 	"sparseap/internal/symset"
 )
@@ -176,7 +177,7 @@ type Analysis struct {
 func Analyze(net *automata.Network, cfg Config) *Analysis {
 	facts := cfg.Facts
 	if facts == nil {
-		facts = dataflow.Analyze(net, cfg.Alphabet)
+		facts = dataflow.Analyze(net, graph.TopoOrder(net), cfg.Alphabet)
 	}
 	n := net.Len()
 	words := (n + 63) / 64

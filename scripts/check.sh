@@ -13,6 +13,7 @@
 # stream comparison), the two serve-soak smoke cells (real SIGKILL of a
 # live apserve with resumed streams; SIGKILL of a replicating node with
 # client failover to its follower),
+# the CAV4k static-partition scale cell (141 k states under a 10 s budget),
 # throughput and prediction smoke cells of apbench,
 # a batch-kernel smoke cell (64-stream solo-vs-batch with the per-lane
 # equivalence and aligned-speedup gates), a worst-case smoke cell
@@ -76,10 +77,11 @@ echo "== bench module (vet + smoke test) =="
 
 if [[ $short -eq 0 ]]; then
     echo "== go test -race (whole module) =="
-    # The lint golden sweep takes ~18 min under the race detector on a
-    # single-core box; the default 10-min per-package timeout is too
-    # tight there, so set one that only a genuine hang can hit.
-    go test -race -timeout 1800s ./...
+    # The lint golden sweep is the long pole: 108 s under the race
+    # detector on a 2-core box, 2.7 min for the whole module (the sweep
+    # alone took 22 min there while the static partition was quadratic).
+    # 600 s per package is 5x that, so only a genuine hang can hit it.
+    go test -race -timeout 600s ./...
 fi
 
 if [[ $short -eq 0 ]]; then
@@ -143,6 +145,18 @@ if [[ $short -eq 0 ]]; then
     echo "== serve soak failover smoke (1 app, SIGKILL owner, failover to follower) =="
     SERVE_SOAK_INPUT=65536 SERVE_SOAK_PACE=40ms scripts/serve_soak.sh failover HM
 fi
+
+# Static-partition scale cell: the profile-free partition of the suite's
+# largest application (CAV4k at the default 1/8 scale, 141 k states) is
+# linear in states + edges and takes a fraction of a second; the
+# per-component quadratic sort it once carried took ~50 s. Built first so
+# the budget covers the run, not the compile.
+echo "== static partition at scale (CAV4k, 141k states, 10s budget) =="
+apstat_dir=$(mktemp -d)
+go build -o "$apstat_dir/apstat" ./cmd/apstat
+timeout 10s "$apstat_dir/apstat" -app CAV4k -hotness >/dev/null \
+    || { rm -rf "$apstat_dir"; echo "static partition of CAV4k failed or exceeded 10s" >&2; exit 1; }
+rm -rf "$apstat_dir"
 
 # One-app smoke of the throughput mode: exercises the kernel benchmarks,
 # the BENCH_sim.json writer, and the adaptive-vs-sparse -check gate at a
