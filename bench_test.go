@@ -14,7 +14,9 @@ import (
 	"sparseap"
 	"sparseap/internal/ap"
 	"sparseap/internal/exp"
+	"sparseap/internal/sim"
 	"sparseap/internal/workloads"
+	"sparseap/internal/worstcase"
 )
 
 // benchSuite is shared across benchmarks: building all 26 applications and
@@ -186,17 +188,66 @@ func BenchmarkFig13Sensitivity(b *testing.B) {
 
 // --- microbenchmarks of the core engines ---
 
-// BenchmarkSimulatorThroughput measures functional NFA simulation in
-// symbols/op over the Snort workload.
+// kernelTolerance is how far behind the better-suited fixed kernel the
+// adaptive kernel may fall, per symbol, before BenchmarkSimulatorThroughput
+// fails the run.
+const kernelTolerance = 0.20
+
+// BenchmarkSimulatorThroughput times the three step kernels on PEN and
+// Snort as <app>/<canonical|witness>/<kernel>, and is the kernel-choice
+// gate: the adaptive kernel must stay within kernelTolerance of the sparse
+// walk on the app's canonical input (the narrow frontier it must not tax)
+// and of the dense pass on its adversarial witness (the wide frontier the
+// dense pass exists for). Both are ratios taken inside one process, so the
+// verdict carries across machines; timing stays out of `go test`.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	app, err := workloads.Build("Snort", workloads.Config{InputLen: 65536, Divisor: 32, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
+	for _, name := range []string{"PEN", "Snort"} {
+		b.Run(name, func(b *testing.B) {
+			app, err := workloads.Build(name, workloads.Config{InputLen: 32768, Divisor: 16, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run("canonical", func(b *testing.B) {
+				benchKernels(b, app.Net, app.Input, sim.KernelSparse)
+			})
+			b.Run("witness", func(b *testing.B) {
+				w, _ := worstcase.Analyze(app.Net, worstcase.Config{}).Certify(worstcase.WitnessOptions{
+					MaxLen: len(app.Input),
+					Seeds:  [][]byte{app.Input},
+				})
+				benchKernels(b, app.Net, w.Input, sim.KernelDense)
+			})
+		})
 	}
-	b.SetBytes(int64(len(app.Input)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sparseap.CountHot(app.Net, app.Input)
+}
+
+// benchKernels runs one sub-benchmark per step kernel over input on a
+// pooled engine, and fails b if the adaptive kernel's ns/symbol is more
+// than kernelTolerance above that of ref, the fixed kernel this input suits.
+func benchKernels(b *testing.B, net *sparseap.Network, input []byte, ref sim.Kernel) {
+	nsPerSym := map[sim.Kernel]float64{}
+	for _, k := range []sim.Kernel{sim.KernelSparse, sim.KernelDense, sim.KernelAuto} {
+		b.Run(k.String(), func(b *testing.B) {
+			eng := sim.AcquireEngine(net, sim.Options{Kernel: k})
+			defer eng.Release()
+			b.SetBytes(int64(len(input)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				eng.Reset()
+				for i, c := range input {
+					eng.Step(int64(i), c)
+				}
+			}
+			nsPerSym[k] = float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(input))
+		})
+	}
+	// A -bench pattern may have selected only some kernels.
+	auto, ranAuto := nsPerSym[sim.KernelAuto]
+	want, ranRef := nsPerSym[ref]
+	if ranAuto && ranRef && auto > want*(1+kernelTolerance) {
+		b.Errorf("adaptive kernel %.1f ns/sym vs %s %.1f ns/sym: outside the %.0f%% tolerance",
+			auto, ref, want, 100*kernelTolerance)
 	}
 }
 

@@ -10,61 +10,17 @@
 // 24K-STE half-core → 3K, 1 MiB input → 128 KiB, Table II NFA counts ÷ 8.
 // Use -divisor 1 -input 1048576 -capacity 24000 for a full-size run.
 //
-// Throughput mode:
-//
-//	apbench -json [-apps all|PEN,Snort,...] [-benchtime 1s] [-out BENCH_sim.json] \
-//	        [-check] [-tolerance 0.20] [-divisor 8] [-input 131072] [-seed 1]
-//
-// benchmarks the simulator's step kernels (sparse walk, dense pass,
-// adaptive) per application and writes MB/s, ns/symbol, and allocs/op to
-// -out. With -check it exits nonzero if the adaptive kernel is more than
-// -tolerance slower than the sparse walk on any selected app — a
-// machine-independent regression gate CI runs on the PEN/Snort benches.
-//
-// Batch mode:
-//
-//	apbench -streams 64 [-apps all|PEN,Snort,...] [-benchtime 1s] [-out BENCH_batch.json] \
-//	        [-check] [-tolerance 0.20] [-divisor 8] [-input 131072] [-seed 1]
-//
-// benchmarks the multi-stream bit-sliced batch kernel: N concurrent
-// streams in lockstep lanes of one batch engine versus the same streams
-// run sequentially on a solo engine, over a phase-aligned lane set (the
-// amortizable shape) and an independent-phase set (the honesty cell).
-// Every lane's batch report stream is verified bit-identical to a solo
-// run before timing. With -check it exits nonzero if the aligned cell's
-// speedup falls below 2x minus -tolerance — the CI bench-batch gate.
-//
-// Adversarial mode:
-//
-//	apbench -adversarial [-apps all|PEN,Snort,...] [-benchtime 1s] [-out BENCH_adversarial.json] \
-//	        [-check] [-tolerance 0.20] [-divisor 8] [-input 131072] [-seed 1]
-//
-// runs the certified worst-case analysis per application, synthesizes an
-// adversarial witness (seeded with the canonical input), and benchmarks
-// every step kernel on both the canonical and the adversarial input.
-// With -check it exits nonzero on a soundness violation, a witness
-// weaker than the canonical input, a bound/witness gap geomean above 4x,
-// or the adaptive kernel falling more than -tolerance behind the dense
-// pass on the adversarial input — the CI bench-adversarial gate.
-//
-// Prediction mode:
-//
-//	apbench -predict [-apps all|PEN,Snort,...] [-out BENCH_predict.json] [-check] \
-//	        [-divisor 8] [-input 131072] [-capacity 3000] [-seed 1]
-//
-// runs the profile-free static partitioning study (exp.Predict) and writes
-// the per-app speedups and geomeans to -out. With -check it exits nonzero
-// if the static strategy's geomean speedup falls below the
-// normalized-depth baseline's, or if any strategy's report stream
-// diverges — the CI bench-predict gate.
+// apbench reports the paper's quantities (cycles, speedups, state counts),
+// never wall-clock time: what this codebase itself costs, layer by layer,
+// is measured by bench/ (BENCHMARK.json, bench/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
-	"testing"
 	"time"
 
 	"sparseap/internal/ap"
@@ -106,75 +62,37 @@ func main() {
 		inputLen = flag.Int("input", 131072, "input stream length in bytes")
 		capacity = flag.Int("capacity", 3000, "AP half-core capacity in STEs")
 		seed     = flag.Int64("seed", 1, "generation seed")
-
-		jsonFlag  = flag.Bool("json", false, "throughput mode: benchmark step kernels per app, write JSON")
-		appsFlag  = flag.String("apps", "all", "throughput mode: comma-separated apps, or 'all'")
-		outFlag   = flag.String("out", "BENCH_sim.json", "throughput mode: output path")
-		benchtime = flag.String("benchtime", "1s", "throughput mode: time (or Nx iterations) per measurement")
-		checkFlag = flag.Bool("check", false, "throughput mode: fail if the adaptive kernel regresses vs the sparse walk")
-		tolerance = flag.Float64("tolerance", 0.20, "throughput mode: allowed adaptive-vs-sparse slowdown for -check")
-
-		predictFlag = flag.Bool("predict", false, "prediction mode: static vs profiled partitioning study, write JSON")
-		streamsF    = flag.Int("streams", 0, "batch mode: solo-vs-batch throughput over N concurrent streams, write JSON")
-		advFlag     = flag.Bool("adversarial", false, "adversarial mode: certified worst-case bounds, witness synthesis and kernel throughput under attack, write JSON")
 	)
-	testing.Init() // registers test.benchtime before Parse; throughput mode sets it
 	flag.Parse()
 
-	wl := workloads.Config{InputLen: *inputLen, Divisor: *divisor, Seed: *seed}
-	if *streamsF > 0 {
-		out := *outFlag
-		if out == "BENCH_sim.json" { // the throughput-mode default; not meaningful here
-			out = "BENCH_batch.json"
-		}
-		if err := runStreams(wl, *appsFlag, out, *benchtime, *streamsF, *checkFlag, *tolerance); err != nil {
-			fmt.Fprintf(os.Stderr, "apbench -streams: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	// Every requested name is checked before anything runs: a typo beside
+	// a valid name must not cost a four-minute run that silently lacks it.
+	exps := experiments()
+	names := []string{"all"}
+	for _, e := range exps {
+		names = append(names, e.name)
 	}
-	if *advFlag {
-		out := *outFlag
-		if out == "BENCH_sim.json" { // the throughput-mode default; not meaningful here
-			out = "BENCH_adversarial.json"
-		}
-		if err := runAdversarial(wl, *appsFlag, out, *benchtime, *checkFlag, *tolerance); err != nil {
-			fmt.Fprintf(os.Stderr, "apbench -adversarial: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonFlag {
-		if err := runThroughput(wl, *appsFlag, *outFlag, *benchtime, *checkFlag, *tolerance); err != nil {
-			fmt.Fprintf(os.Stderr, "apbench -json: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *predictFlag {
-		out := *outFlag
-		if out == "BENCH_sim.json" { // the throughput-mode default; not meaningful here
-			out = "BENCH_predict.json"
-		}
-		if err := runPredict(wl, *appsFlag, *capacity, out, *checkFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "apbench -predict: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	apCfg := ap.DefaultConfig().WithCapacity(*capacity)
-	suite := exp.NewSuite(wl, apCfg)
-
 	wanted := map[string]bool{}
-	all := *expFlag == "all"
+	var unknown []string
 	for _, n := range strings.Split(*expFlag, ",") {
-		wanted[strings.TrimSpace(n)] = true
+		n = strings.TrimSpace(n)
+		wanted[n] = true
+		if !slices.Contains(names, n) {
+			unknown = append(unknown, fmt.Sprintf("%q", n))
+		}
 	}
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "apbench: unknown experiment %s; valid names: %s\n",
+			strings.Join(unknown, ", "), strings.Join(names, ", "))
+		os.Exit(2)
+	}
+
+	wl := workloads.Config{InputLen: *inputLen, Divisor: *divisor, Seed: *seed}
+	suite := exp.NewSuite(wl, ap.DefaultConfig().WithCapacity(*capacity))
 	fmt.Printf("sparseap benchmark harness: divisor=%d input=%d capacity=%d seed=%d\n\n",
 		*divisor, *inputLen, *capacity, *seed)
-	ran := 0
-	for _, e := range experiments() {
-		if !all && !wanted[e.name] {
+	for _, e := range exps {
+		if !wanted["all"] && !wanted[e.name] {
 			continue
 		}
 		start := time.Now()
@@ -184,10 +102,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("=== %s (%.1fs) ===\n%s\n", e.name, time.Since(start).Seconds(), res.Render())
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiments matched %q\n", *expFlag)
-		os.Exit(2)
 	}
 }

@@ -6,12 +6,15 @@
 //	apstat -anml rules.anml      # statistics of an ANML automaton
 //	apstat -all                  # the full Table II
 //	apstat -all -opt             # states/edges before vs after apopt
+//	apstat -all -worstcase       # certified bounds, witnesses and the suite's gap gates
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"strings"
 
 	"sparseap"
 	"sparseap/internal/ap"
@@ -35,7 +38,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generation seed")
 		opt      = flag.Bool("opt", false, "also show states/edges after the proof-carrying rewriter (apopt)")
 		hot      = flag.Bool("hotness", false, "also show the static hotness analysis (predicted hot fraction, per-NFA cut layers; with -app, accuracy vs the actual hot set)")
-		worst    = flag.Bool("worstcase", false, "also show the certified worst-case analysis (frontier/report bounds by layer, adversarial witness, bound/witness gap); with -all, the whole-suite table. Exits nonzero on a soundness violation")
+		worst    = flag.Bool("worstcase", false, "also show the certified worst-case analysis (frontier/report bounds by layer, adversarial witness, bound/witness gap); with -all, the whole-suite table and its gap geomean. Exits nonzero on a soundness violation; with -all also on a witness below the canonical input's peak or a gap geomean above 4")
 	)
 	flag.Parse()
 	wl := workloads.Config{Divisor: *divisor, InputLen: *inputLen, Seed: *seed}
@@ -244,33 +247,80 @@ func printWorstCase(net *sparseap.Network, input []byte) bool {
 	return rep.Sound
 }
 
+// gapCeiling is the precision gate of the whole-suite table: the geomean
+// of FrontierBound / witness peak over the 26 apps. It reads 3.78 at the
+// default 1/8 scale and 3.01 at -divisor 32 -input 8192.
+const gapCeiling = 4.0
+
+// worstRow is what the suite gates read of one application.
+type worstRow struct {
+	app            string
+	witness, canon int // peak frontier of the witness and of the canonical input
+	gap            float64
+	sound          bool // witness and canonical replays both stayed within the bounds
+}
+
+// gapGeomean is the suite's bound/witness gap. An app whose bound is 0
+// has gap 0 and counts as 1: nothing to be loose about.
+func gapGeomean(rows []worstRow) float64 {
+	gaps := make([]float64, len(rows))
+	for i, r := range rows {
+		gaps[i] = math.Max(r.gap, 1)
+	}
+	return metrics.GeoMean(gaps)
+}
+
+// worstGates fails on a replay that out-ran its static bound, on a
+// witness weaker than the canonical input it was seeded with, and on a
+// gap geomean above gapCeiling.
+func worstGates(rows []worstRow) error {
+	var failures []string
+	for _, r := range rows {
+		if !r.sound {
+			failures = append(failures, fmt.Sprintf("%s: a replay exceeded the static bounds", r.app))
+		}
+		if r.witness < r.canon {
+			failures = append(failures, fmt.Sprintf(
+				"%s: witness peak %d below the canonical input's %d", r.app, r.witness, r.canon))
+		}
+	}
+	if geo := gapGeomean(rows); geo > gapCeiling {
+		failures = append(failures, fmt.Sprintf("gap geomean %.3f exceeds ceiling %.1f", geo, gapCeiling))
+	}
+	if len(failures) > 0 {
+		return fmt.Errorf("apstat: worst-case gates failed:\n  %s", strings.Join(failures, "\n  "))
+	}
+	return nil
+}
+
 // printWorstTable renders the whole-suite worst-case table: per-app
-// bounds, witness peaks and gaps. It fails (error return) when any app's
-// replay violates its bound.
+// bounds, witness and canonical-input peaks, gaps and their geomean. Its
+// error is worstGates' verdict on those rows.
 func printWorstTable(wl workloads.Config) error {
 	apps, err := workloads.BuildAll(wl)
 	if err != nil {
 		return err
 	}
-	t := metrics.NewTable("App", "Bound", "L1", "L2", "L3", "Report", "Witness", "Gap", "Sound")
-	unsound := 0
+	t := metrics.NewTable("App", "Bound", "L1", "L2", "L3", "Report", "Witness", "Canon", "Gap", "Sound")
+	rows := make([]worstRow, 0, len(apps))
 	for _, app := range apps {
 		a := worstcase.Analyze(app.Net, worstcase.Config{})
 		_, rep := a.Certify(worstcase.WitnessOptions{
 			MaxLen: len(app.Input),
 			Seeds:  [][]byte{app.Input},
 		})
-		if !rep.Sound {
-			unsound++
+		canon := a.Validate(app.Input)
+		row := worstRow{
+			app: app.Abbr, witness: rep.PeakFrontier, canon: canon.PeakFrontier,
+			gap: rep.Gap, sound: rep.Sound && canon.Sound,
 		}
+		rows = append(rows, row)
 		t.AddRowf(app.Abbr, a.FrontierBound, a.Bound1, a.BoundPair, a.BoundGram,
-			a.ReportBound, rep.PeakFrontier, rep.Gap, rep.Sound)
+			a.ReportBound, row.witness, row.canon, row.gap, row.sound)
 	}
+	t.AddRow("geomean", "", "", "", "", "", "", "", fmt.Sprintf("%.3f", gapGeomean(rows)))
 	fmt.Print(t)
-	if unsound > 0 {
-		return fmt.Errorf("apstat: worst-case analysis unsound for %d application(s)", unsound)
-	}
-	return nil
+	return worstGates(rows)
 }
 
 func fail(err error) {

@@ -7,13 +7,12 @@ import (
 
 func TestPredictSmallSuite(t *testing.T) {
 	s := testSuite()
-	names := []string{"PEN", "Snort", "HM", "Brill"}
-	r, err := Predict(s, names)
+	r, err := Predict(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != len(names) {
-		t.Fatalf("rows = %d, want %d", len(r.Rows), len(names))
+	if len(r.Rows) != 26 {
+		t.Fatalf("rows = %d, want the whole suite", len(r.Rows))
 	}
 	if !r.ReportsIdentical {
 		t.Fatal("report streams diverged across strategies — partitioning changed semantics")
@@ -36,6 +35,13 @@ func TestPredictSmallSuite(t *testing.T) {
 	}
 	if r.GeoStatic <= 0 || r.GeoProfiled <= 0 {
 		t.Fatalf("geomeans: static %v profiled %v", r.GeoStatic, r.GeoProfiled)
+	}
+	// The prediction gate: a partition that reads the automaton's symbol
+	// sets must not lose to the one that reads only its depth. Cycle
+	// counts, so the comparison is deterministic (1.64 vs 1.12 here).
+	if r.GeoStatic < r.GeoNormDepth {
+		t.Fatalf("static geomean speedup %.3f below the normalized-depth baseline's %.3f",
+			r.GeoStatic, r.GeoNormDepth)
 	}
 	if r.WithinProfiled < 0 || r.WithinProfiled > len(r.Rows) {
 		t.Fatalf("WithinProfiled = %d", r.WithinProfiled)

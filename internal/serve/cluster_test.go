@@ -116,13 +116,19 @@ func TestClusterMigrateLiveHandoff(t *testing.T) {
 	cl := pacedClient(a.h.ts.URL, []string{b.h.ts.URL})
 	done, res := streamInBackground(cl, input)
 
-	// Poll the migrate endpoint until a live session actually moved.
+	// Poll the migrate endpoint until a live session actually moved, once
+	// the source has made its first capture (see refuseLoop: a handoff at
+	// position 0 is a fresh start, and cl.Resumes stays 0).
 	migrated := false
 	for !migrated {
 		select {
 		case err := <-done:
 			t.Fatalf("stream finished before any migration landed (err=%v)", err)
 		default:
+		}
+		if a.reg.Snapshot()["serve_checkpoint_saves"] == 0 {
+			time.Sleep(time.Millisecond)
+			continue
 		}
 		for _, v := range migrateAll(t, a, b.h.ts.URL) {
 			if v == "ok" {

@@ -58,6 +58,19 @@ func startServer(t *testing.T, cfg Config, net *automata.Network) *harness {
 	return &harness{s: s, ts: ts}
 }
 
+// waitCompleted blocks until the server has counted tenant t0's session as
+// completed: the handler increments the counter after it has flushed the
+// end record the client returns on, so the client can get here first.
+func waitCompleted(t *testing.T, h *harness) {
+	t.Helper()
+	const key = `serve_sessions_completed{tenant="t0"}`
+	for deadline := time.Now().Add(5 * time.Second); h.s.Registry().Snapshot()[key] == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("session never counted as completed")
+		}
+	}
+}
+
 func expectedReports(net *automata.Network, input []byte) []sim.Report {
 	return sim.Run(net, input, sim.Options{CollectReports: true}).Reports
 }
@@ -76,6 +89,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	if err := sameReports(res.Reports, expectedReports(net, input)); err != nil {
 		t.Fatalf("stream diverged from uninterrupted run: %v", err)
 	}
+	waitCompleted(t, h)
 	snap := h.s.Registry().Snapshot()
 	if snap[`serve_sessions_started{tenant="t0"}`] != 1 {
 		t.Fatalf("sessions_started = %v", snap)
@@ -512,6 +526,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := cl.Stream(context.Background(), "test", testInput(4096)); err != nil {
 		t.Fatal(err)
 	}
+	waitCompleted(t, h)
 	resp, err := http.Get(h.ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

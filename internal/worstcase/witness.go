@@ -13,7 +13,7 @@
 //     accumulate width over thousands of positions);
 //   - hybrids: the best stream truncated at its peak, extended by a
 //     greedy tail;
-//   - caller-provided seeds (apbench passes the app's nominal input so
+//   - caller-provided seeds (apstat passes the app's nominal input so
 //     the witness provably dominates the random baseline), also
 //     greedy-extended.
 //
