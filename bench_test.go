@@ -10,6 +10,7 @@ package sparseap_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"sparseap"
 	"sparseap/internal/ap"
@@ -193,29 +194,32 @@ func BenchmarkFig13Sensitivity(b *testing.B) {
 // fails the run.
 const kernelTolerance = 0.20
 
-// BenchmarkSimulatorThroughput times the three step kernels on PEN and
-// Snort as <app>/<canonical|witness>/<kernel>, and is the kernel-choice
-// gate: the adaptive kernel must stay within kernelTolerance of the sparse
-// walk on the app's canonical input (the narrow frontier it must not tax)
-// and of the dense pass on its adversarial witness (the wide frontier the
-// dense pass exists for). Both are ratios taken inside one process, so the
-// verdict carries across machines; timing stays out of `go test`.
+// BenchmarkSimulatorThroughput times the three step kernels on PEN, Snort,
+// Brill and RF2 as <app>/<canonical|witness>/<kernel>, and is the
+// kernel-choice gate: on the app's canonical input and on its adversarial
+// witness alike, the adaptive kernel must stay within kernelTolerance of
+// whichever fixed kernel is faster there. Snort's canonical input is the
+// narrow frontier the rule must not tax; PEN's all-input starts, Brill's
+// frontier of a few states per word and RF2's start storm are the shapes
+// a rule that looks at the frontier length alone gets wrong. Both are
+// ratios taken inside one process, so the verdict carries across
+// machines; timing stays out of `go test`.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	for _, name := range []string{"PEN", "Snort"} {
+	for _, name := range []string{"PEN", "Snort", "Brill", "RF2"} {
 		b.Run(name, func(b *testing.B) {
 			app, err := workloads.Build(name, workloads.Config{InputLen: 32768, Divisor: 16, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Run("canonical", func(b *testing.B) {
-				benchKernels(b, app.Net, app.Input, sim.KernelSparse)
+				benchKernels(b, app.Net, app.Input)
 			})
 			b.Run("witness", func(b *testing.B) {
 				w, _ := worstcase.Analyze(app.Net, worstcase.Config{}).Certify(worstcase.WitnessOptions{
 					MaxLen: len(app.Input),
 					Seeds:  [][]byte{app.Input},
 				})
-				benchKernels(b, app.Net, w.Input, sim.KernelDense)
+				benchKernels(b, app.Net, w.Input)
 			})
 		})
 	}
@@ -223,10 +227,17 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // benchKernels runs one sub-benchmark per step kernel over input on a
 // pooled engine, and fails b if the adaptive kernel's ns/symbol is more
-// than kernelTolerance above that of ref, the fixed kernel this input suits.
-func benchKernels(b *testing.B, net *sparseap.Network, input []byte, ref sim.Kernel) {
-	nsPerSym := map[sim.Kernel]float64{}
-	for _, k := range []sim.Kernel{sim.KernelSparse, sim.KernelDense, sim.KernelAuto} {
+// than kernelTolerance above the faster of the two fixed kernels. The
+// verdict does not compare the sub-benchmarks' own times: run one after
+// the other on a shared host they drift apart by more than the tolerance.
+// It runs the three kernels in alternation instead, kernelRounds times
+// over, timing the input in slices of kernelSlice symbols, and charges
+// each kernel the fastest time it ever took over each slice — a burst of
+// interference has to hit the same slice in every round to count.
+func benchKernels(b *testing.B, net *sparseap.Network, input []byte) {
+	kernels := []sim.Kernel{sim.KernelSparse, sim.KernelDense, sim.KernelAuto}
+	ran := 0
+	for _, k := range kernels {
 		b.Run(k.String(), func(b *testing.B) {
 			eng := sim.AcquireEngine(net, sim.Options{Kernel: k})
 			defer eng.Release()
@@ -239,15 +250,48 @@ func benchKernels(b *testing.B, net *sparseap.Network, input []byte, ref sim.Ker
 					eng.Step(int64(i), c)
 				}
 			}
-			nsPerSym[k] = float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(input))
+			ran++
 		})
 	}
 	// A -bench pattern may have selected only some kernels.
-	auto, ranAuto := nsPerSym[sim.KernelAuto]
-	want, ranRef := nsPerSym[ref]
-	if ranAuto && ranRef && auto > want*(1+kernelTolerance) {
-		b.Errorf("adaptive kernel %.1f ns/sym vs %s %.1f ns/sym: outside the %.0f%% tolerance",
-			auto, ref, want, 100*kernelTolerance)
+	if ran < len(kernels) {
+		return
+	}
+	const (
+		kernelRounds = 15
+		kernelSlice  = 2048
+	)
+	var fastest [3][]time.Duration
+	for k := range fastest {
+		fastest[k] = make([]time.Duration, (len(input)+kernelSlice-1)/kernelSlice)
+	}
+	for round := 0; round < kernelRounds; round++ {
+		for k, kernel := range kernels {
+			eng := sim.AcquireEngine(net, sim.Options{Kernel: kernel})
+			for s := range fastest[k] {
+				lo := s * kernelSlice
+				start := time.Now()
+				for i, c := range input[lo:min(lo+kernelSlice, len(input))] {
+					eng.Step(int64(lo+i), c)
+				}
+				if d := time.Since(start); round == 0 || d < fastest[k][s] {
+					fastest[k][s] = d
+				}
+			}
+			eng.Release()
+		}
+	}
+	var total [3]time.Duration
+	for k := range kernels {
+		for _, d := range fastest[k] {
+			total[k] += d
+		}
+	}
+	perSym := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(len(input)) }
+	sparse, dense, auto := perSym(total[0]), perSym(total[1]), perSym(total[2])
+	if auto > min(sparse, dense)*(1+kernelTolerance) {
+		b.Errorf("adaptive kernel %.1f ns/sym vs sparse %.1f, dense %.1f: outside the %.0f%% tolerance",
+			auto, sparse, dense, 100*kernelTolerance)
 	}
 }
 

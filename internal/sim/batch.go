@@ -32,8 +32,9 @@
 // per distinct byte read this cycle (and re-enumerates broad-symbol-class
 // states under each of them), while the sparse walk enumerates each
 // frontier state exactly once however many distinct bytes are in flight —
-// so dense must clear denseCut × distinct-symbols to pay. With one
-// running lane that degenerates to exactly the solo engine's crossover.
+// so dense must clear denseCut × distinct-symbols to pay. The union pass
+// scatters per activated state, so its denseCut is 2 × words, the
+// crossover the solo engine had before its dense pass learned to shift.
 // See DESIGN.md §13.
 package sim
 
@@ -55,7 +56,7 @@ type BatchOptions struct {
 	// Kernel selects the per-cycle step strategy (default KernelAuto).
 	Kernel Kernel
 	// DenseThreshold overrides the union-frontier length at which
-	// KernelAuto switches to the dense pass; 0 uses the image's default.
+	// KernelAuto switches to the dense pass; 0 uses 2 × bitmap words.
 	DenseThreshold int
 }
 
@@ -184,7 +185,7 @@ func (be *BatchEngine) configure(opts BatchOptions) {
 	be.kernel = opts.Kernel
 	be.denseCut = opts.DenseThreshold
 	if be.denseCut <= 0 {
-		be.denseCut = be.img.denseCut
+		be.denseCut = max(2*be.img.words, minDenseCut)
 	}
 	be.OnReport = nil
 	be.denseTicks, be.sparseTicks, be.ticks = 0, 0, 0

@@ -5,14 +5,14 @@
 // symset method call, and a second random access per successor to check
 // the target's start kind. Compile flattens everything the hot loop needs
 // into a handful of contiguous arrays — CSR successor lists, state-major
-// match words, per-symbol transposed match/start bitmaps, and report/start
-// flag words — built once per Network and shared read-only by every engine
-// over it (serial runs, parallel chunk workers, spap's hot and cold
-// executors, profiling).
+// match words, per-symbol transposed match/start bitmaps, the shift-class
+// masks of the dense pass, and report/start flag words — built once per
+// Network and shared read-only by every engine over it (serial runs,
+// streaming sessions, spap's hot and cold executors, profiling).
 //
 // The image also owns the engine pool: engines are keyed by network
 // identity through the image they were built for, so steady-state
-// execution (parallel chunks, repeated profiling, spap batches) allocates
+// execution (repeated profiling, spap batches, serve sessions) allocates
 // nothing.
 package sim
 
@@ -23,21 +23,55 @@ import (
 	"sparseap/internal/automata"
 )
 
-// Dense-kernel crossover defaults (see DESIGN.md §8). A dense step costs
-// O(words) = O(n/64) regardless of frontier size; a sparse step costs
-// O(frontier) with a comparable per-state constant (one scattered
-// match-word load per frontier state vs. three sequential word loads per
-// 64-state word). Measured on the 26-app suite, workloads with mean
-// frontier ≤ 0.8× words run faster sparse (PEN, ER, the DS family) and
-// workloads at ≥ 2.6× words run faster dense (HM, Brill, Pro, LV, RF*),
-// so the default cut is 2× words — the frontier walk must be visiting
-// more states than twice the word count the dense pass would scan. The
-// floor keeps tiny frontiers on the sparse walk even for sub-1024-state
-// networks where a word scan is nearly free.
+// Shift-and decomposition of the successor relation (see DESIGN.md §8). An
+// edge s → s+d with d in [0, 63] can be followed for 64 sources at once by
+// shifting the activated word left by d; Compile gives a delta a shift
+// class when it carries at least 1/shiftClassShare of the edges, up to
+// maxShiftClasses of them. A state all of whose edges fall in classes is
+// enabled through the shifts alone; a state with any other edge (backward,
+// longer than a word, rare) is an exception and scatters its whole
+// successor list. A class costs a pass over the words with anything
+// activated in them, so a delta with a handful of edges is cheaper to
+// scatter than to mask, and classes that leave much to scatter cost their
+// passes on top of the scatter: unless the classes together leave at most
+// 1/shiftScatterShare of the edges to it, the image gets none.
+//
+// Swept on the suite. Share, 1/8 … 1/128: 1/32 is where Fermi's
+// self-loops and +13 edges (5.9 % each, on states that stay active)
+// become classes and its dense step halves; DS pays 9 % for two 3.5 %
+// classes and runs the sparse walk anyway. Coverage: ER's two classes
+// carry 92.5 % and save it a quarter; the grids stop short of 90 % — HM
+// 89.6 % in four classes, HM500 87 % and HM1000 85 % in eight, LV 63 % in
+// three — and run 5 % (HM) to 70 % (HM500) faster scattering everything
+// than shifting most of it.
 const (
-	denseWordsFactor = 2
-	minDenseCut      = 16
+	maxShiftClasses   = 8
+	shiftClassShare   = 32
+	shiftScatterShare = 10
 )
+
+// Dense-kernel crossover (see DESIGN.md §8). A dense step scans every
+// bitmap word twice (activate, then count the next frontier) and walks
+// the words with anything activated in them once per shift class; a
+// sparse step pays a scattered match-word load per frontier state and,
+// more, list upkeep for every successor an activation enables.
+// KernelAuto therefore compares max(frontier length, starts the symbol
+// activates) with denseCut: the frontier is about as long as the number
+// of activations that enabled it, which is about what this step's will
+// be, and the starts are activations for certain (RF2's frontier dips
+// under a start storm of 370 a symbol). Adding the two instead counts
+// the cold applications' starts twice — few of their frontier states
+// activate — and sent the 47-word hot fragments SpAP cuts out of DS and
+// Snort to a dense pass 20 % slower than their walk. Swept on the
+// ledger's panels and on those fragments, all of one class: at words/2
+// the fragments of Snort and Snort_L pay 10–18 % for dense steps on
+// bursts of enables that die on the next symbol, at 3/4 words PEN
+// (frontier 62 in 80 words, four in five of them activating) loses a
+// fifth; 5/8 costs either side 0–3 %. Each further class re-walks the
+// live words, hence words × (4 + classes) / 8. The floor keeps tiny
+// frontiers on the sparse walk even for sub-1024-state networks where a
+// word scan is nearly free.
+const minDenseCut = 16
 
 // Image is the compiled, read-only execution layout of a Network. All
 // fields are immutable after Compile; one image is shared by any number
@@ -54,6 +88,16 @@ type Image struct {
 	// needs no per-target start-kind check.
 	succOff []uint32
 	succ    []automata.StateID
+
+	// Shift classes of the dense pass. shift[k] is class k's delta;
+	// shiftMask holds one bitmap per class, class-major: bit s of
+	// shiftMask[k*words:] is set iff s is not an exception and has the
+	// edge s → s+shift[k]. excMask marks the exceptions: the states with
+	// at least one edge no class carries, which the dense pass enables
+	// through succ instead.
+	shift     []uint8
+	shiftMask []uint64
+	excMask   []uint64
 
 	// match holds the 256-bit symbol set of each state as 4 contiguous
 	// words: state s matches symbol b iff
@@ -86,8 +130,9 @@ type Image struct {
 	startsOfData []automata.StateID
 	hasAllInput  bool
 
-	// denseCut is the default frontier length at which KernelAuto
-	// switches from the sparse walk to the dense pass.
+	// denseCut is the default frontier length (or number of starts the
+	// symbol activates) at which KernelAuto switches from the sparse walk
+	// to the dense pass.
 	denseCut int
 
 	// pool recycles solo engines built over this image; batchPool
@@ -135,15 +180,20 @@ func Compile(net *automata.Network) *Image {
 	}
 
 	img.succ = make([]automata.StateID, 0, edges)
+	var byDelta [64]int
 	for s := range net.States {
 		img.succOff[s] = uint32(len(img.succ))
 		for _, v := range net.States[s].Succ {
 			if net.States[v].Start != automata.StartAllInput {
 				img.succ = append(img.succ, v)
+				if d := uint32(v) - uint32(s); d < 64 {
+					byDelta[d]++
+				}
 			}
 		}
 	}
 	img.succOff[n] = uint32(len(img.succ))
+	img.buildShiftClasses(byDelta)
 
 	// Transpose the match matrix into per-symbol bitmaps. One backing
 	// array keeps the 256 rows contiguous.
@@ -196,18 +246,65 @@ func Compile(net *automata.Network) *Image {
 		}
 	}
 
-	img.denseCut = denseWordsFactor * img.words
-	if img.denseCut < minDenseCut {
-		img.denseCut = minDenseCut
-	}
+	img.denseCut = max(img.words*(4+len(img.shift))/8, minDenseCut)
 	return img
+}
+
+// buildShiftClasses picks the shift classes from the per-delta edge
+// counts and fills their source masks and excMask.
+func (img *Image) buildShiftClasses(byDelta [64]int) {
+	edges := len(img.succ)
+	floor := max((edges+shiftClassShare-1)/shiftClassShare, 1)
+	var shift []uint8
+	carried := 0
+	for len(shift) < maxShiftClasses {
+		best := -1
+		for d, c := range byDelta {
+			if c >= floor && (best < 0 || c > byDelta[best]) {
+				best = d
+			}
+		}
+		if best < 0 {
+			break
+		}
+		carried += byDelta[best]
+		byDelta[best] = 0
+		shift = append(shift, uint8(best))
+	}
+	if (edges-carried)*shiftScatterShare <= edges {
+		img.shift = shift
+	}
+	var classOf [64]int
+	for d := range classOf {
+		classOf[d] = -1
+	}
+	for k, d := range img.shift {
+		classOf[d] = k
+	}
+	img.shiftMask = make([]uint64, img.words*len(img.shift))
+	img.excMask = make([]uint64, img.words)
+states:
+	for s := 0; s < img.n; s++ {
+		sw, sb := s>>6, uint64(1)<<(uint(s)&63)
+		list := img.succ[img.succOff[s]:img.succOff[s+1]]
+		for _, v := range list {
+			if d := uint32(v) - uint32(s); d >= 64 || classOf[d] < 0 {
+				img.excMask[sw] |= sb
+				continue states
+			}
+		}
+		for _, v := range list {
+			img.shiftMask[classOf[uint32(v)-uint32(s)]*img.words+sw] |= sb
+		}
+	}
 }
 
 // Footprint estimates the resident bytes of the compiled image: the CSR
 // successor arrays, the state-major match words, the 256 transposed
-// symbol bitmaps, and the flag words. A serving process admits sessions
-// against a memory budget, and the images — shared across every tenant
-// streaming the same application — are the dominant resident term.
+// symbol bitmaps, the shift-class and exception masks, the flag words and
+// the start lists. A serving process admits sessions against a memory
+// budget, and the images — shared across every tenant streaming the same
+// application — are the dominant resident term.
 func (img *Image) Footprint() int64 {
 	b := int64(len(img.succOff))*4 + int64(len(img.succ))*4
 	b += int64(len(img.match)) * 8
@@ -217,32 +314,34 @@ func (img *Image) Footprint() int64 {
 	} else {
 		b += int64(img.words) * 8
 	}
+	b += int64(len(img.shift)) + int64(len(img.shiftMask))*8 + int64(len(img.excMask))*8
 	b += 2 * int64(img.words) * 8 // report + allInput
 	for _, l := range img.startAct {
 		b += int64(len(l)) * 4
 	}
+	b += int64(len(img.allInputHot)+len(img.startsOfData)) * 4
 	return b
 }
 
 // EngineFootprint estimates the per-engine dynamic bytes: two frontier
-// bitmaps plus, in the worst case, two full sparse frontier lists. The
-// admission controller charges this per live session on top of the
-// shared image.
+// bitmaps, the dense pass's list of live words and, in the worst case,
+// two full sparse frontier lists. The admission controller charges this
+// per live session on top of the shared image.
 func (img *Image) EngineFootprint() int64 {
-	return 2*int64(img.words)*8 + 2*int64(img.n)*4
+	return img.EngineFootprintBounded(img.n)
 }
 
 // EngineFootprintBounded is EngineFootprint under a certified frontier
-// bound: the two bitmaps are words-sized regardless, but the sparse
-// frontier lists only ever grow to the largest frontier the engine
-// observes, so a sound worst-case width from internal/worstcase caps
-// them. The admission controller charges this instead of the nominal
-// full-state estimate when a bound is available.
+// bound: the bitmaps and the live-word list are words-sized regardless,
+// but the sparse frontier lists only ever grow to the largest frontier
+// the engine observes, so a sound worst-case width from
+// internal/worstcase caps them. The admission controller charges this
+// instead of the nominal full-state estimate when a bound is available.
 func (img *Image) EngineFootprintBounded(bound int) int64 {
 	if bound < 0 || bound > img.n {
 		bound = img.n
 	}
-	return 2*int64(img.words)*8 + 2*int64(bound)*4
+	return 2*int64(img.words)*8 + int64(img.words)*4 + 2*int64(bound)*4
 }
 
 // Read-only structural accessors for static analyses (internal/worstcase

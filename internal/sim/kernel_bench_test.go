@@ -50,6 +50,38 @@ func sparseBenchNet(chains, depth int) *automata.Network {
 	return automata.NewNetwork(ms...)
 }
 
+// chainBenchNet builds the shape of the suite's busiest applications
+// (Brill, Pro): chains of s → s+1 edges behind all-input starts, every
+// state matching half the alphabet, so half the starts activate on each
+// symbol and an activation survives one more state with probability 1/2 —
+// about one enabled state per chain of 20, a frontier of n/20 spread
+// three or four to a bitmap word. Too wide for the sparse walk, far too
+// thin for a per-state scatter to amortize the word scan.
+func chainBenchNet(chains, depth int) *automata.Network {
+	ms := make([]*automata.NFA, chains)
+	for c := range ms {
+		m := automata.NewNFA()
+		var prev automata.StateID
+		for d := 0; d < depth; d++ {
+			start := automata.StartNone
+			if d == 0 {
+				start = automata.StartAllInput
+			}
+			var set symset.Set
+			for k := 0; k < benchAlpha/2; k++ {
+				set.Add(byte((c*7 + d*13 + k) % benchAlpha))
+			}
+			s := m.Add(set, start, d == depth-1)
+			if d > 0 {
+				m.Connect(prev, s)
+			}
+			prev = s
+		}
+		ms[c] = m
+	}
+	return automata.NewNetwork(ms...)
+}
+
 func benchInput(n int, seed int64) []byte {
 	r := rand.New(rand.NewSource(seed))
 	input := make([]byte, n)
@@ -90,6 +122,19 @@ func BenchmarkDenseFrontier(b *testing.B) {
 func BenchmarkSparseFrontier(b *testing.B) {
 	net := sparseBenchNet(512, 8)
 	input := benchInput(1<<15, 2)
+	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
+		b.Run(k.String(), func(b *testing.B) { benchKernel(b, net, input, k) })
+	}
+}
+
+// BenchmarkChainFrontier is the shift-and win case: 5120 states in 80
+// words, a frontier of ~250 and ~128 start activations per symbol, every
+// edge a +1. The dense pass enables each word's successors with one
+// shift; KernelAuto must pick it although the frontier is a twentieth of
+// the network.
+func BenchmarkChainFrontier(b *testing.B) {
+	net := chainBenchNet(256, 20)
+	input := benchInput(4096, 3)
 	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
 		b.Run(k.String(), func(b *testing.B) { benchKernel(b, net, input, k) })
 	}

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,69 +51,468 @@ func randomKernelNet(r *rand.Rand) *automata.Network {
 	return automata.NewNetwork(m)
 }
 
-// Property: the sparse-only, dense-only, and adaptive kernels produce
-// identical report streams (same order, not just same multiset),
-// identical ever-enabled sets, and identical report counts on randomized
-// networks — and all agree with the naive reference simulator up to
-// within-cycle order.
+// wideKernelNet builds a network of 60–400 states, several bitmap words
+// wide, so that enabling a successor regularly crosses a word boundary.
+// shape 0 is chain-heavy (mostly s → s+1, some skips, self-loops and
+// backward edges — the Brill/PEN/Snort layout), shape 1 a grid whose rows
+// feed the next row straight and diagonally (the Hamming layout: a few
+// deltas around the row width carry every edge), shape 2 random edges
+// (mostly backward or longer than a word, so nearly every state is an
+// exception the dense pass scatters).
+func wideKernelNet(r *rand.Rand, shape int) *automata.Network {
+	n := 60 + r.Intn(341)
+	m := automata.NewNFA()
+	alphabet := []byte("abcd")
+	for s := 0; s < n; s++ {
+		var set symset.Set
+		switch r.Intn(5) {
+		case 0:
+			set = symset.All()
+		default:
+			for k := 0; k <= r.Intn(3); k++ {
+				set.Add(alphabet[r.Intn(len(alphabet))])
+			}
+		}
+		start := automata.StartNone
+		switch r.Intn(12) {
+		case 0:
+			start = automata.StartAllInput
+		case 1:
+			start = automata.StartOfData
+		}
+		m.Add(set, start, r.Intn(6) == 0)
+	}
+	m.States[0].Start = automata.StartAllInput
+	connect := func(u, v int) {
+		if v >= 0 && v < n {
+			m.Connect(automata.StateID(u), automata.StateID(v))
+		}
+	}
+	switch shape {
+	case 0:
+		for s := 0; s < n; s++ {
+			if r.Intn(10) != 0 {
+				connect(s, s+1)
+			}
+			switch r.Intn(12) {
+			case 0:
+				connect(s, s+2)
+			case 1:
+				connect(s, s)
+			case 2:
+				connect(s, s-1-r.Intn(40))
+			}
+		}
+	case 1:
+		width := 5 + r.Intn(60)
+		for s := 0; s < n; s++ {
+			connect(s, s+width)
+			if r.Intn(2) == 0 {
+				connect(s, s+width+1)
+			}
+			if r.Intn(8) == 0 {
+				connect(s, s+width-1)
+			}
+		}
+	default:
+		for k := 0; k < 2*n; k++ {
+			connect(r.Intn(n), r.Intn(n))
+		}
+	}
+	m.Dedup()
+	return automata.NewNetwork(m)
+}
+
+// checkKernels runs the sparse-only, dense-only and adaptive kernels over
+// input and holds each to the naive reference simulator: the same
+// frontier length after every symbol, the same reports in the same order,
+// the same report count and the same ever-enabled set.
+func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold int) {
+	t.Helper()
+	want := naiveRun(net, input)
+	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
+		e := NewEngine(net, Options{CollectReports: true, TrackEnabled: true, Kernel: k, DenseThreshold: threshold})
+		for i, b := range input {
+			e.Step(int64(i), b)
+			if e.FrontierLen() != want.frontier[i] {
+				t.Fatalf("%v: frontier after symbol %d has %d states, naive %d", k, i, e.FrontierLen(), want.frontier[i])
+			}
+		}
+		got := e.Reports()
+		if len(got) != len(want.reports) || e.NumReports() != int64(len(want.reports)) {
+			t.Fatalf("%v: %d reports collected, %d counted, naive %d", k, len(got), e.NumReports(), len(want.reports))
+		}
+		for i := range got {
+			if got[i] != want.reports[i] {
+				t.Fatalf("%v: report[%d] = %+v, naive %+v", k, i, got[i], want.reports[i])
+			}
+		}
+		for s, hot := range want.ever {
+			if e.EverEnabled().Get(s) != hot {
+				t.Fatalf("%v: ever[%d] = %v, naive %v", k, s, !hot, hot)
+			}
+		}
+	}
+}
+
+func randomInput(r *rand.Rand, n int) []byte {
+	input := make([]byte, n)
+	alphabet := []byte("abcdx")
+	for i := range input {
+		input[i] = alphabet[r.Intn(len(alphabet))]
+	}
+	return input
+}
+
+// Property: the sparse-only, dense-only, and adaptive kernels agree with
+// the naive reference simulator — report stream in order, report count,
+// ever-enabled set, frontier length after every symbol — on randomized
+// networks of one bitmap word and of several.
 func TestPropKernelsIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
-	kernels := []Kernel{KernelSparse, KernelDense, KernelAuto}
 	for trial := 0; trial < 80; trial++ {
 		net := randomKernelNet(r)
-		input := make([]byte, 1+r.Intn(120))
-		alphabet := []byte("abcdx")
-		for i := range input {
-			input[i] = alphabet[r.Intn(len(alphabet))]
-		}
 		// A low threshold makes KernelAuto actually alternate between
 		// passes on these small nets.
-		threshold := 1 + r.Intn(4)
-		results := make([]*Result, len(kernels))
-		for ki, k := range kernels {
-			results[ki] = Run(net, input, Options{
-				CollectReports: true,
-				TrackEnabled:   true,
-				Kernel:         k,
-				DenseThreshold: threshold,
-			})
+		checkKernels(t, net, randomInput(r, 1+r.Intn(120)), 1+r.Intn(4))
+	}
+	for trial := 0; trial < 60; trial++ {
+		net := wideKernelNet(r, trial%3)
+		checkKernels(t, net, randomInput(r, 1+r.Intn(200)), 1+r.Intn(net.Len()/4))
+	}
+}
+
+// chainNet builds n states in a row, s → s+1, all matching 'a'; state 0
+// is a start-of-data state and the last state reports.
+func chainNet(n int) *automata.NFA {
+	m := automata.NewNFA()
+	for s := 0; s < n; s++ {
+		start := automata.StartNone
+		if s == 0 {
+			start = automata.StartOfData
 		}
-		base := results[0]
-		for ki, res := range results[1:] {
-			if res.NumReports != base.NumReports {
-				t.Fatalf("trial %d: %v reports %d, sparse %d",
-					trial, kernels[ki+1], res.NumReports, base.NumReports)
+		m.Add(symset.Single('a'), start, s == n-1)
+		if s > 0 {
+			m.Connect(automata.StateID(s-1), automata.StateID(s))
+		}
+	}
+	return m
+}
+
+// The dense pass moves enable bits by word shifts, so every way an edge
+// can sit relative to a word boundary is pinned here by hand, each cell
+// with the shift classes and the number of exceptions Compile must give
+// it — a cell whose image came out without its class would test nothing.
+func TestDenseShiftCells(t *testing.T) {
+	as := func(n int) []byte { return []byte(strings.Repeat("a", n)) }
+	type cell struct {
+		build      func() (*automata.NFA, []byte)
+		shift      []uint8
+		exceptions int
+	}
+	chain := func(n int) cell {
+		return cell{func() (*automata.NFA, []byte) { return chainNet(n), as(n + 2) }, []uint8{1}, 0}
+	}
+	cells := map[string]cell{
+		// One activation walks a chain across bit 63 → 64 and 127 → 128,
+		// on networks that end exactly on a word boundary and one past it.
+		"chain64": chain(64), "chain65": chain(65), "chain128": chain(128), "chain129": chain(129), "chain193": chain(193),
+		// The longest delta a class can have: all but one bit spill.
+		"delta63": {func() (*automata.NFA, []byte) {
+			m := chainNet(200)
+			for s := 0; s+63 < 200; s += 3 {
+				m.Connect(automata.StateID(s), automata.StateID(s+63))
 			}
-			if len(res.Reports) != len(base.Reports) {
-				t.Fatalf("trial %d: %v collected %d, sparse %d",
-					trial, kernels[ki+1], len(res.Reports), len(base.Reports))
+			return m, as(40)
+		}, []uint8{1, 63}, 0},
+		// Self-loops: a class with delta 0 spills nothing.
+		"delta0": {func() (*automata.NFA, []byte) {
+			m := chainNet(130)
+			for s := 0; s < 130; s += 2 {
+				m.Connect(automata.StateID(s), automata.StateID(s))
 			}
-			for i := range res.Reports {
-				if res.Reports[i] != base.Reports[i] {
-					t.Fatalf("trial %d: %v report[%d] = %+v, sparse %+v",
-						trial, kernels[ki+1], i, res.Reports[i], base.Reports[i])
+			return m, as(140)
+		}, []uint8{1, 0}, 0},
+		// Backward edges, edges a word or more long and short ones too
+		// rare for a class make their source an exception, scattered
+		// whole, among +1 states that go through the shift.
+		"exceptions": {func() (*automata.NFA, []byte) {
+			m := chainNet(300)
+			for s := 40; s < 300; s += 40 {
+				m.Connect(automata.StateID(s), automata.StateID(s-5))
+				if s+70 < 300 {
+					m.Connect(automata.StateID(s), automata.StateID(s+70))
+					m.Connect(automata.StateID(s), automata.StateID(s+64))
 				}
 			}
-			for s := 0; s < net.Len(); s++ {
-				if res.EverEnabled.Get(s) != base.EverEnabled.Get(s) {
-					t.Fatalf("trial %d: %v ever[%d] = %v, sparse %v",
-						trial, kernels[ki+1], s, res.EverEnabled.Get(s), base.EverEnabled.Get(s))
-				}
+			m.Connect(2, 11)
+			m.Connect(62, 71)
+			return m, as(120)
+		}, []uint8{1}, 9},
+		// Classes that would leave a quarter of the edges to the scatter
+		// are not worth their passes: every state with a successor is an
+		// exception and the dense pass is a plain scatter.
+		"noClasses": {func() (*automata.NFA, []byte) {
+			m := chainNet(200)
+			for s := 0; s+70 < 200; s += 2 {
+				m.Connect(automata.StateID(s), automata.StateID(s+70))
 			}
+			return m, as(100)
+		}, nil, 199},
+		// An edge into an all-input start is dropped at compile time; its
+		// source must not come back through the +1 class mask and enable
+		// the start as if it were an ordinary state.
+		"intoAllInput": {func() (*automata.NFA, []byte) {
+			m := chainNet(100)
+			for _, s := range []int{1, 63, 64, 70} {
+				m.States[s].Start = automata.StartAllInput
+			}
+			m.States[70].Match = symset.Single('b')
+			return m, []byte(strings.Repeat("aaabaaaab", 9))
+		}, []uint8{1}, 0},
+	}
+	for name, c := range cells {
+		t.Run(name, func(t *testing.T) {
+			m, input := c.build()
+			m.Dedup()
+			net := automata.NewNetwork(m)
+			img := ImageOf(net)
+			exceptions := 0
+			for _, x := range img.excMask {
+				exceptions += bits.OnesCount64(x)
+			}
+			if !reflect.DeepEqual(img.shift, c.shift) || exceptions != c.exceptions {
+				t.Fatalf("compiled to classes %v with %d exceptions, want %v with %d", img.shift, exceptions, c.shift, c.exceptions)
+			}
+			checkKernels(t, net, input, 2)
+		})
+	}
+}
+
+// fuzzNet decodes a network, an input and a dense threshold from fuzz
+// bytes. Five header bytes give the state count (2–401), the threshold
+// (0 = the compiled default), one extra edge delta and the number of
+// free-form edges; then one byte per state — bits 0–1 symbol set, 2–3
+// start kind, 4 reports, 5 edge to s+1, 6 self-loop, 7 edge to s+delta —
+// four bytes per free-form edge, and the rest is the input.
+func fuzzNet(data []byte) (*automata.Network, []byte, int) {
+	if len(data) < 5 {
+		return nil, nil, 0
+	}
+	n := 2 + (int(data[0])|int(data[1])<<8)%400
+	threshold, delta, edges := int(data[2]), int(data[3]), int(data[4])
+	data = data[5:]
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
 		}
-		// And the whole family agrees with the oracle as a multiset.
-		want := naiveRun(net, input)
-		if len(want) != len(base.Reports) {
-			t.Fatalf("trial %d: engine %d reports, naive %d", trial, len(base.Reports), len(want))
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	m := automata.NewNFA()
+	flags := make([]byte, n)
+	for s := range flags {
+		b := next()
+		flags[s] = b
+		var set symset.Set
+		switch b & 3 {
+		case 0:
+			set = symset.Single('a')
+		case 1:
+			set = symset.Single('b')
+		case 2:
+			set.Add('a')
+			set.Add('b')
+			set.Add('c')
+		default:
+			set = symset.All()
 		}
-		counts := map[Report]int{}
-		for _, rep := range want {
-			counts[rep]++
+		start := automata.StartNone
+		switch b >> 2 & 3 {
+		case 2:
+			start = automata.StartAllInput
+		case 3:
+			start = automata.StartOfData
 		}
-		for _, rep := range base.Reports {
-			counts[rep]--
-			if counts[rep] < 0 {
-				t.Fatalf("trial %d: extra report %+v", trial, rep)
+		m.Add(set, start, b&16 != 0)
+	}
+	connect := func(u, v int) {
+		if v < n {
+			m.Connect(automata.StateID(u), automata.StateID(v))
+		}
+	}
+	for s, b := range flags {
+		if b&32 != 0 {
+			connect(s, s+1)
+		}
+		if b&64 != 0 {
+			connect(s, s)
+		}
+		if b&128 != 0 {
+			connect(s, s+delta)
+		}
+	}
+	for ; edges > 0 && len(data) >= 4; edges-- {
+		connect((int(data[0])|int(data[1])<<8)%n, (int(data[2])|int(data[3])<<8)%n)
+		data = data[4:]
+	}
+	m.Dedup()
+	if len(data) > 300 {
+		data = data[:300]
+	}
+	input := make([]byte, len(data))
+	for i, b := range data {
+		input[i] = "abcx"[b&3]
+	}
+	return automata.NewNetwork(m), input, threshold
+}
+
+// fuzzNet's state flag bits, for the seeds.
+const (
+	fzStartAll  = 2 << 2
+	fzStartData = 3 << 2
+	fzReport    = 1 << 4
+	fzNext      = 1 << 5
+	fzSelf      = 1 << 6
+	fzDelta     = 1 << 7
+)
+
+// fuzzSeed encodes a network of n states for fuzzNet: state gives each
+// state's flag byte, edges the free-form ones, and the input is a run of
+// 'a' with a 'b' every 16th symbol.
+func fuzzSeed(n int, threshold, delta byte, state func(s int) byte, edges [][2]int, inputLen int) []byte {
+	data := []byte{byte(n - 2), byte((n - 2) >> 8), threshold, delta, byte(len(edges))}
+	for s := 0; s < n; s++ {
+		data = append(data, state(s))
+	}
+	for _, e := range edges {
+		data = append(data, byte(e[0]), byte(e[0]>>8), byte(e[1]), byte(e[1]>>8))
+	}
+	for i := 0; i < inputLen; i++ {
+		if i%16 == 15 {
+			data = append(data, 1)
+		} else {
+			data = append(data, 0)
+		}
+	}
+	return data
+}
+
+// FuzzKernelEquivalence holds the three kernels to the naive reference on
+// fuzz-built networks; the seeds are TestDenseShiftCells' shapes.
+func FuzzKernelEquivalence(f *testing.F) {
+	// chain(n, every, extra) is chainNet(n) in flag bytes, with extra set
+	// on every every-th state.
+	chain := func(n, every int, extra byte) func(int) byte {
+		return func(s int) byte {
+			b := byte(fzNext) // matches 'a'
+			if s == 0 {
+				b |= fzStartData
+			}
+			if s == n-1 {
+				b |= fzReport
+			}
+			if s%every == every-1 {
+				b |= extra
+			}
+			return b
+		}
+	}
+	for _, n := range []int{64, 65, 128, 129, 193} {
+		f.Add(fuzzSeed(n, 2, 0, chain(n, 1, 0), nil, n+2))
+	}
+	f.Add(fuzzSeed(200, 2, 63, chain(200, 3, fzDelta), nil, 60)) // a delta-63 class
+	f.Add(fuzzSeed(130, 2, 0, chain(130, 2, fzSelf), nil, 140))  // a self-loop class
+	// A grid of width 9 on "abc" states, default threshold.
+	f.Add(fuzzSeed(300, 0, 9, func(s int) byte {
+		b := byte(2 | fzDelta)
+		if s%9 == 8 {
+			b |= fzNext
+		}
+		if s < 9 {
+			b |= fzStartAll
+		}
+		if s%50 == 49 {
+			b |= fzReport
+		}
+		return b
+	}, nil, 80))
+	// Exceptions: edges backward, a word or more ahead, and short but rare.
+	f.Add(fuzzSeed(300, 2, 70, chain(300, 40, fzDelta),
+		[][2]int{{40, 35}, {130, 2}, {10, 74}, {2, 11}, {60, 69}, {299, 0}}, 90))
+	// Edges into all-input starts, which Compile filters.
+	f.Add(fuzzSeed(100, 2, 0, func(s int) byte {
+		b := chain(100, 1, 0)(s)
+		if s == 1 || s == 63 || s == 64 || s == 70 {
+			b |= fzStartAll
+		}
+		return b
+	}, nil, 100))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, input, threshold := fuzzNet(data)
+		if net == nil {
+			return
+		}
+		checkKernels(t, net, input, threshold)
+	})
+}
+
+// Enable, disable and toggle operations and a snapshot/restore round trip
+// between two dense steps act on the bitmap the shifts read, not on a
+// frontier list the dense pass no longer keeps: the dense and adaptive
+// kernels must come out where the sparse walk does.
+func TestDenseStepsAroundFrontierEdits(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 30; trial++ {
+		net := wideKernelNet(r, trial%3)
+		input := randomInput(r, 40+r.Intn(100))
+		cut := 1 + r.Intn(len(input)-2)
+		edits := make([]automata.StateID, 12)
+		for i := range edits {
+			edits[i] = automata.StateID(r.Intn(net.Len()))
+		}
+		run := func(k Kernel) ([]Report, []uint64) {
+			e := NewEngine(net, Options{CollectReports: true, TrackEnabled: true, Kernel: k, DenseThreshold: 1 + net.Len()/8})
+			var snap *Snapshot
+			var head []Report
+			for i, b := range input {
+				if i == cut {
+					for j, s := range edits {
+						switch j % 3 {
+						case 0:
+							e.EnableState(s)
+						case 1:
+							e.DisableState(s)
+						default:
+							e.ToggleState(s)
+						}
+					}
+					snap = e.Snapshot(nil, int64(i))
+					head = append(head, e.Reports()...)
+				}
+				e.Step(int64(i), b)
+			}
+			full := append([]Report(nil), e.Reports()...)
+			ever := append([]uint64(nil), e.EverEnabled().Words()...)
+			// Restore drops the collected reports; the tail must replay.
+			if err := e.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			for i := cut; i < len(input); i++ {
+				e.Step(int64(i), input[i])
+			}
+			replay := append(head, e.Reports()...)
+			if !reflect.DeepEqual(replay, full) || !reflect.DeepEqual(e.EverEnabled().Words(), ever) {
+				t.Fatalf("trial %d %v: run restored at %d diverges from the uninterrupted one", trial, k, cut)
+			}
+			return full, ever
+		}
+		wantReports, wantEver := run(KernelSparse)
+		for _, k := range []Kernel{KernelDense, KernelAuto} {
+			reports, ever := run(k)
+			if !reflect.DeepEqual(reports, wantReports) || !reflect.DeepEqual(ever, wantEver) {
+				t.Fatalf("trial %d: %v diverges from the sparse walk after edits at %d", trial, k, cut)
 			}
 		}
 	}
@@ -167,20 +569,40 @@ func TestReportsCanonicallyOrdered(t *testing.T) {
 	}
 }
 
-// KernelAuto must actually use both passes when the frontier crosses the
-// threshold, and the per-kernel step counters must account for every Step.
+// KernelAuto must run the dense pass on exactly the steps whose frontier,
+// or whose symbol's count of all-input starts, reaches the threshold, and
+// the sparse walk on the others.
 func TestAutoKernelSwitches(t *testing.T) {
+	// Three one-state patterns on 'x' and one on 'y' next to Figure 2:
+	// an 'x' fires three starts whatever the frontier holds.
+	m := automata.NewNFA()
+	for _, sym := range []byte("xxxy") {
+		m.Add(symset.Single(sym), automata.StartAllInput, true)
+	}
 	net := figure2()
+	net.Append(m)
+	starts := map[byte]int{'a': 1, 'x': 3, 'y': 1}
 	e := NewEngine(net, Options{Kernel: KernelAuto, DenseThreshold: 2})
-	input := []byte("abcfacdcdf")
+	input := []byte("abcfxyacdcdfyx")
+	wantDense, byFrontier, byStarts := int64(0), 0, 0
 	for i, b := range input {
+		switch {
+		case e.FrontierLen() >= 2:
+			wantDense++
+			byFrontier++
+		case starts[b] >= 2:
+			wantDense++
+			byStarts++
+		}
 		e.Step(int64(i), b)
 	}
-	if e.DenseSteps()+e.SparseSteps() != int64(len(input)) {
-		t.Fatalf("dense %d + sparse %d != %d steps", e.DenseSteps(), e.SparseSteps(), len(input))
+	if e.DenseSteps() != wantDense || e.SparseSteps() != int64(len(input))-wantDense {
+		t.Fatalf("dense %d, sparse %d steps; the rule asks for %d dense of %d",
+			e.DenseSteps(), e.SparseSteps(), wantDense, len(input))
 	}
-	if e.DenseSteps() == 0 || e.SparseSteps() == 0 {
-		t.Fatalf("auto kernel never switched: dense %d, sparse %d", e.DenseSteps(), e.SparseSteps())
+	if byFrontier == 0 || byStarts == 0 || e.SparseSteps() == 0 {
+		t.Fatalf("input exercises %d frontier switches, %d start switches, %d sparse steps; want all three",
+			byFrontier, byStarts, e.SparseSteps())
 	}
 }
 
@@ -310,5 +732,48 @@ func TestImageCachedOnNetwork(t *testing.T) {
 	}
 	if got := ImageOf(net); got.n != net.Len() {
 		t.Fatalf("image has %d states, network %d", ImageOf(net).n, net.Len())
+	}
+}
+
+// serve admits images and sessions against Footprint and EngineFootprint,
+// so both must count every array the image and the engine hold: the sums
+// here are taken over the slices themselves, length times element size.
+func TestFootprintsCountEveryArray(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	nets := map[string]*automata.Network{
+		"figure2":    figure2(),
+		"noAllInput": automata.NewNetwork(chainNet(193)),
+		"chains":     wideKernelNet(r, 0),
+		"grid":       wideKernelNet(r, 1),
+		"random":     wideKernelNet(r, 2),
+	}
+	for name, net := range nets {
+		img := Compile(net)
+		if len(img.shiftMask) != img.words*len(img.shift) || len(img.excMask) != img.words {
+			t.Errorf("%s: %d classes over %d words, but %d mask words and %d exception words",
+				name, len(img.shift), img.words, len(img.shiftMask), len(img.excMask))
+		}
+		want := 4*len(img.succOff) + 4*len(img.succ) + 8*len(img.match) +
+			1*len(img.shift) + 8*len(img.shiftMask) + 8*len(img.excMask) +
+			8*len(img.report) + 8*len(img.allInput) +
+			4*len(img.allInputHot) + 4*len(img.startsOfData)
+		for b := range img.symMask {
+			want += 8*len(img.symMask[b]) + 4*len(img.startAct[b])
+			// Without all-input starts the 256 start rows are one zero row.
+			if img.hasAllInput || b == 0 {
+				want += 8 * len(img.startMask[b])
+			}
+		}
+		if got := img.Footprint(); got != int64(want) {
+			t.Errorf("%s: Footprint() = %d, the arrays hold %d bytes", name, got, want)
+		}
+		e := newEngine(img)
+		wantEngine := 8*len(e.cur) + 8*len(e.nxt) + 4*len(e.liveWords) + 2*4*img.n
+		if got := img.EngineFootprint(); got != int64(wantEngine) {
+			t.Errorf("%s: EngineFootprint() = %d, a full engine holds %d bytes", name, got, wantEngine)
+		}
+		if got, want := img.EngineFootprintBounded(3), int64(wantEngine-2*4*(img.n-3)); got != want {
+			t.Errorf("%s: EngineFootprintBounded(3) = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -12,14 +12,15 @@
 // O(frontier) with contiguous match-word loads; when it crosses an adaptive
 // threshold, a word-parallel dense pass ANDs the frontier bitmap against
 // the symbol's transposed match bitmap, activating 64 states per
-// instruction — the same sparse/dense switch direction-optimizing BFS
-// applies to its frontier. Either way, per-cycle cost tracks the enabled
-// set, never the network (critical for networks with 10^5 states, of which
-// most are cold).
+// instruction, and enables their successors 64 per shift (the shift-and
+// step of bit-parallel NFA engines) — the same sparse/dense switch
+// direction-optimizing BFS applies to its frontier. The sparse walk's cost
+// tracks the enabled set, never the network (critical for networks with
+// 10^5 states, of which most are cold).
 //
 // Reports within a cycle are emitted in canonical ascending-state order,
-// so every kernel — sparse, dense, adaptive, and the chunked parallel
-// runner — produces bit-identical report streams.
+// so every kernel — sparse, dense, adaptive, and the multi-stream batch
+// engine — produces bit-identical report streams.
 package sim
 
 import (
@@ -57,8 +58,9 @@ type Report struct {
 type Kernel int
 
 const (
-	// KernelAuto switches per cycle: sparse walk below the dense
-	// threshold, word-parallel dense pass at or above it. The default.
+	// KernelAuto switches per cycle: sparse walk while the frontier and
+	// the symbol's start activations are both below the dense threshold,
+	// word-parallel dense pass otherwise. The default.
 	KernelAuto Kernel = iota
 	// KernelSparse always walks the frontier list.
 	KernelSparse
@@ -90,10 +92,10 @@ type Engine struct {
 	// The frontier's authoritative representation is the bitmap cur plus
 	// the population count curLen; the sparse list frontier is a cache of
 	// it, valid only when curListValid. A sparse pass builds next-cycle
-	// lists eagerly (buildNext) so steady-state sparse walks never scan
-	// the bitmap; a dense pass skips list maintenance entirely — enabling
-	// a state is then one bit-set — and the list is materialized from the
-	// bitmap only when the kernel switches back to sparse.
+	// lists eagerly so steady-state sparse walks never scan the bitmap; a
+	// dense pass skips list maintenance entirely — enabling a state is
+	// then one bit-set — and the list is materialized from the bitmap
+	// only when the kernel switches back to sparse.
 	frontier     []automata.StateID
 	cur          []uint64
 	curLen       int
@@ -101,7 +103,9 @@ type Engine struct {
 	next         []automata.StateID
 	nxt          []uint64
 	nxtLen       int
-	buildNext    bool
+	// liveWords is the dense pass's scratch: the indices of the bitmap
+	// words with an activated state in them this cycle.
+	liveWords []uint32
 
 	ever    *bitvec.Vec // ever-enabled set (nil unless tracking)
 	everBuf *bitvec.Vec // retained across pooled reuse
@@ -142,8 +146,10 @@ type Options struct {
 	CollectReports bool
 	// Kernel selects the step strategy (default KernelAuto).
 	Kernel Kernel
-	// DenseThreshold overrides the frontier length at which KernelAuto
-	// switches to the dense pass; 0 uses the image's compiled default.
+	// DenseThreshold overrides the frontier length — or the number of
+	// all-input starts the symbol activates, whichever is larger — at
+	// which KernelAuto switches to the dense pass; 0 uses the image's
+	// compiled default.
 	DenseThreshold int
 }
 
@@ -170,9 +176,10 @@ func NewEngine(net *automata.Network, opts Options) *Engine {
 
 func newEngine(img *Image) *Engine {
 	return &Engine{
-		img: img,
-		cur: make([]uint64, img.words),
-		nxt: make([]uint64, img.words),
+		img:       img,
+		cur:       make([]uint64, img.words),
+		nxt:       make([]uint64, img.words),
+		liveWords: make([]uint32, img.words),
 	}
 }
 
@@ -220,7 +227,6 @@ func (e *Engine) Reset() {
 	}
 	e.next = e.next[:0]
 	e.nxtLen = 0
-	e.buildNext = true
 	if e.ever != nil {
 		e.ever.Reset()
 		// All-input starts are enabled on every cycle, hence hot by
@@ -321,10 +327,13 @@ func (e *Engine) FrontierLen() int { return e.curLen }
 func (e *Engine) HasAllInputStarts() bool { return e.img.hasAllInput }
 
 // Step processes one input symbol at position pos, dispatching to the
-// sparse or dense kernel per the configured strategy.
+// sparse or dense kernel per the configured strategy. KernelAuto prices
+// the sparse walk in activations: the frontier is about as long as the
+// number of activations that enabled it, which is about what this cycle's
+// will be, and every all-input start sym fires is one for certain.
 func (e *Engine) Step(pos int64, sym byte) {
 	if e.kernel == KernelDense ||
-		(e.kernel == KernelAuto && e.curLen >= e.denseCut) {
+		(e.kernel == KernelAuto && max(e.curLen, len(e.img.startAct[sym])) >= e.denseCut) {
 		e.stepDense(pos, sym)
 	} else {
 		e.stepSparse(pos, sym)
@@ -340,7 +349,6 @@ func (e *Engine) stepSparse(pos int64, sym byte) {
 	if !e.curListValid {
 		e.materializeFrontier() // the previous cycle ran dense
 	}
-	e.buildNext = true
 	img := e.img
 	mw := int(sym >> 6)
 	mb := uint64(1) << (sym & 63)
@@ -355,41 +363,101 @@ func (e *Engine) stepSparse(pos int64, sym byte) {
 	for _, s := range img.startAct[sym] {
 		e.activate(s)
 	}
-	e.finishStep(pos)
+	e.finishStep(pos, true)
 }
 
 // stepDense consumes the frontier bitmap word-parallel: the activated set
-// is (frontier AND symMask[sym]) OR startMask[sym], computed 64 states at
-// a time, then scattered through the CSR successor arrays. Cost is
-// O(words + activated), independent of frontier size. It predicts the
-// next cycle stays dense and skips next-frontier list maintenance, so
-// enabling a successor is a single bit-set.
+// of a word is (frontier AND symMask[sym]) OR startMask[sym], and its
+// successors are enabled 64 at a time, one masked shift per class. Only
+// the activated exceptions — states with an edge no class carries — walk
+// their successor list, and only activated reporting states are
+// extracted. The next frontier's length, and the ever-enabled set when
+// tracked, are read off the bitmap afterwards, so a step costs O(non-zero
+// words × classes + exceptions' edges + reports) on top of two word
+// scans. It predicts the next cycle stays dense and keeps no frontier
+// list. With no classes every state is an exception and this is the
+// per-state scatter it replaced.
 func (e *Engine) stepDense(pos int64, sym byte) {
 	e.denseSteps++
-	e.buildNext = false
 	img := e.img
-	sm := img.symMask[sym]
-	stm := img.startMask[sym]
-	cur := e.cur
+	cur, nxt := e.cur, e.nxt
+
+	// Activate in place and list the words with anything in them, without
+	// a branch: whether a word is empty is close to a coin toss on the
+	// workloads that run dense.
+	sm := img.symMask[sym][:len(cur)]
+	stm := img.startMask[sym][:len(cur)]
+	live := e.liveWords[:len(cur)]
+	n := 0
 	for w, cw := range cur {
 		act := cw&sm[w] | stm[w]
-		if cw != 0 {
-			cur[w] = 0
+		cur[w] = act
+		live[n] = uint32(w)
+		if act != 0 {
+			n++
 		}
-		for act != 0 {
-			s := automata.StateID(w<<6 | bits.TrailingZeros64(act))
-			act &= act - 1
-			e.activate(s)
+	}
+	live = live[:n]
+
+	for k, d := range img.shift {
+		shiftClass(cur, nxt, live, img.shiftMask[k*len(cur):][:len(cur)], d)
+	}
+
+	exc := img.excMask[:len(cur)]
+	rep := img.report[:len(cur)]
+	for _, w := range live {
+		act := cur[w]
+		cur[w] = 0
+		for x := act & exc[w]; x != 0; x &= x - 1 {
+			s := w<<6 | uint32(bits.TrailingZeros64(x))
+			for _, v := range img.succ[img.succOff[s]:img.succOff[s+1]] {
+				nxt[int(v)>>6] |= 1 << (uint(v) & 63)
+			}
+		}
+		for x := act & rep[w]; x != 0; x &= x - 1 {
+			e.repBuf = append(e.repBuf, automata.StateID(w<<6|uint32(bits.TrailingZeros64(x))))
+		}
+	}
+
+	for _, x := range nxt {
+		e.nxtLen += bits.OnesCount64(x)
+	}
+	if e.ever != nil {
+		ever := e.ever.Words()
+		for w, x := range nxt {
+			ever[w] |= x
 		}
 	}
 	e.frontier = e.frontier[:0]
 	e.curLen = 0
-	e.finishStep(pos)
+	e.finishStep(pos, false)
+}
+
+// shiftClass enables the successors one shift class carries: for each
+// live word, the activated sources in mask move up by d, and the bits
+// that cross bit 63 land in the next word. It is a loop of its own, one
+// class at a time, so that the shift count and the spill mask stay in
+// registers (with the classes innermost the compiler spills the
+// accumulators and every class costs a store-to-load round trip).
+//
+//go:noinline
+func shiftClass(cur, nxt []uint64, live []uint32, mask []uint64, d uint8) {
+	nxt = nxt[:len(cur)]
+	mask = mask[:len(cur)]
+	keep := ^uint64(0) << (d & 63)
+	for _, w := range live {
+		r := bits.RotateLeft64(cur[w]&mask[w], int(d))
+		nxt[w] |= r & keep
+		if spill := r &^ keep; spill != 0 {
+			nxt[w+1] |= spill
+		}
+	}
 }
 
 // activate buffers a report for s (if it reports) and enables its
-// successors for the next cycle. The image's CSR successor lists already
-// exclude all-input start targets.
+// successors for the next cycle, appending the newly enabled ones to the
+// next frontier list. The image's CSR successor lists already exclude
+// all-input start targets. Only the sparse walk activates state by state.
 func (e *Engine) activate(s automata.StateID) {
 	img := e.img
 	if img.report[int(s)>>6]&(1<<(uint(s)&63)) != 0 {
@@ -398,42 +466,25 @@ func (e *Engine) activate(s automata.StateID) {
 	succ := img.succ[img.succOff[s]:img.succOff[s+1]]
 	nxt := e.nxt
 	n := e.nxtLen
-	if e.ever == nil {
-		if e.buildNext {
-			// Sparse steady state: bitmap + eager list.
-			next := e.next
-			for _, v := range succ {
-				w, m := int(v)>>6, uint64(1)<<(uint(v)&63)
-				if nxt[w]&m == 0 {
-					nxt[w] |= m
-					n++
-					next = append(next, v)
-				}
-			}
-			e.next = next
-		} else {
-			// Dense steady state: membership is the bitmap alone.
-			for _, v := range succ {
-				w, m := int(v)>>6, uint64(1)<<(uint(v)&63)
-				if nxt[w]&m == 0 {
-					nxt[w] |= m
-					n++
-				}
-			}
-		}
-		e.nxtLen = n
-		return
-	}
 	next := e.next
-	for _, v := range succ {
-		w, m := int(v)>>6, uint64(1)<<(uint(v)&63)
-		if nxt[w]&m == 0 {
-			nxt[w] |= m
-			n++
-			if e.buildNext {
+	if e.ever == nil {
+		for _, v := range succ {
+			w, m := int(v)>>6, uint64(1)<<(uint(v)&63)
+			if nxt[w]&m == 0 {
+				nxt[w] |= m
+				n++
 				next = append(next, v)
 			}
-			e.ever.Set(int(v))
+		}
+	} else {
+		for _, v := range succ {
+			w, m := int(v)>>6, uint64(1)<<(uint(v)&63)
+			if nxt[w]&m == 0 {
+				nxt[w] |= m
+				n++
+				next = append(next, v)
+				e.ever.Set(int(v))
+			}
 		}
 	}
 	e.next = next
@@ -441,15 +492,17 @@ func (e *Engine) activate(s automata.StateID) {
 }
 
 // finishStep flushes the cycle's buffered reports in canonical order and
-// swaps the frontiers. The caller has already consumed the current side.
-func (e *Engine) finishStep(pos int64) {
+// swaps the frontiers. The caller has already consumed the current side;
+// listBuilt says whether it kept the next frontier's list as well as its
+// bitmap.
+func (e *Engine) finishStep(pos int64, listBuilt bool) {
 	if len(e.repBuf) > 0 {
 		e.flushReports(pos)
 	}
 	e.frontier, e.next = e.next, e.frontier
 	e.cur, e.nxt = e.nxt, e.cur
 	e.curLen, e.nxtLen = e.nxtLen, 0
-	e.curListValid = e.buildNext
+	e.curListValid = listBuilt
 }
 
 // flushReports emits the cycle's reports in ascending state order. The
@@ -474,16 +527,8 @@ func (e *Engine) flushReports(pos int64) {
 }
 
 // Reports returns the collected reports (valid until the next Reset,
-// ClearReports, or Release).
+// Restore, or Release).
 func (e *Engine) Reports() []Report { return e.reports }
-
-// ClearReports discards collected reports and resets the report counter
-// without touching the frontier. Chunk workers use it to drop warm-up
-// output before entering their owned input range.
-func (e *Engine) ClearReports() {
-	e.reports = e.reports[:0]
-	e.numReports = 0
-}
 
 // NumReports returns the total number of reports emitted since Reset.
 func (e *Engine) NumReports() int64 { return e.numReports }

@@ -192,10 +192,29 @@ func TestHasAllInputStarts(t *testing.T) {
 	}
 }
 
+// naiveResult is what the reference simulator observes: the reports in
+// (position, ascending state) order, the ever-enabled set as the engine
+// defines it (all-input starts with a non-empty symbol set, start-of-data
+// states, and every other state some activation enabled), and the number
+// of dynamically enabled states after each symbol.
+type naiveResult struct {
+	reports  []Report
+	ever     []bool
+	frontier []int
+}
+
 // naiveRun is an O(states × symbols) reference simulator used as an oracle.
-func naiveRun(net *automata.Network, input []byte) []Report {
+func naiveRun(net *automata.Network, input []byte) naiveResult {
+	res := naiveResult{ever: make([]bool, net.Len())}
 	enabled := make([]bool, net.Len())
-	var reports []Report
+	for s := range net.States {
+		switch st := &net.States[s]; st.Start {
+		case automata.StartAllInput:
+			res.ever[s] = !st.Match.IsEmpty()
+		case automata.StartOfData:
+			res.ever[s] = true
+		}
+	}
 	for i := range input {
 		next := make([]bool, net.Len())
 		for s := 0; s < net.Len(); s++ {
@@ -212,15 +231,23 @@ func naiveRun(net *automata.Network, input []byte) []Report {
 				continue
 			}
 			if net.States[s].Report {
-				reports = append(reports, Report{Pos: int64(i), State: automata.StateID(s)})
+				res.reports = append(res.reports, Report{Pos: int64(i), State: automata.StateID(s)})
 			}
 			for _, v := range net.States[s].Succ {
 				next[v] = true
 			}
 		}
 		enabled = next
+		n := 0
+		for s, en := range enabled {
+			if en && net.States[s].Start != automata.StartAllInput {
+				res.ever[s] = true
+				n++
+			}
+		}
+		res.frontier = append(res.frontier, n)
 	}
-	return reports
+	return res
 }
 
 // Property: the optimized engine agrees with the naive reference simulator
@@ -260,7 +287,7 @@ func TestPropAgainstNaive(t *testing.T) {
 			input[i] = alphabet[r.Intn(len(alphabet))]
 		}
 		got := Run(net, input, Options{CollectReports: true}).Reports
-		want := naiveRun(net, input)
+		want := naiveRun(net, input).reports
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d reports, want %d", trial, len(got), len(want))
 		}

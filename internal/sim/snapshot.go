@@ -107,7 +107,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 	}
 	e.next = e.next[:0]
 	e.nxtLen = 0
-	e.buildNext = true
 	e.repBuf = e.repBuf[:0]
 	e.reports = e.reports[:0]
 	if e.ever != nil {
