@@ -6,7 +6,8 @@
 // the target's start kind. Compile flattens everything the hot loop needs
 // into a handful of contiguous arrays — CSR successor lists, state-major
 // match words, per-symbol transposed match/start bitmaps, the shift-class
-// masks of the dense pass, and report/start flag words — built once per
+// masks of the dense pass, the per-symbol start plans of the sparse walk,
+// and report/start flag words — built once per
 // Network and shared read-only by every engine over it (serial runs,
 // streaming sessions, spap's hot and cold executors, profiling).
 //
@@ -119,9 +120,22 @@ type Image struct {
 	report   []uint64
 	allInput []uint64
 
+	// The start plan of symbol b: everything the all-input starts do on a
+	// cycle that reads b, which b alone decides. startNext[b] lists,
+	// ascending and without duplicates, the states the starts b activates
+	// enable (the union of their succ lists); startRep[b] lists, ascending,
+	// those of the starts that report. The sparse walk installs the plan
+	// instead of activating the starts one by one. Each table's 256 rows
+	// share one backing array.
+	startNext [256][]automata.StateID
+	startRep  [256][]automata.StateID
+	// startCount[b] is the number of all-input starts symbol b activates,
+	// the term of KernelAuto's rule that a slice header out of startAct
+	// would cost a cache line per symbol to read.
+	startCount [256]uint32
 	// startAct[b] lists, in ascending state order, the all-input start
-	// states activated by symbol b (the sparse kernel's counterpart of
-	// startMask).
+	// states activated by symbol b. The batch kernel (batch.go) is its
+	// only reader; the list goes when that file does.
 	startAct [256][]automata.StateID
 	// allInputHot lists all-input starts with a non-empty symbol set;
 	// they are enabled every cycle, hence ever-enabled by definition.
@@ -237,6 +251,7 @@ func Compile(net *automata.Network) *Image {
 					b := w<<6 | bits.TrailingZeros64(word)
 					word &= word - 1
 					img.startAct[b] = append(img.startAct[b], automata.StateID(s))
+					img.startCount[b]++
 					img.startMask[b][sw] |= sb
 				}
 			}
@@ -244,6 +259,7 @@ func Compile(net *automata.Network) *Image {
 				img.allInputHot = append(img.allInputHot, automata.StateID(s))
 			}
 		}
+		img.buildStartPlans()
 	}
 
 	img.denseCut = max(img.words*(4+len(img.shift))/8, minDenseCut)
@@ -299,12 +315,58 @@ states:
 	}
 }
 
+// buildStartPlans fills startNext and startRep from startAct: per symbol,
+// the successors of the starts it activates are collected in a scratch
+// bitmap and read back in ascending order, which also drops the
+// duplicates. Only the span of words the symbol touched is read and
+// cleared, so the cost is the starts' edges plus that span, not a sort.
+func (img *Image) buildStartPlans() {
+	enables, reports := 0, 0
+	for _, s := range img.allInputHot {
+		fires := 0
+		for _, m := range img.match[4*s : 4*s+4] {
+			fires += bits.OnesCount64(m)
+		}
+		enables += fires * int(img.succOff[s+1]-img.succOff[s])
+		if img.report[int(s)>>6]&(1<<(uint(s)&63)) != 0 {
+			reports += fires
+		}
+	}
+	// Exact but for the duplicates: starts one symbol activates seldom
+	// share a successor.
+	next := make([]automata.StateID, 0, enables)
+	rep := make([]automata.StateID, 0, reports)
+	seen := make([]uint64, img.words)
+	for b := range img.startAct {
+		nextFrom, repFrom := len(next), len(rep)
+		lo, hi := img.words, -1
+		for _, s := range img.startAct[b] {
+			if img.report[int(s)>>6]&(1<<(uint(s)&63)) != 0 {
+				rep = append(rep, s)
+			}
+			for _, v := range img.succ[img.succOff[s]:img.succOff[s+1]] {
+				w := int(v) >> 6
+				seen[w] |= 1 << (uint(v) & 63)
+				lo, hi = min(lo, w), max(hi, w)
+			}
+		}
+		for w := lo; w <= hi; w++ {
+			for x := seen[w]; x != 0; x &= x - 1 {
+				next = append(next, automata.StateID(w<<6|bits.TrailingZeros64(x)))
+			}
+			seen[w] = 0
+		}
+		img.startNext[b] = next[nextFrom:len(next):len(next)]
+		img.startRep[b] = rep[repFrom:len(rep):len(rep)]
+	}
+}
+
 // Footprint estimates the resident bytes of the compiled image: the CSR
 // successor arrays, the state-major match words, the 256 transposed
-// symbol bitmaps, the shift-class and exception masks, the flag words and
-// the start lists. A serving process admits sessions against a memory
-// budget, and the images — shared across every tenant streaming the same
-// application — are the dominant resident term.
+// symbol bitmaps, the shift-class and exception masks, the flag words, the
+// start lists and the start plans. A serving process admits sessions
+// against a memory budget, and the images — shared across every tenant
+// streaming the same application — are the dominant resident term.
 func (img *Image) Footprint() int64 {
 	b := int64(len(img.succOff))*4 + int64(len(img.succ))*4
 	b += int64(len(img.match)) * 8
@@ -316,8 +378,8 @@ func (img *Image) Footprint() int64 {
 	}
 	b += int64(len(img.shift)) + int64(len(img.shiftMask))*8 + int64(len(img.excMask))*8
 	b += 2 * int64(img.words) * 8 // report + allInput
-	for _, l := range img.startAct {
-		b += int64(len(l)) * 4
+	for sym := range img.startAct {
+		b += int64(len(img.startAct[sym])+len(img.startNext[sym])+len(img.startRep[sym])) * 4
 	}
 	b += int64(len(img.allInputHot)+len(img.startsOfData)) * 4
 	return b

@@ -82,6 +82,35 @@ func chainBenchNet(chains, depth int) *automata.Network {
 	return automata.NewNetwork(ms...)
 }
 
+// startBenchNet builds the shape of the cold panel's rule sets (Snort, DS):
+// chains behind all-input starts that each wait for one byte of the full
+// 256-symbol alphabet, plus a few starts on character classes (every
+// fourth byte, 64 of 256), and interior states that wait for one byte
+// each. With 2048 chains and 24 classes, 8 + 6 starts fire on a symbol and
+// one in 256 of the states they enable activates: the frontier is what the
+// starts enabled one symbol ago and little else.
+func startBenchNet(chains, classes, depth int) *automata.Network {
+	ms := make([]*automata.NFA, chains+classes)
+	for c := range ms {
+		m := automata.NewNFA()
+		set := symset.Single(byte(c))
+		if c >= chains {
+			set = symset.Set{}
+			for b := c % 4; b < 256; b += 4 {
+				set.Add(byte(b))
+			}
+		}
+		prev := m.Add(set, automata.StartAllInput, false)
+		for d := 1; d < depth; d++ {
+			nxt := m.Add(symset.Single(byte(c*7+d*13)), automata.StartNone, d == depth-1)
+			m.Connect(prev, nxt)
+			prev = nxt
+		}
+		ms[c] = m
+	}
+	return automata.NewNetwork(ms...)
+}
+
 func benchInput(n int, seed int64) []byte {
 	r := rand.New(rand.NewSource(seed))
 	input := make([]byte, n)
@@ -122,6 +151,21 @@ func BenchmarkDenseFrontier(b *testing.B) {
 func BenchmarkSparseFrontier(b *testing.B) {
 	net := sparseBenchNet(512, 8)
 	input := benchInput(1<<15, 2)
+	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
+		b.Run(k.String(), func(b *testing.B) { benchKernel(b, net, input, k) })
+	}
+}
+
+// BenchmarkStartFrontier is the start-bound regime: 12 432 states in 195
+// words and a frontier of 14, nearly all of it what the 14 starts fired by
+// the previous symbol enabled. The sparse walk installs the symbol's
+// compiled start plan rather than activating 14 starts one by one;
+// KernelAuto must stay on it.
+func BenchmarkStartFrontier(b *testing.B) {
+	net := startBenchNet(2048, 24, 6)
+	r := rand.New(rand.NewSource(5))
+	input := make([]byte, 1<<15)
+	r.Read(input)
 	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
 		b.Run(k.String(), func(b *testing.B) { benchKernel(b, net, input, k) })
 	}

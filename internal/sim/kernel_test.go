@@ -2,9 +2,11 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -124,33 +126,95 @@ func wideKernelNet(r *rand.Rand, shape int) *automata.Network {
 }
 
 // checkKernels runs the sparse-only, dense-only and adaptive kernels over
-// input and holds each to the naive reference simulator: the same
-// frontier length after every symbol, the same reports in the same order,
-// the same report count and the same ever-enabled set.
-func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold int) {
+// input, each with and without ever-enabled tracking (the untracked arm is
+// the one sim.Run, spap and serve execute), and holds each to the naive
+// reference simulator: the same frontier length after every symbol, the
+// same reports in the same order, the same report count and the same
+// ever-enabled set. edits are made between steps on both sides. Every run
+// is also snapshotted half way (after that position's edits) and, once
+// finished, restored and replayed from there: the tail must come out the
+// same again.
+func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold int, edits ...frontierEdit) {
 	t.Helper()
-	want := naiveRun(net, input)
+	want := naiveRun(net, input, edits...)
+	cut := len(input) / 2
 	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
-		e := NewEngine(net, Options{CollectReports: true, TrackEnabled: true, Kernel: k, DenseThreshold: threshold})
-		for i, b := range input {
-			e.Step(int64(i), b)
-			if e.FrontierLen() != want.frontier[i] {
-				t.Fatalf("%v: frontier after symbol %d has %d states, naive %d", k, i, e.FrontierLen(), want.frontier[i])
+		for _, tracked := range []bool{true, false} {
+			name := fmt.Sprintf("%v tracked=%v", k, tracked)
+			e := NewEngine(net, Options{CollectReports: true, TrackEnabled: tracked, Kernel: k, DenseThreshold: threshold})
+			edit := func(i int) {
+				for _, ed := range edits {
+					if ed.at != i {
+						continue
+					}
+					switch ed.op {
+					case 'e':
+						e.EnableState(ed.s)
+					case 'd':
+						e.DisableState(ed.s)
+					case 't':
+						e.ToggleState(ed.s)
+					}
+				}
 			}
-		}
-		got := e.Reports()
-		if len(got) != len(want.reports) || e.NumReports() != int64(len(want.reports)) {
-			t.Fatalf("%v: %d reports collected, %d counted, naive %d", k, len(got), e.NumReports(), len(want.reports))
-		}
-		for i := range got {
-			if got[i] != want.reports[i] {
-				t.Fatalf("%v: report[%d] = %+v, naive %+v", k, i, got[i], want.reports[i])
+			step := func(i int) {
+				e.Step(int64(i), input[i])
+				if e.FrontierLen() != want.frontier[i] {
+					t.Fatalf("%s: frontier after symbol %d has %d states, naive %d", name, i, e.FrontierLen(), want.frontier[i])
+				}
+				// The sparse walk installs the start plan on the next side
+				// without looking at it: it must be empty between steps.
+				left := uint64(0)
+				for _, x := range e.nxt {
+					left |= x
+				}
+				if len(e.next) != 0 || e.nxtLen != 0 || left != 0 {
+					t.Fatalf("%s: next side not empty after symbol %d: list %d, count %d, bitmap %x", name, i, len(e.next), e.nxtLen, e.nxt)
+				}
 			}
-		}
-		for s, hot := range want.ever {
-			if e.EverEnabled().Get(s) != hot {
-				t.Fatalf("%v: ever[%d] = %v, naive %v", k, s, !hot, hot)
+			finished := func(reports []Report) {
+				got := e.Reports()
+				if len(got) != len(reports) || e.NumReports() != int64(len(want.reports)) {
+					t.Fatalf("%s: %d reports collected of %d, %d counted of %d", name, len(got), len(reports), e.NumReports(), len(want.reports))
+				}
+				for i := range got {
+					if got[i] != reports[i] {
+						t.Fatalf("%s: report[%d] = %+v, naive %+v", name, i, got[i], reports[i])
+					}
+				}
+				if !tracked {
+					return
+				}
+				for s, hot := range want.ever {
+					if e.EverEnabled().Get(s) != hot {
+						t.Fatalf("%s: ever[%d] = %v, naive %v", name, s, !hot, hot)
+					}
+				}
 			}
+			var snap *Snapshot
+			for i := range input {
+				edit(i)
+				if i == cut {
+					snap = e.Snapshot(nil, int64(i))
+				}
+				step(i)
+			}
+			finished(want.reports)
+			if snap == nil {
+				continue
+			}
+			// Restore drops the collected reports; the tail must replay.
+			name += " restored"
+			if err := e.Restore(snap); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i := cut; i < len(input); i++ {
+				if i > cut {
+					edit(i)
+				}
+				step(i)
+			}
+			finished(want.reports[snap.NumReports:])
 		}
 	}
 }
@@ -289,6 +353,120 @@ func TestDenseShiftCells(t *testing.T) {
 	}
 }
 
+// planNet builds a network from one spec per state: its symbol set as a
+// string, then flags — '*' all-input start, '^' start-of-data start, '!'
+// reports — and edges as (from, to) pairs.
+func planNet(states []string, edges ...[2]int) *automata.NFA {
+	m := automata.NewNFA()
+	for _, spec := range states {
+		var set symset.Set
+		start, report := automata.StartNone, false
+		for _, c := range []byte(spec) {
+			switch c {
+			case '*':
+				start = automata.StartAllInput
+			case '^':
+				start = automata.StartOfData
+			case '!':
+				report = true
+			default:
+				set.Add(c)
+			}
+		}
+		m.Add(set, start, report)
+	}
+	for _, e := range edges {
+		m.Connect(automata.StateID(e[0]), automata.StateID(e[1]))
+	}
+	return m
+}
+
+// The sparse walk installs, per symbol, a start plan Compile worked out:
+// what the all-input starts enable and which of them report. Each cell
+// here is one way a plan can meet the rest of a cycle, pinned with the
+// plan symbol 'a' must compile to — a cell whose image came out with
+// another plan would test nothing — and run on all three kernels, tracked
+// and untracked, against the naive reference.
+func TestStartPlanCells(t *testing.T) {
+	type ids = []automata.StateID
+	cells := map[string]struct {
+		m         *automata.NFA
+		input     string
+		next, rep ids // startNext['a'], startRep['a']
+		threshold int
+		edits     []frontierEdit
+	}{
+		// Two starts one symbol fires share a successor: the plan holds it
+		// once, so it is enabled and counted once.
+		"sharedSuccessor": {planNet([]string{"a*", "ab*", "c!", "c"}, [2]int{0, 2}, [2]int{1, 2}, [2]int{1, 3}),
+			"acbcxacab", ids{2, 3}, nil, 2, nil},
+		// A frontier activation enables a state the plan already holds:
+		// the walk's bit test finds the plan's bit.
+		"planAndFrontier": {planNet([]string{"a*", "a", "b!"}, [2]int{0, 1}, [2]int{0, 2}, [2]int{1, 2}),
+			"aabaaab", ids{1, 2}, nil, 2, nil},
+		// A reporting start between a lower and a higher reporting frontier
+		// state, all three activated by one symbol: startRep goes in after
+		// the walk's reports and the cycle still comes out ascending.
+		"reportOrder": {planNet([]string{"a!", "a*!", "a!"}, [2]int{1, 2}, [2]int{1, 0}),
+			"aaxa", ids{0, 2}, ids{1}, 2, nil},
+		// Edges into all-input starts and self-loops on them are dropped
+		// at compile time: an empty plan on a start that still reports.
+		"filteredEdges": {planNet([]string{"a*!", "b*!"}, [2]int{0, 0}, [2]int{0, 1}, [2]int{1, 0}),
+			"abbaab", nil, ids{0}, 2, nil},
+		// An edge into a start-of-data state is an ordinary edge.
+		"intoStartOfData": {planNet([]string{"a*", "b^!"}, [2]int{0, 1}),
+			"babbab", ids{1}, nil, 2, nil},
+		// 'x' fires no start while the frontier is busy.
+		"noStartFires": {planNet([]string{"a*", "x", "xb!"}, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 2}),
+			"axxbxaxb", ids{1}, nil, 2, nil},
+		// No all-input start at all: every plan is empty.
+		"noAllInput": {chainNet(5), "aaaaaaa", nil, nil, 2, nil},
+		// The frontier edited between two sparse steps: a plan state
+		// enabled by hand before the plan enables it again, one the plan
+		// enabled disabled, toggles both ways, edits to a start (no-ops).
+		"edits": {planNet([]string{"a*", "ab*!", "ab", "ab!", "b!", "x"}, [2]int{0, 2}, [2]int{1, 3}, [2]int{2, 4}, [2]int{3, 4}, [2]int{3, 5}),
+			"aababaxab", ids{2, 3}, ids{1}, 2, []frontierEdit{
+				{1, 'd', 2}, {1, 'e', 4}, {2, 't', 3}, {2, 't', 5}, {4, 'e', 2}, {4, 'e', 0}, {4, 'd', 1}, {4, 't', 1}, {6, 'd', 3}, {6, 'd', 3},
+			}},
+		// 'c' fires three starts, enough for KernelAuto to run one dense
+		// step between two sparse ones: the list is rebuilt from the
+		// bitmap, then the plan goes in ahead of the walk.
+		"denseBetween": {planNet([]string{"a*", "c*", "c*!", "c*", "ac", "ac!"}, [2]int{0, 4}, [2]int{1, 4}, [2]int{2, 5}, [2]int{3, 5}, [2]int{4, 5}, [2]int{5, 4}),
+			"acacaacca", ids{4}, nil, 3, nil},
+	}
+	for name, c := range cells {
+		t.Run(name, func(t *testing.T) {
+			c.m.Dedup()
+			net := automata.NewNetwork(c.m)
+			img := ImageOf(net)
+			if !slices.Equal(img.startNext['a'], c.next) || !slices.Equal(img.startRep['a'], c.rep) {
+				t.Fatalf("'a' compiled to plan %v reporting %v, want %v reporting %v", img.startNext['a'], img.startRep['a'], c.next, c.rep)
+			}
+			for b := range img.startNext {
+				if !img.hasAllInput && (len(img.startNext[b]) != 0 || len(img.startRep[b]) != 0 || img.startCount[b] != 0) {
+					t.Fatalf("symbol %d has a plan on a network without all-input starts", b)
+				}
+				if int(img.startCount[b]) != len(img.startAct[b]) {
+					t.Fatalf("symbol %d: startCount %d, %d starts listed", b, img.startCount[b], len(img.startAct[b]))
+				}
+			}
+			checkKernels(t, net, []byte(c.input), c.threshold, c.edits...)
+			if name == "denseBetween" {
+				e := NewEngine(net, Options{Kernel: KernelAuto, DenseThreshold: c.threshold})
+				var ran []byte
+				for i, b := range []byte(c.input) {
+					dense := e.DenseSteps()
+					e.Step(int64(i), b)
+					ran = append(ran, "sd"[e.DenseSteps()-dense])
+				}
+				if !strings.Contains(string(ran), "sds") {
+					t.Fatalf("kernels ran %s; want a dense step between two sparse ones", ran)
+				}
+			}
+		})
+	}
+}
+
 // fuzzNet decodes a network, an input and a dense threshold from fuzz
 // bytes. Five header bytes give the state count (2–401), the threshold
 // (0 = the compiled default), one extra edge delta and the number of
@@ -400,7 +578,8 @@ func fuzzSeed(n int, threshold, delta byte, state func(s int) byte, edges [][2]i
 }
 
 // FuzzKernelEquivalence holds the three kernels to the naive reference on
-// fuzz-built networks; the seeds are TestDenseShiftCells' shapes.
+// fuzz-built networks; the seeds are TestDenseShiftCells' shapes and two of
+// TestStartPlanCells'.
 func FuzzKernelEquivalence(f *testing.F) {
 	// chain(n, every, extra) is chainNet(n) in flag bytes, with extra set
 	// on every every-th state.
@@ -449,6 +628,17 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 		return b
 	}, nil, 100))
+	// Two of TestStartPlanCells' shapes. A reporting start between a lower
+	// and a higher reporting state it enables, the higher one shared with a
+	// second start the same symbol fires.
+	f.Add(fuzzSeed(4, 0, 0, func(s int) byte {
+		return [...]byte{fzReport, fzStartAll | fzReport, 2 | fzStartAll | fzNext, fzReport}[s]
+	}, [][2]int{{1, 0}, {1, 3}}, 40))
+	// A start whose edges all go to itself or another start (empty plan,
+	// still reports) beside one that enables a start-of-data state.
+	f.Add(fuzzSeed(3, 2, 0, func(s int) byte {
+		return [...]byte{fzStartAll | fzReport | fzSelf | fzNext, 1 | fzStartAll | fzNext, 1 | fzStartData | fzReport}[s]
+	}, [][2]int{{1, 0}}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, input, threshold := fuzzNet(data)
 		if net == nil {
@@ -459,62 +649,25 @@ func FuzzKernelEquivalence(f *testing.F) {
 }
 
 // Enable, disable and toggle operations and a snapshot/restore round trip
-// between two dense steps act on the bitmap the shifts read, not on a
-// frontier list the dense pass no longer keeps: the dense and adaptive
-// kernels must come out where the sparse walk does.
+// between two steps act on the bitmap the dense pass reads, not on a
+// frontier list it no longer keeps, and on the list the sparse walk reads
+// when there is one: every kernel must come out where the naive reference
+// does. Half the edits land where checkKernels snapshots, so the snapshot
+// is of an edited frontier.
 func TestDenseStepsAroundFrontierEdits(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
 		net := wideKernelNet(r, trial%3)
 		input := randomInput(r, 40+r.Intn(100))
-		cut := 1 + r.Intn(len(input)-2)
-		edits := make([]automata.StateID, 12)
+		edits := make([]frontierEdit, 12)
 		for i := range edits {
-			edits[i] = automata.StateID(r.Intn(net.Len()))
+			at := len(input) / 2
+			if i >= 6 {
+				at = r.Intn(len(input))
+			}
+			edits[i] = frontierEdit{at, "edt"[i%3], automata.StateID(r.Intn(net.Len()))}
 		}
-		run := func(k Kernel) ([]Report, []uint64) {
-			e := NewEngine(net, Options{CollectReports: true, TrackEnabled: true, Kernel: k, DenseThreshold: 1 + net.Len()/8})
-			var snap *Snapshot
-			var head []Report
-			for i, b := range input {
-				if i == cut {
-					for j, s := range edits {
-						switch j % 3 {
-						case 0:
-							e.EnableState(s)
-						case 1:
-							e.DisableState(s)
-						default:
-							e.ToggleState(s)
-						}
-					}
-					snap = e.Snapshot(nil, int64(i))
-					head = append(head, e.Reports()...)
-				}
-				e.Step(int64(i), b)
-			}
-			full := append([]Report(nil), e.Reports()...)
-			ever := append([]uint64(nil), e.EverEnabled().Words()...)
-			// Restore drops the collected reports; the tail must replay.
-			if err := e.Restore(snap); err != nil {
-				t.Fatal(err)
-			}
-			for i := cut; i < len(input); i++ {
-				e.Step(int64(i), input[i])
-			}
-			replay := append(head, e.Reports()...)
-			if !reflect.DeepEqual(replay, full) || !reflect.DeepEqual(e.EverEnabled().Words(), ever) {
-				t.Fatalf("trial %d %v: run restored at %d diverges from the uninterrupted one", trial, k, cut)
-			}
-			return full, ever
-		}
-		wantReports, wantEver := run(KernelSparse)
-		for _, k := range []Kernel{KernelDense, KernelAuto} {
-			reports, ever := run(k)
-			if !reflect.DeepEqual(reports, wantReports) || !reflect.DeepEqual(ever, wantEver) {
-				t.Fatalf("trial %d: %v diverges from the sparse walk after edits at %d", trial, k, cut)
-			}
-		}
+		checkKernels(t, net, input, 1+net.Len()/8, edits...)
 	}
 }
 
@@ -606,27 +759,47 @@ func TestAutoKernelSwitches(t *testing.T) {
 	}
 }
 
-// Engine.Step must not allocate in steady state, on any kernel.
+// Engine.Step must not allocate in steady state, on any kernel, tracked or
+// not — neither on Figure 2 nor where twelve reporting starts fire on every
+// symbol and the sparse walk appends their plan to the next list in bulk.
 func TestStepZeroAlloc(t *testing.T) {
-	net := figure2()
-	input := []byte("abcfacdcdfabcf")
-	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
-		e := AcquireEngine(net, Options{CollectReports: true, TrackEnabled: true, Kernel: k, DenseThreshold: 2})
-		// Warm up: grow the frontier, report, and repBuf buffers to their
-		// working size, then measure.
-		for i, b := range input {
-			e.Step(int64(i), b)
-		}
-		e.Reset()
-		allocs := testing.AllocsPerRun(20, func() {
-			e.Reset()
-			for i, b := range input {
-				e.Step(int64(i), b)
+	var specs []string
+	var edges [][2]int
+	for c := 0; c < 12; c++ {
+		specs = append(specs, "ab*!", "a!", "b!")
+		edges = append(edges, [2]int{3 * c, 3*c + 1}, [2]int{3*c + 1, 3*c + 2})
+	}
+	nets := []struct {
+		net       *automata.Network
+		input     string
+		threshold int
+	}{
+		{figure2(), "abcfacdcdfabcf", 2},
+		// A cut no frontier here reaches: auto takes the sparse walk too.
+		{automata.NewNetwork(planNet(specs, edges...)), "abbabaabxabab", 100},
+	}
+	for _, n := range nets {
+		input := []byte(n.input)
+		for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
+			for _, tracked := range []bool{true, false} {
+				e := AcquireEngine(n.net, Options{CollectReports: true, TrackEnabled: tracked, Kernel: k, DenseThreshold: n.threshold})
+				// Warm up: grow the frontier, report, and repBuf buffers to
+				// their working size, then measure.
+				for i, b := range input {
+					e.Step(int64(i), b)
+				}
+				e.Reset()
+				allocs := testing.AllocsPerRun(20, func() {
+					e.Reset()
+					for i, b := range input {
+						e.Step(int64(i), b)
+					}
+				})
+				e.Release()
+				if allocs != 0 {
+					t.Errorf("%d states, kernel %v, tracked %v: %v allocs per run, want 0", n.net.Len(), k, tracked, allocs)
+				}
 			}
-		})
-		e.Release()
-		if allocs != 0 {
-			t.Errorf("kernel %v: %v allocs per run, want 0", k, allocs)
 		}
 	}
 }
@@ -758,7 +931,7 @@ func TestFootprintsCountEveryArray(t *testing.T) {
 			8*len(img.report) + 8*len(img.allInput) +
 			4*len(img.allInputHot) + 4*len(img.startsOfData)
 		for b := range img.symMask {
-			want += 8*len(img.symMask[b]) + 4*len(img.startAct[b])
+			want += 8*len(img.symMask[b]) + 4*len(img.startAct[b]) + 4*len(img.startNext[b]) + 4*len(img.startRep[b])
 			// Without all-input starts the 256 start rows are one zero row.
 			if img.hasAllInput || b == 0 {
 				want += 8 * len(img.startMask[b])

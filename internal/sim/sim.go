@@ -333,23 +333,42 @@ func (e *Engine) HasAllInputStarts() bool { return e.img.hasAllInput }
 // will be, and every all-input start sym fires is one for certain.
 func (e *Engine) Step(pos int64, sym byte) {
 	if e.kernel == KernelDense ||
-		(e.kernel == KernelAuto && max(e.curLen, len(e.img.startAct[sym])) >= e.denseCut) {
+		(e.kernel == KernelAuto && max(e.curLen, int(e.img.startCount[sym])) >= e.denseCut) {
 		e.stepDense(pos, sym)
 	} else {
 		e.stepSparse(pos, sym)
 	}
 }
 
-// stepSparse consumes the frontier state by state: one contiguous
-// match-word load and test per enabled state, then the precomputed
-// start-activation list for the symbol. It predicts the next cycle stays
-// sparse and builds the next frontier list eagerly.
+// stepSparse installs the symbol's start plan, then consumes the frontier
+// state by state: one contiguous match-word load and test per enabled
+// state. What the all-input starts enable and report on a cycle is decided
+// by the symbol alone, so Compile worked it out (startNext, startRep). The
+// next side is empty between steps and the plan holds no duplicates, so
+// installing it takes no membership test and no counter; the walk's
+// activations then dedupe against it through the bit test they make
+// anyway. The start reports go in after the walk's, which keeps the cycle's
+// reports nearly sorted for flushReports. The step predicts the next cycle
+// stays sparse and builds the next frontier list eagerly.
 func (e *Engine) stepSparse(pos int64, sym byte) {
 	e.sparseSteps++
 	if !e.curListValid {
 		e.materializeFrontier() // the previous cycle ran dense
 	}
 	img := e.img
+	plan := img.startNext[sym]
+	nxt := e.nxt
+	for _, v := range plan {
+		nxt[int(v)>>6] |= 1 << (uint(v) & 63)
+	}
+	if e.ever != nil {
+		for _, v := range plan {
+			e.ever.Set(int(v))
+		}
+	}
+	e.next = append(e.next, plan...)
+	e.nxtLen = len(plan)
+
 	mw := int(sym >> 6)
 	mb := uint64(1) << (sym & 63)
 	for _, s := range e.frontier {
@@ -360,8 +379,10 @@ func (e *Engine) stepSparse(pos int64, sym byte) {
 	}
 	e.frontier = e.frontier[:0]
 	e.curLen = 0
-	for _, s := range img.startAct[sym] {
-		e.activate(s)
+	// Few symbols fire a reporting start; an append of nothing still costs
+	// its call and three stores on every step.
+	if rep := img.startRep[sym]; len(rep) != 0 {
+		e.repBuf = append(e.repBuf, rep...)
 	}
 	e.finishStep(pos, true)
 }
@@ -457,7 +478,8 @@ func shiftClass(cur, nxt []uint64, live []uint32, mask []uint64, d uint8) {
 // activate buffers a report for s (if it reports) and enables its
 // successors for the next cycle, appending the newly enabled ones to the
 // next frontier list. The image's CSR successor lists already exclude
-// all-input start targets. Only the sparse walk activates state by state.
+// all-input start targets. Only the sparse walk's frontier states activate
+// one by one; the starts go through the symbol's plan.
 func (e *Engine) activate(s automata.StateID) {
 	img := e.img
 	if img.report[int(s)>>6]&(1<<(uint(s)&63)) != 0 {

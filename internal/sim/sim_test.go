@@ -203,8 +203,19 @@ type naiveResult struct {
 	frontier []int
 }
 
+// frontierEdit is an enable-bit operation made between two steps, before
+// symbol at: op 'e' is EnableState(s), 'd' DisableState(s), 't'
+// ToggleState(s).
+type frontierEdit struct {
+	at int
+	op byte
+	s  automata.StateID
+}
+
 // naiveRun is an O(states × symbols) reference simulator used as an oracle.
-func naiveRun(net *automata.Network, input []byte) naiveResult {
+// All-input starts are enabled by their kind, never through the enabled
+// set, so an edit to one is the no-op it is on the engine.
+func naiveRun(net *automata.Network, input []byte, edits ...frontierEdit) naiveResult {
 	res := naiveResult{ever: make([]bool, net.Len())}
 	enabled := make([]bool, net.Len())
 	for s := range net.States {
@@ -213,20 +224,29 @@ func naiveRun(net *automata.Network, input []byte) naiveResult {
 			res.ever[s] = !st.Match.IsEmpty()
 		case automata.StartOfData:
 			res.ever[s] = true
+			enabled[s] = true
 		}
 	}
 	for i := range input {
+		for _, ed := range edits {
+			if ed.at != i || net.States[ed.s].Start == automata.StartAllInput {
+				continue
+			}
+			switch ed.op {
+			case 'e':
+				enabled[ed.s] = true
+			case 'd':
+				enabled[ed.s] = false
+			case 't':
+				enabled[ed.s] = !enabled[ed.s]
+			}
+			if enabled[ed.s] {
+				res.ever[ed.s] = true
+			}
+		}
 		next := make([]bool, net.Len())
 		for s := 0; s < net.Len(); s++ {
-			en := enabled[s]
-			switch net.States[s].Start {
-			case automata.StartAllInput:
-				en = true
-			case automata.StartOfData:
-				if i == 0 {
-					en = true
-				}
-			}
+			en := enabled[s] || net.States[s].Start == automata.StartAllInput
 			if !en || !net.States[s].Match.Contains(input[i]) {
 				continue
 			}
