@@ -1,193 +1,17 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (one benchmark per artifact), plus microbenchmarks of the core engines.
-//
-// The per-artifact benchmarks run the experiment drivers at 1/32 of the
-// paper's scale so `go test -bench=.` stays interactive; key results are
-// attached as custom benchmark metrics. `cmd/apbench` runs the same
-// drivers at the full 1/8 evaluation scale (or -divisor 1 for paper size).
+// Microbenchmarks of the core engines. The paper's tables and figures are
+// rendered by `cmd/apbench -exp`, and what the layers cost end to end is
+// timed by the ledger in bench/.
 package sparseap_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"sparseap"
-	"sparseap/internal/ap"
-	"sparseap/internal/exp"
 	"sparseap/internal/sim"
 	"sparseap/internal/workloads"
 	"sparseap/internal/worstcase"
 )
-
-// benchSuite is shared across benchmarks: building all 26 applications and
-// their cached artifacts once keeps -bench runs proportionate.
-var (
-	suiteOnce sync.Once
-	suite     *exp.Suite
-)
-
-func benchSuite() *exp.Suite {
-	suiteOnce.Do(func() {
-		wl := workloads.Config{InputLen: 16384, Divisor: 32, Seed: 1}
-		suite = exp.NewSuite(wl, ap.DefaultConfig().WithCapacity(750))
-	})
-	return suite
-}
-
-func BenchmarkTable2Inventory(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Table2(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 26 {
-			b.Fatal("missing applications")
-		}
-	}
-}
-
-func BenchmarkFig1HotCold(b *testing.B) {
-	s := benchSuite()
-	var avgCold float64
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig1(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		avgCold = res.AvgColdFrac
-	}
-	b.ReportMetric(100*avgCold, "avgCold%")
-}
-
-func BenchmarkFig5DepthDistribution(b *testing.B) {
-	s := benchSuite()
-	var corr float64
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig5(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		corr = res.AvgCorrelation
-	}
-	b.ReportMetric(corr, "depthHotCorr")
-}
-
-func BenchmarkTable1Profiling(b *testing.B) {
-	s := benchSuite()
-	var recall1 float64
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Table1(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		recall1 = res.Rows[1].Recall // the 1% column
-	}
-	b.ReportMetric(100*recall1, "recall@1%")
-}
-
-func BenchmarkFig8Constrained(b *testing.B) {
-	s := benchSuite()
-	var avg float64
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig8(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		avg = res.Avg
-	}
-	b.ReportMetric(100*avg, "avgConstrained%")
-}
-
-func BenchmarkFig10aSpeedup(b *testing.B) {
-	s := benchSuite()
-	var geo float64
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig10(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		geo = res.GeoSpAP1
-	}
-	b.ReportMetric(geo, "geomeanSpAP@1%")
-}
-
-func BenchmarkFig10bResourceSavings(b *testing.B) {
-	s := benchSuite()
-	var sum float64
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig10(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sum = 0
-		for _, row := range res.Rows {
-			sum += row.Saving1
-		}
-		sum /= float64(len(res.Rows))
-	}
-	b.ReportMetric(100*sum, "avgSaving@1%")
-}
-
-func BenchmarkFig11PerfPerSTE(b *testing.B) {
-	s := benchSuite()
-	var improve float64
-	for i := 0; i < b.N; i++ {
-		c := s.AP.Capacity
-		res, err := exp.Fig11(s, []int{c / 4, c / 2, c, c * 49 / 24})
-		if err != nil {
-			b.Fatal(err)
-		}
-		improve = res.Rows[2].ImprovePct
-	}
-	b.ReportMetric(improve, "halfCoreImprove%")
-}
-
-func BenchmarkFig12ReportingStates(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig12(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 16 {
-			b.Fatal("missing applications")
-		}
-	}
-}
-
-func BenchmarkTable4RuntimeStats(b *testing.B) {
-	s := benchSuite()
-	var reports int64
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Table4(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reports = 0
-		for _, row := range res.Rows {
-			reports += row.IntermediateReports
-		}
-	}
-	b.ReportMetric(float64(reports), "totalIMReports")
-}
-
-func BenchmarkFig13Sensitivity(b *testing.B) {
-	s := benchSuite()
-	var lowGeo, highGeo float64
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig13(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lowGeo, highGeo = res.Low.GeoSpAP1, res.High.GeoSpAP1
-	}
-	b.ReportMetric(lowGeo, "lowGroupGeo")
-	b.ReportMetric(highGeo, "highGroupGeo")
-}
-
-// --- microbenchmarks of the core engines ---
 
 // kernelTolerance is how far behind the better-suited fixed kernel the
 // adaptive kernel may fall, per symbol, before BenchmarkSimulatorThroughput
@@ -292,42 +116,6 @@ func benchKernels(b *testing.B, net *sparseap.Network, input []byte) {
 	if auto > min(sparse, dense)*(1+kernelTolerance) {
 		b.Errorf("adaptive kernel %.1f ns/sym vs sparse %.1f, dense %.1f: outside the %.0f%% tolerance",
 			auto, sparse, dense, 100*kernelTolerance)
-	}
-}
-
-// BenchmarkPartitionBuild measures the compile-time cost of profiling +
-// partition construction.
-func BenchmarkPartitionBuild(b *testing.B) {
-	app, err := workloads.Build("Brill", workloads.Config{InputLen: 32768, Divisor: 32, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := sparseap.NewEngine(sparseap.DefaultAPConfig().WithCapacity(750))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Partition(app.Net, app.Input[:512]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSpAPExecution measures the two-mode executor end to end.
-func BenchmarkSpAPExecution(b *testing.B) {
-	app, err := workloads.Build("Pro", workloads.Config{InputLen: 32768, Divisor: 32, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := sparseap.NewEngine(sparseap.DefaultAPConfig().WithCapacity(750))
-	part, err := eng.Partition(app.Net, app.Input[:512])
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(app.Input)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.RunBaseAPSpAP(part, app.Input); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -31,19 +31,10 @@ func Minimize(net *Network) (*Network, MinimizeStats, error) {
 // (bounded, see sim.DefaultStreamBuffer) for TakeReports otherwise.
 type Streamer = sim.Streamer
 
-// StreamerOptions configures a Streamer's report-buffer cap and
-// cancellation context.
-type StreamerOptions = sim.StreamerOptions
-
 // ErrReportOverflow is returned by Streamer.Write when the bounded report
 // buffer fills up.
 var ErrReportOverflow = sim.ErrReportOverflow
 
-// NewStreamer builds a streaming matcher over net with default options.
+// NewStreamer builds a streaming matcher over net; Streamer.SetContext
+// attaches a cancellation context.
 func NewStreamer(net *Network) *Streamer { return sim.NewStreamer(net) }
-
-// NewStreamerOpts builds a streaming matcher with explicit buffering and
-// cancellation behaviour.
-func NewStreamerOpts(net *Network, opts StreamerOptions) *Streamer {
-	return sim.NewStreamerOpts(net, opts)
-}

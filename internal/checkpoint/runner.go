@@ -37,8 +37,6 @@ type Runner struct {
 	// fault.Injector.CrashAt by callers — the checkpoint package stays
 	// free of the fault package to keep the dependency graph acyclic.
 	CrashAt func(pos int64) bool
-
-	saves int64
 }
 
 // every returns the effective capture interval.
@@ -97,11 +95,7 @@ func (r *Runner) Save(version uint32, payload []byte) error {
 	if !r.Enabled() {
 		return nil
 	}
-	if err := r.Store.Save(r.Name, version, payload); err != nil {
-		return err
-	}
-	r.saves++
-	return nil
+	return r.Store.Save(r.Name, version, payload)
 }
 
 // Load returns the newest valid checkpoint, or ErrNoCheckpoint. When
@@ -112,16 +106,4 @@ func (r *Runner) Load() (payload []byte, version uint32, fellback bool, err erro
 		return nil, 0, false, ErrNoCheckpoint
 	}
 	return r.Store.Load(r.Name)
-}
-
-// Saves returns how many captures this runner has persisted.
-func (r *Runner) Saves() int64 { return r.saves }
-
-// Sub returns a runner sharing the store and policy under a derived name;
-// multi-phase executors use it to give each phase its own stream.
-func (r *Runner) Sub(suffix string) *Runner {
-	if r == nil {
-		return nil
-	}
-	return &Runner{Store: r.Store, Name: r.Name + "." + suffix, Every: r.Every, CrashAt: r.CrashAt}
 }

@@ -28,9 +28,6 @@ import (
 // of the entire input.
 var ProfileFractions = []float64{0.001, 0.01, 0.1, 0.5}
 
-// EvalFractions are the two profiling sizes the execution experiments use.
-var EvalFractions = []float64{0.001, 0.01}
-
 // Suite shares generated applications and derived artifacts across
 // experiments.
 type Suite struct {

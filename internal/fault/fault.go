@@ -161,9 +161,6 @@ type Injector struct {
 // New returns an injector for the plan.
 func New(plan Plan) *Injector { return &Injector{plan: plan} }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Active reports whether the injector injects anything.
 func (in *Injector) Active() bool { return in != nil && in.plan.Active() }
 
@@ -394,12 +391,6 @@ func (inj *Injection) Summary() string {
 		parts = append(parts, fmt.Sprintf("%d %s", byKind[k], k))
 	}
 	return strings.Join(parts, ", ")
-}
-
-// ExpectedFaults returns the expected stuck-fault count for a network of
-// the given size under the plan — handy for sizing smoke-test rates.
-func (p Plan) ExpectedFaults(netLen int) float64 {
-	return float64(netLen) * (p.StuckOffRate + p.StuckOnRate*(1-p.StuckOffRate))
 }
 
 // Stats carries the runtime fault counters an executor accumulates; the

@@ -60,12 +60,6 @@ type StrategyInput struct {
 	// Param is the layer count (StrategyFixedLayers) or normalized depth
 	// threshold (StrategyNormalizedDepth).
 	Param float64
-	// Hotness, when non-nil, supplies a precomputed static analysis for
-	// StrategyStatic; when nil, one is computed from HotnessCfg.
-	Hotness *hotness.Analysis
-	// HotnessCfg configures the StrategyStatic analysis when Hotness is
-	// nil; the zero value uses the hotness package defaults.
-	HotnessCfg hotness.Config
 }
 
 // Layers computes per-NFA partition layers under the given strategy.
@@ -88,12 +82,7 @@ func Layers(net *automata.Network, topo *graph.Topo, s Strategy, in StrategyInpu
 		}
 		return PartitionLayers(net, topo, in.OracleHot), nil
 	case StrategyStatic:
-		a := in.Hotness
-		if a == nil {
-			cfg := in.HotnessCfg
-			cfg.Topo = topo
-			a = hotness.Analyze(net, cfg)
-		}
+		a := hotness.Analyze(net, hotness.Config{Topo: topo})
 		// The analysis floors each cut at layer 1; alignToSCCs then
 		// raises it over deep-seated start states exactly as for the
 		// other behaviour-blind strategies.

@@ -27,9 +27,7 @@
 // (normalized topological depth, symbol-set width and match entropy,
 // fan-in/out, cycle membership) into a per-state hotness score in [0,1],
 // and the score thresholds into a per-NFA static partition layer k_U —
-// hotcold.StrategyStatic. A Calibrator can feed observed misprediction
-// densities from guarded runs back into the score weights, closing the
-// loop without ever running a profiling pass.
+// hotcold.StrategyStatic.
 package hotness
 
 import (
@@ -138,7 +136,7 @@ type Weights struct {
 	// Cycle weighs SCC/self-loop membership: a state inside a cycle
 	// re-enables itself and tends to stay hot once struck.
 	Cycle float64
-	// Bias shifts every score; the Calibrator's recalibration target.
+	// Bias shifts every score.
 	Bias float64
 }
 

@@ -220,57 +220,6 @@ func TestResidualActivity(t *testing.T) {
 	}
 }
 
-func TestCalibratorPushesBiasTowardTarget(t *testing.T) {
-	var c Calibrator
-	// Heavy mispredictions: bias must rise (predict hotter).
-	for i := 0; i < 10; i++ {
-		c.Observe(Feedback{Mispredicts: 1000, Symbols: 4096})
-	}
-	if b := c.Bias(); b <= 0 {
-		t.Errorf("bias after heavy mispredictions = %g, want > 0", b)
-	}
-	hi := c.Bias()
-
-	// Clean runs far below target: bias must fall back.
-	for i := 0; i < 50; i++ {
-		c.Observe(Feedback{Mispredicts: 0, Symbols: 100000})
-	}
-	if b := c.Bias(); b >= hi {
-		t.Errorf("bias did not relax: %g ≥ %g", c.Bias(), hi)
-	}
-
-	// Bias is clamped.
-	var d Calibrator
-	for i := 0; i < 1000; i++ {
-		d.Observe(Feedback{Mispredicts: 4096, Symbols: 4096, Widened: 1})
-	}
-	if b := d.Bias(); b > maxBias+1e-12 {
-		t.Errorf("bias %g exceeds clamp %g", b, maxBias)
-	}
-	// Zero-symbol observations are ignored.
-	before, seen := d.Density()
-	d.Observe(Feedback{Mispredicts: 5, Symbols: 0})
-	after, seen2 := d.Density()
-	if before != after || seen != seen2 {
-		t.Error("zero-symbol feedback should be a no-op")
-	}
-}
-
-func TestCalibratorApply(t *testing.T) {
-	var c Calibrator
-	for i := 0; i < 20; i++ {
-		c.Observe(Feedback{Mispredicts: 2000, Symbols: 4096, Widened: 1})
-	}
-	base := Config{}.withDefaults()
-	got := c.Apply(Config{})
-	if got.Weights.Bias <= base.Weights.Bias {
-		t.Errorf("Apply bias = %g, want above default %g", got.Weights.Bias, base.Weights.Bias)
-	}
-	if got.Horizon != base.Horizon || got.Threshold != base.Threshold {
-		t.Error("Apply must not disturb other config fields")
-	}
-}
-
 func TestScoreMonotoneInThresholdSense(t *testing.T) {
 	// Hot() at a higher threshold must be a subset of Hot() at a lower
 	// one (scores are fixed; only the cut moves).

@@ -13,9 +13,6 @@ type Gauge struct {
 // Set replaces the gauge's value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the gauge by n (either direction).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

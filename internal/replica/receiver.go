@@ -1,8 +1,7 @@
 package replica
 
 import (
-	"hash/crc32"
-	"io"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -11,11 +10,6 @@ import (
 	"sparseap/internal/checkpoint"
 	"sparseap/internal/metrics"
 )
-
-// maxSlotBody bounds one shipped slot (or resync pair). Session
-// checkpoints are engine snapshot + report window — far below this; the
-// cap keeps a misbehaving peer from ballooning follower memory.
-const maxSlotBody = 64 << 20
 
 // Receiver is the follower side of checkpoint shipping: an http.Handler
 // a serving node mounts under /v1/replica/. It verifies each shipment's
@@ -92,23 +86,17 @@ func (rc *Receiver) readShipment(w http.ResponseWriter, r *http.Request) (name s
 		return
 	}
 	version = uint32(v64)
-	wantCRC, err := strconv.ParseUint(r.Header.Get("X-Replica-CRC"), 10, 32)
-	if err != nil {
-		http.Error(w, "bad X-Replica-CRC", http.StatusBadRequest)
-		return
-	}
-	body, err = io.ReadAll(io.LimitReader(r.Body, maxSlotBody+1))
-	if err != nil {
-		http.Error(w, "short body", http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxSlotBody {
+	body, err = readBody(r.Body, r.Header.Get("X-Replica-CRC"))
+	switch {
+	case errors.Is(err, errBodyTooLarge):
 		http.Error(w, "slot too large", http.StatusRequestEntityTooLarge)
 		return
-	}
-	if crc32.Checksum(body, castagnoli) != uint32(wantCRC) {
+	case errors.Is(err, errChecksum):
 		rc.reg.Counter("serve_replication_recv_errors").Inc()
 		http.Error(w, "CRC mismatch", http.StatusBadRequest)
+		return
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
@@ -144,6 +132,13 @@ func (rc *Receiver) handleSlot(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.Method == http.MethodDelete {
 		rc.store.Remove(name) // best-effort: a leftover slot is harmless
+		// The name is finished (session IDs are never reused), so its
+		// bookkeeping goes with it: the map must not grow by one entry
+		// per session ever mirrored. A stale POST arriving after this can
+		// only recreate a slot, which Store.Remove documents as harmless.
+		rc.mu.Lock()
+		delete(rc.seen, name)
+		rc.mu.Unlock()
 		w.WriteHeader(http.StatusOK)
 		return
 	}
@@ -156,14 +151,8 @@ func (rc *Receiver) handleSlot(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// handleSync applies one resync pair: the name's latest and (optionally)
-// previous-good slots in one atomic request, encoded as
-//
-//	latestVersion u32, latest bytes, hasPrev bool[, prevVersion u32, prev bytes]
-//
-// Saving prev first and latest second reproduces the latest+fallback
-// rotation on the follower, so a resumed consumer behind the latest
-// floor still finds the previous-good slot.
+// handleSync applies one resync Pair: the name's latest and (when there
+// is one) previous-good record in one request.
 func (rc *Receiver) handleSync(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -177,28 +166,13 @@ func (rc *Receiver) handleSync(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	d := checkpoint.NewDec(body)
-	lver := d.U32()
-	latest := d.BytesField()
-	hasPrev := d.Bool()
-	var pver uint32
-	var prev []byte
-	if hasPrev {
-		pver = d.U32()
-		prev = d.BytesField()
-	}
-	if d.Done() != nil {
+	pair, err := decodePair(body)
+	if err != nil {
 		rc.reg.Counter("serve_replication_recv_errors").Inc()
 		http.Error(w, "malformed sync record", http.StatusBadRequest)
 		return
 	}
-	if hasPrev {
-		if err := rc.store.Save(name, pver, prev); err != nil {
-			http.Error(w, "save failed", http.StatusInternalServerError)
-			return
-		}
-	}
-	if err := rc.store.Save(name, lver, latest); err != nil {
+	if err := pair.Install(rc.store, name); err != nil {
 		http.Error(w, "save failed", http.StatusInternalServerError)
 		return
 	}

@@ -35,7 +35,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	neturl "net/url"
@@ -53,11 +52,8 @@ import (
 const SlotPath = "/v1/replica/slot"
 
 // SyncPath is the HTTP path a follower serves latest+prev resync pairs
-// (and migration transfers) on.
+// (see Pair) on.
 const SyncPath = "/v1/replica/sync"
-
-// castagnoli is the CRC32-C table shared with the on-disk format.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options tunes a replicated store. Followers is the only required
 // field; the zero value of everything else picks serviceable defaults.
@@ -154,9 +150,6 @@ func New(local checkpoint.Store, o Options) *Store {
 // re-shipped (a two-node cluster replicating to each other would
 // otherwise loop forever).
 func (s *Store) Local() checkpoint.Store { return s.local }
-
-// Epoch returns the leader identity shipments carry.
-func (s *Store) Epoch() string { return s.epoch }
 
 // Save persists payload locally, ships it to every reachable follower,
 // and waits for the acknowledgement quorum. With fewer than Ack
@@ -259,20 +252,11 @@ func (s *Store) resyncFollower(f *follower) bool {
 		return false
 	}
 	for _, name := range names {
-		latest, lver, _, lerr := s.local.Load(name)
-		if lerr != nil {
+		pair, err := LoadPair(s.local, name)
+		if err != nil {
 			continue // slot vanished between Names and Load (session ended)
 		}
-		var e checkpoint.Enc
-		e.U32(lver)
-		e.BytesField(latest)
-		prev, pver, perr := s.local.LoadPrevious(name)
-		e.Bool(perr == nil)
-		if perr == nil {
-			e.U32(pver)
-			e.BytesField(prev)
-		}
-		if err := s.post(f.url+SyncPath, name, s.seq.Add(1), 0, e.Bytes()); err != nil {
+		if err := s.post(f.url+SyncPath, name, s.seq.Add(1), 0, pair.Encode()); err != nil {
 			return false
 		}
 	}
@@ -303,7 +287,7 @@ func setShipHeaders(h http.Header, epoch string, seq uint64, version uint32, bod
 	h.Set("X-Replica-Epoch", epoch)
 	h.Set("X-Replica-Seq", strconv.FormatUint(seq, 10))
 	h.Set("X-Replica-Version", strconv.FormatUint(uint64(version), 10))
-	h.Set("X-Replica-CRC", strconv.FormatUint(uint64(crc32.Checksum(body, castagnoli)), 10))
+	h.Set("X-Replica-CRC", Checksum(body))
 }
 
 // updateLag publishes the acknowledged-watermark gap: the leader's

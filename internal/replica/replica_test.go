@@ -171,19 +171,37 @@ func TestRecoveryResync(t *testing.T) {
 	if reg.Snapshot()["serve_replication_resyncs"] == 0 {
 		t.Fatalf("resync counter did not move")
 	}
+
+	// A pair that arrives as sent but damaged — its previous record cut
+	// off — is refused whole: neither record of the name changes.
+	pair := Pair{Latest: []byte("v5"), LatestVersion: 2, HasPrev: true, Prev: []byte("v4"), PrevVersion: 2}.Encode()
+	cut := pair[:len(pair)-1]
+	if resp := shipTo(t, http.MethodPost, ts.URL+SyncPath, "sess-a", "ep", 1, 0, cut, Checksum(cut)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("damaged pair answered %d, want 400", resp.StatusCode)
+	}
+	if p, err := LoadPair(fst, "sess-a"); err != nil || string(p.Latest) != "v3" || string(p.Prev) != "v2" {
+		t.Fatalf("follower holds %q / %q after a refused pair (err=%v), want v3 / v2", p.Latest, p.Prev, err)
+	}
 }
 
-// shipReq builds a raw slot shipment for receiver-level tests.
+// shipReq sends a raw slot shipment for receiver-level tests.
 func shipReq(t *testing.T, url, name, epoch string, seq uint64, version uint32, body []byte, crc uint32) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+SlotPath+"?name="+name, bytes.NewReader(body))
+	return shipTo(t, http.MethodPost, url+SlotPath, name, epoch, seq, version, body, strconv.FormatUint(uint64(crc), 10))
+}
+
+// shipTo sends one request in the replication envelope to a receiver
+// endpoint.
+func shipTo(t *testing.T, method, endpoint, name, epoch string, seq uint64, version uint32, body []byte, sum string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, endpoint+"?name="+name, bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("NewRequest: %v", err)
 	}
 	req.Header.Set("X-Replica-Epoch", epoch)
 	req.Header.Set("X-Replica-Seq", strconv.FormatUint(seq, 10))
 	req.Header.Set("X-Replica-Version", strconv.FormatUint(uint64(version), 10))
-	req.Header.Set("X-Replica-CRC", strconv.FormatUint(uint64(crc), 10))
+	req.Header.Set("X-Replica-CRC", sum)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("Do: %v", err)
@@ -237,5 +255,30 @@ func TestReceiverRejectsBadNames(t *testing.T) {
 		if resp := shipReq(t, ts.URL, name, "ep", 1, 1, body, crc); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("name %q answered %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// A follower must not keep a bookkeeping entry for every session it ever
+// mirrored: the DELETE that ends a name drops the name's entry.
+func TestReceiverForgetsDeletedNames(t *testing.T) {
+	rc := NewReceiver(openStore(t), nil)
+	mux := http.NewServeMux()
+	rc.Mount(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	body := []byte("slot")
+	for i := 0; i < 20; i++ {
+		name, seq := "sess-"+strconv.Itoa(i), uint64(2*i+1)
+		if resp := shipTo(t, http.MethodPost, ts.URL+SlotPath, name, "ep", seq, 1, body, Checksum(body)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s answered %d", name, resp.StatusCode)
+		}
+		if resp := shipTo(t, http.MethodDelete, ts.URL+SlotPath, name, "ep", seq+1, 0, nil, Checksum(nil)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("DELETE %s answered %d", name, resp.StatusCode)
+		}
+	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if len(rc.seen) != 0 {
+		t.Fatalf("receiver still tracks %d names after every one was deleted: %v", len(rc.seen), rc.seen)
 	}
 }

@@ -16,6 +16,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sparseap/internal/automata"
@@ -522,15 +523,20 @@ func (p *plan) planMerge() {
 		}
 		group[s] = g
 	}
+	// One table, one spare group slice and one pair of key buffers serve
+	// every refinement round: allocated per round they cost more than the
+	// refinement itself.
+	type refineKey struct {
+		old   int32
+		preds string
+	}
+	next := make(map[refineKey]int32, n)
+	newGroup := make([]int32, n)
+	var buf []int32
+	var key []byte
 	for {
-		type refineKey struct {
-			old   int32
-			preds string
-		}
-		next := make(map[refineKey]int32)
-		newGroup := make([]int32, n)
+		clear(next)
 		var n2 int32
-		buf := make([]int32, 0, 8)
 		for s := 0; s < n; s++ {
 			rk := refineKey{old: group[s]}
 			if net.States[s].Start != automata.StartAllInput {
@@ -541,8 +547,8 @@ func (p *plan) planMerge() {
 					}
 					buf = append(buf, group[q])
 				}
-				sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
-				key := make([]byte, 0, 4*len(buf))
+				slices.Sort(buf)
+				key = key[:0]
 				var last int32 = -1
 				for _, g := range buf {
 					if g == last {
@@ -564,7 +570,7 @@ func (p *plan) planMerge() {
 		if n2 == nGroups {
 			break
 		}
-		group = newGroup
+		group, newGroup = newGroup, group
 		nGroups = n2
 	}
 

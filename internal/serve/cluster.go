@@ -25,28 +25,22 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	neturl "net/url"
-	"strconv"
 	"strings"
 	"time"
 
 	"sparseap/internal/checkpoint"
+	"sparseap/internal/replica"
 )
 
 // migratePath is where a peer accepts session transfers.
 const migratePath = "/v1/migrate/accept"
-
-// maxTransferBody bounds one migration transfer (latest + prev slots).
-const maxTransferBody = 128 << 20
-
-// transferTable is the CRC32-C table guarding transfer bodies.
-var transferTable = crc32.MakeTable(crc32.Castagnoli)
 
 // errPeerRefused marks a target that answered but would not take the
 // session (shed, mismatch); the source falls back to suspend.
@@ -254,34 +248,23 @@ func (s *Server) migrateOne(r *http.Request, id, to string) error {
 	return nil
 }
 
-// transferSession ships a session's latest (+ previous-good, when
-// present) slots to the target in one CRC-guarded request. Reads go
-// through cfg.Store (local reads on a replicated store), the body is
-//
-//	latestVersion u32, latest bytes, hasPrev bool[, prevVersion u32, prev bytes]
+// transferSession ships a session's slot pair (replica.Pair: latest
+// and, when present, previous-good) to the target in one CRC-guarded
+// request. Reads go through cfg.Store (local reads on a replicated
+// store).
 func (s *Server) transferSession(id, to string) error {
-	name := slotName(id)
-	latest, lver, _, err := s.cfg.Store.Load(name)
+	pair, err := replica.LoadPair(s.cfg.Store, slotName(id))
 	if err != nil {
 		return fmt.Errorf("no session state: %w", err)
 	}
-	var e checkpoint.Enc
-	e.U32(lver)
-	e.BytesField(latest)
-	prev, pver, perr := s.cfg.Store.LoadPrevious(name)
-	e.Bool(perr == nil)
-	if perr == nil {
-		e.U32(pver)
-		e.BytesField(prev)
-	}
-	body := e.Bytes()
+	body := pair.Encode()
 
 	req, err := http.NewRequest(http.MethodPost,
-		to+migratePath+"?session="+neturl.QueryEscape(id), strings.NewReader(string(body)))
+		to+migratePath+"?session="+neturl.QueryEscape(id), bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("X-Transfer-CRC", strconv.FormatUint(uint64(crc32.Checksum(body, transferTable)), 10))
+	req.Header.Set("X-Transfer-CRC", replica.Checksum(body))
 	client := &http.Client{Timeout: 10 * time.Second}
 	resp, err := client.Do(req)
 	if err != nil {
@@ -312,33 +295,19 @@ func (s *Server) handleMigrateAccept(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "invalid session id", http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxTransferBody+1))
-	if err != nil || len(body) > maxTransferBody {
-		http.Error(w, "bad transfer body", http.StatusBadRequest)
+	// An oversized, truncated, corrupted or malformed transfer is rejected
+	// atomically — nothing is installed, and the source's idempotent
+	// re-send starts clean.
+	pair, err := replica.ReadPair(r.Body, r.Header.Get("X-Transfer-CRC"))
+	if err != nil {
+		http.Error(w, "bad transfer: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	wantCRC, err := strconv.ParseUint(r.Header.Get("X-Transfer-CRC"), 10, 32)
-	if err != nil || crc32.Checksum(body, transferTable) != uint32(wantCRC) {
-		// Truncated or corrupted transfer: reject atomically — nothing is
-		// installed, and the source's idempotent re-send starts clean.
-		http.Error(w, "transfer CRC mismatch", http.StatusBadRequest)
+	if pair.LatestVersion != sessionStateVersion {
+		http.Error(w, "transfer of an unknown session state version", http.StatusBadRequest)
 		return
 	}
-	d := checkpoint.NewDec(body)
-	lver := d.U32()
-	latest := d.BytesField()
-	hasPrev := d.Bool()
-	var pver uint32
-	var prev []byte
-	if hasPrev {
-		pver = d.U32()
-		prev = d.BytesField()
-	}
-	if d.Done() != nil || lver != sessionStateVersion {
-		http.Error(w, "malformed transfer record", http.StatusBadRequest)
-		return
-	}
-	st, err := decodeSessionState(latest)
+	st, err := decodeSessionState(pair.Latest)
 	if err != nil {
 		http.Error(w, "undecodable session state", http.StatusBadRequest)
 		return
@@ -363,16 +332,7 @@ func (s *Server) handleMigrateAccept(w http.ResponseWriter, r *http.Request) {
 	adm.release()     // capacity verified; the reconnect admits for real
 	a.frontierBound() // pre-warm so the reconnect restores without the analysis stall
 
-	// prev first, latest second: Save's rotation reproduces the
-	// latest+fallback pair, so a client behind the latest floor still
-	// finds the previous-good slot here.
-	if hasPrev {
-		if err := s.cfg.Store.Save(slotName(id), pver, prev); err != nil {
-			http.Error(w, "store save failed", http.StatusInternalServerError)
-			return
-		}
-	}
-	if err := s.cfg.Store.Save(slotName(id), lver, latest); err != nil {
+	if err := pair.Install(s.cfg.Store, slotName(id)); err != nil {
 		http.Error(w, "store save failed", http.StatusInternalServerError)
 		return
 	}
@@ -413,33 +373,5 @@ func (s *Server) DrainMigrate(timeout time.Duration) error {
 	if to == "" {
 		return s.Drain(timeout)
 	}
-	s.mu.Lock()
-	s.draining = true
-	for _, sess := range s.active {
-		sess.requestMove(to, nil)
-	}
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		s.idle.Broadcast()
-		s.mu.Unlock()
-	})
-	for s.nSess > 0 && time.Now().Before(deadline) {
-		s.idle.Wait()
-	}
-	stranded := s.nSess
-	s.mu.Unlock()
-	timer.Stop()
-
-	s.hsMu.Lock()
-	hs := s.hs
-	s.hsMu.Unlock()
-	if hs != nil {
-		hs.Close()
-	}
-	s.stopPeers()
-	if stranded > 0 {
-		return fmt.Errorf("serve: drain-migrate timed out with %d sessions still live", stranded)
-	}
-	return nil
+	return s.drain(timeout, "drain-migrate", func(sess *session) { sess.requestMove(to, nil) })
 }

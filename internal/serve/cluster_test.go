@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -308,7 +306,7 @@ func TestClusterTransferTruncatedThenIdempotent(t *testing.T) {
 	// with an empty window (every report already released).
 	var all []sim.Report
 	sess := &session{id: id, tenant: "t0", app: a.h.s.lookupApp("test"), snap: &sim.Snapshot{}}
-	sess.st = sim.NewStreamerOpts(net, sim.StreamerOptions{})
+	sess.st = sim.NewStreamer(net)
 	sess.st.OnReport = func(pos int64, state automata.StateID) {
 		all = append(all, sim.Report{Pos: pos, State: state})
 	}
@@ -326,28 +324,18 @@ func TestClusterTransferTruncatedThenIdempotent(t *testing.T) {
 	save(4096)
 	have := append([]sim.Report(nil), all...)
 
-	// Build the transfer record exactly as transferSession would.
-	latest, lver, _, err := a.local.Load(slot)
-	if err != nil {
-		t.Fatal(err)
+	// Build the transfer record as transferSession would.
+	pair, err := replica.LoadPair(a.local, slot)
+	if err != nil || !pair.HasPrev {
+		t.Fatalf("source pair: %+v, err %v; want latest and previous", pair, err)
 	}
-	prev, pver, err := a.local.LoadPrevious(slot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e checkpoint.Enc
-	e.U32(lver)
-	e.BytesField(latest)
-	e.Bool(true)
-	e.U32(pver)
-	e.BytesField(prev)
-	body := e.Bytes()
-	crc := crc32.Checksum(body, transferTable)
+	latest, prev := pair.Latest, pair.Prev
+	body := pair.Encode()
 
-	post := func(payload []byte) int {
+	post := func(payload []byte, sum string) int {
 		req, _ := http.NewRequest(http.MethodPost,
 			b.h.ts.URL+migratePath+"?session="+id, bytes.NewReader(payload))
-		req.Header.Set("X-Transfer-CRC", strconv.FormatUint(uint64(crc), 10))
+		req.Header.Set("X-Transfer-CRC", sum)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -357,16 +345,33 @@ func TestClusterTransferTruncatedThenIdempotent(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	// Truncated transfer (source died mid-body): atomic reject.
-	if code := post(body[:len(body)-7]); code != http.StatusBadRequest {
-		t.Fatalf("truncated transfer answered %d, want 400", code)
-	}
-	if _, _, _, err := b.local.Load(slot); err == nil {
-		t.Fatal("truncated transfer left partial state on the target")
+	// Atomic rejects: a transfer cut short under the whole body's checksum
+	// (source died mid-body), and bodies that arrive as sent but are not
+	// one whole pair — the previous record cut off, bytes after it.
+	cut := body[:len(body)-7]
+	long := append(bytes.Clone(body), 0)
+	future := replica.Pair{Latest: latest, LatestVersion: sessionStateVersion + 1}.Encode()
+	for _, damaged := range []struct {
+		name string
+		body []byte
+		sum  string
+	}{
+		{"truncated", cut, replica.Checksum(body)},
+		{"previous record cut off", cut, replica.Checksum(cut)},
+		{"trailing byte", long, replica.Checksum(long)},
+		{"unknown state version", future, replica.Checksum(future)},
+		{"no checksum", body, ""},
+	} {
+		if code := post(damaged.body, damaged.sum); code != http.StatusBadRequest {
+			t.Fatalf("%s: transfer answered %d, want 400", damaged.name, code)
+		}
+		if _, _, _, err := b.local.Load(slot); err == nil {
+			t.Fatalf("%s: transfer left state on the target", damaged.name)
+		}
 	}
 	// Full re-send, then a duplicate: both succeed, state converges.
 	for i := 0; i < 2; i++ {
-		if code := post(body); code != http.StatusOK {
+		if code := post(body, replica.Checksum(body)); code != http.StatusOK {
 			t.Fatalf("transfer attempt %d answered %d, want 200", i, code)
 		}
 	}

@@ -302,24 +302,23 @@ func (s *Server) Serve(l net.Listener) error {
 	return err
 }
 
-// ListenAndServe listens on addr and serves until shut down.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Drain gracefully shuts the server down: new sessions are refused with
 // 503, every in-flight stream session is checkpointed and suspended (the
 // client reconnects to the next process), and the HTTP server closes.
 // It returns once all sessions have unwound or timeout elapses.
 func (s *Server) Drain(timeout time.Duration) error {
+	return s.drain(timeout, "drain", (*session).requestDrain)
+}
+
+// drain is Drain and DrainMigrate once they have chosen how a session is
+// asked to leave: it marks the server draining, puts the request to every
+// live session, waits until all have unwound or timeout elapses, and
+// closes the HTTP server and the peer watcher.
+func (s *Server) drain(timeout time.Duration, what string, request func(*session)) error {
 	s.mu.Lock()
 	s.draining = true
 	for _, sess := range s.active {
-		sess.requestDrain()
+		request(sess)
 	}
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
@@ -342,7 +341,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 	}
 	s.stopPeers()
 	if stranded > 0 {
-		return fmt.Errorf("serve: drain timed out with %d sessions still live", stranded)
+		return fmt.Errorf("serve: %s timed out with %d sessions still live", what, stranded)
 	}
 	return nil
 }

@@ -383,7 +383,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Store.Remove(slotName(id))
 	}
 
-	sess.st = sim.NewStreamerOpts(a.net, sim.StreamerOptions{Context: ctx})
+	sess.st = sim.NewStreamer(a.net)
+	sess.st.SetContext(ctx)
 	sess.st.OnReport = func(pos int64, state automata.StateID) {
 		sess.window = append(sess.window, sim.Report{Pos: pos, State: state})
 	}

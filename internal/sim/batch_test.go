@@ -49,7 +49,7 @@ func TestPropBatchLanesIdenticalToSolo(t *testing.T) {
 		threshold := 1 + r.Intn(4)
 		solo := make([][]Report, lanes)
 		for l, in := range inputs {
-			solo[l] = Run(net, in, Options{CollectReports: true, DenseThreshold: threshold}).Reports
+			solo[l] = Run(net, in, Options{CollectReports: true}).Reports
 		}
 		for _, k := range kernels {
 			results := RunBatch(net, inputs, BatchOptions{
@@ -111,7 +111,7 @@ func TestPropBatchMidBatchJoinAndRetire(t *testing.T) {
 		}
 		be.Release()
 		for l, in := range inputs {
-			want := Run(net, in, Options{CollectReports: true, DenseThreshold: threshold}).Reports
+			want := Run(net, in, Options{CollectReports: true}).Reports
 			requireLaneEqualsSolo(t, trial, l, got[l], want)
 		}
 	}

@@ -410,9 +410,6 @@ func (img *Image) EngineFootprintBounded(bound int) int64 {
 // walks the image to synthesize adversarial inputs). All returned slices
 // alias the image's immutable arrays and must not be mutated.
 
-// NumStates returns the number of states in the compiled network.
-func (img *Image) NumStates() int { return img.n }
-
 // Words returns the length of every state-indexed bitmap (ceil(n/64)).
 func (img *Image) Words() int { return img.words }
 
@@ -426,9 +423,6 @@ func (img *Image) StartMaskRow(b byte) []uint64 { return img.startMask[b] }
 
 // ReportMask returns the reporting-state flag words.
 func (img *Image) ReportMask() []uint64 { return img.report }
-
-// AllInputMask returns the all-input-start flag words.
-func (img *Image) AllInputMask() []uint64 { return img.allInput }
 
 // Successors returns state s's compiled successor list with edges into
 // all-input start states already filtered out — exactly the states the

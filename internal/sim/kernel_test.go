@@ -125,6 +125,15 @@ func wideKernelNet(r *rand.Rand, shape int) *automata.Network {
 	return automata.NewNetwork(m)
 }
 
+// withCut sets the frontier length at which e's adaptive kernel goes
+// dense; 0 keeps the image's compiled cut.
+func withCut(e *Engine, threshold int) *Engine {
+	if threshold > 0 {
+		e.denseCut = threshold
+	}
+	return e
+}
+
 // checkKernels runs the sparse-only, dense-only and adaptive kernels over
 // input, each with and without ever-enabled tracking (the untracked arm is
 // the one sim.Run, spap and serve execute), and holds each to the naive
@@ -141,7 +150,7 @@ func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold i
 	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
 		for _, tracked := range []bool{true, false} {
 			name := fmt.Sprintf("%v tracked=%v", k, tracked)
-			e := NewEngine(net, Options{CollectReports: true, TrackEnabled: tracked, Kernel: k, DenseThreshold: threshold})
+			e := withCut(NewEngine(net, Options{CollectReports: true, TrackEnabled: tracked, Kernel: k}), threshold)
 			edit := func(i int) {
 				for _, ed := range edits {
 					if ed.at != i {
@@ -452,7 +461,7 @@ func TestStartPlanCells(t *testing.T) {
 			}
 			checkKernels(t, net, []byte(c.input), c.threshold, c.edits...)
 			if name == "denseBetween" {
-				e := NewEngine(net, Options{Kernel: KernelAuto, DenseThreshold: c.threshold})
+				e := withCut(NewEngine(net, Options{Kernel: KernelAuto}), c.threshold)
 				var ran []byte
 				for i, b := range []byte(c.input) {
 					dense := e.DenseSteps()
@@ -711,7 +720,11 @@ func TestReportsCanonicallyOrdered(t *testing.T) {
 			input[i] = byte('a' + r.Intn(5))
 		}
 		for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
-			reps := Run(net, input, Options{CollectReports: true, Kernel: k, DenseThreshold: 2}).Reports
+			e := withCut(NewEngine(net, Options{CollectReports: true, Kernel: k}), 2)
+			for i, b := range input {
+				e.Step(int64(i), b)
+			}
+			reps := e.Reports()
 			for i := 1; i < len(reps); i++ {
 				if reportLess(reps[i], reps[i-1]) {
 					t.Fatalf("trial %d kernel %v: reports out of order at %d: %+v then %+v",
@@ -735,7 +748,7 @@ func TestAutoKernelSwitches(t *testing.T) {
 	net := figure2()
 	net.Append(m)
 	starts := map[byte]int{'a': 1, 'x': 3, 'y': 1}
-	e := NewEngine(net, Options{Kernel: KernelAuto, DenseThreshold: 2})
+	e := withCut(NewEngine(net, Options{Kernel: KernelAuto}), 2)
 	input := []byte("abcfxyacdcdfyx")
 	wantDense, byFrontier, byStarts := int64(0), 0, 0
 	for i, b := range input {
@@ -782,7 +795,7 @@ func TestStepZeroAlloc(t *testing.T) {
 		input := []byte(n.input)
 		for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
 			for _, tracked := range []bool{true, false} {
-				e := AcquireEngine(n.net, Options{CollectReports: true, TrackEnabled: tracked, Kernel: k, DenseThreshold: n.threshold})
+				e := withCut(AcquireEngine(n.net, Options{CollectReports: true, TrackEnabled: tracked, Kernel: k}), n.threshold)
 				// Warm up: grow the frontier, report, and repBuf buffers to
 				// their working size, then measure.
 				for i, b := range input {

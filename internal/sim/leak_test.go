@@ -152,7 +152,8 @@ func TestStreamerCancelNoLeak(t *testing.T) {
 	testleak.Check(t)
 	net := leakNet(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	st := NewStreamerOpts(net, StreamerOptions{Context: ctx})
+	st := NewStreamer(net)
+	st.SetContext(ctx)
 	if _, err := st.Write(leakInput(8192)); err != nil {
 		t.Fatalf("healthy write: %v", err)
 	}

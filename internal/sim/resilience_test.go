@@ -112,7 +112,8 @@ func TestStreamerMatchesBatch(t *testing.T) {
 }
 
 func TestStreamerOverflowAndResume(t *testing.T) {
-	st := NewStreamerOpts(everyA(), StreamerOptions{BufferCap: 4})
+	st := NewStreamer(everyA())
+	st.cap = 4
 	input := bytes.Repeat([]byte("a"), 10)
 	n, err := st.Write(input)
 	if !errors.Is(err, ErrReportOverflow) {
@@ -144,20 +145,11 @@ func TestStreamerOverflowAndResume(t *testing.T) {
 	}
 }
 
-func TestStreamerNegativeCapCountsOnly(t *testing.T) {
-	st := NewStreamerOpts(everyA(), StreamerOptions{BufferCap: -1})
-	if n, err := st.Write(bytes.Repeat([]byte("a"), 100)); err != nil || n != 100 {
-		t.Fatalf("Write = %d, %v", n, err)
-	}
-	if st.Buffered() != 0 || st.NumReports() != 100 {
-		t.Errorf("buffered %d, reports %d; want 0 and 100", st.Buffered(), st.NumReports())
-	}
-}
-
 func TestStreamerContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st := NewStreamerOpts(everyA(), StreamerOptions{Context: ctx})
+	st := NewStreamer(everyA())
+	st.SetContext(ctx)
 	n, err := st.Write(bytes.Repeat([]byte("a"), 2*cancelCheckInterval))
 	if !errors.Is(err, context.Canceled) || n != 0 {
 		t.Fatalf("Write = %d, %v; want 0, context.Canceled", n, err)

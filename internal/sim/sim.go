@@ -110,7 +110,9 @@ type Engine struct {
 	ever    *bitvec.Vec // ever-enabled set (nil unless tracking)
 	everBuf *bitvec.Vec // retained across pooled reuse
 
-	kernel   Kernel
+	kernel Kernel
+	// denseCut is the image's; only in-package tests set another, to get
+	// dense steps out of networks a few states wide.
 	denseCut int
 
 	reportsWanted bool
@@ -146,11 +148,6 @@ type Options struct {
 	CollectReports bool
 	// Kernel selects the step strategy (default KernelAuto).
 	Kernel Kernel
-	// DenseThreshold overrides the frontier length — or the number of
-	// all-input starts the symbol activates, whichever is larger — at
-	// which KernelAuto switches to the dense pass; 0 uses the image's
-	// compiled default.
-	DenseThreshold int
 }
 
 // Result summarizes a Run.
@@ -187,10 +184,7 @@ func newEngine(img *Image) *Engine {
 func (e *Engine) configure(opts Options) {
 	e.reportsWanted = opts.CollectReports
 	e.kernel = opts.Kernel
-	e.denseCut = opts.DenseThreshold
-	if e.denseCut <= 0 {
-		e.denseCut = e.img.denseCut
-	}
+	e.denseCut = e.img.denseCut
 	if opts.TrackEnabled {
 		if e.everBuf == nil {
 			e.everBuf = bitvec.New(e.img.n)

@@ -322,7 +322,8 @@ func TestStreamerResetAfterCancellation(t *testing.T) {
 	want := Run(net, input, Options{CollectReports: true})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	st := NewStreamerOpts(net, StreamerOptions{Context: ctx})
+	st := NewStreamer(net)
+	st.SetContext(ctx)
 	// Feed a chunk, then cancel mid-stream: the next Write must stop at a
 	// cancellation poll with the context error.
 	if _, err := st.Write(input[:1000]); err != nil {
@@ -414,7 +415,8 @@ func TestStreamerBoundedBufferBackpressure(t *testing.T) {
 	net := automata.NewNetwork(m)
 	input := []byte("xxxxx")
 
-	st := NewStreamerOpts(net, StreamerOptions{BufferCap: 2})
+	st := NewStreamer(net)
+	st.cap = 2
 	n, err := st.Write(input)
 	if !errors.Is(err, ErrReportOverflow) {
 		t.Fatalf("Write = %d, %v; want ErrReportOverflow", n, err)

@@ -7,43 +7,31 @@ import (
 	"sparseap/internal/automata"
 )
 
-// DefaultStreamBuffer is the report-buffer cap a Streamer uses when
-// StreamerOptions.BufferCap is zero: 1<<20 reports (16 MiB at 16 bytes
-// per report). A long-lived stream that neither sets OnReport nor drains
-// TakeReports hits ErrReportOverflow at this bound instead of growing
-// memory without limit.
+// DefaultStreamBuffer is a Streamer's report-buffer cap: 1<<20 reports
+// (16 MiB at 16 bytes per report). A long-lived stream that neither sets
+// OnReport nor drains TakeReports hits ErrReportOverflow at this bound
+// instead of growing memory without limit.
 const DefaultStreamBuffer = 1 << 20
 
 // ErrReportOverflow is returned by Streamer.Write when the internal report
-// buffer reaches its cap. Drain with TakeReports, raise BufferCap, or set
-// OnReport to consume matches as they happen.
-var ErrReportOverflow = fmt.Errorf("sim: streamer report buffer full (drain TakeReports, raise BufferCap, or set OnReport)")
-
-// StreamerOptions configures NewStreamerOpts.
-type StreamerOptions struct {
-	// BufferCap caps the internal report buffer used while OnReport is
-	// nil. 0 means DefaultStreamBuffer; negative disables buffering
-	// entirely (reports are counted but not retained).
-	BufferCap int
-	// Context, when non-nil, cancels in-flight Write calls: Write returns
-	// the symbols consumed so far and the context's error.
-	Context context.Context
-}
+// buffer reaches its cap. Drain with TakeReports, or set OnReport to
+// consume matches as they happen.
+var ErrReportOverflow = fmt.Errorf("sim: streamer report buffer full (drain TakeReports or set OnReport)")
 
 // Streamer adapts an Engine to incremental io.Writer-style feeding, so a
 // matcher can sit inside a network pipeline and consume data as it
 // arrives. The position counter persists across Write calls.
 //
 // Matches are delivered through OnReport when set; otherwise they
-// accumulate in a bounded internal buffer (see StreamerOptions.BufferCap
-// and DefaultStreamBuffer) read with TakeReports. When the buffer is full
-// Write stops at the overflowing symbol and returns ErrReportOverflow —
-// memory use is bounded no matter how long the stream lives.
+// accumulate in an internal buffer bounded at DefaultStreamBuffer and read
+// with TakeReports. When the buffer is full Write stops at the overflowing
+// symbol and returns ErrReportOverflow — memory use is bounded no matter
+// how long the stream lives.
 type Streamer struct {
 	eng *Engine
 	pos int64
 	ctx context.Context
-	cap int
+	cap int // DefaultStreamBuffer; in-package tests lower it
 	buf []Report
 	// OnReport receives each match as it happens; setting it bypasses the
 	// internal buffer.
@@ -51,23 +39,10 @@ type Streamer struct {
 	overflow bool
 }
 
-// NewStreamer builds a streaming matcher over net with default options.
+// NewStreamer builds a streaming matcher over net. Write polls no context
+// until SetContext attaches one.
 func NewStreamer(net *automata.Network) *Streamer {
-	return NewStreamerOpts(net, StreamerOptions{})
-}
-
-// NewStreamerOpts builds a streaming matcher with explicit buffering and
-// cancellation behaviour.
-func NewStreamerOpts(net *automata.Network, opts StreamerOptions) *Streamer {
-	st := &Streamer{ctx: opts.Context}
-	switch {
-	case opts.BufferCap < 0:
-		st.cap = 0
-	case opts.BufferCap == 0:
-		st.cap = DefaultStreamBuffer
-	default:
-		st.cap = opts.BufferCap
-	}
+	st := &Streamer{cap: DefaultStreamBuffer}
 	st.eng = NewEngine(net, Options{})
 	st.eng.OnReport = func(pos int64, s automata.StateID) {
 		if st.OnReport != nil {
@@ -76,7 +51,7 @@ func NewStreamerOpts(net *automata.Network, opts StreamerOptions) *Streamer {
 		}
 		if len(st.buf) < st.cap {
 			st.buf = append(st.buf, Report{Pos: pos, State: s})
-		} else if st.cap > 0 {
+		} else {
 			st.overflow = true
 		}
 	}

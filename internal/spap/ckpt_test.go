@@ -14,7 +14,6 @@ import (
 	"sparseap/internal/checkpoint"
 	"sparseap/internal/fault"
 	"sparseap/internal/hotcold"
-	"sparseap/internal/hotness"
 	"sparseap/internal/regexc"
 	"sparseap/internal/sim"
 )
@@ -482,40 +481,6 @@ func TestCheckpointedCrashResumePreflight(t *testing.T) {
 			t.Fatalf("no kill landed in the fallback: resumed into %v", phases)
 		}
 	})
-}
-
-// TestRunGuardedFeedsCalibrator's storm run as a crash/resume cell: the
-// run that completes feeds the calibrator exactly once, with the evidence
-// an uninterrupted run feeds; the killed attempts feed nothing.
-func TestCheckpointedCrashResumeFeedsCalibrator(t *testing.T) {
-	ctx := context.Background()
-	p, input := buildStorm(t, 4, 16, 4096)
-	g := Guard{MinReports: 64, HopelessFactor: 1000}
-	run := func(cal *hotness.Calibrator) func(ck *checkpoint.Runner) (*Result, error) {
-		return func(ck *checkpoint.Runner) (*Result, error) {
-			return RunGuardedCheckpointed(ctx, p, input, cfgWithCapacity(100), g, Options{Calibrate: cal}, ck)
-		}
-	}
-	ref := &hotness.Calibrator{}
-	if _, err := run(ref)(nil); err != nil {
-		t.Fatal(err)
-	}
-	sched := seededKills(t, 3, func(ck *checkpoint.Runner) error {
-		_, err := run(&hotness.Calibrator{})(ck)
-		return err
-	})
-	store, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal := &hotness.Calibrator{}
-	runUntilDone(t, sched, store, 64, run(cal))
-	if _, seen := cal.Density(); seen != 1 {
-		t.Fatalf("calibrator saw %d observations across %d kills, want 1", seen, len(sched.at))
-	}
-	if cal.Bias() <= 0 || cal.Bias() != ref.Bias() {
-		t.Fatalf("bias after the resumed run = %g, uninterrupted %g (want equal and > 0)", cal.Bias(), ref.Bias())
-	}
 }
 
 // The nil-hook contract: what each absent hook leaves out of the Result.

@@ -10,7 +10,6 @@ import (
 	"sparseap/internal/fault"
 	"sparseap/internal/graph"
 	"sparseap/internal/hotcold"
-	"sparseap/internal/hotness"
 	"sparseap/internal/regexc"
 	"sparseap/internal/sim"
 	"sparseap/internal/symset"
@@ -243,49 +242,5 @@ func TestReportDropFaultsAreCounted(t *testing.T) {
 	if len(res.Reports) >= len(baseline.Reports) {
 		t.Fatalf("dropping all intermediate reports should lose matches: %d vs %d",
 			len(res.Reports), len(baseline.Reports))
-	}
-}
-
-func TestRunGuardedFeedsCalibrator(t *testing.T) {
-	// A storm run must push misprediction evidence into an attached
-	// calibrator: density well above target, bias moving positive.
-	p, input := buildStorm(t, 4, 16, 4096)
-	cal := &hotness.Calibrator{}
-	g := Guard{MinReports: 64, HopelessFactor: 1000}
-	if _, err := RunGuarded(context.Background(), p, input, cfgWithCapacity(100), g, Options{Calibrate: cal}); err != nil {
-		t.Fatal(err)
-	}
-	if _, seen := cal.Density(); seen != 1 {
-		t.Fatalf("calibrator saw %d observations, want 1", seen)
-	}
-	// The widened retry removes the intermediates, so the surviving
-	// attempt's density is clean — the Widened escalation flag is what
-	// must carry the "cut was too shallow" signal into the bias.
-	if cal.Bias() <= 0 {
-		t.Errorf("bias = %g, want > 0 after a widened storm run", cal.Bias())
-	}
-
-	// A healthy run with near-zero intermediates relaxes the bias.
-	before := cal.Bias()
-	m := automata.NewNFA()
-	head := m.Add(symset.Single('a'), automata.StartAllInput, false)
-	m.Connect(head, m.Add(symset.Single('b'), automata.StartNone, true))
-	net := automata.NewNetwork(m)
-	topo := graph.TopoOrder(net)
-	hp, err := hotcold.Build(net, topo, []int32{topo.MaxPerNFA[0]}, hotcold.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean := make([]byte, 65536)
-	if _, err := RunGuarded(context.Background(), hp, clean, cfgWithCapacity(100), Guard{}, Options{Calibrate: cal}); err != nil {
-		t.Fatal(err)
-	}
-	if cal.Bias() >= before {
-		t.Errorf("bias did not relax after a clean run: %g ≥ %g", cal.Bias(), before)
-	}
-
-	// No calibrator attached: the same call must not panic.
-	if _, err := RunGuarded(context.Background(), hp, clean, cfgWithCapacity(100), Guard{}, Options{}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -13,7 +13,7 @@
 // intermediate reports; cold routes the intermediate reports to the cold
 // batches and replays each under Algorithm 1 (enable, jump, stall);
 // fallback runs the whole un-partitioned network as plain baseline
-// batches. What else happens is decided by four hooks, each off when nil:
+// batches. What else happens is decided by three hooks, each off when nil:
 //
 //   - the guard (*Guard): a watchdog over base, a stall pre-flight per cold
 //     batch, the widen/fallback ladder of guard.go, and — with
@@ -27,8 +27,7 @@
 //     from the newest valid record: mid-attempt in base, mid-batch in cold,
 //     mid-stream in fallback. A runner without a Store saves nothing but
 //     still polls its chaos hook;
-//   - the fault injector (Options.Faults) and the hotness calibrator
-//     (Options.Calibrate, guarded runs only).
+//   - the fault injector (Options.Faults).
 //
 // With nothing attached the loops pay one integer compare per symbol for
 // the runner and one nil test for the watchdog, retain no reports the
@@ -57,7 +56,6 @@ import (
 	"sparseap/internal/checkpoint"
 	"sparseap/internal/fault"
 	"sparseap/internal/hotcold"
-	"sparseap/internal/hotness"
 	"sparseap/internal/sim"
 )
 
@@ -457,11 +455,10 @@ func (x *machine) atHook(due, pos int64, capture func()) (int64, error) {
 
 // finish assembles the caller-facing Result from the machine state: fault
 // counters from aborted attempts fold in, a guarded run's report stream is
-// sorted (fallback splicing breaks order) and its outcome fed to the
-// calibrator, the internally kept report list is dropped when the caller
-// did not ask for it, and the totals are derived — TotalCycles includes
-// the guard's wasted and fallback cycles, so TimeNS stays the honest
-// end-to-end figure.
+// sorted (fallback splicing breaks order), the internally kept report
+// list is dropped when the caller did not ask for it, and the totals are
+// derived — TotalCycles includes the guard's wasted and fallback cycles,
+// so TimeNS stays the honest end-to-end figure.
 func (x *machine) finish(runErr error) (*Result, error) {
 	// The caller's Result is a copy, so holding on to it does not keep the
 	// machine's snapshot, encoder and intermediate-report buffers alive.
@@ -475,25 +472,6 @@ func (x *machine) finish(runErr error) (*Result, error) {
 		// whole-network fallback emits in (pos, state) order already.
 		if st.phase == phaseCold || (st.phase == phaseDone && !gs.FallbackBaseline) {
 			sortReports(res.Reports)
-		}
-		// Close the static-prediction loop: every intermediate report is a
-		// hot→cold boundary crossing the partition cut failed to keep hot,
-		// so the guarded run's outcome is exactly the misprediction
-		// evidence the hotness calibrator consumes. An injected crash
-		// stands for a dead process, which observes nothing.
-		if cal := x.opts.Calibrate; cal != nil && !errors.Is(runErr, checkpoint.ErrCrashInjected) {
-			fb := hotness.Feedback{
-				Mispredicts: int(res.IntermediateReports),
-				Symbols:     len(x.input),
-				Trips:       gs.Trips,
-			}
-			if gs.Widened {
-				fb.Widened = 1
-			}
-			if gs.FallbackBaseline {
-				fb.FallbackBaseline = 1
-			}
-			cal.Observe(fb)
 		}
 	}
 	if x.ck != nil {

@@ -28,7 +28,6 @@ import (
 	"sparseap/internal/checkpoint"
 	"sparseap/internal/fault"
 	"sparseap/internal/hotcold"
-	"sparseap/internal/hotness"
 	"sparseap/internal/sim"
 )
 
@@ -140,13 +139,6 @@ type Options struct {
 	// apply them to the network with fault.Injector.InjectStuck before
 	// partitioning.
 	Faults *fault.Injector
-	// Calibrate, when non-nil, receives each guarded run's misprediction
-	// outcome (intermediate-report count, guard trips/widenings/
-	// fallbacks) so the static hotness analysis can recalibrate its
-	// score weights online. Only guarded runs (RunGuarded,
-	// RunGuardedCheckpointed) observe it; the unguarded entry points
-	// leave it untouched.
-	Calibrate *hotness.Calibrator
 }
 
 // RunBaseAPSpAP executes the partition under the BaseAP/SpAP system of

@@ -19,15 +19,6 @@ func chainNFA(sets []symset.Set, start automata.StartKind) *automata.NFA {
 	return m
 }
 
-// literalChainNFA builds a chain matching the exact byte string.
-func literalChainNFA(lit []byte, start automata.StartKind) *automata.NFA {
-	sets := make([]symset.Set, len(lit))
-	for i, b := range lit {
-		sets[i] = symset.Single(b)
-	}
-	return chainNFA(sets, start)
-}
-
 // singles converts a byte string to singleton symbol sets.
 func singles(lit []byte) []symset.Set {
 	sets := make([]symset.Set, len(lit))

@@ -20,7 +20,7 @@
 //
 // Pairs never cross NFAs (cross-NFA exclusivity would need a quadratic
 // global product; the per-NFA sum is sound without it), and NFAs larger
-// than Config.PairCap skip the refinement (their cap is their size).
+// than maxPairStates skip the refinement (their cap is their size).
 package worstcase
 
 import (
@@ -29,18 +29,19 @@ import (
 	"sparseap/internal/automata"
 )
 
-// DefaultPairCap is the largest NFA (in states) the pairwise
+// maxPairStates is the largest NFA (in states) the pairwise
 // simultaneity fixpoint runs on. The suite's largest NFA is ~2.1k
 // states (Snort_L, CAV4k groups); the quadratic pair bitmap for 4096
 // states is 2 MiB — past that the refinement is skipped, not the
-// analysis.
-const DefaultPairCap = 4096
+// analysis: a larger NFA keeps its unrefined cap, never unsound, only
+// looser.
+const maxPairStates = 4096
 
 // pairAnalysis computes CliqueCap[i] for every NFA: a sound upper bound
 // on the number of NFA-i states any single cycle can have enabled at
-// once. NFAs above pairCap (or with no trackable states) get their
+// once. NFAs above maxPairStates (or with no trackable states) get their
 // trackable size — the refinement never loosens anything.
-func (a *Analysis) pairAnalysis(pairCap int) {
+func (a *Analysis) pairAnalysis() {
 	net := a.Net
 	a.CliqueCap = make([]int, net.NumNFAs())
 	var simul []uint64 // m×m bitmap, reused across NFAs
@@ -55,7 +56,7 @@ func (a *Analysis) pairAnalysis(pairCap int) {
 			}
 		}
 		a.CliqueCap[i] = trackable
-		if m < 2 || m > pairCap || trackable < 2 {
+		if m < 2 || m > maxPairStates || trackable < 2 {
 			continue
 		}
 		words := (m*m + 63) / 64

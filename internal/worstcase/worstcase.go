@@ -104,11 +104,6 @@ type Config struct {
 	// Facts, when non-nil, reuses an existing dataflow fixpoint (it must
 	// have been computed over the same network and alphabet).
 	Facts *dataflow.Facts
-	// PairCap bounds the NFA size (states) the pairwise simultaneity
-	// refinement runs on: 0 means DefaultPairCap, negative disables the
-	// refinement. Larger NFAs keep their unrefined cap — never unsound,
-	// only looser.
-	PairCap int
 	// NoGram disables the k-gram suffix refinement (layer 3) — the
 	// symbol-sequence sweep is the most expensive layer; callers that
 	// only need a cheap sound bound can skip it.
@@ -243,11 +238,7 @@ func Analyze(net *automata.Network, cfg Config) *Analysis {
 	}
 
 	// Layer 2: pairwise simultaneity → per-NFA anti-chain caps.
-	pairCap := cfg.PairCap
-	if pairCap == 0 {
-		pairCap = DefaultPairCap
-	}
-	a.pairAnalysis(pairCap)
+	a.pairAnalysis()
 
 	// Count the rows: raw layer-1 peak and the C_i-capped layer-2 peak.
 	for b := 0; b < 256; b++ {

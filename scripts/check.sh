@@ -8,8 +8,8 @@
 # build (native, then cross-built for darwin and windows), full test
 # suite, vet and smoke test of the bench/ module,
 # race-detector pass over the whole module, a fuzz
-# smoke pass over the parser/compiler/rewriter/slot-file/step-kernel fuzz
-# targets, the
+# smoke pass over the parser/compiler/rewriter/slot-file/step-kernel/slot-pair
+# fuzz targets, the
 # fault-injection smoke sweep, a chaos-soak smoke cell (kill/resume with
 # stream comparison), the two serve-soak smoke cells (real SIGKILL of a
 # live apserve with resumed streams; SIGKILL of a replicating node with
@@ -25,7 +25,16 @@ cd "$(dirname "$0")/.."
 short=0
 [[ "${1:-}" == "-short" ]] && short=1
 
-echo "== gofmt =="
+# step prints the header of the step that starts and, first, how many
+# seconds the one before it took: a step that got slower shows in the log.
+step_name="" total=0
+step() {
+    [[ -z "$step_name" ]] || { echo "-- ${SECONDS}s: $step_name"; total=$((total + SECONDS)); }
+    step_name=$1 SECONDS=0
+    [[ -z "$1" ]] || echo "== $1 =="
+}
+
+step "gofmt"
 unformatted=$(gofmt -l .)
 if [[ -n "$unformatted" ]]; then
     echo "gofmt needed on:" >&2
@@ -33,48 +42,48 @@ if [[ -n "$unformatted" ]]; then
     exit 1
 fi
 
-echo "== go vet =="
+step "go vet"
 go vet ./...
 
 # staticcheck is optional locally (CI installs the pinned version); the
 # gate runs it whenever it is on PATH so local and CI findings match.
 if command -v staticcheck >/dev/null 2>&1; then
-    echo "== staticcheck =="
+    step "staticcheck"
     staticcheck ./...
 else
-    echo "== staticcheck (skipped: not installed; CI runs it) =="
+    step "staticcheck (skipped: not installed; CI runs it)"
 fi
 
 # govulncheck likewise: optional locally, pinned in CI. The module is
 # stdlib-only, so findings can only come from the standard library or the
 # toolchain itself.
 if command -v govulncheck >/dev/null 2>&1; then
-    echo "== govulncheck =="
+    step "govulncheck"
     govulncheck ./...
 else
-    echo "== govulncheck (skipped: not installed; CI runs it) =="
+    step "govulncheck (skipped: not installed; CI runs it)"
 fi
 
-echo "== go build =="
+step "go build"
 go build ./...
 
 # The checkpoint store syncs through a per-OS helper (fdatasync exists in
 # syscall on Linux only); building the module for the other two families
 # keeps that file pair, and everything else, portable.
-echo "== cross-build (darwin/arm64, windows) =="
+step "cross-build (darwin/arm64, windows)"
 GOOS=darwin GOARCH=arm64 go build ./...
 GOOS=windows go build ./...
 
-echo "== go test =="
+step "go test"
 go test ./...
 
 # bench/ is a module of its own (replace sparseap => ../), so the build
 # and test above cannot see a change breaking the ledger's imports.
-echo "== bench module (vet + smoke test) =="
+step "bench module (vet + smoke test)"
 (cd bench && go vet . && go test .)
 
 if [[ $short -eq 0 ]]; then
-    echo "== go test -race (whole module) =="
+    step "go test -race (whole module)"
     # The lint golden sweep is the long pole: 108 s under the race
     # detector on a 2-core box, 2.7 min for the whole module (the sweep
     # alone took 22 min there while the static partition was quadratic).
@@ -85,12 +94,13 @@ fi
 if [[ $short -eq 0 ]]; then
     # Fuzz smoke: a few seconds per target catches regressions in the
     # corpus-seeded paths without turning the gate into a fuzz campaign.
-    echo "== fuzz smoke (parser, compiler, rewriter, slot file, step kernels) =="
+    step "fuzz smoke (parser, compiler, rewriter, slot file, step kernels, slot pair)"
     go test -run ZZZ -fuzz FuzzParseANML -fuzztime 5s ./internal/anml
     go test -run ZZZ -fuzz FuzzCompileRegex -fuzztime 5s ./internal/regexc
     go test -run ZZZ -fuzz FuzzRewriteEquivalence -fuzztime 10s ./internal/rewrite
     go test -run ZZZ -fuzz FuzzSlotFileDamage -fuzztime 5s ./internal/checkpoint
     go test -run ZZZ -fuzz FuzzKernelEquivalence -fuzztime 5s ./internal/sim
+    go test -run ZZZ -fuzz FuzzDecodePair -fuzztime 5s ./internal/replica
 fi
 
 if [[ $short -eq 0 ]]; then
@@ -99,7 +109,7 @@ if [[ $short -eq 0 ]]; then
     # spare STEs and apsim itself fails on report divergence; drop trials
     # must complete under the guard with losses accounted. A -timeout bounds
     # each cell so a regression hangs the gate for at most a minute.
-    echo "== fault-injection smoke sweep =="
+    step "fault-injection smoke sweep"
     apsim_bin=$(mktemp -d)/apsim
     trap 'rm -rf "$(dirname "$apsim_bin")"' EXIT
     go build -o "$apsim_bin" ./cmd/apsim
@@ -122,7 +132,7 @@ if [[ $short -eq 0 ]]; then
     # Chaos-soak smoke: one kill/resume cell through the full apsim
     # surface (durable store, -resume, stream diff). The in-process soak
     # lives in chaos_test.go; this exercises the process-kill path.
-    echo "== chaos soak smoke (1 app) =="
+    step "chaos soak smoke (1 app)"
     SOAK_INPUT=8192 scripts/soak.sh HM
 fi
 
@@ -131,7 +141,7 @@ if [[ $short -eq 0 ]]; then
     # that gets a real SIGKILL mid-stream and restarts on the same
     # checkpoint store; the loadgen verifies the resumed stream is
     # bit-identical. The full app set runs in CI's serve-soak job.
-    echo "== serve soak smoke (1 app, real SIGKILL) =="
+    step "serve soak smoke (1 app, real SIGKILL)"
     SERVE_SOAK_INPUT=65536 SERVE_SOAK_KILLS=1 scripts/serve_soak.sh restart HM
 fi
 
@@ -141,7 +151,7 @@ if [[ $short -eq 0 ]]; then
     # the loadgen's clients must fail over to B and resume from the
     # replicated slots with zero forced restarts. The full app set runs
     # in CI's serve-soak job.
-    echo "== serve soak failover smoke (1 app, SIGKILL owner, failover to follower) =="
+    step "serve soak failover smoke (1 app, SIGKILL owner, failover to follower)"
     SERVE_SOAK_INPUT=65536 SERVE_SOAK_PACE=40ms scripts/serve_soak.sh failover HM
 fi
 
@@ -150,7 +160,7 @@ fi
 # linear in states + edges and takes a fraction of a second; the
 # per-component quadratic sort it once carried took ~50 s. Built first so
 # the budget covers the run, not the compile.
-echo "== static partition at scale (CAV4k, 141k states, 10s budget) =="
+step "static partition at scale (CAV4k, 141k states, 10s budget)"
 apstat_dir=$(mktemp -d)
 go build -o "$apstat_dir/apstat" ./cmd/apstat
 timeout 10s "$apstat_dir/apstat" -app CAV4k -hotness >/dev/null \
@@ -162,19 +172,20 @@ timeout 10s "$apstat_dir/apstat" -app CAV4k -hotness >/dev/null \
 # canonical input it was seeded with, and on a bound/witness gap geomean
 # above 4 (3.01 at this scale, 3.78 at the default one, which CI's check
 # job runs). ~25 s; the budget only catches a hang.
-echo "== certified worst case over the suite (26 apps, gap geomean <= 4, 120s budget) =="
+step "certified worst case over the suite (26 apps, gap geomean <= 4, 120s budget)"
 timeout 120s "$apstat_dir/apstat" -all -worstcase -divisor 32 -input 8192 | tail -n 1 \
     || { rm -rf "$apstat_dir"; echo "suite worst-case gates failed or exceeded 120s" >&2; exit 1; }
 rm -rf "$apstat_dir"
 
 # Rewrite the whole suite with the certificate chain re-verified: any
 # unsound rewrite plan fails the gate here before it could reach users.
-echo "== apopt certificate-checked suite rewrite =="
+step "apopt certificate-checked suite rewrite"
 go run ./cmd/apopt -all -check -divisor 64 -input 8192
 
 # Error-severity findings fail the gate; the suite's known warnings (see
 # internal/lint/testdata/golden.txt) do not, and the golden test pins them.
-echo "== aplint =="
+step "aplint"
 go run ./cmd/aplint -all
 
-echo "check.sh: all green"
+step ""
+echo "check.sh: all green (${total}s)"

@@ -52,7 +52,7 @@ type (
 )
 
 // NewMatchServer builds a match server; make applications resident with
-// AddApp, then Serve/ListenAndServe.
+// AddApp, then Serve.
 func NewMatchServer(cfg ServeConfig) *MatchServer { return serve.New(cfg) }
 
 // NewReplicatedStore wraps a local checkpoint store with follower
