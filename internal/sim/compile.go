@@ -124,15 +124,19 @@ type Image struct {
 	// cycle that reads b, which b alone decides. startNext[b] lists,
 	// ascending and without duplicates, the states the starts b activates
 	// enable (the union of their succ lists); startRep[b] lists, ascending,
-	// those of the starts that report. The sparse walk installs the plan
-	// instead of activating the starts one by one. Each table's 256 rows
-	// share one backing array.
+	// those of the starts that report. The sparse step never activates the
+	// starts one by one, and never copies startNext[b] either: it leaves it
+	// pending and the next sparse step tests it where it lies (Engine.pend).
+	// Each table's 256 rows share one backing array.
 	startNext [256][]automata.StateID
 	startRep  [256][]automata.StateID
-	// startCount[b] is the number of all-input starts symbol b activates,
-	// the term of KernelAuto's rule that a slice header out of startAct
-	// would cost a cache line per symbol to read.
-	startCount [256]uint32
+	// startCount[b] holds what KernelAuto's rule reads of symbol b, side by
+	// side so that the dispatch touches one cache line of a 2 KiB array and
+	// no slice header out of a 6 KiB table: starts is the number of
+	// all-input starts b activates (the rule's start term on the step that
+	// reads b), plan is len(startNext[b]) (the pending part of the frontier
+	// on the step after).
+	startCount [256]struct{ starts, plan uint32 }
 	// startAct[b] lists, in ascending state order, the all-input start
 	// states activated by symbol b. The batch kernel (batch.go) is its
 	// only reader; the list goes when that file does.
@@ -251,7 +255,7 @@ func Compile(net *automata.Network) *Image {
 					b := w<<6 | bits.TrailingZeros64(word)
 					word &= word - 1
 					img.startAct[b] = append(img.startAct[b], automata.StateID(s))
-					img.startCount[b]++
+					img.startCount[b].starts++
 					img.startMask[b][sw] |= sb
 				}
 			}
@@ -315,11 +319,12 @@ states:
 	}
 }
 
-// buildStartPlans fills startNext and startRep from startAct: per symbol,
-// the successors of the starts it activates are collected in a scratch
-// bitmap and read back in ascending order, which also drops the
-// duplicates. Only the span of words the symbol touched is read and
-// cleared, so the cost is the starts' edges plus that span, not a sort.
+// buildStartPlans fills startNext (its lengths go beside the start counts
+// in startCount) and startRep from startAct: per symbol, the successors of
+// the starts it activates are collected in a scratch bitmap and read back
+// in ascending order, which also drops the duplicates. Only the span of
+// words the symbol touched is read and cleared, so the cost is the starts'
+// edges plus that span, not a sort.
 func (img *Image) buildStartPlans() {
 	enables, reports := 0, 0
 	for _, s := range img.allInputHot {
@@ -357,6 +362,7 @@ func (img *Image) buildStartPlans() {
 			seen[w] = 0
 		}
 		img.startNext[b] = next[nextFrom:len(next):len(next)]
+		img.startCount[b].plan = uint32(len(next) - nextFrom)
 		img.startRep[b] = rep[repFrom:len(rep):len(rep)]
 	}
 }
@@ -364,9 +370,9 @@ func (img *Image) buildStartPlans() {
 // Footprint estimates the resident bytes of the compiled image: the CSR
 // successor arrays, the state-major match words, the 256 transposed
 // symbol bitmaps, the shift-class and exception masks, the flag words, the
-// start lists and the start plans. A serving process admits sessions
-// against a memory budget, and the images — shared across every tenant
-// streaming the same application — are the dominant resident term.
+// start lists, the start plans and their counts. A serving process admits
+// sessions against a memory budget, and the images — shared across every
+// tenant streaming the same application — are the dominant resident term.
 func (img *Image) Footprint() int64 {
 	b := int64(len(img.succOff))*4 + int64(len(img.succ))*4
 	b += int64(len(img.match)) * 8
@@ -381,6 +387,7 @@ func (img *Image) Footprint() int64 {
 	for sym := range img.startAct {
 		b += int64(len(img.startAct[sym])+len(img.startNext[sym])+len(img.startRep[sym])) * 4
 	}
+	b += int64(len(img.startCount)) * 8
 	b += int64(len(img.allInputHot)+len(img.startsOfData)) * 4
 	return b
 }

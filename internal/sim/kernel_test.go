@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"sparseap/internal/automata"
 	"sparseap/internal/symset"
@@ -134,96 +135,164 @@ func withCut(e *Engine, threshold int) *Engine {
 	return e
 }
 
+// kernelRun is one engine of checkKernels on its way through the input,
+// held to the naive reference.
+type kernelRun struct {
+	t       testing.TB
+	name    string
+	e       *Engine
+	input   []byte
+	edits   []frontierEdit
+	want    naiveResult
+	tracked bool
+}
+
+// edit makes the edits due before symbol i.
+func (r *kernelRun) edit(i int) {
+	for _, ed := range r.edits {
+		if ed.at != i {
+			continue
+		}
+		switch ed.op {
+		case 'e':
+			r.e.EnableState(ed.s)
+		case 'd':
+			r.e.DisableState(ed.s)
+		case 't':
+			r.e.ToggleState(ed.s)
+		}
+	}
+}
+
+// step runs symbol i and reads the frontier every way there is: its length
+// and emptiness must be the naive reference's.
+func (r *kernelRun) step(i int) {
+	r.t.Helper()
+	e := r.e
+	e.Step(int64(i), r.input[i])
+	if e.FrontierLen() != r.want.frontier[i] || e.FrontierEmpty() != (r.want.frontier[i] == 0) {
+		r.t.Fatalf("%s: frontier after symbol %d has %d states (empty %v), naive %d", r.name, i, e.FrontierLen(), e.FrontierEmpty(), r.want.frontier[i])
+	}
+	// The sparse step's activations dedupe against the next side alone: it
+	// must be empty between steps.
+	left := uint64(0)
+	for _, x := range e.nxt {
+		left |= x
+	}
+	if len(e.next) != 0 || e.nxtLen != 0 || left != 0 {
+		r.t.Fatalf("%s: next side not empty after symbol %d: list %d, count %d, bitmap %x", r.name, i, len(e.next), e.nxtLen, e.nxt)
+	}
+}
+
+// finished holds the collected reports to reports, and the report count and
+// the ever-enabled set to the whole run's.
+func (r *kernelRun) finished(reports []Report) {
+	r.t.Helper()
+	e := r.e
+	got := e.Reports()
+	if len(got) != len(reports) || e.NumReports() != int64(len(r.want.reports)) {
+		r.t.Fatalf("%s: %d reports collected of %d, %d counted of %d", r.name, len(got), len(reports), e.NumReports(), len(r.want.reports))
+	}
+	for i := range got {
+		if got[i] != reports[i] {
+			r.t.Fatalf("%s: report[%d] = %+v, naive %+v", r.name, i, got[i], reports[i])
+		}
+	}
+	if !r.tracked {
+		return
+	}
+	for s, hot := range r.want.ever {
+		if e.EverEnabled().Get(s) != hot {
+			r.t.Fatalf("%s: ever[%d] = %v, naive %v", r.name, s, !hot, hot)
+		}
+	}
+}
+
+// sameState reports whether two snapshots describe one engine state, kernel
+// counters aside: everything a slot written by one kernel hands an engine
+// running another.
+func sameState(a, b *Snapshot) bool {
+	return a.N == b.N && a.Pos == b.Pos && a.FrontierLen == b.FrontierLen && a.NumReports == b.NumReports &&
+		slices.Equal(a.Frontier, b.Frontier) && slices.Equal(a.Ever, b.Ever) && (a.Ever == nil) == (b.Ever == nil)
+}
+
 // checkKernels runs the sparse-only, dense-only and adaptive kernels over
 // input, each with and without ever-enabled tracking (the untracked arm is
 // the one sim.Run, spap and serve execute), and holds each to the naive
 // reference simulator: the same frontier length after every symbol, the
 // same reports in the same order, the same report count and the same
-// ever-enabled set. edits are made between steps on both sides. Every run
-// is also snapshotted half way (after that position's edits) and, once
-// finished, restored and replayed from there: the tail must come out the
-// same again.
+// ever-enabled set. edits are made between steps on both sides.
+//
+// Snapshots do not say which kernel took them. After every symbol the three
+// kernels' snapshots agree on everything but the kernel counters — the
+// dense kernel never has a start plan pending, so its bitmap is the settled
+// one — and the snapshot each takes half way (after that position's edits)
+// is restored, once the runs have finished, into the engines of all three
+// kernels: every tail must come out the same again.
+//
+// Reads are reads. Beside each run, which reads the frontier and snapshots
+// after every step, a second engine takes the same steps and edits and
+// looks at nothing until the end: same reports, same final state, same
+// count of dense and sparse steps.
 func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold int, edits ...frontierEdit) {
 	t.Helper()
 	want := naiveRun(net, input, edits...)
 	cut := len(input) / 2
-	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
-		for _, tracked := range []bool{true, false} {
-			name := fmt.Sprintf("%v tracked=%v", k, tracked)
+	kernels := []Kernel{KernelSparse, KernelDense, KernelAuto}
+	for _, tracked := range []bool{true, false} {
+		start := func(k Kernel, what string) *kernelRun {
 			e := withCut(NewEngine(net, Options{CollectReports: true, TrackEnabled: tracked, Kernel: k}), threshold)
-			edit := func(i int) {
-				for _, ed := range edits {
-					if ed.at != i {
-						continue
-					}
-					switch ed.op {
-					case 'e':
-						e.EnableState(ed.s)
-					case 'd':
-						e.DisableState(ed.s)
-					case 't':
-						e.ToggleState(ed.s)
-					}
-				}
-			}
-			step := func(i int) {
-				e.Step(int64(i), input[i])
-				if e.FrontierLen() != want.frontier[i] {
-					t.Fatalf("%s: frontier after symbol %d has %d states, naive %d", name, i, e.FrontierLen(), want.frontier[i])
-				}
-				// The sparse walk installs the start plan on the next side
-				// without looking at it: it must be empty between steps.
-				left := uint64(0)
-				for _, x := range e.nxt {
-					left |= x
-				}
-				if len(e.next) != 0 || e.nxtLen != 0 || left != 0 {
-					t.Fatalf("%s: next side not empty after symbol %d: list %d, count %d, bitmap %x", name, i, len(e.next), e.nxtLen, e.nxt)
-				}
-			}
-			finished := func(reports []Report) {
-				got := e.Reports()
-				if len(got) != len(reports) || e.NumReports() != int64(len(want.reports)) {
-					t.Fatalf("%s: %d reports collected of %d, %d counted of %d", name, len(got), len(reports), e.NumReports(), len(want.reports))
-				}
-				for i := range got {
-					if got[i] != reports[i] {
-						t.Fatalf("%s: report[%d] = %+v, naive %+v", name, i, got[i], reports[i])
-					}
-				}
-				if !tracked {
-					return
-				}
-				for s, hot := range want.ever {
-					if e.EverEnabled().Get(s) != hot {
-						t.Fatalf("%s: ever[%d] = %v, naive %v", name, s, !hot, hot)
-					}
-				}
-			}
+			return &kernelRun{t, fmt.Sprintf("%v tracked=%v%s", k, tracked, what), e, input, edits, want, tracked}
+		}
+		var after []*Snapshot // the first kernel's snapshot after each symbol
+		var halfway []*Snapshot
+		var runs []*kernelRun
+		for ki, k := range kernels {
+			r, quiet := start(k, ""), start(k, " unread")
+			runs = append(runs, r)
 			var snap *Snapshot
 			for i := range input {
-				edit(i)
+				r.edit(i)
+				quiet.edit(i)
 				if i == cut {
-					snap = e.Snapshot(nil, int64(i))
+					halfway = append(halfway, r.e.Snapshot(nil, int64(i)))
 				}
-				step(i)
-			}
-			finished(want.reports)
-			if snap == nil {
-				continue
-			}
-			// Restore drops the collected reports; the tail must replay.
-			name += " restored"
-			if err := e.Restore(snap); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for i := cut; i < len(input); i++ {
-				if i > cut {
-					edit(i)
+				r.step(i)
+				quiet.e.Step(int64(i), input[i])
+				snap = r.e.Snapshot(nil, int64(i+1))
+				if ki == 0 {
+					after = append(after, snap)
+				} else if !sameState(after[i], snap) {
+					t.Fatalf("%s: snapshot after symbol %d is %+v, %v's %+v", r.name, i, snap, kernels[0], after[i])
 				}
-				step(i)
 			}
-			finished(want.reports[snap.NumReports:])
+			r.finished(want.reports)
+			quiet.finished(want.reports)
+			if last := quiet.e.Snapshot(nil, int64(len(input))); snap != nil && (!sameState(last, snap) ||
+				last.DenseSteps != snap.DenseSteps || last.SparseSteps != snap.SparseSteps) {
+				t.Fatalf("%s: ends at %+v, the run that read after every step at %+v", quiet.name, last, snap)
+			}
+		}
+		for si, snap := range halfway {
+			if !sameState(snap, halfway[0]) {
+				t.Fatalf("tracked=%v: %v's snapshot at %d is %+v, %v's %+v", tracked, kernels[si], cut, snap, kernels[0], halfway[0])
+			}
+			// Into the engines that ran, each as the last tail left it:
+			// Restore replaces whatever is there and drops the collected
+			// reports; the tail must replay.
+			for ki, r := range runs {
+				r.name = fmt.Sprintf("%v tracked=%v restored from %v", kernels[ki], tracked, kernels[si])
+				if err := r.e.Restore(snap); err != nil {
+					t.Fatalf("%s: %v", r.name, err)
+				}
+				for i := cut; i < len(input); i++ {
+					if i > cut {
+						r.edit(i)
+					}
+					r.step(i)
+				}
+				r.finished(want.reports[snap.NumReports:])
+			}
 		}
 	}
 }
@@ -390,12 +459,13 @@ func planNet(states []string, edges ...[2]int) *automata.NFA {
 	return m
 }
 
-// The sparse walk installs, per symbol, a start plan Compile worked out:
-// what the all-input starts enable and which of them report. Each cell
-// here is one way a plan can meet the rest of a cycle, pinned with the
-// plan symbol 'a' must compile to — a cell whose image came out with
-// another plan would test nothing — and run on all three kernels, tracked
-// and untracked, against the naive reference.
+// The sparse step leaves pending, per symbol, a start plan Compile worked
+// out — what the all-input starts enable — and reports the starts of them
+// that report. Each cell here is one way a plan can meet the rest of a
+// cycle, or wait between two, pinned with the plan symbol 'a' must compile
+// to — a cell whose image came out with another plan would test nothing —
+// and run on all three kernels, tracked and untracked, against the naive
+// reference.
 func TestStartPlanCells(t *testing.T) {
 	type ids = []automata.StateID
 	cells := map[string]struct {
@@ -439,9 +509,102 @@ func TestStartPlanCells(t *testing.T) {
 			}},
 		// 'c' fires three starts, enough for KernelAuto to run one dense
 		// step between two sparse ones: the list is rebuilt from the
-		// bitmap, then the plan goes in ahead of the walk.
+		// bitmap, walked, and the step's plan left pending behind it.
 		"denseBetween": {planNet([]string{"a*", "c*", "c*!", "c*", "ac", "ac!"}, [2]int{0, 4}, [2]int{1, 4}, [2]int{2, 5}, [2]int{3, 5}, [2]int{4, 5}, [2]int{5, 4}),
 			"acacaacca", ids{4}, nil, 3, nil},
+		// Nothing is enabled but what the start enabled one symbol ago: the
+		// explicit side is empty and the frontier is not.
+		"onlyPending": {planNet([]string{"a*", "b!"}, [2]int{0, 1}),
+			"aabxab", ids{1}, nil, 2, nil},
+		// The second 'a' activates 1 out of the pending plan, which enables
+		// 2, which the plan the same symbol leaves pending holds as well: a
+		// frontier of two that the rule takes for three, so the third step
+		// runs dense and settles a plan with a state already in the bitmap.
+		"pendingIntoDense": {planNet([]string{"a*", "a", "ab!"}, [2]int{0, 1}, [2]int{0, 2}, [2]int{1, 2}),
+			"aaabaab", ids{1, 2}, nil, 3, nil},
+		// 'c' fires three starts and runs dense; the 'a' after it walks a
+		// list rebuilt from the bitmap, and the self-loop on 4 enables a
+		// state of the plan that step leaves pending.
+		"denseIntoPending": {planNet([]string{"a*", "c*", "c*", "c*!", "a", "b!"}, [2]int{0, 4}, [2]int{1, 4}, [2]int{2, 5}, [2]int{3, 5}, [2]int{4, 4}),
+			"cacabab", ids{4}, nil, 3, nil},
+		// A plan pending when the engine is reset or goes back to the pool.
+		"resetWithPending": {planNet([]string{"a*", "b!"}, [2]int{0, 1}),
+			"abab", ids{1}, nil, 2, nil},
+	}
+	// What some cells pin beyond the reference run, on an engine of their own.
+	steps := func(e *Engine, input string) {
+		for i, b := range []byte(input) {
+			e.Step(int64(i), b)
+		}
+	}
+	// overlapRun steps a KernelAuto engine through input and returns which
+	// kernel ran each step and after which steps a state was both explicit
+	// and pending (FrontierLen below the two parts' sum).
+	overlapRun := func(net *automata.Network, input string, threshold int) (ran string, overlaps []int) {
+		e := withCut(NewEngine(net, Options{Kernel: KernelAuto}), threshold)
+		for i, b := range []byte(input) {
+			dense := e.DenseSteps()
+			e.Step(int64(i), b)
+			ran += string("sd"[e.DenseSteps()-dense])
+			if e.FrontierLen() < e.curLen+e.pendLen {
+				overlaps = append(overlaps, i)
+			}
+		}
+		return ran, overlaps
+	}
+	extras := map[string]func(t *testing.T, net *automata.Network, input string, threshold int){
+		"onlyPending": func(t *testing.T, net *automata.Network, _ string, _ int) {
+			e := NewEngine(net, Options{Kernel: KernelSparse})
+			steps(e, "a")
+			if e.curLen != 0 || e.FrontierEmpty() || e.FrontierLen() != len(e.img.startNext['a']) {
+				t.Fatalf("after 'a': %d explicit states, FrontierEmpty %v, FrontierLen %d; want 0, false, the plan's %d",
+					e.curLen, e.FrontierEmpty(), e.FrontierLen(), len(e.img.startNext['a']))
+			}
+		},
+		"pendingIntoDense": func(t *testing.T, net *automata.Network, input string, threshold int) {
+			ran, overlaps := overlapRun(net, input, threshold)
+			if !strings.HasPrefix(ran, "ssd") || !slices.Contains(overlaps, 1) {
+				t.Fatalf("kernels ran %s with overlaps after %v; want a dense step after two sparse ones, the second leaving an overlap", ran, overlaps)
+			}
+		},
+		"denseIntoPending": func(t *testing.T, net *automata.Network, input string, threshold int) {
+			ran, overlaps := overlapRun(net, input, threshold)
+			if !strings.HasPrefix(ran, "dsd") || !slices.Contains(overlaps, 1) {
+				t.Fatalf("kernels ran %s with overlaps after %v; want a sparse step between two dense ones, leaving an overlap", ran, overlaps)
+			}
+		},
+		"resetWithPending": func(t *testing.T, net *automata.Network, _ string, _ int) {
+			// 'b' right after the reset reports iff the plan 'a' left is
+			// still pending.
+			want := Run(net, []byte("bab"), Options{CollectReports: true}).Reports
+			fresh := func(e *Engine, how string) {
+				t.Helper()
+				if !e.FrontierEmpty() || e.FrontierLen() != 0 {
+					t.Fatalf("%s: frontier of %d, want none", how, e.FrontierLen())
+				}
+				steps(e, "bab")
+				if !slices.Equal(e.Reports(), want) {
+					t.Fatalf("%s: reports %v, a fresh engine's %v", how, e.Reports(), want)
+				}
+			}
+			for _, k := range []Kernel{KernelSparse, KernelAuto} {
+				opts := Options{CollectReports: true, Kernel: k}
+				e := NewEngine(net, opts)
+				steps(e, "a")
+				if e.pendLen == 0 {
+					t.Fatalf("%v: no plan pending after 'a'", k)
+				}
+				e.Reset()
+				fresh(e, fmt.Sprintf("%v after Reset", k))
+
+				e = AcquireEngine(net, opts)
+				steps(e, "a")
+				e.Release()
+				e = AcquireEngine(net, opts) // the same engine, unless the pool dropped it
+				fresh(e, fmt.Sprintf("%v after Release and Acquire", k))
+				e.Release()
+			}
+		},
 	}
 	for name, c := range cells {
 		t.Run(name, func(t *testing.T) {
@@ -452,11 +615,11 @@ func TestStartPlanCells(t *testing.T) {
 				t.Fatalf("'a' compiled to plan %v reporting %v, want %v reporting %v", img.startNext['a'], img.startRep['a'], c.next, c.rep)
 			}
 			for b := range img.startNext {
-				if !img.hasAllInput && (len(img.startNext[b]) != 0 || len(img.startRep[b]) != 0 || img.startCount[b] != 0) {
+				if !img.hasAllInput && (len(img.startNext[b]) != 0 || len(img.startRep[b]) != 0 || img.startCount[b].starts != 0) {
 					t.Fatalf("symbol %d has a plan on a network without all-input starts", b)
 				}
-				if int(img.startCount[b]) != len(img.startAct[b]) {
-					t.Fatalf("symbol %d: startCount %d, %d starts listed", b, img.startCount[b], len(img.startAct[b]))
+				if sc := img.startCount[b]; int(sc.starts) != len(img.startAct[b]) || int(sc.plan) != len(img.startNext[b]) {
+					t.Fatalf("symbol %d: startCount %+v, %d starts and %d plan states listed", b, sc, len(img.startAct[b]), len(img.startNext[b]))
 				}
 			}
 			checkKernels(t, net, []byte(c.input), c.threshold, c.edits...)
@@ -472,19 +635,24 @@ func TestStartPlanCells(t *testing.T) {
 					t.Fatalf("kernels ran %s; want a dense step between two sparse ones", ran)
 				}
 			}
+			if extra := extras[name]; extra != nil {
+				extra(t, net, c.input, c.threshold)
+			}
 		})
 	}
 }
 
-// fuzzNet decodes a network, an input and a dense threshold from fuzz
-// bytes. Five header bytes give the state count (2–401), the threshold
-// (0 = the compiled default), one extra edge delta and the number of
-// free-form edges; then one byte per state — bits 0–1 symbol set, 2–3
+// fuzzNet decodes a network, an input, a dense threshold and frontier edits
+// from fuzz bytes. Five header bytes give the state count (2–401), the
+// threshold (0 = the compiled default), one extra edge delta and the number
+// of free-form edges; then one byte per state — bits 0–1 symbol set, 2–3
 // start kind, 4 reports, 5 edge to s+1, 6 self-loop, 7 edge to s+delta —
-// four bytes per free-form edge, and the rest is the input.
-func fuzzNet(data []byte) (*automata.Network, []byte, int) {
+// four bytes per free-form edge, and the rest is the input, one byte a
+// position: bits 0–1 the symbol, bits 2–3 an edit made before it (none,
+// enable, disable, toggle) to state (bits 4–7 + 16 × position) mod n.
+func fuzzNet(data []byte) (*automata.Network, []byte, int, []frontierEdit) {
 	if len(data) < 5 {
-		return nil, nil, 0
+		return nil, nil, 0, nil
 	}
 	n := 2 + (int(data[0])|int(data[1])<<8)%400
 	threshold, delta, edges := int(data[2]), int(data[3]), int(data[4])
@@ -549,10 +717,14 @@ func fuzzNet(data []byte) (*automata.Network, []byte, int) {
 		data = data[:300]
 	}
 	input := make([]byte, len(data))
+	var edits []frontierEdit
 	for i, b := range data {
 		input[i] = "abcx"[b&3]
+		if op := b >> 2 & 3; op != 0 {
+			edits = append(edits, frontierEdit{i, "edt"[op-1], automata.StateID((int(b>>4) + 16*i) % n)})
+		}
 	}
-	return automata.NewNetwork(m), input, threshold
+	return automata.NewNetwork(m), input, threshold, edits
 }
 
 // fuzzNet's state flag bits, for the seeds.
@@ -567,8 +739,9 @@ const (
 
 // fuzzSeed encodes a network of n states for fuzzNet: state gives each
 // state's flag byte, edges the free-form ones, and the input is a run of
-// 'a' with a 'b' every 16th symbol.
-func fuzzSeed(n int, threshold, delta byte, state func(s int) byte, edges [][2]int, inputLen int) []byte {
+// 'a' with a 'b' every 16th symbol. edits, on networks of at most 16
+// states, go into the input bytes of their positions, one a position.
+func fuzzSeed(n int, threshold, delta byte, state func(s int) byte, edges [][2]int, inputLen int, edits ...frontierEdit) []byte {
 	data := []byte{byte(n - 2), byte((n - 2) >> 8), threshold, delta, byte(len(edges))}
 	for s := 0; s < n; s++ {
 		data = append(data, state(s))
@@ -583,12 +756,16 @@ func fuzzSeed(n int, threshold, delta byte, state func(s int) byte, edges [][2]i
 			data = append(data, 0)
 		}
 	}
+	for _, ed := range edits {
+		hi := ((int(ed.s)-16*ed.at)%n + n) % n
+		data[len(data)-inputLen+ed.at] |= byte(strings.IndexByte("edt", ed.op)+1)<<2 | byte(hi)<<4
+	}
 	return data
 }
 
 // FuzzKernelEquivalence holds the three kernels to the naive reference on
-// fuzz-built networks; the seeds are TestDenseShiftCells' shapes and two of
-// TestStartPlanCells'.
+// fuzz-built networks and edits; the seeds are TestDenseShiftCells' shapes
+// and two of TestStartPlanCells', with and without edits.
 func FuzzKernelEquivalence(f *testing.F) {
 	// chain(n, every, extra) is chainNet(n) in flag bytes, with extra set
 	// on every every-th state.
@@ -640,20 +817,29 @@ func FuzzKernelEquivalence(f *testing.F) {
 	// Two of TestStartPlanCells' shapes. A reporting start between a lower
 	// and a higher reporting state it enables, the higher one shared with a
 	// second start the same symbol fires.
-	f.Add(fuzzSeed(4, 0, 0, func(s int) byte {
+	shared := func(s int) byte {
 		return [...]byte{fzReport, fzStartAll | fzReport, 2 | fzStartAll | fzNext, fzReport}[s]
-	}, [][2]int{{1, 0}, {1, 3}}, 40))
+	}
+	f.Add(fuzzSeed(4, 0, 0, shared, [][2]int{{1, 0}, {1, 3}}, 40))
 	// A start whose edges all go to itself or another start (empty plan,
 	// still reports) beside one that enables a start-of-data state.
-	f.Add(fuzzSeed(3, 2, 0, func(s int) byte {
+	filtered := func(s int) byte {
 		return [...]byte{fzStartAll | fzReport | fzSelf | fzNext, 1 | fzStartAll | fzNext, 1 | fzStartData | fzReport}[s]
-	}, [][2]int{{1, 0}}, 40))
+	}
+	f.Add(fuzzSeed(3, 2, 0, filtered, [][2]int{{1, 0}}, 40))
+	// The same two with edits on the position after a symbol that fired a
+	// start, where its plan is pending: every 'a' of the first enables 0
+	// and 3, every 'b' of the second (positions 15 and 31) enables 2.
+	f.Add(fuzzSeed(4, 0, 0, shared, [][2]int{{1, 0}, {1, 3}}, 40,
+		frontierEdit{1, 'd', 3}, frontierEdit{2, 't', 0}, frontierEdit{3, 'e', 0}, frontierEdit{5, 't', 2}, frontierEdit{16, 'd', 0}, frontierEdit{17, 'e', 3}))
+	f.Add(fuzzSeed(3, 2, 0, filtered, [][2]int{{1, 0}}, 40,
+		frontierEdit{16, 'd', 2}, frontierEdit{32, 't', 2}, frontierEdit{33, 't', 2}, frontierEdit{1, 'e', 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		net, input, threshold := fuzzNet(data)
+		net, input, threshold, edits := fuzzNet(data)
 		if net == nil {
 			return
 		}
-		checkKernels(t, net, input, threshold)
+		checkKernels(t, net, input, threshold, edits...)
 	})
 }
 
@@ -774,7 +960,10 @@ func TestAutoKernelSwitches(t *testing.T) {
 
 // Engine.Step must not allocate in steady state, on any kernel, tracked or
 // not — neither on Figure 2 nor where twelve reporting starts fire on every
-// symbol and the sparse walk appends their plan to the next list in bulk.
+// symbol and leave a plan of twelve pending — and neither must settling
+// that plan: a toggle before the fourth symbol moves it into the bitmap and
+// the list, and on Figure 2 the adaptive kernel settles on its way into
+// every dense step.
 func TestStepZeroAlloc(t *testing.T) {
 	var specs []string
 	var edges [][2]int
@@ -798,16 +987,17 @@ func TestStepZeroAlloc(t *testing.T) {
 				e := withCut(AcquireEngine(n.net, Options{CollectReports: true, TrackEnabled: tracked, Kernel: k}), n.threshold)
 				// Warm up: grow the frontier, report, and repBuf buffers to
 				// their working size, then measure.
-				for i, b := range input {
-					e.Step(int64(i), b)
-				}
-				e.Reset()
-				allocs := testing.AllocsPerRun(20, func() {
+				run := func() {
 					e.Reset()
 					for i, b := range input {
+						if i == 3 {
+							e.ToggleState(1)
+						}
 						e.Step(int64(i), b)
 					}
-				})
+				}
+				run()
+				allocs := testing.AllocsPerRun(20, run)
 				e.Release()
 				if allocs != 0 {
 					t.Errorf("%d states, kernel %v, tracked %v: %v allocs per run, want 0", n.net.Len(), k, tracked, allocs)
@@ -942,7 +1132,8 @@ func TestFootprintsCountEveryArray(t *testing.T) {
 		want := 4*len(img.succOff) + 4*len(img.succ) + 8*len(img.match) +
 			1*len(img.shift) + 8*len(img.shiftMask) + 8*len(img.excMask) +
 			8*len(img.report) + 8*len(img.allInput) +
-			4*len(img.allInputHot) + 4*len(img.startsOfData)
+			4*len(img.allInputHot) + 4*len(img.startsOfData) +
+			int(unsafe.Sizeof(img.startCount))
 		for b := range img.symMask {
 			want += 8*len(img.symMask[b]) + 4*len(img.startAct[b]) + 4*len(img.startNext[b]) + 4*len(img.startRep[b])
 			// Without all-input starts the 256 start rows are one zero row.

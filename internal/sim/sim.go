@@ -16,7 +16,10 @@
 // step of bit-parallel NFA engines) — the same sparse/dense switch
 // direction-optimizing BFS applies to its frontier. The sparse walk's cost
 // tracks the enabled set, never the network (critical for networks with
-// 10^5 states, of which most are cold).
+// 10^5 states, of which most are cold). What the all-input starts enabled
+// on the previous symbol is most of that set and never enters it: between
+// two sparse steps it stays the image's per-symbol start plan, the pending
+// plan, and the next step tests it in place against its symbol's row.
 //
 // Reports within a cycle are emitted in canonical ascending-state order,
 // so every kernel — sparse, dense, adaptive, and the multi-stream batch
@@ -89,8 +92,9 @@ func (k Kernel) String() string {
 type Engine struct {
 	img *Image
 
-	// The frontier's authoritative representation is the bitmap cur plus
-	// the population count curLen; the sparse list frontier is a cache of
+	// The frontier is an explicit part and a pending one. The explicit
+	// part's authoritative representation is the bitmap cur plus the
+	// population count curLen; the sparse list frontier is a cache of
 	// it, valid only when curListValid. A sparse pass builds next-cycle
 	// lists eagerly so steady-state sparse walks never scan the bitmap; a
 	// dense pass skips list maintenance entirely — enabling a state is
@@ -103,6 +107,17 @@ type Engine struct {
 	next         []automata.StateID
 	nxt          []uint64
 	nxtLen       int
+	// The pending part is img.startNext[pend], the start plan of the symbol
+	// the last sparse step read: what the all-input starts enabled on that
+	// cycle. It is never copied into cur; the next sparse step tests it
+	// where it lies. pendLen is its length, and 0 when nothing is pending
+	// (after Reset, Restore, a dense step or settle; pend then means
+	// nothing). The two parts may overlap: a state the walk enabled can be
+	// in the plan as well. Reads (FrontierLen, FrontierEmpty, Snapshot)
+	// answer for the union and change nothing; whatever edits the frontier
+	// or reads cur as the whole of it settles the plan first.
+	pend    byte
+	pendLen int
 	// liveWords is the dense pass's scratch: the indices of the bitmap
 	// words with an activated state in them this cycle.
 	liveWords []uint32
@@ -214,6 +229,7 @@ func (e *Engine) Reset() {
 	e.frontier = e.frontier[:0]
 	e.curLen = 0
 	e.curListValid = true
+	e.pendLen = 0 // the pending plan was never in cur: nothing to clear
 	// Between Steps the next-cycle side is always empty; clear it anyway
 	// so Reset recovers from any state.
 	for w := range e.nxt {
@@ -270,9 +286,38 @@ func (e *Engine) materializeFrontier() {
 	e.curListValid = true
 }
 
+// pending returns the pending start plan (empty when none is).
+func (e *Engine) pending() []automata.StateID {
+	return e.img.startNext[e.pend][:e.pendLen]
+}
+
+// settle moves the pending plan into the explicit frontier — the bitmap,
+// and the list while it is valid — for the callers that edit the frontier
+// or read cur as the whole of it. The sparse step that left the plan
+// pending has already marked it ever-enabled.
+func (e *Engine) settle() {
+	for _, v := range e.pending() {
+		w, m := int(v)>>6, uint64(1)<<(uint(v)&63)
+		if e.cur[w]&m == 0 {
+			e.cur[w] |= m
+			e.curLen++
+			if e.curListValid {
+				e.frontier = append(e.frontier, v)
+			}
+		}
+	}
+	e.pendLen = 0
+}
+
 // EnableState enables s for the next Step call. This is the SpAP "enable"
-// operation (Section V-B).
-func (e *Engine) EnableState(s automata.StateID) { e.enableCur(s) }
+// operation (Section V-B). Like every edit of the frontier it settles a
+// pending start plan first, at a bit test per plan state; the engines SpAP
+// enables into run the cold network, which has no all-input start and so
+// never a plan.
+func (e *Engine) EnableState(s automata.StateID) {
+	e.settle()
+	e.enableCur(s)
+}
 
 // DisableState removes s from the frontier consumed by the next Step. It
 // models the destructive half of a transient enable-bit flip (soft error);
@@ -280,6 +325,7 @@ func (e *Engine) EnableState(s automata.StateID) { e.enableCur(s) }
 // their enable line is hard-wired. The frontier is compacted lazily, so
 // the call is O(frontier) only when s was actually enabled.
 func (e *Engine) DisableState(s automata.StateID) {
+	e.settle()
 	w, m := int(s)>>6, uint64(1)<<(uint(s)&63)
 	if e.cur[w]&m == 0 {
 		return
@@ -302,6 +348,7 @@ func (e *Engine) DisableState(s automata.StateID) {
 // ToggleState flips the enable bit of s: enabled states are disabled and
 // vice versa — the SpAP-model view of a transient enable-bit flip.
 func (e *Engine) ToggleState(s automata.StateID) {
+	e.settle()
 	if e.cur[int(s)>>6]&(1<<(uint(s)&63)) != 0 {
 		e.DisableState(s)
 		return
@@ -311,10 +358,20 @@ func (e *Engine) ToggleState(s automata.StateID) {
 
 // FrontierEmpty reports whether no state is dynamically enabled. For a
 // network with no all-input start states this is the SpAP jump condition.
-func (e *Engine) FrontierEmpty() bool { return e.curLen == 0 }
+func (e *Engine) FrontierEmpty() bool { return e.curLen+e.pendLen == 0 }
 
-// FrontierLen returns the number of dynamically enabled states.
-func (e *Engine) FrontierLen() int { return e.curLen }
+// FrontierLen returns the number of dynamically enabled states: the
+// explicit ones plus the pending plan's, less those in both. It costs a bit
+// test per pending state.
+func (e *Engine) FrontierLen() int {
+	n := e.curLen + e.pendLen
+	for _, v := range e.pending() {
+		if e.cur[int(v)>>6]&(1<<(uint(v)&63)) != 0 {
+			n--
+		}
+	}
+	return n
+}
 
 // HasAllInputStarts reports whether any state is an all-input start (such
 // states are enabled every cycle and preclude the jump optimization).
@@ -324,44 +381,52 @@ func (e *Engine) HasAllInputStarts() bool { return e.img.hasAllInput }
 // sparse or dense kernel per the configured strategy. KernelAuto prices
 // the sparse walk in activations: the frontier is about as long as the
 // number of activations that enabled it, which is about what this cycle's
-// will be, and every all-input start sym fires is one for certain.
+// will be, and every all-input start sym fires is one for certain. The
+// frontier's length is taken as explicit plus pending: a state in both
+// counts twice, which is what it would cost the walk. The dense pass reads
+// the bitmap alone, so the pending plan is settled into it first.
 func (e *Engine) Step(pos int64, sym byte) {
 	if e.kernel == KernelDense ||
-		(e.kernel == KernelAuto && max(e.curLen, int(e.img.startCount[sym])) >= e.denseCut) {
+		(e.kernel == KernelAuto && max(e.curLen+e.pendLen, int(e.img.startCount[sym].starts)) >= e.denseCut) {
+		if e.pendLen != 0 {
+			e.curListValid = false // the dense pass keeps no list: settle bits only
+			e.settle()
+		}
 		e.stepDense(pos, sym)
 	} else {
 		e.stepSparse(pos, sym)
 	}
 }
 
-// stepSparse installs the symbol's start plan, then consumes the frontier
-// state by state: one contiguous match-word load and test per enabled
-// state. What the all-input starts enable and report on a cycle is decided
-// by the symbol alone, so Compile worked it out (startNext, startRep). The
-// next side is empty between steps and the plan holds no duplicates, so
-// installing it takes no membership test and no counter; the walk's
-// activations then dedupe against it through the bit test they make
-// anyway. The start reports go in after the walk's, which keeps the cycle's
-// reports nearly sorted for flushReports. The step predicts the next cycle
-// stays sparse and builds the next frontier list eagerly.
+// stepSparse consumes the frontier in its two parts. What the all-input
+// starts enable and report on a cycle is decided by the symbol alone, so
+// Compile worked it out (startNext, startRep), and what they enabled on the
+// last cycle is the pending plan: it is tested where it lies, one bit of
+// sym's row of symMask per entry, ascending through the row, and only the
+// few entries that match activate. An entry that is also in cur is left to
+// the walk, which reaches it. Then the explicit frontier is walked state by
+// state: one contiguous match-word load and test per enabled state. This
+// symbol's plan is not installed anywhere: it is marked ever-enabled when
+// tracking and left pending for the next step, so the next frontier the
+// step builds — list and bitmap, eagerly, predicting the next cycle stays
+// sparse — holds the activations' successors alone. The start reports go in
+// after the walk's, which keeps the cycle's reports nearly sorted for
+// flushReports.
 func (e *Engine) stepSparse(pos int64, sym byte) {
 	e.sparseSteps++
 	if !e.curListValid {
 		e.materializeFrontier() // the previous cycle ran dense
 	}
 	img := e.img
-	plan := img.startNext[sym]
-	nxt := e.nxt
-	for _, v := range plan {
-		nxt[int(v)>>6] |= 1 << (uint(v) & 63)
-	}
-	if e.ever != nil {
-		for _, v := range plan {
-			e.ever.Set(int(v))
+	if e.pendLen != 0 {
+		cur, row := e.cur, img.symMask[sym][:len(e.cur)]
+		for _, v := range e.pending() {
+			w, m := int(v)>>6, uint64(1)<<(uint(v)&63)
+			if row[w]&m != 0 && cur[w]&m == 0 {
+				e.activate(v)
+			}
 		}
 	}
-	e.next = append(e.next, plan...)
-	e.nxtLen = len(plan)
 
 	mw := int(sym >> 6)
 	mb := uint64(1) << (sym & 63)
@@ -373,11 +438,17 @@ func (e *Engine) stepSparse(pos int64, sym byte) {
 	}
 	e.frontier = e.frontier[:0]
 	e.curLen = 0
+	if e.ever != nil {
+		for _, v := range img.startNext[sym] {
+			e.ever.Set(int(v))
+		}
+	}
 	// Few symbols fire a reporting start; an append of nothing still costs
 	// its call and three stores on every step.
 	if rep := img.startRep[sym]; len(rep) != 0 {
 		e.repBuf = append(e.repBuf, rep...)
 	}
+	e.pend, e.pendLen = sym, int(img.startCount[sym].plan)
 	e.finishStep(pos, true)
 }
 
@@ -472,8 +543,9 @@ func shiftClass(cur, nxt []uint64, live []uint32, mask []uint64, d uint8) {
 // activate buffers a report for s (if it reports) and enables its
 // successors for the next cycle, appending the newly enabled ones to the
 // next frontier list. The image's CSR successor lists already exclude
-// all-input start targets. Only the sparse walk's frontier states activate
-// one by one; the starts go through the symbol's plan.
+// all-input start targets. Only the sparse step's frontier states, pending
+// and explicit, activate one by one; the starts go through the symbol's
+// plan.
 func (e *Engine) activate(s automata.StateID) {
 	img := e.img
 	if img.report[int(s)>>6]&(1<<(uint(s)&63)) != 0 {

@@ -2,18 +2,20 @@
 //
 // A Snapshot captures the complete dynamic state of an Engine between two
 // Step calls: the frontier bitmap (the authoritative representation — the
-// sparse list is a cache rematerialized on restore), the ever-enabled
-// vector, the report cursor, and the kernel counters. Because reports are
-// flushed within Step and the per-cycle buffers are empty between steps,
-// a snapshot at input position P contains exactly the execution history
-// of positions < P; the engine is deterministic, so restoring it and
-// re-streaming from P yields a report stream bit-identical to the
-// uninterrupted run — the equivalence bar the checkpoint layer proves.
+// sparse list is a cache rematerialized on restore, and a pending start
+// plan is written out as the bits it stands for, so the bytes do not say
+// which kernel took them), the ever-enabled vector, the report cursor, and
+// the kernel counters. Because reports are flushed within Step and the
+// per-cycle buffers are empty between steps, a snapshot at input position P
+// contains exactly the execution history of positions < P; the engine is
+// deterministic, so restoring it and re-streaming from P yields a report
+// stream bit-identical to the uninterrupted run — the equivalence bar the
+// checkpoint layer proves.
 //
-// Capture cost is O(bitmap words) plus O(collected reports) when the run
-// persists them, with zero allocation in steady state (the Snapshot's
-// buffers are reused across captures), so taking one every few thousand
-// symbols is invisible next to the step kernel.
+// Capture cost is O(bitmap words + pending plan) plus O(collected reports)
+// when the run persists them, with zero allocation in steady state (the
+// Snapshot's buffers are reused across captures), so taking one every few
+// thousand symbols is invisible next to the step kernel.
 package sim
 
 import (
@@ -68,6 +70,13 @@ func (e *Engine) Snapshot(into *Snapshot, pos int64) *Snapshot {
 	into.Pos = pos
 	into.Frontier = append(into.Frontier[:0], e.cur...)
 	into.FrontierLen = e.curLen
+	for _, v := range e.pending() {
+		w, m := int(v)>>6, uint64(1)<<(uint(v)&63)
+		if into.Frontier[w]&m == 0 {
+			into.Frontier[w] |= m
+			into.FrontierLen++
+		}
+	}
 	if e.ever != nil {
 		into.Ever = append(into.Ever[:0], e.ever.Words()...)
 	} else {
@@ -84,23 +93,39 @@ func (e *Engine) Snapshot(into *Snapshot, pos int64) *Snapshot {
 // built over the same network the snapshot was taken from, and with
 // matching ever-enabled tracking. Collected reports are cleared — the
 // caller owns the persisted report prefix (see Snapshot.NumReports).
+//
+// Snapshots come back from disk and from replica peers, so everything the
+// kernels will index with is checked on s before the engine is touched: a
+// snapshot that does not fit returns ErrSnapshotMismatch and leaves the
+// engine exactly as it was.
 func (e *Engine) Restore(s *Snapshot) error {
-	if s.N != e.img.n || len(s.Frontier) != len(e.cur) {
-		return fmt.Errorf("%w: snapshot for %d states, engine has %d", ErrSnapshotMismatch, s.N, e.img.n)
+	img := e.img
+	if s.N != img.n || len(s.Frontier) != len(e.cur) {
+		return fmt.Errorf("%w: snapshot for %d states, engine has %d", ErrSnapshotMismatch, s.N, img.n)
 	}
 	if (s.Ever != nil) != (e.ever != nil) {
 		return fmt.Errorf("%w: ever-enabled tracking differs (snapshot %v, engine %v)",
 			ErrSnapshotMismatch, s.Ever != nil, e.ever != nil)
 	}
-	copy(e.cur, s.Frontier)
+	if s.Ever != nil && (len(s.Ever) != len(s.Frontier) || pastEnd(s.Ever, img.n)) {
+		return fmt.Errorf("%w: ever-enabled vector of %d words does not fit %d states", ErrSnapshotMismatch, len(s.Ever), img.n)
+	}
+	if pastEnd(s.Frontier, img.n) {
+		return fmt.Errorf("%w: frontier bit past state %d", ErrSnapshotMismatch, img.n-1)
+	}
 	pop := 0
-	for _, w := range e.cur {
-		pop += bits.OnesCount64(w)
+	for w, x := range s.Frontier {
+		if x&img.allInput[w] != 0 {
+			return fmt.Errorf("%w: all-input start in the frontier (word %d)", ErrSnapshotMismatch, w)
+		}
+		pop += bits.OnesCount64(x)
 	}
 	if pop != s.FrontierLen {
 		return fmt.Errorf("%w: frontier popcount %d, recorded %d", ErrSnapshotMismatch, pop, s.FrontierLen)
 	}
+	copy(e.cur, s.Frontier)
 	e.curLen = pop
+	e.pendLen = 0
 	e.materializeFrontier()
 	for w := range e.nxt {
 		e.nxt[w] = 0
@@ -116,6 +141,12 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.denseSteps = s.DenseSteps
 	e.sparseSteps = s.SparseSteps
 	return nil
+}
+
+// pastEnd reports whether a bitmap over n states has a bit set at or past
+// state n (in the unused tail of its last word).
+func pastEnd(words []uint64, n int) bool {
+	return n&63 != 0 && len(words) > 0 && words[len(words)-1]>>(uint(n)&63) != 0
 }
 
 // Encode appends the snapshot to a checkpoint record.

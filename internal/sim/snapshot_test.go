@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparseap/internal/automata"
@@ -129,6 +130,105 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	bad.FrontierLen++
 	if err := e.Restore(bad); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("popcount mismatch: err = %v", err)
+	}
+
+	// Slots reach Restore from disk and from replica peers. One that does
+	// not fit must be refused before the engine is touched: after each of
+	// these the engine's remaining stream is that of a twin that never saw
+	// the bad snapshot. Figure 2 has six states; state 0 is its all-input
+	// start.
+	input := fig2Input(600, 21)
+	tracking := Options{CollectReports: true, TrackEnabled: true}
+	atCut, donor := NewEngine(net, tracking), NewEngine(net, tracking)
+	cut := 0 // mid-stream, with something enabled
+	for ; cut < 200 || atCut.FrontierLen() < 2; cut++ {
+		atCut.Step(int64(cut), input[cut])
+	}
+	// The bad snapshots are taken where the frontier is another than at the
+	// cut, so that a restore that got as far as copying shows.
+	for i := 0; donor.FrontierEmpty() || slices.Equal(donor.Snapshot(nil, 0).Frontier, atCut.Snapshot(nil, 0).Frontier); i++ {
+		donor.Step(int64(i), input[i])
+	}
+	rows := map[string]func(s *Snapshot){
+		"popcount off by two": func(s *Snapshot) { s.FrontierLen += 2 },
+		"bit past the last state": func(s *Snapshot) {
+			s.Frontier[0] |= 1 << 63
+			s.FrontierLen++
+		},
+		"bit on an all-input start": func(s *Snapshot) {
+			s.Frontier[0] |= 1
+			s.FrontierLen++
+		},
+		"ever-enabled vector too long":         func(s *Snapshot) { s.Ever = append(s.Ever, 0) },
+		"ever-enabled bit past the last state": func(s *Snapshot) { s.Ever[0] |= 1 << 6 },
+	}
+	for name, damage := range rows {
+		t.Run(name, func(t *testing.T) {
+			for _, k := range []Kernel{KernelSparse, KernelDense} {
+				opts := tracking
+				opts.Kernel = k
+				e, twin := NewEngine(net, opts), NewEngine(net, opts)
+				for i := 0; i < cut; i++ {
+					e.Step(int64(i), input[i])
+					twin.Step(int64(i), input[i])
+				}
+				bad := donor.Snapshot(nil, int64(cut))
+				damage(bad)
+				if err := e.Restore(bad); !errors.Is(err, ErrSnapshotMismatch) {
+					t.Fatalf("%v: err = %v, want ErrSnapshotMismatch", k, err)
+				}
+				if got, want := e.Snapshot(nil, int64(cut)), twin.Snapshot(nil, int64(cut)); !sameState(got, want) {
+					t.Fatalf("%v: the refused restore left the engine at %+v, the twin is at %+v", k, got, want)
+				}
+				for i := cut; i < len(input); i++ {
+					e.Step(int64(i), input[i])
+					twin.Step(int64(i), input[i])
+					if e.FrontierLen() != twin.FrontierLen() {
+						t.Fatalf("%v: frontier of %d after symbol %d, the twin's %d", k, e.FrontierLen(), i, twin.FrontierLen())
+					}
+				}
+				if !reportsMatch(e.Reports(), twin.Reports()) || !e.EverEnabled().Equal(twin.EverEnabled()) {
+					t.Fatalf("%v: the refused restore changed the stream: %d reports, the twin's %d", k, len(e.Reports()), len(twin.Reports()))
+				}
+			}
+		})
+	}
+}
+
+// A refused Restore on a pooled engine must not outlive the run: the parent
+// copied the bitmap before it checked the popcount, and Reset, clearing by a
+// list that looked valid, handed the next Acquire an engine with a phantom
+// bit — never walked, but believed by activate's dedupe, so that state was
+// silently never enabled again.
+func TestRefusedRestoreLeavesPooledEngineClean(t *testing.T) {
+	net := figure2()
+	input := fig2Input(400, 23)
+	want := Run(net, input, Options{CollectReports: true}).Reports
+
+	donor := NewEngine(net, Options{})
+	for i := 0; donor.FrontierLen() < 2; i++ {
+		donor.Step(int64(i), input[i])
+	}
+	bad := donor.Snapshot(nil, 0)
+	bad.FrontierLen += 2
+
+	e := AcquireEngine(net, Options{CollectReports: true})
+	if err := e.Restore(bad); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
+	}
+	e.Release()
+	e = AcquireEngine(net, Options{CollectReports: true}) // the same engine, unless the pool dropped it
+	defer e.Release()
+	for w, x := range e.cur {
+		if x != 0 {
+			t.Fatalf("acquired engine has FrontierLen %d and cur[%d] = %#x", e.FrontierLen(), w, x)
+		}
+	}
+	for i, b := range input {
+		e.Step(int64(i), b)
+	}
+	if !reportsMatch(e.Reports(), want) {
+		t.Fatalf("engine acquired after a refused restore: %d reports, want %d", len(e.Reports()), len(want))
 	}
 }
 

@@ -532,7 +532,8 @@ func (a *Analysis) Validate(input []byte) *Replay {
 	for pos, b := range input {
 		cycleReports = 0
 		eng.Step(int64(pos), b)
-		if fl := eng.FrontierLen(); fl > r.PeakFrontier {
+		fl := eng.FrontierLen() // a bit test per pending start-plan state: read once
+		if fl > r.PeakFrontier {
 			r.PeakFrontier = fl
 			r.PeakPos = int64(pos)
 		}
@@ -540,7 +541,7 @@ func (a *Analysis) Validate(input []byte) *Replay {
 			r.PeakCycleReports = cycleReports
 		}
 		r.TotalReports += int64(cycleReports)
-		if eng.FrontierLen() > a.FrontierBound || cycleReports > a.ReportBound {
+		if fl > a.FrontierBound || cycleReports > a.ReportBound {
 			r.Sound = false
 		}
 	}
