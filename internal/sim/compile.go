@@ -6,10 +6,11 @@
 // the target's start kind. Compile flattens everything the hot loop needs
 // into a handful of contiguous arrays — CSR successor lists, state-major
 // match words, per-symbol transposed match/start bitmaps, the shift-class
-// masks of the dense pass, the per-symbol start plans of the sparse walk,
-// and report/start flag words — built once per
-// Network and shared read-only by every engine over it (serial runs,
-// streaming sessions, spap's hot and cold executors, profiling).
+// masks of the dense pass and the (word, bits) slots of the states no class
+// carries, the per-symbol start plans of the sparse walk, and report/start
+// flag words — built once per Network and shared read-only by every engine
+// over it (serial runs, streaming sessions, spap's hot and cold executors,
+// profiling).
 //
 // The image also owns the engine pool: engines are keyed by network
 // identity through the image they were built for, so steady-state
@@ -30,32 +31,32 @@ import (
 // class when it carries at least 1/shiftClassShare of the edges, up to
 // maxShiftClasses of them. A state all of whose edges fall in classes is
 // enabled through the shifts alone; a state with any other edge (backward,
-// longer than a word, rare) is an exception and scatters its whole
-// successor list. A class costs a pass over the words with anything
-// activated in them, so a delta with a handful of edges is cheaper to
-// scatter than to mask, and classes that leave much to scatter cost their
-// passes on top of the scatter: unless the classes together leave at most
-// 1/shiftScatterShare of the edges to it, the image gets none.
+// longer than a word, rare) is an exception and enables its whole
+// successor list out of its slot (buildExcSlots). A class costs a sweep of
+// the bitmap, so a delta with a handful of edges is cheaper to leave to
+// the slots than to mask, and classes that leave much to the slots cost
+// their sweeps on top of them: unless the classes together leave at most
+// 1/shiftScatterShare of the edges, the image gets none.
 //
 // Swept on the suite. Share, 1/8 … 1/128: 1/32 is where Fermi's
 // self-loops and +13 edges (5.9 % each, on states that stay active)
 // become classes and its dense step halves; DS pays 9 % for two 3.5 %
 // classes and runs the sparse walk anyway. Coverage: ER's two classes
-// carry 92.5 % and save it a quarter; the grids stop short of 90 % — HM
-// 89.6 % in four classes, HM500 87 % and HM1000 85 % in eight, LV 63 % in
-// three — and run 5 % (HM) to 70 % (HM500) faster scattering everything
-// than shifting most of it.
+// carry 92.5 % and halve its step; the grids stop short of 90 % — HM
+// 89.6 % in four classes, HM500 87 % in eight, LV 63 % in three — and run
+// 5 % (LV) to 85 % (HM500) faster with every state in a slot than with
+// most of them shifted (re-swept on the one-sweep pass, DESIGN.md §8).
 const (
 	maxShiftClasses   = 8
 	shiftClassShare   = 32
 	shiftScatterShare = 10
 )
 
-// Dense-kernel crossover (see DESIGN.md §8). A dense step scans every
-// bitmap word twice (activate, then count the next frontier) and walks
-// the words with anything activated in them once per shift class; a
-// sparse step pays a scattered match-word load per frontier state and,
-// more, list upkeep for every successor an activation enables.
+// Dense-kernel crossover (see DESIGN.md §8). A dense step sweeps every
+// bitmap word once per shift class (the first sweep activates as well) and
+// once more to count the next frontier; a sparse step pays a scattered
+// match-word load per frontier state and, more, list upkeep for every
+// successor an activation enables.
 // KernelAuto therefore compares max(frontier length, starts the symbol
 // activates) with denseCut: the frontier is about as long as the number
 // of activations that enabled it, which is about what this step's will
@@ -68,11 +69,40 @@ const (
 // the fragments of Snort and Snort_L pay 10–18 % for dense steps on
 // bursts of enables that die on the next symbol, at 3/4 words PEN
 // (frontier 62 in 80 words, four in five of them activating) loses a
-// fifth; 5/8 costs either side 0–3 %. Each further class re-walks the
-// live words, hence words × (4 + classes) / 8. The floor keeps tiny
+// fifth; 5/8 costs either side 0–3 %. Each further class is one more
+// sweep, hence words × (4 + classes) / 8. Re-swept on the one-sweep pass,
+// which costs half what that one did: the fragments' walk has got cheaper
+// still (their bursts are pending plan states, a bit test each) and would
+// now take a higher cut, PEN a lower one; no constant serves both better
+// than this one, so it stands (DESIGN.md §8). The floor keeps tiny
 // frontiers on the sparse walk even for sub-1024-state networks where a
 // word scan is nearly free.
 const minDenseCut = 16
+
+// wordBits is a set of states within one bitmap word.
+type wordBits struct {
+	bits uint64
+	word uint32
+}
+
+// excSlot is an exception's successor set by bitmap word. The first two
+// words' worth sit in the slot itself and the dense pass reads both pairs
+// without asking how many there are: an unused second pair holds no bits
+// and names the word the slot before it names there, so that it does not
+// end a run of states enabling into one word (denseSlow gathers a run in a
+// register). What is left, on the few states flagged in ovfMask, is
+// excOvf[ovf:ovfEnd].
+type excSlot struct {
+	bits        [2]uint64
+	word        [2]uint32
+	ovf, ovfEnd uint32
+}
+
+// The two records' sizes in memory, for Footprint.
+const (
+	wordBitsBytes = 16
+	excSlotBytes  = 32
+)
 
 // Image is the compiled, read-only execution layout of a Network. All
 // fields are immutable after Compile; one image is shared by any number
@@ -95,10 +125,25 @@ type Image struct {
 	// shiftMask[k*words:] is set iff s is not an exception and has the
 	// edge s → s+shift[k]. excMask marks the exceptions: the states with
 	// at least one edge no class carries, which the dense pass enables
-	// through succ instead.
+	// through their slot instead.
 	shift     []uint8
 	shiftMask []uint64
 	excMask   []uint64
+
+	// The exceptions' successors, packed for the dense pass: exception s
+	// enables excSlots[slotOff[s]]. slotOff has an entry per state so that
+	// the slot is one load away (ranking s in excMask by popcount costs
+	// more than the ORs it feeds); both are nil on an image without
+	// exceptions. ovfMask marks the exceptions whose successors lie in more
+	// than two bitmap words, whose slots go on in excOvf, and is nil when
+	// there are none. slowMask is excMask | report, the one test the sweep
+	// makes of an activated word before it leaves the fast path, and
+	// aliases report on an image without exceptions.
+	slotOff  []uint32
+	excSlots []excSlot
+	excOvf   []wordBits
+	ovfMask  []uint64
+	slowMask []uint64
 
 	// match holds the 256-bit symbol set of each state as 4 contiguous
 	// words: state s matches symbol b iff
@@ -317,6 +362,62 @@ states:
 			img.shiftMask[classOf[uint32(v)-uint32(s)]*img.words+sw] |= sb
 		}
 	}
+	img.buildExcSlots()
+}
+
+// buildExcSlots packs every exception's successor list by bitmap word into
+// its slot, and past the slot's two pairs into excOvf, and derives ovfMask
+// and slowMask. A state's words are taken in the order its list first
+// reaches them, through a scratch bitmap that the same walk clears, so the
+// cost is the exceptions' edges whatever the network's width.
+func (img *Image) buildExcSlots() {
+	img.slowMask = img.report
+	exceptions := 0
+	for _, x := range img.excMask {
+		exceptions += bits.OnesCount64(x)
+	}
+	if exceptions == 0 {
+		return
+	}
+	img.slotOff = make([]uint32, img.n)
+	img.excSlots = make([]excSlot, 0, exceptions)
+	img.slowMask = make([]uint64, img.words)
+	seen := make([]uint64, img.words)
+	var touched []uint32
+	pad := uint32(0) // the last slot's second word
+	for w, exc := range img.excMask {
+		img.slowMask[w] = exc | img.report[w]
+		for x := exc; x != 0; x &= x - 1 {
+			s := w<<6 | bits.TrailingZeros64(x)
+			touched = touched[:0]
+			for _, v := range img.succ[img.succOff[s]:img.succOff[s+1]] {
+				vw := uint32(v) >> 6
+				if seen[vw] == 0 {
+					touched = append(touched, vw)
+				}
+				seen[vw] |= 1 << (uint(v) & 63)
+			}
+			slot := excSlot{word: [2]uint32{1: pad}, ovf: uint32(len(img.excOvf))}
+			for i, vw := range touched {
+				if i < len(slot.word) {
+					slot.word[i], slot.bits[i] = vw, seen[vw]
+				} else {
+					img.excOvf = append(img.excOvf, wordBits{bits: seen[vw], word: vw})
+				}
+				seen[vw] = 0
+			}
+			slot.ovfEnd = uint32(len(img.excOvf))
+			if slot.ovfEnd > slot.ovf {
+				if img.ovfMask == nil {
+					img.ovfMask = make([]uint64, img.words)
+				}
+				img.ovfMask[w] |= x & -x
+			}
+			pad = slot.word[1]
+			img.slotOff[s] = uint32(len(img.excSlots))
+			img.excSlots = append(img.excSlots, slot)
+		}
+	}
 }
 
 // buildStartPlans fills startNext (its lengths go beside the start counts
@@ -369,7 +470,8 @@ func (img *Image) buildStartPlans() {
 
 // Footprint estimates the resident bytes of the compiled image: the CSR
 // successor arrays, the state-major match words, the 256 transposed
-// symbol bitmaps, the shift-class and exception masks, the flag words, the
+// symbol bitmaps, the shift-class and exception masks, the exceptions'
+// slots with their offsets, overflow pairs and masks, the flag words, the
 // start lists, the start plans and their counts. A serving process admits
 // sessions against a memory budget, and the images — shared across every
 // tenant streaming the same application — are the dominant resident term.
@@ -383,6 +485,11 @@ func (img *Image) Footprint() int64 {
 		b += int64(img.words) * 8
 	}
 	b += int64(len(img.shift)) + int64(len(img.shiftMask))*8 + int64(len(img.excMask))*8
+	b += int64(len(img.slotOff))*4 + int64(len(img.excSlots))*excSlotBytes
+	b += int64(len(img.excOvf))*wordBitsBytes + int64(len(img.ovfMask))*8
+	if img.excSlots != nil {
+		b += int64(len(img.slowMask)) * 8 // aliases report otherwise
+	}
 	b += 2 * int64(img.words) * 8 // report + allInput
 	for sym := range img.startAct {
 		b += int64(len(img.startAct[sym])+len(img.startNext[sym])+len(img.startRep[sym])) * 4
@@ -393,24 +500,24 @@ func (img *Image) Footprint() int64 {
 }
 
 // EngineFootprint estimates the per-engine dynamic bytes: two frontier
-// bitmaps, the dense pass's list of live words and, in the worst case,
-// two full sparse frontier lists. The admission controller charges this
-// per live session on top of the shared image.
+// bitmaps and, in the worst case, two full sparse frontier lists. The
+// admission controller charges this per live session on top of the shared
+// image.
 func (img *Image) EngineFootprint() int64 {
 	return img.EngineFootprintBounded(img.n)
 }
 
 // EngineFootprintBounded is EngineFootprint under a certified frontier
-// bound: the bitmaps and the live-word list are words-sized regardless,
-// but the sparse frontier lists only ever grow to the largest frontier
-// the engine observes, so a sound worst-case width from
-// internal/worstcase caps them. The admission controller charges this
-// instead of the nominal full-state estimate when a bound is available.
+// bound: the bitmaps are words-sized regardless, but the sparse frontier
+// lists only ever grow to the largest frontier the engine observes, so a
+// sound worst-case width from internal/worstcase caps them. The admission
+// controller charges this instead of the nominal full-state estimate when
+// a bound is available.
 func (img *Image) EngineFootprintBounded(bound int) int64 {
 	if bound < 0 || bound > img.n {
 		bound = img.n
 	}
-	return 2*int64(img.words)*8 + int64(img.words)*4 + 2*int64(bound)*4
+	return 2*int64(img.words)*8 + 2*int64(bound)*4
 }
 
 // Read-only structural accessors for static analyses (internal/worstcase

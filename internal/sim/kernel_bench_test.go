@@ -119,6 +119,62 @@ func startBenchNet(chains, classes, depth, burst int) *automata.Network {
 	return automata.NewNetwork(ms...)
 }
 
+// gridBenchNet builds the shape of the Hamming and Levenshtein applications:
+// per pattern a lattice of (position, mismatches) cells up to a budget of a
+// fifth of the pattern's length, in each cell a state that matched the
+// position's symbol and one that did not, both enabling the two states of
+// the next position the budget allows (matched, same count; mismatched, one
+// more). The first position's states are all-input starts and the last's
+// report. A position's states lie side by side, so a state's two successors
+// are a few bits apart in one bitmap word or two — but how far ahead
+// depends on the budget, and with four pattern lengths no eight deltas carry
+// nine tenths of the edges: Compile gives the image no shift class and
+// every state with a successor is an exception with a slot of its own.
+func gridBenchNet(patterns int) *automata.Network {
+	r := rand.New(rand.NewSource(6))
+	ms := make([]*automata.NFA, patterns)
+	for c := range ms {
+		l := 10 + 5*(c%4)
+		d := l / 5
+		m := automata.NewNFA()
+		// cell[i][j] holds the matched and the mismatched state after i+1
+		// symbols with j mismatches (None where there is no such state).
+		cell := make([][][2]automata.StateID, l)
+		for i := range cell {
+			set := symset.Single(byte(r.Intn(benchAlpha)))
+			start := automata.StartNone
+			if i == 0 {
+				start = automata.StartAllInput
+			}
+			cell[i] = make([][2]automata.StateID, d+1)
+			for j := range cell[i] {
+				cell[i][j] = [2]automata.StateID{automata.None, automata.None}
+				if j <= i {
+					cell[i][j][0] = m.Add(set, start, i == l-1)
+				}
+			}
+			for j := 1; j <= min(d, i+1); j++ {
+				cell[i][j][1] = m.Add(set.Complement(), start, i == l-1)
+			}
+		}
+		for i := 0; i+1 < l; i++ {
+			for j, from := range cell[i] {
+				for _, s := range from {
+					if s == automata.None {
+						continue
+					}
+					m.Connect(s, cell[i+1][j][0])
+					if j < d {
+						m.Connect(s, cell[i+1][j+1][1])
+					}
+				}
+			}
+		}
+		ms[c] = m
+	}
+	return automata.NewNetwork(ms...)
+}
+
 func benchInput(n int, seed int64) []byte {
 	r := rand.New(rand.NewSource(seed))
 	input := make([]byte, n)
@@ -201,6 +257,23 @@ func BenchmarkStartFrontier(b *testing.B) {
 func BenchmarkChainFrontier(b *testing.B) {
 	net := chainBenchNet(256, 20)
 	input := benchInput(4096, 3)
+	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
+		b.Run(k.String(), func(b *testing.B) { benchKernel(b, net, input, k) })
+	}
+}
+
+// BenchmarkGridFrontier is the exception-bound regime of the Hamming and
+// Levenshtein applications: 1 800 states in 29 words, no shift class, and
+// some forty states activating a symbol, each an exception that enables two
+// successors out of its slot — neighbours into the same word, which the
+// dense pass gathers in a register. Reported by CI's bench-smoke; it gates
+// nothing.
+func BenchmarkGridFrontier(b *testing.B) {
+	net := gridBenchNet(14)
+	if img := ImageOf(net); len(img.shift) != 0 || len(img.excSlots) < img.n*9/10 {
+		b.Fatalf("grid shape: %d states, classes %v, %d exceptions", img.n, img.shift, len(img.excSlots))
+	}
+	input := benchInput(1<<14, 7)
 	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
 		b.Run(k.String(), func(b *testing.B) { benchKernel(b, net, input, k) })
 	}

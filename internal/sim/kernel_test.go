@@ -61,9 +61,17 @@ func randomKernelNet(r *rand.Rand) *automata.Network {
 // feed the next row straight and diagonally (the Hamming layout: a few
 // deltas around the row width carry every edge), shape 2 random edges
 // (mostly backward or longer than a word, so nearly every state is an
-// exception the dense pass scatters).
+// exception with a slot of its own), shape 3 two hubs with 100–120
+// successors each, all over the network — one of the two an all-input
+// start, the other reached through its chain — among 2 500–3 000 states of
+// forward chains: enough of them that the hubs' edges stay under a tenth
+// and the image keeps its classes around two exceptions whose slots
+// overflow.
 func wideKernelNet(r *rand.Rand, shape int) *automata.Network {
 	n := 60 + r.Intn(341)
+	if shape == 3 {
+		n = 2500 + r.Intn(501)
+	}
 	m := automata.NewNFA()
 	alphabet := []byte("abcd")
 	for s := 0; s < n; s++ {
@@ -92,7 +100,7 @@ func wideKernelNet(r *rand.Rand, shape int) *automata.Network {
 		}
 	}
 	switch shape {
-	case 0:
+	case 0, 3:
 		for s := 0; s < n; s++ {
 			if r.Intn(10) != 0 {
 				connect(s, s+1)
@@ -103,7 +111,20 @@ func wideKernelNet(r *rand.Rand, shape int) *automata.Network {
 			case 1:
 				connect(s, s)
 			case 2:
-				connect(s, s-1-r.Intn(40))
+				if shape == 0 {
+					connect(s, s-1-r.Intn(40))
+				}
+			}
+		}
+		if shape == 3 {
+			for h := 0; h < 2; h++ {
+				hub := r.Intn(n)
+				if h == 0 {
+					m.States[hub].Start = automata.StartAllInput // fires whatever the chains do
+				}
+				for k := 0; k < 100+r.Intn(21); k++ {
+					connect(hub, r.Intn(n))
+				}
 			}
 		}
 	case 1:
@@ -319,7 +340,7 @@ func TestPropKernelsIdentical(t *testing.T) {
 		checkKernels(t, net, randomInput(r, 1+r.Intn(120)), 1+r.Intn(4))
 	}
 	for trial := 0; trial < 60; trial++ {
-		net := wideKernelNet(r, trial%3)
+		net := wideKernelNet(r, trial%4)
 		checkKernels(t, net, randomInput(r, 1+r.Intn(200)), 1+r.Intn(net.Len()/4))
 	}
 }
@@ -341,19 +362,42 @@ func chainNet(n int) *automata.NFA {
 	return m
 }
 
-// The dense pass moves enable bits by word shifts, so every way an edge
-// can sit relative to a word boundary is pinned here by hand, each cell
-// with the shift classes and the number of exceptions Compile must give
-// it — a cell whose image came out without its class would test nothing.
+// The dense pass moves enable bits by word shifts, and an exception's by
+// the (word, bits) pairs of its slot, so every way an edge can sit relative
+// to a word boundary, and every way a successor list can fill a slot, is
+// pinned here by hand, each cell with the shift classes and the number of
+// exceptions Compile must give it, and how many of those overflow their
+// slot — a cell whose image came out without its class or its overflow
+// would test nothing.
 func TestDenseShiftCells(t *testing.T) {
 	as := func(n int) []byte { return []byte(strings.Repeat("a", n)) }
 	type cell struct {
 		build      func() (*automata.NFA, []byte)
 		shift      []uint8
 		exceptions int
+		overflow   int
 	}
 	chain := func(n int) cell {
-		return cell{func() (*automata.NFA, []byte) { return chainNet(n), as(n + 2) }, []uint8{1}, 0}
+		return cell{func() (*automata.NFA, []byte) { return chainNet(n), as(n + 2) }, []uint8{1}, 0, 0}
+	}
+	// lastBit is a chain of n with an edge s → s+63 wherever there is room:
+	// both classes have a source at bit 63 of every word that has a state
+	// 63 (or 1) further on, and the last word's mask holds none that has
+	// not, so no sweep carries anything out of the bitmap, or into the
+	// sweep after it.
+	lastBit := func(n int) cell {
+		return cell{func() (*automata.NFA, []byte) {
+			m := chainNet(n)
+			for s := 0; s+63 < n; s++ {
+				m.Connect(automata.StateID(s), automata.StateID(s+63))
+			}
+			return m, as(n + 2)
+		}, []uint8{1, 63}, 0, 0}
+	}
+	connect := func(m *automata.NFA, from int, to ...int) {
+		for _, v := range to {
+			m.Connect(automata.StateID(from), automata.StateID(v))
+		}
 	}
 	cells := map[string]cell{
 		// One activation walks a chain across bit 63 → 64 and 127 → 128,
@@ -366,7 +410,7 @@ func TestDenseShiftCells(t *testing.T) {
 				m.Connect(automata.StateID(s), automata.StateID(s+63))
 			}
 			return m, as(40)
-		}, []uint8{1, 63}, 0},
+		}, []uint8{1, 63}, 0, 0},
 		// Self-loops: a class with delta 0 spills nothing.
 		"delta0": {func() (*automata.NFA, []byte) {
 			m := chainNet(130)
@@ -374,7 +418,7 @@ func TestDenseShiftCells(t *testing.T) {
 				m.Connect(automata.StateID(s), automata.StateID(s))
 			}
 			return m, as(140)
-		}, []uint8{1, 0}, 0},
+		}, []uint8{1, 0}, 0, 0},
 		// Backward edges, edges a word or more long and short ones too
 		// rare for a class make their source an exception, scattered
 		// whole, among +1 states that go through the shift.
@@ -390,7 +434,7 @@ func TestDenseShiftCells(t *testing.T) {
 			m.Connect(2, 11)
 			m.Connect(62, 71)
 			return m, as(120)
-		}, []uint8{1}, 9},
+		}, []uint8{1}, 9, 0},
 		// Classes that would leave a quarter of the edges to the scatter
 		// are not worth their passes: every state with a successor is an
 		// exception and the dense pass is a plain scatter.
@@ -400,7 +444,7 @@ func TestDenseShiftCells(t *testing.T) {
 				m.Connect(automata.StateID(s), automata.StateID(s+70))
 			}
 			return m, as(100)
-		}, nil, 199},
+		}, nil, 199, 0},
 		// An edge into an all-input start is dropped at compile time; its
 		// source must not come back through the +1 class mask and enable
 		// the start as if it were an ordinary state.
@@ -411,7 +455,51 @@ func TestDenseShiftCells(t *testing.T) {
 			}
 			m.States[70].Match = symset.Single('b')
 			return m, []byte(strings.Repeat("aaabaaaab", 9))
-		}, []uint8{1}, 0},
+		}, []uint8{1}, 0, 0},
+		// One exception whose successors lie in seven words, three below its
+		// own and three above: two pairs in the slot, five in the overflow
+		// list, among +1 states that go through the shift.
+		"hub": {func() (*automata.NFA, []byte) { return hubNet(), as(452) }, []uint8{1}, 1, 1},
+		// Exactly two target words, so both pairs and no overflow: 60 sits
+		// in the lower of its two (58 and 61 beside it, 70 in the next),
+		// 130 in the upper (100 in the one before, 131 beside it).
+		"twoWords": {func() (*automata.NFA, []byte) {
+			m := chainNet(200)
+			connect(m, 60, 58, 70)
+			connect(m, 130, 100)
+			return m, as(202)
+		}, []uint8{1}, 2, 0},
+		// Exceptions whose successors all lie in one word leave their second
+		// pair unused, and the first of them has no slot before it to name
+		// a word for it: the pair names word 0 and must put nothing there.
+		// State 0 is an ordinary state nothing enables, and reports, so a
+		// bit astray in word 0 shows in the frontier and in the reports.
+		"emptySlot": {func() (*automata.NFA, []byte) {
+			m := automata.NewNFA()
+			m.Add(symset.Single('a'), automata.StartNone, true)
+			for s := 1; s < 200; s++ {
+				start := automata.StartNone
+				if s == 1 {
+					start = automata.StartOfData
+				}
+				m.Add(symset.Single('a'), start, s == 199)
+				if s > 1 {
+					connect(m, s-1, s)
+				}
+			}
+			connect(m, 100, 90)
+			connect(m, 150, 140)
+			return m, as(202)
+		}, []uint8{1}, 2, 0},
+		// Forty successors in one word are one pair, not forty edges.
+		"fanInWord": {func() (*automata.NFA, []byte) {
+			m := chainNet(450)
+			for v := 70; v < 110; v++ {
+				connect(m, 191, v)
+			}
+			return m, as(452)
+		}, []uint8{1}, 1, 0},
+		"lastBit128": lastBit(128), "lastBit129": lastBit(129),
 	}
 	for name, c := range cells {
 		t.Run(name, func(t *testing.T) {
@@ -419,16 +507,35 @@ func TestDenseShiftCells(t *testing.T) {
 			m.Dedup()
 			net := automata.NewNetwork(m)
 			img := ImageOf(net)
-			exceptions := 0
+			exceptions, overflow := 0, 0
 			for _, x := range img.excMask {
 				exceptions += bits.OnesCount64(x)
 			}
-			if !reflect.DeepEqual(img.shift, c.shift) || exceptions != c.exceptions {
-				t.Fatalf("compiled to classes %v with %d exceptions, want %v with %d", img.shift, exceptions, c.shift, c.exceptions)
+			for _, x := range img.ovfMask {
+				overflow += bits.OnesCount64(x)
+			}
+			if !reflect.DeepEqual(img.shift, c.shift) || exceptions != c.exceptions || len(img.excSlots) != exceptions || overflow != c.overflow {
+				t.Fatalf("compiled to classes %v with %d exceptions in %d slots, %d overflowing; want %v with %d, %d overflowing",
+					img.shift, exceptions, len(img.excSlots), overflow, c.shift, c.exceptions, c.overflow)
+			}
+			if name == "fanInWord" {
+				if sl := img.excSlots[img.slotOff[191]]; bits.OnesCount64(sl.bits[0])+bits.OnesCount64(sl.bits[1]) != 41 || len(img.excOvf) != 0 {
+					t.Fatalf("191's 41 successors compiled to slot %+v and %d overflow pairs", sl, len(img.excOvf))
+				}
 			}
 			checkKernels(t, net, input, 2)
 		})
 	}
+}
+
+// hubNet is a chain of 450 whose state 200 also enables three states in
+// words below its own and three above: with 201, seven words.
+func hubNet() *automata.NFA {
+	m := chainNet(450)
+	for _, v := range []int{10, 70, 140, 269, 330, 440} {
+		m.Connect(200, automata.StateID(v))
+	}
+	return m
 }
 
 // planNet builds a network from one spec per state: its symbol set as a
@@ -764,8 +871,9 @@ func fuzzSeed(n int, threshold, delta byte, state func(s int) byte, edges [][2]i
 }
 
 // FuzzKernelEquivalence holds the three kernels to the naive reference on
-// fuzz-built networks and edits; the seeds are TestDenseShiftCells' shapes
-// and two of TestStartPlanCells', with and without edits.
+// fuzz-built networks and edits; the seeds are TestDenseShiftCells' shapes,
+// wideKernelNet's hubs and two of TestStartPlanCells', with and without
+// edits.
 func FuzzKernelEquivalence(f *testing.F) {
 	// chain(n, every, extra) is chainNet(n) in flag bytes, with extra set
 	// on every every-th state.
@@ -806,6 +914,25 @@ func FuzzKernelEquivalence(f *testing.F) {
 	// Exceptions: edges backward, a word or more ahead, and short but rare.
 	f.Add(fuzzSeed(300, 2, 70, chain(300, 40, fzDelta),
 		[][2]int{{40, 35}, {130, 2}, {10, 74}, {2, 11}, {60, 69}, {299, 0}}, 90))
+	// wideKernelNet's shape 3 at the size fuzzNet builds: a hub with 120
+	// successors, three states apart over the whole chain, and then two
+	// hubs, one of them an all-input start. With this few +1 edges beside
+	// them the image keeps no class: every state has a slot, the hubs'
+	// overflow.
+	spokes := func(hub, n int) (edges [][2]int) {
+		for v := 3; v < n && len(edges) < 120; v += 3 {
+			edges = append(edges, [2]int{hub, v})
+		}
+		return edges
+	}
+	f.Add(fuzzSeed(400, 2, 0, chain(400, 1, 0), spokes(200, 400), 90))
+	f.Add(fuzzSeed(401, 0, 0, func(s int) byte {
+		b := chain(401, 1, 0)(s)
+		if s == 90 {
+			b |= fzStartAll
+		}
+		return b
+	}, append(spokes(90, 401), spokes(300, 401)...), 90))
 	// Edges into all-input starts, which Compile filters.
 	f.Add(fuzzSeed(100, 2, 0, func(s int) byte {
 		b := chain(100, 1, 0)(s)
@@ -959,8 +1086,10 @@ func TestAutoKernelSwitches(t *testing.T) {
 }
 
 // Engine.Step must not allocate in steady state, on any kernel, tracked or
-// not — neither on Figure 2 nor where twelve reporting starts fire on every
-// symbol and leave a plan of twelve pending — and neither must settling
+// not — neither on Figure 2, nor where twelve reporting starts fire on every
+// symbol and leave a plan of twelve pending, nor where the dense pass takes
+// exceptions through their slots and one of them through its overflow
+// pairs — and neither must settling
 // that plan: a toggle before the fourth symbol moves it into the bitmap and
 // the list, and on Figure 2 the adaptive kernel settles on its way into
 // every dense step.
@@ -979,6 +1108,10 @@ func TestStepZeroAlloc(t *testing.T) {
 		{figure2(), "abcfacdcdfabcf", 2},
 		// A cut no frontier here reaches: auto takes the sparse walk too.
 		{automata.NewNetwork(planNet(specs, edges...)), "abbabaabxabab", 100},
+		// TestDenseShiftCells' hub: the 201st symbol activates an exception
+		// that overflows its slot, and its last successor leads to the
+		// reporting state.
+		{automata.NewNetwork(hubNet()), strings.Repeat("a", 220), 2},
 	}
 	for _, n := range nets {
 		input := []byte(n.input)
@@ -1122,6 +1255,7 @@ func TestFootprintsCountEveryArray(t *testing.T) {
 		"chains":     wideKernelNet(r, 0),
 		"grid":       wideKernelNet(r, 1),
 		"random":     wideKernelNet(r, 2),
+		"hubs":       wideKernelNet(r, 3),
 	}
 	for name, net := range nets {
 		img := Compile(net)
@@ -1131,6 +1265,8 @@ func TestFootprintsCountEveryArray(t *testing.T) {
 		}
 		want := 4*len(img.succOff) + 4*len(img.succ) + 8*len(img.match) +
 			1*len(img.shift) + 8*len(img.shiftMask) + 8*len(img.excMask) +
+			4*len(img.slotOff) + int(unsafe.Sizeof(excSlot{}))*len(img.excSlots) +
+			int(unsafe.Sizeof(wordBits{}))*len(img.excOvf) + 8*len(img.ovfMask) +
 			8*len(img.report) + 8*len(img.allInput) +
 			4*len(img.allInputHot) + 4*len(img.startsOfData) +
 			int(unsafe.Sizeof(img.startCount))
@@ -1141,11 +1277,20 @@ func TestFootprintsCountEveryArray(t *testing.T) {
 				want += 8 * len(img.startMask[b])
 			}
 		}
+		// Without exceptions the slow-path mask is the report words again.
+		if len(img.excSlots) != 0 {
+			want += 8 * len(img.slowMask)
+		} else if &img.slowMask[0] != &img.report[0] || img.slotOff != nil || img.ovfMask != nil {
+			t.Errorf("%s: no exception, but arrays for them", name)
+		}
+		if name == "hubs" && len(img.excOvf) == 0 {
+			t.Errorf("%s: no slot overflows", name)
+		}
 		if got := img.Footprint(); got != int64(want) {
 			t.Errorf("%s: Footprint() = %d, the arrays hold %d bytes", name, got, want)
 		}
 		e := newEngine(img)
-		wantEngine := 8*len(e.cur) + 8*len(e.nxt) + 4*len(e.liveWords) + 2*4*img.n
+		wantEngine := 8*len(e.cur) + 8*len(e.nxt) + 2*4*img.n
 		if got := img.EngineFootprint(); got != int64(wantEngine) {
 			t.Errorf("%s: EngineFootprint() = %d, a full engine holds %d bytes", name, got, wantEngine)
 		}

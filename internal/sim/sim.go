@@ -118,9 +118,6 @@ type Engine struct {
 	// or reads cur as the whole of it settles the plan first.
 	pend    byte
 	pendLen int
-	// liveWords is the dense pass's scratch: the indices of the bitmap
-	// words with an activated state in them this cycle.
-	liveWords []uint32
 
 	ever    *bitvec.Vec // ever-enabled set (nil unless tracking)
 	everBuf *bitvec.Vec // retained across pooled reuse
@@ -188,10 +185,9 @@ func NewEngine(net *automata.Network, opts Options) *Engine {
 
 func newEngine(img *Image) *Engine {
 	return &Engine{
-		img:       img,
-		cur:       make([]uint64, img.words),
-		nxt:       make([]uint64, img.words),
-		liveWords: make([]uint32, img.words),
+		img: img,
+		cur: make([]uint64, img.words),
+		nxt: make([]uint64, img.words),
 	}
 }
 
@@ -452,62 +448,63 @@ func (e *Engine) stepSparse(pos int64, sym byte) {
 	e.finishStep(pos, true)
 }
 
-// stepDense consumes the frontier bitmap word-parallel: the activated set
-// of a word is (frontier AND symMask[sym]) OR startMask[sym], and its
-// successors are enabled 64 at a time, one masked shift per class. Only
-// the activated exceptions — states with an edge no class carries — walk
-// their successor list, and only activated reporting states are
-// extracted. The next frontier's length, and the ever-enabled set when
-// tracked, are read off the bitmap afterwards, so a step costs O(non-zero
-// words × classes + exceptions' edges + reports) on top of two word
-// scans. It predicts the next cycle stays dense and keeps no frontier
-// list. With no classes every state is an exception and this is the
-// per-state scatter it replaced.
+// stepDense consumes the frontier bitmap word-parallel, one sweep of all
+// its words per shift class and no list of the live ones: whether a word
+// has anything in it is a coin toss on the workloads that run dense, and a
+// sweep that does not ask has no branch to miss. The first sweep activates
+// — a word's activated set is (frontier AND symMask[sym]) OR startMask[sym]
+// — and follows class 0 in the same breath: the activated sources in the
+// class's mask rotate up by its delta, the bits that stay inside the word
+// land in nxt, and those that wrapped ride to the next word in a register.
+// Only a word with an activated exception or reporting state in it
+// (slowMask) leaves the loop, for denseSlow. Each further class is the same
+// carry loop over the activated words (shiftSweep), and one last pass
+// counts the next frontier and clears the consumed one. A step costs
+// O(words × classes + activated exceptions + reports); it predicts the next
+// cycle stays dense and keeps no frontier list. On an image without
+// classes the first sweep only activates, and every state with a successor
+// is an exception.
 func (e *Engine) stepDense(pos int64, sym byte) {
 	e.denseSteps++
 	img := e.img
-	cur, nxt := e.cur, e.nxt
-
-	// Activate in place and list the words with anything in them, without
-	// a branch: whether a word is empty is close to a coin toss on the
-	// workloads that run dense.
+	cur, nxt := e.cur, e.nxt[:len(e.cur)]
 	sm := img.symMask[sym][:len(cur)]
 	stm := img.startMask[sym][:len(cur)]
-	live := e.liveWords[:len(cur)]
-	n := 0
-	for w, cw := range cur {
-		act := cw&sm[w] | stm[w]
-		cur[w] = act
-		live[n] = uint32(w)
-		if act != 0 {
-			n++
-		}
-	}
-	live = live[:n]
+	slow := img.slowMask[:len(cur)]
 
-	for k, d := range img.shift {
-		shiftClass(cur, nxt, live, img.shiftMask[k*len(cur):][:len(cur)], d)
-	}
-
-	exc := img.excMask[:len(cur)]
-	rep := img.report[:len(cur)]
-	for _, w := range live {
-		act := cur[w]
-		cur[w] = 0
-		for x := act & exc[w]; x != 0; x &= x - 1 {
-			s := w<<6 | uint32(bits.TrailingZeros64(x))
-			for _, v := range img.succ[img.succOff[s]:img.succOff[s+1]] {
-				nxt[int(v)>>6] |= 1 << (uint(v) & 63)
+	if len(img.shift) == 0 {
+		for w, cw := range cur {
+			if act := cw&sm[w] | stm[w]; act&slow[w] != 0 {
+				e.denseSlow(w, act)
 			}
 		}
-		for x := act & rep[w]; x != 0; x &= x - 1 {
-			e.repBuf = append(e.repBuf, automata.StateID(w<<6|uint32(bits.TrailingZeros64(x))))
+	} else {
+		mask, d := img.shiftMask[:len(cur)], img.shift[0]
+		keep := ^uint64(0) << (d & 63)
+		carry := uint64(0)
+		for w, cw := range cur {
+			act := cw&sm[w] | stm[w]
+			cur[w] = act
+			r := bits.RotateLeft64(act&mask[w], int(d))
+			nxt[w] |= r&keep | carry
+			carry = r &^ keep
+			if act&slow[w] != 0 {
+				e.denseSlow(w, act)
+			}
+		}
+		for k := 1; k < len(img.shift); k++ {
+			shiftSweep(cur, nxt, img.shiftMask[k*len(cur):][:len(cur)], img.shift[k])
 		}
 	}
 
-	for _, x := range nxt {
-		e.nxtLen += bits.OnesCount64(x)
+	// The count is a pass of its own, in a register: counting the bits
+	// where they are set costs the chains more than this pass does.
+	n := 0
+	for w, x := range nxt {
+		n += bits.OnesCount64(x)
+		cur[w] = 0
 	}
+	e.nxtLen = n
 	if e.ever != nil {
 		ever := e.ever.Words()
 		for w, x := range nxt {
@@ -519,24 +516,67 @@ func (e *Engine) stepDense(pos int64, sym byte) {
 	e.finishStep(pos, false)
 }
 
-// shiftClass enables the successors one shift class carries: for each
-// live word, the activated sources in mask move up by d, and the bits
-// that cross bit 63 land in the next word. It is a loop of its own, one
-// class at a time, so that the shift count and the spill mask stay in
-// registers (with the classes innermost the compiler spills the
-// accumulators and every class costs a store-to-load round trip).
-//
-//go:noinline
-func shiftClass(cur, nxt []uint64, live []uint32, mask []uint64, d uint8) {
-	nxt = nxt[:len(cur)]
-	mask = mask[:len(cur)]
-	keep := ^uint64(0) << (d & 63)
-	for _, w := range live {
-		r := bits.RotateLeft64(cur[w]&mask[w], int(d))
-		nxt[w] |= r & keep
-		if spill := r &^ keep; spill != 0 {
-			nxt[w+1] |= spill
+// denseSlow finishes a word of the dense pass's first sweep that has an
+// activated exception or reporting state in it. An exception enables its
+// successors a bitmap word at a time out of its slot, and both pairs of the
+// slot are read whether the second holds anything or not: no branch asks
+// how many successors a state has. The bits do not go to nxt one state at
+// a time either — neighbouring exceptions enable into the same word (19 in
+// 20 on the Hamming and Levenshtein grids), and an OR into memory that
+// waits for the previous state's OR into the same word is what a scatter
+// per state costs — but gather in two registers, one per pair, each
+// written out when its word changes. The few exceptions whose successors
+// span more than two words go on through their overflow pairs. Reporting
+// states come out ascending, as flushReports wants them.
+func (e *Engine) denseSlow(w int, act uint64) {
+	img := e.img
+	nxt := e.nxt
+	base := w << 6
+	var w0, w1 uint32
+	var b0, b1 uint64
+	for x := act & img.excMask[w]; x != 0; x &= x - 1 {
+		sl := &img.excSlots[img.slotOff[base|bits.TrailingZeros64(x)]]
+		if sl.word[0] != w0 {
+			nxt[w0] |= b0
+			w0, b0 = sl.word[0], 0
 		}
+		b0 |= sl.bits[0]
+		if sl.word[1] != w1 {
+			nxt[w1] |= b1
+			w1, b1 = sl.word[1], 0
+		}
+		b1 |= sl.bits[1]
+	}
+	nxt[w0] |= b0
+	nxt[w1] |= b1
+	if img.ovfMask != nil {
+		for x := act & img.ovfMask[w]; x != 0; x &= x - 1 {
+			sl := &img.excSlots[img.slotOff[base|bits.TrailingZeros64(x)]]
+			for _, p := range img.excOvf[sl.ovf:sl.ovfEnd] {
+				nxt[p.word] |= p.bits
+			}
+		}
+	}
+	for x := act & img.report[w]; x != 0; x &= x - 1 {
+		e.repBuf = append(e.repBuf, automata.StateID(base|bits.TrailingZeros64(x)))
+	}
+}
+
+// shiftSweep enables the successors one shift class carries: in every
+// word, the activated sources in mask move up by d, and the bits that
+// cross bit 63 are carried into the next word. Nothing is carried out of
+// the last word: a source's target is a state. It is a loop of its own,
+// one class at a time, so that the shift count, the keep mask and the
+// carry stay in registers.
+func shiftSweep(act, nxt, mask []uint64, d uint8) {
+	nxt = nxt[:len(act)]
+	mask = mask[:len(act)]
+	keep := ^uint64(0) << (d & 63)
+	carry := uint64(0)
+	for w, a := range act {
+		r := bits.RotateLeft64(a&mask[w], int(d))
+		nxt[w] |= r&keep | carry
+		carry = r &^ keep
 	}
 }
 
@@ -660,7 +700,13 @@ func RunContext(ctx context.Context, net *automata.Network, input []byte, opts O
 		Symbols:    processed,
 	}
 	if opts.CollectReports {
-		res.Reports = append([]Report(nil), e.reports...)
+		if cap(e.reports) > maxPooledReportCap {
+			// Release is about to drop a slice this large: hand it over
+			// instead of copying it.
+			res.Reports, e.reports = e.reports, nil
+		} else {
+			res.Reports = append([]Report(nil), e.reports...)
+		}
 	}
 	if opts.TrackEnabled {
 		res.EverEnabled = e.ever.Clone()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"sparseap/internal/automata"
@@ -411,6 +412,42 @@ func TestReleaseCapsPooledReportCapacity(t *testing.T) {
 	e.Release()
 	if cap(e.reports) != maxPooledReportCap || len(e.reports) != 0 {
 		t.Fatalf("in-bounds buffer not kept empty: len %d cap %d", len(e.reports), cap(e.reports))
+	}
+}
+
+// RunContext hands its caller the engine's own report slice when Release
+// would drop it for its size, and a copy otherwise. Either way the slice
+// is the caller's: a second run on the re-acquired engine must leave it
+// as it was, and must itself report what a fresh engine reports.
+func TestRunReportsSurviveEngineReuse(t *testing.T) {
+	m := automata.NewNFA()
+	m.Add(symset.Single('a'), automata.StartAllInput, true)
+	m.Add(symset.Single('b'), automata.StartAllInput, true)
+	net := automata.NewNetwork(m)
+	fresh := func(input []byte) []Report {
+		e := NewEngine(net, Options{CollectReports: true})
+		for i, b := range input {
+			e.Step(int64(i), b)
+		}
+		return e.Reports()
+	}
+	for _, n := range []int{100, maxPooledReportCap + 4000} {
+		first := []byte(strings.Repeat("ab", n/2))
+		second := []byte(strings.Repeat("bba", n/2))
+		res := Run(net, first, Options{CollectReports: true})
+		if handed := cap(res.Reports) > maxPooledReportCap; handed != (n > maxPooledReportCap) {
+			t.Fatalf("%d reports: returned slice has capacity %d", n, cap(res.Reports))
+		}
+		if !slices.Equal(res.Reports, fresh(first)) {
+			t.Fatalf("%d reports: first run differs from a fresh engine's", n)
+		}
+		res2 := Run(net, second, Options{CollectReports: true}) // the pooled engine again
+		if !slices.Equal(res.Reports, fresh(first)) {
+			t.Fatalf("%d reports: the first run's reports changed under the second run", n)
+		}
+		if !slices.Equal(res2.Reports, fresh(second)) {
+			t.Fatalf("%d reports: second run on the pooled engine differs from a fresh engine's", n)
+		}
 	}
 }
 
