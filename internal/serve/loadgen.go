@@ -9,8 +9,8 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -227,6 +227,12 @@ type attemptResult struct {
 	err    error
 }
 
+// brokenf is the outcome of an attempt the server's bytes broke: the
+// reports held so far and what was wrong with the stream.
+func brokenf(have []sim.Report, format string, args ...any) attemptResult {
+	return attemptResult{out: attemptBroken, have: have, err: fmt.Errorf(format, args...)}
+}
+
 // streamAttempt makes one connection to base and runs it until end,
 // suspend, moved, or failure, returning the updated report list.
 func (c *Client) streamAttempt(ctx context.Context, base, appName, id string, input []byte, have []sim.Report, restart, failover bool) attemptResult {
@@ -311,31 +317,28 @@ func (c *Client) streamAttempt(ctx context.Context, base, appName, id string, in
 
 	br := bufio.NewReaderSize(resp.Body, 64<<10)
 	for {
-		line, rerr := br.ReadString('\n')
+		line, rerr := br.ReadSlice('\n')
 		if rerr != nil {
 			// Connection died mid-stream (server killed): retry and
 			// resume. Any unterminated trailing fragment may be a record
 			// truncated mid-number — a truncated "r 1234 567" still
-			// parses as a valid-looking but wrong report — so only
+			// reads as a valid-looking but wrong report — so only
 			// newline-terminated lines count; the fragment is discarded
 			// and the resume replays that report in full.
 			return attemptResult{out: attemptBroken, have: have}
 		}
-		fields := strings.Fields(line)
+		if rep, ok := parseReportLine(line); ok {
+			have = append(have, rep)
+			continue
+		}
+		// Everything else comes once a session.
+		fields := strings.Fields(string(line))
 		if len(fields) == 0 {
 			continue
 		}
 		switch fields[0] {
 		case "r":
-			if len(fields) != 3 {
-				return attemptResult{out: attemptBroken, have: have, err: fmt.Errorf("serve: malformed report %q", strings.TrimSpace(line))}
-			}
-			pos, perr := strconv.ParseInt(fields[1], 10, 64)
-			state, serr := strconv.ParseInt(fields[2], 10, 64)
-			if perr != nil || serr != nil {
-				return attemptResult{out: attemptBroken, have: have, err: fmt.Errorf("serve: malformed report %q", strings.TrimSpace(line))}
-			}
-			have = append(have, sim.Report{Pos: pos, State: automata.StateID(state)})
+			return brokenf(have, "serve: malformed report %q", line)
 		case "suspend":
 			return attemptResult{out: attemptSuspend, have: have}
 		case "restart":
@@ -345,18 +348,27 @@ func (c *Client) streamAttempt(ctx context.Context, base, appName, id string, in
 		case "moved":
 			// The session was handed to a peer: reconnect there.
 			if len(fields) != 3 {
-				return attemptResult{out: attemptBroken, have: have, err: fmt.Errorf("serve: malformed moved record %q", strings.TrimSpace(line))}
+				return brokenf(have, "serve: malformed moved record %q", line)
 			}
 			return attemptResult{out: attemptMoved, have: have, moved: strings.TrimRight(fields[1], "/")}
 		case "end":
-			if len(fields) == 3 {
-				n, nerr := strconv.ParseInt(fields[2], 10, 64)
-				if nerr != nil {
-					return attemptResult{out: attemptBroken, have: have, err: fmt.Errorf("serve: malformed end record %q", strings.TrimSpace(line))}
-				}
-				if n != int64(len(have)) {
-					return attemptResult{out: attemptBroken, have: have, err: fmt.Errorf("serve: end declares %d reports, client holds %d", n, len(have))}
-				}
+			// The position is absolute on every path — a resumed or moved
+			// session restores it from the snapshot — so a stream is
+			// complete only if it ends at the input's length holding the
+			// reports it declares.
+			if len(fields) != 3 {
+				return brokenf(have, "serve: malformed end record %q", line)
+			}
+			pos, perr := strconv.ParseInt(fields[1], 10, 64)
+			n, nerr := strconv.ParseInt(fields[2], 10, 64)
+			if perr != nil || nerr != nil {
+				return brokenf(have, "serve: malformed end record %q", line)
+			}
+			if pos != int64(len(input)) {
+				return brokenf(have, "serve: stream ended at %d of %d symbols", pos, len(input))
+			}
+			if n != int64(len(have)) {
+				return brokenf(have, "serve: end declares %d reports, client holds %d", n, len(have))
 			}
 			return attemptResult{out: attemptDone, have: have}
 		}
@@ -386,7 +398,7 @@ func (c *Client) Match(ctx context.Context, appName string, input []byte) (res *
 // matchOnce runs one /v1/match request against one base.
 func (c *Client) matchOnce(ctx context.Context, base, appName string, input []byte) (res *matchResponse, shed bool, retryAfter time.Duration, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		base+"/v1/match?app="+appName, strings.NewReader(string(input)))
+		base+"/v1/match?app="+appName, bytes.NewReader(input))
 	if err != nil {
 		return nil, false, 0, err
 	}
@@ -411,11 +423,12 @@ func (c *Client) matchOnce(ctx context.Context, base, appName string, input []by
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, false, 0, fmt.Errorf("serve: match status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
-	var m matchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return nil, false, 0, err
 	}
-	return &m, false, 0, nil
+	res, err = decodeMatchReply(body)
+	return res, false, 0, err
 }
 
 // LoadgenOptions configures RunLoadgen.

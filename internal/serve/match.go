@@ -4,21 +4,40 @@
 // — slower but immune to hot-set mispredictions — then probed back up
 // after a cooldown. Every mode produces the same report multiset, so
 // degradation changes latency, never answers.
+//
+// # Reply
+//
+// The body of a 200 is one JSON object on one line, newline-terminated,
+// with Content-Length stated:
+//
+//	{"app":"<name>","mode":"<mode>","numReports":<n>,"reports":[[<pos>,<state>],…]}
+//
+// The strings are escaped as encoding/json escapes them (<, >, & and
+// U+2028/9 as \u sequences, invalid UTF-8 as U+FFFD); mode is guarded,
+// probe or baseline; n, pos and state are decimal integers without sign,
+// leading zero, fraction or exponent, n and pos in [0, MaxInt64] and state
+// in [0, MaxInt32]; reports are in the order the engine emitted them and an
+// input without reports carries []. The server writes no whitespace; the
+// client (decodeMatchReply in wire.go) allows it wherever JSON does, takes
+// the keys in any order, and refuses an unknown, repeated or missing key
+// and a number spelled or sized any other way.
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"sparseap/internal/sim"
 	"sparseap/internal/spap"
 )
 
-// matchResponse is the /v1/match reply.
+// matchResponse is the /v1/match reply as Client.Match returns it. The
+// handler fills the first three fields and renders the executor's reports
+// straight to the wire, so Reports exists on the client only.
 type matchResponse struct {
 	App        string     `json:"app"`
 	Mode       string     `json:"mode"` // guarded | probe | baseline
@@ -109,15 +128,15 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	s.finishMatch(w, tenant, &resp, reports)
 }
 
-// finishMatch encodes the reply and counts the served match.
+// finishMatch counts the served match and writes the reply: resp's header
+// fields and the executor's reports, rendered into one buffer (a pair of
+// five-digit numbers takes 14 bytes) and handed over in one write.
 func (s *Server) finishMatch(w http.ResponseWriter, tenant string, resp *matchResponse, reports []sim.Report) {
-	resp.Reports = make([][2]int64, len(reports))
-	for i, rep := range reports {
-		resp.Reports[i] = [2]int64{rep.Pos, int64(rep.State)}
-	}
 	s.reg.Tenant("serve_matches", tenant).Inc()
+	body := appendMatchReply(make([]byte, 0, 128+16*len(reports)), resp.App, resp.Mode, resp.NumReports, reports)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // matchError maps executor errors to HTTP: deadline and cancellation are

@@ -291,34 +291,79 @@ func TestDrainWithoutStoreRestarts(t *testing.T) {
 	}
 }
 
-// TestStreamClientDiscardsTruncatedLine kills the connection after a
-// report line cut mid-number — exactly what a SIGKILLed server leaves in
-// the socket. The client must discard the unterminated fragment (which
-// still has three fields and would parse as a plausible-looking report)
-// and report the attempt broken so the resume replays it in full.
-func TestStreamClientDiscardsTruncatedLine(t *testing.T) {
+// attemptAgainst runs one stream attempt of a 64-symbol input against a
+// server that answers 200 with exactly body and closes the connection —
+// what a client sees of a server it cannot trust, or of one that died
+// after writing that much.
+func attemptAgainst(t *testing.T, body string) attemptResult {
+	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		conn, buf, err := w.(http.Hijacker).Hijack()
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		// "r 1234 567\n" truncated by the kill; close-delimited body so
-		// the client sees EOF right after the fragment, no newline ever.
-		buf.WriteString("HTTP/1.1 200 OK\r\nX-Resume-Pos: 0\r\nConnection: close\r\n\r\n" +
-			"r 10 1\nr 1234 56")
+		// Close-delimited body: the client sees EOF right after it.
+		buf.WriteString("HTTP/1.1 200 OK\r\nX-Resume-Pos: 0\r\nConnection: close\r\n\r\n" + body)
 		buf.Flush()
 		conn.Close()
 	}))
 	defer ts.Close()
-
 	cl := &Client{URL: func() string { return ts.URL }}
-	ar := cl.streamAttempt(context.Background(), ts.URL, "test", newSessionID(), testInput(64), nil, false, false)
-	if ar.out != attemptBroken {
-		t.Fatalf("truncated stream outcome = %d, want attemptBroken", ar.out)
+	return cl.streamAttempt(context.Background(), ts.URL, "test", newSessionID(), testInput(64), nil, false, false)
+}
+
+// TestStreamClientDiscardsTruncatedLine kills the connection at every
+// offset of a two-record body — exactly what a SIGKILLed server leaves in
+// the socket. A record cut mid-number ("r 1234 56" of "r 1234 567") still
+// has three fields and would read as a plausible-looking report: the
+// client must hold only the records whose newline arrived and report the
+// attempt broken, so the resume replays the rest in full.
+func TestStreamClientDiscardsTruncatedLine(t *testing.T) {
+	const body = "r 10 1\nr 1234 567\n"
+	records := []sim.Report{{Pos: 10, State: 1}, {Pos: 1234, State: 567}}
+	for cut := 0; cut <= len(body); cut++ {
+		ar := attemptAgainst(t, body[:cut])
+		if ar.out != attemptBroken {
+			t.Fatalf("cut at %d: outcome = %d, want attemptBroken", cut, ar.out)
+		}
+		if err := sameReports(ar.have, records[:strings.Count(body[:cut], "\n")]); err != nil {
+			t.Fatalf("cut at %d (%q): %v", cut, body[:cut], err)
+		}
 	}
-	if len(ar.have) != 1 || ar.have[0] != (sim.Report{Pos: 10, State: 1}) {
-		t.Fatalf("truncated fragment parsed as a report: %+v", ar.have)
+}
+
+// TestStreamClientHoldsRecordsToTheirGrammar serves spellings a correct
+// server never writes. A report out of range or spelled loosely breaks the
+// attempt with the line quoted (state 4294967297 used to arrive as state
+// 1); an end record is complete only with both numbers, at the input's
+// length, declaring the reports the client holds (a malformed one used to
+// read as done, and the position was never looked at).
+func TestStreamClientHoldsRecordsToTheirGrammar(t *testing.T) {
+	for _, c := range []struct {
+		name, body string
+		out        attemptOutcome
+		have       int
+		errHas     string
+	}{
+		{"complete", "r 10 1\nend 64 1\n", attemptDone, 1, ""},
+		{"state wraps int32", "r 10 1\nr 5 4294967297\nend 64 2\n", attemptBroken, 1, `"r 5 4294967297\n"`},
+		{"negative position", "r -5 1\nend 64 1\n", attemptBroken, 0, `"r -5 1\n"`},
+		{"indented report", " r 5 1\nend 64 1\n", attemptBroken, 0, `" r 5 1\n"`},
+		{"end without count", "r 10 1\nend 64\n", attemptBroken, 1, `"end 64\n"`},
+		{"end with a fourth field", "r 10 1\nend 64 1 0\n", attemptBroken, 1, `"end 64 1 0\n"`},
+		{"end position not a number", "r 10 1\nend x 1\n", attemptBroken, 1, `"end x 1\n"`},
+		{"end short of the input", "r 10 1\nend 32 1\n", attemptBroken, 1, "ended at 32 of 64"},
+		{"end past the input", "r 10 1\nend 65 1\n", attemptBroken, 1, "ended at 65 of 64"},
+		{"end miscounts", "r 10 1\nend 64 2\n", attemptBroken, 1, "declares 2 reports, client holds 1"},
+	} {
+		ar := attemptAgainst(t, c.body)
+		if ar.out != c.out || len(ar.have) != c.have {
+			t.Errorf("%s: outcome %d holding %d reports, want %d holding %d", c.name, ar.out, len(ar.have), c.out, c.have)
+		}
+		if (ar.err == nil) != (c.errHas == "") || ar.err != nil && !strings.Contains(ar.err.Error(), c.errHas) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, ar.err, c.errHas)
+		}
 	}
 }
 

@@ -15,6 +15,18 @@
 //	                   and the stream resumes bit-identically
 //	end <pos> <n>      stream complete after pos symbols, n reports total
 //
+// A record is its keyword and fields, one space between them, none before
+// or after, ended by one newline (no carriage return). Numbers are decimal
+// without sign or leading zero; pos and n lie in [0, MaxInt64], state in
+// [0, MaxInt32], and pos counts from the start of the input on every
+// connection of the session. Only a record whose newline arrived counts:
+// what a dying connection leaves behind it is discarded, never read. The
+// client holds r to that grammar byte for byte (parseReportLine in
+// wire.go) and breaks the attempt on a line that starts like a report and
+// is not one; the other records come once a session and are read by
+// field, end completing the stream only with pos the input's length and n
+// the number of reports the client holds.
+//
 // Request headers: X-Tenant, X-Session (resume an existing session),
 // X-Have-Reports (how many reports the client retains), X-Restart
 // (discard server-side state), X-Deadline-Ms, X-Failover (set to 1 when
@@ -437,22 +449,14 @@ func (s *Server) saveFlush(w http.ResponseWriter, rc *http.ResponseController, s
 	return rc.Flush()
 }
 
-// writeReports renders reports as "r <pos> <state>" lines and hands them
-// to w in one write.
+// writeReports renders reports as "r" records and hands them to w in one
+// write.
 func (sess *session) writeReports(w io.Writer, reports []sim.Report) error {
 	if len(reports) == 0 {
 		return nil
 	}
-	b := sess.out[:0]
-	for _, rep := range reports {
-		b = append(b, "r "...)
-		b = strconv.AppendInt(b, rep.Pos, 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(rep.State), 10)
-		b = append(b, '\n')
-	}
-	sess.out = b
-	_, err := w.Write(b)
+	sess.out = appendReportLines(sess.out[:0], reports)
+	_, err := w.Write(sess.out)
 	return err
 }
 
