@@ -171,9 +171,7 @@ func reportHash(net *automata.Network, input []byte) uint64 {
 	e.OnReport = func(pos int64, st automata.StateID) {
 		h = (h * 1099511628211) ^ uint64(pos)<<21 ^ uint64(st)
 	}
-	for i, b := range input {
-		e.Step(int64(i), b)
-	}
+	e.Run(0, input)
 	return h
 }
 

@@ -7,9 +7,10 @@
 // into a handful of contiguous arrays — CSR successor lists, state-major
 // match words, per-symbol transposed match/start bitmaps, the shift-class
 // masks of the dense pass and the (word, bits) slots of the states no class
-// carries, the per-symbol start plans of the sparse walk, and report/start
-// flag words — built once per Network and shared read-only by every engine
-// over it (serial runs, streaming sessions, spap's hot and cold executors,
+// carries, the per-symbol start plans of the sparse walk and the table of
+// symbol pairs it need not step (skip.go), and report/start flag words —
+// built once per Network and shared read-only by every engine over it
+// (serial runs, streaming sessions, spap's hot and cold executors,
 // profiling).
 //
 // The image also owns the engine pool: engines are keyed by network
@@ -186,6 +187,14 @@ type Image struct {
 	// states activated by symbol b. The batch kernel (batch.go) is its
 	// only reader; the list goes when that file does.
 	startAct [256][]automata.StateID
+	// quiet says when a symbol can do nothing but re-arm the start plan
+	// (skip.go): bit b of row p is set iff an engine whose explicit
+	// frontier is empty and whose pending plan is startNext[p] takes the
+	// sparse step on b, activates nothing and reports nothing. Row 256 is
+	// for no plan pending. Nil without all-input starts. Behind a pointer:
+	// 8 KiB more in the struct itself moved what is allocated after it, and
+	// the ledger's forced-dense and batch rows with it (DESIGN.md §8).
+	quiet *[257][4]uint64
 	// allInputHot lists all-input starts with a non-empty symbol set;
 	// they are enabled every cycle, hence ever-enabled by definition.
 	allInputHot []automata.StateID
@@ -276,6 +285,9 @@ func Compile(net *automata.Network) *Image {
 		}
 	}
 
+	// Before the start plans: the quiet table is built with them, from it.
+	img.denseCut = max(img.words*(4+len(img.shift))/8, minDenseCut)
+
 	zeroRow := make([]uint64, words)
 	for b := range img.startMask {
 		img.startMask[b] = zeroRow
@@ -311,7 +323,6 @@ func Compile(net *automata.Network) *Image {
 		img.buildStartPlans()
 	}
 
-	img.denseCut = max(img.words*(4+len(img.shift))/8, minDenseCut)
 	return img
 }
 
@@ -425,7 +436,8 @@ func (img *Image) buildExcSlots() {
 // the starts it activates are collected in a scratch bitmap and read back
 // in ascending order, which also drops the duplicates. Only the span of
 // words the symbol touched is read and cleared, so the cost is the starts'
-// edges plus that span, not a sort.
+// edges plus that span, not a sort. The quiet table is built from the
+// finished plans.
 func (img *Image) buildStartPlans() {
 	enables, reports := 0, 0
 	for _, s := range img.allInputHot {
@@ -466,21 +478,24 @@ func (img *Image) buildStartPlans() {
 		img.startCount[b].plan = uint32(len(next) - nextFrom)
 		img.startRep[b] = rep[repFrom:len(rep):len(rep)]
 	}
+	img.buildQuiet()
 }
 
 // Footprint estimates the resident bytes of the compiled image: the CSR
 // successor arrays, the state-major match words, the 256 transposed
 // symbol bitmaps, the shift-class and exception masks, the exceptions'
 // slots with their offsets, overflow pairs and masks, the flag words, the
-// start lists, the start plans and their counts. A serving process admits
-// sessions against a memory budget, and the images — shared across every
-// tenant streaming the same application — are the dominant resident term.
+// start lists, the start plans, their counts and the quiet table. A serving
+// process admits sessions against a memory budget, and the images — shared
+// across every tenant streaming the same application — are the dominant
+// resident term.
 func (img *Image) Footprint() int64 {
 	b := int64(len(img.succOff))*4 + int64(len(img.succ))*4
 	b += int64(len(img.match)) * 8
 	b += 256 * int64(img.words) * 8 // symMask
 	if img.hasAllInput {
 		b += 256 * int64(img.words) * 8 // startMask (aliases one row otherwise)
+		b += int64(len(img.quiet)) * 32 // built with the start plans
 	} else {
 		b += int64(img.words) * 8
 	}

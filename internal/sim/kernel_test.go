@@ -255,9 +255,12 @@ func sameState(a, b *Snapshot) bool {
 // after every step, a second engine takes the same steps and edits and
 // looks at nothing until the end: same reports, same final state, same
 // count of dense and sparse steps.
+//
+// A fourth arm, checkSkip, consumes the input through Skip.
 func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold int, edits ...frontierEdit) {
 	t.Helper()
 	want := naiveRun(net, input, edits...)
+	checkSkip(t, net, input, want, edits)
 	cut := len(input) / 2
 	kernels := []Kernel{KernelSparse, KernelDense, KernelAuto}
 	for _, tracked := range []bool{true, false} {
@@ -318,6 +321,97 @@ func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold i
 	}
 }
 
+// skippedInChecks counts the symbols checkSkip's engines crossed by Skip,
+// for the tests that must not pass because nothing was ever quiet.
+var skippedInChecks int
+
+// checkSkip holds Skip to the oracle like a kernel. On every kernel, tracked
+// and not, at the image's own cut (the table is built from it), an engine
+// consumes the input through Skip over windows of drawn length 1 to 9 —
+// cut short, as the loops that own a stream cut theirs, at the next
+// position with an edit or the half-way snapshot due — and steps the symbol
+// Skip would not take. Against naiveRun: the same reports in order, the
+// same ever-enabled set, the same frontier length after every call, and
+// after every symbol Skip crossed nothing but that symbol's start plan.
+// Against an engine that steps every symbol: the same Snapshot, counters
+// included, after every call. Only the untracked sparse and adaptive
+// engines may skip at all. The half-way snapshot is restored at the end and
+// the tail consumed the same way again.
+func checkSkip(t testing.TB, net *automata.Network, input []byte, want naiveResult, edits []frontierEdit) {
+	t.Helper()
+	img := ImageOf(net)
+	cut := len(input) / 2
+	draw := rand.New(rand.NewSource(int64(len(input))<<16 | int64(net.Len())))
+	for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
+		for _, tracked := range []bool{true, false} {
+			opts := Options{CollectReports: true, TrackEnabled: tracked, Kernel: k}
+			r := &kernelRun{t, fmt.Sprintf("%v tracked=%v skipping", k, tracked), NewEngine(net, opts), input, edits, want, tracked}
+			ref := &kernelRun{t, fmt.Sprintf("%v tracked=%v stepping", k, tracked), NewEngine(net, opts), input, edits, want, tracked}
+			var halfway *Snapshot
+			consume := func(from int, ref *kernelRun) {
+				for i := from; i < len(input); {
+					if ref != nil || i > from {
+						r.edit(i)
+					}
+					if ref != nil {
+						ref.edit(i)
+						if i == cut {
+							halfway = r.e.Snapshot(nil, int64(i))
+						}
+					}
+					end := min(len(input), i+1+draw.Intn(9))
+					if i < cut {
+						end = min(end, cut)
+					}
+					for _, ed := range edits {
+						if ed.at > i {
+							end = min(end, ed.at)
+						}
+					}
+					n := r.e.Skip(input[:end], i)
+					if n != 0 && (tracked || k == KernelDense) {
+						t.Fatalf("%s: Skip took %d symbols at %d", r.name, n, i)
+					}
+					for j := i; j < i+n; j++ {
+						if plan := len(img.startNext[input[j]]); want.frontier[j] != plan {
+							t.Fatalf("%s: Skip at %d crossed symbol %d, which leaves %d states enabled; its plan has %d", r.name, i, j, want.frontier[j], plan)
+						}
+					}
+					if n == 0 {
+						r.step(i)
+						n = 1
+					} else if last := want.frontier[i+n-1]; r.e.FrontierLen() != last || r.e.FrontierEmpty() != (last == 0) {
+						t.Fatalf("%s: frontier after Skip to %d has %d states (empty %v), naive %d", r.name, i+n, r.e.FrontierLen(), r.e.FrontierEmpty(), last)
+					} else {
+						skippedInChecks += n
+					}
+					i += n
+					if ref == nil {
+						continue
+					}
+					for j := i - n; j < i; j++ {
+						ref.e.Step(int64(j), input[j])
+					}
+					if got, stepped := r.e.Snapshot(nil, int64(i)), ref.e.Snapshot(nil, int64(i)); !reflect.DeepEqual(got, stepped) {
+						t.Fatalf("%s: snapshot at %d is %+v, stepping every symbol %+v", r.name, i, got, stepped)
+					}
+				}
+			}
+			consume(0, ref)
+			r.finished(want.reports)
+			if halfway == nil {
+				continue // no input
+			}
+			r.name += ", restored"
+			if err := r.e.Restore(halfway); err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			consume(cut, nil)
+			r.finished(want.reports[halfway.NumReports:])
+		}
+	}
+}
+
 func randomInput(r *rand.Rand, n int) []byte {
 	input := make([]byte, n)
 	alphabet := []byte("abcdx")
@@ -333,6 +427,7 @@ func randomInput(r *rand.Rand, n int) []byte {
 // networks of one bitmap word and of several.
 func TestPropKernelsIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
+	skipped := skippedInChecks
 	for trial := 0; trial < 80; trial++ {
 		net := randomKernelNet(r)
 		// A low threshold makes KernelAuto actually alternate between
@@ -342,6 +437,9 @@ func TestPropKernelsIdentical(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		net := wideKernelNet(r, trial%4)
 		checkKernels(t, net, randomInput(r, 1+r.Intn(200)), 1+r.Intn(net.Len()/4))
+	}
+	if skippedInChecks == skipped {
+		t.Fatal("no symbol of any input was ever skipped")
 	}
 }
 
@@ -1083,6 +1181,81 @@ func TestAutoKernelSwitches(t *testing.T) {
 		t.Fatalf("input exercises %d frontier switches, %d start switches, %d sparse steps; want all three",
 			byFrontier, byStarts, e.SparseSteps())
 	}
+	// The quiet table is built from the image's cut, so an engine whose cut
+	// a test overrode must not skip even what is quiet under both.
+	quiet := []byte("zzzz")
+	for _, cut := range []int{0, 2} {
+		e := withCut(NewEngine(net, Options{Kernel: KernelAuto}), cut)
+		e.Step(0, 'z') // the start-of-data state dies
+		if n, want := e.Skip(quiet, 0), map[int]int{0: len(quiet), 2: 0}[cut]; n != want {
+			t.Fatalf("cut override %d: Skip took %d of %q, want %d", cut, n, quiet, want)
+		}
+	}
+}
+
+// The quiet table against the step it stands for. For every symbol pair
+// whose bit is set, an engine with nothing explicitly enabled and the first
+// symbol's plan pending — no plan at all for row 256 — that steps the
+// second takes the sparse kernel, reports nothing, and is left with nothing
+// enabled but the second symbol's plan. Where the network has no all-input
+// start there is no table and nothing is skipped; a plan as long as the cut
+// leaves no symbol quiet.
+func TestQuietTableCells(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	// One start whose plan of twenty reaches the cut of a one-word image:
+	// no symbol matches a state of it but 'b', and none is quiet after 'a'.
+	fan, edges := []string{"a*"}, [][2]int(nil)
+	for v := 1; v <= 20; v++ {
+		fan, edges = append(fan, "b"), append(edges, [2]int{0, v})
+	}
+	nets := []*automata.Network{figure2(), automata.NewNetwork(chainNet(70)), automata.NewNetwork(planNet(fan, edges...))}
+	for trial := 0; trial < 24; trial++ {
+		nets = append(nets, randomKernelNet(r), wideKernelNet(r, trial%4))
+	}
+	set, longPlans := 0, 0
+	for ni, net := range nets {
+		img := ImageOf(net)
+		if img.quiet == nil {
+			if img.hasAllInput || NewEngine(net, Options{}).Skip([]byte("zz"), 0) != 0 {
+				t.Fatalf("net %d: no quiet table; all-input starts %v", ni, img.hasAllInput)
+			}
+			continue
+		}
+		e := NewEngine(net, Options{Kernel: KernelAuto})
+		for p := range img.quiet {
+			plan := 0
+			if p < 256 {
+				plan = len(img.startNext[p])
+			}
+			if plan >= img.denseCut {
+				longPlans++
+				if img.quiet[p] != [4]uint64{} {
+					t.Fatalf("net %d: plan of %d states under a cut of %d, but row %d is %x", ni, plan, img.denseCut, p, img.quiet[p])
+				}
+			}
+			for b := 0; b < 256; b++ {
+				if img.quiet[p][b>>6]&(1<<(b&63)) == 0 {
+					continue
+				}
+				set++
+				e.Reset()
+				for _, s := range img.startsOfData {
+					e.DisableState(s)
+				}
+				e.pend, e.pendLen = byte(p), plan
+				dense := e.DenseSteps()
+				e.Step(0, byte(b))
+				if e.DenseSteps() != dense || e.NumReports() != 0 || e.curLen != 0 ||
+					e.pendLen != len(img.startNext[b]) || (e.pendLen != 0 && e.pend != byte(b)) {
+					t.Fatalf("net %d: (%d, %d) is quiet, but the step ran %d dense, reported %d, left %d explicit and plan %d of %d states",
+						ni, p, b, e.DenseSteps()-dense, e.NumReports(), e.curLen, e.pend, e.pendLen)
+				}
+			}
+		}
+	}
+	if set == 0 || longPlans == 0 {
+		t.Fatalf("%d quiet pairs stepped, %d plans at or over their cut; want both", set, longPlans)
+	}
 }
 
 // Engine.Step must not allocate in steady state, on any kernel, tracked or
@@ -1270,6 +1443,12 @@ func TestFootprintsCountEveryArray(t *testing.T) {
 			8*len(img.report) + 8*len(img.allInput) +
 			4*len(img.allInputHot) + 4*len(img.startsOfData) +
 			int(unsafe.Sizeof(img.startCount))
+		// The quiet table is built with the start plans, 257 rows of 32 bytes.
+		if (img.quiet != nil) != img.hasAllInput {
+			t.Errorf("%s: all-input starts %v, quiet table %v", name, img.hasAllInput, img.quiet != nil)
+		} else if img.quiet != nil {
+			want += 8224
+		}
 		for b := range img.symMask {
 			want += 8*len(img.symMask[b]) + 4*len(img.startAct[b]) + 4*len(img.startNext[b]) + 4*len(img.startRep[b])
 			// Without all-input starts the 256 start rows are one zero row.

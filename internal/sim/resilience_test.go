@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -205,5 +207,154 @@ func TestDisableAndToggleState(t *testing.T) {
 	e.Step(1, 'b')
 	if e.NumReports() != 1 {
 		t.Errorf("no-op disables changed behaviour: %d reports, want 1", e.NumReports())
+	}
+}
+
+// pollCtx is a context that cancels itself on the n-th poll of Done, so a
+// test can stop a run at a position it names.
+type pollCtx struct {
+	context.Context
+	polls, at int
+	done      chan struct{}
+}
+
+func newPollCtx(at int) *pollCtx {
+	return &pollCtx{Context: context.Background(), at: at, done: make(chan struct{})}
+}
+
+func (c *pollCtx) Done() <-chan struct{} {
+	if c.polls++; c.polls == c.at {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls >= c.at {
+		return context.Canceled
+	}
+	return nil
+}
+
+// quietStream returns the a→b network of TestStreamerMatchesBatch and n
+// symbols of filler no state matches with an "ab" dropped in every few
+// hundred: the runs between them are quiet, which the test is told.
+func quietStream(t *testing.T, n int) (*automata.Network, []byte) {
+	t.Helper()
+	m := automata.NewNFA()
+	a := m.Add(symset.Single('a'), automata.StartAllInput, false)
+	m.Connect(a, m.Add(symset.Single('b'), automata.StartNone, true))
+	net := automata.NewNetwork(m)
+	input := bytes.Repeat([]byte("x"), n)
+	if got := NewEngine(net, Options{}).Skip(input, 0); got != n {
+		t.Fatalf("Skip took %d of %d filler symbols", got, n)
+	}
+	r := rand.New(rand.NewSource(int64(n)))
+	for i := r.Intn(300); i+1 < n; i += 2 + r.Intn(600) {
+		input[i], input[i+1] = 'a', 'b'
+	}
+	return net, input
+}
+
+// RunContext polls once per cancelCheckInterval symbols whatever Skip
+// crosses in between: cancelled at its k-th poll it has processed k-1 whole
+// intervals and reported what a full run reports in them.
+func TestRunContextCancelMidRunSkipping(t *testing.T) {
+	net, input := quietStream(t, 9*cancelCheckInterval+77)
+	full := Run(net, input, Options{CollectReports: true})
+	for _, at := range []int{1, 2, 5, 10} {
+		res, err := RunContext(newPollCtx(at), net, input, Options{CollectReports: true})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("poll %d: err = %v, want context.Canceled", at, err)
+		}
+		want := int64(at-1) * cancelCheckInterval
+		if res.Symbols != want {
+			t.Fatalf("poll %d: %d symbols processed, want %d", at, res.Symbols, want)
+		}
+		for i, rp := range res.Reports {
+			if rp != full.Reports[i] || rp.Pos >= want {
+				t.Fatalf("poll %d: report %d = %+v, the full run's %+v", at, i, rp, full.Reports[i])
+			}
+		}
+		if n := len(res.Reports); n < len(full.Reports) && full.Reports[n].Pos < want {
+			t.Fatalf("poll %d: %d reports, but the full run's next is at %d", at, n, full.Reports[n].Pos)
+		}
+	}
+	if res, err := RunContext(newPollCtx(11), net, input, Options{}); err != nil || res.Symbols != int64(len(input)) || res.NumReports != full.NumReports {
+		t.Fatalf("ten polls cover the input: got %+v, %v", res, err)
+	}
+}
+
+// writeStepping is Streamer.Write as it was before Skip: every symbol
+// stepped, the context polled where the position is a multiple of
+// cancelCheckInterval, the overflow flag read after every step.
+func writeStepping(st *Streamer, p []byte) (int, error) {
+	for i, b := range p {
+		if st.ctx != nil && st.pos&(cancelCheckInterval-1) == 0 && cancelled(st.ctx) {
+			return i, st.ctx.Err()
+		}
+		st.eng.Step(st.pos, b)
+		st.pos++
+		if st.overflow {
+			st.overflow = false
+			return i + 1, ErrReportOverflow
+		}
+	}
+	return len(p), nil
+}
+
+// Write keeps the duties the per-symbol loop had at each position. Fed the
+// same chunks, with a context cancelled from OnReport or a buffer that
+// overflows every third report, it returns what writeStepping returns —
+// the consumed count, the error — and leaves the same snapshot, count and
+// buffer, chunk sizes straddling the poll interval.
+func TestStreamerWriteKeepsPerSymbolDuties(t *testing.T) {
+	net, input := quietStream(t, 6*cancelCheckInterval+123)
+	for _, chunk := range []int{1, 4095, 4096, 4097, 5000} {
+		for _, mode := range []string{"cancel", "overflow"} {
+			var sts [2]*Streamer
+			for i := range sts {
+				st := NewStreamer(net)
+				if mode == "overflow" {
+					st.cap = 2
+				} else {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					st.SetContext(ctx)
+					st.OnReport = func(int64, automata.StateID) {
+						if st.NumReports() == 7 {
+							cancel()
+						}
+					}
+				}
+				sts[i] = st
+			}
+			got, ref := sts[0], sts[1]
+			stops := 0
+			for off := 0; off < len(input); {
+				p := input[off:min(len(input), off+chunk)]
+				n, err := got.Write(p)
+				wantN, wantErr := writeStepping(ref, p)
+				if n != wantN || err != wantErr {
+					t.Fatalf("%s, chunks of %d: Write at %d = (%d, %v), stepping every symbol (%d, %v)", mode, chunk, off, n, err, wantN, wantErr)
+				}
+				if !reflect.DeepEqual(got.Snapshot(nil), ref.Snapshot(nil)) || got.NumReports() != ref.NumReports() || got.Buffered() != ref.Buffered() {
+					t.Fatalf("%s, chunks of %d: streamers apart after the write at %d", mode, chunk, off)
+				}
+				off += n
+				if err != nil {
+					stops++
+					if err != ErrReportOverflow {
+						break
+					}
+					if !reflect.DeepEqual(got.TakeReports(), ref.TakeReports()) {
+						t.Fatalf("%s, chunks of %d: buffers differ at the overflow at %d", mode, chunk, off)
+					}
+				}
+			}
+			if stops == 0 || (mode == "cancel") != (got.Pos() < int64(len(input))) {
+				t.Fatalf("%s, chunks of %d: %d early returns, stopped at %d of %d", mode, chunk, stops, got.Pos(), len(input))
+			}
+		}
 	}
 }

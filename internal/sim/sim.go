@@ -19,7 +19,10 @@
 // 10^5 states, of which most are cold). What the all-input starts enabled
 // on the previous symbol is most of that set and never enters it: between
 // two sparse steps it stays the image's per-symbol start plan, the pending
-// plan, and the next step tests it in place against its symbol's row.
+// plan, and the next step tests it in place against its symbol's row. A run
+// of symbols that can do nothing but swap one pending plan for the next —
+// nothing explicit enabled, no plan state matching — is not stepped at all:
+// Skip crosses it at one bit of the image's quiet table a symbol.
 //
 // Reports within a cycle are emitted in canonical ascending-state order,
 // so every kernel — sparse, dense, adaptive, and the multi-stream batch
@@ -686,18 +689,19 @@ func RunContext(ctx context.Context, net *automata.Network, input []byte, opts O
 	e := AcquireEngine(net, opts)
 	defer e.Release()
 	var err error
-	processed := int64(0)
-	for i, b := range input {
-		if i&(cancelCheckInterval-1) == 0 && cancelled(ctx) {
+	processed := 0
+	for processed < len(input) {
+		if cancelled(ctx) {
 			err = ctx.Err()
 			break
 		}
-		e.Step(int64(i), b)
-		processed++
+		end := min(processed+cancelCheckInterval, len(input))
+		e.Run(int64(processed), input[processed:end])
+		processed = end
 	}
 	res := &Result{
 		NumReports: e.numReports,
-		Symbols:    processed,
+		Symbols:    int64(processed),
 	}
 	if opts.CollectReports {
 		if cap(e.reports) > maxPooledReportCap {

@@ -63,17 +63,28 @@ func NewStreamer(net *automata.Network) *Streamer {
 // corresponding error (nil on a full write, so a Streamer can terminate
 // io.Copy / MultiWriter plumbing in the happy path).
 func (st *Streamer) Write(p []byte) (int, error) {
-	for i, b := range p {
-		if st.ctx != nil && st.pos&(cancelCheckInterval-1) == 0 && cancelled(st.ctx) {
-			return i, st.ctx.Err()
+	// due is p up to where the next poll is: a quiet run is crossed no
+	// further. It reports nothing, so only a step can overflow.
+	due := p[:0]
+	for i := 0; i < len(p); {
+		if i >= len(due) {
+			if st.ctx != nil && st.pos&(cancelCheckInterval-1) == 0 && cancelled(st.ctx) {
+				return i, st.ctx.Err()
+			}
+			due = p[:min(len(p), i+cancelCheckInterval-int(st.pos&(cancelCheckInterval-1)))]
 		}
-		st.eng.Step(st.pos, b)
-		st.pos++
+		k := st.eng.Skip(due, i)
+		if k == 0 {
+			st.eng.Step(st.pos, p[i])
+			k = 1
+		}
+		st.pos += int64(k)
+		i += k
 		if st.overflow {
 			// The overflowing symbol was fully processed; reports beyond
 			// the cap for it are lost, so surface the error at once.
 			st.overflow = false
-			return i + 1, ErrReportOverflow
+			return i, ErrReportOverflow
 		}
 	}
 	return len(p), nil

@@ -169,6 +169,12 @@ func runUntilDone(t *testing.T, sched *killSched, store checkpoint.Store, every 
 // returns the crash-resumed result and the phases it resumed into.
 func crashCell(t *testing.T, nKills int, run func(ck *checkpoint.Runner) (*Result, error)) (*Result, []string) {
 	t.Helper()
+	return crashCellEvery(t, nKills, 64, run)
+}
+
+// crashCellEvery is crashCell at a capture cadence of the caller's.
+func crashCellEvery(t *testing.T, nKills int, every int64, run func(ck *checkpoint.Runner) (*Result, error)) (*Result, []string) {
+	t.Helper()
 	want, err := run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +186,7 @@ func crashCell(t *testing.T, nKills int, run func(ck *checkpoint.Runner) (*Resul
 		}
 		return store
 	}
-	stored, err := run(&checkpoint.Runner{Store: open(), Name: "spap", Every: 64})
+	stored, err := run(&checkpoint.Runner{Store: open(), Name: "spap", Every: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +198,7 @@ func crashCell(t *testing.T, nKills int, run func(ck *checkpoint.Runner) (*Resul
 		_, err := run(ck)
 		return err
 	})
-	got, phases := runUntilDone(t, sched, open(), 64, run)
+	got, phases := runUntilDone(t, sched, open(), every, run)
 	ckResultsEqual(t, "crash-resumed", got, want)
 	return got, phases
 }
@@ -393,6 +399,53 @@ func TestCheckpointedCrashResumeUnguarded(t *testing.T) {
 	})
 	if !hasPhase(phases, "baseap") || !hasPhase(phases, "spap") {
 		t.Fatalf("kill points did not span both phases: resumed into %v", phases)
+	}
+}
+
+// A capture taken inside a quiet run — nothing explicitly enabled, the last
+// symbol's start plan pending, the run cut at the hook — restores into an
+// engine that goes on as the uninterrupted one does. The stream is
+// chainApp's with a stretch nothing matches after every unit, and the
+// cadence is drawn until most captures of the BaseAP phase fall strictly
+// inside such stretches; the cell must resume from one of them.
+func TestCheckpointedCrashResumeInsideQuietRun(t *testing.T) {
+	net, err := regexc.CompileAll([]string{"abcde"}, regexc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := bytes.Repeat(append([]byte("ab abcde xx abcde "), bytes.Repeat([]byte("-"), 150)...), 24)
+	p := buildPartition(t, net, input[:2])
+	// inside[i]: a stepping hot engine would skip both symbol i-1 and i.
+	inside := make([]bool, len(input))
+	eng, before := sim.NewEngine(p.Hot, sim.Options{}), false
+	for i := range input {
+		quiet := eng.Skip(input[:i+1], i) == 1
+		if !quiet {
+			eng.Step(int64(i), input[i])
+		}
+		inside[i], before = quiet && before, quiet
+	}
+	r := rand.New(rand.NewSource(7))
+	every, captures, hits := int64(0), 0, 0
+	for hits*2 <= captures {
+		every, captures, hits = 40+r.Int63n(60), 0, 0
+		for pos := every; pos < int64(len(input)); pos += every {
+			captures++
+			if inside[pos] {
+				hits++
+			}
+		}
+	}
+	var resumedInside []int64
+	crashCellEvery(t, 6, every, func(ck *checkpoint.Runner) (*Result, error) {
+		res, err := RunGuardedCheckpointed(context.Background(), p, input, cfgWithCapacity(100), Guard{}, Options{CollectReports: true}, ck)
+		if res != nil && res.Resume != nil && res.Resume.Resumed && res.Resume.Phase == "baseap" && inside[res.Resume.Pos] {
+			resumedInside = append(resumedInside, res.Resume.Pos)
+		}
+		return res, err
+	})
+	if len(resumedInside) == 0 {
+		t.Fatalf("capturing every %d symbols, %d of %d positions inside quiet runs, and no resume from one", every, hits, captures)
 	}
 }
 

@@ -313,6 +313,10 @@ func (st *machineState) decode(payload []byte) error {
 	return d.Done()
 }
 
+// stepQuiet makes runBase step the symbols it would skip. Only tests set
+// it, to hold the skipping loop to the per-symbol one.
+var stepQuiet bool
+
 // machine drives one run. g and ck are the optional hooks: nil means the
 // run is unguarded, respectively neither checkpointed nor crash-injected.
 type machine struct {
@@ -564,27 +568,45 @@ func (x *machine) runBase() error {
 			st.wdStalls, st.wdFirstPos, st.wdHist = wd.stalls, wd.firstPos, wd.hist
 		}
 	}
-	for hook := x.ck.Next(i); i < n; i++ {
-		if i >= hook {
-			if hook, err = x.atHook(i, i, capture); err != nil {
-				return abort(i, err)
+	// due is the input up to the next position with a duty of its own — a
+	// hook, a poll, a watchdog sample — and as far as a quiet run
+	// (sim.Engine.Skip) is crossed in one go. The run reports nothing, so
+	// the watchdog sees it as one burst-free cycle: total stands still while
+	// the budgets grow with the position, and nothing in between could have
+	// tripped. A fault plan flips at any position, so under one every symbol
+	// is stepped.
+	skips, due := !active && !stepQuiet, x.input[:0]
+	for hook := x.ck.Next(i); i < n; {
+		if i >= int64(len(due)) {
+			if i >= hook {
+				if hook, err = x.atHook(i, i, capture); err != nil {
+					return abort(i, err)
+				}
 			}
+			if i&(cancelCheckInterval-1) == 0 && cancelled(x.ctx) {
+				return abort(i, x.ctx.Err())
+			}
+			due = x.input[:min(hook, n, (i|(cancelCheckInterval-1))+1, (i|(watchdogStride-1))+1)]
 		}
-		if i&(cancelCheckInterval-1) == 0 && cancelled(x.ctx) {
-			return abort(i, x.ctx.Err())
-		}
-		if active {
+		k, burst := 0, 0
+		if skips {
+			k = eng.Skip(due, int(i))
+		} else if active {
 			if s, ok := inj.FlipAt(i, x.cur.Hot.Len()); ok {
 				eng.ToggleState(s)
 				res.Fault.Flips++
 			}
 		}
-		before := len(st.inter)
-		eng.Step(i, x.input[i])
+		if k == 0 {
+			before := len(st.inter)
+			eng.Step(i, x.input[i])
+			k, burst = 1, len(st.inter)-before
+		}
+		i += int64(k)
 		if wd != nil {
-			wd.observe(i+1, len(st.inter)-before, int64(len(st.inter)))
+			wd.observe(i, burst, int64(len(st.inter)))
 			if wd.tripped {
-				return x.handleTrip(wd, i+1)
+				return x.handleTrip(wd, i)
 			}
 		}
 	}
@@ -842,7 +864,7 @@ func (x *machine) runFallback() error {
 		st.pos = i
 		eng.Snapshot(&st.snap, i)
 	}
-	for hook := x.ck.Next(i); i < n; i++ {
+	for hook := x.ck.Next(i); i < n; {
 		if i >= hook {
 			if hook, err = x.atHook(i, i, capture); err != nil {
 				return abort(i, err)
@@ -851,7 +873,9 @@ func (x *machine) runFallback() error {
 		if i&(cancelCheckInterval-1) == 0 && cancelled(x.ctx) {
 			return abort(i, x.ctx.Err())
 		}
-		eng.Step(i, x.input[i])
+		end := min(hook, n, (i|(cancelCheckInterval-1))+1)
+		eng.Run(i, x.input[i:end])
+		i = end
 	}
 	st.gs.FallbackCycles = int64(len(batches)) * n
 	st.phase = phaseDone

@@ -99,6 +99,7 @@ if [[ $short -eq 0 ]]; then
     go test -run ZZZ -fuzz FuzzCompileRegex -fuzztime 5s ./internal/regexc
     go test -run ZZZ -fuzz FuzzRewriteEquivalence -fuzztime 10s ./internal/rewrite
     go test -run ZZZ -fuzz FuzzSlotFileDamage -fuzztime 5s ./internal/checkpoint
+    # Three kernels and the Skip arm (checkSkip) against the naive reference.
     go test -run ZZZ -fuzz FuzzKernelEquivalence -fuzztime 5s ./internal/sim
     go test -run ZZZ -fuzz FuzzDecodePair -fuzztime 5s ./internal/replica
     go test -run ZZZ -fuzz FuzzMatchReply -fuzztime 5s ./internal/serve
