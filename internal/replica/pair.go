@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -12,14 +13,14 @@ import (
 
 // Pair is what a store holds under one name: the latest record and, once
 // a second save has rotated it, the previous-good one. A follower replays
-// it after an outage (SyncPath) and a session takes it along when it
-// moves to another node (internal/serve's migrate transfer). This file is
-// the only place that knows its byte layout,
+// it after an outage (a pair frame, below) and a session takes it along
+// when it moves to another node (internal/serve's migrate transfer). This
+// file is the only place that knows its byte layout,
 //
 //	latestVersion u32, latest bytes, hasPrev bool[, prevVersion u32, prev bytes]
 //
-// in the checkpoint package's field encoding; the body's Checksum travels
-// beside it in a request header.
+// in the checkpoint package's field encoding; on a migration the body's
+// Checksum travels beside it in a request header.
 type Pair struct {
 	Latest        []byte
 	LatestVersion uint32
@@ -131,4 +132,99 @@ func (p Pair) Install(st checkpoint.Store, name string) error {
 		}
 	}
 	return st.Save(name, p.LatestVersion, p.Latest)
+}
+
+// A replication stream (Store → Receiver) is a sequence of frames,
+//
+//	kind u8 | seq u64 | version u32 | nameLen u16 | bodyLen u32 | name | body | crc32c u32
+//
+// little-endian, the CRC32-C covering every byte before it, and the way
+// back is a sequence of acknowledgements, seq u64 | status u8.
+const (
+	frameSlot   byte = 1 // body: one slot payload, saved as the name's latest
+	framePair   byte = 2 // body: an encoded Pair, installed whole (resync)
+	frameRemove byte = 3 // no body: the name's slots are retired
+
+	frameHeader = 1 + 8 + 4 + 2 + 4
+	ackLen      = 8 + 1
+
+	ackOK     byte = 0 // applied, or a replay of what already was
+	ackFailed byte = 1 // the follower's store refused the write
+)
+
+// frame is one decoded frame.
+type frame struct {
+	kind    byte
+	seq     uint64
+	version uint32
+	name    string
+	body    []byte
+}
+
+// appendFrame appends f's wire form to dst.
+func appendFrame(dst []byte, f frame) []byte {
+	start := len(dst)
+	dst = append(dst, f.kind)
+	dst = binary.LittleEndian.AppendUint64(dst, f.seq)
+	dst = binary.LittleEndian.AppendUint32(dst, f.version)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.name)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.body)))
+	dst = append(dst, f.name...)
+	dst = append(dst, f.body...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+}
+
+// readFrame takes one frame off r. io.EOF means the stream ended between
+// frames. Any other error is a frame that is not whole and verified —
+// truncated, of an unknown kind, over maxName or maxBody, failing its CRC
+// or naming what validName refuses — and nothing of it is returned. The
+// body is r's alone: the caller may keep it.
+func readFrame(r io.Reader) (frame, error) {
+	var h [frameHeader]byte
+	if n, err := io.ReadFull(r, h[:]); err != nil {
+		if n == 0 {
+			return frame{}, io.EOF
+		}
+		return frame{}, fmt.Errorf("truncated frame header: %w", err)
+	}
+	f := frame{kind: h[0], seq: binary.LittleEndian.Uint64(h[1:]), version: binary.LittleEndian.Uint32(h[9:])}
+	nameLen, bodyLen := binary.LittleEndian.Uint16(h[13:]), binary.LittleEndian.Uint32(h[15:])
+	switch {
+	case f.kind < frameSlot || f.kind > frameRemove:
+		return frame{}, fmt.Errorf("unknown frame kind %d", f.kind)
+	case nameLen > maxName:
+		return frame{}, fmt.Errorf("frame name of %d bytes", nameLen)
+	case bodyLen > maxBody:
+		return frame{}, errBodyTooLarge
+	}
+	// Past 1 MiB the buffer grows only as bytes arrive: a length is a claim.
+	n, rest, err := int(nameLen)+int(bodyLen)+4, []byte(nil), error(nil)
+	if n <= 1<<20 {
+		rest = make([]byte, n)
+		_, err = io.ReadFull(r, rest)
+	} else if rest, err = io.ReadAll(io.LimitReader(r, int64(n))); err == nil && len(rest) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return frame{}, fmt.Errorf("truncated frame: %w", err)
+	}
+	end := len(rest) - 4
+	if crc32.Update(crc32.Checksum(h[:], castagnoli), castagnoli, rest[:end]) != binary.LittleEndian.Uint32(rest[end:]) {
+		return frame{}, errChecksum
+	}
+	if f.name = string(rest[:nameLen]); !validName(f.name) {
+		return frame{}, fmt.Errorf("bad checkpoint name %q", f.name)
+	}
+	f.body = rest[nameLen:end:end]
+	return f, nil
+}
+
+// appendAck appends the acknowledgement of frame seq to dst.
+func appendAck(dst []byte, seq uint64, status byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(dst, seq), status)
+}
+
+// parseAck splits an acknowledgement.
+func parseAck(b *[ackLen]byte) (seq uint64, status byte) {
+	return binary.LittleEndian.Uint64(b[:]), b[8]
 }

@@ -3,12 +3,14 @@ package replica
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"sparseap/internal/checkpoint"
+	"sparseap/internal/metrics"
 )
 
 // The pair body crosses between processes that may not run the same
@@ -49,10 +51,10 @@ func (s *saveLog) Save(name string, version uint32, payload []byte) error {
 	return nil
 }
 
-// FuzzDecodePair sends arbitrary bodies, correctly checksummed, through the
-// receiver's sync endpoint: none may panic; a body that is not exactly one
-// pair is answered 400 and saves nothing; one that is saves its previous
-// record, then its latest, and nothing else.
+// FuzzDecodePair sends arbitrary bodies, in a well-formed pair frame,
+// through the receiver: none may panic; a body that is not exactly one
+// pair is refused — counted, unacknowledged, nothing saved — and one that
+// is saves its previous record, then its latest, and nothing else.
 func FuzzDecodePair(f *testing.F) {
 	whole := Pair{Latest: []byte("latest"), LatestVersion: 3, HasPrev: true, Prev: []byte("previous"), PrevVersion: 2}.Encode()
 	single := Pair{Latest: []byte("latest"), LatestVersion: 3}.Encode()
@@ -69,20 +71,20 @@ func FuzzDecodePair(f *testing.F) {
 	binary.LittleEndian.PutUint64(past[4:], 1<<40) // latest's length prefix reaches past the end
 	f.Add(past)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		st := &saveLog{}
-		rc := NewReceiver(st, nil)
-		req := httptest.NewRequest(http.MethodPost, SyncPath+"?name=sess-a", bytes.NewReader(body))
-		setShipHeaders(req.Header, "ep", 1, 0, body)
+		st, reg := &saveLog{}, metrics.NewRegistry()
+		req := httptest.NewRequest(http.MethodPost, StreamPath,
+			bytes.NewReader(appendFrame(nil, frame{kind: framePair, seq: 1, name: "sess-a", body: body})))
+		req.Header.Set(epochHeader, "ep")
 		w := httptest.NewRecorder()
-		rc.handleSync(w, req)
+		NewReceiver(st, reg).handleStream(w, req)
 
 		pair, err := decodePair(body)
 		if err != nil {
 			if !reflect.DeepEqual(pair, Pair{}) {
 				t.Fatalf("failed decode returned %+v", pair)
 			}
-			if w.Code != http.StatusBadRequest || len(st.saved) != 0 {
-				t.Fatalf("damaged body % x answered %d and saved %d records", body, w.Code, len(st.saved))
+			if w.Body.Len() != 0 || len(st.saved) != 0 || reg.Snapshot()["serve_replication_recv_errors"] != 1 {
+				t.Fatalf("damaged body % x: acks % x, %d records saved, %v", body, w.Body.Bytes(), len(st.saved), reg.Snapshot())
 			}
 			return
 		}
@@ -91,8 +93,8 @@ func FuzzDecodePair(f *testing.F) {
 			want = append(want, Pair{Latest: pair.Prev, LatestVersion: pair.PrevVersion})
 		}
 		want = append(want, Pair{Latest: pair.Latest, LatestVersion: pair.LatestVersion})
-		if w.Code != http.StatusOK || len(st.saved) != len(want) {
-			t.Fatalf("body % x answered %d and saved %d records, want 200 and %d", body, w.Code, len(st.saved), len(want))
+		if !bytes.Equal(w.Body.Bytes(), appendAck(nil, 1, ackOK)) || len(st.saved) != len(want) {
+			t.Fatalf("body % x: acks % x and %d records saved, want one ack and %d", body, w.Body.Bytes(), len(st.saved), len(want))
 		}
 		for i := range want {
 			if !bytes.Equal(st.saved[i].Latest, want[i].Latest) || st.saved[i].LatestVersion != want[i].LatestVersion {
@@ -101,6 +103,85 @@ func FuzzDecodePair(f *testing.F) {
 		}
 		if again, err := decodePair(pair.Encode()); err != nil || !reflect.DeepEqual(again, pair) {
 			t.Fatalf("decode(encode(%+v)) = %+v, %v", pair, again, err)
+		}
+	})
+}
+
+// Frames, like the pair, cross between builds: their bytes are pinned.
+func TestFrameLayout(t *testing.T) {
+	want := []byte{
+		1,                      // kind: slot
+		2, 0, 0, 0, 0, 0, 0, 0, // seq
+		3, 0, 0, 0, // version
+		2, 0, // name length
+		3, 0, 0, 0, // body length
+		'a', 'b', 'x', 'y', 'z',
+	}
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, crc32.MakeTable(crc32.Castagnoli)))
+	f := frame{kind: frameSlot, seq: 2, version: 3, name: "ab", body: []byte("xyz")}
+	if got := appendFrame(nil, f); !bytes.Equal(got, want) {
+		t.Fatalf("frame encodes to % x, want % x", got, want)
+	}
+	if got, err := readFrame(bytes.NewReader(want)); err != nil || !reflect.DeepEqual(got, f) {
+		t.Fatalf("readFrame = %+v, %v", got, err)
+	}
+	if got := appendAck(nil, 2, ackFailed); !bytes.Equal(got, []byte{2, 0, 0, 0, 0, 0, 0, 0, 1}) {
+		t.Fatalf("ack encodes to % x", got)
+	}
+	// Past 1 MiB the body is read as it arrives; whole or cut, it decodes
+	// as a small one does.
+	big := frame{kind: frameSlot, seq: 1, name: "s", body: bytes.Repeat([]byte{7}, 2<<20)}
+	enc := appendFrame(nil, big)
+	if got, err := readFrame(bytes.NewReader(enc)); err != nil || !reflect.DeepEqual(got, big) {
+		t.Fatalf("2 MiB frame: %v", err)
+	}
+	if _, err := readFrame(bytes.NewReader(enc[:len(enc)-1])); err == nil {
+		t.Fatal("accepted a 2 MiB frame cut short")
+	}
+}
+
+// FuzzDecodeFrame feeds arbitrary bytes to readFrame. It must never
+// panic. A frame it accepts has a known kind, a name validName takes and a
+// body under the cap, and re-encodes to exactly the bytes it consumed;
+// every truncation of those bytes, and every one of them flipped, is
+// refused.
+func FuzzDecodeFrame(f *testing.F) {
+	pair := Pair{Latest: []byte("latest"), LatestVersion: 3, HasPrev: true, Prev: []byte("previous"), PrevVersion: 2}.Encode()
+	for _, fr := range []frame{
+		{kind: frameSlot, seq: 7, version: 3, name: "sess-a", body: []byte("slot payload")},
+		{kind: framePair, seq: 8, name: "sess-a", body: pair},
+		{kind: frameRemove, seq: 9, name: "sess-a"},
+	} {
+		f.Add(appendFrame(nil, fr))
+	}
+	f.Add(appendFrame(nil, frame{kind: 4, seq: 1, name: "sess-a"}))      // unknown kind
+	f.Add(appendFrame(nil, frame{kind: frameSlot, seq: 1, name: "a/b"})) // a name validName refuses
+	past := appendFrame(nil, frame{kind: frameSlot, seq: 1, name: "s"})
+	binary.LittleEndian.PutUint32(past[15:], maxBody+1) // a body length past the cap
+	f.Add(past)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, err := readFrame(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if fr.kind < frameSlot || fr.kind > frameRemove || !validName(fr.name) || len(fr.body) > maxBody {
+			t.Fatalf("accepted %+v", fr)
+		}
+		enc := appendFrame(nil, fr)
+		if len(enc) > len(b) || !bytes.Equal(enc, b[:len(enc)]) {
+			t.Fatalf("accepted % x, which re-encodes to % x", b, enc)
+		}
+		for n := range enc {
+			if _, err := readFrame(bytes.NewReader(enc[:n])); err == nil {
+				t.Fatalf("accepted the frame cut to %d of %d bytes", n, len(enc))
+			}
+		}
+		for i := range enc {
+			flipped := bytes.Clone(enc)
+			flipped[i] ^= 0xff
+			if _, err := readFrame(bytes.NewReader(flipped)); err == nil {
+				t.Fatalf("accepted the frame with byte %d flipped", i)
+			}
 		}
 	})
 }

@@ -3,15 +3,18 @@
 // to one or more follower nodes over HTTP, so a client whose server dies
 // can fail over to a follower and resume from the same delivery floor.
 //
-// The wire contract mirrors the on-disk one. Every shipment carries the
-// slot payload plus a CRC32-C, a leader epoch (a fresh random identity
-// per Store so a restarted leader cannot be mistaken for its
-// predecessor), and a monotonically increasing sequence number; the
-// Receiver on the follower verifies the CRC, discards stale or replayed
-// sequence numbers idempotently, and applies the slot through its own
-// local store's atomic write-fsync-rename path. A shipment is therefore
-// exactly as crash-consistent on the follower as a local save is on the
-// leader: a connection cut mid-body leaves nothing applied.
+// The wire contract mirrors the on-disk one. A Store keeps one
+// full-duplex POST open to each follower; its body carries one frame per
+// slot, resync pair or removal, and the response one acknowledgement per
+// frame (pair.go has both layouts). The stream names the leader's epoch
+// (random per Store, so a restarted leader cannot be mistaken for its
+// predecessor); every frame carries a monotonically increasing sequence
+// number and a CRC32-C. The Receiver on the follower verifies the CRC,
+// acknowledges stale or replayed sequence numbers idempotently, and
+// applies the slot through its own local store's in-place write +
+// fdatasync. A frame that fails its CRC or is cut short is never
+// applied, so a shipment is exactly as crash-consistent on the follower
+// as a local save is on the leader.
 //
 // Durability barrier. Save returns only once the payload is durable
 // locally AND acknowledged by at least Ack followers — the serve layer's
@@ -24,21 +27,21 @@
 // slowest follower has fallen behind the leader's shipped watermark.
 //
 // Failure handling has hysteresis: a follower is marked down after
-// DownAfter consecutive ship failures, probed again at most once per
-// Probe interval, and — because it missed shipments while down — brought
-// back through a full resync (every name's latest and previous-good
-// slot) before it counts toward the quorum again.
+// DownAfter consecutive ship failures (a frame not acknowledged within
+// Timeout is one, and tears its stream down), probed again at most once
+// per Probe interval, and — because it missed shipments while down —
+// brought back through a full resync (every name's latest and
+// previous-good slot) before it counts toward the quorum again.
 package replica
 
 import (
-	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	neturl "net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,13 +50,6 @@ import (
 	"sparseap/internal/checkpoint"
 	"sparseap/internal/metrics"
 )
-
-// SlotPath is the HTTP path a follower serves single-slot shipments on.
-const SlotPath = "/v1/replica/slot"
-
-// SyncPath is the HTTP path a follower serves latest+prev resync pairs
-// (see Pair) on.
-const SyncPath = "/v1/replica/sync"
 
 // Options tunes a replicated store. Followers is the only required
 // field; the zero value of everything else picks serviceable defaults.
@@ -67,19 +63,21 @@ type Options struct {
 	// len(Followers); 0 means best-effort shipping with a local-only
 	// barrier.
 	Ack int
-	// Timeout bounds one shipment request (default 2s).
+	// Timeout bounds a stream's dial and one frame's acknowledgement,
+	// counted from when the frame is queued (default 2s).
 	Timeout time.Duration
 	// DownAfter is how many consecutive ship failures mark a follower
-	// down (default 2 — hysteresis, so one flaky request does not flap).
+	// down (default 2 — hysteresis, so one flaky frame does not flap).
 	DownAfter int
 	// Probe is the minimum interval between ship attempts to a down
 	// follower (default 1s).
 	Probe time.Duration
-	// Registry receives the replication counters and the
-	// serve_replication_lag gauge; nil creates a private one.
+	// Registry receives the replication counters, the
+	// serve_replication_lag gauge and the serve_replication_ship_us
+	// histogram; nil creates a private one.
 	Registry *metrics.Registry
-	// Client is the HTTP client shipments use (default: a dedicated
-	// client honoring Timeout).
+	// Client's Transport carries the streams (default: a transport of the
+	// Store's own). Its Timeout is unused: a stream outlives any request.
 	Client *http.Client
 }
 
@@ -103,10 +101,16 @@ func (o Options) withDefaults() Options {
 		o.Registry = metrics.NewRegistry()
 	}
 	if o.Client == nil {
-		o.Client = &http.Client{Timeout: o.Timeout}
+		o.Client = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 	}
 	return o
 }
+
+var (
+	errClosed     = errors.New("replica: store closed")
+	errAckTimeout = errors.New("replica: frame not acknowledged in time")
+	errRefused    = errors.New("replica: follower could not apply the frame")
+)
 
 // follower is the leader-side view of one peer.
 type follower struct {
@@ -118,6 +122,13 @@ type follower struct {
 	down    bool
 	resync  bool      // missed shipments while down; needs a full resync
 	lastTry time.Time // last attempt while down (probe pacing)
+
+	// sync is held shared by a frame's exchange and exclusively by a
+	// resync: a pair never shares the stream with a slot of its name.
+	sync sync.RWMutex
+
+	linkMu sync.Mutex
+	link   *link // the stream; nil before the first ship and after Close
 }
 
 // Store is a checkpoint.Store that replicates every committed slot to
@@ -129,6 +140,7 @@ type Store struct {
 	reg   *metrics.Registry
 	epoch string
 	seq   atomic.Uint64
+	gen   atomic.Uint64 // bumped by Close
 
 	followers []*follower
 }
@@ -151,52 +163,70 @@ func New(local checkpoint.Store, o Options) *Store {
 // otherwise loop forever).
 func (s *Store) Local() checkpoint.Store { return s.local }
 
+// Close ends the replication streams; saves waiting on them return
+// degraded. A later Save dials again; one already under way does not.
+func (s *Store) Close() error {
+	s.gen.Add(1)
+	for _, f := range s.followers {
+		f.linkMu.Lock()
+		l := f.link
+		f.link = nil
+		f.linkMu.Unlock()
+		if l != nil {
+			l.fail(errClosed)
+			<-l.exited
+		}
+	}
+	return nil
+}
+
 // Save persists payload locally, ships it to every reachable follower,
 // and waits for the acknowledgement quorum. With fewer than Ack
 // followers acknowledging it degrades to local-only durability — counted
 // in serve_replication_degraded — rather than failing the session.
 func (s *Store) Save(name string, version uint32, payload []byte) error {
+	gen := s.gen.Load()
 	if err := s.local.Save(name, version, payload); err != nil {
 		return err
 	}
-	s.shipAll(name, version, payload)
+	s.shipAll(gen, name, version, payload)
 	return nil
 }
 
 // shipAll fans one committed slot out to the followers and enforces the
 // quorum accounting. It blocks until every reachable follower answered
-// or timed out (each attempt is bounded by Options.Timeout).
-func (s *Store) shipAll(name string, version uint32, payload []byte) {
+// or timed out. The sequence number is drawn after the local write, which
+// resyncFollower relies on.
+func (s *Store) shipAll(gen uint64, name string, version uint32, payload []byte) {
 	if len(s.followers) == 0 {
 		return
 	}
-	seq := s.seq.Add(1)
-	acks := make([]bool, len(s.followers))
+	fr := frame{kind: frameSlot, seq: s.seq.Add(1), version: version, name: name, body: payload}
+	var acks atomic.Int64
 	var wg sync.WaitGroup
-	for i, f := range s.followers {
+	for _, f := range s.followers[1:] {
 		wg.Add(1)
-		go func(i int, f *follower) {
+		go func(f *follower) {
 			defer wg.Done()
-			acks[i] = s.ship(f, name, version, payload, seq)
-		}(i, f)
+			if s.ship(f, gen, fr) {
+				acks.Add(1)
+			}
+		}(f)
+	}
+	if s.ship(s.followers[0], gen, fr) { // the first on this goroutine
+		acks.Add(1)
 	}
 	wg.Wait()
-	n := 0
-	for _, ok := range acks {
-		if ok {
-			n++
-		}
-	}
-	if n < s.o.Ack {
+	if acks.Load() < int64(s.o.Ack) {
 		s.reg.Counter("serve_replication_degraded").Inc()
 	}
 	s.updateLag()
 }
 
-// ship delivers one slot to one follower, handling down-state pacing and
-// the post-outage resync. Reports whether the follower acknowledged this
-// sequence number.
-func (s *Store) ship(f *follower, name string, version uint32, payload []byte, seq uint64) bool {
+// ship delivers one slot frame to one follower, handling down-state
+// pacing and the post-outage resync. Reports whether the follower
+// acknowledged it.
+func (s *Store) ship(f *follower, gen uint64, fr frame) bool {
 	f.mu.Lock()
 	if f.down && time.Since(f.lastTry) < s.o.Probe {
 		f.mu.Unlock()
@@ -206,25 +236,30 @@ func (s *Store) ship(f *follower, name string, version uint32, payload []byte, s
 	needResync := f.resync
 	f.mu.Unlock()
 
+	var err error
 	if needResync {
-		// The follower missed shipments while down: replay every name's
-		// latest and previous-good slot before acknowledging new ones.
-		if !s.resyncFollower(f) {
-			s.noteFailure(f)
-			return false
-		}
-		s.reg.Counter("serve_replication_resyncs").Inc()
+		err = s.resyncFollower(f, gen)
 	}
-	if err := s.post(f.url+SlotPath, name, seq, version, payload); err != nil {
+	var took time.Duration
+	if err == nil {
+		f.sync.RLock()
+		took, err = s.exchange(f, gen, fr)
+		f.sync.RUnlock()
+	}
+	switch {
+	case errors.Is(err, errClosed):
+		return false // the store is closing, not the follower failing
+	case err != nil:
 		s.reg.Counter("serve_replication_ship_errors").Inc()
 		s.noteFailure(f)
 		return false
 	}
+	s.reg.Histogram("serve_replication_ship_us", latencyBoundsUs).Observe(took.Microseconds())
 	s.reg.Counter("serve_replication_ships").Inc()
 	f.mu.Lock()
-	f.fails, f.down, f.resync = 0, false, false
-	if seq > f.acked {
-		f.acked = seq
+	f.fails, f.down = 0, false
+	if fr.seq > f.acked {
+		f.acked = fr.seq
 	}
 	f.mu.Unlock()
 	return true
@@ -244,50 +279,189 @@ func (s *Store) noteFailure(f *follower) {
 }
 
 // resyncFollower replays the full local slot set (latest + previous-good
-// per name) through the sync endpoint. All names must apply for the
-// resync to count — a partial resync leaves the follower marked behind.
-func (s *Store) resyncFollower(f *follower) bool {
+// per name) as pair frames while no other frame goes to f. All names must
+// apply for the resync to count. A pair's sequence number is drawn before
+// it is read, so a slot frame refused as stale behind it is in it.
+func (s *Store) resyncFollower(f *follower, gen uint64) error {
+	f.sync.Lock()
+	defer f.sync.Unlock()
+	f.mu.Lock()
+	needed := f.resync
+	f.mu.Unlock()
+	if !needed {
+		return nil // another save resynced f while this one waited
+	}
 	names, err := s.local.Names()
 	if err != nil {
-		return false
+		return err
 	}
 	for _, name := range names {
+		seq := s.seq.Add(1)
 		pair, err := LoadPair(s.local, name)
 		if err != nil {
 			continue // slot vanished between Names and Load (session ended)
 		}
-		if err := s.post(f.url+SyncPath, name, s.seq.Add(1), 0, pair.Encode()); err != nil {
-			return false
+		if _, err := s.exchange(f, gen, frame{kind: framePair, seq: seq, name: name, body: pair.Encode()}); err != nil {
+			return err
 		}
 	}
-	return true
-}
-
-// post ships one request with the replication headers.
-func (s *Store) post(url, name string, seq uint64, version uint32, body []byte) error {
-	req, err := http.NewRequest(http.MethodPost, url+"?name="+neturl.QueryEscape(name), bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	setShipHeaders(req.Header, s.epoch, seq, version, body)
-	resp, err := s.o.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("replica: %s answered %d", url, resp.StatusCode)
-	}
+	f.mu.Lock()
+	f.resync = false
+	f.mu.Unlock()
+	s.reg.Counter("serve_replication_resyncs").Inc()
 	return nil
 }
 
-// setShipHeaders stamps the replication envelope on a request.
-func setShipHeaders(h http.Header, epoch string, seq uint64, version uint32, body []byte) {
-	h.Set("X-Replica-Epoch", epoch)
-	h.Set("X-Replica-Seq", strconv.FormatUint(seq, 10))
-	h.Set("X-Replica-Version", strconv.FormatUint(uint64(version), 10))
-	h.Set("X-Replica-CRC", Checksum(body))
+// exchange sends fr on f's stream, dialling one if none is open (and Close
+// has not run since gen), and returns the time from write to ack.
+func (s *Store) exchange(f *follower, gen uint64, fr frame) (time.Duration, error) {
+	f.linkMu.Lock()
+	l := f.link
+	if l == nil || !l.alive() {
+		if s.gen.Load() != gen {
+			f.linkMu.Unlock()
+			return 0, errClosed
+		}
+		var err error
+		if l, err = s.dial(f.url); err != nil {
+			f.linkMu.Unlock()
+			return 0, err
+		}
+		f.link = l
+	}
+	f.linkMu.Unlock()
+	t0 := time.Now()
+	err := l.exchange(fr, true)
+	return time.Since(t0), err
+}
+
+// dial opens a stream to the follower at url: a plain full-duplex POST,
+// not a hijacked connection, so any RoundTripper can carry it.
+func (s *Store) dial(url string) (*link, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+StreamPath, pr)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	req.Header.Set(epochHeader, s.epoch)
+	rt := s.o.Client.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	// Bound the dial, not the stream. Closing the pipe too lets RoundTrip
+	// return from a follower that answers only once the body ends.
+	bound := time.AfterFunc(s.o.Timeout, func() { cancel(); pw.CloseWithError(errAckTimeout) })
+	resp, err := rt.RoundTrip(req)
+	if late := !bound.Stop(); err == nil && (late || resp.StatusCode != http.StatusOK) {
+		resp.Body.Close()
+		err = fmt.Errorf("replica: stream to %s: %s (late: %v)", url, resp.Status, late)
+	}
+	if err != nil {
+		cancel()
+		pw.CloseWithError(err)
+		return nil, err
+	}
+	l := &link{pw: pw, cancel: cancel, timeout: s.o.Timeout, exited: make(chan struct{}),
+		pending: map[uint64]chan byte{}, done: make(chan struct{})}
+	l.expire = func() { l.fail(errAckTimeout) }
+	go l.readAcks(resp.Body)
+	return l, nil
+}
+
+// link is one open stream. Saves share it a frame at a time; their
+// acknowledgements come back in any order, matched by sequence number.
+type link struct {
+	pw      *io.PipeWriter
+	cancel  context.CancelFunc
+	timeout time.Duration
+	expire  func()        // fails the link: a frame missed its timeout
+	exited  chan struct{} // closed when readAcks has returned
+
+	wmu sync.Mutex // one frame on the pipe at a time
+	buf []byte     // frame encoding scratch, under wmu
+
+	mu      sync.Mutex
+	pending map[uint64]chan byte // acknowledgements awaited, by sequence number
+	err     error                // why the link failed; nil while alive
+	done    chan struct{}        // closed when err is set
+}
+
+func (l *link) alive() bool {
+	select {
+	case <-l.done:
+		return false
+	default:
+		return true
+	}
+}
+
+// exchange writes fr and, with wait, waits for its acknowledgement, both
+// within the link's timeout or the link fails.
+func (l *link) exchange(fr frame, wait bool) error {
+	defer time.AfterFunc(l.timeout, l.expire).Stop()
+	ack := make(chan byte, 1)
+	l.mu.Lock()
+	err := l.err
+	if err == nil && wait {
+		l.pending[fr.seq] = ack
+	}
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	l.wmu.Lock()
+	l.buf = appendFrame(l.buf[:0], fr)
+	_, err = l.pw.Write(l.buf) // returns once the transport has taken every byte
+	l.wmu.Unlock()
+	if err != nil || !wait {
+		return err
+	}
+	select {
+	case status := <-ack:
+		if status != ackOK {
+			return errRefused
+		}
+		return nil
+	case <-l.done:
+		return l.err
+	}
+}
+
+// readAcks hands each acknowledgement to its frame until the stream ends,
+// then fails the link.
+func (l *link) readAcks(body io.ReadCloser) {
+	defer close(l.exited)
+	defer body.Close()
+	var b [ackLen]byte
+	for {
+		if _, err := io.ReadFull(body, b[:]); err != nil {
+			l.fail(fmt.Errorf("replica: stream ended: %w", err))
+			return
+		}
+		seq, status := parseAck(&b)
+		l.mu.Lock()
+		if ack := l.pending[seq]; ack != nil {
+			ack <- status
+			delete(l.pending, seq)
+		}
+		l.mu.Unlock()
+	}
+}
+
+// fail takes the link down for err: every awaited acknowledgement fails
+// and the request's connection closes. Idempotent.
+func (l *link) fail(err error) {
+	l.mu.Lock()
+	if l.err == nil {
+		l.err = err
+		l.pending = nil
+		close(l.done)
+	}
+	l.mu.Unlock()
+	l.cancel()
+	l.pw.CloseWithError(err)
 }
 
 // updateLag publishes the acknowledged-watermark gap: the leader's
@@ -329,24 +503,22 @@ func (s *Store) LoadPrevious(name string) ([]byte, uint32, error) { return s.loc
 // Names lists the local store's checkpoint names.
 func (s *Store) Names() ([]string, error) { return s.local.Names() }
 
-// Remove retires the slots locally and ships the removal best-effort: a
-// follower that misses it keeps a stale slot, which is harmless (session
-// IDs are never reused) and reclaimed by that follower's next Clear.
+// Remove retires the slots locally and ships the removal best-effort on
+// each open stream, unacknowledged: a follower that misses it keeps a
+// stale slot, which is harmless (session IDs are never reused) and
+// reclaimed by that follower's next Clear.
 func (s *Store) Remove(name string) error {
 	err := s.local.Remove(name)
 	seq := s.seq.Add(1)
 	for _, f := range s.followers {
-		go func(f *follower) {
-			req, rerr := http.NewRequest(http.MethodDelete, f.url+SlotPath+"?name="+neturl.QueryEscape(name), nil)
-			if rerr != nil {
-				return
-			}
-			setShipHeaders(req.Header, s.epoch, seq, 0, nil)
-			if resp, derr := s.o.Client.Do(req); derr == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}(f)
+		f.linkMu.Lock()
+		l := f.link
+		f.linkMu.Unlock()
+		if l != nil {
+			f.sync.RLock()
+			l.exchange(frame{kind: frameRemove, seq: seq, name: name}, false)
+			f.sync.RUnlock()
+		}
 	}
 	return err
 }

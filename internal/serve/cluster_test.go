@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -49,6 +50,72 @@ func startNode(t *testing.T, fingerprint string, mutate func(cfg *Config, local 
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return &clusterNode{h: &harness{s: s, ts: ts}, local: local, reg: reg}
+}
+
+// replicateTo is a startNode mutation that ships the node's checkpoints
+// to follower b with an ack quorum of one, and closes the replicated
+// store in cleanup, before b's server closes.
+func replicateTo(t *testing.T, b *clusterNode) func(*Config, *checkpoint.DirStore) {
+	return func(cfg *Config, local *checkpoint.DirStore) {
+		rs := replica.New(local, replica.Options{
+			Followers: []string{b.h.ts.URL},
+			Ack:       1,
+			Registry:  cfg.Registry,
+		})
+		t.Cleanup(func() { rs.Close() })
+		cfg.Store = rs
+	}
+}
+
+// metricValue scrapes one unlabelled sample off a node's /metrics.
+func metricValue(t *testing.T, n *clusterNode, name string) int64 {
+	t.Helper()
+	resp, err := http.Get(n.h.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			got, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return got
+		}
+	}
+	t.Fatalf("/metrics has no %s:\n%s", name, text)
+	return 0
+}
+
+// TestClusterReplicationHistograms streams one session through a node
+// replicating to a follower: every acknowledged slot frame is one sample
+// of the leader's serve_replication_ship_us and one of the follower's
+// serve_replication_recv_us.
+func TestClusterReplicationHistograms(t *testing.T) {
+	testleak.Check(t)
+	b := startNode(t, "test/v1", nil)
+	a := startNode(t, "test/v1", replicateTo(t, b))
+	input := testInput(1 << 14)
+	cl := &Client{URL: func() string { return a.h.ts.URL }, Tenant: "t0"}
+	res, err := cl.Stream(context.Background(), "test", input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameReports(res.Reports, expectedReports(testNet(t), input)); err != nil {
+		t.Fatalf("replicated stream diverged: %v", err)
+	}
+	ships := metricValue(t, a, "serve_replication_ships")
+	if ships == 0 {
+		t.Fatal("no slot was shipped")
+	}
+	if got := metricValue(t, a, "serve_replication_ship_us_count"); got != ships {
+		t.Fatalf("leader's serve_replication_ship_us_count = %d, want serve_replication_ships = %d", got, ships)
+	}
+	if got := metricValue(t, b, "serve_replication_recv_us_count"); got != ships {
+		t.Fatalf("follower's serve_replication_recv_us_count = %d, want serve_replication_ships = %d", got, ships)
+	}
 }
 
 // migrateAll posts /v1/migrate on node a and returns the per-session
@@ -101,13 +168,7 @@ func streamInBackground(cl *Client, input []byte) (chan error, *atomic.Pointer[S
 func TestClusterMigrateLiveHandoff(t *testing.T) {
 	testleak.Check(t)
 	b := startNode(t, "test/v1", nil)
-	a := startNode(t, "test/v1", func(cfg *Config, local *checkpoint.DirStore) {
-		cfg.Store = replica.New(local, replica.Options{
-			Followers: []string{b.h.ts.URL},
-			Ack:       1,
-			Registry:  cfg.Registry,
-		})
-	})
+	a := startNode(t, "test/v1", replicateTo(t, b))
 	input := testInput(1 << 17)
 	want := expectedReports(testNet(t), input)
 

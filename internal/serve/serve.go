@@ -218,6 +218,8 @@ type Server struct {
 	peerWG      sync.WaitGroup
 	peerNext    int // round-robin cursor for upPeer
 
+	recv *replica.Receiver // follower side of checkpoint shipping; nil without a store
+
 	hsMu sync.Mutex
 	hs   *http.Server
 }
@@ -240,6 +242,11 @@ func New(cfg Config) *Server {
 		peerStop: make(chan struct{}),
 	}
 	s.idle.L = &s.mu
+	if cfg.Store != nil {
+		// Shipments apply through the LOCAL store so a received slot is
+		// never relayed onward.
+		s.recv = replica.NewReceiver(s.localStore(), s.reg)
+	}
 	s.startPeerWatch()
 	return s
 }
@@ -280,10 +287,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/apps", s.handleApps)
 	mux.HandleFunc("POST /v1/migrate", s.handleMigrate)
 	mux.HandleFunc("POST /v1/migrate/accept", s.handleMigrateAccept)
-	if s.cfg.Store != nil {
-		// Follower side of checkpoint shipping: shipments apply through
-		// the LOCAL store so a received slot is never relayed onward.
-		replica.NewReceiver(s.localStore(), s.reg).Mount(mux)
+	if s.recv != nil {
+		s.recv.Mount(mux)
 	}
 	return mux
 }
@@ -313,7 +318,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 // drain is Drain and DrainMigrate once they have chosen how a session is
 // asked to leave: it marks the server draining, puts the request to every
 // live session, waits until all have unwound or timeout elapses, and
-// closes the HTTP server and the peer watcher.
+// closes the HTTP server, the peer watcher and the replication streams.
 func (s *Server) drain(timeout time.Duration, what string, request func(*session)) error {
 	s.mu.Lock()
 	s.draining = true
@@ -340,6 +345,7 @@ func (s *Server) drain(timeout time.Duration, what string, request func(*session
 		hs.Close()
 	}
 	s.stopPeers()
+	s.endLinks()
 	if stranded > 0 {
 		return fmt.Errorf("serve: %s timed out with %d sessions still live", what, stranded)
 	}
@@ -349,7 +355,8 @@ func (s *Server) drain(timeout time.Duration, what string, request func(*session
 // Abort kills the server abruptly — the in-process stand-in for SIGKILL
 // used by the chaos harness. No session checkpoints, no drain: sessions
 // die where they stand and the store keeps only their last periodic
-// capture, exactly as a real kill would leave it.
+// capture, exactly as a real kill would leave it. The replication
+// streams drop with the process's sockets.
 func (s *Server) Abort() {
 	s.mu.Lock()
 	select {
@@ -365,6 +372,20 @@ func (s *Server) Abort() {
 		hs.Close()
 	}
 	s.stopPeers()
+	s.endLinks()
+}
+
+// endLinks ends the node's replication streams: the outbound ones of a
+// replicating store, reached through an optional interface as
+// localStore reaches the local store, and the inbound ones its receiver
+// serves.
+func (s *Server) endLinks() {
+	if c, ok := s.cfg.Store.(interface{ Close() error }); ok {
+		c.Close()
+	}
+	if s.recv != nil {
+		s.recv.Close()
+	}
 }
 
 // killed reports whether Abort has fired.

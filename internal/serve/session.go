@@ -430,9 +430,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // client — the ordering exactly-once delivery rests on.
 func (s *Server) saveFlush(w http.ResponseWriter, rc *http.ResponseController, sess *session, resumable bool) error {
 	if resumable {
-		sess.st.Snapshot(sess.snap)
-		encodeSessionState(&sess.enc, sess, sess.snap)
-		if err := s.cfg.Store.Save(slotName(sess.id), sessionStateVersion, sess.enc.Bytes()); err != nil {
+		if err := s.saveSlot(sess); err != nil {
 			return err
 		}
 		s.reg.Counter("serve_checkpoint_saves").Inc()
@@ -447,6 +445,29 @@ func (s *Server) saveFlush(w http.ResponseWriter, rc *http.ResponseController, s
 	s.reg.Counter("serve_reports_delivered").Add(int64(len(sess.window)))
 	sess.releaseWindow()
 	return rc.Flush()
+}
+
+// errKilled stops a session's save once Abort has fired.
+var errKilled = errors.New("serve: node killed")
+
+// saveSlot captures the session into its slot. A killed node saves
+// nothing: a SIGKILLed process cannot, and Abort has ended the
+// replication streams a save would dial again. A save Abort overtook
+// fails too, since its ship may have been cut and its window must not
+// reach the client.
+func (s *Server) saveSlot(sess *session) error {
+	sess.st.Snapshot(sess.snap)
+	encodeSessionState(&sess.enc, sess, sess.snap)
+	if s.killed() {
+		return errKilled
+	}
+	if err := s.cfg.Store.Save(slotName(sess.id), sessionStateVersion, sess.enc.Bytes()); err != nil {
+		return err
+	}
+	if s.killed() {
+		return errKilled
+	}
+	return nil
 }
 
 // writeReports renders reports as "r" records and hands them to w in one
@@ -578,12 +599,8 @@ func (s *Server) streamLoop(ctx context.Context, w http.ResponseWriter, rc *http
 			// Disconnect: capture so the reconnect resumes here instead
 			// of one interval back. The write side is likely dead; the
 			// durable slot is what matters.
-			if resumable {
-				sess.st.Snapshot(sess.snap)
-				encodeSessionState(&sess.enc, sess, sess.snap)
-				if s.cfg.Store.Save(slotName(sess.id), sessionStateVersion, sess.enc.Bytes()) == nil {
-					s.reg.Counter("serve_checkpoint_saves").Inc()
-				}
+			if resumable && s.saveSlot(sess) == nil {
+				s.reg.Counter("serve_checkpoint_saves").Inc()
 			}
 			s.reg.Tenant("serve_sessions_suspended", sess.tenant).Inc()
 			return

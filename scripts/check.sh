@@ -9,7 +9,7 @@
 # suite, vet and smoke test of the bench/ module,
 # race-detector pass over the whole module, a fuzz
 # smoke pass over the parser/compiler/rewriter/slot-file/step-kernel/slot-pair/
-# report-codec fuzz targets, the
+# replication-frame/report-codec fuzz targets, the
 # fault-injection smoke sweep, a chaos-soak smoke cell (kill/resume with
 # stream comparison), the two serve-soak smoke cells (real SIGKILL of a
 # live apserve with resumed streams; SIGKILL of a replicating node with
@@ -94,7 +94,7 @@ fi
 if [[ $short -eq 0 ]]; then
     # Fuzz smoke: a few seconds per target catches regressions in the
     # corpus-seeded paths without turning the gate into a fuzz campaign.
-    step "fuzz smoke (parser, compiler, rewriter, slot file, step kernels, slot pair, report codec)"
+    step "fuzz smoke (parser, compiler, rewriter, slot file, step kernels, slot pair, replication frame, report codec)"
     go test -run ZZZ -fuzz FuzzParseANML -fuzztime 5s ./internal/anml
     go test -run ZZZ -fuzz FuzzCompileRegex -fuzztime 5s ./internal/regexc
     go test -run ZZZ -fuzz FuzzRewriteEquivalence -fuzztime 10s ./internal/rewrite
@@ -102,6 +102,7 @@ if [[ $short -eq 0 ]]; then
     # Three kernels and the Skip arm (checkSkip) against the naive reference.
     go test -run ZZZ -fuzz FuzzKernelEquivalence -fuzztime 5s ./internal/sim
     go test -run ZZZ -fuzz FuzzDecodePair -fuzztime 5s ./internal/replica
+    go test -run ZZZ -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/replica
     go test -run ZZZ -fuzz FuzzMatchReply -fuzztime 5s ./internal/serve
     go test -run ZZZ -fuzz FuzzReportLine -fuzztime 5s ./internal/serve
 fi
