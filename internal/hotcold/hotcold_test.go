@@ -3,6 +3,7 @@ package hotcold
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparseap/internal/automata"
@@ -371,5 +372,38 @@ func TestPropPartitionInvariants(t *testing.T) {
 				t.Fatalf("trial %d: hot set not monotone in k", trial)
 			}
 		})
+	}
+}
+
+// TestSuccessorListsDoNotAlias checks that a partition's successor lists
+// are independent: appending to one state's Succ (as a caller extending
+// the sub-network would) must leave every other state's list unchanged.
+func TestSuccessorListsDoNotAlias(t *testing.T) {
+	net := manySmallNFAs(1000)
+	p, err := BuildWithStrategy(net, StrategyFixedLayers, StrategyInput{Param: 5}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []*automata.Network{p.Hot, p.Cold} {
+		want := make([][]automata.StateID, sub.Len())
+		withSucc := 0
+		for i, s := range sub.States {
+			want[i] = append([]automata.StateID(nil), s.Succ...)
+			if len(s.Succ) > 0 {
+				withSucc++
+			}
+		}
+		if withSucc < 2 {
+			t.Fatalf("sub-network has %d states with successors; the check needs two", withSucc)
+		}
+		for i := range sub.States {
+			succ := sub.States[i].Succ
+			sub.States[i].Succ = append(succ, automata.StateID(1<<30))[:len(succ)]
+		}
+		for i, s := range sub.States {
+			if !slices.Equal(s.Succ, want[i]) {
+				t.Fatalf("state %d: Succ %v, want %v after appending to its neighbours", i, s.Succ, want[i])
+			}
+		}
 	}
 }
