@@ -170,26 +170,45 @@ type Topo struct {
 func TopoOrder(n *automata.Network) *Topo {
 	scc := SCC(n)
 	nc := scc.NumComps
-	// Build condensation adjacency and in-degrees (dedup via marker).
-	adj := make([][]int32, nc)
+	// Condensation adjacency and in-degrees as CSR: one pass counts the
+	// kept edges, a second fills them. Both passes keep the same edges
+	// (dedup via marker), so c's out-edges end up in adj[adjStart[c]:
+	// adjStart[c+1]], in the order the states list them. Pass 0 counts
+	// into adjStart[c+2]; after the prefix sum adjStart[c+1] is where c
+	// begins, and pass 1, filling through it, leaves it where c ends.
+	adjStart := make([]int32, nc+2)
 	indeg := make([]int32, nc)
 	lastSeen := make([]int32, nc)
-	for i := range lastSeen {
-		lastSeen[i] = -1
-	}
-	for u := 0; u < n.Len(); u++ {
-		cu := scc.Comp[u]
-		for _, v := range n.States[u].Succ {
-			cv := scc.Comp[v]
-			if cu == cv {
-				continue
+	var adj []int32
+	for pass := 0; pass < 2; pass++ {
+		for i := range lastSeen {
+			lastSeen[i] = -1
+		}
+		for u := 0; u < n.Len(); u++ {
+			cu := scc.Comp[u]
+			for _, v := range n.States[u].Succ {
+				cv := scc.Comp[v]
+				if cu == cv {
+					continue
+				}
+				if lastSeen[cv] == cu {
+					continue // duplicate edge from this component in a row; cheap partial dedup
+				}
+				lastSeen[cv] = cu
+				if pass == 0 {
+					adjStart[cu+2]++
+					indeg[cv]++
+				} else {
+					adj[adjStart[cu+1]] = cv
+					adjStart[cu+1]++
+				}
 			}
-			if lastSeen[cv] == cu {
-				continue // duplicate edge from this component in a row; cheap partial dedup
+		}
+		if pass == 0 {
+			for c := 2; c < len(adjStart); c++ {
+				adjStart[c] += adjStart[c-1]
 			}
-			lastSeen[cv] = cu
-			adj[cu] = append(adj[cu], cv)
-			indeg[cv]++
+			adj = make([]int32, adjStart[nc+1])
 		}
 	}
 	// Kahn's algorithm computing longest-path layers.
@@ -205,7 +224,7 @@ func TopoOrder(n *automata.Network) *Topo {
 	// components were released in, which is Topo.CompOrder.
 	for head := 0; head < len(queue); head++ {
 		c := queue[head]
-		for _, d := range adj[c] {
+		for _, d := range adj[adjStart[c]:adjStart[c+1]] {
 			if order[c]+1 > order[d] {
 				order[d] = order[c] + 1
 			}

@@ -142,12 +142,7 @@ func Build(net *automata.Network, topo *graph.Topo, k []int32, opts Options) (*P
 	if opts.Capacity > 0 {
 		fillBatches(net, topo, kk, opts.Capacity)
 	}
-	p := &Partition{
-		Net:          net,
-		Topo:         topo,
-		K:            kk,
-		Intermediate: make(map[automata.StateID]automata.StateID),
-	}
+	p := &Partition{Net: net, Topo: topo, K: kk}
 	p.PredHot = PredictedHot(net, topo, kk)
 	p.buildNetworks()
 	return p, nil
@@ -162,87 +157,117 @@ func BuildFromProfile(net *automata.Network, profInput []byte, opts Options) (*P
 	return Build(net, topo, k, opts)
 }
 
-// buildNetworks materializes Hot (with intermediates) and Cold.
+// buildNetworks materializes Hot (with intermediates) and Cold. A first
+// pass numbers every state and counts states and edges, so the second
+// fills arrays allocated at their exact size: each successor list is a
+// capacity-capped window of one array per sub-network, so appending to
+// one state's list can never overwrite the next state's.
 func (p *Partition) buildNetworks() {
 	net := p.Net
-	hotNet := &automata.Network{Offsets: []automata.StateID{0}}
-	coldNet := &automata.Network{Offsets: []automata.StateID{0}}
+	hotNet := &automata.Network{Offsets: make([]automata.StateID, 1, net.NumNFAs()+1)}
+	coldNet := &automata.Network{Offsets: make([]automata.StateID, 1, net.NumNFAs()+1)}
+	// hotID[g] is g's hot-network ID when g is hot, the ID of the
+	// intermediate reporting state standing for g when g is the target of
+	// a cut edge, and None otherwise.
 	hotID := make([]automata.StateID, net.Len())
 	p.ColdID = make([]automata.StateID, net.Len())
-	for i := range hotID {
-		hotID[i] = automata.None
-		p.ColdID[i] = automata.None
-	}
+	var nHot, nCold, hotEdges, coldEdges int
 	for nfa := 0; nfa < net.NumNFAs(); nfa++ {
 		lo, hi := net.NFAStates(nfa)
-		hotFirst := len(hotNet.States)
-		coldFirst := len(coldNet.States)
-		// Pass 1: allocate states in their fragment.
+		hotFirst, coldFirst := nHot, nCold
 		for g := lo; g < hi; g++ {
-			s := net.States[g]
-			s.Succ = nil
 			if p.PredHot.Get(int(g)) {
-				hotID[g] = automata.StateID(len(hotNet.States))
-				hotNet.States = append(hotNet.States, s)
-				p.HotOrig = append(p.HotOrig, g)
+				hotID[g], p.ColdID[g] = automata.StateID(nHot), automata.None
+				nHot++
+				hotEdges += len(net.States[g].Succ)
 			} else {
-				p.ColdID[g] = automata.StateID(len(coldNet.States))
-				coldNet.States = append(coldNet.States, s)
-				p.ColdOrig = append(p.ColdOrig, g)
+				hotID[g], p.ColdID[g] = automata.None, automata.StateID(nCold)
+				nCold++
+				coldEdges += len(net.States[g].Succ)
 			}
 		}
-		// Pass 2: wire edges; cut edges create intermediate reporting
-		// states (one per distinct cold target within the NFA).
-		interOf := make(map[automata.StateID]automata.StateID) // orig cold -> hot-net v'
+		// Cut edges (hot source, cold target: the cut is unidirectional)
+		// get one intermediate reporting state per distinct target, after
+		// the NFA's hot states. A hot state keeps its out-degree: its cut
+		// edges are redirected, not added.
 		for g := lo; g < hi; g++ {
 			if !p.PredHot.Get(int(g)) {
-				// Cold source: all targets are cold (unidirectional cut).
-				cu := p.ColdID[g]
-				for _, v := range net.States[g].Succ {
-					coldNet.States[cu].Succ = append(coldNet.States[cu].Succ, p.ColdID[v])
-				}
 				continue
 			}
-			hu := hotID[g]
 			for _, v := range net.States[g].Succ {
-				if hv := hotID[v]; hv != automata.None {
-					hotNet.States[hu].Succ = append(hotNet.States[hu].Succ, hv)
-					continue
-				}
-				// Cut edge: route to the intermediate reporting state.
-				iv, ok := interOf[v]
-				if !ok {
-					iv = automata.StateID(len(hotNet.States))
-					hotNet.States = append(hotNet.States, automata.State{
-						Match:  net.States[v].Match,
-						Report: true,
-						Name:   "im:" + net.States[v].Name,
-					})
-					p.HotOrig = append(p.HotOrig, automata.None)
-					p.Intermediate[iv] = v
-					interOf[v] = iv
+				if hotID[v] == automata.None {
+					hotID[v] = automata.StateID(nHot)
+					nHot++
 					p.NumIntermediate++
 				}
-				hotNet.States[hu].Succ = append(hotNet.States[hu].Succ, iv)
 			}
 		}
-		if len(hotNet.States) > hotFirst {
-			idx := int32(hotNet.NumNFAs())
-			for range hotNet.States[hotFirst:] {
-				hotNet.NFAOf = append(hotNet.NFAOf, idx)
-			}
-			hotNet.Offsets = append(hotNet.Offsets, automata.StateID(len(hotNet.States)))
+		if nHot > hotFirst {
+			hotNet.Offsets = append(hotNet.Offsets, automata.StateID(nHot))
 		}
-		if len(coldNet.States) > coldFirst {
-			idx := int32(coldNet.NumNFAs())
-			for range coldNet.States[coldFirst:] {
-				coldNet.NFAOf = append(coldNet.NFAOf, idx)
-			}
-			coldNet.Offsets = append(coldNet.Offsets, automata.StateID(len(coldNet.States)))
+		if nCold > coldFirst {
+			coldNet.Offsets = append(coldNet.Offsets, automata.StateID(nCold))
 		}
 	}
+
+	hotNet.States = make([]automata.State, nHot)
+	coldNet.States = make([]automata.State, nCold)
+	p.HotOrig = make([]automata.StateID, nHot)
+	p.ColdOrig = make([]automata.StateID, nCold)
+	p.Intermediate = make(map[automata.StateID]automata.StateID, p.NumIntermediate)
+	hotSucc := make([]automata.StateID, hotEdges)
+	coldSucc := make([]automata.StateID, coldEdges)
+	for g := range net.States {
+		s := net.States[g]
+		if p.PredHot.Get(g) {
+			// Hot targets and cut targets alike are found through hotID.
+			s.Succ, hotSucc = window(s.Succ, hotSucc, hotID)
+			hotNet.States[hotID[g]] = s
+			p.HotOrig[hotID[g]] = automata.StateID(g)
+			continue
+		}
+		s.Succ, coldSucc = window(s.Succ, coldSucc, p.ColdID)
+		coldNet.States[p.ColdID[g]] = s
+		p.ColdOrig[p.ColdID[g]] = automata.StateID(g)
+		if iv := hotID[g]; iv != automata.None {
+			hotNet.States[iv] = automata.State{
+				Match:  s.Match,
+				Report: true,
+				Name:   "im:" + s.Name,
+			}
+			p.HotOrig[iv] = automata.None
+			p.Intermediate[iv] = automata.StateID(g)
+		}
+	}
+	hotNet.NFAOf = nfaOf(hotNet.Offsets)
+	coldNet.NFAOf = nfaOf(coldNet.Offsets)
 	p.Hot = hotNet
 	p.Cold = coldNet
+}
+
+// window translates succ through id into the front of free and returns the
+// translated list, capped at its length, and the rest of free. An empty
+// list stays nil.
+func window(succ, free, id []automata.StateID) (list, rest []automata.StateID) {
+	if len(succ) == 0 {
+		return nil, free
+	}
+	list = free[:len(succ):len(succ)]
+	for i, v := range succ {
+		list[i] = id[v]
+	}
+	return list, free[len(succ):]
+}
+
+// nfaOf expands a network's Offsets into its NFAOf table.
+func nfaOf(offsets []automata.StateID) []int32 {
+	nfa := make([]int32, offsets[len(offsets)-1])
+	for i := 1; i < len(offsets); i++ {
+		for s := offsets[i-1]; s < offsets[i]; s++ {
+			nfa[s] = int32(i - 1)
+		}
+	}
+	return nfa
 }
 
 // fillBatches implements the optimization of Section IV-B: after packing
@@ -255,12 +280,23 @@ func (p *Partition) buildNetworks() {
 // k introduces — otherwise filled batches overshoot the capacity once the
 // intermediates are added and BaseAP mode needs an extra configuration.
 func fillBatches(net *automata.Network, topo *graph.Topo, k []int32, capacity int) {
-	// Per-NFA layer histograms, so an increment's cost is O(1).
+	// Per-NFA layer histograms, so an increment's cost is O(1). Each
+	// table is one flat array; NFA u's window in it starts at base[u] and
+	// has a slot per layer plus one.
 	layers := make([][]int32, net.NumNFAs()) // layers[u][d-1] = #states at order d
 	inter := make([][]int32, net.NumNFAs())  // inter[u][d-1] = #intermediates when k=d
+	cum := make([][]int32, net.NumNFAs())    // cum[u][d] = #states at order <= d
+	base := make([]int, net.NumNFAs()+1)
 	for u := 0; u < net.NumNFAs(); u++ {
-		layers[u] = make([]int32, topo.MaxPerNFA[u])
-		inter[u] = make([]int32, topo.MaxPerNFA[u]+1) // +1: diff-array slack
+		base[u+1] = base[u] + int(topo.MaxPerNFA[u]) + 1
+	}
+	total := base[net.NumNFAs()]
+	layersFlat, interFlat, cumFlat := make([]int32, total), make([]int32, total), make([]int32, total)
+	for u := 0; u < net.NumNFAs(); u++ {
+		lo, hi := base[u], base[u+1]
+		layers[u] = layersFlat[lo : hi-1 : hi-1]
+		inter[u] = interFlat[lo:hi:hi] // +1: diff-array slack
+		cum[u] = cumFlat[lo:hi:hi]
 	}
 	for s := 0; s < net.Len(); s++ {
 		layers[net.NFAOf[s]][topo.Order[s]-1]++
@@ -290,9 +326,7 @@ func fillBatches(net *automata.Network, topo *graph.Topo, k []int32, capacity in
 		}
 	}
 	// frag(u, d) = states in layers 1..d plus intermediates at cut d.
-	cum := make([][]int32, net.NumNFAs())
 	for u := range cum {
-		cum[u] = make([]int32, len(layers[u])+1)
 		for d := 0; d < len(layers[u]); d++ {
 			cum[u][d+1] = cum[u][d] + layers[u][d]
 		}

@@ -72,6 +72,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	}{{"10k", 10_000}, {"160k", 160_000}} {
 		b.Run(c.name, func(b *testing.B) {
 			net := manySmallNFAs(c.states)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				staticPartitionOnce(b, net)

@@ -44,8 +44,17 @@ const maxPairStates = 4096
 func (a *Analysis) pairAnalysis() {
 	net := a.Net
 	a.CliqueCap = make([]int, net.NumNFAs())
-	var simul []uint64 // m×m bitmap, reused across NFAs
-	var queue []int32  // packed u*m+v worklist, reused
+	// Scratch reused across NFAs: the m×m bitmap, the packed u*m+v
+	// worklist, the NFA's tracked successors as CSR over its local IDs,
+	// its seeds and the degeneracy pass' bucket queue.
+	var (
+		simul      []uint64
+		queue      []int32
+		succStart  []int32
+		succFlat   []automata.StateID
+		sod, allIn []automata.StateID
+		peel       peeler
+	)
 	for i := range a.CliqueCap {
 		lo, hi := net.NFAStates(i)
 		m := int(hi - lo)
@@ -87,33 +96,25 @@ func (a *Analysis) pairAnalysis() {
 			simul[k2>>6] |= 1 << (uint(k2) & 63)
 			queue = append(queue, int32(k))
 		}
-		// trackedSucc filters edges into all-input starts, mirroring the
-		// compiled image: those targets never occupy the frontier.
-		trackedSucc := func(s automata.StateID) []automata.StateID {
-			succ := net.States[s].Succ
-			for _, v := range succ {
-				if net.States[v].Start == automata.StartAllInput {
-					goto filter
-				}
-			}
-			return succ
-		filter:
-			out := make([]automata.StateID, 0, len(succ))
-			for _, v := range succ {
-				if net.States[v].Start != automata.StartAllInput {
-					out = append(out, v)
-				}
-			}
-			return out
-		}
-		succOf := make([][]automata.StateID, m)
+		// Tracked successors leave out edges into all-input starts,
+		// mirroring the compiled image: those targets never occupy the
+		// frontier.
+		succStart = append(succStart[:0], 0)
+		succFlat = succFlat[:0]
 		for s := lo; s < hi; s++ {
-			succOf[s-lo] = trackedSucc(s)
+			for _, v := range net.States[s].Succ {
+				if net.States[v].Start != automata.StartAllInput {
+					succFlat = append(succFlat, v)
+				}
+			}
+			succStart = append(succStart, int32(len(succFlat)))
+		}
+		succOf := func(s automata.StateID) []automata.StateID {
+			return succFlat[succStart[s-lo]:succStart[s-lo+1]]
 		}
 
 		// Seeds. (1) Start-of-data states are jointly enabled at cycle 0.
-		var sod []automata.StateID
-		var allIn []automata.StateID
+		sod, allIn = sod[:0], allIn[:0]
 		for s := lo; s < hi; s++ {
 			switch net.States[s].Start {
 			case automata.StartOfData:
@@ -133,7 +134,7 @@ func (a *Analysis) pairAnalysis() {
 			if a.Facts.Fire[s].IsEmpty() {
 				continue
 			}
-			succ := succOf[s-lo]
+			succ := succOf(s)
 			for x := 0; x < len(succ); x++ {
 				for y := x + 1; y < len(succ); y++ {
 					mark(succ[x], succ[y])
@@ -148,13 +149,13 @@ func (a *Analysis) pairAnalysis() {
 			if fa.IsEmpty() {
 				continue
 			}
-			sa := succOf[ai-lo]
+			sa := succOf(ai)
 			for q := lo; q < hi; q++ {
 				if q == ai || fa.Intersect(a.Facts.Fire[q]).IsEmpty() {
 					continue
 				}
 				for _, u := range sa {
-					for _, v := range succOf[q-lo] {
+					for _, v := range succOf(q) {
 						mark(u, v)
 					}
 				}
@@ -171,80 +172,88 @@ func (a *Analysis) pairAnalysis() {
 			if a.Facts.Fire[p].Intersect(a.Facts.Fire[q]).IsEmpty() {
 				continue
 			}
-			for _, u := range succOf[p-lo] {
-				for _, v := range succOf[q-lo] {
+			for _, u := range succOf(p) {
+				for _, v := range succOf(q) {
 					mark(u, v)
 				}
 			}
 		}
-		if c := degeneracy(simul, m) + 1; c < a.CliqueCap[i] {
+		if c := peel.degeneracy(simul, m) + 1; c < a.CliqueCap[i] {
 			a.CliqueCap[i] = c
 		}
 	}
 }
 
+// peeler is the array bucket queue of Matula and Beck, kept as scratch
+// across the NFAs of one analysis: vert lists the vertices ordered by
+// current degree, bin[d] is where degree d's run starts in vert, and
+// pos[v] is v's index in vert.
+type peeler struct {
+	deg, bin, pos, vert []int32
+}
+
 // degeneracy peels minimum-degree vertices off the m-vertex graph whose
 // adjacency rows are the m×m bitmap, returning the largest min-degree
-// seen — any clique has size at most degeneracy+1.
-func degeneracy(adj []uint64, m int) int {
-	deg := make([]int, m)
-	for v := 0; v < m; v++ {
-		deg[v] = countBits(adj, v*m, (v+1)*m)
+// seen — any clique has size at most degeneracy+1. Every min-degree
+// peeling order yields the same value, the graph's largest core number.
+func (pl *peeler) degeneracy(adj []uint64, m int) int {
+	if cap(pl.deg) < m {
+		pl.deg, pl.bin = make([]int32, m), make([]int32, m)
+		pl.pos, pl.vert = make([]int32, m), make([]int32, m)
 	}
-	// Bucket queue over degrees.
-	maxDeg := 0
+	deg, pos, vert := pl.deg[:m], pl.pos[:m], pl.vert[:m]
+	maxDeg := int32(0)
+	for v := range deg {
+		deg[v] = int32(countBits(adj, v*m, (v+1)*m))
+		maxDeg = max(maxDeg, deg[v])
+	}
+	// Counting sort of the vertices by degree (a vertex has at most m-1
+	// neighbours, so bin fits in m slots).
+	bin := pl.bin[:maxDeg+1]
+	clear(bin)
 	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
-		}
+		bin[d]++
 	}
-	buckets := make([][]int32, maxDeg+1)
+	start := int32(0)
+	for d, n := range bin {
+		bin[d] = start
+		start += n
+	}
 	for v, d := range deg {
-		buckets[d] = append(buckets[d], int32(v))
+		pos[v] = bin[d]
+		vert[pos[v]] = int32(v)
+		bin[d]++
 	}
-	removed := make([]bool, m)
-	k, left, cur := 0, m, 0
-	for left > 0 {
-		if cur > maxDeg {
-			break
-		}
-		if len(buckets[cur]) == 0 {
-			cur++
-			continue
-		}
-		v := int(buckets[cur][len(buckets[cur])-1])
-		buckets[cur] = buckets[cur][:len(buckets[cur])-1]
-		if removed[v] || deg[v] != cur {
-			continue // stale bucket entry; the live one sits in a lower bucket
-		}
-		removed[v] = true
-		left--
-		if cur > k {
-			k = cur
-		}
-		// Decrement live neighbors and re-bucket them.
-		base := v * m
+	for d := maxDeg; d > 0; d-- {
+		bin[d] = bin[d-1]
+	}
+	bin[0] = 0
+	// Peel in vert order. A live neighbour u of higher degree loses one:
+	// it swaps with the first vertex of its degree run, and the run's
+	// start moves past it into the run below.
+	k := int32(0)
+	for _, v := range vert {
+		dv := deg[v]
+		k = max(k, dv)
+		base := int(v) * m
 		for w := base >> 6; w <= (base+m-1)>>6; w++ {
-			word := adj[w]
-			if word == 0 {
-				continue
-			}
-			for word != 0 {
-				bit := w<<6 | bits.TrailingZeros64(word)
-				word &= word - 1
-				u := bit - base
-				if u < 0 || u >= m || removed[u] {
+			for word := adj[w]; word != 0; word &= word - 1 {
+				u := (w<<6 | bits.TrailingZeros64(word)) - base
+				if u < 0 || u >= m || deg[u] <= dv {
 					continue
 				}
-				deg[u]--
-				buckets[deg[u]] = append(buckets[deg[u]], int32(u))
-				if deg[u] < cur {
-					cur = deg[u]
+				du, pu := deg[u], pos[u]
+				pw := bin[du]
+				if x := vert[pw]; int(x) != u {
+					pos[u], pos[x] = pw, pu
+					vert[pu], vert[pw] = x, int32(u)
 				}
+				bin[du]++
+				deg[u]--
 			}
 		}
 	}
-	return k
+	return int(k)
 }
 
 // countBits counts the set bits of the bitmap in bit interval [lo, hi).

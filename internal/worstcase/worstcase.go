@@ -202,26 +202,17 @@ func Analyze(net *automata.Network, cfg Config) *Analysis {
 			a.fire[b] = fireBacking[b*words : (b+1)*words : (b+1)*words]
 		}
 	}
-	var syms []byte
 	for p := 0; p < n; p++ {
 		fire := facts.Fire[p]
 		if fire.IsEmpty() {
 			continue
 		}
-		syms = append(syms[:0], fire.Symbols()...)
 		if fireBacking != nil {
-			pw, pb := p>>6, uint64(1)<<(uint(p)&63)
-			for _, b := range syms {
-				a.fire[b][pw] |= pb
-			}
+			setColumn(&a.fire, fire, p)
 		}
 		for _, v := range net.States[p].Succ {
-			if net.States[v].Start == automata.StartAllInput {
-				continue
-			}
-			vw, vb := v>>6, uint64(1)<<(uint32(v)&63)
-			for _, b := range syms {
-				a.frontier[b][vw] |= vb
+			if net.States[v].Start != automata.StartAllInput {
+				setColumn(&a.frontier, fire, int(v))
 			}
 		}
 	}
@@ -516,6 +507,17 @@ func sortByRawCntDesc(order []byte, rawCnt *[256]int) {
 	}
 }
 
+// setColumn sets state s's bit in the row of every symbol of syms,
+// walking the set's words in place.
+func setColumn(rows *[256][]uint64, syms symset.Set, s int) {
+	sw, sb := s>>6, uint64(1)<<(uint(s)&63)
+	for w, word := range syms {
+		for ; word != 0; word &= word - 1 {
+			rows[w<<6|bits.TrailingZeros64(word)][sw] |= sb
+		}
+	}
+}
+
 // countAnd counts the set bits of a AND b.
 func countAnd(a, b []uint64) int {
 	n := 0
@@ -539,8 +541,10 @@ func (a *Analysis) reportBound(mask []uint64) (bound int, sym byte) {
 			if mask[s>>6]&(1<<(uint(s)&63)) == 0 {
 				continue
 			}
-			for _, b := range a.Facts.Fire[s].Symbols() {
-				cnt[b]++
+			for w, word := range a.Facts.Fire[s] {
+				for ; word != 0; word &= word - 1 {
+					cnt[w<<6|bits.TrailingZeros64(word)]++
+				}
 			}
 		}
 		for b := 0; b < 256; b++ {
