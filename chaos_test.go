@@ -12,6 +12,7 @@ import (
 
 	"sparseap"
 	"sparseap/internal/checkpoint/ckpttest"
+	"sparseap/internal/oracle"
 	"sparseap/internal/workloads"
 )
 
@@ -182,7 +183,7 @@ func TestChaosSoakBaselineWithCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantReports := sparseap.Match(app.Net, app.Input)
+	wantReports := oracle.Reports[sparseap.Report](app.Net, app.Input)
 
 	dir := t.TempDir()
 	store, err := sparseap.OpenCheckpointStore(dir)
@@ -322,7 +323,7 @@ func TestChaosServeKillResume(t *testing.T) {
 				errs <- fmt.Errorf("%s: %w", app.Abbr, err)
 				return
 			}
-			want := sparseap.Match(app.Net, app.Input)
+			want := oracle.Reports[sparseap.Report](app.Net, app.Input)
 			if !sameReports(res.Reports, want) {
 				errs <- fmt.Errorf("%s: resumed stream diverged: %d vs %d reports",
 					app.Abbr, len(res.Reports), len(want))
@@ -452,7 +453,7 @@ func TestChaosServeClusterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sparseap.Match(app.Net, app.Input)
+	want := oracle.Reports[sparseap.Report](app.Net, app.Input)
 	if !sameReports(res.Reports, want) {
 		t.Fatalf("failed-over stream diverged: %d vs %d reports", len(res.Reports), len(want))
 	}
@@ -520,7 +521,7 @@ func TestChaosServeFailoverWithoutReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sparseap.Match(app.Net, app.Input)
+	want := oracle.Reports[sparseap.Report](app.Net, app.Input)
 	if !sameReports(res.Reports, want) {
 		t.Fatalf("restarted stream diverged: %d vs %d reports", len(res.Reports), len(want))
 	}

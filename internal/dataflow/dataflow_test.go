@@ -6,6 +6,7 @@ import (
 
 	"sparseap/internal/automata"
 	"sparseap/internal/graph"
+	"sparseap/internal/oracle"
 	"sparseap/internal/symset"
 )
 
@@ -204,51 +205,13 @@ func TestUnreachableBranchUnderAlphabet(t *testing.T) {
 	}
 }
 
-// randomNet builds a deterministic pseudo-random network: a few NFAs of
-// chained/cross-linked states with random match sets (some deliberately
-// empty so unreachable regions occur).
-func randomNet(r *rand.Rand) *automata.Network {
-	nfas := make([]*automata.NFA, 1+r.Intn(3))
-	for i := range nfas {
-		m := automata.NewNFA()
-		n := 2 + r.Intn(8)
-		ids := make([]automata.StateID, n)
-		for j := 0; j < n; j++ {
-			var ms symset.Set
-			switch r.Intn(4) {
-			case 0: // empty: blocks propagation
-			case 1:
-				ms = symset.Single(byte(r.Intn(256)))
-			case 2:
-				lo := byte(r.Intn(200))
-				ms = symset.Range(lo, lo+byte(r.Intn(50)))
-			case 3:
-				ms = symset.All()
-			}
-			kind := automata.StartNone
-			if j == 0 || r.Intn(5) == 0 {
-				kind = automata.StartAllInput
-			}
-			ids[j] = m.Add(ms, kind, r.Intn(4) == 0)
-		}
-		for j := 1; j < n; j++ {
-			m.Connect(ids[r.Intn(j)], ids[j]) // keep it connected
-			if r.Intn(3) == 0 {
-				m.Connect(ids[j], ids[r.Intn(n)]) // random back/cross edge
-			}
-		}
-		nfas[i] = m
-	}
-	return automata.NewNetwork(nfas...)
-}
-
 // TestFireProbProperties checks the three FireProb contracts over random
 // networks: range [0,1], zero exactly on Unreachable states, and
 // monotonicity under widening of a state's own match set.
 func TestFireProbProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
-		net := randomNet(r)
+		net := oracle.Network(r, 30)
 		f := Analyze(net, graph.TopoOrder(net), symset.Set{})
 		for s := 0; s < net.Len(); s++ {
 			id := automata.StateID(s)

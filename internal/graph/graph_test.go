@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/oracle"
 	"sparseap/internal/symset"
 )
 
@@ -143,22 +144,13 @@ func TestReachableFromStarts(t *testing.T) {
 	}
 }
 
-// randomNetwork generates a random single-NFA graph for property tests.
-func randomNetwork(r *rand.Rand, n, e int) *automata.Network {
-	edges := make([][2]int, 0, e)
-	for i := 0; i < e; i++ {
-		edges = append(edges, [2]int{r.Intn(n), r.Intn(n)})
-	}
-	return buildNet(n, edges)
-}
-
 // Property: states in the same SCC are mutually reachable; states in
 // different SCCs are not mutually reachable.
 func TestPropSCCMutualReachability(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
-		nStates := 2 + r.Intn(30)
-		net := randomNetwork(r, nStates, r.Intn(60))
+		net := oracle.Network(r, 50)
+		nStates := net.Len()
 		res := SCC(net)
 		reach := make([][]bool, nStates)
 		for s := 0; s < nStates; s++ {
@@ -198,8 +190,8 @@ func bfs(n *automata.Network, src int) []bool {
 func TestPropTopoMonotoneAlongEdges(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 30; trial++ {
-		nStates := 2 + r.Intn(40)
-		net := randomNetwork(r, nStates, r.Intn(80))
+		net := oracle.Network(r, 50)
+		nStates := net.Len()
 		tp := TopoOrder(net)
 		for u := 0; u < nStates; u++ {
 			for _, v := range net.States[u].Succ {
@@ -226,8 +218,8 @@ func TestPropTopoMonotoneAlongEdges(t *testing.T) {
 func TestPropSCCSizesSum(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 30; trial++ {
-		nStates := 1 + r.Intn(50)
-		net := randomNetwork(r, nStates, r.Intn(100))
+		net := oracle.Network(r, 50)
+		nStates := net.Len()
 		res := SCC(net)
 		sum := int32(0)
 		for _, s := range res.Size {
@@ -264,8 +256,8 @@ func TestNormalizedDepthDegenerateLayer(t *testing.T) {
 func TestPropCompOrderIsCondensationOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 30; trial++ {
-		nStates := 1 + r.Intn(40)
-		net := randomNetwork(r, nStates, r.Intn(80))
+		net := oracle.Network(r, 50)
+		nStates := net.Len()
 		tp := TopoOrder(net)
 		if len(tp.CompOrder) != tp.SCC.NumComps {
 			t.Fatalf("trial %d: CompOrder has %d entries for %d components", trial, len(tp.CompOrder), tp.SCC.NumComps)
@@ -297,8 +289,8 @@ func TestPropCompOrderIsCondensationOrder(t *testing.T) {
 func TestPropMembersPartitionStates(t *testing.T) {
 	r := rand.New(rand.NewSource(46))
 	for trial := 0; trial < 30; trial++ {
-		nStates := 1 + r.Intn(50)
-		net := randomNetwork(r, nStates, r.Intn(100))
+		net := oracle.Network(r, 50)
+		nStates := net.Len()
 		res := SCC(net)
 		seen := make([]bool, nStates)
 		for c := int32(0); c < int32(res.NumComps); c++ {

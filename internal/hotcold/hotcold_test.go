@@ -9,6 +9,7 @@ import (
 	"sparseap/internal/automata"
 	"sparseap/internal/bitvec"
 	"sparseap/internal/graph"
+	"sparseap/internal/oracle"
 	"sparseap/internal/regexc"
 	"sparseap/internal/sim"
 	"sparseap/internal/symset"
@@ -318,31 +319,16 @@ func TestBuildFromProfileEndToEnd(t *testing.T) {
 func TestPropPartitionInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
-		var nfas []*automata.NFA
-		for u := 0; u < 1+r.Intn(4); u++ {
-			n := 2 + r.Intn(10)
-			m := automata.NewNFA()
-			for s := 0; s < n; s++ {
-				start := automata.StartNone
-				if s == 0 {
-					start = automata.StartAllInput
-				}
-				m.Add(symset.Single(byte('a'+r.Intn(4))), start, r.Intn(4) == 0)
-			}
-			for e := 0; e < r.Intn(2*n); e++ {
-				m.Connect(automata.StateID(r.Intn(n)), automata.StateID(r.Intn(n)))
-			}
-			m.Dedup()
-			nfas = append(nfas, m)
-		}
-		net := automata.NewNetwork(nfas...)
+		net := oracle.Network(r, 40)
 		topo := graph.TopoOrder(net)
-		// Random hot set from a random input.
-		input := make([]byte, 1+r.Intn(50))
-		for i := range input {
-			input[i] = byte('a' + r.Intn(5))
-		}
+		// A hot set from a random input, with every start in it.
+		input := oracle.Input(r, 1+r.Intn(50))
 		hot := sim.HotStates(net, input)
+		for s, st := range net.States {
+			if st.Start != automata.StartNone {
+				hot.Set(s)
+			}
+		}
 		k := PartitionLayers(net, topo, hot)
 		p, err := Build(net, topo, k, Options{})
 		if err != nil {

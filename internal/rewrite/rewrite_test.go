@@ -10,12 +10,12 @@
 package rewrite_test
 
 import (
-	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/oracle"
 	"sparseap/internal/rewrite"
 	"sparseap/internal/sim"
 	"sparseap/internal/symset"
@@ -47,7 +47,7 @@ func checkEquivalent(t *testing.T, orig *automata.Network, res *rewrite.Result, 
 	if err := res.Check(alphabet); err != nil {
 		t.Fatalf("certificates failed verification: %v", err)
 	}
-	want := reportsAt(sim.Run(orig, input, sim.Options{CollectReports: true}).Reports, nil)
+	want := reportsAt(oracle.Reports[sim.Report](orig, input), nil)
 	var got map[int64][]automata.StateID
 	if res.Net.Len() == 0 {
 		got = map[int64][]automata.StateID{}
@@ -357,91 +357,4 @@ func TestSuiteEquivalence(t *testing.T) {
 			checkIdempotent(t, res, rewrite.Options{})
 		})
 	}
-}
-
-// randNet generates a random multi-NFA network: random match sets over a
-// small alphabet (including occasionally empty ones), random start kinds
-// and report flags, random edges with duplicates. Shared with
-// FuzzRewriteEquivalence.
-func randNet(r *rand.Rand) *automata.Network {
-	numNFAs := 1 + r.Intn(3)
-	nfas := make([]*automata.NFA, 0, numNFAs)
-	for i := 0; i < numNFAs; i++ {
-		m := automata.NewNFA()
-		n := 1 + r.Intn(12)
-		for s := 0; s < n; s++ {
-			var match symset.Set
-			switch r.Intn(5) {
-			case 0:
-				match = symset.Single(byte('a' + r.Intn(4)))
-			case 1:
-				match = symset.Range('a', byte('a'+r.Intn(6)))
-			case 2:
-				match = symset.Of('a', 'c')
-			case 3:
-				match = symset.Empty()
-			default:
-				match = symset.Range('a', 'f')
-			}
-			start := automata.StartNone
-			if s == 0 || r.Intn(6) == 0 {
-				if r.Intn(4) == 0 {
-					start = automata.StartOfData
-				} else {
-					start = automata.StartAllInput
-				}
-			}
-			m.Add(match, start, r.Intn(5) == 0)
-		}
-		for e := r.Intn(3 * n); e > 0; e-- {
-			m.Connect(automata.StateID(r.Intn(n)), automata.StateID(r.Intn(n)))
-		}
-		nfas = append(nfas, m)
-	}
-	return automata.NewNetwork(nfas...)
-}
-
-func randInput(r *rand.Rand, n int) []byte {
-	in := make([]byte, n)
-	for i := range in {
-		in[i] = byte('a' + r.Intn(8)) // 'a'..'h': beyond most match sets sometimes
-	}
-	return in
-}
-
-func TestRandomNetworkEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		net := randNet(r)
-		input := randInput(r, 256)
-		res, err := rewrite.Rewrite(net, rewrite.Options{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		checkMaps(t, net, res)
-		checkEquivalent(t, net, res, input, symset.Set{})
-		checkIdempotent(t, res, rewrite.Options{})
-	}
-}
-
-// FuzzRewriteEquivalence generates a random network and input from the
-// fuzzed seeds, rewrites the network, and requires the report streams to
-// match and the certificates to verify. It is the adversarial version of
-// TestRandomNetworkEquivalence.
-func FuzzRewriteEquivalence(f *testing.F) {
-	for seed := int64(1); seed <= 8; seed++ {
-		f.Add(seed, seed*31)
-	}
-	f.Fuzz(func(t *testing.T, netSeed, inputSeed int64) {
-		r := rand.New(rand.NewSource(netSeed))
-		net := randNet(r)
-		input := randInput(rand.New(rand.NewSource(inputSeed)), 128)
-		res, err := rewrite.Rewrite(net, rewrite.Options{})
-		if err != nil {
-			t.Fatalf("Rewrite: %v", err)
-		}
-		checkMaps(t, net, res)
-		checkEquivalent(t, net, res, input, symset.Set{})
-		checkIdempotent(t, res, rewrite.Options{})
-	})
 }

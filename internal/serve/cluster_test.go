@@ -16,6 +16,7 @@ import (
 	"sparseap/internal/automata"
 	"sparseap/internal/checkpoint"
 	"sparseap/internal/metrics"
+	"sparseap/internal/oracle"
 	"sparseap/internal/replica"
 	"sparseap/internal/sim"
 	"sparseap/internal/testleak"
@@ -103,7 +104,7 @@ func TestClusterReplicationHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameReports(res.Reports, expectedReports(testNet(t), input)); err != nil {
+	if err := sameReports(res.Reports, oracle.Reports[sim.Report](testNet(t), input)); err != nil {
 		t.Fatalf("replicated stream diverged: %v", err)
 	}
 	ships := metricValue(t, a, "serve_replication_ships")
@@ -170,7 +171,7 @@ func TestClusterMigrateLiveHandoff(t *testing.T) {
 	b := startNode(t, "test/v1", nil)
 	a := startNode(t, "test/v1", replicateTo(t, b))
 	input := testInput(1 << 17)
-	want := expectedReports(testNet(t), input)
+	want := oracle.Reports[sim.Report](testNet(t), input)
 
 	cl := pacedClient(a.h.ts.URL, []string{b.h.ts.URL})
 	done, res := streamInBackground(cl, input)
@@ -273,7 +274,7 @@ func TestClusterMigrateFingerprintMismatch(t *testing.T) {
 	b := startNode(t, "test/v2", nil) // mismatched build
 	a := startNode(t, "test/v1", nil)
 	input := testInput(1 << 17)
-	want := expectedReports(testNet(t), input)
+	want := oracle.Reports[sim.Report](testNet(t), input)
 
 	cl := pacedClient(a.h.ts.URL, nil)
 	done, res := streamInBackground(cl, input)
@@ -330,7 +331,7 @@ func TestClusterMigrateDuringOverload(t *testing.T) {
 	}()
 
 	input := testInput(1 << 17)
-	want := expectedReports(testNet(t), input)
+	want := oracle.Reports[sim.Report](testNet(t), input)
 	cl := pacedClient(a.h.ts.URL, nil)
 	done, res := streamInBackground(cl, input)
 	refuseLoop(t, a, b.h.ts.URL, done, "503")
@@ -358,7 +359,7 @@ func TestClusterTransferTruncatedThenIdempotent(t *testing.T) {
 	a := startNode(t, "test/v1", nil)
 	net := testNet(t)
 	input := testInput(1 << 15)
-	want := expectedReports(net, input)
+	want := oracle.Reports[sim.Report](net, input)
 	id := newSessionID()
 	slot := slotName(id)
 
@@ -466,7 +467,7 @@ func TestClusterDrainMigrate(t *testing.T) {
 		cfg.Peers = []string{b.h.ts.URL}
 	})
 	input := testInput(1 << 17)
-	want := expectedReports(testNet(t), input)
+	want := oracle.Reports[sim.Report](testNet(t), input)
 
 	cl := pacedClient(a.h.ts.URL, []string{b.h.ts.URL})
 	done, res := streamInBackground(cl, input)

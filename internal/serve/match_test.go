@@ -11,14 +11,15 @@ import (
 	"testing"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/oracle"
 	"sparseap/internal/spap"
 	"sparseap/internal/testleak"
 )
 
-// sameAsSimRun compares a /v1/match reply report-by-report with an
-// uninterrupted sim.Run of the same input.
-func sameAsSimRun(m *matchResponse, net *automata.Network, input []byte) error {
-	want := expectedReports(net, input)
+// sameAsOracle compares a /v1/match reply report-by-report with the
+// oracle's run of the same input.
+func sameAsOracle(m *matchResponse, net *automata.Network, input []byte) error {
+	want := oracle.Run(net, input).Reports
 	if int(m.NumReports) != len(want) || len(m.Reports) != len(want) {
 		return fmt.Errorf("%d reports (%d listed), want %d", m.NumReports, len(m.Reports), len(want))
 	}
@@ -65,7 +66,7 @@ func TestMatchIdenticalToSimRun(t *testing.T) {
 					errs <- fmt.Errorf("match %d: mode = %q, want %q", i, m.Mode, wantMode)
 					return
 				}
-				if err := sameAsSimRun(m, net, input); err != nil {
+				if err := sameAsOracle(m, net, input); err != nil {
 					errs <- fmt.Errorf("match %d (len %d): %v", i, len(input), err)
 				}
 			}(i)
@@ -114,7 +115,7 @@ func TestMatchIdenticalToSimRun(t *testing.T) {
 				if m.Mode != wantMode {
 					t.Fatalf("len %d: mode = %q, want %q", n, m.Mode, wantMode)
 				}
-				if err := sameAsSimRun(m, net, input); err != nil {
+				if err := sameAsOracle(m, net, input); err != nil {
 					t.Fatalf("len %d, %s: %v", n, wantMode, err)
 				}
 			}

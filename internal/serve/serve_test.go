@@ -13,6 +13,7 @@ import (
 
 	"sparseap/internal/automata"
 	"sparseap/internal/checkpoint"
+	"sparseap/internal/oracle"
 	"sparseap/internal/sim"
 	"sparseap/internal/spap"
 	"sparseap/internal/symset"
@@ -71,10 +72,6 @@ func waitCompleted(t *testing.T, h *harness) {
 	}
 }
 
-func expectedReports(net *automata.Network, input []byte) []sim.Report {
-	return sim.Run(net, input, sim.Options{CollectReports: true}).Reports
-}
-
 func TestStreamEndToEnd(t *testing.T) {
 	testleak.Check(t)
 	net := testNet(t)
@@ -86,7 +83,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameReports(res.Reports, expectedReports(net, input)); err != nil {
+	if err := sameReports(res.Reports, oracle.Reports[sim.Report](net, input)); err != nil {
 		t.Fatalf("stream diverged from uninterrupted run: %v", err)
 	}
 	waitCompleted(t, h)
@@ -127,7 +124,7 @@ func TestStreamEOFSavesOnlyUnsavedState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameReports(res.Reports, expectedReports(net, input)); err != nil {
+		if err := sameReports(res.Reports, oracle.Reports[sim.Report](net, input)); err != nil {
 			t.Fatalf("%d symbols: stream diverged: %v", c.inputLen, err)
 		}
 		if got := h.s.Registry().Snapshot()["serve_checkpoint_saves"]; got != c.wantSaves {
@@ -187,7 +184,7 @@ func TestStreamResumeAfterAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameReports(res.Reports, expectedReports(net, input)); err != nil {
+	if err := sameReports(res.Reports, oracle.Reports[sim.Report](net, input)); err != nil {
 		t.Fatalf("resumed stream not bit-identical: %v", err)
 	}
 	if cl.Retries.Load() == 0 {
@@ -238,7 +235,7 @@ func TestDrainSuspendsAndResumes(t *testing.T) {
 	if derr := <-drained; derr != nil {
 		t.Fatalf("drain: %v", derr)
 	}
-	if err := sameReports(res.Reports, expectedReports(net, input)); err != nil {
+	if err := sameReports(res.Reports, oracle.Reports[sim.Report](net, input)); err != nil {
 		t.Fatalf("post-drain stream not bit-identical: %v", err)
 	}
 	snap := h1.s.Registry().Snapshot()
@@ -281,7 +278,7 @@ func TestDrainWithoutStoreRestarts(t *testing.T) {
 	if derr := <-drained; derr != nil {
 		t.Fatalf("drain: %v", derr)
 	}
-	if err := sameReports(res.Reports, expectedReports(net, input)); err != nil {
+	if err := sameReports(res.Reports, oracle.Reports[sim.Report](net, input)); err != nil {
 		t.Fatalf("post-drain stream not bit-identical: %v", err)
 	}
 	snap := h1.s.Registry().Snapshot()
@@ -662,7 +659,7 @@ func TestOverloadShedsNotFails(t *testing.T) {
 	h := startServer(t, Config{MaxSessions: 2, MaxPerTenant: 1}, net)
 	input := testInput(32768)
 
-	want := expectedReports(net, input)
+	want := oracle.Reports[sim.Report](net, input)
 	const n = 24
 	type outcome struct {
 		out attemptOutcome

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/oracle"
 )
 
 // randomLaneInputs builds 1..64 ragged inputs over a small alphabet.
@@ -43,7 +44,7 @@ func TestPropBatchLanesIdenticalToSolo(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	kernels := []Kernel{KernelSparse, KernelDense, KernelAuto}
 	for trial := 0; trial < 60; trial++ {
-		net := randomKernelNet(r)
+		net := oracle.Network(r, 24)
 		lanes := 1 + r.Intn(MaxLanes)
 		inputs := randomLaneInputs(r, lanes)
 		threshold := 1 + r.Intn(4)
@@ -77,7 +78,7 @@ func TestPropBatchLanesIdenticalToSolo(t *testing.T) {
 func TestPropBatchMidBatchJoinAndRetire(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
-		net := randomKernelNet(r)
+		net := oracle.Network(r, 24)
 		lanes := 2 + r.Intn(MaxLanes-1)
 		inputs := randomLaneInputs(r, lanes)
 		threshold := 1 + r.Intn(4)
@@ -123,7 +124,7 @@ func TestPropBatchMidBatchJoinAndRetire(t *testing.T) {
 func TestBatchEarlyRetireIsolated(t *testing.T) {
 	r := rand.New(rand.NewSource(7001))
 	for trial := 0; trial < 40; trial++ {
-		net := randomKernelNet(r)
+		net := oracle.Network(r, 24)
 		inputs := randomLaneInputs(r, 3+r.Intn(8))
 		for l := range inputs {
 			if len(inputs[l]) == 0 {
@@ -278,7 +279,7 @@ func TestBatchAutoSwitches(t *testing.T) {
 // slots, still solo-identical per stream.
 func TestRunBatchMoreStreamsThanLanes(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	net := randomKernelNet(r)
+	net := oracle.Network(r, 24)
 	inputs := make([][]byte, MaxLanes+37)
 	for i := range inputs {
 		inputs[i] = randomLaneInputs(r, 1)[0]

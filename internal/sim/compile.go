@@ -602,14 +602,12 @@ func AcquireEngine(net *automata.Network, opts Options) *Engine {
 const maxPooledReportCap = 1 << 14
 
 // Release returns the engine to its image's pool, scrubbing every
-// run-scoped hook first: the report callback, the fault-injection hook,
-// and the ever-enabled view. A recycled engine must behave exactly like a
-// fresh one — in particular it must not replay a previous run's fault
-// plan or deliver reports to a dead consumer. The engine, and any slice
+// run-scoped hook first: the report callback and the ever-enabled view. A
+// recycled engine must behave exactly like a fresh one — in particular it
+// must not deliver reports to a dead consumer. The engine, and any slice
 // previously obtained from it, must not be used afterwards.
 func (e *Engine) Release() {
 	e.OnReport = nil
-	e.Flips = nil
 	e.ever = nil
 	if cap(e.reports) > maxPooledReportCap {
 		e.reports = nil

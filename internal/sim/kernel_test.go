@@ -13,139 +13,9 @@ import (
 	"unsafe"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/oracle"
 	"sparseap/internal/symset"
 )
-
-// randomKernelNet builds a random network exercising every feature the
-// kernels must agree on: self-loops, all-input starts, start-of-data
-// starts, reporting states, and arbitrary (possibly cyclic) edges.
-func randomKernelNet(r *rand.Rand) *automata.Network {
-	nStates := 2 + r.Intn(20)
-	m := automata.NewNFA()
-	alphabet := []byte("abcd")
-	for s := 0; s < nStates; s++ {
-		var set symset.Set
-		switch r.Intn(4) {
-		case 0:
-			set = symset.All()
-		default:
-			for k := 0; k <= r.Intn(3); k++ {
-				set.Add(alphabet[r.Intn(len(alphabet))])
-			}
-		}
-		start := automata.StartNone
-		switch r.Intn(5) {
-		case 0:
-			start = automata.StartAllInput
-		case 1:
-			start = automata.StartOfData
-		}
-		m.Add(set, start, r.Intn(3) == 0)
-	}
-	if m.States[0].Start == automata.StartNone {
-		m.States[0].Start = automata.StartAllInput
-	}
-	for k := 0; k < r.Intn(3*nStates); k++ {
-		u := automata.StateID(r.Intn(nStates))
-		v := automata.StateID(r.Intn(nStates))
-		m.Connect(u, v) // u == v gives a self-loop
-	}
-	m.Dedup()
-	return automata.NewNetwork(m)
-}
-
-// wideKernelNet builds a network of 60–400 states, several bitmap words
-// wide, so that enabling a successor regularly crosses a word boundary.
-// shape 0 is chain-heavy (mostly s → s+1, some skips, self-loops and
-// backward edges — the Brill/PEN/Snort layout), shape 1 a grid whose rows
-// feed the next row straight and diagonally (the Hamming layout: a few
-// deltas around the row width carry every edge), shape 2 random edges
-// (mostly backward or longer than a word, so nearly every state is an
-// exception with a slot of its own), shape 3 two hubs with 100–120
-// successors each, all over the network — one of the two an all-input
-// start, the other reached through its chain — among 2 500–3 000 states of
-// forward chains: enough of them that the hubs' edges stay under a tenth
-// and the image keeps its classes around two exceptions whose slots
-// overflow.
-func wideKernelNet(r *rand.Rand, shape int) *automata.Network {
-	n := 60 + r.Intn(341)
-	if shape == 3 {
-		n = 2500 + r.Intn(501)
-	}
-	m := automata.NewNFA()
-	alphabet := []byte("abcd")
-	for s := 0; s < n; s++ {
-		var set symset.Set
-		switch r.Intn(5) {
-		case 0:
-			set = symset.All()
-		default:
-			for k := 0; k <= r.Intn(3); k++ {
-				set.Add(alphabet[r.Intn(len(alphabet))])
-			}
-		}
-		start := automata.StartNone
-		switch r.Intn(12) {
-		case 0:
-			start = automata.StartAllInput
-		case 1:
-			start = automata.StartOfData
-		}
-		m.Add(set, start, r.Intn(6) == 0)
-	}
-	m.States[0].Start = automata.StartAllInput
-	connect := func(u, v int) {
-		if v >= 0 && v < n {
-			m.Connect(automata.StateID(u), automata.StateID(v))
-		}
-	}
-	switch shape {
-	case 0, 3:
-		for s := 0; s < n; s++ {
-			if r.Intn(10) != 0 {
-				connect(s, s+1)
-			}
-			switch r.Intn(12) {
-			case 0:
-				connect(s, s+2)
-			case 1:
-				connect(s, s)
-			case 2:
-				if shape == 0 {
-					connect(s, s-1-r.Intn(40))
-				}
-			}
-		}
-		if shape == 3 {
-			for h := 0; h < 2; h++ {
-				hub := r.Intn(n)
-				if h == 0 {
-					m.States[hub].Start = automata.StartAllInput // fires whatever the chains do
-				}
-				for k := 0; k < 100+r.Intn(21); k++ {
-					connect(hub, r.Intn(n))
-				}
-			}
-		}
-	case 1:
-		width := 5 + r.Intn(60)
-		for s := 0; s < n; s++ {
-			connect(s, s+width)
-			if r.Intn(2) == 0 {
-				connect(s, s+width+1)
-			}
-			if r.Intn(8) == 0 {
-				connect(s, s+width-1)
-			}
-		}
-	default:
-		for k := 0; k < 2*n; k++ {
-			connect(r.Intn(n), r.Intn(n))
-		}
-	}
-	m.Dedup()
-	return automata.NewNetwork(m)
-}
 
 // withCut sets the frontier length at which e's adaptive kernel goes
 // dense; 0 keeps the image's compiled cut.
@@ -157,42 +27,42 @@ func withCut(e *Engine, threshold int) *Engine {
 }
 
 // kernelRun is one engine of checkKernels on its way through the input,
-// held to the naive reference.
+// held to the oracle.
 type kernelRun struct {
 	t       testing.TB
 	name    string
 	e       *Engine
 	input   []byte
-	edits   []frontierEdit
-	want    naiveResult
+	edits   []oracle.Edit
+	want    oracle.Result
 	tracked bool
 }
 
 // edit makes the edits due before symbol i.
 func (r *kernelRun) edit(i int) {
 	for _, ed := range r.edits {
-		if ed.at != i {
+		if ed.At != i {
 			continue
 		}
-		switch ed.op {
+		switch ed.Op {
 		case 'e':
-			r.e.EnableState(ed.s)
+			r.e.EnableState(ed.S)
 		case 'd':
-			r.e.DisableState(ed.s)
+			r.e.DisableState(ed.S)
 		case 't':
-			r.e.ToggleState(ed.s)
+			r.e.ToggleState(ed.S)
 		}
 	}
 }
 
 // step runs symbol i and reads the frontier every way there is: its length
-// and emptiness must be the naive reference's.
+// and emptiness must be the oracle's.
 func (r *kernelRun) step(i int) {
 	r.t.Helper()
 	e := r.e
 	e.Step(int64(i), r.input[i])
-	if e.FrontierLen() != r.want.frontier[i] || e.FrontierEmpty() != (r.want.frontier[i] == 0) {
-		r.t.Fatalf("%s: frontier after symbol %d has %d states (empty %v), naive %d", r.name, i, e.FrontierLen(), e.FrontierEmpty(), r.want.frontier[i])
+	if e.FrontierLen() != r.want.Frontier[i] || e.FrontierEmpty() != (r.want.Frontier[i] == 0) {
+		r.t.Fatalf("%s: frontier after symbol %d has %d states (empty %v), the oracle's %d", r.name, i, e.FrontierLen(), e.FrontierEmpty(), r.want.Frontier[i])
 	}
 	// The sparse step's activations dedupe against the next side alone: it
 	// must be empty between steps.
@@ -207,24 +77,24 @@ func (r *kernelRun) step(i int) {
 
 // finished holds the collected reports to reports, and the report count and
 // the ever-enabled set to the whole run's.
-func (r *kernelRun) finished(reports []Report) {
+func (r *kernelRun) finished(reports []oracle.Report) {
 	r.t.Helper()
 	e := r.e
 	got := e.Reports()
-	if len(got) != len(reports) || e.NumReports() != int64(len(r.want.reports)) {
-		r.t.Fatalf("%s: %d reports collected of %d, %d counted of %d", r.name, len(got), len(reports), e.NumReports(), len(r.want.reports))
+	if len(got) != len(reports) || e.NumReports() != int64(len(r.want.Reports)) {
+		r.t.Fatalf("%s: %d reports collected of %d, %d counted of %d", r.name, len(got), len(reports), e.NumReports(), len(r.want.Reports))
 	}
 	for i := range got {
-		if got[i] != reports[i] {
-			r.t.Fatalf("%s: report[%d] = %+v, naive %+v", r.name, i, got[i], reports[i])
+		if got[i] != Report(reports[i]) {
+			r.t.Fatalf("%s: report[%d] = %+v, the oracle's %+v", r.name, i, got[i], reports[i])
 		}
 	}
 	if !r.tracked {
 		return
 	}
-	for s, hot := range r.want.ever {
+	for s, hot := range r.want.Ever {
 		if e.EverEnabled().Get(s) != hot {
-			r.t.Fatalf("%s: ever[%d] = %v, naive %v", r.name, s, !hot, hot)
+			r.t.Fatalf("%s: ever[%d] = %v, the oracle says %v", r.name, s, !hot, hot)
 		}
 	}
 }
@@ -239,10 +109,10 @@ func sameState(a, b *Snapshot) bool {
 
 // checkKernels runs the sparse-only, dense-only and adaptive kernels over
 // input, each with and without ever-enabled tracking (the untracked arm is
-// the one sim.Run, spap and serve execute), and holds each to the naive
-// reference simulator: the same frontier length after every symbol, the
-// same reports in the same order, the same report count and the same
-// ever-enabled set. edits are made between steps on both sides.
+// the one sim.Run, spap and serve execute), and holds each to oracle.Run:
+// the same frontier length after every symbol, the same reports in the same
+// order, the same report count and the same ever-enabled set. edits are made
+// between steps on both sides.
 //
 // Snapshots do not say which kernel took them. After every symbol the three
 // kernels' snapshots agree on everything but the kernel counters — the
@@ -257,9 +127,9 @@ func sameState(a, b *Snapshot) bool {
 // count of dense and sparse steps.
 //
 // A fourth arm, checkSkip, consumes the input through Skip.
-func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold int, edits ...frontierEdit) {
+func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold int, edits ...oracle.Edit) {
 	t.Helper()
-	want := naiveRun(net, input, edits...)
+	want := oracle.Run(net, input, edits...)
 	checkSkip(t, net, input, want, edits)
 	cut := len(input) / 2
 	kernels := []Kernel{KernelSparse, KernelDense, KernelAuto}
@@ -290,8 +160,8 @@ func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold i
 					t.Fatalf("%s: snapshot after symbol %d is %+v, %v's %+v", r.name, i, snap, kernels[0], after[i])
 				}
 			}
-			r.finished(want.reports)
-			quiet.finished(want.reports)
+			r.finished(want.Reports)
+			quiet.finished(want.Reports)
 			if last := quiet.e.Snapshot(nil, int64(len(input))); snap != nil && (!sameState(last, snap) ||
 				last.DenseSteps != snap.DenseSteps || last.SparseSteps != snap.SparseSteps) {
 				t.Fatalf("%s: ends at %+v, the run that read after every step at %+v", quiet.name, last, snap)
@@ -315,29 +185,25 @@ func checkKernels(t testing.TB, net *automata.Network, input []byte, threshold i
 					}
 					r.step(i)
 				}
-				r.finished(want.reports[snap.NumReports:])
+				r.finished(want.Reports[snap.NumReports:])
 			}
 		}
 	}
 }
-
-// skippedInChecks counts the symbols checkSkip's engines crossed by Skip,
-// for the tests that must not pass because nothing was ever quiet.
-var skippedInChecks int
 
 // checkSkip holds Skip to the oracle like a kernel. On every kernel, tracked
 // and not, at the image's own cut (the table is built from it), an engine
 // consumes the input through Skip over windows of drawn length 1 to 9 —
 // cut short, as the loops that own a stream cut theirs, at the next
 // position with an edit or the half-way snapshot due — and steps the symbol
-// Skip would not take. Against naiveRun: the same reports in order, the
+// Skip would not take. Against oracle.Run: the same reports in order, the
 // same ever-enabled set, the same frontier length after every call, and
 // after every symbol Skip crossed nothing but that symbol's start plan.
 // Against an engine that steps every symbol: the same Snapshot, counters
 // included, after every call. Only the untracked sparse and adaptive
 // engines may skip at all. The half-way snapshot is restored at the end and
 // the tail consumed the same way again.
-func checkSkip(t testing.TB, net *automata.Network, input []byte, want naiveResult, edits []frontierEdit) {
+func checkSkip(t testing.TB, net *automata.Network, input []byte, want oracle.Result, edits []oracle.Edit) {
 	t.Helper()
 	img := ImageOf(net)
 	cut := len(input) / 2
@@ -364,8 +230,8 @@ func checkSkip(t testing.TB, net *automata.Network, input []byte, want naiveResu
 						end = min(end, cut)
 					}
 					for _, ed := range edits {
-						if ed.at > i {
-							end = min(end, ed.at)
+						if ed.At > i {
+							end = min(end, ed.At)
 						}
 					}
 					n := r.e.Skip(input[:end], i)
@@ -373,17 +239,15 @@ func checkSkip(t testing.TB, net *automata.Network, input []byte, want naiveResu
 						t.Fatalf("%s: Skip took %d symbols at %d", r.name, n, i)
 					}
 					for j := i; j < i+n; j++ {
-						if plan := len(img.startNext[input[j]]); want.frontier[j] != plan {
-							t.Fatalf("%s: Skip at %d crossed symbol %d, which leaves %d states enabled; its plan has %d", r.name, i, j, want.frontier[j], plan)
+						if plan := len(img.startNext[input[j]]); want.Frontier[j] != plan {
+							t.Fatalf("%s: Skip at %d crossed symbol %d, which leaves %d states enabled; its plan has %d", r.name, i, j, want.Frontier[j], plan)
 						}
 					}
 					if n == 0 {
 						r.step(i)
 						n = 1
-					} else if last := want.frontier[i+n-1]; r.e.FrontierLen() != last || r.e.FrontierEmpty() != (last == 0) {
-						t.Fatalf("%s: frontier after Skip to %d has %d states (empty %v), naive %d", r.name, i+n, r.e.FrontierLen(), r.e.FrontierEmpty(), last)
-					} else {
-						skippedInChecks += n
+					} else if last := want.Frontier[i+n-1]; r.e.FrontierLen() != last || r.e.FrontierEmpty() != (last == 0) {
+						t.Fatalf("%s: frontier after Skip to %d has %d states (empty %v), the oracle's %d", r.name, i+n, r.e.FrontierLen(), r.e.FrontierEmpty(), last)
 					}
 					i += n
 					if ref == nil {
@@ -398,7 +262,7 @@ func checkSkip(t testing.TB, net *automata.Network, input []byte, want naiveResu
 				}
 			}
 			consume(0, ref)
-			r.finished(want.reports)
+			r.finished(want.Reports)
 			if halfway == nil {
 				continue // no input
 			}
@@ -407,39 +271,8 @@ func checkSkip(t testing.TB, net *automata.Network, input []byte, want naiveResu
 				t.Fatalf("%s: %v", r.name, err)
 			}
 			consume(cut, nil)
-			r.finished(want.reports[halfway.NumReports:])
+			r.finished(want.Reports[halfway.NumReports:])
 		}
-	}
-}
-
-func randomInput(r *rand.Rand, n int) []byte {
-	input := make([]byte, n)
-	alphabet := []byte("abcdx")
-	for i := range input {
-		input[i] = alphabet[r.Intn(len(alphabet))]
-	}
-	return input
-}
-
-// Property: the sparse-only, dense-only, and adaptive kernels agree with
-// the naive reference simulator — report stream in order, report count,
-// ever-enabled set, frontier length after every symbol — on randomized
-// networks of one bitmap word and of several.
-func TestPropKernelsIdentical(t *testing.T) {
-	r := rand.New(rand.NewSource(2024))
-	skipped := skippedInChecks
-	for trial := 0; trial < 80; trial++ {
-		net := randomKernelNet(r)
-		// A low threshold makes KernelAuto actually alternate between
-		// passes on these small nets.
-		checkKernels(t, net, randomInput(r, 1+r.Intn(120)), 1+r.Intn(4))
-	}
-	for trial := 0; trial < 60; trial++ {
-		net := wideKernelNet(r, trial%4)
-		checkKernels(t, net, randomInput(r, 1+r.Intn(200)), 1+r.Intn(net.Len()/4))
-	}
-	if skippedInChecks == skipped {
-		t.Fatal("no symbol of any input was ever skipped")
 	}
 }
 
@@ -669,8 +502,7 @@ func planNet(states []string, edges ...[2]int) *automata.NFA {
 // that report. Each cell here is one way a plan can meet the rest of a
 // cycle, or wait between two, pinned with the plan symbol 'a' must compile
 // to — a cell whose image came out with another plan would test nothing —
-// and run on all three kernels, tracked and untracked, against the naive
-// reference.
+// and run on all three kernels, tracked and untracked, against the oracle.
 func TestStartPlanCells(t *testing.T) {
 	type ids = []automata.StateID
 	cells := map[string]struct {
@@ -678,7 +510,7 @@ func TestStartPlanCells(t *testing.T) {
 		input     string
 		next, rep ids // startNext['a'], startRep['a']
 		threshold int
-		edits     []frontierEdit
+		edits     []oracle.Edit
 	}{
 		// Two starts one symbol fires share a successor: the plan holds it
 		// once, so it is enabled and counted once.
@@ -709,8 +541,9 @@ func TestStartPlanCells(t *testing.T) {
 		// enabled by hand before the plan enables it again, one the plan
 		// enabled disabled, toggles both ways, edits to a start (no-ops).
 		"edits": {planNet([]string{"a*", "ab*!", "ab", "ab!", "b!", "x"}, [2]int{0, 2}, [2]int{1, 3}, [2]int{2, 4}, [2]int{3, 4}, [2]int{3, 5}),
-			"aababaxab", ids{2, 3}, ids{1}, 2, []frontierEdit{
-				{1, 'd', 2}, {1, 'e', 4}, {2, 't', 3}, {2, 't', 5}, {4, 'e', 2}, {4, 'e', 0}, {4, 'd', 1}, {4, 't', 1}, {6, 'd', 3}, {6, 'd', 3},
+			"aababaxab", ids{2, 3}, ids{1}, 2, []oracle.Edit{
+				{At: 1, Op: 'd', S: 2}, {At: 1, Op: 'e', S: 4}, {At: 2, Op: 't', S: 3}, {At: 2, Op: 't', S: 5}, {At: 4, Op: 'e', S: 2},
+				{At: 4, Op: 'e', S: 0}, {At: 4, Op: 'd', S: 1}, {At: 4, Op: 't', S: 1}, {At: 6, Op: 'd', S: 3}, {At: 6, Op: 'd', S: 3},
 			}},
 		// 'c' fires three starts, enough for KernelAuto to run one dense
 		// step between two sparse ones: the list is rebuilt from the
@@ -847,274 +680,6 @@ func TestStartPlanCells(t *testing.T) {
 	}
 }
 
-// fuzzNet decodes a network, an input, a dense threshold and frontier edits
-// from fuzz bytes. Five header bytes give the state count (2–401), the
-// threshold (0 = the compiled default), one extra edge delta and the number
-// of free-form edges; then one byte per state — bits 0–1 symbol set, 2–3
-// start kind, 4 reports, 5 edge to s+1, 6 self-loop, 7 edge to s+delta —
-// four bytes per free-form edge, and the rest is the input, one byte a
-// position: bits 0–1 the symbol, bits 2–3 an edit made before it (none,
-// enable, disable, toggle) to state (bits 4–7 + 16 × position) mod n.
-func fuzzNet(data []byte) (*automata.Network, []byte, int, []frontierEdit) {
-	if len(data) < 5 {
-		return nil, nil, 0, nil
-	}
-	n := 2 + (int(data[0])|int(data[1])<<8)%400
-	threshold, delta, edges := int(data[2]), int(data[3]), int(data[4])
-	data = data[5:]
-	next := func() byte {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return b
-	}
-	m := automata.NewNFA()
-	flags := make([]byte, n)
-	for s := range flags {
-		b := next()
-		flags[s] = b
-		var set symset.Set
-		switch b & 3 {
-		case 0:
-			set = symset.Single('a')
-		case 1:
-			set = symset.Single('b')
-		case 2:
-			set.Add('a')
-			set.Add('b')
-			set.Add('c')
-		default:
-			set = symset.All()
-		}
-		start := automata.StartNone
-		switch b >> 2 & 3 {
-		case 2:
-			start = automata.StartAllInput
-		case 3:
-			start = automata.StartOfData
-		}
-		m.Add(set, start, b&16 != 0)
-	}
-	connect := func(u, v int) {
-		if v < n {
-			m.Connect(automata.StateID(u), automata.StateID(v))
-		}
-	}
-	for s, b := range flags {
-		if b&32 != 0 {
-			connect(s, s+1)
-		}
-		if b&64 != 0 {
-			connect(s, s)
-		}
-		if b&128 != 0 {
-			connect(s, s+delta)
-		}
-	}
-	for ; edges > 0 && len(data) >= 4; edges-- {
-		connect((int(data[0])|int(data[1])<<8)%n, (int(data[2])|int(data[3])<<8)%n)
-		data = data[4:]
-	}
-	m.Dedup()
-	if len(data) > 300 {
-		data = data[:300]
-	}
-	input := make([]byte, len(data))
-	var edits []frontierEdit
-	for i, b := range data {
-		input[i] = "abcx"[b&3]
-		if op := b >> 2 & 3; op != 0 {
-			edits = append(edits, frontierEdit{i, "edt"[op-1], automata.StateID((int(b>>4) + 16*i) % n)})
-		}
-	}
-	return automata.NewNetwork(m), input, threshold, edits
-}
-
-// fuzzNet's state flag bits, for the seeds.
-const (
-	fzStartAll  = 2 << 2
-	fzStartData = 3 << 2
-	fzReport    = 1 << 4
-	fzNext      = 1 << 5
-	fzSelf      = 1 << 6
-	fzDelta     = 1 << 7
-)
-
-// fuzzSeed encodes a network of n states for fuzzNet: state gives each
-// state's flag byte, edges the free-form ones, and the input is a run of
-// 'a' with a 'b' every 16th symbol. edits, on networks of at most 16
-// states, go into the input bytes of their positions, one a position.
-func fuzzSeed(n int, threshold, delta byte, state func(s int) byte, edges [][2]int, inputLen int, edits ...frontierEdit) []byte {
-	data := []byte{byte(n - 2), byte((n - 2) >> 8), threshold, delta, byte(len(edges))}
-	for s := 0; s < n; s++ {
-		data = append(data, state(s))
-	}
-	for _, e := range edges {
-		data = append(data, byte(e[0]), byte(e[0]>>8), byte(e[1]), byte(e[1]>>8))
-	}
-	for i := 0; i < inputLen; i++ {
-		if i%16 == 15 {
-			data = append(data, 1)
-		} else {
-			data = append(data, 0)
-		}
-	}
-	for _, ed := range edits {
-		hi := ((int(ed.s)-16*ed.at)%n + n) % n
-		data[len(data)-inputLen+ed.at] |= byte(strings.IndexByte("edt", ed.op)+1)<<2 | byte(hi)<<4
-	}
-	return data
-}
-
-// FuzzKernelEquivalence holds the three kernels to the naive reference on
-// fuzz-built networks and edits; the seeds are TestDenseShiftCells' shapes,
-// wideKernelNet's hubs and two of TestStartPlanCells', with and without
-// edits.
-func FuzzKernelEquivalence(f *testing.F) {
-	// chain(n, every, extra) is chainNet(n) in flag bytes, with extra set
-	// on every every-th state.
-	chain := func(n, every int, extra byte) func(int) byte {
-		return func(s int) byte {
-			b := byte(fzNext) // matches 'a'
-			if s == 0 {
-				b |= fzStartData
-			}
-			if s == n-1 {
-				b |= fzReport
-			}
-			if s%every == every-1 {
-				b |= extra
-			}
-			return b
-		}
-	}
-	for _, n := range []int{64, 65, 128, 129, 193} {
-		f.Add(fuzzSeed(n, 2, 0, chain(n, 1, 0), nil, n+2))
-	}
-	f.Add(fuzzSeed(200, 2, 63, chain(200, 3, fzDelta), nil, 60)) // a delta-63 class
-	f.Add(fuzzSeed(130, 2, 0, chain(130, 2, fzSelf), nil, 140))  // a self-loop class
-	// A grid of width 9 on "abc" states, default threshold.
-	f.Add(fuzzSeed(300, 0, 9, func(s int) byte {
-		b := byte(2 | fzDelta)
-		if s%9 == 8 {
-			b |= fzNext
-		}
-		if s < 9 {
-			b |= fzStartAll
-		}
-		if s%50 == 49 {
-			b |= fzReport
-		}
-		return b
-	}, nil, 80))
-	// Exceptions: edges backward, a word or more ahead, and short but rare.
-	f.Add(fuzzSeed(300, 2, 70, chain(300, 40, fzDelta),
-		[][2]int{{40, 35}, {130, 2}, {10, 74}, {2, 11}, {60, 69}, {299, 0}}, 90))
-	// wideKernelNet's shape 3 at the size fuzzNet builds: a hub with 120
-	// successors, three states apart over the whole chain, and then two
-	// hubs, one of them an all-input start. With this few +1 edges beside
-	// them the image keeps no class: every state has a slot, the hubs'
-	// overflow.
-	spokes := func(hub, n int) (edges [][2]int) {
-		for v := 3; v < n && len(edges) < 120; v += 3 {
-			edges = append(edges, [2]int{hub, v})
-		}
-		return edges
-	}
-	f.Add(fuzzSeed(400, 2, 0, chain(400, 1, 0), spokes(200, 400), 90))
-	f.Add(fuzzSeed(401, 0, 0, func(s int) byte {
-		b := chain(401, 1, 0)(s)
-		if s == 90 {
-			b |= fzStartAll
-		}
-		return b
-	}, append(spokes(90, 401), spokes(300, 401)...), 90))
-	// Edges into all-input starts, which Compile filters.
-	f.Add(fuzzSeed(100, 2, 0, func(s int) byte {
-		b := chain(100, 1, 0)(s)
-		if s == 1 || s == 63 || s == 64 || s == 70 {
-			b |= fzStartAll
-		}
-		return b
-	}, nil, 100))
-	// Two of TestStartPlanCells' shapes. A reporting start between a lower
-	// and a higher reporting state it enables, the higher one shared with a
-	// second start the same symbol fires.
-	shared := func(s int) byte {
-		return [...]byte{fzReport, fzStartAll | fzReport, 2 | fzStartAll | fzNext, fzReport}[s]
-	}
-	f.Add(fuzzSeed(4, 0, 0, shared, [][2]int{{1, 0}, {1, 3}}, 40))
-	// A start whose edges all go to itself or another start (empty plan,
-	// still reports) beside one that enables a start-of-data state.
-	filtered := func(s int) byte {
-		return [...]byte{fzStartAll | fzReport | fzSelf | fzNext, 1 | fzStartAll | fzNext, 1 | fzStartData | fzReport}[s]
-	}
-	f.Add(fuzzSeed(3, 2, 0, filtered, [][2]int{{1, 0}}, 40))
-	// The same two with edits on the position after a symbol that fired a
-	// start, where its plan is pending: every 'a' of the first enables 0
-	// and 3, every 'b' of the second (positions 15 and 31) enables 2.
-	f.Add(fuzzSeed(4, 0, 0, shared, [][2]int{{1, 0}, {1, 3}}, 40,
-		frontierEdit{1, 'd', 3}, frontierEdit{2, 't', 0}, frontierEdit{3, 'e', 0}, frontierEdit{5, 't', 2}, frontierEdit{16, 'd', 0}, frontierEdit{17, 'e', 3}))
-	f.Add(fuzzSeed(3, 2, 0, filtered, [][2]int{{1, 0}}, 40,
-		frontierEdit{16, 'd', 2}, frontierEdit{32, 't', 2}, frontierEdit{33, 't', 2}, frontierEdit{1, 'e', 2}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		net, input, threshold, edits := fuzzNet(data)
-		if net == nil {
-			return
-		}
-		checkKernels(t, net, input, threshold, edits...)
-	})
-}
-
-// Enable, disable and toggle operations and a snapshot/restore round trip
-// between two steps act on the bitmap the dense pass reads, not on a
-// frontier list it no longer keeps, and on the list the sparse walk reads
-// when there is one: every kernel must come out where the naive reference
-// does. Half the edits land where checkKernels snapshots, so the snapshot
-// is of an edited frontier.
-func TestDenseStepsAroundFrontierEdits(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 30; trial++ {
-		net := wideKernelNet(r, trial%3)
-		input := randomInput(r, 40+r.Intn(100))
-		edits := make([]frontierEdit, 12)
-		for i := range edits {
-			at := len(input) / 2
-			if i >= 6 {
-				at = r.Intn(len(input))
-			}
-			edits[i] = frontierEdit{at, "edt"[i%3], automata.StateID(r.Intn(net.Len()))}
-		}
-		checkKernels(t, net, input, 1+net.Len()/8, edits...)
-	}
-}
-
-// randomDAGNet builds a random acyclic network (edges only forward).
-func randomDAGNet(r *rand.Rand, nfas int) *automata.Network {
-	machines := make([]*automata.NFA, nfas)
-	for u := range machines {
-		n := 2 + r.Intn(8)
-		m := automata.NewNFA()
-		for s := 0; s < n; s++ {
-			start := automata.StartNone
-			if s == 0 {
-				start = automata.StartAllInput
-			}
-			m.Add(symset.Single(byte('a'+r.Intn(4))), start, r.Intn(3) == 0)
-		}
-		for e := 0; e < 1+r.Intn(2*n); e++ {
-			u := r.Intn(n - 1)
-			v := u + 1 + r.Intn(n-u-1)
-			m.Connect(automata.StateID(u), automata.StateID(v))
-		}
-		m.Dedup()
-		machines[u] = m
-	}
-	return automata.NewNetwork(machines...)
-}
-
 // reportLess orders reports by (Pos, State) — the canonical stream order.
 func reportLess(a, b Report) bool {
 	return a.Pos < b.Pos || (a.Pos == b.Pos && a.State < b.State)
@@ -1125,11 +690,8 @@ func reportLess(a, b Report) bool {
 func TestReportsCanonicallyOrdered(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
-		net := randomKernelNet(r)
-		input := make([]byte, 1+r.Intn(100))
-		for i := range input {
-			input[i] = byte('a' + r.Intn(5))
-		}
+		net := oracle.Network(r, 24)
+		input := oracle.Input(r, 1+r.Intn(100))
 		for _, k := range []Kernel{KernelSparse, KernelDense, KernelAuto} {
 			e := withCut(NewEngine(net, Options{CollectReports: true, Kernel: k}), 2)
 			for i, b := range input {
@@ -1210,7 +772,7 @@ func TestQuietTableCells(t *testing.T) {
 	}
 	nets := []*automata.Network{figure2(), automata.NewNetwork(chainNet(70)), automata.NewNetwork(planNet(fan, edges...))}
 	for trial := 0; trial < 24; trial++ {
-		nets = append(nets, randomKernelNet(r), wideKernelNet(r, trial%4))
+		nets = append(nets, oracle.Network(r, 24), oracle.Network(r))
 	}
 	set, longPlans := 0, 0
 	for ni, net := range nets {
@@ -1313,40 +875,36 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// Race coverage for the pooled runtime: concurrent RunContext calls and
-// HotStatesContext over one shared network (hence one shared image and
-// engine pool). Run under -race in scripts/check.sh.
+// Race coverage for the pooled runtime: concurrent RunContext calls, with
+// and without ever-enabled tracking, over one shared network (hence one
+// shared image and engine pool). Run under -race in scripts/check.sh.
 func TestPooledRuntimeConcurrentUse(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	net := randomDAGNet(r, 4)
-	input := make([]byte, 8192)
-	for i := range input {
-		input[i] = byte('a' + r.Intn(4))
-	}
-	want := Run(net, input, Options{CollectReports: true}).Reports
+	net := oracle.Network(r, 64)
+	input := oracle.Input(r, 8192)
+	want := oracle.Run(net, input)
 	var wg sync.WaitGroup
 	errs := make(chan error, 12)
 	for g := 0; g < 4; g++ {
 		wg.Add(3)
-		for i := 0; i < 2; i++ {
-			go func() {
+		for i := 0; i < 3; i++ {
+			go func(tracked bool) {
 				defer wg.Done()
-				res, err := RunContext(context.Background(), net, input, Options{CollectReports: true})
+				res, err := RunContext(context.Background(), net, input, Options{CollectReports: true, TrackEnabled: tracked})
 				if err != nil {
 					errs <- err
 					return
 				}
-				if len(res.Reports) != len(want) {
-					t.Errorf("serial: %d reports, want %d", len(res.Reports), len(want))
+				if len(res.Reports) != len(want.Reports) {
+					t.Errorf("%d reports, want %d", len(res.Reports), len(want.Reports))
 				}
-			}()
+				for s, on := range want.Ever {
+					if tracked && res.EverEnabled.Get(s) != on {
+						t.Errorf("ever[%d] = %v, want %v", s, !on, on)
+					}
+				}
+			}(i == 2)
 		}
-		go func() {
-			defer wg.Done()
-			if _, err := HotStatesContext(context.Background(), net, input); err != nil {
-				errs <- err
-			}
-		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -1355,38 +913,15 @@ func TestPooledRuntimeConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestHotStatesContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	net := figure2()
-	input := make([]byte, 3*cancelCheckInterval)
-	hot, err := HotStatesContext(ctx, net, input)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if hot == nil {
-		t.Fatal("partial hot set is nil")
-	}
-	// All-input starts are hot by definition even in the partial set.
-	if !hot.Get(0) {
-		t.Error("all-input start not marked hot")
-	}
-}
-
 func TestHotStatesMatchesTrackedRun(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 20; trial++ {
-		net := randomKernelNet(r)
-		input := make([]byte, 1+r.Intn(200))
-		for i := range input {
-			input[i] = byte('a' + r.Intn(5))
-		}
-		hot := HotStates(net, input)
-		res := Run(net, input, Options{TrackEnabled: true})
+		net := oracle.Network(r, 24)
+		input := oracle.Input(r, 1+r.Intn(200))
+		hot, want := HotStates(net, input), oracle.Run(net, input).Ever
 		for s := 0; s < net.Len(); s++ {
-			if hot.Get(s) != res.EverEnabled.Get(s) {
-				t.Fatalf("trial %d: HotStates[%d] = %v, Run says %v",
-					trial, s, hot.Get(s), res.EverEnabled.Get(s))
+			if hot.Get(s) != want[s] {
+				t.Fatalf("trial %d: HotStates[%d] = %v, the oracle says %v", trial, s, hot.Get(s), want[s])
 			}
 		}
 	}
@@ -1425,10 +960,10 @@ func TestFootprintsCountEveryArray(t *testing.T) {
 	nets := map[string]*automata.Network{
 		"figure2":    figure2(),
 		"noAllInput": automata.NewNetwork(chainNet(193)),
-		"chains":     wideKernelNet(r, 0),
-		"grid":       wideKernelNet(r, 1),
-		"random":     wideKernelNet(r, 2),
-		"hubs":       wideKernelNet(r, 3),
+		"hub":        automata.NewNetwork(hubNet()),
+	}
+	for i := 0; i < 8; i++ {
+		nets[fmt.Sprint("drawn", i)] = oracle.Network(r)
 	}
 	for name, net := range nets {
 		img := Compile(net)
@@ -1462,7 +997,7 @@ func TestFootprintsCountEveryArray(t *testing.T) {
 		} else if &img.slowMask[0] != &img.report[0] || img.slotOff != nil || img.ovfMask != nil {
 			t.Errorf("%s: no exception, but arrays for them", name)
 		}
-		if name == "hubs" && len(img.excOvf) == 0 {
+		if name == "hub" && len(img.excOvf) == 0 {
 			t.Errorf("%s: no slot overflows", name)
 		}
 		if got := img.Footprint(); got != int64(want) {

@@ -144,14 +144,6 @@ type Engine struct {
 	// OnReport, when non-nil, is invoked for every activated reporting
 	// state instead of appending to the internal report list.
 	OnReport func(pos int64, s automata.StateID)
-
-	// Flips, when non-nil, is polled once per symbol by RunCheckpointed
-	// with the input position; a hit toggles the returned state's enable
-	// bit — the transient enable-flip fault class applied at the sim
-	// layer, deterministic in the absolute position so a resumed run
-	// replays the identical fault pattern. Release clears it: a pooled
-	// engine must never replay a previous run's faults.
-	Flips func(pos int64) (automata.StateID, bool)
 }
 
 // Options configures a run.
@@ -208,7 +200,6 @@ func (e *Engine) configure(opts Options) {
 		e.ever = nil
 	}
 	e.OnReport = nil
-	e.Flips = nil
 	e.denseSteps, e.sparseSteps = 0, 0
 	e.Reset()
 }
@@ -721,24 +712,5 @@ func RunContext(ctx context.Context, net *automata.Network, input []byte, opts O
 // HotStates runs net over input and returns the ever-enabled set. This is
 // the profiling primitive of Section IV-A.
 func HotStates(net *automata.Network, input []byte) *bitvec.Vec {
-	hot, _ := HotStatesContext(context.Background(), net, input)
-	return hot
-}
-
-// HotStatesContext is HotStates with cancellation. The profile runs on a
-// pooled engine (profiling is repeated across partition sweeps, so the
-// frontier and tracking buffers are reused); when cancelled it returns
-// the partial hot set accumulated so far together with ctx.Err().
-func HotStatesContext(ctx context.Context, net *automata.Network, input []byte) (*bitvec.Vec, error) {
-	e := AcquireEngine(net, Options{TrackEnabled: true})
-	defer e.Release()
-	var err error
-	for i, b := range input {
-		if i&(cancelCheckInterval-1) == 0 && cancelled(ctx) {
-			err = ctx.Err()
-			break
-		}
-		e.Step(int64(i), b)
-	}
-	return e.ever.Clone(), err
+	return Run(net, input, Options{TrackEnabled: true}).EverEnabled
 }

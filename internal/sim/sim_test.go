@@ -192,143 +192,6 @@ func TestHasAllInputStarts(t *testing.T) {
 	}
 }
 
-// naiveResult is what the reference simulator observes: the reports in
-// (position, ascending state) order, the ever-enabled set as the engine
-// defines it (all-input starts with a non-empty symbol set, start-of-data
-// states, and every other state some activation enabled), and the number
-// of dynamically enabled states after each symbol.
-type naiveResult struct {
-	reports  []Report
-	ever     []bool
-	frontier []int
-}
-
-// frontierEdit is an enable-bit operation made between two steps, before
-// symbol at: op 'e' is EnableState(s), 'd' DisableState(s), 't'
-// ToggleState(s).
-type frontierEdit struct {
-	at int
-	op byte
-	s  automata.StateID
-}
-
-// naiveRun is an O(states × symbols) reference simulator used as an oracle.
-// All-input starts are enabled by their kind, never through the enabled
-// set, so an edit to one is the no-op it is on the engine.
-func naiveRun(net *automata.Network, input []byte, edits ...frontierEdit) naiveResult {
-	res := naiveResult{ever: make([]bool, net.Len())}
-	enabled := make([]bool, net.Len())
-	for s := range net.States {
-		switch st := &net.States[s]; st.Start {
-		case automata.StartAllInput:
-			res.ever[s] = !st.Match.IsEmpty()
-		case automata.StartOfData:
-			res.ever[s] = true
-			enabled[s] = true
-		}
-	}
-	for i := range input {
-		for _, ed := range edits {
-			if ed.at != i || net.States[ed.s].Start == automata.StartAllInput {
-				continue
-			}
-			switch ed.op {
-			case 'e':
-				enabled[ed.s] = true
-			case 'd':
-				enabled[ed.s] = false
-			case 't':
-				enabled[ed.s] = !enabled[ed.s]
-			}
-			if enabled[ed.s] {
-				res.ever[ed.s] = true
-			}
-		}
-		next := make([]bool, net.Len())
-		for s := 0; s < net.Len(); s++ {
-			en := enabled[s] || net.States[s].Start == automata.StartAllInput
-			if !en || !net.States[s].Match.Contains(input[i]) {
-				continue
-			}
-			if net.States[s].Report {
-				res.reports = append(res.reports, Report{Pos: int64(i), State: automata.StateID(s)})
-			}
-			for _, v := range net.States[s].Succ {
-				next[v] = true
-			}
-		}
-		enabled = next
-		n := 0
-		for s, en := range enabled {
-			if en && net.States[s].Start != automata.StartAllInput {
-				res.ever[s] = true
-				n++
-			}
-		}
-		res.frontier = append(res.frontier, n)
-	}
-	return res
-}
-
-// Property: the optimized engine agrees with the naive reference simulator
-// on random networks and inputs.
-func TestPropAgainstNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	alphabet := []byte("abcd")
-	for trial := 0; trial < 60; trial++ {
-		nStates := 2 + r.Intn(12)
-		m := automata.NewNFA()
-		for s := 0; s < nStates; s++ {
-			var set symset.Set
-			for k := 0; k <= r.Intn(3); k++ {
-				set.Add(alphabet[r.Intn(len(alphabet))])
-			}
-			start := automata.StartNone
-			switch r.Intn(5) {
-			case 0:
-				start = automata.StartAllInput
-			case 1:
-				start = automata.StartOfData
-			}
-			m.Add(set, start, r.Intn(3) == 0)
-		}
-		// Ensure at least one start.
-		if m.States[0].Start == automata.StartNone {
-			m.States[0].Start = automata.StartAllInput
-		}
-		nEdges := r.Intn(2 * nStates)
-		for k := 0; k < nEdges; k++ {
-			m.Connect(automata.StateID(r.Intn(nStates)), automata.StateID(r.Intn(nStates)))
-		}
-		m.Dedup()
-		net := automata.NewNetwork(m)
-		input := make([]byte, 1+r.Intn(40))
-		for i := range input {
-			input[i] = alphabet[r.Intn(len(alphabet))]
-		}
-		got := Run(net, input, Options{CollectReports: true}).Reports
-		want := naiveRun(net, input).reports
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d reports, want %d", trial, len(got), len(want))
-		}
-		// Compare as sets keyed by (pos,state); order within a position may
-		// differ between the two simulators.
-		mk := func(rs []Report) map[Report]int {
-			m := map[Report]int{}
-			for _, r := range rs {
-				m[r]++
-			}
-			return m
-		}
-		gm, wm := mk(got), mk(want)
-		for k, v := range wm {
-			if gm[k] != v {
-				t.Fatalf("trial %d: report %+v count %d, want %d", trial, k, gm[k], v)
-			}
-		}
-	}
-}
-
 // Property: ever-enabled under a prefix is a subset of ever-enabled under
 // the full input (hot-set monotonicity, invariant 7 in DESIGN.md).
 func TestPropHotSetMonotone(t *testing.T) {

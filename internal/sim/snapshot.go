@@ -252,10 +252,10 @@ type CheckpointedResult struct {
 // is bit-identical to an uninterrupted run: reports for positions before
 // the resume point come from the checkpoint, later ones from live
 // execution, and the report cursor guarantees no duplicates across the
-// boundary. The engine's Flips hook (when set) is applied each symbol, so
-// seeded fault plans replay identically across resumes. On cancellation
-// or injected crash the partial result is returned with the error; the
-// last persisted checkpoint remains valid for the next attempt.
+// boundary. Between the positions the runner needs control at, the engine
+// runs through Engine.Run. On cancellation or injected crash the partial
+// result is returned with the error; the last persisted checkpoint remains
+// valid for the next attempt.
 func (e *Engine) RunCheckpointed(ctx context.Context, input []byte, ck *checkpoint.Runner) (*CheckpointedResult, error) {
 	res := &CheckpointedResult{}
 	var prefix []Report
@@ -323,24 +323,25 @@ func (e *Engine) RunCheckpointed(ctx context.Context, input []byte, ck *checkpoi
 		return res, runErr
 	}
 	n := int64(len(input))
-	for i := start; i < n; i++ {
-		if ck.Due(i) {
-			if serr := save(i, false); serr != nil {
-				return finish(i, serr)
+	i := start
+	for hook := ck.Next(i); i < n; {
+		if i >= hook {
+			if ck.Due(i) {
+				if serr := save(i, false); serr != nil {
+					return finish(i, serr)
+				}
 			}
-		}
-		if cerr := ck.Check(i); cerr != nil {
-			return finish(i, cerr)
+			if cerr := ck.Check(i); cerr != nil {
+				return finish(i, cerr)
+			}
+			hook = ck.Next(i + 1)
 		}
 		if i&(cancelCheckInterval-1) == 0 && cancelled(ctx) {
 			return finish(i, ctx.Err())
 		}
-		if e.Flips != nil {
-			if s, ok := e.Flips(i); ok {
-				e.ToggleState(s)
-			}
-		}
-		e.Step(i, input[i])
+		end := min(hook, n, (i|(cancelCheckInterval-1))+1)
+		e.Run(i, input[i:end])
+		i = end
 	}
 	if ck.Enabled() {
 		if serr := save(n, true); serr != nil {

@@ -360,13 +360,11 @@ func TestRunCheckpointedDoneShortCircuit(t *testing.T) {
 }
 
 // TestReleaseScrubsRunHooks is the pooled-engine hygiene regression: a
-// recycled engine must not replay the previous run's fault plan or
-// deliver reports to a dead consumer.
+// recycled engine must not deliver reports to a dead consumer.
 func TestReleaseScrubsRunHooks(t *testing.T) {
 	net := figure2()
 	e := AcquireEngine(net, Options{CollectReports: true, TrackEnabled: true})
 	e.OnReport = func(pos int64, s automata.StateID) {}
-	e.Flips = func(pos int64) (automata.StateID, bool) { return 0, true }
 	input := fig2Input(256, 1)
 	for i := int64(0); i < int64(len(input)); i++ {
 		e.Step(i, input[i])
@@ -375,16 +373,15 @@ func TestReleaseScrubsRunHooks(t *testing.T) {
 		t.Fatal("precondition: tracking engine has no ever vector")
 	}
 	e.Release()
-	if e.OnReport != nil || e.Flips != nil || e.ever != nil {
-		t.Fatalf("Release left hooks: OnReport=%v Flips=%v ever=%v",
-			e.OnReport != nil, e.Flips != nil, e.ever != nil)
+	if e.OnReport != nil || e.ever != nil {
+		t.Fatalf("Release left hooks: OnReport=%v ever=%v", e.OnReport != nil, e.ever != nil)
 	}
 	if e.numReports != 0 || len(e.reports) != 0 {
 		t.Fatalf("Release left report state: numReports=%d len=%d", e.numReports, len(e.reports))
 	}
 
 	// Functional check: a fresh acquisition (possibly the same pooled
-	// engine) with no Flips must behave fault-free under RunCheckpointed.
+	// engine) must replay nothing of the last run under RunCheckpointed.
 	want := Run(net, input, Options{CollectReports: true})
 	e2 := AcquireEngine(net, Options{CollectReports: true})
 	defer e2.Release()

@@ -14,6 +14,7 @@ import (
 	"sparseap/internal/checkpoint"
 	"sparseap/internal/fault"
 	"sparseap/internal/hotcold"
+	"sparseap/internal/oracle"
 	"sparseap/internal/regexc"
 	"sparseap/internal/sim"
 )
@@ -264,7 +265,7 @@ var (
 )
 
 // goldenCheck asserts got carries the pinned counters and report-stream
-// fingerprint, and that the stream is sim.Run's on the un-partitioned
+// fingerprint, and that the stream is the oracle's on the un-partitioned
 // network.
 func goldenCheck(t *testing.T, tag string, got *Result, want Result, hash uint64, p *hotcold.Partition, input []byte) {
 	t.Helper()
@@ -273,18 +274,14 @@ func goldenCheck(t *testing.T, tag string, got *Result, want Result, hash uint64
 		t.Fatalf("%s: report stream (%d reports, hash %#x) is not the pinned one (%d, %#x)",
 			tag, len(got.Reports), streamHash(got.Reports), want.NumReports, hash)
 	}
-	if !reportsEqual(sim.Run(p.Net, input, sim.Options{CollectReports: true}).Reports, got.Reports) {
-		t.Fatalf("%s: report stream differs from sim.Run", tag)
+	if !reportsEqual(oracle.Reports[sim.Report](p.Net, input), got.Reports) {
+		t.Fatalf("%s: report stream differs from the oracle's", tag)
 	}
 }
 
-// The unguarded machine with no runner: pinned counters on the fixtures,
-// and over random applications a report stream bit-identical to sim.Run on
-// the un-partitioned network — as emitted for a guarded run, which
-// delivers in (position, state) order like the engine, and as a multiset
-// for a plain one, which delivers hot-network finals before cold ones.
+// The unguarded machine with no runner: pinned counters on the fixtures.
+// Over drawn networks every executor is internal/oracle's TestDifferential's.
 func TestCheckpointedDisabledMatchesPlain(t *testing.T) {
-	ctx := context.Background()
 	cfg, opts := cfgWithCapacity(100), Options{CollectReports: true}
 	p, input := chainApp(t, 2048)
 	got, err := RunBaseAPSpAP(p, input, cfg, opts)
@@ -297,42 +294,6 @@ func TestCheckpointedDisabledMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCheck(t, "storm", got, goldenStorm["plain"], goldenStormHash, p, input)
-
-	r := rand.New(rand.NewSource(4099))
-	for trial := 0; trial < 40; trial++ {
-		net, in := randomApp(r)
-		if len(in) < 4 {
-			continue
-		}
-		pp, err := hotcold.BuildFromProfile(net, in[:len(in)/2], hotcold.Options{})
-		if err != nil {
-			continue // unprofilable app; equivalence is vacuous
-		}
-		c := cfgWithCapacity(5 + r.Intn(60))
-		want := sim.Run(net, in, sim.Options{CollectReports: true})
-		plain, perr := RunBaseAPSpAPCheckpointed(ctx, pp, in, c, opts, nil)
-		guarded, gerr := RunGuardedCheckpointed(ctx, pp, in, c, Guard{}, opts, nil)
-		if (perr == nil) != (gerr == nil) {
-			t.Fatalf("trial %d: error divergence: %v vs %v", trial, perr, gerr)
-		}
-		if perr != nil {
-			continue // an NFA does not fit the drawn capacity
-		}
-		if !reportsEqual(want.Reports, plain.Reports) {
-			t.Fatalf("trial %d: plain report multiset differs from sim.Run", trial)
-		}
-		if len(guarded.Reports) != len(want.Reports) {
-			t.Fatalf("trial %d: guarded run delivered %d reports, sim.Run %d", trial, len(guarded.Reports), len(want.Reports))
-		}
-		for i, rp := range want.Reports {
-			if guarded.Reports[i] != rp {
-				t.Fatalf("trial %d: guarded report %d = %+v, sim.Run %+v", trial, i, guarded.Reports[i], rp)
-			}
-		}
-		if plain.TotalCycles != guarded.TotalCycles || plain.NumReports != want.NumReports {
-			t.Fatalf("trial %d: healthy guarded run costs %d cycles, plain %d", trial, guarded.TotalCycles, plain.TotalCycles)
-		}
-	}
 }
 
 // The four outcomes of the guard ladder, pinned on both fixtures.
@@ -499,8 +460,8 @@ func TestCheckpointedCrashResumePreflight(t *testing.T) {
 		got, phases := crashCell(t, 4, func(ck *checkpoint.Runner) (*Result, error) {
 			return RunGuardedCheckpointed(ctx, p, input, cfg, g, opts, ck)
 		})
-		if !reportsEqual(sim.Run(p.Net, input, sim.Options{CollectReports: true}).Reports, got.Reports) {
-			t.Fatal("report stream differs from sim.Run")
+		if !reportsEqual(oracle.Reports[sim.Report](p.Net, input), got.Reports) {
+			t.Fatal("report stream differs from the oracle's")
 		}
 		if got.Guard.Preflight == nil {
 			t.Fatalf("guard stats lack the pre-flight verdict: %+v", got.Guard)

@@ -2,16 +2,15 @@ package spap
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 
 	"sparseap/internal/ap"
 	"sparseap/internal/automata"
 	"sparseap/internal/hotcold"
+	"sparseap/internal/oracle"
 	"sparseap/internal/regexc"
 	"sparseap/internal/sim"
-	"sparseap/internal/symset"
 )
 
 func cfgWithCapacity(c int) ap.Config {
@@ -67,13 +66,13 @@ func TestReportEquivalenceSimpleChain(t *testing.T) {
 	if p.Cold.Len() == 0 {
 		t.Fatal("test needs a nonempty cold set")
 	}
-	baseline := sim.Run(net, input, sim.Options{CollectReports: true})
+	baseline := oracle.Reports[sim.Report](net, input)
 	res, err := RunBaseAPSpAP(p, input, cfgWithCapacity(100), Options{CollectReports: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reportsEqual(baseline.Reports, res.Reports) {
-		t.Fatalf("reports differ:\nbaseline %v\npartitioned %v", baseline.Reports, res.Reports)
+	if !reportsEqual(baseline, res.Reports) {
+		t.Fatalf("reports differ:\nbaseline %v\npartitioned %v", baseline, res.Reports)
 	}
 	if res.IntermediateReports == 0 {
 		t.Fatal("expected intermediate reports from mis-predictions")
@@ -126,8 +125,8 @@ func TestJumpSkipsIdleRegions(t *testing.T) {
 	if res.JumpRatio < 0.9 {
 		t.Fatalf("jump ratio = %v, want > 0.9", res.JumpRatio)
 	}
-	baseline := sim.Run(net, input, sim.Options{CollectReports: true})
-	if !reportsEqual(baseline.Reports, res.Reports) {
+	baseline := oracle.Reports[sim.Report](net, input)
+	if !reportsEqual(baseline, res.Reports) {
 		t.Fatal("reports differ")
 	}
 }
@@ -158,8 +157,8 @@ func TestEnableStallsOnSimultaneousReports(t *testing.T) {
 	if res.EnableStalls == 0 {
 		t.Fatal("expected enable stalls from simultaneous reports")
 	}
-	baseline := sim.Run(net, input, sim.Options{CollectReports: true})
-	if !reportsEqual(baseline.Reports, res.Reports) {
+	baseline := oracle.Reports[sim.Report](net, input)
+	if !reportsEqual(baseline, res.Reports) {
 		t.Fatal("reports differ")
 	}
 }
@@ -186,8 +185,8 @@ func TestColdBatchRouting(t *testing.T) {
 	if res.ColdBatches < 2 {
 		t.Fatalf("cold batches = %d, want >= 2", res.ColdBatches)
 	}
-	baseline := sim.Run(net, input, sim.Options{CollectReports: true})
-	if !reportsEqual(baseline.Reports, res.Reports) {
+	baseline := oracle.Reports[sim.Report](net, input)
+	if !reportsEqual(baseline, res.Reports) {
 		t.Fatal("reports differ across batched SpAP execution")
 	}
 }
@@ -204,8 +203,8 @@ func TestAPCPUEquivalenceAndCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := sim.Run(net, input, sim.Options{CollectReports: true})
-	if !reportsEqual(baseline.Reports, res.Reports) {
+	baseline := oracle.Reports[sim.Report](net, input)
+	if !reportsEqual(baseline, res.Reports) {
 		t.Fatal("AP-CPU reports differ")
 	}
 	if res.IntermediateReports > 0 && res.CPUTimeNS <= 0 {
@@ -313,121 +312,5 @@ func TestSpAPBatchCyclesRecorded(t *testing.T) {
 	}
 	if sum != res.SpAPCycles {
 		t.Fatalf("batch cycles sum %d != SpAPCycles %d", sum, res.SpAPCycles)
-	}
-}
-
-// randomApp builds a random multi-NFA application plus an input whose
-// prefix/full split exercises mis-predictions.
-func randomApp(r *rand.Rand) (*automata.Network, []byte) {
-	var nfas []*automata.NFA
-	alphabet := []byte("abcd")
-	for u := 0; u < 1+r.Intn(5); u++ {
-		n := 2 + r.Intn(8)
-		m := automata.NewNFA()
-		for s := 0; s < n; s++ {
-			var set symset.Set
-			for k := 0; k <= r.Intn(2); k++ {
-				set.Add(alphabet[r.Intn(len(alphabet))])
-			}
-			start := automata.StartNone
-			if s == 0 {
-				if r.Intn(4) == 0 {
-					start = automata.StartOfData
-				} else {
-					start = automata.StartAllInput
-				}
-			}
-			m.Add(set, start, r.Intn(3) == 0)
-		}
-		for e := 0; e < 1+r.Intn(2*n); e++ {
-			u := r.Intn(n)
-			v := r.Intn(n)
-			if v == 0 {
-				v = 1 % n // avoid edges into the start state: keeps starts in layer 1
-			}
-			m.Connect(automata.StateID(u), automata.StateID(v))
-		}
-		m.Dedup()
-		nfas = append(nfas, m)
-	}
-	net := automata.NewNetwork(nfas...)
-	input := make([]byte, 10+r.Intn(120))
-	for i := range input {
-		input[i] = alphabet[r.Intn(len(alphabet))]
-	}
-	return net, input
-}
-
-// Property (DESIGN.md invariant 1): for random applications, random inputs
-// and random profile prefixes, the combined BaseAP+SpAP report multiset
-// equals the baseline full-NFA report multiset — under any capacity.
-func TestPropReportEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(7031))
-	for trial := 0; trial < 80; trial++ {
-		net, input := randomApp(r)
-		prefix := 1 + r.Intn(len(input))
-		p, err := hotcold.BuildFromProfile(net, input[:prefix], hotcold.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.CheckInvariants(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		capacity := 2 + r.Intn(net.Len()+4)
-		// Capacity must fit the largest hot NFA fragment; widen if needed.
-		maxFrag := 0
-		for i := 0; i < p.Hot.NumNFAs(); i++ {
-			if s := p.Hot.NFASize(i); s > maxFrag {
-				maxFrag = s
-			}
-		}
-		if capacity < maxFrag {
-			capacity = maxFrag
-		}
-		baseline := sim.Run(net, input, sim.Options{CollectReports: true})
-		res, err := RunBaseAPSpAP(p, input, cfgWithCapacity(capacity), Options{CollectReports: true})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !reportsEqual(baseline.Reports, res.Reports) {
-			t.Fatalf("trial %d: BaseAP/SpAP reports differ from baseline\nnet states=%d prefix=%d capacity=%d",
-				trial, net.Len(), prefix, capacity)
-		}
-		cpuRes, err := RunAPCPU(p, input, cfgWithCapacity(capacity), DefaultCPUModel(), Options{CollectReports: true})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !reportsEqual(baseline.Reports, cpuRes.Reports) {
-			t.Fatalf("trial %d: AP-CPU reports differ from baseline", trial)
-		}
-	}
-}
-
-// Property: SpAP cycles never exceed executions × input length (jump never
-// makes things worse than streaming), and JumpRatio is consistent.
-func TestPropSpAPCycleBounds(t *testing.T) {
-	r := rand.New(rand.NewSource(808))
-	for trial := 0; trial < 40; trial++ {
-		net, input := randomApp(r)
-		prefix := 1 + r.Intn(len(input)/2+1)
-		p, err := hotcold.BuildFromProfile(net, input[:prefix], hotcold.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunBaseAPSpAP(p, input, cfgWithCapacity(net.Len()+8), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.SpAPExecutions == 0 {
-			continue
-		}
-		maxCycles := int64(res.SpAPExecutions)*int64(len(input)) + res.EnableStalls
-		if res.SpAPCycles > maxCycles {
-			t.Fatalf("trial %d: SpAP cycles %d exceed bound %d", trial, res.SpAPCycles, maxCycles)
-		}
-		want := 1 - float64(res.SpAPProcessed)/(float64(res.SpAPExecutions)*float64(len(input)))
-		if math.Abs(res.JumpRatio-want) > 1e-12 {
-			t.Fatalf("trial %d: jump ratio %v, want %v", trial, res.JumpRatio, want)
-		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/oracle"
 	"sparseap/internal/sim"
 	"sparseap/internal/symset"
 	"sparseap/internal/worstcase"
@@ -143,45 +144,13 @@ func TestAlphabetRestriction(t *testing.T) {
 	}
 }
 
-// randomNet builds a seeded random network mixing start kinds, fan-out,
-// back edges and reports — the soundness property must hold on shapes no
-// generator tuned for.
-func randomNet(rng *rand.Rand, nfas, statesPer int) *automata.Network {
-	var ms []*automata.NFA
-	for i := 0; i < nfas; i++ {
-		nfa := automata.NewNFA()
-		ids := make([]automata.StateID, statesPer)
-		for j := range ids {
-			var match symset.Set
-			lo := byte(rng.Intn(200))
-			match.AddRange(lo, lo+byte(rng.Intn(55)))
-			kind := automata.StartNone
-			if j == 0 {
-				kind = automata.StartAllInput
-				if rng.Intn(2) == 0 {
-					kind = automata.StartOfData
-				}
-			}
-			ids[j] = nfa.Add(match, kind, rng.Intn(4) == 0)
-		}
-		for j := 1; j < statesPer; j++ {
-			nfa.Connect(ids[rng.Intn(j)], ids[j]) // forward edge keeps all reachable
-			if rng.Intn(3) == 0 {
-				nfa.Connect(ids[j], ids[rng.Intn(statesPer)]) // random (possibly back) edge
-			}
-		}
-		ms = append(ms, nfa)
-	}
-	return automata.NewNetwork(ms...)
-}
-
 // TestSoundnessRandomNetworks fuzzes the core property on seeded random
 // networks: no input — adversarial or random — may exceed the static
 // frontier or per-cycle report bound.
 func TestSoundnessRandomNetworks(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
-		net := randomNet(rng, 1+rng.Intn(3), 4+rng.Intn(24))
+		net := oracle.Network(rng, 80)
 		a := worstcase.Analyze(net, worstcase.Config{})
 		w, r := a.Certify(worstcase.WitnessOptions{MaxLen: 256})
 		if !r.Sound {
@@ -210,7 +179,7 @@ func TestWitnessReplayEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nets := []*automata.Network{chainNet(12)}
 	for i := 0; i < 6; i++ {
-		nets = append(nets, randomNet(rng, 2, 8+rng.Intn(20)))
+		nets = append(nets, oracle.Network(rng, 60))
 	}
 	for i, net := range nets {
 		a := worstcase.Analyze(net, worstcase.Config{})

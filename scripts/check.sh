@@ -6,10 +6,11 @@
 #
 # Steps: gofmt, go vet, staticcheck and govulncheck (when installed),
 # build (native, then cross-built for darwin and windows), full test
-# suite, vet and smoke test of the bench/ module,
+# suite, vet and smoke test of the bench/ module, a check that every test
+# DESIGN.md and README.md name exists,
 # race-detector pass over the whole module, a fuzz
-# smoke pass over the parser/compiler/rewriter/slot-file/step-kernel/slot-pair/
-# replication-frame/report-codec fuzz targets, the
+# smoke pass over the parser/compiler/slot-file/executor-differential/
+# slot-pair/replication-frame/report-codec fuzz targets, the
 # fault-injection smoke sweep, a chaos-soak smoke cell (kill/resume with
 # stream comparison), the two serve-soak smoke cells (real SIGKILL of a
 # live apserve with resumed streams; SIGKILL of a replicating node with
@@ -82,6 +83,16 @@ go test ./...
 step "bench module (vet + smoke test)"
 (cd bench && go vet . && go test .)
 
+# A test the docs name must exist: a backticked Test*, Fuzz* or Benchmark*
+# name in DESIGN.md or README.md with no func in any test file fails.
+step "tests named in DESIGN.md and README.md exist"
+missing=0
+for name in $(grep -ohE '`(Test|Fuzz|Benchmark)[A-Za-z0-9_]*' DESIGN.md README.md | tr -d '`' | sort -u); do
+    grep -rqE "^func $name\(" --include='*_test.go' . \
+        || { echo "the docs name $name, which no test file defines" >&2; missing=1; }
+done
+[[ $missing -eq 0 ]] || exit 1
+
 if [[ $short -eq 0 ]]; then
     step "go test -race (whole module)"
     # The lint golden sweep is the long pole: 108 s under the race
@@ -94,13 +105,12 @@ fi
 if [[ $short -eq 0 ]]; then
     # Fuzz smoke: a few seconds per target catches regressions in the
     # corpus-seeded paths without turning the gate into a fuzz campaign.
-    step "fuzz smoke (parser, compiler, rewriter, slot file, step kernels, slot pair, replication frame, report codec)"
+    step "fuzz smoke (parser, compiler, slot file, executors against the oracle, slot pair, replication frame, report codec)"
     go test -run ZZZ -fuzz FuzzParseANML -fuzztime 5s ./internal/anml
     go test -run ZZZ -fuzz FuzzCompileRegex -fuzztime 5s ./internal/regexc
-    go test -run ZZZ -fuzz FuzzRewriteEquivalence -fuzztime 10s ./internal/rewrite
     go test -run ZZZ -fuzz FuzzSlotFileDamage -fuzztime 5s ./internal/checkpoint
-    # Three kernels and the Skip arm (checkSkip) against the naive reference.
-    go test -run ZZZ -fuzz FuzzKernelEquivalence -fuzztime 5s ./internal/sim
+    # Every executor, the rewriter and the worst-case bound against oracle.Run.
+    go test -run ZZZ -fuzz FuzzDifferential -fuzztime 15s ./internal/oracle
     go test -run ZZZ -fuzz FuzzDecodePair -fuzztime 5s ./internal/replica
     go test -run ZZZ -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/replica
     go test -run ZZZ -fuzz FuzzMatchReply -fuzztime 5s ./internal/serve
