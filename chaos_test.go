@@ -347,48 +347,6 @@ func TestChaosServeKillResume(t *testing.T) {
 	}
 }
 
-// TestChaosServeOverload drives the loadgen's overload phase against a
-// deliberately tiny server: the server must shed explicitly (non-zero
-// shed count) and never fail a request it accepted.
-func TestChaosServeOverload(t *testing.T) {
-	cfg := workloads.Config{Divisor: 64, InputLen: 65536}
-	s := sparseap.NewMatchServer(sparseap.ServeConfig{MaxSessions: 2, MaxPerTenant: 1})
-	app, err := workloads.Build("HM", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddApp("HM", app.Net, cfg.Fingerprint("HM")); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	bench, err := sparseap.RunServeLoadgen(context.Background(), sparseap.LoadgenOptions{
-		URL:           ts.URL,
-		Apps:          []string{"HM"},
-		AppConfig:     cfg,
-		StreamsPerApp: 1,
-		Requests:      8,
-		Overload:      48,
-		Tenants:       2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bench.StreamsOK != bench.Streams {
-		t.Fatalf("only %d/%d streams verified", bench.StreamsOK, bench.Streams)
-	}
-	if bench.OverloadShed == 0 {
-		t.Fatalf("overload burst produced no sheds (accepted %d)", bench.OverloadOK)
-	}
-	if bench.FailedAccepted != 0 {
-		t.Fatalf("%d accepted requests failed — admission control accepted work it could not serve", bench.FailedAccepted)
-	}
-	if bench.P50Ms <= 0 || bench.P99Ms < bench.P50Ms {
-		t.Fatalf("latency percentiles malformed: p50=%.3f p99=%.3f", bench.P50Ms, bench.P99Ms)
-	}
-}
-
 // TestChaosServeClusterFailover is the cluster chaos cell: node A
 // replicates every committed checkpoint slot to follower B (ack quorum
 // 1, so reports release only once B holds the covering slot), the
@@ -468,6 +426,30 @@ func TestChaosServeClusterFailover(t *testing.T) {
 	}
 	if cl.Restarts.Load() != 0 {
 		t.Fatalf("failover forced %d restarts; replication must make the resume seamless", cl.Restarts.Load())
+	}
+
+	// A one-shot match through the same client, with A's listener gone
+	// too: the client must skip the unreachable primary and B must answer.
+	tsA.Close()
+	prefix := app.Input[:16384]
+	failovers := cl.Failovers.Load()
+	m, shed, _, err := cl.Match(context.Background(), "HM", prefix)
+	if err != nil || shed {
+		t.Fatalf("match after node loss: shed=%v err=%v", shed, err)
+	}
+	wantMatch := oracle.Reports[sparseap.Report](app.Net, prefix)
+	gotMatch := make([]sparseap.Report, len(m.Reports))
+	for i, r := range m.Reports {
+		gotMatch[i] = sparseap.Report{Pos: r[0], State: sparseap.StateID(r[1])}
+	}
+	if len(wantMatch) == 0 || !sameReports(gotMatch, wantMatch) {
+		t.Fatalf("failed-over match diverged: %d vs %d reports", len(gotMatch), len(wantMatch))
+	}
+	if cl.Failovers.Load() == failovers {
+		t.Fatal("match never failed over from the dead node")
+	}
+	if got := sB.Registry().Snapshot()[`serve_matches{tenant="tenant-0"}`]; got != 1 {
+		t.Fatalf("node B served %d matches, want 1", got)
 	}
 }
 

@@ -24,10 +24,10 @@
 // follower holding the replicated slots. Pass -peers to the loadgen too
 // so its clients exercise the same failover path.
 //
-// Loadgen mode exercises a running server and prints a summary:
+// Loadgen mode streams every app through a running server and prints a
+// summary:
 //
-//	apserve -loadgen -url http://127.0.0.1:8425 -apps HM,PEN,TCP \
-//	        -streams 2 -requests 64 -overload 32
+//	apserve -loadgen -url http://127.0.0.1:8425 -apps HM,PEN,TCP -streams 2
 //
 // Every completed stream is verified bit-identical against a local
 // uninterrupted run, so the loadgen doubles as an end-to-end checker.
@@ -40,7 +40,9 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -48,6 +50,7 @@ import (
 	"sparseap/internal/metrics"
 	"sparseap/internal/replica"
 	"sparseap/internal/serve"
+	"sparseap/internal/sim"
 	"sparseap/internal/workloads"
 )
 
@@ -72,13 +75,10 @@ func main() {
 		replicas = flag.String("replicas", "", "comma-separated follower base URLs: every committed checkpoint slot is shipped to them, so sessions survive this node's loss (requires -store)")
 		ack      = flag.Int("ack", 1, "follower acks required before reports release to the client (clamped to the replica count; fewer acks = degraded local-only durability)")
 
-		loadgen  = flag.Bool("loadgen", false, "run as load generator against -url instead of serving")
-		url      = flag.String("url", "http://127.0.0.1:8425", "server base URL (loadgen mode)")
-		streams  = flag.Int("streams", 2, "verified stream sessions per app (loadgen mode)")
-		requests = flag.Int("requests", 64, "match requests in the latency phase (loadgen mode)")
-		overload = flag.Int("overload", 0, "concurrent burst size for the overload phase (loadgen mode, 0 = skip)")
-		tenants  = flag.Int("tenants", 4, "tenant identities to spread load across (loadgen mode)")
-		pace     = flag.Duration("pace", 0, "sleep between stream chunk writes, stretching streams for chaos kills (loadgen mode)")
+		loadgen = flag.Bool("loadgen", false, "run as load generator against -url instead of serving")
+		url     = flag.String("url", "http://127.0.0.1:8425", "server base URL (loadgen mode)")
+		streams = flag.Int("streams", 2, "verified stream sessions per app (loadgen mode)")
+		pace    = flag.Duration("pace", 0, "sleep between stream chunk writes, stretching streams for chaos kills (loadgen mode)")
 	)
 	flag.Parse()
 
@@ -86,7 +86,7 @@ func main() {
 	abbrs := splitList(*apps)
 
 	if *loadgen {
-		runLoadgen(*url, splitList(*peers), abbrs, cfg, *streams, *requests, *overload, *tenants, *pace)
+		runLoadgen(*url, splitList(*peers), abbrs, cfg, *streams, *pace)
 		return
 	}
 
@@ -168,33 +168,80 @@ func main() {
 	<-drained
 }
 
-func runLoadgen(url string, peers, abbrs []string, cfg workloads.Config, streams, requests, overload, tenants int, pace time.Duration) {
-	bench, err := serve.RunLoadgen(context.Background(), serve.LoadgenOptions{
-		URL:           url,
-		Peers:         peers,
-		Apps:          abbrs,
-		AppConfig:     cfg,
-		StreamsPerApp: streams,
-		Requests:      requests,
-		Overload:      overload,
-		Tenants:       tenants,
-		Pace:          pace,
-	})
-	if bench != nil {
-		fmt.Printf("loadgen: %d/%d streams verified bit-identical (%d resumes, %d retries, %d sheds, %d failovers, %d restarts)\n",
-			bench.StreamsOK, bench.Streams, bench.Resumes, bench.Retries, bench.Sheds, bench.Failovers, bench.Restarts)
-		fmt.Printf("loadgen: %d/%d matches accepted; latency p50 %.2fms p99 %.2fms mean %.2fms\n",
-			bench.MatchAccepted, bench.Requests, bench.P50Ms, bench.P99Ms, bench.MeanMs)
-		if overload > 0 {
-			fmt.Printf("loadgen: overload %d accepted, %d shed, %d failed-accepted\n",
-				bench.OverloadOK, bench.OverloadShed, bench.FailedAccepted)
+// The loadgen's fixed shape: streams in flight at once, tenant
+// identities they are spread across, and the bound on the whole run.
+const (
+	loadgenConcurrency = 8
+	loadgenTenants     = 4
+	loadgenTimeout     = 5 * time.Minute
+)
+
+// runLoadgen runs streams sessions per app through the server at url,
+// failing clients over to peers, and holds each assembled report stream
+// bit-identical to an uninterrupted local run. It prints one summary line
+// (scripts/serve_soak.sh parses it) and exits non-zero if any stream
+// failed or diverged.
+func runLoadgen(url string, peers, abbrs []string, cfg workloads.Config, streams int, pace time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), loadgenTimeout)
+	defer cancel()
+
+	type job struct {
+		abbr, tenant string
+		input        []byte
+		want         []sim.Report
+	}
+	var jobs []job
+	for i, abbr := range abbrs {
+		app, err := workloads.Build(abbr, cfg)
+		if err != nil {
+			fatal(fmt.Errorf("loadgen: build %s: %w", abbr, err))
+		}
+		want := sim.Run(app.Net, app.Input, sim.Options{CollectReports: true}).Reports
+		for s := 0; s < streams; s++ {
+			tenant := fmt.Sprintf("tenant-%d", (i*streams+s)%loadgenTenants)
+			jobs = append(jobs, job{abbr: abbr, tenant: tenant, input: app.Input, want: want})
 		}
 	}
-	if err != nil {
-		fatal(err)
+
+	var (
+		mu                                           sync.Mutex
+		firstErr                                     error
+		verified                                     int
+		resumes, retries, sheds, failovers, restarts int64
+		wg                                           sync.WaitGroup
+	)
+	sem := make(chan struct{}, loadgenConcurrency)
+	for _, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			cl := &serve.Client{URL: func() string { return url }, Peers: peers, Tenant: j.tenant, Pace: pace}
+			res, err := cl.Stream(ctx, j.abbr, j.input)
+			if err == nil && !slices.Equal(res.Reports, j.want) {
+				err = fmt.Errorf("loadgen: %s stream diverged from the local run (%d reports, want %d)",
+					j.abbr, len(res.Reports), len(j.want))
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			resumes += cl.Resumes.Load()
+			retries += cl.Retries.Load()
+			sheds += cl.Sheds.Load()
+			failovers += cl.Failovers.Load()
+			restarts += cl.Restarts.Load()
+			if err == nil {
+				verified++
+			} else if firstErr == nil {
+				firstErr = err
+			}
+		}()
 	}
-	if bench.FailedAccepted > 0 {
-		fatal(fmt.Errorf("loadgen: %d accepted requests failed — admission control lied", bench.FailedAccepted))
+	wg.Wait()
+	fmt.Printf("loadgen: %d/%d streams verified bit-identical (%d resumes, %d retries, %d sheds, %d failovers, %d restarts)\n",
+		verified, len(jobs), resumes, retries, sheds, failovers, restarts)
+	if firstErr != nil {
+		fatal(firstErr)
 	}
 }
 

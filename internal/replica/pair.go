@@ -6,21 +6,19 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strconv"
 
 	"sparseap/internal/checkpoint"
 )
 
 // Pair is what a store holds under one name: the latest record and, once
 // a second save has rotated it, the previous-good one. A follower replays
-// it after an outage (a pair frame, below) and a session takes it along
-// when it moves to another node (internal/serve's migrate transfer). This
-// file is the only place that knows its byte layout,
+// it after an outage and a session takes it along when it moves to
+// another node (internal/serve's migrate transfer), both as one pair
+// frame (below). This file is the only place that knows its byte layout,
 //
 //	latestVersion u32, latest bytes, hasPrev bool[, prevVersion u32, prev bytes]
 //
-// in the checkpoint package's field encoding; on a migration the body's
-// Checksum travels beside it in a request header.
+// in the checkpoint package's field encoding.
 type Pair struct {
 	Latest        []byte
 	LatestVersion uint32
@@ -42,31 +40,6 @@ var (
 	errChecksum     = errors.New("CRC mismatch")
 )
 
-// Checksum returns the header value that guards body between nodes: its
-// CRC32-C in decimal.
-func Checksum(body []byte) string {
-	return strconv.FormatUint(uint64(crc32.Checksum(body, castagnoli)), 10)
-}
-
-// readBody reads a request body of at most maxBody bytes and holds it to
-// the Checksum its sender put in a header.
-func readBody(r io.Reader, sum string) ([]byte, error) {
-	want, err := strconv.ParseUint(sum, 10, 32)
-	if err != nil {
-		return nil, fmt.Errorf("bad checksum header %q", sum)
-	}
-	body, err := io.ReadAll(io.LimitReader(r, maxBody+1))
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("short body: %w", err)
-	case len(body) > maxBody:
-		return nil, errBodyTooLarge
-	case crc32.Checksum(body, castagnoli) != uint32(want):
-		return nil, errChecksum
-	}
-	return body, nil
-}
-
 // LoadPair reads name's pair from st. Only a missing or unreadable latest
 // record is an error: a name saved once has no previous record yet.
 func LoadPair(st checkpoint.Store, name string) (p Pair, err error) {
@@ -79,8 +52,8 @@ func LoadPair(st checkpoint.Store, name string) (p Pair, err error) {
 	return p, nil
 }
 
-// Encode returns the pair's wire body.
-func (p Pair) Encode() []byte {
+// encode returns the pair's wire body.
+func (p Pair) encode() []byte {
 	var e checkpoint.Enc
 	e.U32(p.LatestVersion)
 	e.BytesField(p.Latest)
@@ -109,15 +82,28 @@ func decodePair(body []byte) (p Pair, err error) {
 	return p, nil
 }
 
-// ReadPair takes a pair off a request body sent with the given Checksum.
-// A body that is too large, fails its checksum or does not decode yields
-// an error and no part of a pair.
-func ReadPair(r io.Reader, sum string) (Pair, error) {
-	body, err := readBody(r, sum)
-	if err != nil {
-		return Pair{}, err
+// Frame returns the pair as one pair frame under name: the form a
+// session's slots take to another node when it moves.
+func (p Pair) Frame(name string) []byte {
+	return appendFrame(nil, frame{kind: framePair, name: name, body: p.encode()})
+}
+
+// ReceivePair takes one pair frame off r. A frame that is not whole and
+// verified (readFrame; io.EOF for an empty r), one of another kind, and a
+// body that is not one whole pair yield an error and no part of a pair.
+// What follows the frame on r is left unread.
+func ReceivePair(r io.Reader) (name string, p Pair, err error) {
+	f, err := readFrame(r)
+	switch {
+	case err != nil:
+		return "", Pair{}, err
+	case f.kind != framePair:
+		return "", Pair{}, fmt.Errorf("frame of kind %d, want a pair", f.kind)
 	}
-	return decodePair(body)
+	if p, err = decodePair(f.body); err != nil {
+		return "", Pair{}, err
+	}
+	return f.name, p, nil
 }
 
 // Install saves the pair under name in st, previous record first: Save's

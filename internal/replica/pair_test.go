@@ -24,16 +24,16 @@ func TestPairLayout(t *testing.T) {
 		6, 0, 0, 0, // its version
 		4, 0, 0, 0, 0, 0, 0, 0, 'o', 'l', 'd', '!',
 	}
-	if got := full.Encode(); !bytes.Equal(got, want) {
+	if got := full.encode(); !bytes.Equal(got, want) {
 		t.Fatalf("pair encodes to % x, want % x", got, want)
 	}
 	single := Pair{Latest: []byte("new"), LatestVersion: 7}
 	wantSingle := append(bytes.Clone(want[:15]), 0)
-	if got := single.Encode(); !bytes.Equal(got, wantSingle) {
+	if got := single.encode(); !bytes.Equal(got, wantSingle) {
 		t.Fatalf("pair without a previous record encodes to % x, want % x", got, wantSingle)
 	}
 	for _, p := range []Pair{full, single} {
-		got, err := decodePair(p.Encode())
+		got, err := decodePair(p.encode())
 		if err != nil || !reflect.DeepEqual(got, p) {
 			t.Fatalf("decode(encode(%+v)) = %+v, %v", p, got, err)
 		}
@@ -56,8 +56,8 @@ func (s *saveLog) Save(name string, version uint32, payload []byte) error {
 // pair is refused — counted, unacknowledged, nothing saved — and one that
 // is saves its previous record, then its latest, and nothing else.
 func FuzzDecodePair(f *testing.F) {
-	whole := Pair{Latest: []byte("latest"), LatestVersion: 3, HasPrev: true, Prev: []byte("previous"), PrevVersion: 2}.Encode()
-	single := Pair{Latest: []byte("latest"), LatestVersion: 3}.Encode()
+	whole := Pair{Latest: []byte("latest"), LatestVersion: 3, HasPrev: true, Prev: []byte("previous"), PrevVersion: 2}.encode()
+	single := Pair{Latest: []byte("latest"), LatestVersion: 3}.encode()
 	f.Add(whole)
 	f.Add(single)
 	f.Add([]byte{})
@@ -101,7 +101,7 @@ func FuzzDecodePair(f *testing.F) {
 				t.Fatalf("save %d is %+v, want %+v", i, st.saved[i], want[i])
 			}
 		}
-		if again, err := decodePair(pair.Encode()); err != nil || !reflect.DeepEqual(again, pair) {
+		if again, err := decodePair(pair.encode()); err != nil || !reflect.DeepEqual(again, pair) {
 			t.Fatalf("decode(encode(%+v)) = %+v, %v", pair, again, err)
 		}
 	})
@@ -146,7 +146,7 @@ func TestFrameLayout(t *testing.T) {
 // every truncation of those bytes, and every one of them flipped, is
 // refused.
 func FuzzDecodeFrame(f *testing.F) {
-	pair := Pair{Latest: []byte("latest"), LatestVersion: 3, HasPrev: true, Prev: []byte("previous"), PrevVersion: 2}.Encode()
+	pair := Pair{Latest: []byte("latest"), LatestVersion: 3, HasPrev: true, Prev: []byte("previous"), PrevVersion: 2}.encode()
 	for _, fr := range []frame{
 		{kind: frameSlot, seq: 7, version: 3, name: "sess-a", body: []byte("slot payload")},
 		{kind: framePair, seq: 8, name: "sess-a", body: pair},

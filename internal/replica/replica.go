@@ -301,7 +301,7 @@ func (s *Store) resyncFollower(f *follower, gen uint64) error {
 		if err != nil {
 			continue // slot vanished between Names and Load (session ended)
 		}
-		if _, err := s.exchange(f, gen, frame{kind: framePair, seq: seq, name: name, body: pair.Encode()}); err != nil {
+		if _, err := s.exchange(f, gen, frame{kind: framePair, seq: seq, name: name, body: pair.encode()}); err != nil {
 			return err
 		}
 	}

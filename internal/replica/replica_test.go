@@ -485,7 +485,7 @@ func TestRecoveryResync(t *testing.T) {
 	// A pair frame that arrives as sent but holds a damaged pair — its
 	// previous record cut off — is refused whole and counted: neither
 	// record of the name changes.
-	pair := Pair{Latest: []byte("v5"), LatestVersion: 2, HasPrev: true, Prev: []byte("v4"), PrevVersion: 2}.Encode()
+	pair := Pair{Latest: []byte("v5"), LatestVersion: 2, HasPrev: true, Prev: []byte("v4"), PrevVersion: 2}.encode()
 	cut := pair[:len(pair)-1]
 	openStream(t, ts.URL, "ep").expectRefused(t, appendFrame(nil, frame{kind: framePair, seq: 1, name: "sess-a", body: cut}))
 	if freg.Snapshot()["serve_replication_recv_errors"] != 1 {

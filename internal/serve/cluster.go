@@ -7,13 +7,14 @@
 //  1. the session drains to a checkpoint at its next loop boundary (the
 //     same save-then-flush barrier a periodic capture uses, so the
 //     client holds exactly the reports the slot accounts for);
-//  2. the latest and previous-good slots travel to the target in one
-//     CRC-guarded POST /v1/migrate/accept; the target verifies the app
-//     is resident with the same build fingerprint (409 otherwise), runs
-//     full admission (a target at capacity answers 503/429 and the
-//     session stays suspended at the source — never stranded), warms
-//     the app's compiled image, and writes the slots through its own
-//     store (replicating onward if it has followers);
+//  2. the latest and previous-good slots travel to the target as one
+//     replica pair frame, named for the session's slot, in one POST
+//     /v1/migrate/accept; the target verifies the app is resident with
+//     the same build fingerprint (409 otherwise), runs full admission (a
+//     target at capacity answers 503/429 and the session stays suspended
+//     at the source — never stranded), warms the app's compiled image,
+//     and writes the slots through its own store (replicating onward if
+//     it has followers);
 //  3. the source emits `moved <addr> <pos>` to the client and retires
 //     its local slots; the client reconnects to <addr> with its report
 //     count and resumes bit-identically.
@@ -31,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	neturl "net/url"
 	"strings"
 	"time"
 
@@ -249,24 +249,17 @@ func (s *Server) migrateOne(r *http.Request, id, to string) error {
 }
 
 // transferSession ships a session's slot pair (replica.Pair: latest
-// and, when present, previous-good) to the target in one CRC-guarded
-// request. Reads go through cfg.Store (local reads on a replicated
-// store).
+// and, when present, previous-good) to the target as one pair frame
+// under the session's slot name, the only place its ID travels. Reads go
+// through cfg.Store (local reads on a replicated store).
 func (s *Server) transferSession(id, to string) error {
 	pair, err := replica.LoadPair(s.cfg.Store, slotName(id))
 	if err != nil {
 		return fmt.Errorf("no session state: %w", err)
 	}
-	body := pair.Encode()
-
-	req, err := http.NewRequest(http.MethodPost,
-		to+migratePath+"?session="+neturl.QueryEscape(id), bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("X-Transfer-CRC", replica.Checksum(body))
 	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Do(req)
+	resp, err := client.Post(to+migratePath, "application/octet-stream",
+		bytes.NewReader(pair.Frame(slotName(id))))
 	if err != nil {
 		return err
 	}
@@ -290,17 +283,21 @@ func (s *Server) handleMigrateAccept(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not resumable: no checkpoint store", http.StatusConflict)
 		return
 	}
-	id := r.URL.Query().Get("session")
-	if !validSessionID(id) {
-		http.Error(w, "invalid session id", http.StatusBadRequest)
-		return
-	}
-	// An oversized, truncated, corrupted or malformed transfer is rejected
-	// atomically — nothing is installed, and the source's idempotent
-	// re-send starts clean.
-	pair, err := replica.ReadPair(r.Body, r.Header.Get("X-Transfer-CRC"))
+	// One pair frame and nothing after it. An oversized, truncated,
+	// corrupted or malformed transfer is rejected atomically — nothing is
+	// installed, and the source's idempotent re-send starts clean.
+	name, pair, err := replica.ReceivePair(r.Body)
 	if err != nil {
 		http.Error(w, "bad transfer: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if n, _ := io.CopyN(io.Discard, r.Body, 1); n > 0 {
+		http.Error(w, "bad transfer: bytes after the frame", http.StatusBadRequest)
+		return
+	}
+	id, ok := strings.CutPrefix(name, "sess-")
+	if !ok || !validSessionID(id) {
+		http.Error(w, "invalid session id", http.StatusBadRequest)
 		return
 	}
 	if pair.LatestVersion != sessionStateVersion {

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -347,12 +349,14 @@ func TestClusterMigrateDuringOverload(t *testing.T) {
 	}
 }
 
-// TestClusterTransferTruncatedThenIdempotent models a source dying
-// mid-transfer: a truncated body must be rejected atomically (no partial
-// slot state on the target), and the full re-send — and a duplicate of
-// it — must both succeed and converge to the same latest+prev pair.
-// Finally the client resumes against the target from its delivery floor
-// and the assembled stream is bit-identical.
+// TestClusterTransferTruncatedThenIdempotent posts migration transfers
+// straight to a target. A source dying mid-frame, and every frame that is
+// not exactly one verified pair frame named for a session in a version
+// the target knows, must be rejected atomically (no partial slot state
+// on the target); the full send — and a duplicate of it — must both
+// succeed and converge to the same latest+prev pair. Finally the client
+// resumes against the target from its delivery floor and the assembled
+// stream is bit-identical.
 func TestClusterTransferTruncatedThenIdempotent(t *testing.T) {
 	testleak.Check(t)
 	b := startNode(t, "test/v1", nil)
@@ -386,19 +390,16 @@ func TestClusterTransferTruncatedThenIdempotent(t *testing.T) {
 	save(4096)
 	have := append([]sim.Report(nil), all...)
 
-	// Build the transfer record as transferSession would.
+	// Build the transfer frame as transferSession would.
 	pair, err := replica.LoadPair(a.local, slot)
 	if err != nil || !pair.HasPrev {
 		t.Fatalf("source pair: %+v, err %v; want latest and previous", pair, err)
 	}
 	latest, prev := pair.Latest, pair.Prev
-	body := pair.Encode()
+	frame := pair.Frame(slot)
 
-	post := func(payload []byte, sum string) int {
-		req, _ := http.NewRequest(http.MethodPost,
-			b.h.ts.URL+migratePath+"?session="+id, bytes.NewReader(payload))
-		req.Header.Set("X-Transfer-CRC", sum)
-		resp, err := http.DefaultClient.Do(req)
+	post := func(payload []byte) int {
+		resp, err := http.Post(b.h.ts.URL+migratePath, "application/octet-stream", bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,33 +408,37 @@ func TestClusterTransferTruncatedThenIdempotent(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	// Atomic rejects: a transfer cut short under the whole body's checksum
-	// (source died mid-body), and bodies that arrive as sent but are not
-	// one whole pair — the previous record cut off, bytes after it.
-	cut := body[:len(body)-7]
-	long := append(bytes.Clone(body), 0)
-	future := replica.Pair{Latest: latest, LatestVersion: sessionStateVersion + 1}.Encode()
+	flipped := bytes.Clone(frame)
+	flipped[len(flipped)/2] ^= 0xff
+	// The same name and body as a slot frame: the kind byte rewritten and
+	// the trailing CRC32-C over every byte before it recomputed, per the
+	// layout replica's TestFrameLayout pins.
+	slotFrame := bytes.Clone(frame)
+	slotFrame[0] = 1
+	end := len(slotFrame) - 4
+	binary.LittleEndian.PutUint32(slotFrame[end:], crc32.Checksum(slotFrame[:end], crc32.MakeTable(crc32.Castagnoli)))
 	for _, damaged := range []struct {
-		name string
-		body []byte
-		sum  string
+		name  string
+		frame []byte
 	}{
-		{"truncated", cut, replica.Checksum(body)},
-		{"previous record cut off", cut, replica.Checksum(cut)},
-		{"trailing byte", long, replica.Checksum(long)},
-		{"unknown state version", future, replica.Checksum(future)},
-		{"no checksum", body, ""},
+		{"frame cut short", frame[:len(frame)-7]},
+		{"byte flipped", flipped},
+		{"byte after the frame", append(bytes.Clone(frame), 0)},
+		{"slot frame", slotFrame},
+		{"name without the sess- prefix", pair.Frame(id)},
+		{"invalid session id", pair.Frame("sess-" + id + "~")},
+		{"unknown state version", replica.Pair{Latest: latest, LatestVersion: sessionStateVersion + 1}.Frame(slot)},
 	} {
-		if code := post(damaged.body, damaged.sum); code != http.StatusBadRequest {
+		if code := post(damaged.frame); code != http.StatusBadRequest {
 			t.Fatalf("%s: transfer answered %d, want 400", damaged.name, code)
 		}
-		if _, _, _, err := b.local.Load(slot); err == nil {
-			t.Fatalf("%s: transfer left state on the target", damaged.name)
+		if names, _ := b.local.Names(); len(names) != 0 {
+			t.Fatalf("%s: transfer left state on the target: %v", damaged.name, names)
 		}
 	}
-	// Full re-send, then a duplicate: both succeed, state converges.
+	// Full send, then a duplicate: both succeed, state converges.
 	for i := 0; i < 2; i++ {
-		if code := post(body, replica.Checksum(body)); code != http.StatusOK {
+		if code := post(frame); code != http.StatusOK {
 			t.Fatalf("transfer attempt %d answered %d, want 200", i, code)
 		}
 	}

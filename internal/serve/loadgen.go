@@ -1,10 +1,7 @@
-// Load generator and resilient client for the serve benchmark. The
-// Client implements the session protocol from the consumer's side —
-// retry with backoff across sheds, suspends, kills, and restarts — and
-// RunLoadgen drives it through three phases: verified streaming (every
-// session's report stream compared against an uninterrupted local run),
-// match latency (p50/p99 over accepted requests), and overload (prove
-// the server sheds explicitly instead of failing accepted work).
+// Resilient client for the session protocol. The Client implements it
+// from the consumer's side — retry with backoff across sheds, suspends,
+// kills, restarts, migrations and node loss — and is what apserve's
+// loadgen mode, the chaos tests and the bench ledger drive a server with.
 package serve
 
 import (
@@ -14,20 +11,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"sparseap/internal/automata"
 	"sparseap/internal/sim"
-	"sparseap/internal/workloads"
 )
 
 // Client is a session-protocol client with retry, backoff, and cluster
@@ -274,10 +265,12 @@ func (c *Client) streamAttempt(ctx context.Context, base, appName, id string, in
 		return attemptResult{out: attemptBroken, have: have,
 			err: fmt.Errorf("serve: stream status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))}
 	}
-	resumePos, _ := strconv.ParseInt(resp.Header.Get("X-Resume-Pos"), 10, 64)
-	if resumePos < 0 || resumePos > int64(len(input)) {
+	// A missing or garbled position is a broken attempt, not position 0:
+	// read as 0 it would discard the reports held and count a restart.
+	resumePos, perr := strconv.ParseInt(resp.Header.Get("X-Resume-Pos"), 10, 64)
+	if perr != nil || resumePos < 0 || resumePos > int64(len(input)) {
 		pw.CloseWithError(io.ErrClosedPipe)
-		return attemptResult{out: attemptBroken, have: have, err: fmt.Errorf("serve: bad resume pos %d", resumePos)}
+		return brokenf(have, "serve: bad resume pos %q", resp.Header.Get("X-Resume-Pos"))
 	}
 	if resumePos > 0 {
 		c.Resumes.Add(1)
@@ -429,322 +422,4 @@ func (c *Client) matchOnce(ctx context.Context, base, appName string, input []by
 	}
 	res, err = decodeMatchReply(body)
 	return res, false, 0, err
-}
-
-// LoadgenOptions configures RunLoadgen.
-type LoadgenOptions struct {
-	// URL is the server base URL (e.g. "http://127.0.0.1:8425").
-	URL string
-	// Peers are alternate server base URLs clients fail over to (and
-	// follow moved records to) when the primary dies mid-run.
-	Peers []string
-	// Apps are workload abbreviations to exercise (default HM, PEN, TCP).
-	Apps []string
-	// AppConfig scales the generated workloads; must match the server's.
-	AppConfig workloads.Config
-	// StreamsPerApp is the number of verified stream sessions per app
-	// (default 2).
-	StreamsPerApp int
-	// Requests is the number of match requests in the latency phase
-	// (default 64).
-	Requests int
-	// Concurrency is the number of parallel loadgen workers (default 8).
-	Concurrency int
-	// Tenants spreads sessions across this many tenant identities
-	// (default 4).
-	Tenants int
-	// Overload, when positive, fires this many concurrent no-retry match
-	// requests to provoke explicit shedding (default 0: skip the phase).
-	Overload int
-	// Pace stretches phase-1 streams by sleeping between chunk writes,
-	// widening the window in which an external chaos harness can kill
-	// the server mid-stream (default 0: full speed).
-	Pace time.Duration
-	// Timeout bounds the whole run (default 5 minutes).
-	Timeout time.Duration
-}
-
-func (o LoadgenOptions) withDefaults() LoadgenOptions {
-	if len(o.Apps) == 0 {
-		o.Apps = []string{"HM", "PEN", "TCP"}
-	}
-	if o.StreamsPerApp <= 0 {
-		o.StreamsPerApp = 2
-	}
-	if o.Requests <= 0 {
-		o.Requests = 64
-	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = 8
-	}
-	if o.Tenants <= 0 {
-		o.Tenants = 4
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Minute
-	}
-	return o
-}
-
-// BenchServe is the loadgen's record: what RunLoadgen verified and
-// measured.
-type BenchServe struct {
-	Apps          []string `json:"apps"`
-	Streams       int      `json:"streams"`
-	StreamsOK     int      `json:"streamsVerified"`
-	Requests      int      `json:"matchRequests"`
-	MatchAccepted int64    `json:"matchAccepted"`
-
-	P50Ms  float64 `json:"p50Ms"`
-	P99Ms  float64 `json:"p99Ms"`
-	MeanMs float64 `json:"meanMs"`
-
-	Sheds          int64 `json:"sheds"`
-	Resumes        int64 `json:"resumes"`
-	Retries        int64 `json:"retries"`
-	Restarts       int64 `json:"restarts"`
-	Failovers      int64 `json:"failovers"`
-	OverloadShed   int64 `json:"overloadShed"`
-	OverloadOK     int64 `json:"overloadAccepted"`
-	FailedAccepted int64 `json:"failedAccepted"`
-}
-
-// RunLoadgen drives a running server through verification, latency, and
-// overload phases and returns the benchmark record. It fails hard on any
-// correctness violation: a stream whose report sequence differs from the
-// uninterrupted local run, or an accepted request that then fails.
-func RunLoadgen(ctx context.Context, o LoadgenOptions) (*BenchServe, error) {
-	o = o.withDefaults()
-	ctx, cancel := context.WithTimeout(ctx, o.Timeout)
-	defer cancel()
-
-	type appCase struct {
-		abbr     string
-		net      *automata.Network
-		input    []byte
-		expected []sim.Report
-	}
-	cases := make([]appCase, 0, len(o.Apps))
-	for _, abbr := range o.Apps {
-		app, err := workloads.Build(abbr, o.AppConfig)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: build %s: %w", abbr, err)
-		}
-		res := sim.Run(app.Net, app.Input, sim.Options{CollectReports: true})
-		cases = append(cases, appCase{abbr: abbr, net: app.Net, input: app.Input, expected: res.Reports})
-	}
-
-	bench := &BenchServe{Apps: o.Apps, Requests: o.Requests}
-	cl := &Client{URL: func() string { return o.URL }}
-
-	// Phase 1: verified streams. Every session's assembled report stream
-	// must be bit-identical to the uninterrupted local run.
-	type streamJob struct {
-		c      appCase
-		tenant string
-	}
-	var jobs []streamJob
-	for i, c := range cases {
-		for s := 0; s < o.StreamsPerApp; s++ {
-			jobs = append(jobs, streamJob{c: c, tenant: fmt.Sprintf("tenant-%d", (i*o.StreamsPerApp+s)%o.Tenants)})
-		}
-	}
-	bench.Streams = len(jobs)
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, o.Concurrency)
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j streamJob) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sc := &Client{URL: cl.URL, Peers: o.Peers, Tenant: j.tenant, Pace: o.Pace}
-			res, err := sc.Stream(ctx, j.c.abbr, j.c.input)
-			mu.Lock()
-			defer mu.Unlock()
-			bench.Sheds += sc.Sheds.Load()
-			bench.Resumes += sc.Resumes.Load()
-			bench.Retries += sc.Retries.Load()
-			bench.Restarts += sc.Restarts.Load()
-			bench.Failovers += sc.Failovers.Load()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			if err := sameReports(res.Reports, j.c.expected); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("loadgen: %s stream diverged: %w", j.c.abbr, err)
-				}
-				return
-			}
-			bench.StreamsOK++
-		}(j)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return bench, firstErr
-	}
-
-	// Phase 2: match latency over accepted requests.
-	lat := make([]float64, 0, o.Requests)
-	for i := 0; i < o.Requests; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c := cases[i%len(cases)]
-			mc := &Client{URL: cl.URL, Peers: o.Peers, Tenant: fmt.Sprintf("tenant-%d", i%o.Tenants)}
-			input := c.input
-			if len(input) > 16384 {
-				input = input[:16384]
-			}
-			// Jittered exponential backoff with a ceiling: each retry at
-			// least doubles the floor (so a persistently shedding server
-			// sees geometrically decaying pressure instead of a fixed-rate
-			// hammer), the server's Retry-After raises but never lowers a
-			// given wait, ±50% jitter de-synchronizes the worker herd, and
-			// 2s caps the whole ladder.
-			const backoffCeil = 2 * time.Second
-			backoff := 20 * time.Millisecond
-			wait := func(floor time.Duration) bool {
-				delay := backoff
-				if floor > delay {
-					delay = floor
-				}
-				if delay > backoffCeil {
-					delay = backoffCeil
-				}
-				delay = delay/2 + time.Duration(rand.Int63n(int64(delay)))
-				if backoff < backoffCeil {
-					backoff *= 2
-				}
-				select {
-				case <-time.After(delay):
-					return true
-				case <-ctx.Done():
-					return false
-				}
-			}
-			for {
-				start := time.Now()
-				_, shed, retryAfter, err := mc.Match(ctx, c.abbr, input)
-				elapsed := time.Since(start)
-				mu.Lock()
-				if shed {
-					bench.Sheds++
-					mu.Unlock()
-					if !wait(retryAfter) {
-						return
-					}
-					continue
-				}
-				if err != nil {
-					// Transport-level failures are transient under chaos
-					// (the server may be mid-restart): back off and retry.
-					// Anything the server said over HTTP is a real failure.
-					var ue *url.Error
-					if errors.As(err, &ue) && ctx.Err() == nil {
-						bench.Retries++
-						mu.Unlock()
-						if !wait(0) {
-							return
-						}
-						continue
-					}
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				lat = append(lat, float64(elapsed.Microseconds())/1000)
-				bench.MatchAccepted++
-				bench.Failovers += mc.Failovers.Swap(0)
-				mu.Unlock()
-				return
-			}
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return bench, firstErr
-	}
-	bench.P50Ms, bench.P99Ms, bench.MeanMs = percentiles(lat)
-
-	// Phase 3: overload. Fire a burst of single-attempt paced streams (no
-	// retries — a shed is a shed). The server must refuse some explicitly,
-	// and every stream it accepts must run to a verified completion:
-	// admission control never accepts work it cannot serve. Streams, not
-	// matches, carry this phase because their sessions block on I/O
-	// between chunks, so the burst genuinely overlaps even on one CPU.
-	if o.Overload > 0 {
-		c := cases[0]
-		input := c.input
-		if len(input) > 16384 {
-			input = input[:16384]
-		}
-		truncated := sim.Run(c.net, input, sim.Options{CollectReports: true}).Reports
-		var owg sync.WaitGroup
-		for i := 0; i < o.Overload; i++ {
-			owg.Add(1)
-			go func(i int) {
-				defer owg.Done()
-				oc := &Client{URL: cl.URL, Tenant: "burst", Chunk: 1024, Pace: 500 * time.Microsecond}
-				ar := oc.streamAttempt(ctx, oc.bases()[0], c.abbr, newSessionID(), input, nil, false, false)
-				mu.Lock()
-				defer mu.Unlock()
-				switch {
-				case ar.out == attemptShed:
-					bench.OverloadShed++
-				case ar.out == attemptDone && ar.err == nil && sameReports(ar.have, truncated) == nil:
-					bench.OverloadOK++
-				default:
-					// Accepted (or mid-flight) and then failed: the exact
-					// outcome admission control exists to prevent.
-					bench.FailedAccepted++
-				}
-			}(i)
-		}
-		owg.Wait()
-	}
-	return bench, nil
-}
-
-// sameReports verifies got and want are the identical sequence.
-func sameReports(got, want []sim.Report) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d reports, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return fmt.Errorf("report %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	return nil
-}
-
-// percentiles returns p50, p99, and mean of ms samples.
-func percentiles(ms []float64) (p50, p99, mean float64) {
-	if len(ms) == 0 {
-		return 0, 0, 0
-	}
-	s := append([]float64(nil), ms...)
-	sort.Float64s(s)
-	idx := func(p float64) float64 {
-		i := int(math.Ceil(p*float64(len(s)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return s[i]
-	}
-	var sum float64
-	for _, v := range s {
-		sum += v
-	}
-	return idx(0.50), idx(0.99), sum / float64(len(s))
 }

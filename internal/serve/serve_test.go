@@ -42,6 +42,19 @@ func testInput(n int) []byte {
 	return in
 }
 
+// sameReports verifies got and want are the identical sequence.
+func sameReports(got, want []sim.Report) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d reports, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("report %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
 // harness is one live test server instance.
 type harness struct {
 	s  *Server
@@ -291,9 +304,14 @@ func TestDrainWithoutStoreRestarts(t *testing.T) {
 // attemptAgainst runs one stream attempt of a 64-symbol input against a
 // server that answers 200 with exactly body and closes the connection —
 // what a client sees of a server it cannot trust, or of one that died
-// after writing that much.
-func attemptAgainst(t *testing.T, body string) attemptResult {
+// after writing that much. resumePos is the X-Resume-Pos header's value;
+// "" leaves the header out.
+func attemptAgainst(t *testing.T, resumePos, body string) attemptResult {
 	t.Helper()
+	header := ""
+	if resumePos != "" {
+		header = "X-Resume-Pos: " + resumePos + "\r\n"
+	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		conn, buf, err := w.(http.Hijacker).Hijack()
 		if err != nil {
@@ -301,7 +319,7 @@ func attemptAgainst(t *testing.T, body string) attemptResult {
 			return
 		}
 		// Close-delimited body: the client sees EOF right after it.
-		buf.WriteString("HTTP/1.1 200 OK\r\nX-Resume-Pos: 0\r\nConnection: close\r\n\r\n" + body)
+		buf.WriteString("HTTP/1.1 200 OK\r\n" + header + "Connection: close\r\n\r\n" + body)
 		buf.Flush()
 		conn.Close()
 	}))
@@ -320,7 +338,7 @@ func TestStreamClientDiscardsTruncatedLine(t *testing.T) {
 	const body = "r 10 1\nr 1234 567\n"
 	records := []sim.Report{{Pos: 10, State: 1}, {Pos: 1234, State: 567}}
 	for cut := 0; cut <= len(body); cut++ {
-		ar := attemptAgainst(t, body[:cut])
+		ar := attemptAgainst(t, "0", body[:cut])
 		if ar.out != attemptBroken {
 			t.Fatalf("cut at %d: outcome = %d, want attemptBroken", cut, ar.out)
 		}
@@ -335,26 +353,31 @@ func TestStreamClientDiscardsTruncatedLine(t *testing.T) {
 // attempt with the line quoted (state 4294967297 used to arrive as state
 // 1); an end record is complete only with both numbers, at the input's
 // length, declaring the reports the client holds (a malformed one used to
-// read as done, and the position was never looked at).
+// read as done, and the position was never looked at). A 200 without a
+// readable X-Resume-Pos breaks the attempt too (it used to read as
+// position 0, and a client holding reports counted a restart).
 func TestStreamClientHoldsRecordsToTheirGrammar(t *testing.T) {
 	for _, c := range []struct {
-		name, body string
-		out        attemptOutcome
-		have       int
-		errHas     string
+		name, pos, body string
+		out             attemptOutcome
+		have            int
+		errHas          string
 	}{
-		{"complete", "r 10 1\nend 64 1\n", attemptDone, 1, ""},
-		{"state wraps int32", "r 10 1\nr 5 4294967297\nend 64 2\n", attemptBroken, 1, `"r 5 4294967297\n"`},
-		{"negative position", "r -5 1\nend 64 1\n", attemptBroken, 0, `"r -5 1\n"`},
-		{"indented report", " r 5 1\nend 64 1\n", attemptBroken, 0, `" r 5 1\n"`},
-		{"end without count", "r 10 1\nend 64\n", attemptBroken, 1, `"end 64\n"`},
-		{"end with a fourth field", "r 10 1\nend 64 1 0\n", attemptBroken, 1, `"end 64 1 0\n"`},
-		{"end position not a number", "r 10 1\nend x 1\n", attemptBroken, 1, `"end x 1\n"`},
-		{"end short of the input", "r 10 1\nend 32 1\n", attemptBroken, 1, "ended at 32 of 64"},
-		{"end past the input", "r 10 1\nend 65 1\n", attemptBroken, 1, "ended at 65 of 64"},
-		{"end miscounts", "r 10 1\nend 64 2\n", attemptBroken, 1, "declares 2 reports, client holds 1"},
+		{"complete", "0", "r 10 1\nend 64 1\n", attemptDone, 1, ""},
+		{"state wraps int32", "0", "r 10 1\nr 5 4294967297\nend 64 2\n", attemptBroken, 1, `"r 5 4294967297\n"`},
+		{"negative position", "0", "r -5 1\nend 64 1\n", attemptBroken, 0, `"r -5 1\n"`},
+		{"indented report", "0", " r 5 1\nend 64 1\n", attemptBroken, 0, `" r 5 1\n"`},
+		{"end without count", "0", "r 10 1\nend 64\n", attemptBroken, 1, `"end 64\n"`},
+		{"end with a fourth field", "0", "r 10 1\nend 64 1 0\n", attemptBroken, 1, `"end 64 1 0\n"`},
+		{"end position not a number", "0", "r 10 1\nend x 1\n", attemptBroken, 1, `"end x 1\n"`},
+		{"end short of the input", "0", "r 10 1\nend 32 1\n", attemptBroken, 1, "ended at 32 of 64"},
+		{"end past the input", "0", "r 10 1\nend 65 1\n", attemptBroken, 1, "ended at 65 of 64"},
+		{"end miscounts", "0", "r 10 1\nend 64 2\n", attemptBroken, 1, "declares 2 reports, client holds 1"},
+		{"resume position absent", "", "r 10 1\nend 64 1\n", attemptBroken, 0, "bad resume pos"},
+		{"resume position not a number", "x", "r 10 1\nend 64 1\n", attemptBroken, 0, "bad resume pos"},
+		{"resume position negative", "-1", "r 10 1\nend 64 1\n", attemptBroken, 0, "bad resume pos"},
 	} {
-		ar := attemptAgainst(t, c.body)
+		ar := attemptAgainst(t, c.pos, c.body)
 		if ar.out != c.out || len(ar.have) != c.have {
 			t.Errorf("%s: outcome %d holding %d reports, want %d holding %d", c.name, ar.out, len(ar.have), c.out, c.have)
 		}

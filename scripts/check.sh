@@ -7,7 +7,8 @@
 # Steps: gofmt, go vet, staticcheck and govulncheck (when installed),
 # build (native, then cross-built for darwin and windows), full test
 # suite, vet and smoke test of the bench/ module, a check that every test
-# DESIGN.md and README.md name exists,
+# and every internal package's func, type, var or const DESIGN.md and
+# README.md name exists,
 # race-detector pass over the whole module, a fuzz
 # smoke pass over the parser/compiler/slot-file/executor-differential/
 # slot-pair/replication-frame/report-codec fuzz targets, the
@@ -90,6 +91,17 @@ missing=0
 for name in $(grep -ohE '`(Test|Fuzz|Benchmark)[A-Za-z0-9_]*' DESIGN.md README.md | tr -d '`' | sort -u); do
     grep -rqE "^func $name\(" --include='*_test.go' . \
         || { echo "the docs name $name, which no test file defines" >&2; missing=1; }
+done
+[[ $missing -eq 0 ]] || exit 1
+
+# A backticked `pkg.Name` in the docs, pkg a package under internal/, must
+# name a func, method, type, var or const declared there (go doc finds it).
+step "internal names in DESIGN.md and README.md exist"
+for ref in $(grep -ohE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*' DESIGN.md README.md | tr -d '`' | sort -u); do
+    pkg=${ref%%.*}
+    [[ -d internal/$pkg ]] || continue
+    go doc "./internal/$pkg" "${ref#*.}" >/dev/null 2>&1 \
+        || { echo "the docs name $ref, which internal/$pkg does not declare" >&2; missing=1; }
 done
 [[ $missing -eq 0 ]] || exit 1
 

@@ -130,12 +130,10 @@ else
     start_a
 fi
 
-# Stream phase is paced, so it stays in flight long enough for every
-# SIGKILL below to land mid-stream; the match phase runs afterwards
-# against whichever node survives (restart: A's final generation;
-# failover: B, over the same failover path).
+# The streams are paced, so they stay in flight long enough for every
+# SIGKILL below to land mid-stream.
 "$apserve" -loadgen -url "$url" ${loadgen_peers[@]+"${loadgen_peers[@]}"} "${common[@]}" \
-    -streams "$streams" -requests 16 -overload 0 -pace "$pace" \
+    -streams "$streams" -pace "$pace" \
     >"$work/loadgen.log" 2>&1 &
 loadgen_pid=$!
 

@@ -1,13 +1,11 @@
 package sparseap
 
 // This file exposes the serving surface: the fault-tolerant multi-tenant
-// streaming match service (internal/serve), its resilient client and
-// load generator, and the per-tenant guard-escalation ladder that
-// degrades storm-prone tenants from SpAP to baseline execution.
+// streaming match service (internal/serve), its resilient client, and
+// the per-tenant guard-escalation ladder that degrades storm-prone
+// tenants from SpAP to baseline execution.
 
 import (
-	"context"
-
 	"sparseap/internal/metrics"
 	"sparseap/internal/replica"
 	"sparseap/internal/serve"
@@ -29,11 +27,6 @@ type (
 	// StreamResult is one completed stream session's exactly-once report
 	// stream.
 	StreamResult = serve.StreamResult
-	// LoadgenOptions configures RunServeLoadgen.
-	LoadgenOptions = serve.LoadgenOptions
-	// BenchServe is the serve loadgen's record (latency percentiles,
-	// shed/resume counts).
-	BenchServe = serve.BenchServe
 	// MetricsRegistry is the per-tenant counter registry the serve path
 	// reports into; its WriteText renders Prometheus text exposition.
 	MetricsRegistry = metrics.Registry
@@ -67,10 +60,3 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // NewGuardLadder builds a fresh per-tenant escalation ladder.
 func NewGuardLadder(cfg LadderConfig) *GuardLadder { return spap.NewLadder(cfg) }
-
-// RunServeLoadgen drives a running match server through verification,
-// latency, and overload phases; every completed stream is checked
-// bit-identical against an uninterrupted local run.
-func RunServeLoadgen(ctx context.Context, o LoadgenOptions) (*BenchServe, error) {
-	return serve.RunLoadgen(ctx, o)
-}
