@@ -8,7 +8,8 @@
 # build (native, then cross-built for darwin and windows), full test
 # suite, vet and smoke test of the bench/ module, a check that every test
 # and every internal package's func, type, var or const DESIGN.md and
-# README.md name exists,
+# README.md name exists, a diff of the root package's API against
+# testdata/api.txt,
 # race-detector pass over the whole module, a fuzz
 # smoke pass over the parser/compiler/slot-file/executor-differential/
 # slot-pair/replication-frame/report-codec fuzz targets, the
@@ -104,6 +105,11 @@ for ref in $(grep -ohE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*' DESIGN.md README.md
         || { echo "the docs name $ref, which internal/$pkg does not declare" >&2; missing=1; }
 done
 [[ $missing -eq 0 ]] || exit 1
+
+# The root package's exported surface is pinned, so a change to it is a
+# reviewed diff (regenerate with: go doc -short . > testdata/api.txt).
+step "root API matches testdata/api.txt"
+diff -u testdata/api.txt <(go doc -short .)
 
 if [[ $short -eq 0 ]]; then
     step "go test -race (whole module)"
