@@ -13,6 +13,8 @@ import (
 	"sparseap"
 	"sparseap/internal/checkpoint/ckpttest"
 	"sparseap/internal/oracle"
+	"sparseap/internal/replica"
+	"sparseap/internal/serve"
 	"sparseap/internal/workloads"
 )
 
@@ -80,14 +82,14 @@ func TestChaosSoakBaseAPSpAP(t *testing.T) {
 	for _, abbr := range apps {
 		t.Run(abbr, func(t *testing.T) {
 			app, eng, p := soakApp(t, abbr)
-			want, err := eng.RunBaseAPSpAPContext(ctx, p, app.Input)
+			want, err := eng.RunBaseAPSpAPContext(ctx, p, app.Input, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Probe pass counts chaos polls so the five kill thresholds
 			// cover early, middle, and late execution.
 			probe := &chaosKills{}
-			if _, err := eng.RunBaseAPSpAPCheckpointed(ctx, p, app.Input,
+			if _, err := eng.RunBaseAPSpAPContext(ctx, p, app.Input,
 				&sparseap.CheckpointRunner{CrashAt: probe.hook}); err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +107,7 @@ func TestChaosSoakBaseAPSpAP(t *testing.T) {
 					t.Fatalf("kill/resume loop did not converge after %d attempts", attempt)
 				}
 				ck := &sparseap.CheckpointRunner{Store: store, Name: "spap", Every: 256, CrashAt: kills.hook}
-				got, err = eng.RunBaseAPSpAPCheckpointed(ctx, p, app.Input, ck)
+				got, err = eng.RunBaseAPSpAPContext(ctx, p, app.Input, ck)
 				if err == nil {
 					break
 				}
@@ -133,12 +135,12 @@ func TestChaosSoakGuarded(t *testing.T) {
 	ctx := context.Background()
 	app, eng, p := soakApp(t, "HM")
 	g := sparseap.DefaultGuard()
-	want, err := eng.RunGuarded(ctx, p, app.Input, g)
+	want, err := eng.RunGuarded(ctx, p, app.Input, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe := &chaosKills{}
-	if _, err := eng.RunGuardedCheckpointed(ctx, p, app.Input, g,
+	if _, err := eng.RunGuarded(ctx, p, app.Input, g,
 		&sparseap.CheckpointRunner{CrashAt: probe.hook}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestChaosSoakGuarded(t *testing.T) {
 			t.Fatalf("kill/resume loop did not converge after %d attempts", attempt)
 		}
 		ck := &sparseap.CheckpointRunner{Store: store, Name: "spap", Every: 256, CrashAt: kills.hook}
-		got, err = eng.RunGuardedCheckpointed(ctx, p, app.Input, g, ck)
+		got, err = eng.RunGuarded(ctx, p, app.Input, g, ck)
 		if err == nil {
 			break
 		}
@@ -179,7 +181,7 @@ func TestChaosSoakGuarded(t *testing.T) {
 func TestChaosSoakBaselineWithCorruption(t *testing.T) {
 	ctx := context.Background()
 	app, eng, _ := soakApp(t, "HM")
-	want, _, err := eng.RunBaselineCheckpointed(ctx, app.Net, app.Input, nil)
+	want, _, err := eng.RunBaselineContext(ctx, app.Net, app.Input, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestChaosSoakBaselineWithCorruption(t *testing.T) {
 			t.Fatalf("kill/resume loop did not converge after %d attempts", attempt)
 		}
 		ck := &sparseap.CheckpointRunner{Store: store, Name: "baseline", Every: 256, CrashAt: kills.hook}
-		res, got, err = eng.RunBaselineCheckpointed(ctx, app.Net, app.Input, ck)
+		res, got, err = eng.RunBaselineContext(ctx, app.Net, app.Input, ck)
 		if err == nil {
 			break
 		}
@@ -212,6 +214,9 @@ func TestChaosSoakBaselineWithCorruption(t *testing.T) {
 			ckpttest.DamageLatest(t, dir, "baseline")
 			corrupted = true
 		}
+	}
+	if kills.next != len(kills.at) || !corrupted {
+		t.Fatalf("only %d of %d kill points fired", kills.next, len(kills.at))
 	}
 	if res.Batches != want.Batches || res.Reports != want.Reports {
 		t.Fatalf("baseline result diverged: %+v vs %+v", res, want)
@@ -232,7 +237,7 @@ type serveChaosHarness struct {
 	cfg  workloads.Config
 
 	mu  sync.Mutex
-	s   *sparseap.MatchServer
+	s   *serve.Server
 	ts  *httptest.Server
 	url atomic.Value
 }
@@ -259,7 +264,7 @@ func (h *serveChaosHarness) start() {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	s := sparseap.NewMatchServer(sparseap.ServeConfig{Store: store, Every: 2048})
+	s := serve.New(serve.Config{Store: store, Every: 2048})
 	for _, app := range h.apps {
 		if err := s.AddApp(app.Abbr, app.Net, h.cfg.Fingerprint(app.Abbr)); err != nil {
 			h.t.Fatal(err)
@@ -284,7 +289,7 @@ func TestChaosServeKillResume(t *testing.T) {
 	h := newServeChaosHarness(t, abbrs)
 
 	type gen struct {
-		s  *sparseap.MatchServer
+		s  *serve.Server
 		ts *httptest.Server
 	}
 	// Kill schedule: two kills while the streams are in flight.
@@ -311,7 +316,7 @@ func TestChaosServeKillResume(t *testing.T) {
 		wg.Add(1)
 		go func(i int, app *workloads.App) {
 			defer wg.Done()
-			cl := &sparseap.ServeClient{
+			cl := &serve.Client{
 				URL:    func() string { return h.url.Load().(string) },
 				Tenant: fmt.Sprintf("tenant-%d", i),
 				Chunk:  512,
@@ -367,7 +372,7 @@ func TestChaosServeClusterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sB := sparseap.NewMatchServer(sparseap.ServeConfig{Store: storeB, Every: 2048})
+	sB := serve.New(serve.Config{Store: storeB, Every: 2048})
 	if err := sB.AddApp("HM", app.Net, cfg.Fingerprint("HM")); err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +383,8 @@ func TestChaosServeClusterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sA := sparseap.NewMatchServer(sparseap.ServeConfig{
-		Store: sparseap.NewReplicatedStore(localA, sparseap.ReplicaOptions{
+	sA := serve.New(serve.Config{
+		Store: replica.New(localA, replica.Options{
 			Followers: []string{tsB.URL},
 			Ack:       1,
 		}),
@@ -399,7 +404,7 @@ func TestChaosServeClusterFailover(t *testing.T) {
 		tsA.CloseClientConnections()
 	}()
 
-	cl := &sparseap.ServeClient{
+	cl := &serve.Client{
 		URL:    func() string { return tsA.URL },
 		Peers:  []string{tsB.URL},
 		Tenant: "tenant-0",
@@ -467,12 +472,12 @@ func TestChaosServeFailoverWithoutReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mk := func() (*sparseap.MatchServer, *httptest.Server) {
+	mk := func() (*serve.Server, *httptest.Server) {
 		store, err := sparseap.OpenCheckpointStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := sparseap.NewMatchServer(sparseap.ServeConfig{Store: store, Every: 2048})
+		s := serve.New(serve.Config{Store: store, Every: 2048})
 		if err := s.AddApp("HM", app.Net, cfg.Fingerprint("HM")); err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +496,7 @@ func TestChaosServeFailoverWithoutReplication(t *testing.T) {
 		tsA.CloseClientConnections()
 	}()
 
-	cl := &sparseap.ServeClient{
+	cl := &serve.Client{
 		URL:    func() string { return tsA.URL },
 		Peers:  []string{tsB.URL},
 		Tenant: "tenant-0",

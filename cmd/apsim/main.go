@@ -242,13 +242,7 @@ func main() {
 	}
 
 	ctx, cancel := runCtx()
-	var base *sparseap.BaselineResult
-	var baseReports []sparseap.Report
-	if useCk || (*reportOut != "" && *system == "ap") {
-		base, baseReports, err = eng.RunBaselineCheckpointed(ctx, net, input, mkRunner("baseline"))
-	} else {
-		base, err = eng.RunBaselineContext(ctx, net, input)
-	}
+	base, baseReports, err := eng.RunBaselineContext(ctx, net, input, mkRunner("baseline"))
 	cancel()
 	crashExit(err)
 	fatal(err)
@@ -293,9 +287,9 @@ func main() {
 		g := sparseap.DefaultGuard()
 		g.Preflight = *preflight
 		if *guard {
-			res, err = eng.RunGuardedCheckpointed(ctx, part, input, g, mkRunner("spap"))
+			res, err = eng.RunGuarded(ctx, part, input, g, mkRunner("spap"))
 		} else {
-			res, err = eng.RunBaseAPSpAPCheckpointed(ctx, part, input, mkRunner("spap"))
+			res, err = eng.RunBaseAPSpAPContext(ctx, part, input, mkRunner("spap"))
 		}
 		cancel()
 		crashExit(err)

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/checkpoint"
 	"sparseap/internal/sim"
 )
 
@@ -200,29 +201,39 @@ type BaselineResult struct {
 // are produced functionally (they are identical to a single full-network
 // pass because batches are independent); cycles follow the batching model.
 func RunBaseline(net *automata.Network, input []byte, cfg Config) (*BaselineResult, error) {
-	return RunBaselineContext(context.Background(), net, input, cfg)
+	res, _, err := RunBaselineContext(context.Background(), net, input, cfg, false, nil)
+	return res, err
 }
 
-// RunBaselineContext is RunBaseline with cancellation: the underlying
-// simulation polls ctx and stops early when it fires. On cancellation the
-// partial result (cycles and reports for the symbols processed so far) is
-// returned together with ctx.Err(); the result is nil only for
-// configuration or partitioning errors.
-func RunBaselineContext(ctx context.Context, net *automata.Network, input []byte, cfg Config) (*BaselineResult, error) {
+// RunBaselineContext is RunBaseline with cancellation and durable
+// checkpoints: the simulation pass (sim.RunContext) polls ctx, snapshots
+// its engine through ck every Runner.Every symbols, and resumes from the
+// newest valid checkpoint instead of re-streaming from symbol 0; a nil ck
+// checkpoints nothing. The batching model is unchanged — every batch is
+// charged for the symbols processed — so a resumed run returns what an
+// uninterrupted one does. When collect is true the report stream
+// (restored prefix + re-run suffix, bit-identical to an uninterrupted
+// run's) is returned alongside the summary. On cancellation or an injected
+// crash the partial result is returned with the error; the result is nil
+// only for configuration, partitioning or checkpoint-load errors.
+func RunBaselineContext(ctx context.Context, net *automata.Network, input []byte, cfg Config, collect bool, ck *checkpoint.Runner) (*BaselineResult, []sim.Report, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	batches, err := PartitionNFAs(net, cfg.Capacity)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res, err := sim.RunContext(ctx, net, input, sim.Options{})
+	res, err := sim.RunContext(ctx, net, input, sim.Options{CollectReports: collect}, ck)
+	if res == nil {
+		return nil, nil, err
+	}
 	return &BaselineResult{
 		Batches: len(batches),
 		Cycles:  int64(len(batches)) * res.Symbols,
 		Reports: res.NumReports,
 		TimeNS:  float64(len(batches)) * float64(res.Symbols) * cfg.CycleNS,
-	}, err
+	}, res.Reports, err
 }
 
 // BaselineCycles returns the cycle count of the batching model without

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestReportEquivalenceAllApps(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameReports(t, "BaseAP/SpAP", baseline.Reports, res.Reports)
-			cpu, err := spap.RunAPCPU(p, input, cfg, spap.DefaultCPUModel(), spap.Options{CollectReports: true})
+			cpu, err := spap.RunAPCPU(context.Background(), p, input, cfg, spap.Options{CollectReports: true})
 			if err != nil {
 				t.Fatal(err)
 			}

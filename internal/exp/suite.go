@@ -12,6 +12,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -31,9 +32,8 @@ var ProfileFractions = []float64{0.001, 0.01, 0.1, 0.5}
 // Suite shares generated applications and derived artifacts across
 // experiments.
 type Suite struct {
-	WL  workloads.Config
-	AP  ap.Config
-	CPU spap.CPUModel
+	WL workloads.Config
+	AP ap.Config
 
 	mu   sync.Mutex
 	apps map[string]*AppData
@@ -45,7 +45,6 @@ func NewSuite(wl workloads.Config, apCfg ap.Config) *Suite {
 	return &Suite{
 		WL:   wl,
 		AP:   apCfg,
-		CPU:  spap.DefaultCPUModel(),
 		apps: make(map[string]*AppData),
 	}
 }
@@ -229,7 +228,7 @@ func (a *AppData) RunAPCPU(frac float64, capacity int) (*spap.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := spap.RunAPCPU(p, a.TestInput(), a.suite.AP.WithCapacity(capacity), a.suite.CPU, spap.Options{})
+	res, err := spap.RunAPCPU(context.Background(), p, a.TestInput(), a.suite.AP.WithCapacity(capacity), spap.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Abbr(), err)
 	}

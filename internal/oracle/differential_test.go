@@ -313,6 +313,9 @@ func crashResume[R any](d *draw, run func(ck *checkpoint.Runner) (R, error)) (wh
 	if err != nil {
 		d.fatalf("uninterrupted: %v", err)
 	}
+	if polls == 0 && len(d.in) > 0 {
+		d.fatalf("the runner's chaos hook was never polled")
+	}
 	var kills []int64
 	for k := 1 + d.src.Intn(2); k > 0 && polls > 0; k-- {
 		kills = append(kills, 1+int64(d.src.Intn(int(polls))))
@@ -355,7 +358,7 @@ func (d *draw) baseline() {
 	}
 	cfg := ap.DefaultConfig().WithCapacity(maxNFA(d.net) + d.src.Intn(d.net.Len()+1))
 	whole, resumed := crashResume(d, func(ck *checkpoint.Runner) (run, error) {
-		res, reports, err := ap.RunBaselineCheckpointedContext(context.Background(), d.net, d.in, cfg, true, ck)
+		res, reports, err := ap.RunBaselineContext(context.Background(), d.net, d.in, cfg, true, ck)
 		if res == nil {
 			return run{}, err
 		}
@@ -453,7 +456,7 @@ func (d *draw) spap(net *automata.Network, want oracle.Result) {
 	if plain.JumpRatio > 0 {
 		d.cov.jumped++
 	}
-	cpu, err := spap.RunAPCPU(p, in, cfg, spap.DefaultCPUModel(), opts)
+	cpu, err := spap.RunAPCPU(ctx, p, in, cfg, opts)
 	if err != nil {
 		d.fatalf("RunAPCPU: %v", err)
 	}
@@ -486,8 +489,8 @@ func (d *draw) spap(net *automata.Network, want oracle.Result) {
 		name string
 		run  func(ck *checkpoint.Runner) (*spap.Result, error)
 	}{
-		{"RunBaseAPSpAPCheckpointed", func(ck *checkpoint.Runner) (*spap.Result, error) {
-			return spap.RunBaseAPSpAPCheckpointed(ctx, p, in, cfg, opts, ck)
+		{"RunBaseAPSpAPContext", func(ck *checkpoint.Runner) (*spap.Result, error) {
+			return spap.RunBaseAPSpAPContext(ctx, p, in, cfg, opts, ck)
 		}},
 		{"RunGuardedCheckpointed", func(ck *checkpoint.Runner) (*spap.Result, error) {
 			return spap.RunGuardedCheckpointed(ctx, p, in, cfg, g, opts, ck)

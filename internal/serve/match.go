@@ -96,7 +96,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			// baseline kernel rather than failing the tenant's request.
 			s.reg.Tenant("serve_degraded", tenant).Inc()
 			resp.Mode = spap.ModeBaseline.String()
-			sres, serr := sim.RunContext(ctx, a.net, input, sim.Options{CollectReports: true})
+			sres, serr := sim.RunContext(ctx, a.net, input, sim.Options{CollectReports: true}, nil)
 			if serr != nil {
 				matchError(w, serr)
 				return
@@ -117,7 +117,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		reports, resp.NumReports = res.Reports, res.NumReports
 	default: // spap.ModeBaseline
 		s.reg.Tenant("serve_degraded", tenant).Inc()
-		sres, serr := sim.RunContext(ctx, a.net, input, sim.Options{CollectReports: true})
+		sres, serr := sim.RunContext(ctx, a.net, input, sim.Options{CollectReports: true}, nil)
 		if serr != nil {
 			matchError(w, serr)
 			return

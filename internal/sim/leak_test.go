@@ -64,6 +64,40 @@ func TestBatchAcquireReleaseSteadyStateNoAlloc(t *testing.T) {
 	}
 }
 
+// TestRunAllocations pins what Run allocates on a warm pooled engine: the
+// Result alone with reports off, and with reports on the growth of the
+// report slice that Run then hands over (16 384 reports end above
+// maxPooledReportCap, so the next run grows a new one). The checkpoint
+// loop Run shares with RunContext must add to neither.
+func TestRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the counts do not hold")
+	}
+	m := automata.NewNFA()
+	m.Add(symset.Single('a'), automata.StartAllInput, true)
+	m.Add(symset.Single('b'), automata.StartAllInput, true)
+	net := automata.NewNetwork(m)
+	input := make([]byte, 64<<10)
+	for i := range input {
+		input[i] = 'x'
+		if i%4 == 0 {
+			input[i] = 'a'
+		}
+	}
+	for _, tc := range []struct {
+		collect bool
+		max     float64
+	}{{false, 1}, {true, 23}} {
+		opts := Options{CollectReports: tc.collect}
+		if n := Run(net, input, opts).NumReports; n != 16384 {
+			t.Fatalf("%d reports, want 16384", n)
+		}
+		if got := testing.AllocsPerRun(20, func() { Run(net, input, opts) }); got > tc.max {
+			t.Errorf("CollectReports=%v: Run allocates %.1f times, want <= %.0f", tc.collect, got, tc.max)
+		}
+	}
+}
+
 // TestBatchAcquireReleaseSoak drives full batch cycles — acquire, lane
 // join, tick to retirement, release — from several goroutines against
 // one shared image. Unlike the zero-alloc cell above (which sync.Pool

@@ -25,7 +25,7 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	input := bytes.Repeat([]byte("a"), 3*cancelCheckInterval)
-	res, err := RunContext(ctx, everyA(), input, Options{CollectReports: true})
+	res, err := RunContext(ctx, everyA(), input, Options{CollectReports: true}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -263,7 +263,7 @@ func TestRunContextCancelMidRunSkipping(t *testing.T) {
 	net, input := quietStream(t, 9*cancelCheckInterval+77)
 	full := Run(net, input, Options{CollectReports: true})
 	for _, at := range []int{1, 2, 5, 10} {
-		res, err := RunContext(newPollCtx(at), net, input, Options{CollectReports: true})
+		res, err := RunContext(newPollCtx(at), net, input, Options{CollectReports: true}, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("poll %d: err = %v, want context.Canceled", at, err)
 		}
@@ -280,7 +280,7 @@ func TestRunContextCancelMidRunSkipping(t *testing.T) {
 			t.Fatalf("poll %d: %d reports, but the full run's next is at %d", at, n, full.Reports[n].Pos)
 		}
 	}
-	if res, err := RunContext(newPollCtx(11), net, input, Options{}); err != nil || res.Symbols != int64(len(input)) || res.NumReports != full.NumReports {
+	if res, err := RunContext(newPollCtx(11), net, input, Options{}, nil); err != nil || res.Symbols != int64(len(input)) || res.NumReports != full.NumReports {
 		t.Fatalf("ten polls cover the input: got %+v, %v", res, err)
 	}
 }

@@ -35,6 +35,7 @@ import (
 
 	"sparseap/internal/automata"
 	"sparseap/internal/bitvec"
+	"sparseap/internal/checkpoint"
 )
 
 // cancelCheckInterval is how many symbols an execution loop processes
@@ -167,6 +168,16 @@ type Result struct {
 	EverEnabled *bitvec.Vec
 	// Symbols is the number of input symbols processed.
 	Symbols int64
+	// Resumed reports whether the run continued from a stored checkpoint.
+	Resumed bool
+	// ResumePos is the input position execution restarted from (0 when
+	// not resumed).
+	ResumePos int64
+	// Recovered reports whether the latest checkpoint slot was corrupt
+	// and the run fell back to the previous good one.
+	Recovered bool
+	// Saves counts the checkpoints persisted during this call.
+	Saves int64
 }
 
 // NewEngine builds a fresh engine for net with the given options. The
@@ -668,45 +679,21 @@ func (e *Engine) SparseSteps() int64 { return e.sparseSteps }
 
 // Run executes net over input and returns the result summary.
 func Run(net *automata.Network, input []byte, opts Options) *Result {
-	res, _ := RunContext(context.Background(), net, input, opts)
+	res, _ := RunContext(context.Background(), net, input, opts, nil)
 	return res
 }
 
-// RunContext is Run with cancellation: the loop polls ctx every
-// cancelCheckInterval symbols and, when cancelled, returns the partial
-// result accumulated so far (Symbols records how far it got) together
-// with ctx.Err(). The result is never nil.
-func RunContext(ctx context.Context, net *automata.Network, input []byte, opts Options) (*Result, error) {
+// RunContext is Run with cancellation and, when ck is non-nil, durable
+// checkpoints: a pooled engine runs input through Engine.execute, which
+// polls ctx every cancelCheckInterval symbols, captures a snapshot every
+// ck.Every symbols and resumes from the newest valid one. On cancellation
+// or an injected crash the partial result (Symbols records how far it got)
+// is returned with the error. The result is nil only when the stored
+// checkpoint cannot be loaded or does not fit net.
+func RunContext(ctx context.Context, net *automata.Network, input []byte, opts Options, ck *checkpoint.Runner) (*Result, error) {
 	e := AcquireEngine(net, opts)
 	defer e.Release()
-	var err error
-	processed := 0
-	for processed < len(input) {
-		if cancelled(ctx) {
-			err = ctx.Err()
-			break
-		}
-		end := min(processed+cancelCheckInterval, len(input))
-		e.Run(int64(processed), input[processed:end])
-		processed = end
-	}
-	res := &Result{
-		NumReports: e.numReports,
-		Symbols:    int64(processed),
-	}
-	if opts.CollectReports {
-		if cap(e.reports) > maxPooledReportCap {
-			// Release is about to drop a slice this large: hand it over
-			// instead of copying it.
-			res.Reports, e.reports = e.reports, nil
-		} else {
-			res.Reports = append([]Report(nil), e.reports...)
-		}
-	}
-	if opts.TrackEnabled {
-		res.EverEnabled = e.ever.Clone()
-	}
-	return res, err
+	return e.execute(ctx, input, ck)
 }
 
 // HotStates runs net over input and returns the ever-enabled set. This is

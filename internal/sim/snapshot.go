@@ -231,33 +231,19 @@ func decodeRunState(payload []byte) (snap *Snapshot, done bool, reports []Report
 	return snap, done, reports, nil
 }
 
-// CheckpointedResult is a Result with resume bookkeeping.
-type CheckpointedResult struct {
-	Result
-	// Resumed reports whether the run continued from a stored checkpoint.
-	Resumed bool
-	// ResumePos is the input position execution restarted from (0 when
-	// not resumed).
-	ResumePos int64
-	// Recovered reports whether the latest checkpoint slot was corrupt
-	// and the run fell back to the previous good one.
-	Recovered bool
-	// Saves counts the checkpoints persisted during this call.
-	Saves int64
-}
-
-// RunCheckpointed executes the engine over input with periodic durable
-// snapshots through ck, resuming from the newest valid checkpoint when
-// one exists. The final report stream (restored prefix + re-run suffix)
-// is bit-identical to an uninterrupted run: reports for positions before
-// the resume point come from the checkpoint, later ones from live
-// execution, and the report cursor guarantees no duplicates across the
-// boundary. Between the positions the runner needs control at, the engine
-// runs through Engine.Run. On cancellation or injected crash the partial
-// result is returned with the error; the last persisted checkpoint remains
-// valid for the next attempt.
-func (e *Engine) RunCheckpointed(ctx context.Context, input []byte, ck *checkpoint.Runner) (*CheckpointedResult, error) {
-	res := &CheckpointedResult{}
+// execute runs a freshly configured engine over input with periodic
+// durable snapshots through ck, resuming from the newest valid checkpoint
+// when one exists; a nil or store-less runner saves nothing. The final
+// report stream (restored prefix + re-run suffix) is bit-identical to an
+// uninterrupted run: reports for positions before the resume point come
+// from the checkpoint, later ones from live execution, and the report
+// cursor guarantees no duplicates across the boundary. Between the
+// positions the runner needs control at, and the context polls, the
+// engine runs through Engine.Run. On cancellation or injected crash the
+// partial result is returned with the error; the last persisted
+// checkpoint remains valid for the next attempt.
+func (e *Engine) execute(ctx context.Context, input []byte, ck *checkpoint.Runner) (*Result, error) {
+	res := &Result{}
 	var prefix []Report
 	start := int64(0)
 	payload, _, fellback, err := ck.Load()
@@ -294,9 +280,7 @@ func (e *Engine) RunCheckpointed(ctx context.Context, input []byte, ck *checkpoi
 		res.Resumed = true
 		res.Recovered = fellback
 		res.ResumePos = start
-	case errors.Is(err, checkpoint.ErrNoCheckpoint):
-		e.Reset()
-	default:
+	case !errors.Is(err, checkpoint.ErrNoCheckpoint):
 		return nil, err
 	}
 
@@ -311,11 +295,17 @@ func (e *Engine) RunCheckpointed(ctx context.Context, input []byte, ck *checkpoi
 		res.Saves++
 		return nil
 	}
-	finish := func(pos int64, runErr error) (*CheckpointedResult, error) {
+	finish := func(pos int64, runErr error) (*Result, error) {
 		res.NumReports = e.numReports
 		res.Symbols = pos
 		if e.reportsWanted {
-			res.Reports = append(append([]Report(nil), prefix...), e.reports...)
+			if len(prefix) == 0 && cap(e.reports) > maxPooledReportCap {
+				// Release is about to drop a slice this large: hand it
+				// over instead of copying it.
+				res.Reports, e.reports = e.reports, nil
+			} else {
+				res.Reports = append(prefix, e.reports...)
+			}
 		}
 		if e.ever != nil {
 			res.EverEnabled = e.ever.Clone()
@@ -349,14 +339,6 @@ func (e *Engine) RunCheckpointed(ctx context.Context, input []byte, ck *checkpoi
 		}
 	}
 	return finish(n, nil)
-}
-
-// RunCheckpointedContext runs net over input on a pooled engine with
-// periodic durable snapshots (see Engine.RunCheckpointed).
-func RunCheckpointedContext(ctx context.Context, net *automata.Network, input []byte, opts Options, ck *checkpoint.Runner) (*CheckpointedResult, error) {
-	e := AcquireEngine(net, opts)
-	defer e.Release()
-	return e.RunCheckpointed(ctx, input, ck)
 }
 
 // Snapshot captures the streamer's matcher state (engine plus stream

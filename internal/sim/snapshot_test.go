@@ -258,12 +258,12 @@ func TestRunCheckpointedCrashResumeEquivalence(t *testing.T) {
 			return false
 		}}
 
-	var res *CheckpointedResult
+	var res *Result
 	for attempt := 0; ; attempt++ {
 		if attempt > len(kills)+1 {
 			t.Fatalf("did not converge after %d attempts", attempt)
 		}
-		res, err = RunCheckpointedContext(context.Background(), net, input, opts, ck)
+		res, err = RunContext(context.Background(), net, input, opts, ck)
 		if err == nil {
 			break
 		}
@@ -311,13 +311,13 @@ func TestRunCheckpointedRecoversFromCorruptLatest(t *testing.T) {
 			}
 			return false
 		}}
-	if _, err := RunCheckpointedContext(context.Background(), net, input, opts, ck); !errors.Is(err, checkpoint.ErrCrashInjected) {
+	if _, err := RunContext(context.Background(), net, input, opts, ck); !errors.Is(err, checkpoint.ErrCrashInjected) {
 		t.Fatalf("expected injected crash, got %v", err)
 	}
 	// Flip a payload byte in the newest record; the save before it must
 	// take over.
 	ckpttest.DamageLatest(t, dir, "run")
-	res, err := RunCheckpointedContext(context.Background(), net, input, opts, ck)
+	res, err := RunContext(context.Background(), net, input, opts, ck)
 	if err != nil {
 		t.Fatalf("resume after corruption: %v", err)
 	}
@@ -340,11 +340,11 @@ func TestRunCheckpointedDoneShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := &checkpoint.Runner{Store: store, Name: "run", Every: 128}
-	first, err := RunCheckpointedContext(context.Background(), net, input, opts, ck)
+	first, err := RunContext(context.Background(), net, input, opts, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := RunCheckpointedContext(context.Background(), net, input, opts, ck)
+	again, err := RunContext(context.Background(), net, input, opts, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,15 +381,10 @@ func TestReleaseScrubsRunHooks(t *testing.T) {
 	}
 
 	// Functional check: a fresh acquisition (possibly the same pooled
-	// engine) must replay nothing of the last run under RunCheckpointed.
-	want := Run(net, input, Options{CollectReports: true})
-	e2 := AcquireEngine(net, Options{CollectReports: true})
-	defer e2.Release()
-	res, err := e2.RunCheckpointed(context.Background(), input, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reportsMatch(res.Reports, want.Reports) {
+	// engine) must replay nothing of the last run.
+	want := NewEngine(net, Options{CollectReports: true})
+	want.Run(0, input)
+	if res := Run(net, input, Options{CollectReports: true}); !reportsMatch(res.Reports, want.Reports()) {
 		t.Fatal("recycled engine replayed stale run state")
 	}
 }

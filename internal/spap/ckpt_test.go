@@ -338,12 +338,12 @@ func TestCheckpointedUninterruptedWithStoreMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := &checkpoint.Runner{Store: store, Name: "spap", Every: 64}
-	first, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
+	first, err := RunBaseAPSpAPContext(ctx, p, input, cfg, opts, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	goldenCheck(t, "with-store", first, goldenChain, goldenChainHash, p, input)
-	again, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
+	again, err := RunBaseAPSpAPContext(ctx, p, input, cfg, opts, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestCheckpointedUninterruptedWithStoreMatchesPlain(t *testing.T) {
 func TestCheckpointedCrashResumeUnguarded(t *testing.T) {
 	p, input := chainApp(t, 4096)
 	_, phases := crashCell(t, 5, func(ck *checkpoint.Runner) (*Result, error) {
-		return RunBaseAPSpAPCheckpointed(context.Background(), p, input, cfgWithCapacity(100), Options{CollectReports: true}, ck)
+		return RunBaseAPSpAPContext(context.Background(), p, input, cfgWithCapacity(100), Options{CollectReports: true}, ck)
 	})
 	if !hasPhase(phases, "baseap") || !hasPhase(phases, "spap") {
 		t.Fatalf("kill points did not span both phases: resumed into %v", phases)
@@ -441,7 +441,7 @@ func TestCheckpointedFaultPlanCrashResume(t *testing.T) {
 	// The fault plan is hash-seeded by position, so the interrupted run
 	// replays the exact same flips and drops as the uninterrupted one.
 	got, _ := crashCell(t, 5, func(ck *checkpoint.Runner) (*Result, error) {
-		return RunBaseAPSpAPCheckpointed(context.Background(), p, input, cfgWithCapacity(100), Options{CollectReports: true, Faults: inj}, ck)
+		return RunBaseAPSpAPContext(context.Background(), p, input, cfgWithCapacity(100), Options{CollectReports: true, Faults: inj}, ck)
 	})
 	if got.Fault.Flips == 0 && got.Fault.DroppedReports == 0 {
 		t.Fatal("fault plan never fired; test is vacuous")
@@ -531,7 +531,7 @@ func TestNilHookContract(t *testing.T) {
 					ck, opts := rc.ck(), Options{CollectReports: collect}
 					var res *Result
 					if gc.name == "unguarded" {
-						res, err = RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, opts, ck)
+						res, err = RunBaseAPSpAPContext(ctx, p, input, cfg, opts, ck)
 					} else {
 						res, err = RunGuardedCheckpointed(ctx, p, input, cfg, gc.g, opts, ck)
 					}
@@ -562,7 +562,7 @@ func TestNilHookContract(t *testing.T) {
 	hookOnly := func() *checkpoint.Runner {
 		return &checkpoint.Runner{CrashAt: (&killSched{at: []int64{400}}).hook}
 	}
-	res, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfg, Options{}, hookOnly())
+	res, err := RunBaseAPSpAPContext(ctx, p, input, cfg, Options{}, hookOnly())
 	if !errors.Is(err, checkpoint.ErrCrashInjected) || res == nil || res.Resume == nil || res.Resume.Saves != 0 {
 		t.Fatalf("store-less crash hook, unguarded: res %+v, err %v", res, err)
 	}
@@ -581,7 +581,7 @@ func TestCheckpointedGuardModeMismatch(t *testing.T) {
 	}
 	sched := &killSched{at: []int64{400}}
 	ck := &checkpoint.Runner{Store: store, Name: "spap", Every: 64, CrashAt: sched.hook}
-	if _, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfgWithCapacity(100), Options{}, ck); !errors.Is(err, checkpoint.ErrCrashInjected) {
+	if _, err := RunBaseAPSpAPContext(ctx, p, input, cfgWithCapacity(100), Options{}, ck); !errors.Is(err, checkpoint.ErrCrashInjected) {
 		t.Fatalf("expected injected crash, got %v", err)
 	}
 	// Resuming a plain run through the guarded entry point must refuse.
@@ -602,7 +602,7 @@ func TestCheckpointedStateVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := &checkpoint.Runner{Store: store, Name: "spap", Every: 64}
-	if _, err := RunBaseAPSpAPCheckpointed(ctx, p, input, cfgWithCapacity(100), Options{}, ck); !errors.Is(err, checkpoint.ErrMismatch) {
+	if _, err := RunBaseAPSpAPContext(ctx, p, input, cfgWithCapacity(100), Options{}, ck); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("future-version checkpoint: err = %v, want ErrMismatch", err)
 	}
 }

@@ -319,7 +319,7 @@ func batchFallback(ctx context.Context, p *hotcold.Partition, input []byte, cfg 
 	}
 	res.Reports = kept
 	res.NumReports -= removed
-	sres, err := sim.RunContext(ctx, sub, input, sim.Options{CollectReports: true})
+	sres, err := sim.RunContext(ctx, sub, input, sim.Options{CollectReports: true}, nil)
 	for _, r := range sres.Reports {
 		res.Reports = append(res.Reports, sim.Report{Pos: r.Pos, State: origOf[r.State]})
 	}

@@ -197,7 +197,7 @@ func TestRunBaseAPSpAPContextCancelFromGoroutine(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		cancel()
 	}()
-	res, err := RunBaseAPSpAPContext(ctx, p, input, cfgWithCapacity(100), Options{})
+	res, err := RunBaseAPSpAPContext(ctx, p, input, cfgWithCapacity(100), Options{}, nil)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("unexpected error %v", err)
 	}

@@ -39,9 +39,11 @@
 // inside Result.Reports, and the engine re-runs deterministically from P,
 // so the resumed stream is bit-identical to an uninterrupted run — no
 // duplicated and no lost reports across the boundary. Phase transitions
-// and batch completions are checkpointed atomically (write-rename in the
-// store), so a crash between saves merely repeats work, never corrupts
-// state.
+// and batch completions are checkpointed atomically: the store writes
+// each record in place into the slot region holding neither the latest
+// nor the previous record and fdatasyncs it (only a name's first image
+// is temp + rename + directory sync), so a crash between saves merely
+// repeats work, never corrupts state.
 package spap
 
 import (

@@ -147,22 +147,17 @@ func RunBaseAPSpAP(p *hotcold.Partition, input []byte, cfg ap.Config, opts Optio
 	return run(context.Background(), p, input, cfg, nil, opts, nil)
 }
 
-// RunBaseAPSpAPContext is RunBaseAPSpAP with cancellation: both execution
-// modes poll ctx and stop within cancelCheckInterval cycles of it firing.
-// On cancellation (and on injected configuration-load failure) the partial
-// result accumulated so far is returned together with the error; the
-// result is nil only when the run never started (invalid configuration).
-func RunBaseAPSpAPContext(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options) (*Result, error) {
-	return run(ctx, p, input, cfg, nil, opts, nil)
-}
-
-// RunBaseAPSpAPCheckpointed is RunBaseAPSpAPContext with the checkpoint
-// runner attached: state is captured every Runner.Every processed symbols
-// (and at every phase and batch boundary), and a rerun resumes from the
-// newest valid checkpoint with exactly-once report delivery. The Result
-// is the one RunBaseAPSpAPContext returns, plus Resume bookkeeping when ck
-// is non-nil.
-func RunBaseAPSpAPCheckpointed(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options, ck *checkpoint.Runner) (*Result, error) {
+// RunBaseAPSpAPContext is RunBaseAPSpAP with cancellation and durable
+// checkpoints. Both execution modes poll ctx and stop within
+// cancelCheckInterval cycles of it firing. A non-nil ck captures the state
+// every Runner.Every processed symbols (and at every phase and batch
+// boundary), a rerun resumes from the newest valid checkpoint with
+// exactly-once report delivery, and Result.Resume holds the bookkeeping.
+// On cancellation, an injected crash or configuration-load failure the
+// partial result accumulated so far is returned together with the error;
+// the result is nil only when the run never started (invalid
+// configuration, or a stored checkpoint that does not fit).
+func RunBaseAPSpAPContext(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options, ck *checkpoint.Runner) (*Result, error) {
 	return run(ctx, p, input, cfg, nil, opts, ck)
 }
 
@@ -184,36 +179,24 @@ func routeReports(p *hotcold.Partition, coldBatches []ap.Batch, inter []Intermed
 	return perBatch
 }
 
-// CPUModel is the cost model substituted for the paper's wall-clock CPU
-// measurements (see DESIGN.md): handling an intermediate report costs
-// DispatchNS, and each input symbol the CPU interpreter processes while any
-// cold state is enabled costs SymbolNS.
-type CPUModel struct {
-	DispatchNS float64
-	SymbolNS   float64
-}
-
-// DefaultCPUModel reflects a software NFA interpreter: ~2 µs to dispatch a
-// report from the AP's output queue into the interpreter, ~300 ns per
-// processed symbol (about 40× the AP's 7.5 ns streaming cycle).
-func DefaultCPUModel() CPUModel {
-	return CPUModel{DispatchNS: 2000, SymbolNS: 300}
-}
+// The AP–CPU handler cost model substituted for the paper's wall-clock CPU
+// measurements (see DESIGN.md), reflecting a software NFA interpreter:
+// ~2 µs to dispatch a report from the AP's output queue into the
+// interpreter, and ~300 ns per input symbol it processes while any cold
+// state is enabled (about 40× the AP's 7.5 ns streaming cycle).
+const (
+	cpuDispatchNS = 2000
+	cpuSymbolNS   = 300
+)
 
 // RunAPCPU executes the partition under the AP–CPU system of Table III:
 // BaseAP mode is unchanged, but the predicted cold set runs on a CPU. The
 // CPU needs no capacity batching; it interprets the cold network from each
-// report position until the frontier dies.
-func RunAPCPU(p *hotcold.Partition, input []byte, cfg ap.Config, cpu CPUModel, opts Options) (*Result, error) {
-	return RunAPCPUContext(context.Background(), p, input, cfg, cpu, opts)
-}
-
-// RunAPCPUContext is RunAPCPU with cancellation; like
-// RunBaseAPSpAPContext it returns the partial result together with
-// ctx.Err() when cancelled. Injected faults apply to the AP side only
-// (flips, queue drops, configuration loads); the software interpreter is
-// modeled fault-free.
-func RunAPCPUContext(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, cpu CPUModel, opts Options) (*Result, error) {
+// report position until the frontier dies. Like RunBaseAPSpAPContext it
+// returns the partial result together with ctx.Err() when cancelled.
+// Injected faults apply to the AP side only (flips, queue drops,
+// configuration loads); the software interpreter is modeled fault-free.
+func RunAPCPU(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options) (*Result, error) {
 	x, err := newMachine(ctx, p, input, cfg, nil, opts, nil)
 	if err != nil {
 		return nil, err
@@ -258,7 +241,7 @@ func RunAPCPUContext(ctx context.Context, p *hotcold.Partition, input []byte, cf
 			processed++
 			i++
 		}
-		res.CPUTimeNS = float64(j)*cpu.DispatchNS + float64(processed)*cpu.SymbolNS
+		res.CPUTimeNS = float64(j)*cpuDispatchNS + float64(processed)*cpuSymbolNS
 	}
 	res.TotalCycles = res.BaseAPCycles
 	res.TimeNS = float64(res.BaseAPCycles)*cfg.CycleNS + res.CPUTimeNS

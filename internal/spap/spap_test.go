@@ -1,6 +1,7 @@
 package spap
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -198,8 +199,7 @@ func TestAPCPUEquivalenceAndCost(t *testing.T) {
 	}
 	input := []byte("ab abcde xyz abcde")
 	p := buildPartition(t, net, input[:3])
-	cpu := DefaultCPUModel()
-	res, err := RunAPCPU(p, input, cfgWithCapacity(100), cpu, Options{CollectReports: true})
+	res, err := RunAPCPU(context.Background(), p, input, cfgWithCapacity(100), Options{CollectReports: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestAPCPUEquivalenceAndCost(t *testing.T) {
 	if res.SpAPCycles != 0 {
 		t.Fatal("AP-CPU must not use SpAP cycles")
 	}
-	wantMin := float64(res.IntermediateReports) * cpu.DispatchNS
+	wantMin := float64(res.IntermediateReports) * cpuDispatchNS
 	if res.CPUTimeNS < wantMin {
 		t.Fatalf("CPU time %v below dispatch floor %v", res.CPUTimeNS, wantMin)
 	}

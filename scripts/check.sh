@@ -7,8 +7,8 @@
 # Steps: gofmt, go vet, staticcheck and govulncheck (when installed),
 # build (native, then cross-built for darwin and windows), full test
 # suite, vet and smoke test of the bench/ module, a check that every test
-# and every internal package's func, type, var or const DESIGN.md and
-# README.md name exists, a diff of the root package's API against
+# and every internal or root package's func, type, var or const DESIGN.md
+# and README.md name exists, a diff of the root package's API against
 # testdata/api.txt,
 # race-detector pass over the whole module, a fuzz
 # smoke pass over the parser/compiler/slot-file/executor-differential/
@@ -103,6 +103,12 @@ for ref in $(grep -ohE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*' DESIGN.md README.md
     [[ -d internal/$pkg ]] || continue
     go doc "./internal/$pkg" "${ref#*.}" >/dev/null 2>&1 \
         || { echo "the docs name $ref, which internal/$pkg does not declare" >&2; missing=1; }
+done
+# The same for the root package: `sparseap.Name`, `sparseap.Engine.Method`
+# and a bare `Engine.Method` (the docs write sim's as `sim.Engine.Method`).
+for ref in $(grep -ohE '`(sparseap|Engine)\.[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)?' DESIGN.md README.md | tr -d '`' | sort -u); do
+    go doc . "${ref#sparseap.}" >/dev/null 2>&1 \
+        || { echo "the docs name $ref, which the root package does not declare" >&2; missing=1; }
 done
 [[ $missing -eq 0 ]] || exit 1
 
