@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	apbench [-exp all|table2,fig1,fig5,table1,fig8,fig10,fig11,fig12,table4,fig13,ablation,sensitivity,resilience,predict] \
+//	apbench [-exp all|table2,fig1,fig5,table1,fig8,fig10,fig11,fig12,table4,fig13,sensitivity,resilience,predict] \
 //	        [-divisor 8] [-input 131072] [-capacity 3000] [-seed 1]
 //
 // The defaults run the 1/8-scaled configuration described in DESIGN.md:
@@ -48,7 +48,6 @@ func experiments() []experiment {
 		{"fig12", func(s *exp.Suite) (interface{ Render() string }, error) { return exp.Fig12(s) }},
 		{"table4", func(s *exp.Suite) (interface{ Render() string }, error) { return exp.Table4(s) }},
 		{"fig13", func(s *exp.Suite) (interface{ Render() string }, error) { return exp.Fig13(s) }},
-		{"ablation", func(s *exp.Suite) (interface{ Render() string }, error) { return exp.Ablation(s) }},
 		{"sensitivity", func(s *exp.Suite) (interface{ Render() string }, error) { return exp.Sensitivity(s) }},
 		{"resilience", func(s *exp.Suite) (interface{ Render() string }, error) { return exp.Resilience(s) }},
 		{"predict", func(s *exp.Suite) (interface{ Render() string }, error) { return exp.Predict(s, nil) }},
@@ -66,7 +65,7 @@ func main() {
 	flag.Parse()
 
 	// Every requested name is checked before anything runs: a typo beside
-	// a valid name must not cost a four-minute run that silently lacks it.
+	// a valid name must not cost a minute-long run that silently lacks it.
 	exps := experiments()
 	names := []string{"all"}
 	for _, e := range exps {

@@ -150,7 +150,6 @@ func main() {
 	// process rolls a fresh injected-crash schedule, so a kill/resume loop
 	// terminates with probability 1.
 	var store *sparseap.CheckpointStore
-	var manifest *sparseap.CheckpointManifest
 	epoch := int64(0)
 	if *ckDir != "" {
 		s, err := sparseap.OpenCheckpointStore(*ckDir)
@@ -171,7 +170,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "apsim: checkpoint:", err)
 			os.Exit(1)
 		}
-		manifest = m
 		epoch = m.Resumes
 		ev := *ckEvery
 		if ev <= 0 {
@@ -192,14 +190,6 @@ func main() {
 			r.CrashAt = func(pos int64) bool { return inj.CrashAt(epoch, pos) }
 		}
 		return r
-	}
-	markDone := func() {
-		if store != nil && manifest != nil {
-			manifest.Done = true
-			if err := store.SaveManifest(manifest); err != nil {
-				fmt.Fprintln(os.Stderr, "apsim: checkpoint:", err)
-			}
-		}
 	}
 	writeReports := func(reports []sparseap.Report) {
 		if *reportOut == "" {
@@ -250,7 +240,6 @@ func main() {
 		base.Batches, base.Cycles, base.Reports, base.TimeNS/1e6, note(err))
 	if *system == "ap" {
 		writeReports(baseReports)
-		markDone()
 		return
 	}
 
@@ -333,7 +322,6 @@ func main() {
 			writeReports(res.Reports)
 		}
 	}
-	markDone()
 }
 
 // runFingerprint renders the invocation parameters that determine a run's

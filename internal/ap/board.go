@@ -18,12 +18,6 @@ type Board struct {
 	HalfCores int
 }
 
-// DefaultBoard returns a single chip (two half-cores) at the scaled
-// half-core configuration.
-func DefaultBoard() Board {
-	return Board{HalfCore: DefaultConfig(), HalfCores: 2}
-}
-
 // Validate checks the board description.
 func (b Board) Validate() error {
 	if err := b.HalfCore.Validate(); err != nil {

@@ -3,15 +3,16 @@ package ap
 import "testing"
 
 func TestBoardValidate(t *testing.T) {
-	if err := DefaultBoard().Validate(); err != nil {
+	chip := Board{HalfCore: DefaultConfig(), HalfCores: 2}
+	if err := chip.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultBoard()
+	bad := chip
 	bad.HalfCores = 0
 	if bad.Validate() == nil {
 		t.Fatal("zero half-cores validated")
 	}
-	bad = DefaultBoard()
+	bad = chip
 	bad.HalfCore.Capacity = 0
 	if bad.Validate() == nil {
 		t.Fatal("invalid half-core validated")

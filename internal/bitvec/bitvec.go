@@ -28,16 +28,6 @@ func (v *Vec) Clear(i int) { v.words[i>>6] &^= 1 << (uint(i) & 63) }
 // Get reports whether bit i is 1.
 func (v *Vec) Get(i int) bool { return v.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// TestAndSet sets bit i and reports whether it was previously 0.
-func (v *Vec) TestAndSet(i int) bool {
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	if v.words[w]&m != 0 {
-		return false
-	}
-	v.words[w] |= m
-	return true
-}
-
 // Reset clears all bits.
 func (v *Vec) Reset() {
 	for i := range v.words {
@@ -62,20 +52,6 @@ func (v *Vec) Any() bool {
 		}
 	}
 	return false
-}
-
-// Or sets v |= u. The vectors must have the same length.
-func (v *Vec) Or(u *Vec) {
-	for i, w := range u.words {
-		v.words[i] |= w
-	}
-}
-
-// AndNot sets v &^= u. The vectors must have the same length.
-func (v *Vec) AndNot(u *Vec) {
-	for i, w := range u.words {
-		v.words[i] &^= w
-	}
 }
 
 // Clone returns a copy of v.
@@ -107,13 +83,6 @@ func (v *Vec) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Indices returns the indices of all set bits in ascending order.
-func (v *Vec) Indices() []int {
-	out := make([]int, 0, v.Count())
-	v.ForEach(func(i int) { out = append(out, i) })
-	return out
 }
 
 // Words returns the backing word slice (length ceil(n/64)). The slice is

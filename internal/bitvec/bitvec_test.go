@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -28,19 +29,6 @@ func TestSetGetClear(t *testing.T) {
 	}
 }
 
-func TestTestAndSet(t *testing.T) {
-	v := New(70)
-	if !v.TestAndSet(69) {
-		t.Error("first TestAndSet returned false")
-	}
-	if v.TestAndSet(69) {
-		t.Error("second TestAndSet returned true")
-	}
-	if !v.Get(69) {
-		t.Error("bit not set")
-	}
-}
-
 func TestResetAny(t *testing.T) {
 	v := New(100)
 	if v.Any() {
@@ -53,28 +41,6 @@ func TestResetAny(t *testing.T) {
 	v.Reset()
 	if v.Any() || v.Count() != 0 {
 		t.Error("Reset did not clear")
-	}
-}
-
-func TestOrAndNot(t *testing.T) {
-	a := New(130)
-	b := New(130)
-	a.Set(1)
-	a.Set(128)
-	b.Set(128)
-	b.Set(129)
-	a.Or(b)
-	for _, i := range []int{1, 128, 129} {
-		if !a.Get(i) {
-			t.Errorf("Or missing bit %d", i)
-		}
-	}
-	a.AndNot(b)
-	if a.Get(128) || a.Get(129) {
-		t.Error("AndNot left bits set")
-	}
-	if !a.Get(1) {
-		t.Error("AndNot cleared unrelated bit")
 	}
 }
 
@@ -104,18 +70,14 @@ func TestForEachIndices(t *testing.T) {
 	for _, i := range want {
 		v.Set(i)
 	}
-	got := v.Indices()
-	if len(got) != len(want) {
-		t.Fatalf("Indices = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Indices = %v, want %v", got, want)
-		}
+	var got []int
+	v.ForEach(func(i int) { got = append(got, i) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("ForEach visited %v, want %v", got, want)
 	}
 }
 
-// Property: Count equals the number of indices returned, and indices are
+// Property: Count equals the number of set bits, and ForEach visits
 // exactly the set bits, under random operations.
 func TestPropRandomOps(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -134,9 +96,9 @@ func TestPropRandomOps(t *testing.T) {
 	if v.Count() != len(ref) {
 		t.Fatalf("Count = %d, want %d", v.Count(), len(ref))
 	}
-	for _, i := range v.Indices() {
+	v.ForEach(func(i int) {
 		if !ref[i] {
 			t.Fatalf("bit %d set but not in reference", i)
 		}
-	}
+	})
 }

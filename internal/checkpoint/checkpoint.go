@@ -23,9 +23,9 @@
 //
 // A Manifest ties the checkpoint files of one logical run together: the
 // run's fingerprint (application, scale, seed, capacity, system, fault
-// plan), how many times it has resumed, and which sections completed —
-// the bookkeeping a multi-NFA batched run needs so `-resume` can refuse
-// a mismatched invocation instead of corrupting state.
+// plan) and how many times it has resumed — the bookkeeping a multi-NFA
+// batched run needs so `-resume` can refuse a mismatched invocation
+// instead of corrupting state.
 package checkpoint
 
 import (
@@ -159,9 +159,6 @@ func Open(dir string) (*DirStore, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the store's directory.
-func (s *DirStore) Dir() string { return s.dir }
 
 // path returns the slot file of name.
 func (s *DirStore) path(name string) string { return filepath.Join(s.dir, name+".ckpt") }
@@ -477,7 +474,7 @@ func (s *DirStore) Names() ([]string, error) {
 }
 
 // Remove deletes name's slot file and what this process remembers of it.
-// Completed runs use it to retire per-section state while keeping the
+// A finished run uses it to retire per-section state while keeping the
 // manifest. The .prev and .tmp files are what the parent format, or an
 // image write cut short, may have left behind.
 func (s *DirStore) Remove(name string) error {

@@ -291,18 +291,15 @@ func TestManifestRoundTripAndResume(t *testing.T) {
 	if m.Resumes != 0 {
 		t.Fatalf("fresh Resumes = %d", m.Resumes)
 	}
-	m.MarkCompleted("baseline")
-	m.MarkCompleted("baseline") // idempotent
-	if err := s.SaveManifest(m); err != nil {
-		t.Fatal(err)
-	}
-
 	m2, err := s.ResumeManifest("app/d8", 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Resumes != 1 || !m2.IsCompleted("baseline") || m2.IsCompleted("spap") {
+	if m2.Resumes != 1 || m2.Fingerprint != "app/d8" || m2.InputLen != 1024 {
 		t.Fatalf("resumed manifest = %+v", m2)
+	}
+	if m3, err := s.LoadManifest(); err != nil || *m3 != *m2 {
+		t.Fatalf("reloaded manifest = %+v (%v), want %+v", m3, err, m2)
 	}
 	// A different run must be refused.
 	if _, err := s.ResumeManifest("other/d8", 1024); !errors.Is(err, ErrMismatch) {
@@ -310,6 +307,13 @@ func TestManifestRoundTripAndResume(t *testing.T) {
 	}
 	if _, err := s.ResumeManifest("app/d8", 2048); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("input-length mismatch err = %v", err)
+	}
+	// A manifest of another record version is refused, not misread.
+	if err := s.Save(manifestName, manifestVersion-1, []byte("older")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ResumeManifest("app/d8", 1024); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("older manifest version err = %v", err)
 	}
 }
 

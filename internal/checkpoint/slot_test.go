@@ -317,7 +317,7 @@ func TestParentFormatDirectoryResumes(t *testing.T) {
 	if err := s.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if left, _ := os.ReadDir(s.Dir()); len(left) != 0 {
+	if left, _ := os.ReadDir(s.dir); len(left) != 0 {
 		t.Fatalf("Clear left %v behind", left)
 	}
 }

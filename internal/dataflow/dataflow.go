@@ -65,6 +65,8 @@ type Facts struct {
 	// Iterations counts state re-evaluations of the forward fixpoint
 	// (statistics; bounded by states + states-in-cycles × alphabet).
 	Iterations int
+
+	live symset.Set // union of every fire set, see LiveAlphabet
 }
 
 // Analyze runs both passes over the network under the given input
@@ -85,6 +87,9 @@ func Analyze(net *automata.Network, topo *graph.Topo, alphabet symset.Set) *Fact
 	}
 	f.forward(topo)
 	f.backward()
+	for _, fs := range f.Fire {
+		f.live = f.live.Union(fs)
+	}
 	return f
 }
 
@@ -169,15 +174,12 @@ func (f *Facts) Dead(s automata.StateID) bool {
 	return !f.Fire[s].IsEmpty() && !f.Live[s]
 }
 
-// Removable reports whether state s can be deleted without changing the
-// network's report stream: it either never fires, or fires without ever
-// contributing to a report.
-func (f *Facts) Removable(s automata.StateID) bool { return !f.Live[s] }
-
 // FireProb returns the uniform-symbol activation probability of state s
 // relative to the live alphabet: |fire(s)| / |live|, where live is the
 // union of all fire sets. It is the semantic refinement of the AP016
 // report-density model — states that provably never fire contribute 0.
+// It is also the static hotness analysis's q(s): the probability that one
+// symbol drawn uniformly from the live alphabet lands in the fire set.
 func (f *Facts) FireProb(s automata.StateID) float64 {
 	live := f.LiveAlphabet().Len()
 	if live == 0 {
@@ -187,11 +189,6 @@ func (f *Facts) FireProb(s automata.StateID) float64 {
 }
 
 // LiveAlphabet returns the union of every state's fire set: the symbols
-// that can drive any activation at all.
-func (f *Facts) LiveAlphabet() symset.Set {
-	var a symset.Set
-	for _, fs := range f.Fire {
-		a = a.Union(fs)
-	}
-	return a
-}
+// that can drive any activation at all. Analyze computes it once, so a
+// per-state FireProb stays constant time.
+func (f *Facts) LiveAlphabet() symset.Set { return f.live }

@@ -60,8 +60,8 @@ func TestEmptySymsetBlocksPropagation(t *testing.T) {
 	if f.Live[0] || !f.Dead(0) {
 		t.Errorf("state 0: Live=%v Dead=%v, want false/true", f.Live[0], f.Dead(0))
 	}
-	if !f.Removable(0) || !f.Removable(1) || !f.Removable(2) {
-		t.Error("all three states should be removable")
+	if f.Live[0] || f.Live[1] || f.Live[2] {
+		t.Error("no state should be live to a report")
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"sparseap/internal/ap"
-	"sparseap/internal/hotcold"
-	"sparseap/internal/spap"
 	"sparseap/internal/workloads"
 )
 
@@ -234,50 +232,6 @@ func TestTable2(t *testing.T) {
 		}
 	}
 	r.Render()
-}
-
-func TestAblation(t *testing.T) {
-	s := testSuite()
-	r, err := Ablation(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 16 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	// Note: the oracle is mis-prediction-free but keeps *every* test-hot
-	// state, so it can trail the profiled scheme, which cuts lower and
-	// pays only cheap jump-handled crossings. It is not an upper bound on
-	// speedup — only on prediction quality.
-	for _, g := range []float64{r.GeoProfiled, r.GeoFixed, r.GeoNormDepth, r.GeoOracle} {
-		if g <= 0.3 {
-			t.Fatalf("implausible geomean in %+v", r)
-		}
-	}
-	// Profiling must beat the behaviour-blind fixed cut on the whole.
-	if r.GeoProfiled < r.GeoFixed*0.9 {
-		t.Fatalf("profiled geomean %v not competitive with fixed %v", r.GeoProfiled, r.GeoFixed)
-	}
-	// The oracle partition never mis-predicts: no intermediate reports.
-	a, err := s.App("Brill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := hotcold.BuildWithStrategy(a.App.Net, hotcold.StrategyOracle,
-		hotcold.StrategyInput{OracleHot: a.TestHot()}, hotcold.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := spap.RunBaseAPSpAP(p, a.TestInput(), s.AP, spap.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.IntermediateReports != 0 {
-		t.Fatalf("oracle partition produced %d intermediate reports", run.IntermediateReports)
-	}
-	if !strings.Contains(r.Render(), "Ablation") {
-		t.Fatal("render missing title")
-	}
 }
 
 func TestSuiteCaching(t *testing.T) {

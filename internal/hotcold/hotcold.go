@@ -23,18 +23,6 @@ func Profile(net *automata.Network, input []byte) *bitvec.Vec {
 	return sim.HotStates(net, input)
 }
 
-// ProfilePrefix profiles using the first frac of input (0 < frac <= 1).
-func ProfilePrefix(net *automata.Network, input []byte, frac float64) *bitvec.Vec {
-	n := int(math.Round(frac * float64(len(input))))
-	if n < 1 {
-		n = 1
-	}
-	if n > len(input) {
-		n = len(input)
-	}
-	return Profile(net, input[:n])
-}
-
 // Quality compares a predicted hot set against the actual hot set under the
 // testing input, treating hot as positive (Section IV-A).
 func Quality(predicted, actual *bitvec.Vec) metrics.Confusion {

@@ -39,18 +39,6 @@ func TestProfileMarksEnabled(t *testing.T) {
 	}
 }
 
-func TestProfilePrefixBounds(t *testing.T) {
-	net := automata.NewNetwork(chainNFA("ab"))
-	input := []byte("abababab")
-	if got := ProfilePrefix(net, input, 0.0001); got == nil || got.Len() != 2 {
-		t.Fatal("tiny fraction should still profile at least one symbol")
-	}
-	full := ProfilePrefix(net, input, 1.0)
-	if !full.Get(1) {
-		t.Error("full profile missed state 1")
-	}
-}
-
 func TestQuality(t *testing.T) {
 	pred := bitvec.New(4)
 	act := bitvec.New(4)

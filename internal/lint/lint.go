@@ -325,15 +325,14 @@ func (p *Pass) Facts() *dataflow.Facts {
 }
 
 // Hotness returns the static hotness analysis under the configured
-// alphabet and the package-default model and weights, computed once. It
+// alphabet and the default weights, computed once. It
 // shares the memoized Topo and Facts. Callers must only use it from
 // NeedsSound analyzers.
 func (p *Pass) Hotness() *hotness.Analysis {
 	if p.hot == nil {
 		p.hot = hotness.Analyze(p.Net, hotness.Config{
-			Alphabet: p.Opts.Alphabet,
-			Topo:     p.Topo(),
-			Facts:    p.Facts(),
+			Topo:  p.Topo(),
+			Facts: p.Facts(),
 		})
 	}
 	return p.hot

@@ -480,19 +480,6 @@ func (s *Store) updateLag() {
 	s.reg.Gauge("serve_replication_lag").Set(int64(worst))
 }
 
-// FollowersUp reports how many followers are currently not marked down.
-func (s *Store) FollowersUp() int {
-	n := 0
-	for _, f := range s.followers {
-		f.mu.Lock()
-		if !f.down {
-			n++
-		}
-		f.mu.Unlock()
-	}
-	return n
-}
-
 // Load, LoadPrevious, Names are local reads: the leader's own store is
 // always at least as fresh as any follower's.
 func (s *Store) Load(name string) ([]byte, uint32, bool, error) { return s.local.Load(name) }

@@ -250,7 +250,7 @@ func TestDegradedLocalOnly(t *testing.T) {
 	if err := leader.Save("sess-a", 1, []byte("p2")); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	if leader.FollowersUp() != 0 {
+	if followersUp(leader) != 0 {
 		t.Fatalf("follower should be marked down after %d failures", leader.o.DownAfter)
 	}
 }
@@ -400,7 +400,7 @@ func TestStreamCutMidFrame(t *testing.T) {
 			t.Fatalf("save %d: %d dials, want one per save", i, dials.Load())
 		}
 	}
-	if leader.FollowersUp() != 0 {
+	if followersUp(leader) != 0 {
 		t.Fatal("follower not marked down after DownAfter cut streams")
 	}
 	if snap := reg.Snapshot(); snap["serve_replication_ship_errors"] != 2 || snap["serve_replication_degraded"] != 2 {
@@ -416,8 +416,8 @@ func TestStreamCutMidFrame(t *testing.T) {
 	if err := leader.Save("sess-a", 1, []byte("healed")); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	if dials.Load() != 3 || leader.FollowersUp() != 1 {
-		t.Fatalf("after Probe: %d dials, %d followers up; want 3 and 1", dials.Load(), leader.FollowersUp())
+	if dials.Load() != 3 || followersUp(leader) != 1 {
+		t.Fatalf("after Probe: %d dials, %d followers up; want 3 and 1", dials.Load(), followersUp(leader))
 	}
 	if reg.Snapshot()["serve_replication_resyncs"] != 1 {
 		t.Fatal("the returning follower was not resynced")
@@ -478,7 +478,7 @@ func TestRecoveryResync(t *testing.T) {
 	if err != nil || string(prev) != "v2" {
 		t.Fatalf("follower prev after resync = %q err=%v", prev, err)
 	}
-	if leader.FollowersUp() != 1 {
+	if followersUp(leader) != 1 {
 		t.Fatal("follower still down after an acknowledged resync")
 	}
 
@@ -674,4 +674,17 @@ func BenchmarkShip(b *testing.B) {
 	if got := reg.Snapshot()["serve_replication_ships"]; got != int64(b.N)+1 {
 		b.Fatalf("%d of %d saves acknowledged", got, b.N+1)
 	}
+}
+
+// followersUp counts the followers the leader does not mark down.
+func followersUp(s *Store) int {
+	n := 0
+	for _, f := range s.followers {
+		f.mu.Lock()
+		if !f.down {
+			n++
+		}
+		f.mu.Unlock()
+	}
+	return n
 }

@@ -46,6 +46,10 @@ const migratePath = "/v1/migrate/accept"
 // session (shed, mismatch); the source falls back to suspend.
 var errPeerRefused = errors.New("serve: peer refused migration")
 
+// probeInterval is how often peers are health-probed, and how long one
+// probe may take.
+const probeInterval = 500 * time.Millisecond
+
 // peer is one watched sibling node.
 type peer struct {
 	url  string
@@ -78,11 +82,11 @@ func (s *Server) startPeerWatch() {
 		return
 	}
 	s.reg.Gauge("serve_peers_up").Set(int64(len(s.peers)))
-	client := &http.Client{Timeout: s.cfg.ProbeInterval}
+	client := &http.Client{Timeout: probeInterval}
 	s.peerWG.Add(1)
 	go func() {
 		defer s.peerWG.Done()
-		tick := time.NewTicker(s.cfg.ProbeInterval)
+		tick := time.NewTicker(probeInterval)
 		defer tick.Stop()
 		for {
 			select {

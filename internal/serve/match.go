@@ -35,6 +35,10 @@ import (
 	"sparseap/internal/spap"
 )
 
+// maxMatchBytes bounds a /v1/match request body; a longer one is answered
+// 413.
+const maxMatchBytes = 8 << 20
+
 // matchResponse is the /v1/match reply as Client.Match returns it. The
 // handler fills the first three fields and renders the executor's reports
 // straight to the wire, so Reports exists on the client only.
@@ -71,7 +75,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		ctx = c
 	}
-	input, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxMatchBytes))
+	input, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxMatchBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -90,7 +94,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 
 	switch mode {
 	case spap.ModeGuarded, spap.ModeProbe:
-		part, perr := a.partition(s.cfg.Capacity)
+		part, perr := a.partition(s.apCfg.Capacity)
 		if perr != nil {
 			// Partitioning failure is permanent for this app: run the
 			// baseline kernel rather than failing the tenant's request.

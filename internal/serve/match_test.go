@@ -155,15 +155,15 @@ func TestMatchDeadlineAnswers504(t *testing.T) {
 	}
 }
 
-// TestMatchBodyTooLargeAnswers413 posts a body over MaxMatchBytes.
+// TestMatchBodyTooLargeAnswers413 posts a body over maxMatchBytes.
 func TestMatchBodyTooLargeAnswers413(t *testing.T) {
 	testleak.Check(t)
-	h := startServer(t, Config{MaxMatchBytes: 1024}, testNet(t))
-	status, body := post(t, h.ts.URL+"/v1/match?app=test", testInput(2048), nil)
+	h := startServer(t, Config{}, testNet(t))
+	status, body := post(t, h.ts.URL+"/v1/match?app=test", testInput(maxMatchBytes+1), nil)
 	if status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d (%s), want 413", status, strings.TrimSpace(body))
 	}
-	if status, _ := post(t, h.ts.URL+"/v1/match?app=test", testInput(1024), nil); status != http.StatusOK {
+	if status, _ := post(t, h.ts.URL+"/v1/match?app=test", testInput(maxMatchBytes), nil); status != http.StatusOK {
 		t.Fatalf("body at the limit: status = %d, want 200", status)
 	}
 }

@@ -85,12 +85,7 @@ type Config struct {
 	// MemBudget bounds resident bytes (shared images + per-session
 	// engine estimates); 0 means unlimited. Excess admissions shed 503.
 	MemBudget int64
-	// MaxMatchBytes bounds a /v1/match request body (default 8 MiB).
-	MaxMatchBytes int64
 
-	// Capacity is the AP half-core capacity used for SpAP partitions
-	// (default ap.DefaultConfig().Capacity).
-	Capacity int
 	// Guard configures the per-request adaptive guard; zero value takes
 	// spap.DefaultGuard.
 	Guard spap.Guard
@@ -102,8 +97,6 @@ type Config struct {
 	// DrainMigrate, health-watched with hysteresis (see cluster.go). An
 	// empty list disables the peer watcher.
 	Peers []string
-	// ProbeInterval is how often peers are health-probed (default 500ms).
-	ProbeInterval time.Duration
 
 	// Registry receives the serve-path counters; New creates one when
 	// nil.
@@ -128,15 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Burst <= 0 {
 		c.Burst = 2 * c.RatePerSec
-	}
-	if c.MaxMatchBytes <= 0 {
-		c.MaxMatchBytes = 8 << 20
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = ap.DefaultConfig().Capacity
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 500 * time.Millisecond
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
@@ -228,12 +212,10 @@ type Server struct {
 // AddApp.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	apCfg := ap.DefaultConfig()
-	apCfg.Capacity = cfg.Capacity
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
-		apCfg:   apCfg,
+		apCfg:   ap.DefaultConfig(),
 		apps:    map[string]*app{},
 		tenants: map[string]*tenant{},
 		active:  map[string]*session{},

@@ -123,14 +123,14 @@ func TestStreamerOverflowAndResume(t *testing.T) {
 	}
 	// The buffer holds exactly its cap; the overflowing symbol (the fifth)
 	// was consumed, its report lost.
-	if n != 5 || st.Buffered() != 4 {
-		t.Fatalf("n = %d, buffered = %d; want 5 and 4", n, st.Buffered())
+	if n != 5 || len(st.buf) != 4 {
+		t.Fatalf("n = %d, buffered = %d; want 5 and 4", n, len(st.buf))
 	}
 	got := st.TakeReports()
 	if len(got) != 4 || got[0].Pos != 0 || got[3].Pos != 3 {
 		t.Fatalf("TakeReports = %v", got)
 	}
-	if st.Buffered() != 0 {
+	if len(st.buf) != 0 {
 		t.Fatal("TakeReports did not drain the buffer")
 	}
 	// Draining frees capacity: the stream resumes where Write stopped and
@@ -338,7 +338,7 @@ func TestStreamerWriteKeepsPerSymbolDuties(t *testing.T) {
 				if n != wantN || err != wantErr {
 					t.Fatalf("%s, chunks of %d: Write at %d = (%d, %v), stepping every symbol (%d, %v)", mode, chunk, off, n, err, wantN, wantErr)
 				}
-				if !reflect.DeepEqual(got.Snapshot(nil), ref.Snapshot(nil)) || got.NumReports() != ref.NumReports() || got.Buffered() != ref.Buffered() {
+				if !reflect.DeepEqual(got.Snapshot(nil), ref.Snapshot(nil)) || got.NumReports() != ref.NumReports() || len(got.buf) != len(ref.buf) {
 					t.Fatalf("%s, chunks of %d: streamers apart after the write at %d", mode, chunk, off)
 				}
 				off += n

@@ -374,10 +374,6 @@ func (e *Engine) FrontierLen() int {
 	return n
 }
 
-// HasAllInputStarts reports whether any state is an all-input start (such
-// states are enabled every cycle and preclude the jump optimization).
-func (e *Engine) HasAllInputStarts() bool { return e.img.hasAllInput }
-
 // Step processes one input symbol at position pos, dispatching to the
 // sparse or dense kernel per the configured strategy. KernelAuto prices
 // the sparse walk in activations: the frontier is about as long as the

@@ -180,14 +180,14 @@ func TestOnReportCallback(t *testing.T) {
 }
 
 func TestHasAllInputStarts(t *testing.T) {
-	if !NewEngine(figure2(), Options{}).HasAllInputStarts() {
+	if !Compile(figure2()).hasAllInput {
 		t.Error("figure2 should have all-input starts")
 	}
 	m := automata.NewNFA()
 	a := m.Add(symset.Single('a'), automata.StartOfData, false)
 	b := m.Add(symset.Single('b'), automata.StartNone, true)
 	m.Connect(a, b)
-	if NewEngine(automata.NewNetwork(m), Options{}).HasAllInputStarts() {
+	if Compile(automata.NewNetwork(m)).hasAllInput {
 		t.Error("start-of-data-only network reports all-input starts")
 	}
 }

@@ -342,7 +342,7 @@ func (e *Engine) execute(ctx context.Context, input []byte, ck *checkpoint.Runne
 }
 
 // Snapshot captures the streamer's matcher state (engine plus stream
-// position) between Write calls. Buffered undrained reports are NOT part
+// position) between Write calls. Undrained reports in the buffer are NOT part
 // of the snapshot — drain TakeReports and persist them alongside it, or
 // deliver through OnReport; Restore starts with an empty buffer either
 // way, so a report is never replayed into the buffer twice.

@@ -468,8 +468,8 @@ func TestStreamerResetAfterCancellation(t *testing.T) {
 	}
 	// Reset rewinds the matcher state completely...
 	st.Reset()
-	if st.Pos() != 0 || st.Buffered() != 0 || st.NumReports() != 0 {
-		t.Fatalf("Reset left state: pos=%d buf=%d num=%d", st.Pos(), st.Buffered(), st.NumReports())
+	if st.Pos() != 0 || len(st.buf) != 0 || st.NumReports() != 0 {
+		t.Fatalf("Reset left state: pos=%d buf=%d num=%d", st.Pos(), len(st.buf), st.NumReports())
 	}
 	// ...but the construction-scoped context stays cancelled: a further
 	// Write must refuse at the first poll rather than half-run.
@@ -509,8 +509,8 @@ func TestStreamerSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := st2.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if st2.Pos() != 900 || st2.Buffered() != 0 {
-		t.Fatalf("restored pos=%d buf=%d", st2.Pos(), st2.Buffered())
+	if st2.Pos() != 900 || len(st2.buf) != 0 {
+		t.Fatalf("restored pos=%d buf=%d", st2.Pos(), len(st2.buf))
 	}
 	if _, err := st2.Write(input[900:]); err != nil {
 		t.Fatal(err)

@@ -104,9 +104,6 @@ func (st *Streamer) TakeReports() []Report {
 	return out
 }
 
-// Buffered returns the number of reports currently held.
-func (st *Streamer) Buffered() int { return len(st.buf) }
-
 // NumReports returns the total number of reports emitted since the last
 // Reset, whether buffered, delivered to OnReport, or lost to overflow
 // handling.

@@ -95,11 +95,6 @@ func (s Set) Complement() Set {
 	return Set{^s[0], ^s[1], ^s[2], ^s[3]}
 }
 
-// Minus returns s \ t.
-func (s Set) Minus(t Set) Set {
-	return Set{s[0] &^ t[0], s[1] &^ t[1], s[2] &^ t[2], s[3] &^ t[3]}
-}
-
 // Equal reports whether s and t contain the same symbols.
 func (s Set) Equal(t Set) bool { return s == t }
 

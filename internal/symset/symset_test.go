@@ -82,10 +82,6 @@ func TestSetAlgebra(t *testing.T) {
 	if i.Len() != 6 { // h..m
 		t.Errorf("intersect len = %d, want 6", i.Len())
 	}
-	m := a.Minus(b)
-	if m.Len() != 7 { // a..g
-		t.Errorf("minus len = %d, want 7", m.Len())
-	}
 	c := a.Complement()
 	if c.Len() != AlphabetSize-a.Len() {
 		t.Errorf("complement len = %d", c.Len())
@@ -222,18 +218,6 @@ func TestPropDeMorgan(t *testing.T) {
 		a := Set{a0, a1, a2, a3}
 		b := Set{b0, b1, b2, b3}
 		return a.Union(b).Complement().Equal(a.Complement().Intersect(b.Complement()))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Minus is intersection with complement.
-func TestPropMinus(t *testing.T) {
-	f := func(a0, a1, a2, a3, b0, b1, b2, b3 uint64) bool {
-		a := Set{a0, a1, a2, a3}
-		b := Set{b0, b1, b2, b3}
-		return a.Minus(b).Equal(a.Intersect(b.Complement()))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

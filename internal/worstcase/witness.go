@@ -72,10 +72,6 @@ type WitnessOptions struct {
 	// to per-cycle activations of these states (spap's pre-flight
 	// maximizes intermediate-report density).
 	Target []automata.StateID
-	// StopAt short-circuits the portfolio once the peak objective value
-	// reaches it — pass the static bound so a certified-tight witness
-	// stops immediately (0 means exhaust the portfolio).
-	StopAt int
 	// Seeds are caller-provided candidate inputs evaluated alongside the
 	// synthesized strategies (truncated to MaxLen); the witness is the
 	// best of all candidates, so passing a measured-hot input guarantees
@@ -363,6 +359,8 @@ type cand struct {
 // Synthesize builds the candidate portfolio and returns the best
 // witness. The walk is fully deterministic (fixed stream seeds, ties
 // break toward the lowest byte), so repeated runs agree byte-for-byte.
+// Without Target it stops as soon as a walk's frontier reaches
+// FrontierBound: the bound is sound, so no input can go wider.
 func (a *Analysis) Synthesize(opts WitnessOptions) *Witness {
 	maxLen := opts.MaxLen
 	if maxLen <= 0 {
@@ -377,6 +375,10 @@ func (a *Analysis) Synthesize(opts WitnessOptions) *Witness {
 		patience = DefaultPatience
 	}
 	targetMode := len(opts.Target) > 0
+	stopAt := 0 // 0: exhaust the portfolio
+	if !targetMode {
+		stopAt = a.FrontierBound
+	}
 
 	wk := a.newWalker(opts.Target)
 	startW := wk.reset()
@@ -391,7 +393,7 @@ func (a *Analysis) Synthesize(opts WitnessOptions) *Witness {
 			(r.objective(targetMode) == best.objective(targetMode) && len(r.input) < len(best.input)) {
 			best = r
 		}
-		return opts.StopAt > 0 && best.objective(targetMode) >= opts.StopAt
+		return stopAt > 0 && best.objective(targetMode) >= stopAt
 	}
 	finish := func() *Witness {
 		return &Witness{
@@ -416,7 +418,7 @@ func (a *Analysis) Synthesize(opts WitnessOptions) *Witness {
 
 	// 1. Greedy ascent from the start frontier.
 	g := fresh()
-	if runGreedy(wk, g, gBudget, topK, patience, targetMode, opts.StopAt); consider(g) {
+	if runGreedy(wk, g, gBudget, topK, patience, targetMode, stopAt); consider(g) {
 		return finish()
 	}
 
@@ -431,7 +433,7 @@ func (a *Analysis) Synthesize(opts WitnessOptions) *Witness {
 	}
 	for _, gen := range streams {
 		r := fresh()
-		stopped := runFixed(wk, r, maxLen, gen, targetMode, opts.StopAt)
+		stopped := runFixed(wk, r, maxLen, gen, targetMode, stopAt)
 		if bestStream == nil || r.objective(targetMode) > bestStream.objective(targetMode) {
 			bestStream = r
 		}
@@ -444,7 +446,7 @@ func (a *Analysis) Synthesize(opts WitnessOptions) *Witness {
 	// with a greedy tail — streams build width, greedy spends it.
 	hybrid := func(prefix []byte) bool {
 		r := fresh()
-		if runFixed(wk, r, len(prefix), func(i int) byte { return prefix[i] }, targetMode, opts.StopAt) {
+		if runFixed(wk, r, len(prefix), func(i int) byte { return prefix[i] }, targetMode, stopAt) {
 			return consider(r)
 		}
 		tail := maxLen - len(r.input)
@@ -452,7 +454,7 @@ func (a *Analysis) Synthesize(opts WitnessOptions) *Witness {
 			tail = greedyBudget
 		}
 		if tail > 0 {
-			runGreedy(wk, r, tail, topK, patience, targetMode, opts.StopAt)
+			runGreedy(wk, r, tail, topK, patience, targetMode, stopAt)
 		}
 		return consider(r)
 	}
@@ -469,7 +471,7 @@ func (a *Analysis) Synthesize(opts WitnessOptions) *Witness {
 			seed = seed[:maxLen]
 		}
 		r := fresh()
-		stopped := runFixed(wk, r, len(seed), func(i int) byte { return seed[i] }, targetMode, opts.StopAt)
+		stopped := runFixed(wk, r, len(seed), func(i int) byte { return seed[i] }, targetMode, stopAt)
 		if bestSeed == nil || r.objective(targetMode) > bestSeed.objective(targetMode) {
 			bestSeed = r
 		}
@@ -552,9 +554,6 @@ func (a *Analysis) Validate(input []byte) *Replay {
 // Certify is the one-call bound-plus-certificate pipeline: synthesize a
 // witness under opts and validate it on the real engine.
 func (a *Analysis) Certify(opts WitnessOptions) (*Witness, *Replay) {
-	if opts.StopAt == 0 && len(opts.Target) == 0 {
-		opts.StopAt = a.FrontierBound
-	}
 	w := a.Synthesize(opts)
 	return w, a.Validate(w.Input)
 }
