@@ -12,14 +12,15 @@
 //     syncs it before returning, so it touches neither the latest nor
 //     the previous record and a kill or power cut at any instant leaves
 //     both loadable;
-//   - the first save of a name, and one whose record outgrew its region,
-//     writes a whole new image (create, or temp + rename), syncs it and
-//     then the directory, carrying the latest and previous records over;
+//   - Remove tombstones the file and a new name's first save takes it, in
+//     place too; a record that outgrew its region, or a new name with no
+//     free file, writes a whole image (temp + rename, or create), syncs
+//     it and then the directory;
 //   - every record carries a magic, a format version, a sequence number,
-//     its length and a CRC32-C over all of those and the payload; Load
-//     returns the newest record that verifies and LoadPrevious the one
-//     before it, whatever happened to the rest of the file, and
-//     ErrNoCheckpoint only when none survives.
+//     its length, its name and a CRC32-C over all of those and the
+//     payload; Load returns name's newest record that verifies and
+//     LoadPrevious the one before it, whatever happened to the rest of
+//     the file, and ErrNoCheckpoint only when none survives.
 //
 // A Manifest ties the checkpoint files of one logical run together: the
 // run's fingerprint (application, scale, seed, capacity, system, fault
@@ -29,6 +30,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -39,12 +41,19 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
-// Magic identifies a checkpoint record (8 bytes, versioned separately).
-const Magic = "SPAPCKPT"
+// Magic identifies an untagged checkpoint record (8 bytes, versioned
+// separately), written before records named their owner; it belongs to
+// its file's name. Tagged records and tombstones have magics of their own.
+const (
+	Magic      = "SPAPCKPT"
+	namedMagic = "SPAPCKPN"
+	tombMagic  = "SPAPCKPR"
+)
 
-// headerLen is magic(8) + version(4) + seq(8) + payloadLen(8) + crc(4).
+// headerLen is magic(8) + version(4) + seq(8) + bodyLen(8) + crc(4).
 const headerLen = 8 + 4 + 8 + 8 + 4
 
 const (
@@ -102,8 +111,7 @@ type Store interface {
 	Clear() error
 }
 
-// DirStore persists named checkpoints in one directory, one slot file
-// <name>.ckpt per name:
+// DirStore persists named checkpoints in one directory of slot files:
 //
 //	region 0            region 1            region 2
 //	[record | zeros...] [record | zeros...] [record | zeros...]
@@ -112,9 +120,11 @@ type Store interface {
 // cap is a multiple of blockSize, about twice the record that sized the
 // file. The save with sequence number seq goes to region seq%3, so the
 // two regions it leaves alone hold the latest completed save and the one
-// before it. Only the first save of a name (in this process) and a record
-// larger than cap write a whole image; every other save is one positioned
-// write and one data sync of a file whose size and blocks do not change.
+// before it. A file is created as <name>.ckpt and outlives that name:
+// Remove tombstones it, and the next new name takes it. Only a file this
+// process has not sized and a record larger than cap write a whole image;
+// every other save is one positioned write and one data sync of a file
+// whose size and blocks do not change.
 //
 // A DirStore is safe for concurrent use: a serving process checkpoints
 // many sessions through one shared store. Operations on one name are
@@ -130,37 +140,70 @@ type DirStore struct {
 	// Names and Clear, which need the whole directory to hold still.
 	all     sync.RWMutex
 	stripes [numStripes]stripe
+
+	// free holds the slot files no name owns, for new names to take.
+	freeMu sync.Mutex
+	free   []slot
 }
 
-// stripe serializes the names that hash to it and holds what this process
-// knows of their slot files.
+// stripe serializes the names that hash to it and indexes their files.
 type stripe struct {
 	mu    sync.Mutex
 	slots map[string]slot
 }
 
-// slot is the in-memory state of a name this process has saved: enough to
-// overwrite the next region without reading the file. Remove drops it.
+// slot is what the store knows of a slot file: enough to overwrite the
+// next region without reading the file.
 type slot struct {
-	seq uint64 // sequence number of the next save
-	cap int64  // region capacity of the file on disk
+	path string // "" for a name that has no file yet
+	seq  uint64 // sequence number of the next record
+	cap  int64  // region capacity; 0 until this process has sized the file
+	last string // of a free file: the name that owned it last
 }
 
 var _ Store = (*DirStore)(nil)
 
-// Open creates (if needed) and opens a checkpoint directory.
+// Open creates (if needed) and opens a checkpoint directory: it indexes
+// each slot file under the name of its newest record, and deletes the
+// .prev and .tmp files the parent format or a cut-short image left.
 func Open(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	s := &DirStore{dir: dir, seed: maphash.MakeSeed()}
 	for i := range s.stripes {
 		s.stripes[i].slots = map[string]slot{}
 	}
+	for _, ent := range entries {
+		path := filepath.Join(dir, ent.Name())
+		switch filepath.Ext(path) {
+		case ".prev", ".tmp":
+			os.Remove(path) // one left behind is swept again next time
+		case ".ckpt":
+			img, err := os.ReadFile(path)
+			if err != nil {
+				return nil, fmt.Errorf("checkpoint: %w", err)
+			}
+			recs, _ := scan(img, path)
+			sl, name := slot{path: path}, ""
+			if len(recs) > 0 {
+				sl.seq, name = recs[0].seq+1, recs[0].name
+			}
+			if len(recs) == 0 || recs[0].tomb {
+				s.release(name, sl)
+			} else {
+				s.stripes[maphash.String(s.seed, name)%numStripes].slots[name] = sl
+			}
+		}
+	}
 	return s, nil
 }
 
-// path returns the slot file of name.
+// path returns the file a name that has none is created as.
 func (s *DirStore) path(name string) string { return filepath.Join(s.dir, name+".ckpt") }
 
 // lock takes name's stripe (and the shared side of all); unlock undoes it.
@@ -176,52 +219,113 @@ func (s *DirStore) unlock(st *stripe) {
 	s.all.RUnlock()
 }
 
+// take hands name, which has no file here, the free file it owned last,
+// else the newest that fits an n-byte record, else the newest (the save
+// regrows it), else a slot without a file.
+func (s *DirStore) take(name string, n int64) (sl slot) {
+	s.freeMu.Lock()
+	defer s.freeMu.Unlock()
+	pick := len(s.free) - 1
+	for i := pick; i >= 0; i-- {
+		if s.free[i].last == name {
+			pick = i
+			break
+		}
+		if n <= s.free[i].cap && s.free[pick].cap < n {
+			pick = i
+		}
+	}
+	if pick >= 0 {
+		sl = s.free[pick]
+		s.free = append(s.free[:pick], s.free[pick+1:]...)
+	}
+	return sl
+}
+
+// release puts a slot file last owned by name on the free list.
+func (s *DirStore) release(name string, sl slot) {
+	s.freeMu.Lock()
+	sl.last = name
+	s.free = append(s.free, sl)
+	s.freeMu.Unlock()
+}
+
 // record is one verified record of a slot file.
 type record struct {
 	seq     uint64
 	version uint32
-	raw     []byte // header + payload, aliasing the file image
+	name    string // the owner: a tagged record's own, else the file's
+	tomb    bool
+	raw     []byte // header + body, aliasing the file image
+	body    int    // offset of the payload in raw
 }
 
-func (r record) payload() []byte { return r.raw[headerLen:] }
+func (r record) payload() []byte { return r.raw[r.body:] }
 
-// encodeRecord renders the on-disk record: header + payload, CRC over
-// version|seq|len|payload so header corruption is also caught.
-func encodeRecord(version uint32, seq uint64, payload []byte) []byte {
+// encodeRecord renders a tagged record (a tombstone with tombMagic): the
+// header, then the length-prefixed name and the payload. The CRC covers
+// the magic, the rest of the header, the name and the payload, so neither
+// header damage nor a magic turned into the untagged one passes.
+func encodeRecord(magic, name string, version uint32, seq uint64, payload []byte) []byte {
 	var e Enc
-	e.buf = make([]byte, 0, headerLen+len(payload))
-	e.buf = append(e.buf, Magic...)
+	e.buf = make([]byte, 0, headerLen+8+len(name)+len(payload))
+	e.buf = append(e.buf, magic...)
 	e.U32(version)
 	e.U64(seq)
-	e.U64(uint64(len(payload)))
-	crc := crc32.Update(0, castagnoli, e.buf[8:])
-	crc = crc32.Update(crc, castagnoli, payload)
-	e.U32(crc)
+	e.U64(uint64(8 + len(name) + len(payload)))
+	e.U32(0) // the CRC, once the body is in
+	e.String(name)
 	e.buf = append(e.buf, payload...)
+	crc := crc32.Update(crc32.Checksum(e.buf[:headerLen-4], castagnoli), castagnoli, e.buf[headerLen:])
+	binary.LittleEndian.PutUint32(e.buf[headerLen-4:], crc)
 	return e.buf
 }
 
-// decodeRecord verifies the record that starts at b[0]. Whatever follows
-// it in b — region padding, the tail of a longer record it overwrote — is
-// ignored.
-func decodeRecord(b []byte) (record, error) {
-	if len(b) < headerLen || string(b[:8]) != Magic {
+// decodeRecord verifies the record that starts at b[0]; an untagged one
+// belongs to file. Whatever follows it in b — region padding, the tail of
+// a longer record it overwrote — is ignored.
+func decodeRecord(b []byte, file string) (record, error) {
+	if len(b) < headerLen {
+		return record{}, fmt.Errorf("bad magic")
+	}
+	from := 0 // a tagged record's CRC starts at its magic
+	switch string(b[:8]) {
+	case Magic:
+		from = 8 // version|seq|len|payload, as before the tag
+	case namedMagic, tombMagic:
+	default:
 		return record{}, fmt.Errorf("bad magic")
 	}
 	d := NewDec(b[8:headerLen])
-	version := d.U32()
-	seq := d.U64()
-	n := d.U64()
-	crc := d.U32()
+	version, seq, n, crc := d.U32(), d.U64(), d.U64(), d.U32()
 	if n > uint64(len(b)-headerLen) {
 		return record{}, fmt.Errorf("truncated payload (%d of %d bytes)", len(b)-headerLen, n)
 	}
 	raw := b[:headerLen+int(n)]
-	got := crc32.Update(crc32.Checksum(raw[8:headerLen-4], castagnoli), castagnoli, raw[headerLen:])
-	if got != crc {
+	if crc32.Update(crc32.Checksum(raw[from:headerLen-4], castagnoli), castagnoli, raw[headerLen:]) != crc {
 		return record{}, fmt.Errorf("CRC mismatch")
 	}
-	return record{seq: seq, version: version, raw: raw}, nil
+	r := record{seq: seq, version: version, name: file, tomb: string(b[:8]) == tombMagic, raw: raw, body: headerLen}
+	if from == 0 {
+		d = NewDec(raw[headerLen:])
+		if r.name = d.String(); d.Err() != nil {
+			return record{}, fmt.Errorf("bad name: %v", d.Err())
+		}
+		r.body += d.off
+	}
+	return r, nil
+}
+
+// own returns name's records among recs (newest first): the run of them
+// from the newest on, ended by a tombstone or another name's record, so a
+// file belongs to the name of its newest record.
+func own(name string, recs []record) []record {
+	for i, r := range recs {
+		if r.tomb || r.name != name {
+			return recs[:i]
+		}
+	}
+	return recs
 }
 
 // regionCap returns the region capacity of a slot file of the given size,
@@ -234,19 +338,20 @@ func regionCap(size int64) int64 {
 	return 0
 }
 
-// scan returns the records of a slot file image that verify, newest
-// first, and the first verification failure of a region that has been
+// scan returns the records of the slot image of the file at path that
+// verify, newest first, and the first verification failure of a region that has been
 // written (nil when every written region verifies). A well-formed image is
 // read at its three region offsets; any other file is searched at every
 // block boundary, which finds the single record of a parent-format file
 // and whatever records a truncation left whole.
-func scan(img []byte) (recs []record, damage error) {
+func scan(img []byte, path string) (recs []record, damage error) {
+	file := strings.TrimSuffix(filepath.Base(path), ".ckpt")
 	step := regionCap(int64(len(img)))
 	if step == 0 {
 		step = blockSize
 	}
 	for off := int64(0); off < int64(len(img)); {
-		r, err := decodeRecord(img[off:])
+		r, err := decodeRecord(img[off:], file)
 		if err == nil {
 			recs = append(recs, r)
 			off = roundUp(off+int64(len(r.raw)), step)
@@ -299,20 +404,27 @@ func (s *DirStore) Save(name string, version uint32, payload []byte) error {
 	st := s.lock(name)
 	defer s.unlock(st)
 	sl, known := st.slots[name]
+	if !known {
+		sl = s.take(name, int64(headerLen+8+len(name)+len(payload)))
+	}
+	rec := encodeRecord(namedMagic, name, version, sl.seq, payload)
 	var err error
-	inPlace := known && headerLen+int64(len(payload)) <= sl.cap
+	inPlace := int64(len(rec)) <= sl.cap
 	if inPlace {
-		err = overwrite(s.path(name), encodeRecord(version, sl.seq, payload), int64(sl.seq%numRegions)*sl.cap)
+		err = overwrite(sl.path, rec, int64(sl.seq%numRegions)*sl.cap, true)
 		// A slot file that vanished under us is written anew.
 		inPlace = !errors.Is(err, fs.ErrNotExist)
 	}
 	if !inPlace {
-		// Also the first save of name in this process, and a record that
-		// outgrew its region.
-		sl, err = s.rebuild(name, version, payload, sl, known)
+		// Also the first save into a file this process has not sized, and
+		// a record that outgrew its region.
+		sl, err = s.rebuild(name, version, payload, sl)
 	}
 	if err != nil {
-		delete(st.slots, name)
+		if known {
+			sl.cap = 0 // the next save rebuilds from what the file holds
+			st.slots[name] = sl
+		}
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	sl.seq++
@@ -320,17 +432,17 @@ func (s *DirStore) Save(name string, version uint32, payload []byte) error {
 	return nil
 }
 
-// overwrite writes rec at off in the existing slot file and syncs the
-// data. The file's size and block map do not change, so the data sync
-// needs no journal commit and nothing about the directory has to be
-// flushed.
-func overwrite(path string, rec []byte, off int64) error {
+// overwrite writes rec at off in the existing slot file and, if sync,
+// syncs the data. The file's size and block map do not change, so the
+// data sync needs no journal commit and nothing about the directory has
+// to be flushed.
+func overwrite(path string, rec []byte, off int64, sync bool) error {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		return err
 	}
 	_, err = f.WriteAt(rec, off)
-	if err == nil {
+	if err == nil && sync {
 		err = datasync(f)
 	}
 	if cerr := f.Close(); err == nil {
@@ -340,40 +452,44 @@ func overwrite(path string, rec []byte, off int64) error {
 }
 
 // rebuild writes a whole new slot image for name: the new record plus the
-// latest and previous ones of the file it replaces, which may be a slot
-// file with smaller regions, a parent-format single-record file, or
-// damaged. Without a file the image is created under the final name;
-// otherwise it is written beside it and renamed over it, so the old
-// records stay loadable until the new image is complete. Either way the
-// directory is synced before returning: a new name has to survive a power
-// cut too.
-func (s *DirStore) rebuild(name string, version uint32, payload []byte, sl slot, known bool) (slot, error) {
-	path := s.path(name)
-	old, err := os.ReadFile(path)
+// latest and previous of name's records in the file it replaces, which
+// may be a slot file with smaller regions, a free one, a parent-format
+// single-record file, or damaged. A name without a file continues
+// <name>.ckpt, or gets a new file if another name holds that one. A new
+// file is created under its final name; an existing one is replaced by
+// temp + rename, so its records stay loadable until the new image is
+// complete. Either way the directory is synced before returning: a new
+// name has to survive a power cut too.
+func (s *DirStore) rebuild(name string, version uint32, payload []byte, sl slot) (slot, error) {
+	fresh := sl.path == ""
+	if fresh {
+		sl.path = s.path(name)
+	}
+	old, err := os.ReadFile(sl.path)
 	exists := err == nil
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return sl, err
 	}
-	carry, _ := scan(old)
-	if !known {
-		// First save of this process: continue the on-disk sequence.
-		sl.seq = 0
-		if len(carry) > 0 {
-			sl.seq = carry[0].seq + 1
-		}
+	recs, _ := scan(old, sl.path)
+	carry := own(name, recs)
+	if fresh && exists && len(carry) == 0 {
+		sl.path, exists, old, recs = s.path(fmt.Sprintf("%s.%x", name, time.Now().UnixNano())), false, nil, nil
+	}
+	if len(recs) > 0 {
+		sl.seq = max(sl.seq, recs[0].seq+1)
 	}
 	var img []byte
-	img, sl.cap = buildImage(sl.seq, encodeRecord(version, sl.seq, payload), carry, regionCap(int64(len(old))))
+	img, sl.cap = buildImage(sl.seq, encodeRecord(namedMagic, name, version, sl.seq, payload), carry, regionCap(int64(len(old))))
 	if exists {
-		tmp := path + ".tmp"
+		tmp := sl.path + ".tmp"
 		if err := writeSynced(tmp, os.O_TRUNC, img); err != nil {
 			return sl, err
 		}
-		if err := os.Rename(tmp, path); err != nil {
+		if err := os.Rename(tmp, sl.path); err != nil {
 			os.Remove(tmp)
 			return sl, err
 		}
-	} else if err := writeSynced(path, os.O_EXCL, img); err != nil {
+	} else if err := writeSynced(sl.path, os.O_EXCL, img); err != nil {
 		return sl, err
 	}
 	return sl, syncDir(s.dir)
@@ -399,20 +515,29 @@ func writeSynced(path string, flag int, img []byte) error {
 	return err
 }
 
-// read returns the verifying records of name's slot file, newest first,
-// and what kept a written region (or the whole file) from being read. A
-// missing file is no records and no damage.
+// read returns name's verifying records, newest first, and what kept a
+// written region (or the whole file) from being read. A name this handle
+// has not indexed is looked for in <name>.ckpt, and indexed if found
+// there. A missing file is no records and no damage.
 func (s *DirStore) read(name string) (recs []record, damage error) {
 	st := s.lock(name)
 	defer s.unlock(st)
-	img, err := os.ReadFile(s.path(name))
+	sl, known := st.slots[name]
+	if !known {
+		sl.path = s.path(name)
+	}
+	img, err := os.ReadFile(sl.path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	return scan(img)
+	recs, damage = scan(img, sl.path)
+	if recs = own(name, recs); len(recs) > 0 && !known {
+		st.slots[name] = sl // another handle saved it
+	}
+	return recs, damage
 }
 
 // noCheckpoint is ErrNoCheckpoint, carrying the damage that explains it.
@@ -454,45 +579,46 @@ func (s *DirStore) LoadPrevious(name string) (payload []byte, version uint32, er
 	return nil, 0, noCheckpoint(damage)
 }
 
-// Names lists the checkpoint names in the store, sorted. A restarting
-// server enumerates it to discover which sessions are resumable.
+// Names lists the names this handle indexes, sorted. A restarting server
+// enumerates it to discover which sessions are resumable.
 func (s *DirStore) Names() ([]string, error) {
 	s.all.Lock()
 	defer s.all.Unlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
 	var names []string
-	for _, ent := range entries {
-		if n, ok := strings.CutSuffix(ent.Name(), ".ckpt"); ok {
-			names = append(names, n)
+	for i := range s.stripes {
+		for name := range s.stripes[i].slots {
+			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	return names, nil
 }
 
-// Remove deletes name's slot file and what this process remembers of it.
-// A finished run uses it to retire per-section state while keeping the
-// manifest. The .prev and .tmp files are what the parent format, or an
-// image write cut short, may have left behind.
+// Remove retires name: a tombstone record, written like a save but not
+// synced (the unlink it replaces was not synced either), ends the run of
+// name's records, and the file joins the free list. A file this process
+// has not sized is deleted instead.
 func (s *DirStore) Remove(name string) error {
 	st := s.lock(name)
 	defer s.unlock(st)
+	sl, known := st.slots[name]
 	delete(st.slots, name)
-	cur := s.path(name)
-	var first error
-	for _, p := range []string{cur, cur + ".prev", cur + ".tmp"} {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) && first == nil {
-			first = err
-		}
+	if !known {
+		return nil
+	} else if sl.cap == 0 {
+		return os.Remove(sl.path)
 	}
-	return first
+	err := overwrite(sl.path, encodeRecord(tombMagic, name, 0, sl.seq, nil), int64(sl.seq%numRegions)*sl.cap, false)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	sl.seq++
+	s.release(name, sl)
+	return err
 }
 
-// Clear removes every checkpoint file in the store's directory — the
-// fresh-start path when a run begins without -resume.
+// Clear removes every checkpoint file in the store's directory, free ones
+// too — the fresh-start path when a run begins without -resume.
 func (s *DirStore) Clear() error {
 	s.all.Lock()
 	defer s.all.Unlock()
@@ -511,5 +637,6 @@ func (s *DirStore) Clear() error {
 	for i := range s.stripes {
 		s.stripes[i].slots = map[string]slot{}
 	}
+	s.free = nil
 	return nil
 }

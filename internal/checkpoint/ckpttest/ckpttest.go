@@ -9,51 +9,69 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 const (
-	magic     = "SPAPCKPT"
-	headerLen = 8 + 4 + 8 + 8 + 4 // magic, version, seq, payload length, CRC32-C
+	headerLen = 8 + 4 + 8 + 8 + 4 // magic, version, seq, body length, CRC32-C
 	blockSize = 4096              // records start on block boundaries
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Latest locates the newest record of name that verifies: the slot file's
-// path, the record's offset in it and its length, header included. It
-// fails the test when the file holds none.
+// Latest locates the newest record of name that verifies: the path of the
+// slot file whose newest record is name's, the record's offset in it and
+// its length, header included. A tagged record names its owner after the
+// header; an untagged one belongs to its file's name. It fails the test
+// when no file in dir is name's.
 func Latest(t testing.TB, dir, name string) (path string, off, n int64) {
 	t.Helper()
-	path = filepath.Join(dir, name+".ckpt")
-	b, err := os.ReadFile(path)
+	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	var newest uint64
-	for o := 0; o+headerLen <= len(b); o += blockSize {
-		if string(b[o:o+8]) != magic {
-			continue
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seq := binary.LittleEndian.Uint64(b[o+12:])
-		plen := binary.LittleEndian.Uint64(b[o+20:])
-		if plen > uint64(len(b)-o-headerLen) {
-			continue
+		found, owner, newest := false, "", uint64(0)
+		for o := 0; o+headerLen <= len(b); o += blockSize {
+			from, who := 0, strings.TrimSuffix(filepath.Base(file), ".ckpt")
+			switch string(b[o : o+8]) {
+			case "SPAPCKPT": // untagged: the CRC starts after the magic
+				from = 8
+			case "SPAPCKPN":
+			case "SPAPCKPR": // a tombstone belongs to no one
+				who = ""
+			default:
+				continue
+			}
+			seq := binary.LittleEndian.Uint64(b[o+12:])
+			blen := binary.LittleEndian.Uint64(b[o+20:])
+			if blen > uint64(len(b)-o-headerLen) {
+				continue
+			}
+			end := o + headerLen + int(blen)
+			crc := crc32.Update(crc32.Checksum(b[o+from:o+28], castagnoli), castagnoli, b[o+headerLen:end])
+			if crc != binary.LittleEndian.Uint32(b[o+28:]) {
+				continue
+			}
+			if from == 0 && who != "" {
+				nlen := binary.LittleEndian.Uint64(b[o+headerLen:])
+				who = string(b[o+headerLen+8 : o+headerLen+8+int(nlen)])
+			}
+			if !found || seq > newest {
+				found, owner, newest, off, n = true, who, seq, int64(o), int64(end-o)
+			}
 		}
-		end := o + headerLen + int(plen)
-		crc := crc32.Update(crc32.Checksum(b[o+8:o+28], castagnoli), castagnoli, b[o+headerLen:end])
-		if crc != binary.LittleEndian.Uint32(b[o+28:]) {
-			continue
-		}
-		if !found || seq > newest {
-			found, newest, off, n = true, seq, int64(o), int64(end-o)
+		if found && owner == name {
+			return file, off, n
 		}
 	}
-	if !found {
-		t.Fatalf("ckpttest: no valid record in %s", path)
-	}
-	return path, off, n
+	t.Fatalf("ckpttest: no slot file in %s is %s's", dir, name)
+	return "", 0, 0
 }
 
 // DamageLatest flips the last byte of the newest valid record of name, in

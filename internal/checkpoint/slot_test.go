@@ -64,7 +64,8 @@ func (s *DirStore) slotOf(name string) (slot, bool) {
 // by region (-1: no valid record there), and the file's size.
 func onDisk(t testing.TB, s *DirStore, name string) (seqs [numRegions]int64, size int64) {
 	t.Helper()
-	img, err := os.ReadFile(s.path(name))
+	sl, _ := s.slotOf(name)
+	img, err := os.ReadFile(sl.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func onDisk(t testing.TB, s *DirStore, name string) (seqs [numRegions]int64, siz
 	}
 	for r := range seqs {
 		seqs[r] = -1
-		if rec, err := decodeRecord(img[int64(r)*c : int64(r+1)*c]); err == nil {
+		if rec, err := decodeRecord(img[int64(r)*c:int64(r+1)*c], name); err == nil {
 			seqs[r] = int64(rec.seq)
 		}
 	}
@@ -87,6 +88,9 @@ func onDisk(t testing.TB, s *DirStore, name string) (seqs [numRegions]int64, siz
 // retried save must go through.
 func TestSaveCrashPoints(t *testing.T) {
 	const small, big = 1000, 100 << 10
+	cuts := func(rec []byte) []int {
+		return []int{0, 1, headerLen - 1, headerLen, headerLen + small/2, len(rec) - 1}
+	}
 	recoverAndRetry := func(t *testing.T, dir string, n int) {
 		t.Helper()
 		s := mustOpen(t, dir)
@@ -107,8 +111,8 @@ func TestSaveCrashPoints(t *testing.T) {
 			}
 			return s, dir
 		}
-		rec := encodeRecord(1, uint64(n+1), payloadOf(n+1, small))
-		for _, cut := range []int{0, 1, headerLen - 1, headerLen, headerLen + small/2, len(rec) - 1} {
+		rec := encodeRecord(namedMagic, "run", 1, uint64(n+1), payloadOf(n+1, small))
+		for _, cut := range cuts(rec) {
 			t.Run(fmt.Sprintf("n=%d/overwrite cut at %d", n, cut), func(t *testing.T) {
 				s, dir := completed(t)
 				sl, _ := s.slotOf("run")
@@ -138,8 +142,8 @@ func TestSaveCrashPoints(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				carry, _ := scan(old)
-				img, _ := buildImage(uint64(n+1), encodeRecord(1, uint64(n+1), payloadOf(n+1, big)), carry, regionCap(int64(len(old))))
+				carry, _ := scan(old, "run")
+				img, _ := buildImage(uint64(n+1), encodeRecord(namedMagic, "run", 1, uint64(n+1), payloadOf(n+1, big)), carry, regionCap(int64(len(old))))
 				if err := os.WriteFile(s.path("run")+".tmp", img[:c.part(len(img))], 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -152,13 +156,14 @@ func TestSaveCrashPoints(t *testing.T) {
 	for _, part := range []int{0, 1, headerLen + small/2, blockSize, 2 * blockSize} {
 		t.Run(fmt.Sprintf("first image cut at %d", part), func(t *testing.T) {
 			dir := t.TempDir()
-			img, _ := buildImage(0, encodeRecord(1, 0, payloadOf(0, small)), nil, 0)
+			rec := encodeRecord(namedMagic, "run", 1, 0, payloadOf(0, small))
+			img, _ := buildImage(0, rec, nil, 0)
 			if err := os.WriteFile(filepath.Join(dir, "run.ckpt"), img[:part], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			s := mustOpen(t, dir)
 			first := payloadOf(0, small)
-			if part < headerLen+small {
+			if part < len(rec) {
 				first = nil
 				if got, _, _, err := s.Load("run"); !errors.Is(err, ErrNoCheckpoint) {
 					t.Fatalf("Load of a cut first image = %.12q, err %v; want ErrNoCheckpoint", got, err)
@@ -169,6 +174,46 @@ func TestSaveCrashPoints(t *testing.T) {
 			}
 			mustSave(t, s, "run", payloadOf(1, small))
 			wantLoads(t, s, payloadOf(1, small), first)
+		})
+	}
+	// A new name's first save goes into the file a removed name left, in
+	// place, after that name's tombstone. Cut short, it leaves the file
+	// free: neither name loads, and the retried save goes through.
+	rec := encodeRecord(namedMagic, "next", 1, 4, payloadOf(9, small))
+	for _, cut := range cuts(rec) {
+		t.Run(fmt.Sprintf("recycled first save cut at %d", cut), func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir)
+			for i := 0; i < 3; i++ {
+				mustSave(t, s, "run", payloadOf(i, small))
+			}
+			if err := s.Remove("run"); err != nil {
+				t.Fatal(err)
+			}
+			free := s.free[0]
+			if free.seq != 4 {
+				t.Fatalf("the free file continues at %d, want 4 (3 saves and the tombstone)", free.seq)
+			}
+			f, err := os.OpenFile(free.path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.WriteAt(rec[:cut], int64(free.seq%numRegions)*free.cap); err != nil {
+				t.Fatal(err)
+			}
+			s = mustOpen(t, dir)
+			for _, name := range []string{"run", "next"} {
+				if got, _, _, err := s.Load(name); !errors.Is(err, ErrNoCheckpoint) {
+					t.Fatalf("Load(%s) = %.12q, %v; want ErrNoCheckpoint", name, got, err)
+				}
+			}
+			mustSave(t, s, "next", payloadOf(10, small))
+			for _, s := range []*DirStore{s, mustOpen(t, dir)} {
+				if got, _, _, err := s.Load("next"); err != nil || !bytes.Equal(got, payloadOf(10, small)) {
+					t.Fatalf("retried save: Load = %.12q, %v", got, err)
+				}
+			}
 		})
 	}
 }
@@ -309,8 +354,20 @@ func TestParentFormatDirectoryResumes(t *testing.T) {
 	if err := s.Remove("run"); err != nil {
 		t.Fatal(err)
 	}
-	if left, _ := os.ReadDir(dir); len(left) != 0 {
-		t.Fatalf("Remove left %v behind", left)
+	// The slot file stays, free for the next name; Open swept the rest.
+	for _, s := range []*DirStore{s, mustOpen(t, dir)} {
+		if got, _, _, err := s.Load("run"); !errors.Is(err, ErrNoCheckpoint) {
+			t.Fatalf("Load after Remove = %q, %v", got, err)
+		}
+		if got, _, err := s.LoadPrevious("run"); !errors.Is(err, ErrNoCheckpoint) {
+			t.Fatalf("LoadPrevious after Remove = %q, %v", got, err)
+		}
+		if names, err := s.Names(); err != nil || len(names) != 0 {
+			t.Fatalf("Names after Remove = %v, %v", names, err)
+		}
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 1 || left[0].Name() != "run.ckpt" {
+		t.Fatalf("Remove left %v behind, want the free run.ckpt alone", left)
 	}
 
 	s = mustOpen(t, parentFormatDir(t))
@@ -348,6 +405,128 @@ func TestRemoveDropsInMemoryState(t *testing.T) {
 			t.Fatalf("stripe %d still remembers %d removed names", i, n)
 		}
 	}
+	// One name live at a time: every session reuses the one free file.
+	if len(s.free) != 1 {
+		t.Fatalf("%d free files after %d sessions one at a time, want 1", len(s.free), rounds)
+	}
+}
+
+// dirEntries maps each entry of dir to what it is.
+func dirEntries(t testing.TB, dir string) map[string]os.FileInfo {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]os.FileInfo{}
+	for _, ent := range ents {
+		fi, err := os.Stat(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = fi
+	}
+	return out
+}
+
+// TestRecycledSessionsLeaveDirectoryAlone: once each writer has retired a
+// session, the sessions after it save and retire in the files those left,
+// creating, renaming and deleting nothing.
+func TestRecycledSessionsLeaveDirectoryAlone(t *testing.T) {
+	const writers, sessions, saves = 2, 100, 16
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	// Warm-up: one session per writer, all live at once, then retired.
+	for w := 0; w < writers; w++ {
+		mustSave(t, s, fmt.Sprintf("warm-%d", w), payloadOf(w, 1000))
+	}
+	for w := 0; w < writers; w++ {
+		if err := s.Remove(fmt.Sprintf("warm-%d", w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirEntries(t, dir)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < sessions; i++ {
+				name := fmt.Sprintf("sess-%d-%d", w, i)
+				for k := 0; k < saves; k++ {
+					if err := s.Save(name, 1, payloadOf(k, 1000)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := s.Remove(name); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	after := dirEntries(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("the directory went from %d entries to %d", len(before), len(after))
+	}
+	for name, fi := range before {
+		if now, ok := after[name]; !ok || !os.SameFile(fi, now) {
+			t.Fatalf("%s was replaced or deleted", name)
+		}
+	}
+}
+
+// TestRecycledPoolStaysBounded runs sessions of 1 KB and 24 KB records,
+// one to four live at a time. A record that fits no free file regrows one
+// rather than adding a file, so the directory never holds more slot files
+// than the most names live at once; a live name loads its own last two
+// saves, in process and after a reopen, and a removed one loads nothing.
+func TestRecycledPoolStaysBounded(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	saved := map[string][]byte{} // live name → its payload; saved twice
+	var live, removed []string
+	peak := 0
+	check := func(s *DirStore) {
+		t.Helper()
+		for _, name := range live {
+			if got, _, _, err := s.Load(name); err != nil || !bytes.Equal(got, saved[name]) {
+				t.Fatalf("Load(%s) = %d bytes, %v; want its own %d", name, len(got), err, len(saved[name]))
+			}
+			if got, _, err := s.LoadPrevious(name); err != nil || !bytes.Equal(got, saved[name]) {
+				t.Fatalf("LoadPrevious(%s) = %d bytes, %v", name, len(got), err)
+			}
+		}
+		for _, name := range removed {
+			if got, _, _, err := s.Load(name); !errors.Is(err, ErrNoCheckpoint) {
+				t.Fatalf("removed %s loads %d bytes, %v", name, len(got), err)
+			}
+		}
+	}
+	for i := 0; i < 48; i++ {
+		name, size := fmt.Sprintf("sess-%d", i), 1<<10
+		if i%3 == 1 {
+			size = 24 << 10
+		}
+		saved[name] = payloadOf(i, size)
+		mustSave(t, s, name, saved[name])
+		mustSave(t, s, name, saved[name])
+		live = append(live, name)
+		peak = max(peak, len(live))
+		for len(live) > 1+i*7%4 {
+			if err := s.Remove(live[0]); err != nil {
+				t.Fatal(err)
+			}
+			removed, live = append(removed, live[0]), live[1:]
+		}
+		if files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(files) > peak {
+			t.Fatalf("session %d: %d slot files, at most %d names were ever live", i, len(files), peak)
+		}
+		check(s)
+	}
+	check(mustOpen(t, dir))
 }
 
 // TestConcurrentNamesClearLoad runs writers on distinct names with Names,
@@ -412,7 +591,10 @@ func TestConcurrentNamesClearLoad(t *testing.T) {
 // slot file, or truncates the file at an arbitrary length. Whatever is
 // left, Load and LoadPrevious return exactly the newest and second-newest
 // records whose bytes survived — never anything that was not saved — and
-// damage confined to one region leaves the other two loadable.
+// damage confined to one region leaves the other two loadable. The same
+// damage to a recycled file, holding a removed name's record, its
+// tombstone and the next name's first record, never loads the removed
+// name, and loads the next one's record exactly when it survived.
 func FuzzSlotFileDamage(f *testing.F) {
 	// Five saves, the first one the largest (it sizes the regions at two
 	// blocks, so a truncation can land on another plausible image size):
@@ -427,7 +609,31 @@ func FuzzSlotFileDamage(f *testing.F) {
 		f.Fatal(err)
 	}
 	regionSize := regionCap(int64(len(pristine)))
-	saved, _ := scan(pristine) // saves 4, 3, 2
+	saved, _ := scan(pristine, "run") // saves 4, 3, 2
+
+	// a's saves 0-2 size the regions at two blocks; its tombstone (3) goes
+	// to region 0 and b's first save (4) to region 1, over a's save 1.
+	rsrc := mustOpen(f, f.TempDir())
+	for i, n := range sizes[:3] {
+		if err := rsrc.Save("a", 1, payloadOf(i, n)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := rsrc.Remove("a"); err != nil {
+		f.Fatal(err)
+	}
+	if err := rsrc.Save("b", 1, payloadOf(4, sizes[4])); err != nil {
+		f.Fatal(err)
+	}
+	recycled, err := os.ReadFile(rsrc.path("a"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rrecs, _ := scan(recycled, "a")
+	if len(rrecs) != numRegions || !rrecs[1].tomb || rrecs[0].name != "b" || rrecs[2].name != "a" {
+		f.Fatalf("the recycled image holds %d records, want b's, a tombstone and a's", len(rrecs))
+	}
+	bRec, bOff := rrecs[0], int64(rrecs[0].seq%numRegions)*regionCap(int64(len(recycled)))
 
 	f.Add([]byte("junk"), uint8(0), uint32(0), false)
 	f.Add([]byte{0}, uint8(1), uint32(headerLen), false)
@@ -436,15 +642,20 @@ func FuzzSlotFileDamage(f *testing.F) {
 	f.Add([]byte(nil), uint8(0), uint32(2*blockSize), true)
 	f.Add([]byte(nil), uint8(0), uint32(numRegions*blockSize), true)
 	f.Add([]byte(nil), uint8(0), uint32(len(pristine)-1), true)
-	f.Fuzz(func(t *testing.T, data []byte, region uint8, at uint32, truncate bool) {
+	damage := func(pristine []byte, data []byte, region uint8, at uint32, truncate bool) []byte {
 		img := append([]byte(nil), pristine...)
 		if truncate {
-			img = img[:int(at)%(len(img)+1)]
-		} else {
-			start := int64(region%numRegions) * regionSize
-			off := int64(at) % regionSize
-			copy(img[start+off:start+regionSize], data)
+			return img[:int(at)%(len(img)+1)]
 		}
+		regionSize := regionCap(int64(len(img)))
+		start := int64(region%numRegions) * regionSize
+		off := int64(at) % regionSize
+		copy(img[start+off:start+regionSize], data)
+		return img
+	}
+	f.Fuzz(func(t *testing.T, data []byte, region uint8, at uint32, truncate bool) {
+		checkRecycled(t, damage(recycled, data, region, at, truncate), bRec, bOff)
+		img := damage(pristine, data, region, at, truncate)
 		var survivors []record
 		for _, r := range saved {
 			off := int64(r.seq%numRegions) * regionSize
@@ -486,4 +697,30 @@ func FuzzSlotFileDamage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkRecycled opens a directory holding img as a.ckpt: a never loads
+// (it was removed), and b loads its record exactly when its bytes
+// survived at bOff.
+func checkRecycled(t *testing.T, img []byte, bRec record, bOff int64) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "a.ckpt"), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir)
+	for _, name := range []string{"a", "b"} {
+		latest, _, _, err := s.Load(name)
+		prev, _, perr := s.LoadPrevious(name)
+		var want []byte
+		if name == "b" && bOff < int64(len(img)) && bytes.HasPrefix(img[bOff:], bRec.raw) {
+			want = bRec.payload()
+		}
+		if want == nil && (!errors.Is(err, ErrNoCheckpoint) || !errors.Is(perr, ErrNoCheckpoint)) {
+			t.Fatalf("%s: Load = %.12q (%v), LoadPrevious = %.12q (%v); want nothing", name, latest, err, prev, perr)
+		}
+		if want != nil && (err != nil || !bytes.Equal(latest, want) || (perr == nil && !bytes.Equal(prev, want))) {
+			t.Fatalf("%s: Load = %.12q (%v), LoadPrevious = %.12q (%v); want its first save", name, latest, err, prev, perr)
+		}
+	}
 }
