@@ -54,7 +54,6 @@ func main() {
 		diffOnly  = flag.Bool("diff", false, "dry run: report per-NFA state/edge deltas without writing")
 		alphaSpec = flag.String("alphabet", "", "assumed input alphabet as a symbol class (e.g. '[a-z0-9]'); empty = all 256 symbols")
 		capacity  = flag.Int("capacity", rewrite.DefaultCapacity, "AP half-core capacity guarding cross-NFA merges (<0 = unguarded)")
-		noMerge   = flag.Bool("nomerge", false, "disable state merging; only delete and prune")
 		check     = flag.Bool("check", false, "re-verify the full certificate chain of the rewrite")
 		jsonOut   = flag.Bool("json", false, "emit statistics as JSON")
 		maxPer    = flag.Int("max", 20, "max changed NFAs listed per target in text mode (0 = unlimited)")
@@ -64,7 +63,7 @@ func main() {
 	)
 	flag.Parse()
 
-	ropts := rewrite.Options{Capacity: *capacity, NoMerge: *noMerge}
+	ropts := rewrite.Options{Capacity: *capacity}
 	if *alphaSpec != "" {
 		a, err := symset.Parse(bracketed(*alphaSpec))
 		if err != nil {

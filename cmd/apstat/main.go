@@ -5,7 +5,6 @@
 //	apstat -app CAV4k            # one application's statistics
 //	apstat -anml rules.anml      # statistics of an ANML automaton
 //	apstat -all                  # the full Table II
-//	apstat -all -opt             # states/edges before vs after apopt
 //	apstat -all -worstcase       # certified bounds, witnesses and the suite's gap gates
 package main
 
@@ -36,7 +35,6 @@ func main() {
 		divisor  = flag.Int("divisor", 8, "workload scale divisor")
 		inputLen = flag.Int("input", 131072, "generated input length")
 		seed     = flag.Int64("seed", 1, "generation seed")
-		opt      = flag.Bool("opt", false, "also show states/edges after the proof-carrying rewriter (apopt)")
 		hot      = flag.Bool("hotness", false, "also show the static hotness analysis (predicted hot fraction, per-NFA cut layers; with -app, accuracy vs the actual hot set)")
 		worst    = flag.Bool("worstcase", false, "also show the certified worst-case analysis (frontier/report bounds by layer, adversarial witness, bound/witness gap); with -all, the whole-suite table and its gap geomean. Exits nonzero on a soundness violation; with -all also on a witness below the canonical input's peak or a gap geomean above 4")
 	)
@@ -52,10 +50,6 @@ func main() {
 		if err := printWorstTable(wl); err != nil {
 			fail(err)
 		}
-	case *all && *opt:
-		if err := printOptTable(wl); err != nil {
-			fail(err)
-		}
 	case *all:
 		suite := exp.NewSuite(wl, ap.DefaultConfig())
 		res, err := exp.Table2(suite)
@@ -68,7 +62,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		printStats(app.Name, app.Net, *opt)
+		printStats(app.Name, app.Net)
 		if *hot {
 			printHotness(app.Net, app.Input)
 		}
@@ -87,7 +81,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		printStats(*anmlPath, net, *opt)
+		printStats(*anmlPath, net)
 		if *hot {
 			printHotness(net, nil)
 		}
@@ -102,31 +96,7 @@ func main() {
 	}
 }
 
-// printOptTable renders the suite with the -opt columns: structural size
-// before and after the proof-carrying rewriter, plus the STE saving.
-func printOptTable(wl workloads.Config) error {
-	apps, err := workloads.BuildAll(wl)
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable("App", "States", "Opt", "Saved%", "Edges", "Opt", "NFAs", "Opt")
-	for _, app := range apps {
-		_, st, err := sparseap.Minimize(app.Net)
-		if err != nil {
-			return err
-		}
-		saved := 0.0
-		if st.StatesBefore > 0 {
-			saved = 100 * float64(st.StatesRemoved()) / float64(st.StatesBefore)
-		}
-		t.AddRowf(app.Abbr, st.StatesBefore, st.StatesAfter, saved,
-			st.EdgesBefore, st.EdgesAfter, st.NFAsBefore, st.NFAsAfter)
-	}
-	fmt.Print(t)
-	return nil
-}
-
-func printStats(name string, net *sparseap.Network, opt bool) {
+func printStats(name string, net *sparseap.Network) {
 	st := net.ComputeStats()
 	topo := graph.TopoOrder(net)
 	maxTopo, sumTopo := int32(0), int64(0)
@@ -152,20 +122,6 @@ func printStats(name string, net *sparseap.Network, opt bool) {
 	t.AddRowf("max topological order", maxTopo)
 	t.AddRowf("avg max topo per NFA", float64(sumTopo)/float64(st.NFAs))
 	t.AddRowf("largest SCC", maxSCC)
-	if opt {
-		_, ost, err := sparseap.Minimize(net)
-		if err != nil {
-			fail(err)
-		}
-		t.AddRowf("states after apopt", ost.StatesAfter)
-		t.AddRowf("edges after apopt", ost.EdgesAfter)
-		t.AddRowf("NFAs after apopt", ost.NFAsAfter)
-		saved := 0.0
-		if ost.StatesBefore > 0 {
-			saved = 100 * float64(ost.StatesRemoved()) / float64(ost.StatesBefore)
-		}
-		t.AddRowf("STE saving %", saved)
-	}
 	fmt.Printf("%s\n%s", name, t)
 }
 

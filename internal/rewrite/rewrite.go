@@ -45,9 +45,6 @@ type Options struct {
 	// component beyond this many states. 0 means DefaultCapacity;
 	// negative means unguarded.
 	Capacity int
-	// NoMerge disables bisimulation merging (deletion and edge pruning
-	// still run). Useful for isolating the per-NFA effects.
-	NoMerge bool
 }
 
 func (o Options) alphabet() symset.Set {
@@ -350,9 +347,7 @@ func planRewrite(net *automata.Network, opts Options) *plan {
 
 	// Phase 4: bisimulation merging.
 	p.mergeTo = identity(net.Len())
-	if !opts.NoMerge {
-		p.planMerge()
-	}
+	p.planMerge()
 
 	// Match normalization under a restricted alphabet is itself a
 	// transformation; detect it so the fixed-point loop knows this round

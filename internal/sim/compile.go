@@ -157,8 +157,8 @@ type Image struct {
 	// the frontier bitmap to activate 64 states per instruction.
 	symMask [256][]uint64
 	// startMask[b] marks the all-input start states activated by symbol
-	// b (the dense-kernel counterpart of startAct). All 256 rows alias
-	// one zero row when the network has no all-input starts.
+	// b. All 256 rows alias one zero row when the network has no
+	// all-input starts.
 	startMask [256][]uint64
 
 	// report and allInput flag words: bit s set iff state s reports /
@@ -183,10 +183,6 @@ type Image struct {
 	// reads b), plan is len(startNext[b]) (the pending part of the frontier
 	// on the step after).
 	startCount [256]struct{ starts, plan uint32 }
-	// startAct[b] lists, in ascending state order, the all-input start
-	// states activated by symbol b. The batch kernel (batch.go) is its
-	// only reader; the list goes when that file does.
-	startAct [256][]automata.StateID
 	// quiet says when a symbol can do nothing but re-arm the start plan
 	// (skip.go): bit b of row p is set iff an engine whose explicit
 	// frontier is empty and whose pending plan is startNext[p] takes the
@@ -207,10 +203,8 @@ type Image struct {
 	// to the dense pass.
 	denseCut int
 
-	// pool recycles solo engines built over this image; batchPool
-	// recycles multi-stream batch engines (batch.go).
-	pool      sync.Pool
-	batchPool sync.Pool
+	// pool recycles the engines built over this image.
+	pool sync.Pool
 }
 
 // Compile flattens net into an execution image. The image references the
@@ -293,6 +287,9 @@ func Compile(net *automata.Network) *Image {
 		img.startMask[b] = zeroRow
 	}
 	if img.hasAllInput {
+		// startAct[b] lists, ascending, the all-input starts symbol b
+		// activates: what the start plans are built from.
+		var startAct [256][]automata.StateID
 		startBacking := make([]uint64, 256*words)
 		for b := 0; b < 256; b++ {
 			img.startMask[b] = startBacking[b*words : (b+1)*words : (b+1)*words]
@@ -311,7 +308,7 @@ func Compile(net *automata.Network) *Image {
 				for word != 0 {
 					b := w<<6 | bits.TrailingZeros64(word)
 					word &= word - 1
-					img.startAct[b] = append(img.startAct[b], automata.StateID(s))
+					startAct[b] = append(startAct[b], automata.StateID(s))
 					img.startCount[b].starts++
 					img.startMask[b][sw] |= sb
 				}
@@ -320,7 +317,7 @@ func Compile(net *automata.Network) *Image {
 				img.allInputHot = append(img.allInputHot, automata.StateID(s))
 			}
 		}
-		img.buildStartPlans()
+		img.buildStartPlans(&startAct)
 	}
 
 	return img
@@ -432,13 +429,13 @@ func (img *Image) buildExcSlots() {
 }
 
 // buildStartPlans fills startNext (its lengths go beside the start counts
-// in startCount) and startRep from startAct: per symbol, the successors of
-// the starts it activates are collected in a scratch bitmap and read back
-// in ascending order, which also drops the duplicates. Only the span of
-// words the symbol touched is read and cleared, so the cost is the starts'
-// edges plus that span, not a sort. The quiet table is built from the
-// finished plans.
-func (img *Image) buildStartPlans() {
+// in startCount) and startRep from startAct, the all-input starts each
+// symbol activates: per symbol, the successors of the starts it activates
+// are collected in a scratch bitmap and read back in ascending order,
+// which also drops the duplicates. Only the span of words the symbol
+// touched is read and cleared, so the cost is the starts' edges plus that
+// span, not a sort. The quiet table is built from the finished plans.
+func (img *Image) buildStartPlans(startAct *[256][]automata.StateID) {
 	enables, reports := 0, 0
 	for _, s := range img.allInputHot {
 		fires := 0
@@ -455,10 +452,10 @@ func (img *Image) buildStartPlans() {
 	next := make([]automata.StateID, 0, enables)
 	rep := make([]automata.StateID, 0, reports)
 	seen := make([]uint64, img.words)
-	for b := range img.startAct {
+	for b := range startAct {
 		nextFrom, repFrom := len(next), len(rep)
 		lo, hi := img.words, -1
-		for _, s := range img.startAct[b] {
+		for _, s := range startAct[b] {
 			if img.report[int(s)>>6]&(1<<(uint(s)&63)) != 0 {
 				rep = append(rep, s)
 			}
@@ -485,10 +482,9 @@ func (img *Image) buildStartPlans() {
 // successor arrays, the state-major match words, the 256 transposed
 // symbol bitmaps, the shift-class and exception masks, the exceptions'
 // slots with their offsets, overflow pairs and masks, the flag words, the
-// start lists, the start plans, their counts and the quiet table. A serving
-// process admits sessions against a memory budget, and the images — shared
-// across every tenant streaming the same application — are the dominant
-// resident term.
+// start plans, their counts and the quiet table. A serving process admits
+// sessions against a memory budget, and the images — shared across every
+// tenant streaming the same application — are the dominant resident term.
 func (img *Image) Footprint() int64 {
 	b := int64(len(img.succOff))*4 + int64(len(img.succ))*4
 	b += int64(len(img.match)) * 8
@@ -506,8 +502,8 @@ func (img *Image) Footprint() int64 {
 		b += int64(len(img.slowMask)) * 8 // aliases report otherwise
 	}
 	b += 2 * int64(img.words) * 8 // report + allInput
-	for sym := range img.startAct {
-		b += int64(len(img.startAct[sym])+len(img.startNext[sym])+len(img.startRep[sym])) * 4
+	for sym := range img.startNext {
+		b += int64(len(img.startNext[sym])+len(img.startRep[sym])) * 4
 	}
 	b += int64(len(img.startCount)) * 8
 	b += int64(len(img.allInputHot)+len(img.startsOfData)) * 4

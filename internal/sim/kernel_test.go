@@ -656,8 +656,12 @@ func TestStartPlanCells(t *testing.T) {
 				if !img.hasAllInput && (len(img.startNext[b]) != 0 || len(img.startRep[b]) != 0 || img.startCount[b].starts != 0) {
 					t.Fatalf("symbol %d has a plan on a network without all-input starts", b)
 				}
-				if sc := img.startCount[b]; int(sc.starts) != len(img.startAct[b]) || int(sc.plan) != len(img.startNext[b]) {
-					t.Fatalf("symbol %d: startCount %+v, %d starts and %d plan states listed", b, sc, len(img.startAct[b]), len(img.startNext[b]))
+				starts := 0
+				for _, x := range img.startMask[b] {
+					starts += bits.OnesCount64(x)
+				}
+				if sc := img.startCount[b]; int(sc.starts) != starts || int(sc.plan) != len(img.startNext[b]) {
+					t.Fatalf("symbol %d: startCount %+v, %d starts in the mask and %d plan states listed", b, sc, starts, len(img.startNext[b]))
 				}
 			}
 			checkKernels(t, net, []byte(c.input), c.threshold, c.edits...)
@@ -985,7 +989,7 @@ func TestFootprintsCountEveryArray(t *testing.T) {
 			want += 8224
 		}
 		for b := range img.symMask {
-			want += 8*len(img.symMask[b]) + 4*len(img.startAct[b]) + 4*len(img.startNext[b]) + 4*len(img.startRep[b])
+			want += 8*len(img.symMask[b]) + 4*len(img.startNext[b]) + 4*len(img.startRep[b])
 			// Without all-input starts the 256 start rows are one zero row.
 			if img.hasAllInput || b == 0 {
 				want += 8 * len(img.startMask[b])

@@ -13,7 +13,9 @@ import (
 // loop leaves: the report stream, the final frontier, the Snapshot bytes
 // and both kernel counters, which still add up to the input's length. The
 // quiet share differs by two orders of magnitude across the suite, so the
-// test also says how much of it was skipped at all.
+// test also says how much of it was skipped at all. sim.RunBatch returns
+// sim.Run's result for each of its inputs, an empty one among them, in
+// input order.
 func TestQuietRunsIdenticalOnSuite(t *testing.T) {
 	skippedApps := 0
 	for _, name := range workloads.Names() {
@@ -64,6 +66,17 @@ func TestQuietRunsIdenticalOnSuite(t *testing.T) {
 			(len(res.Reports) != 0 || len(step.Reports()) != 0) && !reflect.DeepEqual(res.Reports, step.Reports()) {
 			t.Fatalf("%s: sim.Run processed %d symbols and reported %d times, stepping every symbol %d and %d, or elsewhere",
 				name, res.Symbols, res.NumReports, len(input), want.NumReports)
+		}
+
+		inputs := [][]byte{input, nil, input[:len(input)/3]}
+		batch := sim.RunBatch(net, inputs, sim.BatchOptions{CollectReports: true})
+		if len(batch) != len(inputs) {
+			t.Fatalf("%s: sim.RunBatch returned %d results for %d inputs", name, len(batch), len(inputs))
+		}
+		for i, in := range inputs {
+			if res := sim.Run(net, in, opts); !reflect.DeepEqual(batch[i], res) {
+				t.Fatalf("%s: sim.RunBatch's result %d is %+v, sim.Run's %+v", name, i, batch[i], res)
+			}
 		}
 
 		st := sim.NewStreamer(net)

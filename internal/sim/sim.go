@@ -25,8 +25,8 @@
 // Skip crosses it at one bit of the image's quiet table a symbol.
 //
 // Reports within a cycle are emitted in canonical ascending-state order,
-// so every kernel — sparse, dense, adaptive, and the multi-stream batch
-// engine — produces bit-identical report streams.
+// so every kernel — sparse, dense and adaptive — produces bit-identical
+// report streams.
 package sim
 
 import (
@@ -696,4 +696,21 @@ func RunContext(ctx context.Context, net *automata.Network, input []byte, opts O
 // the profiling primitive of Section IV-A.
 func HotStates(net *automata.Network, input []byte) *bitvec.Vec {
 	return Run(net, input, Options{TrackEnabled: true}).EverEnabled
+}
+
+// BatchOptions configures RunBatch.
+type BatchOptions struct {
+	// CollectReports retains each input's reports in its Result.
+	CollectReports bool
+}
+
+// RunBatch runs each input through Run and returns the results in input
+// order. It exists for the ledger's sim.batch8_ns_sym row, which times it
+// on eight inputs, and goes when that row does.
+func RunBatch(net *automata.Network, inputs [][]byte, opts BatchOptions) []*Result {
+	results := make([]*Result, len(inputs))
+	for i, in := range inputs {
+		results[i] = Run(net, in, Options{CollectReports: opts.CollectReports})
+	}
+	return results
 }

@@ -8,7 +8,8 @@
 # build (native, then cross-built for darwin and windows), full test
 # suite, vet and smoke test of the bench/ module, a check that every test
 # and every internal or root package's func, type, var or const DESIGN.md
-# and README.md name exists, a diff of the root package's API against
+# and README.md name exists, and every bare name they put in backticks is
+# declared somewhere in the module, a diff of the root package's API against
 # testdata/api.txt, the list of internal exports nothing but tests
 # reaches against testdata/uncalled.txt,
 # race-detector pass over the whole module, a fuzz
@@ -114,6 +115,13 @@ for ref in $(grep -ohE '`(sparseap|Engine)\.[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9
         || { echo "the docs name $ref, which the root package does not declare" >&2; missing=1; }
 done
 [[ $missing -eq 0 ]] || exit 1
+
+# A backticked bare `Name` in the docs must be declared in some Go file of
+# the module, tests included, as a func, method, type, field, const or var
+# (TestDocNamesDeclared): standard-library names are written qualified,
+# magics as strings, prose without backticks.
+step "bare names in DESIGN.md and README.md are declared"
+go test -count=1 -run '^TestDocNamesDeclared$' .
 
 # The root package's exported surface is pinned, so a change to it is a
 # reviewed diff (regenerate with: go doc -short . > testdata/api.txt).
