@@ -4,11 +4,12 @@
 // Usage:
 //
 //	apbench [-exp all|table2,fig1,fig5,table1,fig8,fig10,fig11,fig12,table4,fig13,sensitivity,resilience,predict] \
-//	        [-divisor 8] [-input 131072] [-capacity 3000] [-seed 1]
+//	        [-divisor 8] [-input 131072] [-capacity N] [-seed 1]
 //
-// The defaults run the 1/8-scaled configuration described in DESIGN.md:
+// The defaults run the 1/8-scaled configuration of EXPERIMENTS.md:
 // 24K-STE half-core → 3K, 1 MiB input → 128 KiB, Table II NFA counts ÷ 8.
-// Use -divisor 1 -input 1048576 -capacity 24000 for a full-size run.
+// The capacity defaults to the paper's half-core divided by -divisor, so
+// -divisor 1 -input 1048576 is a full-size run; -capacity overrides it.
 //
 // apbench reports the paper's quantities (cycles, speedups, state counts),
 // never wall-clock time: what this codebase itself costs, layer by layer,
@@ -59,7 +60,7 @@ func main() {
 		expFlag  = flag.String("exp", "all", "comma-separated experiments, or 'all'")
 		divisor  = flag.Int("divisor", 8, "scale divisor vs the paper's Table II")
 		inputLen = flag.Int("input", 131072, "input stream length in bytes")
-		capacity = flag.Int("capacity", 3000, "AP half-core capacity in STEs")
+		capacity = flag.Int("capacity", 0, "AP half-core capacity in STEs (default: the paper's 24000 / divisor)")
 		seed     = flag.Int64("seed", 1, "generation seed")
 	)
 	flag.Parse()
@@ -86,6 +87,13 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *divisor <= 0 {
+		fmt.Fprintln(os.Stderr, "apbench: -divisor must be positive")
+		os.Exit(2)
+	}
+	if *capacity <= 0 {
+		*capacity = ap.PaperConfig().Capacity / *divisor
+	}
 	wl := workloads.Config{InputLen: *inputLen, Divisor: *divisor, Seed: *seed}
 	suite := exp.NewSuite(wl, ap.DefaultConfig().WithCapacity(*capacity))
 	fmt.Printf("sparseap benchmark harness: divisor=%d input=%d capacity=%d seed=%d\n\n",

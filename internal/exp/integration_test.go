@@ -12,7 +12,7 @@ import (
 )
 
 // TestReportEquivalenceAllApps is the repository's end-to-end soundness
-// check (DESIGN.md invariant 1) on the real workload suite rather than
+// check (the contract in DESIGN.md) on the real workload suite rather than
 // random networks: for every one of the 26 applications, the baseline
 // full-NFA report multiset equals the BaseAP/SpAP report multiset and the
 // AP-CPU report multiset, under a realistic profiling prefix and the

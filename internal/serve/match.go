@@ -108,7 +108,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			reports, resp.NumReports = sres.Reports, sres.NumReports
 			break
 		}
-		res, rerr := spap.RunGuarded(ctx, part, input, s.apCfg, s.cfg.Guard, spap.Options{CollectReports: true})
+		res, rerr := spap.RunGuarded(ctx, part, input, s.apCfg, spap.Guard{}, spap.Options{CollectReports: true})
 		if rerr != nil {
 			matchError(w, rerr)
 			return

@@ -27,7 +27,7 @@
 //
 // The wire protocol is deliberately plain: HTTP with full-duplex bodies
 // (HTTP/2 when the caller configures TLS, HTTP/1.1 full duplex
-// otherwise), newline-framed text reports. See DESIGN.md §12.
+// otherwise), newline-framed text reports. See DESIGN.md §6.
 package serve
 
 import (
@@ -86,9 +86,6 @@ type Config struct {
 	// engine estimates); 0 means unlimited. Excess admissions shed 503.
 	MemBudget int64
 
-	// Guard configures the per-request adaptive guard; zero value takes
-	// spap.DefaultGuard.
-	Guard spap.Guard
 	// Ladder configures per-tenant guard escalation.
 	Ladder spap.LadderConfig
 

@@ -26,7 +26,7 @@ import (
 	"sparseap/internal/automata"
 )
 
-// Shift-and decomposition of the successor relation (see DESIGN.md §8). An
+// Shift-and decomposition of the successor relation (see DESIGN.md §2). An
 // edge s → s+d with d in [0, 63] can be followed for 64 sources at once by
 // shifting the activated word left by d; Compile gives a delta a shift
 // class when it carries at least 1/shiftClassShare of the edges, up to
@@ -37,23 +37,17 @@ import (
 // the bitmap, so a delta with a handful of edges is cheaper to leave to
 // the slots than to mask, and classes that leave much to the slots cost
 // their sweeps on top of them: unless the classes together leave at most
-// 1/shiftScatterShare of the edges, the image gets none.
-//
-// Swept on the suite. Share, 1/8 … 1/128: 1/32 is where Fermi's
-// self-loops and +13 edges (5.9 % each, on states that stay active)
-// become classes and its dense step halves; DS pays 9 % for two 3.5 %
-// classes and runs the sparse walk anyway. Coverage: ER's two classes
-// carry 92.5 % and halve its step; the grids stop short of 90 % — HM
-// 89.6 % in four classes, HM500 87 % in eight, LV 63 % in three — and run
-// 5 % (LV) to 85 % (HM500) faster with every state in a slot than with
-// most of them shifted (re-swept on the one-sweep pass, DESIGN.md §8).
+// 1/shiftScatterShare of the edges, the image gets none. 1/32 is where
+// Fermi's self-loops and +13 edges become classes and its dense step
+// halves; the grids (HM, LV) stop short of 90 % and run faster with every
+// state in a slot. The sweeps behind both constants are in CHANGES.md.
 const (
 	maxShiftClasses   = 8
 	shiftClassShare   = 32
 	shiftScatterShare = 10
 )
 
-// Dense-kernel crossover (see DESIGN.md §8). A dense step sweeps every
+// Dense-kernel crossover (see DESIGN.md §3). A dense step sweeps every
 // bitmap word once per shift class (the first sweep activates as well) and
 // once more to count the next frontier; a sparse step pays a scattered
 // match-word load per frontier state and, more, list upkeep for every
@@ -63,21 +57,14 @@ const (
 // of activations that enabled it, which is about what this step's will
 // be, and the starts are activations for certain (RF2's frontier dips
 // under a start storm of 370 a symbol). Adding the two instead counts
-// the cold applications' starts twice — few of their frontier states
-// activate — and sent the 47-word hot fragments SpAP cuts out of DS and
-// Snort to a dense pass 20 % slower than their walk. Swept on the
-// ledger's panels and on those fragments, all of one class: at words/2
-// the fragments of Snort and Snort_L pay 10–18 % for dense steps on
-// bursts of enables that die on the next symbol, at 3/4 words PEN
-// (frontier 62 in 80 words, four in five of them activating) loses a
-// fifth; 5/8 costs either side 0–3 %. Each further class is one more
-// sweep, hence words × (4 + classes) / 8. Re-swept on the one-sweep pass,
-// which costs half what that one did: the fragments' walk has got cheaper
-// still (their bursts are pending plan states, a bit test each) and would
-// now take a higher cut, PEN a lower one; no constant serves both better
-// than this one, so it stands (DESIGN.md §8). The floor keeps tiny
-// frontiers on the sparse walk even for sub-1024-state networks where a
-// word scan is nearly free.
+// the cold applications' starts twice and sent the 47-word hot fragments
+// SpAP cuts out of DS and Snort to a dense pass slower than their walk.
+// Swept on the ledger's panels and on those fragments, 5/8 of the words
+// costs either side least, and each further class is one more sweep,
+// hence words × (4 + classes) / 8; no other constant serves PEN and the
+// fragments both better (the sweeps are in CHANGES.md). The floor keeps
+// tiny frontiers on the sparse walk even for sub-1024-state networks
+// where a word scan is nearly free.
 const minDenseCut = 16
 
 // wordBits is a set of states within one bitmap word.
@@ -189,7 +176,7 @@ type Image struct {
 	// sparse step on b, activates nothing and reports nothing. Row 256 is
 	// for no plan pending. Nil without all-input starts. Behind a pointer:
 	// 8 KiB more in the struct itself moved what is allocated after it, and
-	// the ledger's forced-dense and batch rows with it (DESIGN.md §8).
+	// the ledger's forced-dense and batch rows with it (DESIGN.md §2).
 	quiet *[257][4]uint64
 	// allInputHot lists all-input starts with a non-empty symbol set;
 	// they are enabled every cycle, hence ever-enabled by definition.

@@ -200,7 +200,7 @@ func benchKernel(b *testing.B, net *automata.Network, input []byte, k Kernel) {
 
 // BenchmarkDenseFrontier is the direction-optimizing win case: frontier ≈
 // 8k states every cycle, ~1.5% of them activating. KernelDense/KernelAuto
-// should beat KernelSparse by well over 2x (see DESIGN.md §8).
+// should beat KernelSparse by well over 2x (see DESIGN.md §3).
 func BenchmarkDenseFrontier(b *testing.B) {
 	net := denseBenchNet(8192)
 	input := benchInput(2048, 1)

@@ -193,7 +193,7 @@ func TestHasAllInputStarts(t *testing.T) {
 }
 
 // Property: ever-enabled under a prefix is a subset of ever-enabled under
-// the full input (hot-set monotonicity, invariant 7 in DESIGN.md).
+// the full input (hot-set monotonicity, DESIGN.md §4).
 func TestPropHotSetMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(123))
 	net := figure2()

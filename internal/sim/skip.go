@@ -6,12 +6,12 @@
 // fire no reporting start: the step they would take changes nothing but
 // which plan is pending. Whether it does is a function of the previous
 // symbol and this one, which Compile tabulates (Image.quiet) and Skip
-// walks, one bit a symbol. See DESIGN.md §8.
+// walks, one bit a symbol. See DESIGN.md §3.
 //
 // This file sorts after sim.go and is called from buildStartPlans on
 // purpose: LV's dense pass reads 15 % slower or faster with the addresses
 // of stepDense and denseSlow modulo 64, and code added ahead of them in
-// link order moves those (DESIGN.md §8).
+// link order moves those (DESIGN.md §2).
 package sim
 
 // buildQuiet fills the quiet table from the start plans and the cut. A

@@ -6,10 +6,9 @@
 #
 # Steps: gofmt, go vet, staticcheck and govulncheck (when installed),
 # build (native, then cross-built for darwin and windows), full test
-# suite, vet and smoke test of the bench/ module, a check that every test
-# and every internal or root package's func, type, var or const DESIGN.md
-# and README.md name exists, and every bare name they put in backticks is
-# declared somewhere in the module, a diff of the root package's API against
+# suite (with it the doc cells: every name DESIGN.md and README.md put in
+# backticks exists, and each stays under its size cap), vet and smoke test
+# of the bench/ module, a diff of the root package's API against
 # testdata/api.txt, the list of internal exports nothing but tests
 # reaches against testdata/uncalled.txt,
 # race-detector pass over the whole module, a fuzz
@@ -81,6 +80,10 @@ step "cross-build (darwin/arm64, windows)"
 GOOS=darwin GOARCH=arm64 go build ./...
 GOOS=windows go build ./...
 
+# go test includes the doc cells (docnames_test.go): every name DESIGN.md
+# and README.md put in backticks (a test, an internal or root-package
+# name, a bare identifier) must exist, and each document stays under its
+# size cap.
 step "go test"
 go test ./...
 
@@ -88,40 +91,6 @@ go test ./...
 # and test above cannot see a change breaking the ledger's imports.
 step "bench module (vet + smoke test)"
 (cd bench && go vet . && go test .)
-
-# A test the docs name must exist: a backticked Test*, Fuzz* or Benchmark*
-# name in DESIGN.md or README.md with no func in any test file fails.
-step "tests named in DESIGN.md and README.md exist"
-missing=0
-for name in $(grep -ohE '`(Test|Fuzz|Benchmark)[A-Za-z0-9_]*' DESIGN.md README.md | tr -d '`' | sort -u); do
-    grep -rqE "^func $name\(" --include='*_test.go' . \
-        || { echo "the docs name $name, which no test file defines" >&2; missing=1; }
-done
-[[ $missing -eq 0 ]] || exit 1
-
-# A backticked `pkg.Name` in the docs, pkg a package under internal/, must
-# name a func, method, type, var or const declared there (go doc finds it).
-step "internal names in DESIGN.md and README.md exist"
-for ref in $(grep -ohE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*' DESIGN.md README.md | tr -d '`' | sort -u); do
-    pkg=${ref%%.*}
-    [[ -d internal/$pkg ]] || continue
-    go doc "./internal/$pkg" "${ref#*.}" >/dev/null 2>&1 \
-        || { echo "the docs name $ref, which internal/$pkg does not declare" >&2; missing=1; }
-done
-# The same for the root package: `sparseap.Name`, `sparseap.Engine.Method`
-# and a bare `Engine.Method` (the docs write sim's as `sim.Engine.Method`).
-for ref in $(grep -ohE '`(sparseap|Engine)\.[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)?' DESIGN.md README.md | tr -d '`' | sort -u); do
-    go doc . "${ref#sparseap.}" >/dev/null 2>&1 \
-        || { echo "the docs name $ref, which the root package does not declare" >&2; missing=1; }
-done
-[[ $missing -eq 0 ]] || exit 1
-
-# A backticked bare `Name` in the docs must be declared in some Go file of
-# the module, tests included, as a func, method, type, field, const or var
-# (TestDocNamesDeclared): standard-library names are written qualified,
-# magics as strings, prose without backticks.
-step "bare names in DESIGN.md and README.md are declared"
-go test -count=1 -run '^TestDocNamesDeclared$' .
 
 # The root package's exported surface is pinned, so a change to it is a
 # reviewed diff (regenerate with: go doc -short . > testdata/api.txt).
