@@ -8,21 +8,18 @@
 // never to contribute to a report. This package computes those facts:
 //
 //   - The forward pass derives, per state, the *fire set*: the subset of
-//     the input alphabet on which the state can ever activate. A state
-//     fires on a symbol b iff b is in its match set and the state can be
-//     enabled at all — by a start kind, or by some predecessor that can
-//     itself fire. The abstraction is a join-semilattice of symbol sets
-//     (bottom = empty, join = union), and the transfer function
+//     the input alphabet on which the state can ever activate. The
+//     abstraction is a join-semilattice of symbol sets (bottom = empty,
+//     join = union) with the monotone transfer function
 //
-//     fire(s) = match(s) ∩ A        if s is a start state
-//     fire(s) = match(s) ∩ A ∩ gate if ∪_{p∈preds(s)} fire(p) ≠ ∅
-//     fire(s) = ∅                   otherwise
+//     fire(s) = match(s) ∩ A  if s is a start state or ∃ p ∈ preds(s): fire(p) ≠ ∅
+//     fire(s) = ∅             otherwise
 //
-//     is monotone, so worklist iteration converges. Iteration runs over
-//     the SCC condensation: components are processed in topological
-//     order, and only the states inside one component iterate to a local
-//     fixpoint before their successors are visited — the pass visits
-//     each acyclic region exactly once.
+//     A fire set only ever moves from ∅ to match(s) ∩ A, so the least
+//     fixpoint is a reachability question: fire(s) = match(s) ∩ A exactly
+//     for the states reachable from a start state along a path whose
+//     states all have a non-empty match(s) ∩ A. One walk over the
+//     successor lists, visiting each state at most once, finds them.
 //
 //   - The backward pass derives, per state, *liveness to report*: whether
 //     an activation of the state can contribute, through some chain of
@@ -54,26 +51,20 @@ type Facts struct {
 	// state with an empty fire set provably never activates, never
 	// reports, and never enables a successor.
 	Fire []symset.Set
-	// Enable[s] is the join of the fire sets of s's predecessors — the
-	// symbols whose occurrence (one cycle earlier) can enable s. Start
-	// states are additionally enabled by their start kind regardless of
-	// Enable; the field still records what flows in over edges.
-	Enable []symset.Set
 	// Live[s] reports whether an activation of s can contribute to a
 	// report: s can fire, and s reports or some successor is live.
 	Live []bool
-	// Iterations counts state re-evaluations of the forward fixpoint
-	// (statistics; bounded by states + states-in-cycles × alphabet).
+	// Iterations counts the states the forward walk visited
+	// (statistics; at most the number of states).
 	Iterations int
 
 	live symset.Set // union of every fire set, see LiveAlphabet
 }
 
 // Analyze runs both passes over the network under the given input
-// alphabet. topo is graph.TopoOrder(net): the forward pass walks its
-// condensation order instead of deriving one of its own. An empty alphabet
-// means the full 256-symbol alphabet (the zero value is "no restriction",
-// matching lint.Options).
+// alphabet. topo is graph.TopoOrder(net): the backward pass reads its
+// predecessor lists. An empty alphabet means the full 256-symbol alphabet
+// (the zero value is "no restriction", matching lint.Options).
 func Analyze(net *automata.Network, topo *graph.Topo, alphabet symset.Set) *Facts {
 	if alphabet.IsEmpty() {
 		alphabet = symset.All()
@@ -82,57 +73,40 @@ func Analyze(net *automata.Network, topo *graph.Topo, alphabet symset.Set) *Fact
 		Net:      net,
 		Alphabet: alphabet,
 		Fire:     make([]symset.Set, net.Len()),
-		Enable:   make([]symset.Set, net.Len()),
 		Live:     make([]bool, net.Len()),
 	}
-	f.forward(topo)
-	f.backward()
-	for _, fs := range f.Fire {
-		f.live = f.live.Union(fs)
-	}
+	f.forward()
+	f.backward(topo)
 	return f
 }
 
-// forward computes Fire and Enable by worklist iteration over the SCC
-// condensation in topological order.
-func (f *Facts) forward(topo *graph.Topo) {
+// forward computes Fire, and the live alphabet as its union, by a walk
+// from the start states that enters every successor of a state that can
+// fire, each state once.
+func (f *Facts) forward() {
 	n := f.Net
-	preds := n.Preds()
-	// eval recomputes one state's facts; returns true if Fire grew.
-	eval := func(s automata.StateID) bool {
-		st := &n.States[s]
-		var enable symset.Set
-		for _, p := range preds[s] {
-			enable = enable.Union(f.Fire[p])
+	seen := make([]bool, n.Len())
+	var stack []automata.StateID
+	for s := range n.States {
+		if n.States[s].Start != automata.StartNone {
+			seen[s] = true
+			stack = append(stack, automata.StateID(s))
 		}
-		f.Enable[s] = enable
-		fire := f.Fire[s]
-		if st.Start != automata.StartNone || !enable.IsEmpty() {
-			fire = st.Match.Intersect(f.Alphabet)
-		}
-		f.Iterations++
-		if fire.Equal(f.Fire[s]) {
-			return false
-		}
-		f.Fire[s] = fire
-		return true
 	}
-	for _, c := range topo.CompOrder {
-		ms := topo.SCC.Members(c)
-		if !topo.SCC.Cyclic[c] {
-			eval(ms[0])
-			continue
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		f.Iterations++
+		fire := n.States[u].Match.Intersect(f.Alphabet)
+		if fire.IsEmpty() {
+			continue // a state that cannot fire enables nothing
 		}
-		// Iterate the cyclic component to a local fixpoint. The lattice
-		// has height ≤ |alphabet| per state, so this terminates; in
-		// practice one extra round suffices because Fire only switches
-		// empty → match∩A.
-		for changed := true; changed; {
-			changed = false
-			for _, s := range ms {
-				if eval(s) {
-					changed = true
-				}
+		f.Fire[u] = fire
+		f.live = f.live.Union(fire)
+		for _, v := range n.States[u].Succ {
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
 			}
 		}
 	}
@@ -141,9 +115,8 @@ func (f *Facts) forward(topo *graph.Topo) {
 // backward computes Live with a reverse reachability pass restricted to
 // states that can fire: liveness propagates from firing reporting states
 // through predecessors that can themselves fire.
-func (f *Facts) backward() {
+func (f *Facts) backward(topo *graph.Topo) {
 	n := f.Net
-	preds := n.Preds()
 	var stack []automata.StateID
 	for s := 0; s < n.Len(); s++ {
 		if n.States[s].Report && !f.Fire[s].IsEmpty() {
@@ -154,7 +127,7 @@ func (f *Facts) backward() {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range preds[u] {
+		for _, p := range topo.Preds(u) {
 			if !f.Live[p] && !f.Fire[p].IsEmpty() {
 				f.Live[p] = true
 				stack = append(stack, p)

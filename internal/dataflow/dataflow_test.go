@@ -33,11 +33,13 @@ func TestForwardChain(t *testing.T) {
 			t.Errorf("Live[%d] = false, want true", s)
 		}
 	}
-	if !f.Enable[1].Equal(symset.Single('a')) {
-		t.Errorf("Enable[1] = %s, want a", f.Enable[1])
+	// Each successor fires on its own match set, not on the symbols of
+	// the predecessor that enables it.
+	if !f.Fire[1].Equal(symset.Single('b')) {
+		t.Errorf("Fire[1] = %s, want b (enabled by state 0's a)", f.Fire[1])
 	}
-	if !f.Enable[2].Equal(symset.Single('b')) {
-		t.Errorf("Enable[2] = %s, want b", f.Enable[2])
+	if !f.Fire[2].Equal(symset.Single('c')) {
+		t.Errorf("Fire[2] = %s, want c (enabled by state 1's b)", f.Fire[2])
 	}
 }
 
@@ -105,9 +107,10 @@ func TestCycleFixpoint(t *testing.T) {
 			t.Errorf("Live[%d] = false, want true", s)
 		}
 	}
-	// Enable of u joins both the start and the cycle edge.
-	if !f.Enable[u].Equal(symset.Of('a', 'c')) {
-		t.Errorf("Enable[u] = %s, want [ac]", f.Enable[u])
+	// u, enabled over both the start edge and the cycle edge, fires on
+	// its own match set.
+	if !f.Fire[u].Equal(symset.Single('b')) {
+		t.Errorf("Fire[u] = %s, want b", f.Fire[u])
 	}
 }
 
@@ -137,11 +140,9 @@ func TestSelfLoopOnlyStart(t *testing.T) {
 	m.Connect(s0, s0)
 	net := automata.NewNetwork(m)
 	f := Analyze(net, graph.TopoOrder(net), symset.Set{})
+	// The state feeds itself: its fire set is its match set, once.
 	if !f.Fire[0].Equal(symset.Single('a')) || !f.Live[0] {
 		t.Errorf("self-loop start: Fire=%s Live=%v", f.Fire[0], f.Live[0])
-	}
-	if !f.Enable[0].Equal(symset.Single('a')) {
-		t.Errorf("Enable[0] = %s, want a (its own fire set)", f.Enable[0])
 	}
 }
 

@@ -14,7 +14,11 @@ import (
 // SCCResult holds the strongly connected components of a network.
 type SCCResult struct {
 	// Comp[s] is the component number of state s. Component numbers are
-	// dense in [0, NumComps).
+	// dense in [0, NumComps) and in reverse topological order: Tarjan
+	// numbers a component after every component it reaches, so each edge
+	// between components goes from a higher number to a lower one, and an
+	// analysis that walks the numbers downward finds a component's
+	// predecessors final when it gets there.
 	Comp []int32
 	// NumComps is the number of components.
 	NumComps int
@@ -45,18 +49,15 @@ func SCC(n *automata.Network) *SCCResult {
 	const unvisited = -1
 	index := make([]int32, nn)
 	low := make([]int32, nn)
-	onStack := make([]bool, nn)
 	comp := make([]int32, nn)
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = -1
 	}
 	var (
-		stack   []int32 // Tarjan stack
+		stack   []int32 // Tarjan stack: the visited states with no component yet
 		counter int32
 		ncomp   int32
-		sizes   []int32
-		cyclic  []bool
 	)
 	// Explicit DFS stack: frame is (node, next successor index).
 	type frame struct {
@@ -73,7 +74,6 @@ func SCC(n *automata.Network) *SCCResult {
 		low[root] = counter
 		counter++
 		stack = append(stack, int32(root))
-		onStack[root] = true
 		for len(dfs) > 0 {
 			f := &dfs[len(dfs)-1]
 			v := f.v
@@ -86,10 +86,9 @@ func SCC(n *automata.Network) *SCCResult {
 					low[w] = counter
 					counter++
 					stack = append(stack, w)
-					onStack[w] = true
 					dfs = append(dfs, frame{v: w})
-				} else if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
+				} else if comp[w] < 0 && index[w] < low[v] {
+					low[v] = index[w] // w is still on the Tarjan stack
 				}
 				continue
 			}
@@ -102,31 +101,39 @@ func SCC(n *automata.Network) *SCCResult {
 				}
 			}
 			if low[v] == index[v] {
-				var size int32
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
 					comp[w] = ncomp
-					size++
 					if w == v {
 						break
 					}
 				}
-				sizes = append(sizes, size)
-				cyclic = append(cyclic, size > 1 || selfLoop(n, automata.StateID(v)))
 				ncomp++
 			}
 		}
 	}
+	// Sizes by counting; a component is cyclic when it has more than one
+	// state or its one state loops on itself.
+	sizes := make([]int32, ncomp)
+	for _, c := range comp {
+		sizes[c]++
+	}
+	cyclic := make([]bool, ncomp)
+	for s, c := range comp {
+		if sizes[c] > 1 || selfLoop(n, automata.StateID(s)) {
+			cyclic[c] = true
+		}
+	}
 	// Group states by component with a counting sort; scanning states in
-	// ID order leaves each group ascending.
+	// ID order leaves each group ascending. low is free by now and holds
+	// each group's next free slot.
 	start := make([]int32, ncomp+1)
 	for c, size := range sizes {
 		start[c+1] = start[c] + size
 	}
 	members := make([]automata.StateID, nn)
-	next := append([]int32(nil), start[:ncomp]...)
+	next := append(low[:0], start[:ncomp]...)
 	for s, c := range comp {
 		members[next[c]] = automata.StateID(s)
 		next[c]++
@@ -156,11 +163,19 @@ type Topo struct {
 	MaxPerNFA []int32
 	// SCC is the component decomposition the order was derived from.
 	SCC *SCCResult
-	// CompOrder lists every component of SCC in a topological order of
-	// the condensation: each cross-component edge goes from an earlier
-	// entry to a later one, so an analysis that walks CompOrder finds a
-	// component's predecessors final when it gets there.
-	CompOrder []int32
+
+	// Predecessors as CSR: state s's are pred[predStart[s]:predStart[s+1]].
+	pred      []automata.StateID
+	predStart []int32
+}
+
+// Preds returns the predecessors of state s in ascending ID order, one
+// entry per edge — the same list automata.Network.Preds gives, without
+// one allocation per state. The slice is shared; callers must not modify
+// it.
+func (t *Topo) Preds(s automata.StateID) []automata.StateID {
+	lo, hi := t.predStart[s], t.predStart[s+1]
+	return t.pred[lo:hi:hi]
 }
 
 // TopoOrder computes the layered topological order of Section III-A: the
@@ -168,83 +183,49 @@ type Topo struct {
 // more than the maximum order of its predecessors (sources have order 1).
 // This equals the maximum number of matching steps from a source layer.
 func TopoOrder(n *automata.Network) *Topo {
-	scc := SCC(n)
-	nc := scc.NumComps
-	// Condensation adjacency and in-degrees as CSR: one pass counts the
-	// kept edges, a second fills them. Both passes keep the same edges
-	// (dedup via marker), so c's out-edges end up in adj[adjStart[c]:
-	// adjStart[c+1]], in the order the states list them. Pass 0 counts
-	// into adjStart[c+2]; after the prefix sum adjStart[c+1] is where c
-	// begins, and pass 1, filling through it, leaves it where c ends.
-	adjStart := make([]int32, nc+2)
-	indeg := make([]int32, nc)
-	lastSeen := make([]int32, nc)
-	var adj []int32
-	for pass := 0; pass < 2; pass++ {
-		for i := range lastSeen {
-			lastSeen[i] = -1
-		}
-		for u := 0; u < n.Len(); u++ {
-			cu := scc.Comp[u]
-			for _, v := range n.States[u].Succ {
-				cv := scc.Comp[v]
-				if cu == cv {
-					continue
-				}
-				if lastSeen[cv] == cu {
-					continue // duplicate edge from this component in a row; cheap partial dedup
-				}
-				lastSeen[cv] = cu
-				if pass == 0 {
-					adjStart[cu+2]++
-					indeg[cv]++
-				} else {
-					adj[adjStart[cu+1]] = cv
-					adjStart[cu+1]++
-				}
-			}
-		}
-		if pass == 0 {
-			for c := 2; c < len(adjStart); c++ {
-				adjStart[c] += adjStart[c-1]
-			}
-			adj = make([]int32, adjStart[nc+1])
-		}
-	}
-	// Kahn's algorithm computing longest-path layers.
-	order := make([]int32, nc)
-	queue := make([]int32, 0, nc)
-	for c := 0; c < nc; c++ {
-		if indeg[c] == 0 {
-			order[c] = 1
-			queue = append(queue, int32(c))
-		}
-	}
-	// The queue is never truncated: once drained it is the order the
-	// components were released in, which is Topo.CompOrder.
-	for head := 0; head < len(queue); head++ {
-		c := queue[head]
-		for _, d := range adj[adjStart[c]:adjStart[c+1]] {
-			if order[c]+1 > order[d] {
-				order[d] = order[c] + 1
-			}
-			indeg[d]--
-			if indeg[d] == 0 {
-				queue = append(queue, int32(d))
-			}
-		}
-	}
+	nn := n.Len()
 	t := &Topo{
-		Order:     make([]int32, n.Len()),
+		Order:     make([]int32, nn),
 		MaxPerNFA: make([]int32, n.NumNFAs()),
-		SCC:       scc,
-		CompOrder: queue,
+		SCC:       SCC(n),
 	}
-	for s := 0; s < n.Len(); s++ {
-		o := order[scc.Comp[s]]
-		t.Order[s] = o
-		if nfa := n.NFAOf[s]; o > t.MaxPerNFA[nfa] {
-			t.MaxPerNFA[nfa] = o
+	// Predecessors as CSR, in two walks over the edges. Walk 0 counts into
+	// predStart[v+2]; after the prefix sum predStart[v+1] is where v's
+	// list begins, and walk 1, filling through it, leaves it where v's
+	// ends. Visiting sources in ascending ID leaves each list ascending.
+	predStart := make([]int32, nn+2)
+	for u := range n.States {
+		for _, v := range n.States[u].Succ {
+			predStart[v+2]++
+		}
+	}
+	for v := 2; v < len(predStart); v++ {
+		predStart[v] += predStart[v-1]
+	}
+	t.pred = make([]automata.StateID, predStart[nn+1])
+	for u := range n.States {
+		for _, v := range n.States[u].Succ {
+			t.pred[predStart[v+1]] = automata.StateID(u)
+			predStart[v+1]++
+		}
+	}
+	t.predStart = predStart[:nn+1]
+	// Longest-path layers, walking the components downward: every
+	// predecessor outside component c is final, and one inside it still
+	// reads 0, which bounds nothing.
+	for c := int32(t.SCC.NumComps) - 1; c >= 0; c-- {
+		ms := t.SCC.Members(c)
+		o := int32(1)
+		for _, s := range ms {
+			for _, p := range t.Preds(s) {
+				o = max(o, t.Order[p]+1)
+			}
+		}
+		for _, s := range ms {
+			t.Order[s] = o
+			if nfa := n.NFAOf[s]; o > t.MaxPerNFA[nfa] {
+				t.MaxPerNFA[nfa] = o
+			}
 		}
 	}
 	return t

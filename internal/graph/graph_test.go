@@ -250,33 +250,19 @@ func TestNormalizedDepthDegenerateLayer(t *testing.T) {
 	}
 }
 
-// Property: CompOrder is a permutation of the components in which every
-// cross-component edge goes forward — what lets an analysis walk it and
-// find each component's predecessors final.
+// Property: descending component numbers are a topological order of the
+// condensation — every cross-component edge goes from a higher number to
+// a lower one — which is what lets an analysis walk them and find each
+// component's predecessors final.
 func TestPropCompOrderIsCondensationOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 30; trial++ {
 		net := oracle.Network(r, 50)
-		nStates := net.Len()
-		tp := TopoOrder(net)
-		if len(tp.CompOrder) != tp.SCC.NumComps {
-			t.Fatalf("trial %d: CompOrder has %d entries for %d components", trial, len(tp.CompOrder), tp.SCC.NumComps)
-		}
-		pos := make([]int, tp.SCC.NumComps)
-		for i := range pos {
-			pos[i] = -1
-		}
-		for i, c := range tp.CompOrder {
-			if pos[c] != -1 {
-				t.Fatalf("trial %d: component %d listed twice", trial, c)
-			}
-			pos[c] = i
-		}
-		for u := 0; u < nStates; u++ {
+		comp := SCC(net).Comp
+		for u := range net.States {
 			for _, v := range net.States[u].Succ {
-				cu, cv := tp.SCC.Comp[u], tp.SCC.Comp[v]
-				if cu != cv && pos[cu] >= pos[cv] {
-					t.Fatalf("trial %d: edge %d->%d goes from position %d to %d", trial, u, v, pos[cu], pos[cv])
+				if cu, cv := comp[u], comp[v]; cu < cv {
+					t.Fatalf("trial %d: edge %d->%d goes from component %d to %d", trial, u, v, cu, cv)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sparseap/internal/ap"
+	"sparseap/internal/automata"
 	"sparseap/internal/graph"
 	"sparseap/internal/hotcold"
 	"sparseap/internal/workloads"
@@ -15,7 +16,10 @@ import (
 // graph.TopoOrder makes at most 128 allocations whatever the size, the
 // static partition at most one per intermediate reporting state (its
 // name) plus 256, and the NoGram worst-case bound at most two per NFA
-// plus 256.
+// plus 256. Every measured call starts from a network with its caches
+// dropped, as on a network nothing has analysed yet: that is the call a
+// program's set-up pays, and AllocsPerRun's warm-up run must not fill a
+// cache the measured run then reads for free.
 func TestSetupAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -27,14 +31,21 @@ func TestSetupAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		net := app.Net
-		topo := testing.AllocsPerRun(1, func() { graph.TopoOrder(net) })
+		topo := testing.AllocsPerRun(1, func() {
+			net.InvalidateCaches()
+			graph.TopoOrder(net)
+		})
 		var p *hotcold.Partition
 		part := testing.AllocsPerRun(1, func() {
+			net.InvalidateCaches()
 			if p, err = hotcold.BuildWithStrategy(net, hotcold.StrategyStatic, hotcold.StrategyInput{}, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
-		bound := testing.AllocsPerRun(1, func() { worstcase.Analyze(net, worstcase.Config{NoGram: true}) })
+		bound := testing.AllocsPerRun(1, func() {
+			net.InvalidateCaches()
+			worstcase.Analyze(net, worstcase.Config{NoGram: true})
+		})
 		perState := func(allocs float64) float64 { return allocs / float64(net.Len()) }
 		t.Logf("%-8s %6d states %4d NFAs: TopoOrder %6.0f (%.2f/state)  partition %6.0f (%.2f/state, %d intermediates)  worst case %6.0f (%.2f/state)",
 			abbr, net.Len(), net.NumNFAs(), topo, perState(topo), part, perState(part), p.NumIntermediate, bound, perState(bound))
@@ -46,6 +57,36 @@ func TestSetupAllocations(t *testing.T) {
 		}
 		if max := float64(2*net.NumNFAs() + 256); bound > max {
 			t.Errorf("%s: worstcase.Analyze(NoGram) made %.0f allocations, want <= %.0f", abbr, bound, max)
+		}
+	}
+}
+
+// offlineColdPanel is the app list of the ledger's offline_cold workload
+// (bench/spec.go).
+var offlineColdPanel = []string{"Snort_L", "DS", "Snort", "CAV", "TCP", "DS06"}
+
+// BenchmarkStaticPartition times the static partition the way the
+// offline_cold workload's set-up pays it: over the whole panel at the
+// ledger's scale, each network with its caches dropped first. It is the
+// in-tree counterpart of the ledger's hotcold.partition_ms row.
+func BenchmarkStaticPartition(b *testing.B) {
+	opts := hotcold.Options{Capacity: ap.DefaultConfig().Capacity}
+	nets := make([]*automata.Network, len(offlineColdPanel))
+	for i, abbr := range offlineColdPanel {
+		app, err := workloads.Build(abbr, workloads.Config{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nets[i] = app.Net
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, net := range nets {
+			net.InvalidateCaches()
+			if _, err := hotcold.BuildWithStrategy(net, hotcold.StrategyStatic, hotcold.StrategyInput{}, opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

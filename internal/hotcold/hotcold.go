@@ -268,35 +268,27 @@ func nfaOf(offsets []automata.StateID) []int32 {
 // k introduces — otherwise filled batches overshoot the capacity once the
 // intermediates are added and BaseAP mode needs an extra configuration.
 func fillBatches(net *automata.Network, topo *graph.Topo, k []int32, capacity int) {
-	// Per-NFA layer histograms, so an increment's cost is O(1). Each
-	// table is one flat array; NFA u's window in it starts at base[u] and
-	// has a slot per layer plus one.
-	layers := make([][]int32, net.NumNFAs()) // layers[u][d-1] = #states at order d
-	inter := make([][]int32, net.NumNFAs())  // inter[u][d-1] = #intermediates when k=d
-	cum := make([][]int32, net.NumNFAs())    // cum[u][d] = #states at order <= d
-	base := make([]int, net.NumNFAs()+1)
-	for u := 0; u < net.NumNFAs(); u++ {
+	// Per-NFA layer tables, so an increment's cost is O(1). Each table is
+	// one flat array; NFA u's window in it starts at base[u] and has a slot
+	// per layer plus one.
+	nu := net.NumNFAs()
+	base := make([]int, nu+1)
+	for u := 0; u < nu; u++ {
 		base[u+1] = base[u] + int(topo.MaxPerNFA[u]) + 1
 	}
-	total := base[net.NumNFAs()]
-	layersFlat, interFlat, cumFlat := make([]int32, total), make([]int32, total), make([]int32, total)
-	for u := 0; u < net.NumNFAs(); u++ {
-		lo, hi := base[u], base[u+1]
-		layers[u] = layersFlat[lo : hi-1 : hi-1]
-		inter[u] = interFlat[lo:hi:hi] // +1: diff-array slack
-		cum[u] = cumFlat[lo:hi:hi]
-	}
+	cum := make([]int32, base[nu])   // cum[base[u]+d] = #states at order <= d
+	inter := make([]int32, base[nu]) // inter[base[u]+d-1] = #intermediates when k=d
 	for s := 0; s < net.Len(); s++ {
-		layers[net.NFAOf[s]][topo.Order[s]-1]++
+		cum[base[net.NFAOf[s]]+int(topo.Order[s])]++
 	}
 	// A state v needs an intermediate exactly when some predecessor sits at
 	// or below the cut while v is above it: for k in [minPredOrder(v),
-	// order(v)-1]. Accumulate as difference arrays, then prefix-sum.
-	preds := net.Preds()
+	// order(v)-1]. Accumulate as difference arrays, then prefix-sum both
+	// tables window by window.
 	for v := 0; v < net.Len(); v++ {
 		ov := topo.Order[v]
 		mn := int32(-1)
-		for _, p := range preds[v] {
+		for _, p := range topo.Preds(automata.StateID(v)) {
 			if op := topo.Order[p]; op < ov && (mn == -1 || op < mn) {
 				mn = op
 			}
@@ -304,25 +296,21 @@ func fillBatches(net *automata.Network, topo *graph.Topo, k []int32, capacity in
 		if mn == -1 {
 			continue
 		}
-		u := net.NFAOf[v]
-		inter[u][mn-1]++
-		inter[u][ov-1]--
+		b := base[net.NFAOf[v]]
+		inter[b+int(mn)-1]++
+		inter[b+int(ov)-1]--
 	}
-	for u := range inter {
-		for d := 1; d < len(inter[u]); d++ {
-			inter[u][d] += inter[u][d-1]
+	for u := 0; u < nu; u++ {
+		for i := base[u] + 1; i < base[u+1]; i++ {
+			cum[i] += cum[i-1]
+			inter[i] += inter[i-1]
 		}
 	}
 	// frag(u, d) = states in layers 1..d plus intermediates at cut d.
-	for u := range cum {
-		for d := 0; d < len(layers[u]); d++ {
-			cum[u][d+1] = cum[u][d] + layers[u][d]
-		}
-	}
 	frag := func(u int, d int32) int {
-		f := int(cum[u][d])
-		if d < int32(len(layers[u])) { // no intermediates at the full depth
-			f += int(inter[u][d-1])
+		f := int(cum[base[u]+int(d)])
+		if d < topo.MaxPerNFA[u] { // no intermediates at the full depth
+			f += int(inter[base[u]+int(d)-1])
 		}
 		return f
 	}

@@ -6,8 +6,9 @@
 //
 // The analysis propagates expected per-cycle *activation mass* from the
 // start states through the topology as a fixpoint over the SCC
-// condensation (the same iteration scheme as internal/dataflow, but over
-// the interval lattice [0,1] instead of the symbol-set lattice):
+// condensation, on the interval lattice [0,1]. (internal/dataflow's
+// symbol-set fixpoint reduces to one reachability walk; these floats keep
+// growing around a cycle, so a cyclic component iterates.)
 //
 //	drive(s)  = 1                   if s is a start-all-input state
 //	drive(s)  = 1/horizon           if s is a start-of-data state
@@ -165,13 +166,13 @@ func Analyze(net *automata.Network, cfg Config) *Analysis {
 }
 
 // fixpoint iterates act(s) = min(1, drive + Σ act(pred)) · q(s) to
-// convergence over the SCC condensation, walking Topo.CompOrder so each
+// convergence over the SCC condensation, walking the component numbers
+// downward (a topological order, see graph.SCCResult.Comp) so each
 // component's inputs are final when it runs. A component's value depends
 // only on those final inputs, so any valid order yields the same floats.
 func (a *Analysis) fixpoint() {
 	n := a.Net
 	scc := a.Topo.SCC
-	preds := n.Preds()
 
 	drive := func(s automata.StateID) float64 {
 		switch n.States[s].Start {
@@ -184,7 +185,7 @@ func (a *Analysis) fixpoint() {
 	}
 	eval := func(s automata.StateID) float64 {
 		enable := drive(s)
-		for _, p := range preds[s] {
+		for _, p := range a.Topo.Preds(s) {
 			enable += a.Activity[p]
 		}
 		if enable > 1 {
@@ -193,7 +194,7 @@ func (a *Analysis) fixpoint() {
 		a.Iterations++
 		return enable * a.FireP[s]
 	}
-	for _, c := range a.Topo.CompOrder {
+	for c := int32(scc.NumComps) - 1; c >= 0; c-- {
 		ms := scc.Members(c)
 		if !scc.Cyclic[c] {
 			a.Activity[ms[0]] = eval(ms[0])
@@ -222,7 +223,6 @@ func (a *Analysis) fixpoint() {
 // scoreAll combines activity and structural features into Score.
 func (a *Analysis) scoreAll() {
 	n := a.Net
-	preds := n.Preds()
 	scc := a.Topo.SCC
 	w := a.Cfg.Weights
 	for s := 0; s < n.Len(); s++ {
@@ -235,11 +235,17 @@ func (a *Analysis) scoreAll() {
 		if scc.Cyclic[scc.Comp[s]] {
 			cyc = 1
 		}
+		// The default weights give entropy none: skip the logarithms.
+		// The term is then +0, as w.Entropy × H(q) would be.
+		entropy := 0.0
+		if w.Entropy != 0 {
+			entropy = w.Entropy * binaryEntropy(q)
+		}
 		score := w.Activity*sat +
 			w.Depth*(1-depth) +
 			w.Width*q +
-			w.Entropy*binaryEntropy(q) +
-			w.FanIn*squashDegree(len(preds[s])) +
+			entropy +
+			w.FanIn*squashDegree(len(a.Topo.Preds(id))) +
 			w.FanOut*squashDegree(len(n.States[s].Succ)) +
 			w.Cycle*cyc +
 			w.Bias
