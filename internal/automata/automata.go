@@ -221,15 +221,13 @@ type Network struct {
 	// extra trailing entry equal to len(States).
 	Offsets []StateID
 
-	preds [][]StateID // lazily built by Preds
-
 	// exec caches a compiled execution image derived from this network.
 	// The slot is opaque here — it is owned by internal/sim, which stores
 	// its flattened CSR image through ExecImage/StoreExecImage so every
 	// engine over the same network shares one read-only compilation. The
 	// slot is atomic because simulators compile lazily from concurrent
-	// worker goroutines; it is cleared on any structural mutation
-	// (Append, InvalidateCaches).
+	// worker goroutines; Append clears it. Mutate States in place only
+	// on a Clone, or clear the slot with StoreExecImage(nil).
 	exec atomic.Pointer[execBox]
 }
 
@@ -293,7 +291,6 @@ func (n *Network) Append(m *NFA) int {
 		n.NFAOf = append(n.NFAOf, int32(idx))
 	}
 	n.Offsets = append(n.Offsets, StateID(len(n.States)))
-	n.preds = nil
 	n.exec.Store(nil)
 	return idx
 }
@@ -317,39 +314,6 @@ func (n *Network) NFASize(i int) int {
 // NFAStates returns the global ID range [lo, hi) of NFA i.
 func (n *Network) NFAStates(i int) (lo, hi StateID) {
 	return n.Offsets[i], n.Offsets[i+1]
-}
-
-// Preds returns the predecessor lists, computing and caching them on first
-// use. The caller must not mutate the result.
-func (n *Network) Preds() [][]StateID {
-	if n.preds != nil {
-		return n.preds
-	}
-	preds := make([][]StateID, n.Len())
-	deg := make([]int32, n.Len())
-	for _, s := range n.States {
-		for _, v := range s.Succ {
-			deg[v]++
-		}
-	}
-	for i := range preds {
-		if deg[i] > 0 {
-			preds[i] = make([]StateID, 0, deg[i])
-		}
-	}
-	for u := range n.States {
-		for _, v := range n.States[u].Succ {
-			preds[v] = append(preds[v], StateID(u))
-		}
-	}
-	n.preds = preds
-	return preds
-}
-
-// InvalidateCaches drops derived data (predecessors) after a mutation.
-func (n *Network) InvalidateCaches() {
-	n.preds = nil
-	n.exec.Store(nil)
 }
 
 // StructuralProblems returns every structural invariant violation of the

@@ -93,24 +93,6 @@ func TestNetworkAppend(t *testing.T) {
 	}
 }
 
-func TestPreds(t *testing.T) {
-	n := NewNetwork(chain(t))
-	p := n.Preds()
-	if len(p[0]) != 0 {
-		t.Errorf("state 0 preds = %v", p[0])
-	}
-	if len(p[1]) != 1 || p[1][0] != 0 {
-		t.Errorf("state 1 preds = %v", p[1])
-	}
-	if len(p[2]) != 1 || p[2][0] != 1 {
-		t.Errorf("state 2 preds = %v", p[2])
-	}
-	// Cached pointer identity.
-	if &p[0] != &n.Preds()[0] {
-		t.Error("Preds not cached")
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	m := chain(t)
 	m.States[0].Start = StartOfData

@@ -13,13 +13,13 @@ import (
 )
 
 // naiveFacts solves both analyses by their definitions: from bottom, sweep
-// every state of the network, reading predecessors from
-// automata.Network.Preds, until no fire set and no liveness bit changes.
+// every state of the network, reading predecessors from oracle.Preds,
+// until no fire set and no liveness bit changes.
 func naiveFacts(net *automata.Network, alphabet symset.Set) ([]symset.Set, []bool) {
 	if alphabet.IsEmpty() {
 		alphabet = symset.All()
 	}
-	preds := net.Preds()
+	preds := oracle.Preds(net)
 	fire := make([]symset.Set, net.Len())
 	for changed := true; changed; {
 		changed = false

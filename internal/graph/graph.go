@@ -170,9 +170,8 @@ type Topo struct {
 }
 
 // Preds returns the predecessors of state s in ascending ID order, one
-// entry per edge — the same list automata.Network.Preds gives, without
-// one allocation per state. The slice is shared; callers must not modify
-// it.
+// entry per edge, cut from one array for the whole network. The slice is
+// shared; callers must not modify it.
 func (t *Topo) Preds(s automata.StateID) []automata.StateID {
 	lo, hi := t.predStart[s], t.predStart[s+1]
 	return t.pred[lo:hi:hi]

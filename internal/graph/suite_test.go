@@ -11,15 +11,15 @@ import (
 	"sparseap/internal/workloads"
 )
 
-// TestTopoPredsMatchNetworkPreds holds the CSR predecessor lists TopoOrder
-// builds to automata.Network.Preds, element for element, on generator
-// draws (duplicate edges, self-loops, edges into starts) and on the suite.
-func TestTopoPredsMatchNetworkPreds(t *testing.T) {
+// TestTopoPredsMatchOracle holds the CSR predecessor lists TopoOrder
+// builds to oracle.Preds, element for element, on generator draws
+// (duplicate edges, self-loops, edges into starts) and on the suite.
+func TestTopoPredsMatchOracle(t *testing.T) {
 	check := func(name string, net *automata.Network) {
 		topo := graph.TopoOrder(net)
-		for s, want := range net.Preds() {
+		for s, want := range oracle.Preds(net) {
 			if got := topo.Preds(automata.StateID(s)); !slices.Equal(got, want) {
-				t.Fatalf("%s: Topo.Preds(%d) = %v, Network.Preds()[%d] = %v", name, s, got, s, want)
+				t.Fatalf("%s: Topo.Preds(%d) = %v, oracle.Preds(net)[%d] = %v", name, s, got, s, want)
 			}
 		}
 	}

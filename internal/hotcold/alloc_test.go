@@ -16,10 +16,10 @@ import (
 // graph.TopoOrder makes at most 128 allocations whatever the size, the
 // static partition at most one per intermediate reporting state (its
 // name) plus 256, and the NoGram worst-case bound at most two per NFA
-// plus 256. Every measured call starts from a network with its caches
-// dropped, as on a network nothing has analysed yet: that is the call a
-// program's set-up pays, and AllocsPerRun's warm-up run must not fill a
-// cache the measured run then reads for free.
+// plus 256. The network caches nothing these analyses compute (its one
+// cache is the execution image, which none of them compiles), so
+// AllocsPerRun's warm-up run leaves nothing for the measured run to read
+// for free: each measured call is the cold call a program's set-up pays.
 func TestSetupAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -32,18 +32,15 @@ func TestSetupAllocations(t *testing.T) {
 		}
 		net := app.Net
 		topo := testing.AllocsPerRun(1, func() {
-			net.InvalidateCaches()
 			graph.TopoOrder(net)
 		})
 		var p *hotcold.Partition
 		part := testing.AllocsPerRun(1, func() {
-			net.InvalidateCaches()
 			if p, err = hotcold.BuildWithStrategy(net, hotcold.StrategyStatic, hotcold.StrategyInput{}, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
 		bound := testing.AllocsPerRun(1, func() {
-			net.InvalidateCaches()
 			worstcase.Analyze(net, worstcase.Config{NoGram: true})
 		})
 		perState := func(allocs float64) float64 { return allocs / float64(net.Len()) }
@@ -67,8 +64,9 @@ var offlineColdPanel = []string{"Snort_L", "DS", "Snort", "CAV", "TCP", "DS06"}
 
 // BenchmarkStaticPartition times the static partition the way the
 // offline_cold workload's set-up pays it: over the whole panel at the
-// ledger's scale, each network with its caches dropped first. It is the
-// in-tree counterpart of the ledger's hotcold.partition_ms row.
+// ledger's scale. A network holds nothing the partition computes, so
+// every iteration pays the whole of it. It is the in-tree counterpart of
+// the ledger's hotcold.partition_ms row.
 func BenchmarkStaticPartition(b *testing.B) {
 	opts := hotcold.Options{Capacity: ap.DefaultConfig().Capacity}
 	nets := make([]*automata.Network, len(offlineColdPanel))
@@ -83,7 +81,6 @@ func BenchmarkStaticPartition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, net := range nets {
-			net.InvalidateCaches()
 			if _, err := hotcold.BuildWithStrategy(net, hotcold.StrategyStatic, hotcold.StrategyInput{}, opts); err != nil {
 				b.Fatal(err)
 			}

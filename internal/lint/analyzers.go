@@ -246,7 +246,7 @@ var analyzerRedundant = &Analyzer{
 	NeedsSound: true,
 	Run: func(p *Pass, a *Analyzer) []Diagnostic {
 		n := p.Net
-		preds := n.Preds()
+		topo := p.Topo()
 		// Key each non-reporting state by (match, start, sorted preds,
 		// sorted succs); states sharing a key are enabled on exactly the
 		// same cycles and activate exactly the same targets, so one STE
@@ -280,7 +280,7 @@ var analyzerRedundant = &Analyzer{
 				continue
 			}
 			k := key{match: st.Match, start: st.Start,
-				pred: idList(preds[s]), succ: idList(st.Succ)}
+				pred: idList(topo.Preds(automata.StateID(s))), succ: idList(st.Succ)}
 			if f, dup := first[k]; dup {
 				out = append(out, p.stateDiag(a, Info, automata.StateID(s),
 					fmt.Sprintf("structurally identical to state %d", f),

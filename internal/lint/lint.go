@@ -291,7 +291,7 @@ func (p *Pass) CoReach() []bool {
 	if p.coreach == nil {
 		n := p.Net
 		co := make([]bool, n.Len())
-		preds := n.Preds()
+		topo := p.Topo()
 		var stack []automata.StateID
 		for s := range n.States {
 			if n.States[s].Report {
@@ -302,7 +302,7 @@ func (p *Pass) CoReach() []bool {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, v := range preds[u] {
+			for _, v := range topo.Preds(u) {
 				if !co[v] {
 					co[v] = true
 					stack = append(stack, v)

@@ -1,7 +1,9 @@
 // Package oracle is what the executors are tested against: Run, a
 // set-based interpreter of a network that shares nothing with the compiled
 // kernels, and Network and Input, one generator of the networks and inputs
-// the tests draw. Only tests import it.
+// the tests draw, and Preds, the plain inversion of the successor lists
+// that the predecessor lists built elsewhere are checked against. Only
+// tests import it.
 package oracle
 
 import (
@@ -36,6 +38,18 @@ type Result struct {
 	// Frontier is the number of dynamically enabled states after each
 	// symbol: all-input starts are enabled by their kind and not counted.
 	Frontier []int
+}
+
+// Preds inverts the successor lists: Preds(net)[v] lists every u with an
+// edge u→v, once per listing, in ascending u.
+func Preds(net *automata.Network) [][]automata.StateID {
+	preds := make([][]automata.StateID, net.Len())
+	for u := range net.States {
+		for _, v := range net.States[u].Succ {
+			preds[v] = append(preds[v], automata.StateID(u))
+		}
+	}
+	return preds
 }
 
 // Reports is Run's reports as the caller's report type: sim.Report, or any

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/graph"
 	"sparseap/internal/symset"
 )
 
@@ -121,7 +122,7 @@ func CheckCerts(net *automata.Network, certs []Cert, alphabet symset.Set) error 
 		}
 	}
 
-	preds := net.Preds()
+	topo := graph.TopoOrder(net)
 	dupBudget := make(map[[2]automata.StateID]int)
 	classOf := make(map[automata.StateID]int) // state -> cert index of its class
 
@@ -137,7 +138,7 @@ func CheckCerts(net *automata.Network, certs []Cert, alphabet symset.Set) error 
 			if st.Start != automata.StartNone {
 				return fmt.Errorf("rewrite: cert %s: start state with non-empty match", c)
 			}
-			for _, p := range preds[c.State] {
+			for _, p := range topo.Preds(c.State) {
 				if !unreach[p] {
 					return fmt.Errorf("rewrite: cert %s: predecessor %d is not certified unreachable", c, p)
 				}
@@ -181,7 +182,7 @@ func CheckCerts(net *automata.Network, certs []Cert, alphabet symset.Set) error 
 			}
 
 		case CertSubsumed:
-			if err := checkSubsumed(net, alphabet, c, removed); err != nil {
+			if err := checkSubsumed(net, topo, alphabet, c, removed); err != nil {
 				return err
 			}
 
@@ -220,7 +221,7 @@ func CheckCerts(net *automata.Network, certs []Cert, alphabet symset.Set) error 
 	}
 	predClasses := func(s automata.StateID) []int {
 		set := make(map[int]struct{})
-		for _, p := range preds[s] {
+		for _, p := range topo.Preds(s) {
 			if unreach[p] {
 				continue // certified never-firing; cannot affect enabling
 			}
@@ -272,7 +273,7 @@ func CheckCerts(net *automata.Network, certs []Cert, alphabet symset.Set) error 
 // would. Self-references are compared under the substitution u ↦ v, which
 // makes the condition inductive over input positions even through
 // self-loops.
-func checkSubsumed(net *automata.Network, alphabet symset.Set, c Cert, removed map[automata.StateID]bool) error {
+func checkSubsumed(net *automata.Network, topo *graph.Topo, alphabet symset.Set, c Cert, removed map[automata.StateID]bool) error {
 	u, v := c.State, c.Into
 	if v < 0 || int(v) >= net.Len() || u == v {
 		return fmt.Errorf("rewrite: cert %s: bad subsumer", c)
@@ -291,8 +292,7 @@ func checkSubsumed(net *automata.Network, alphabet symset.Set, c Cert, removed m
 	if !mu.Intersect(sv.Match).Equal(mu) {
 		return fmt.Errorf("rewrite: cert %s: match %s not contained in %s", c, su.Match, sv.Match)
 	}
-	preds := net.Preds()
-	if !subsetSub(preds[u], preds[v], u, v) {
+	if !subsetSub(topo.Preds(u), topo.Preds(v), u, v) {
 		return fmt.Errorf("rewrite: cert %s: predecessors not covered", c)
 	}
 	if !subsetSub(su.Succ, sv.Succ, u, v) {

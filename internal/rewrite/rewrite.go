@@ -246,6 +246,7 @@ func perNFADeltas(orig *automata.Network, res *Result) []NFADelta {
 type plan struct {
 	net   *automata.Network
 	opts  Options
+	topo  *graph.Topo
 	facts *dataflow.Facts
 
 	removed    []bool               // unreachable ∪ dead ∪ subsumed
@@ -295,10 +296,12 @@ func (p *plan) tally(st *Stats) {
 // deletions, subsumption, redundant-edge pruning, and capacity-guarded
 // bisimulation merging, each emitting its certificate.
 func planRewrite(net *automata.Network, opts Options) *plan {
+	topo := graph.TopoOrder(net)
 	p := &plan{
 		net:        net,
 		opts:       opts,
-		facts:      dataflow.Analyze(net, graph.TopoOrder(net), opts.Alphabet),
+		topo:       topo,
+		facts:      dataflow.Analyze(net, topo, opts.Alphabet),
 		removed:    make([]bool, net.Len()),
 		removeKind: make([]CertKind, net.Len()),
 	}
@@ -377,7 +380,6 @@ func (p *plan) remove(s automata.StateID, kind CertKind, into automata.StateID) 
 // small groups.
 func (p *plan) planSubsumption() {
 	net := p.net
-	preds := net.Preds()
 	alpha := p.opts.alphabet()
 
 	type member struct {
@@ -395,11 +397,9 @@ func (p *plan) planSubsumption() {
 		}
 		id := automata.StateID(s)
 		m := member{id: id}
-		ps := append([]automata.StateID(nil), preds[s]...)
-		sort.Slice(ps, func(a, b int) bool { return ps[a] < ps[b] })
 		keyBuf = keyBuf[:0]
 		last := automata.None
-		for _, q := range ps {
+		for _, q := range p.topo.Preds(id) { // ascending: a duplicate follows its first
 			if q == id {
 				m.selfPred = true
 				continue
@@ -489,7 +489,6 @@ func (p *plan) planSubsumption() {
 // unless the capacity guard demotes them.
 func (p *plan) planMerge() {
 	net := p.net
-	preds := net.Preds()
 	alpha := p.opts.alphabet()
 	n := net.Len()
 	if n == 0 {
@@ -536,7 +535,7 @@ func (p *plan) planMerge() {
 			rk := refineKey{old: group[s]}
 			if net.States[s].Start != automata.StartAllInput {
 				buf = buf[:0]
-				for _, q := range preds[s] {
+				for _, q := range p.topo.Preds(automata.StateID(s)) {
 					if p.facts.Unreachable(q) {
 						continue // never fires; cannot affect enabling
 					}

@@ -196,7 +196,7 @@ type Image struct {
 
 // Compile flattens net into an execution image. The image references the
 // network's structure as of this call; mutate the network only through
-// paths that clear the cache (Append, InvalidateCaches) or on a Clone.
+// Append, which clears the cache, or on a Clone.
 func Compile(net *automata.Network) *Image {
 	n := net.Len()
 	words := (n + 63) / 64

@@ -204,7 +204,7 @@ func (pl *peeler) degeneracy(adj []uint64, m int) int {
 	deg, pos, vert := pl.deg[:m], pl.pos[:m], pl.vert[:m]
 	maxDeg := int32(0)
 	for v := range deg {
-		deg[v] = int32(countBits(adj, v*m, (v+1)*m))
+		deg[v] = int32(countRange(adj, v*m, (v+1)*m))
 		maxDeg = max(maxDeg, deg[v])
 	}
 	// Counting sort of the vertices by degree (a vertex has at most m-1
@@ -254,22 +254,4 @@ func (pl *peeler) degeneracy(adj []uint64, m int) int {
 		}
 	}
 	return int(k)
-}
-
-// countBits counts the set bits of the bitmap in bit interval [lo, hi).
-func countBits(bm []uint64, lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << (uint(lo) & 63)
-	hiMask := ^uint64(0) >> (63 - (uint(hi-1) & 63))
-	if loW == hiW {
-		return bits.OnesCount64(bm[loW] & loMask & hiMask)
-	}
-	cnt := bits.OnesCount64(bm[loW] & loMask)
-	for w := loW + 1; w < hiW; w++ {
-		cnt += bits.OnesCount64(bm[w])
-	}
-	return cnt + bits.OnesCount64(bm[hiW]&hiMask)
 }

@@ -164,6 +164,11 @@ type Analysis struct {
 	words    int
 	// rawCnt[b] = |F_b|, cached for the bigram pass' skip tests.
 	rawCnt [256]int
+	// srcs, allIn and maxDeg are what the bigram and k-gram passes read
+	// besides the rows above, built once by startRows (nil when NoGram).
+	srcs   [][]uint64
+	allIn  []uint64
+	maxDeg int
 	// gramBudget is the layer-3 work cap (Config.GramBudget or default).
 	gramBudget int64
 }
@@ -276,6 +281,7 @@ func Analyze(net *automata.Network, cfg Config) *Analysis {
 	a.BoundGram = a.BoundPair
 	a.PeakSymbol = pairSym
 	if !cfg.NoGram {
+		a.startRows()
 		if bg, sym, improved := a.kgramFrontier(); improved {
 			a.BoundGram = bg
 			a.PeakSymbol = sym
@@ -286,7 +292,7 @@ func Analyze(net *automata.Network, cfg Config) *Analysis {
 		a.FrontierBound = a.StartWidth
 	}
 
-	a.ReportBound, a.ReportSymbol = a.reportBound(a.reportMask())
+	a.ReportBound, a.ReportSymbol = a.ReportBoundFor(func(automata.StateID) bool { return true })
 	return a
 }
 
@@ -322,10 +328,8 @@ const (
 type kgram struct {
 	a         *Analysis
 	img       *sim.Image
-	allIn     []uint64
 	order     []byte // live symbols, descending |F_b|
-	amax      int    // A: max_b |allInput ∩ fire_b|
-	dmax      int    // D: max tracked out-degree
+	amax      int    // A: max_b |allInput ∩ fire_b|; D is a.maxDeg
 	budget    int64
 	best      int
 	bestSym   byte
@@ -343,12 +347,9 @@ func (a *Analysis) kgramFrontier() (bound int, sym byte, improved bool) {
 	if a.BoundPair == 0 {
 		return 0, 0, false
 	}
-	_, allIn, maxDeg := a.bigramSources()
 	kg := &kgram{
 		a:         a,
 		img:       a.image(),
-		allIn:     allIn,
-		dmax:      maxDeg,
 		budget:    a.gramBudget,
 		threshold: a.BoundPair,
 		act:       make([]uint64, a.words),
@@ -361,18 +362,11 @@ func (a *Analysis) kgramFrontier() (bound int, sym byte, improved bool) {
 		if a.rawCnt[b] > 0 || anyWord(a.fire[b]) {
 			kg.order = append(kg.order, byte(b))
 		}
-		if n := countAnd(allIn, a.fire[b]); n > kg.amax {
+		if n := countAnd(a.allIn, a.fire[b]); n > kg.amax {
 			kg.amax = n
 		}
 	}
 	sortByRawCntDesc(kg.order, &a.rawCnt)
-	sod := make([]uint64, a.words)
-	for s := 0; s < a.Net.Len(); s++ {
-		if a.Net.States[s].Start == automata.StartOfData {
-			sod[s>>6] |= 1 << (uint(s) & 63)
-		}
-	}
-	sodCnt := popcount(sod)
 
 	for K := 2; K <= maxGram; K++ {
 		kg.best, kg.bestSym, kg.aborted = 0, 0, false
@@ -389,7 +383,7 @@ func (a *Analysis) kgramFrontier() (bound int, sym byte, improved bool) {
 		}
 		// Y-tree: start-anchored chains cover inputs shorter than K.
 		if !kg.aborted && !kg.exhausted {
-			kg.dfs(sod, sodCnt, 0, K, true, 0)
+			kg.dfs(a.srcs[0], a.StartWidth, 0, K, true, 0)
 		}
 		if kg.exhausted || kg.aborted || kg.best >= kg.threshold {
 			break
@@ -432,7 +426,7 @@ func (kg *kgram) dfs(x []uint64, xcnt, depthIdx, K int, anchored bool, lastSym b
 		}
 		actN := 0
 		for w := range kg.act {
-			word := (x[w] | kg.allIn[w]) & fire[w]
+			word := (x[w] | a.allIn[w]) & fire[w]
 			kg.act[w] = word
 			actN += bits.OnesCount64(word)
 		}
@@ -444,7 +438,7 @@ func (kg *kgram) dfs(x []uint64, xcnt, depthIdx, K int, anchored bool, lastSym b
 		if actN == 0 {
 			continue
 		}
-		childCap := actN * kg.dmax
+		childCap := actN * a.maxDeg
 		if a.rawCnt[b] < childCap {
 			childCap = a.rawCnt[b]
 		}
@@ -470,7 +464,7 @@ func (kg *kgram) grow(x, r int) int {
 		if x > kg.threshold { // already past any useful comparison
 			return x
 		}
-		x = (x + kg.amax) * kg.dmax
+		x = (x + kg.amax) * kg.a.maxDeg
 	}
 	return x
 }
@@ -554,16 +548,15 @@ func (a *Analysis) reportBound(mask []uint64) (bound int, sym byte) {
 		}
 		return bound, sym
 	}
-	srcs, allIn, _ := a.bigramSources()
 	for b := 0; b < 256; b++ {
 		fire := a.fire[b]
 		if !anyWord(fire) {
 			continue
 		}
-		for _, src := range srcs {
+		for _, src := range a.srcs {
 			cnt := 0
 			for w := range fire {
-				cnt += bits.OnesCount64((src[w] | allIn[w]) & fire[w] & mask[w])
+				cnt += bits.OnesCount64((src[w] | a.allIn[w]) & fire[w] & mask[w])
 			}
 			if cnt > bound {
 				bound, sym = cnt, byte(b)
@@ -573,14 +566,16 @@ func (a *Analysis) reportBound(mask []uint64) (bound int, sym byte) {
 	return bound, sym
 }
 
-// bigramSources returns the source rows of the bigram sweep — the
-// start-of-data row followed by every non-empty F_a — plus the all-input
-// start bitmap (ORed into every source: those states are enabled in
-// every cycle) and the largest tracked out-degree.
-func (a *Analysis) bigramSources() (srcs [][]uint64, allIn []uint64, maxDeg int) {
+// startRows builds the source rows of the bigram sweep — the
+// start-of-data row (srcs[0], the k-gram pass' anchor) followed by every
+// non-empty F_a — plus the all-input start row (ORed into every source:
+// those states are enabled in every cycle) and the largest tracked
+// out-degree.
+func (a *Analysis) startRows() {
 	net := a.Net
 	sod := make([]uint64, a.words)
-	allIn = make([]uint64, a.words)
+	allIn := make([]uint64, a.words)
+	maxDeg := 0
 	for s := 0; s < net.Len(); s++ {
 		switch net.States[s].Start {
 		case automata.StartOfData:
@@ -598,26 +593,13 @@ func (a *Analysis) bigramSources() (srcs [][]uint64, allIn []uint64, maxDeg int)
 			maxDeg = deg
 		}
 	}
-	srcs = append(srcs, sod)
+	srcs := [][]uint64{sod}
 	for b := 0; b < 256; b++ {
 		if a.rawCnt[b] > 0 {
 			srcs = append(srcs, a.frontier[b])
 		}
 	}
-	return srcs, allIn, maxDeg
-}
-
-// reportMask builds the bitmap of states that both report and can fire;
-// states that provably never activate cannot contribute to any cycle's
-// report count.
-func (a *Analysis) reportMask() []uint64 {
-	mask := make([]uint64, a.words)
-	for s := 0; s < a.Net.Len(); s++ {
-		if a.Net.States[s].Report && !a.Facts.Fire[s].IsEmpty() {
-			mask[s>>6] |= 1 << (uint(s) & 63)
-		}
-	}
-	return mask
+	a.srcs, a.allIn, a.maxDeg = srcs, allIn, maxDeg
 }
 
 // FrontierFraction is FrontierBound over the trackable state count — the
@@ -632,6 +614,8 @@ func (a *Analysis) FrontierFraction() float64 {
 // ReportBoundFor recomputes the per-cycle report bound counting only the
 // reporting states selected by include — spap's pre-flight bounds
 // intermediate reports (cut stand-ins) separately from original ones.
+// States that provably never activate are left out whatever include
+// says: they cannot contribute to any cycle's report count.
 func (a *Analysis) ReportBoundFor(include func(automata.StateID) bool) (bound int, sym byte) {
 	mask := make([]uint64, a.words)
 	for s := 0; s < a.Net.Len(); s++ {
