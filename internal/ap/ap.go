@@ -40,10 +40,6 @@ type Config struct {
 	// (each extra same-position report stalls a cycle); higher values
 	// model a wider enable decoder for sensitivity studies.
 	EnablePorts int
-	// ReconfigNS is the board reconfiguration latency (50 ms in the
-	// paper); the evaluation excludes it, as the paper does, but the
-	// model exposes it for sensitivity studies.
-	ReconfigNS float64
 }
 
 // DefaultConfig returns the paper's half-core scaled by 1/8: 3K STEs with
@@ -57,7 +53,6 @@ func DefaultConfig() Config {
 		STEsPerRow:     16,
 		ReportQueueLen: 128,
 		EnablePorts:    1,
-		ReconfigNS:     50e6,
 	}
 }
 

@@ -28,7 +28,7 @@
 //     live iff it can fire and some successor is live.
 //
 // Everything downstream consumes these facts: the semantic lint analyzers
-// (AP017–AP022) report them, and internal/rewrite's proof-carrying
+// (AP017, AP019–AP021) report them, and internal/rewrite's proof-carrying
 // transformations are justified by them.
 package dataflow
 

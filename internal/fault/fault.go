@@ -96,17 +96,14 @@ type Plan struct {
 	// LoadFailRate is the per-attempt probability that a batch
 	// configuration fails to load.
 	LoadFailRate float64
-	// MaxLoadRetries bounds consecutive reload attempts per batch before
-	// the run errors out; 0 means DefaultMaxLoadRetries.
-	MaxLoadRetries int
 	// CrashRate is the per-symbol probability of a hard process crash
 	// (checked only by checkpointed execution loops; see Injector.CrashAt).
 	CrashRate float64
 }
 
-// DefaultMaxLoadRetries is the reload attempt cap when Plan.MaxLoadRetries
-// is zero.
-const DefaultMaxLoadRetries = 8
+// MaxLoadRetries bounds consecutive reload attempts per batch before the
+// run errors out with ErrConfigLoad.
+const MaxLoadRetries = 8
 
 // Active reports whether any fault class has a nonzero rate.
 func (p Plan) Active() bool {
@@ -219,14 +216,6 @@ func (in *Injector) LoadFails(batch, attempt int) bool {
 		return false
 	}
 	return in.hash(domLoad, uint64(batch)<<20|uint64(attempt)) < in.plan.LoadFailRate
-}
-
-// MaxLoadRetries returns the effective reload cap.
-func (in *Injector) MaxLoadRetries() int {
-	if in == nil || in.plan.MaxLoadRetries == 0 {
-		return DefaultMaxLoadRetries
-	}
-	return in.plan.MaxLoadRetries
 }
 
 // CrashAt reports whether the chaos plan kills the process before input

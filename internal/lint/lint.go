@@ -31,7 +31,6 @@ import (
 	"sparseap/internal/dataflow"
 	"sparseap/internal/graph"
 	"sparseap/internal/hotness"
-	"sparseap/internal/rewrite"
 	"sparseap/internal/symset"
 	"sparseap/internal/worstcase"
 )
@@ -192,12 +191,9 @@ type Options struct {
 	// drops weaker diagnostics from the ones that run. The zero value
 	// (Info) runs everything.
 	MinSeverity Severity
-	// ReportBudget overrides the intermediate-report density the AP016
-	// analyzer warns above; 0 means DefaultReportBudget.
-	ReportBudget float64
 	// Alphabet is the assumed input alphabet for the semantic analyzers
-	// (AP017–AP022) and the rewriter; the zero value means the full
-	// 256-symbol alphabet.
+	// (AP017–AP021) and the hotness and worst-case ones that read their
+	// facts; the zero value means the full 256-symbol alphabet.
 	Alphabet symset.Set
 }
 
@@ -239,9 +235,6 @@ type Pass struct {
 	coreach      []bool
 	facts        *dataflow.Facts
 	hot          *hotness.Analysis
-	opt          *rewrite.Result
-	optErr       error
-	optDone      bool
 	wc           *worstcase.Analysis
 	wcWit        *worstcase.Witness
 	wcRep        *worstcase.Replay
@@ -369,25 +362,6 @@ func (p *Pass) WorstCaseWitness() (*worstcase.Witness, *worstcase.Replay) {
 		p.wcWitDone = true
 	}
 	return p.wcWit, p.wcRep
-}
-
-// RewriteOptions returns the rewriter configuration matching this run's
-// options: same alphabet, capacity guard at the configured half-core
-// capacity (rewrite.DefaultCapacity when unset).
-func (p *Pass) RewriteOptions() rewrite.Options {
-	return rewrite.Options{Alphabet: p.Opts.Alphabet, Capacity: p.Opts.Capacity}
-}
-
-// Optimized returns the result of a dry rewrite of the network under
-// RewriteOptions, computed once. The network is not modified — analyzers
-// use the result to report what a rewrite would save. Callers must only
-// use it from NeedsSound analyzers.
-func (p *Pass) Optimized() (*rewrite.Result, error) {
-	if !p.optDone {
-		p.opt, p.optErr = rewrite.Rewrite(p.Net, p.RewriteOptions())
-		p.optDone = true
-	}
-	return p.opt, p.optErr
 }
 
 // stateDiag builds a state-level diagnostic, filling NFA index and name

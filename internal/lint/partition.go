@@ -85,10 +85,6 @@ var analyzerReportDensity = &Analyzer{
 	NeedsPartition: true,
 	Run: func(p *Pass, a *Analyzer) []Diagnostic {
 		pi := p.Part
-		budget := p.Opts.ReportBudget
-		if budget <= 0 {
-			budget = DefaultReportBudget
-		}
 		var alphabet symset.Set
 		for i := range pi.Hot.States {
 			alphabet = alphabet.Union(pi.Hot.States[i].Match)
@@ -126,13 +122,13 @@ var analyzerReportDensity = &Analyzer{
 		for iv := range pi.Intermediate {
 			density += pAct[iv]
 		}
-		if density <= budget {
+		if density <= DefaultReportBudget {
 			return nil
 		}
 		return []Diagnostic{{Code: a.Code, Severity: Warning,
 			NFA: -1, State: automata.None,
 			Msg: fmt.Sprintf("predicted intermediate-report density %.3f reports/symbol exceeds the %.2f budget (%d intermediates, %d-symbol live alphabet)",
-				density, budget, len(pi.Intermediate), live),
+				density, DefaultReportBudget, len(pi.Intermediate), live),
 			Fix: "widen the partition layer k, raise the profiling fraction, or execute under the adaptive guard (RunGuarded)"}}
 	},
 }

@@ -203,11 +203,6 @@ func TestAP016StormPronePartition(t *testing.T) {
 	if res.Counts()["AP016"] == 0 {
 		t.Errorf("expected AP016 on a storm-prone partition, got %v", res.Diags)
 	}
-	// A generous explicit budget silences it.
-	res = lint.RunPartition(part.LintInfo(), lint.Options{Enable: []string{"AP016"}, ReportBudget: 2})
-	if res.Counts()["AP016"] != 0 {
-		t.Errorf("expected no AP016 under a 2.0 budget, got %v", res.Diags)
-	}
 }
 
 func TestAP016HealthyPartition(t *testing.T) {

@@ -1,26 +1,26 @@
-// Semantic analyzers AP017–AP022: findings derived from the dataflow
-// fixpoint facts (internal/dataflow) and the proof-carrying rewriter
-// (internal/rewrite), as opposed to the purely structural checks of
-// AP001–AP010. Where a structural analyzer already owns a finding, the
-// semantic one excludes it: AP017 skips what AP005 flags (structurally
-// unreachable) and what AP003 flags (empty symbol set), reporting only
-// states that look fine syntactically but provably never fire.
+// Semantic analyzers AP017 and AP019–AP021: findings derived from the
+// dataflow fixpoint facts (internal/dataflow), as opposed to the purely
+// structural checks of AP001–AP010. AP018 (subsumed sibling) and AP022
+// (oversized NFA that fits after a rewrite) are retired and never reused:
+// what a rewrite would save is the rewriter's to report (aplint -diff,
+// apopt -diff), so a lint run never executes it. Where a structural
+// analyzer already owns a finding, the semantic one excludes it: AP017
+// skips what AP005 flags (structurally unreachable) and what AP003 flags
+// (empty symbol set), reporting only states that look fine syntactically
+// but provably never fire.
 package lint
 
 import (
 	"fmt"
 
 	"sparseap/internal/automata"
-	"sparseap/internal/rewrite"
 )
 
 func init() {
 	Register(analyzerSemUnreachable)
-	Register(analyzerSubsumed)
 	Register(analyzerDeadReport)
 	Register(analyzerSymbolEmptyEdge)
 	Register(analyzerCutCost)
-	Register(analyzerOversizedHint)
 }
 
 var analyzerSemUnreachable = &Analyzer{
@@ -45,32 +45,6 @@ var analyzerSemUnreachable = &Analyzer{
 			out = append(out, p.stateDiag(a, a.Default, id,
 				"state can never fire: no predecessor can deliver a matching symbol under the assumed alphabet",
 				"delete it with aplint -fix"))
-		}
-		return out
-	},
-}
-
-var analyzerSubsumed = &Analyzer{
-	Code:       "AP018",
-	Name:       "subsumed-sibling",
-	Doc:        "a non-reporting state is subsumed by a sibling (same predecessors, contained symbol set and successors) and can fold into it",
-	Default:    Info,
-	NeedsSound: true,
-	Run: func(p *Pass, a *Analyzer) []Diagnostic {
-		res, err := p.Optimized()
-		if err != nil || !res.Changed() {
-			return nil
-		}
-		var out []Diagnostic
-		// Round 0 certificates are stated against the original network,
-		// so their IDs are directly reportable.
-		for _, c := range res.Rounds[0].Certs {
-			if c.Kind != rewrite.CertSubsumed {
-				continue
-			}
-			out = append(out, p.stateDiag(a, a.Default, c.State,
-				fmt.Sprintf("state is subsumed by state %d: every activation and enabling it provides, state %d provides too", c.Into, c.Into),
-				"fold it with aplint -fix"))
 		}
 		return out
 	},
@@ -190,32 +164,6 @@ var analyzerCutCost = &Analyzer{
 			out = append(out, nfaDiag(a, a.Default, i,
 				fmt.Sprintf("NFA exceeds capacity %d (%d states); cheapest layer cut (before layer %d) costs ≈%.4f expected crossings/symbol",
 					p.Opts.Capacity, p.Net.NFASize(i), bestLayer, best), ""))
-		}
-		return out
-	},
-}
-
-var analyzerOversizedHint = &Analyzer{
-	Code:       "AP022",
-	Name:       "oversized-fits-after-rewrite",
-	Doc:        "an NFA exceeds the half-core capacity, but the estimated post-rewrite size fits — rewriting would make it placeable",
-	Default:    Info,
-	NeedsSound: true,
-	Run: func(p *Pass, a *Analyzer) []Diagnostic {
-		if p.Opts.Capacity <= 0 {
-			return nil
-		}
-		res, err := p.Optimized()
-		if err != nil || !res.Changed() {
-			return nil
-		}
-		var out []Diagnostic
-		for _, d := range res.Stats.PerNFA {
-			if d.StatesBefore > p.Opts.Capacity && d.StatesAfter <= p.Opts.Capacity && d.StatesAfter > 0 {
-				out = append(out, nfaDiag(a, a.Default, d.NFA,
-					fmt.Sprintf("NFA has %d states (capacity %d) but an estimated %d after rewriting — aplint -fix would make it placeable",
-						d.StatesBefore, p.Opts.Capacity, d.StatesAfter), ""))
-			}
 		}
 		return out
 	},

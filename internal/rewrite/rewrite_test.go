@@ -229,6 +229,36 @@ func TestCapacityGuardDemotes(t *testing.T) {
 	checkIdempotent(t, res, rewrite.Options{Capacity: 3})
 }
 
+func TestOversizedNFAFitsAfterRewrite(t *testing.T) {
+	// Five identical chains in one NFA, joined by one shared reporting
+	// sink: 16 states against capacity 8. Merging folds the chains to
+	// one, which fits, so the guard must let the merge through.
+	m := automata.NewNFA()
+	for c := 0; c < 5; c++ {
+		s0 := m.Add(symset.Single('a'), automata.StartAllInput, false)
+		s1 := m.Add(symset.Single('b'), automata.StartNone, false)
+		s2 := m.Add(symset.Single('c'), automata.StartNone, false)
+		m.Connect(s0, s1)
+		m.Connect(s1, s2)
+	}
+	rep := m.Add(symset.Single('d'), automata.StartNone, true)
+	for c := 0; c < 5; c++ {
+		m.Connect(automata.StateID(c*3+2), rep)
+	}
+	net := automata.NewNetwork(m)
+	opts := rewrite.Options{Capacity: 8}
+	res := mustRewrite(t, net, opts)
+	if d := res.Stats.PerNFA[0]; d.StatesBefore != 16 || d.StatesAfter > 8 {
+		t.Fatalf("NFA 0 went %d -> %d states, want 16 -> at most 8 (stats %+v)", d.StatesBefore, d.StatesAfter, res.Stats)
+	}
+	if res.Stats.DemotedClasses != 0 {
+		t.Fatalf("DemotedClasses = %d, want 0: the folded NFA fits", res.Stats.DemotedClasses)
+	}
+	checkEquivalent(t, net, res, []byte("abcdabcabcd"), symset.Set{})
+	checkIdempotent(t, res, opts)
+	checkMaps(t, net, res)
+}
+
 func TestAlphabetRestrictedRewrite(t *testing.T) {
 	// One branch matches only '!' which is outside the assumed alphabet;
 	// it must vanish, and equivalence holds for inputs inside the

@@ -43,10 +43,6 @@ type Client struct {
 	// Pace sleeps between chunk writes, stretching a stream out so a
 	// chaos test can kill the server mid-flight.
 	Pace time.Duration
-	// Backoff is the initial retry delay (default 25ms, doubling to 1s).
-	Backoff time.Duration
-	// MaxAttempts bounds connection attempts per stream (default 64).
-	MaxAttempts int
 
 	// Sheds counts attempts refused by admission control.
 	Sheds atomic.Int64
@@ -93,9 +89,15 @@ func (c *Client) bases() []string {
 type StreamResult struct {
 	Session string
 	Reports []sim.Report
-	// EndPos and EndReports echo the server's end record.
-	EndPos, EndReports int64
 }
+
+// Stream's retry schedule: the delay before the first retry, doubled up
+// to streamMaxBackoff, and the cap on connection attempts per stream.
+const (
+	streamBackoff     = 25 * time.Millisecond
+	streamMaxBackoff  = time.Second
+	streamMaxAttempts = 64
+)
 
 // Stream runs input through app as one session, surviving sheds,
 // suspends, disconnects, server restarts, migrations, and node loss,
@@ -108,14 +110,7 @@ type StreamResult struct {
 // 409 can be node-specific (a peer with a different app build).
 func (c *Client) Stream(ctx context.Context, appName string, input []byte) (*StreamResult, error) {
 	id := newSessionID()
-	backoff := c.Backoff
-	if backoff <= 0 {
-		backoff = 25 * time.Millisecond
-	}
-	maxAttempts := c.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 64
-	}
+	backoff := streamBackoff
 	var have []sim.Report
 	restart := false
 	baseIdx := 0 // rotation cursor into bases()
@@ -123,7 +118,7 @@ func (c *Client) Stream(ctx context.Context, appName string, input []byte) (*Str
 	prevBase := ""
 	conflicts := 0 // consecutive 409s this rotation round
 
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt := 0; attempt < streamMaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.Retries.Add(1)
 			select {
@@ -131,7 +126,7 @@ func (c *Client) Stream(ctx context.Context, appName string, input []byte) (*Str
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			if backoff < time.Second {
+			if backoff < streamMaxBackoff {
 				backoff *= 2
 			}
 		}
@@ -195,7 +190,7 @@ func (c *Client) Stream(ctx context.Context, appName string, input []byte) (*Str
 			baseIdx++
 		}
 	}
-	return nil, fmt.Errorf("serve: stream %s gave up after %d attempts", id, maxAttempts)
+	return nil, fmt.Errorf("serve: stream %s gave up after %d attempts", id, streamMaxAttempts)
 }
 
 type attemptOutcome int

@@ -31,6 +31,7 @@ import (
 	"strconv"
 	"time"
 
+	"sparseap/internal/hotcold"
 	"sparseap/internal/sim"
 	"sparseap/internal/spap"
 )
@@ -90,24 +91,26 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	var reports []sim.Report
 	t := s.tenantOf(tenant)
 	mode := t.ladder.Next()
-	resp.Mode = mode.String()
-
-	switch mode {
-	case spap.ModeGuarded, spap.ModeProbe:
-		part, perr := a.partition(s.apCfg.Capacity)
-		if perr != nil {
+	var part *hotcold.Partition
+	if mode != spap.ModeBaseline {
+		var perr error
+		if part, perr = a.partition(s.apCfg.Capacity); perr != nil {
 			// Partitioning failure is permanent for this app: run the
 			// baseline kernel rather than failing the tenant's request.
-			s.reg.Tenant("serve_degraded", tenant).Inc()
-			resp.Mode = spap.ModeBaseline.String()
-			sres, serr := sim.RunContext(ctx, a.net, input, sim.Options{CollectReports: true}, nil)
-			if serr != nil {
-				matchError(w, serr)
-				return
-			}
-			reports, resp.NumReports = sres.Reports, sres.NumReports
-			break
+			mode = spap.ModeBaseline
 		}
+	}
+	resp.Mode = mode.String()
+
+	if mode == spap.ModeBaseline {
+		s.reg.Tenant("serve_degraded", tenant).Inc()
+		sres, serr := sim.RunContext(ctx, a.net, input, sim.Options{CollectReports: true}, nil)
+		if serr != nil {
+			matchError(w, serr)
+			return
+		}
+		reports, resp.NumReports = sres.Reports, sres.NumReports
+	} else {
 		res, rerr := spap.RunGuarded(ctx, part, input, s.apCfg, spap.Guard{}, spap.Options{CollectReports: true})
 		if rerr != nil {
 			matchError(w, rerr)
@@ -119,14 +122,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			s.reg.Tenant("serve_guard_trips", tenant).Inc()
 		}
 		reports, resp.NumReports = res.Reports, res.NumReports
-	default: // spap.ModeBaseline
-		s.reg.Tenant("serve_degraded", tenant).Inc()
-		sres, serr := sim.RunContext(ctx, a.net, input, sim.Options{CollectReports: true}, nil)
-		if serr != nil {
-			matchError(w, serr)
-			return
-		}
-		reports, resp.NumReports = sres.Reports, sres.NumReports
 	}
 
 	s.finishMatch(w, tenant, &resp, reports)

@@ -49,7 +49,7 @@ func cancelled(ctx context.Context) bool {
 // loadConfigs models loading count batch configurations (global batch IDs
 // base..base+count-1) onto the fabric under an injector's load-failure
 // plan: each failed attempt is retried, counting into st.ConfigRetries,
-// until the injector's MaxLoadRetries cap trips fault.ErrConfigLoad.
+// until the fault.MaxLoadRetries cap trips fault.ErrConfigLoad.
 func loadConfigs(inj *fault.Injector, st *fault.Stats, base, count int) error {
 	if !inj.Active() {
 		return nil
@@ -57,7 +57,7 @@ func loadConfigs(inj *fault.Injector, st *fault.Stats, base, count int) error {
 	for b := base; b < base+count; b++ {
 		for attempt := 0; inj.LoadFails(b, attempt); attempt++ {
 			st.ConfigRetries++
-			if attempt+1 >= inj.MaxLoadRetries() {
+			if attempt+1 >= fault.MaxLoadRetries {
 				return fmt.Errorf("spap: batch %d: %w", b, fault.ErrConfigLoad)
 			}
 		}
@@ -133,7 +133,7 @@ type Options struct {
 	// Faults, when non-nil and active, injects runtime faults during
 	// execution: transient enable-bit flips in both modes,
 	// intermediate-report queue drops, and batch-configuration load
-	// failures (retried up to the injector's MaxLoadRetries, after which
+	// failures (retried until fault.MaxLoadRetries attempts failed, after which
 	// the run fails with fault.ErrConfigLoad). Counters accumulate in
 	// Result.Fault. Stuck-at STE faults are a compile-time transformation;
 	// apply them to the network with fault.Injector.InjectStuck before

@@ -10,7 +10,8 @@
 # backticks exists, and each stays under its size cap), vet and smoke test
 # of the bench/ module, a diff of the root package's API against
 # testdata/api.txt, the list of internal exports nothing but tests
-# reaches against testdata/uncalled.txt,
+# reaches against testdata/uncalled.txt, a check that internal/lint does
+# not link the rewriter,
 # race-detector pass over the whole module, a fuzz
 # smoke pass over the parser/compiler/slot-file/executor-differential/
 # slot-pair/replication-frame/report-codec fuzz targets, the
@@ -103,12 +104,22 @@ diff -u testdata/api.txt <(go doc -short .)
 step "uncalled internal exports match testdata/uncalled.txt"
 go test -count=1 -run '^TestUncalledExports$' .
 
+# lint checks a network against what placement sees; shrinking it is the
+# rewriter's own pass (apopt, aplint -fix/-diff). Linking the rewriter
+# into lint made every pre-run lint pay its fixpoint (7.7 s on Snort_L).
+step "internal/lint does not depend on internal/rewrite"
+if go list -deps ./internal/lint | grep -x 'sparseap/internal/rewrite' >/dev/null; then
+    echo "internal/lint depends on internal/rewrite" >&2
+    exit 1
+fi
+
 if [[ $short -eq 0 ]]; then
     step "go test -race (whole module)"
-    # The lint golden sweep is the long pole: 108 s under the race
-    # detector on a 2-core box, 2.7 min for the whole module (the sweep
-    # alone took 22 min there while the static partition was quadratic).
-    # 600 s per package is 5x that, so only a genuine hang can hit it.
+    # Under the race detector on a 2-core box the whole module takes
+    # ~3.1 min; internal/worstcase and internal/lint are the long poles at
+    # ~62 s each (the lint sweep alone took 22 min there while the static
+    # partition was quadratic). 600 s per package is ~10x that, so only a
+    # genuine hang can hit it.
     go test -race -timeout 600s ./...
 fi
 
