@@ -2,7 +2,8 @@
 // service, or drives one as a load generator.
 //
 // Server mode (default) makes a set of workload-suite applications
-// resident and serves the session protocol over HTTP:
+// resident and serves the session protocol over HTTP. -store is
+// required: every session checkpoints there.
 //
 //	apserve -addr :8425 -store /var/lib/apserve -apps HM,PEN,TCP
 //
@@ -18,8 +19,9 @@
 //	apserve -addr :8425 -store /var/lib/a \
 //	        -peers http://b:8425 -replicas http://b:8425 -ack 1
 //
-// SIGTERM then drain-migrates live sessions to a healthy peer (clients
-// follow the `moved` record with no restart wait), and SIGKILL of a
+// SIGTERM then drain-migrates live sessions to the first peer that
+// answers /healthz (clients follow the `moved` record with no restart
+// wait; with none answering it drains as above), and SIGKILL of a
 // node only pauses its sessions until the clients fail over to a
 // follower holding the replicated slots. Pass -peers to the loadgen too
 // so its clients exercise the same failover path.
@@ -57,7 +59,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8425", "listen address (server mode)")
-		storeDir = flag.String("store", "", "checkpoint store directory (empty = sessions not resumable)")
+		storeDir = flag.String("store", "", "checkpoint store directory, required in server mode: sessions resume from it")
 		apps     = flag.String("apps", "HM,PEN,TCP", "comma-separated workload abbreviations to make resident")
 		divisor  = flag.Int("divisor", 8, "workload scale divisor")
 		inputLen = flag.Int("input", 131072, "generated input length")
@@ -72,7 +74,7 @@ func main() {
 		drainWait    = flag.Duration("drain", 30*time.Second, "graceful drain timeout on SIGTERM")
 
 		peers    = flag.String("peers", "", "comma-separated sibling node base URLs: migration targets for /v1/migrate, SIGTERM drain-migrates live sessions to them; loadgen mode fails clients over to them")
-		replicas = flag.String("replicas", "", "comma-separated follower base URLs: every committed checkpoint slot is shipped to them, so sessions survive this node's loss (requires -store)")
+		replicas = flag.String("replicas", "", "comma-separated follower base URLs: every committed checkpoint slot is shipped to them, so sessions survive this node's loss")
 		ack      = flag.Int("ack", 1, "follower acks required before reports release to the client (clamped to the replica count; fewer acks = degraded local-only durability)")
 
 		loadgen = flag.Bool("loadgen", false, "run as load generator against -url instead of serving")
@@ -90,7 +92,16 @@ func main() {
 		return
 	}
 
+	if *storeDir == "" {
+		fmt.Fprintln(os.Stderr, "apserve: -store is required in server mode: sessions resume from it")
+		os.Exit(2)
+	}
+	store, err := checkpoint.Open(*storeDir)
+	if err != nil {
+		fatal(err)
+	}
 	scfg := serve.Config{
+		Store:        store,
 		Registry:     metrics.NewRegistry(),
 		Every:        *every,
 		MaxSessions:  *maxSessions,
@@ -100,23 +111,14 @@ func main() {
 		MemBudget:    *memBudget,
 		Peers:        splitList(*peers),
 	}
-	if *storeDir != "" {
-		store, err := checkpoint.Open(*storeDir)
-		if err != nil {
-			fatal(err)
-		}
-		scfg.Store = store
-		if followers := splitList(*replicas); len(followers) > 0 {
-			// Share the server's registry so the replication counters
-			// and the lag gauge surface on this node's /metrics.
-			scfg.Store = replica.New(store, replica.Options{
-				Followers: followers, Ack: *ack, Registry: scfg.Registry,
-			})
-			fmt.Printf("apserve: replicating checkpoints to %s (ack quorum %d)\n",
-				strings.Join(followers, ", "), *ack)
-		}
-	} else if *replicas != "" {
-		fatal(fmt.Errorf("-replicas requires -store (nothing to ship without a local checkpoint store)"))
+	if followers := splitList(*replicas); len(followers) > 0 {
+		// Share the server's registry so the replication counters and
+		// the lag gauge surface on this node's /metrics.
+		scfg.Store = replica.New(store, replica.Options{
+			Followers: followers, Ack: *ack, Registry: scfg.Registry,
+		})
+		fmt.Printf("apserve: replicating checkpoints to %s (ack quorum %d)\n",
+			strings.Join(followers, ", "), *ack)
 	}
 	s := serve.New(scfg)
 	for _, abbr := range abbrs {
@@ -143,21 +145,13 @@ func main() {
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	go func() {
 		sig := <-sigCh
-		// With peers configured, hand live sessions to a healthy sibling
-		// (clients follow `moved` with no restart wait); otherwise
-		// checkpoint-and-suspend them for the next process.
-		if len(scfg.Peers) > 0 {
-			fmt.Printf("apserve: %v: drain-migrating to peers (timeout %v)\n", sig, *drainWait)
-			if err := s.DrainMigrate(*drainWait); err != nil {
-				fmt.Fprintln(os.Stderr, "apserve:", err)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("apserve: %v: draining (timeout %v)\n", sig, *drainWait)
-			if err := s.Drain(*drainWait); err != nil {
-				fmt.Fprintln(os.Stderr, "apserve:", err)
-				os.Exit(1)
-			}
+		// Hand live sessions to the first peer that answers (clients
+		// follow `moved` with no restart wait); with no peer answering,
+		// DrainMigrate checkpoints and suspends them for the next process.
+		fmt.Printf("apserve: %v: draining (timeout %v)\n", sig, *drainWait)
+		if err := s.DrainMigrate(*drainWait); err != nil {
+			fmt.Fprintln(os.Stderr, "apserve:", err)
+			os.Exit(1)
 		}
 		fmt.Println("apserve: drained cleanly")
 		close(drained)

@@ -1,8 +1,9 @@
 // Cluster membership and live session handoff.
 //
-// A serve node in a cluster knows its peers (Config.Peers), watches
-// their health with hysteresis, and can hand a live session to one of
-// them without breaking the client's exactly-once stream:
+// A serve node in a cluster knows its peers (Config.Peers), probes
+// their health when a session is about to move, and can hand a live
+// session to one of them without breaking the client's exactly-once
+// stream:
 //
 //  1. the session drains to a checkpoint at its next loop boundary (the
 //     same save-then-flush barrier a periodic capture uses, so the
@@ -27,6 +28,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,17 +48,12 @@ const migratePath = "/v1/migrate/accept"
 // session (shed, mismatch); the source falls back to suspend.
 var errPeerRefused = errors.New("serve: peer refused migration")
 
-// probeInterval is how often peers are health-probed, and how long one
-// probe may take.
-const probeInterval = 500 * time.Millisecond
-
-// peer is one watched sibling node.
-type peer struct {
-	url  string
-	up   bool // guarded by Server.mu
-	oks  int
-	errs int
-}
+// probeTimeout bounds one peer health probe; transferTimeout bounds one
+// session transfer.
+const (
+	probeTimeout    = 500 * time.Millisecond
+	transferTimeout = 10 * time.Second
+)
 
 // localStore returns the store shipments and migration cleanup must
 // write through: the node's own disk, never a replicated wrapper. A
@@ -69,119 +66,57 @@ func (s *Server) localStore() checkpoint.Store {
 	return s.cfg.Store
 }
 
-// startPeerWatch launches the health prober when peers are configured.
-// Peers start optimistically up (a cold cluster must be able to migrate
-// before the first probe round) and flip with hysteresis: two
-// consecutive probe failures mark a peer down, two successes bring it
-// back, so one dropped probe never flaps the routing.
-func (s *Server) startPeerWatch() {
-	for _, u := range s.cfg.Peers {
-		s.peers = append(s.peers, &peer{url: strings.TrimRight(u, "/"), up: true})
+// pickPeer returns the first configured peer, starting at a round-robin
+// cursor, whose /healthz answers 200 within probeTimeout, or "" when none
+// does. Peers are probed only here, when a session is about to move, so a
+// node runs no background watcher and a dead peer costs one failed probe.
+func (s *Server) pickPeer() string {
+	n := len(s.cfg.Peers)
+	if n == 0 {
+		return ""
 	}
-	if len(s.peers) == 0 {
-		return
-	}
-	s.reg.Gauge("serve_peers_up").Set(int64(len(s.peers)))
-	client := &http.Client{Timeout: probeInterval}
-	s.peerWG.Add(1)
-	go func() {
-		defer s.peerWG.Done()
-		tick := time.NewTicker(probeInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-s.peerStop:
-				return
-			case <-tick.C:
-			}
-			s.probePeers(client)
-		}
-	}()
-}
-
-// probePeers runs one health round over all peers.
-func (s *Server) probePeers(client *http.Client) {
-	type result struct {
-		p  *peer
-		ok bool
-	}
-	results := make(chan result, len(s.peers))
-	for _, p := range s.peers {
-		go func(p *peer) {
-			resp, err := client.Get(p.url + "/healthz")
-			ok := err == nil && resp.StatusCode == http.StatusOK
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			results <- result{p, ok}
-		}(p)
-	}
-	up := 0
 	s.mu.Lock()
-	for range s.peers {
-		r := <-results
-		if r.ok {
-			r.p.oks, r.p.errs = r.p.oks+1, 0
-			if r.p.oks >= 2 {
-				r.p.up = true
-			}
-		} else {
-			r.p.errs, r.p.oks = r.p.errs+1, 0
-			if r.p.errs >= 2 {
-				r.p.up = false
-			}
-		}
-	}
-	for _, p := range s.peers {
-		if p.up {
-			up++
-		}
-	}
+	start := s.peerNext
+	s.peerNext = (start + 1) % n
 	s.mu.Unlock()
-	s.reg.Gauge("serve_peers_up").Set(int64(up))
-}
-
-// stopPeers halts the health prober. Idempotent.
-func (s *Server) stopPeers() {
-	s.mu.Lock()
-	if !s.peerStopped {
-		s.peerStopped = true
-		close(s.peerStop)
-	}
-	s.mu.Unlock()
-	s.peerWG.Wait()
-}
-
-// upPeer returns the next healthy peer URL round-robin, or "".
-func (s *Server) upPeer() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := 0; i < len(s.peers); i++ {
-		p := s.peers[(s.peerNext+i)%len(s.peers)]
-		if p.up {
-			s.peerNext = (s.peerNext + i + 1) % len(s.peers)
-			return p.url
+	for i := range n {
+		url := strings.TrimRight(s.cfg.Peers[(start+i)%n], "/")
+		if s.healthy(url) {
+			return url
 		}
 	}
 	return ""
 }
 
+// healthy reports whether the peer at url answers GET /healthz with 200
+// within probeTimeout; a draining peer answers 503.
+func (s *Server) healthy(url string) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := s.peerClient.Do(req)
+	if err != nil {
+		return false
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
+}
+
 // handleMigrate hands sessions to a peer: POST /v1/migrate?session=ID&to=URL.
-// An empty session migrates every active session; an empty to picks the
-// next healthy peer. Live sessions drain to a checkpoint at their next
+// An empty session migrates every active session; an empty to picks a
+// peer with pickPeer. Live sessions drain to a checkpoint at their next
 // loop boundary and transfer from there; suspended sessions (slots only)
 // transfer immediately. The response maps each session ID to "ok" or the
 // failure reason — a failed live migration falls back to suspend, so the
 // session is never lost, only not moved.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Store == nil {
-		http.Error(w, "not resumable: no checkpoint store", http.StatusConflict)
-		return
-	}
 	to := strings.TrimRight(r.URL.Query().Get("to"), "/")
 	if to == "" {
-		to = s.upPeer()
+		to = s.pickPeer()
 	}
 	if to == "" {
 		http.Error(w, "no healthy peer to migrate to", http.StatusServiceUnavailable)
@@ -261,8 +196,7 @@ func (s *Server) transferSession(id, to string) error {
 	if err != nil {
 		return fmt.Errorf("no session state: %w", err)
 	}
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Post(to+migratePath, "application/octet-stream",
+	resp, err := s.peerClient.Post(to+migratePath, "application/octet-stream",
 		bytes.NewReader(pair.Frame(slotName(id))))
 	if err != nil {
 		return err
@@ -283,10 +217,6 @@ func (s *Server) transferSession(id, to string) error {
 // compiled image's worst-case bound, and installs the slots through its
 // configured store so they replicate onward to its own followers.
 func (s *Server) handleMigrateAccept(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Store == nil {
-		http.Error(w, "not resumable: no checkpoint store", http.StatusConflict)
-		return
-	}
 	// One pair frame and nothing after it. An oversized, truncated,
 	// corrupted or malformed transfer is rejected atomically — nothing is
 	// installed, and the source's idempotent re-send starts clean.
@@ -365,12 +295,12 @@ func (s *Server) migrateOut(w http.ResponseWriter, rc *http.ResponseController, 
 
 // DrainMigrate is Drain with relocation: instead of suspending every
 // in-flight session (leaving clients to wait out the restart), each one
-// is handed to a healthy peer and told `moved`. Sessions that cannot
-// move (no healthy peer, target refusal) fall back to suspend exactly
-// as Drain would. The SIGTERM path of a clustered apserve uses this so
+// is handed to the peer pickPeer finds answering and told `moved`.
+// Sessions that cannot move (no peer answers, target refusal) fall back
+// to suspend exactly as Drain would. apserve's SIGTERM path uses this so
 // a rolling restart never parks clients.
 func (s *Server) DrainMigrate(timeout time.Duration) error {
-	to := s.upPeer()
+	to := s.pickPeer()
 	if to == "" {
 		return s.Drain(timeout)
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -491,5 +492,91 @@ func TestClusterDrainMigrate(t *testing.T) {
 	}
 	if a.reg.Snapshot()["serve_migrations_completed"] == 0 {
 		t.Fatalf("no migration completed during drain: %v", a.reg.Snapshot())
+	}
+}
+
+// deadURL returns the base URL of a loopback port nothing listens on any
+// more: a connection to it is refused at once.
+func deadURL(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + l.Addr().String()
+	l.Close()
+	return url
+}
+
+// TestClusterDrainMigrateSkipsDeadPeer drains a node whose first peer is
+// gone: the probe must pass over it, and every live session must move to
+// the second peer, with no failed transfer and no restart.
+func TestClusterDrainMigrateSkipsDeadPeer(t *testing.T) {
+	testleak.Check(t)
+	b := startNode(t, "test/v1", nil)
+	a := startNode(t, "test/v1", func(cfg *Config, _ *checkpoint.DirStore) {
+		cfg.Peers = []string{deadURL(t), b.h.ts.URL}
+	})
+	input := testInput(1 << 17)
+	want := oracle.Reports[sim.Report](testNet(t), input)
+
+	const streams = 3
+	var clients [streams]*Client
+	var dones [streams]chan error
+	var results [streams]*atomic.Pointer[StreamResult]
+	for i := range clients {
+		clients[i] = pacedClient(a.h.ts.URL, []string{b.h.ts.URL})
+		dones[i], results[i] = streamInBackground(clients[i], input)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		a.h.s.mu.Lock()
+		live := len(a.h.s.active)
+		a.h.s.mu.Unlock()
+		if live == streams {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d sessions live on the source", live, streams)
+		}
+	}
+	if err := a.h.s.DrainMigrate(5 * time.Second); err != nil {
+		t.Fatalf("DrainMigrate: %v", err)
+	}
+	for i := range clients {
+		if err := <-dones[i]; err != nil {
+			t.Fatal(err)
+		}
+		if err := sameReports(results[i].Load().Reports, want); err != nil {
+			t.Fatalf("stream %d diverged: %v", i, err)
+		}
+		if n := clients[i].Restarts.Load(); n != 0 {
+			t.Fatalf("stream %d restarted %d times", i, n)
+		}
+	}
+	snapA, snapB := a.reg.Snapshot(), b.reg.Snapshot()
+	if snapA["serve_migrations_failed"] != 0 {
+		t.Fatalf("%v transfers failed: the dead peer was picked", snapA["serve_migrations_failed"])
+	}
+	if snapA["serve_migrations_completed"] != streams || snapB["serve_migrations_accepted"] != streams {
+		t.Fatalf("moved %v and accepted %v sessions, want %d: %v / %v",
+			snapA["serve_migrations_completed"], snapB["serve_migrations_accepted"], streams, snapA, snapB)
+	}
+}
+
+// TestClusterPeersLeaveNoGoroutine runs a node that has peers and is
+// never drained: peers are probed only when a session moves, so the node
+// starts nothing it would have to stop.
+func TestClusterPeersLeaveNoGoroutine(t *testing.T) {
+	testleak.Check(t)
+	b := startNode(t, "test/v1", nil)
+	a := startNode(t, "test/v1", func(cfg *Config, _ *checkpoint.DirStore) {
+		cfg.Peers = []string{deadURL(t), b.h.ts.URL + "/"}
+	})
+	cl := &Client{URL: func() string { return a.h.ts.URL }, Tenant: "t0"}
+	if _, err := cl.Stream(context.Background(), "test", testInput(1<<12)); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.h.s.pickPeer(); got != b.h.ts.URL {
+		t.Fatalf("pickPeer = %q, want the live peer %q", got, b.h.ts.URL)
 	}
 }

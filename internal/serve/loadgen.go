@@ -51,8 +51,8 @@ type Client struct {
 	// Retries counts all re-connection attempts after the first.
 	Retries atomic.Int64
 	// Restarts counts forced session restarts (409 responses after every
-	// base refused, in-stream restart records, and resumed sessions the
-	// server could only start from scratch).
+	// base refused, and resumed sessions the server could only start from
+	// scratch).
 	Restarts atomic.Int64
 	// Failovers counts attempts sent to a different base than the
 	// previous attempt (rotation or a moved record).
@@ -270,8 +270,8 @@ func (c *Client) streamAttempt(ctx context.Context, base, appName, id string, in
 	if resumePos > 0 {
 		c.Resumes.Add(1)
 	} else if len(have) > 0 {
-		// A session starting at position 0 re-delivers every report (a
-		// non-resumable server restarted, or the slot is gone): drop the
+		// A session starting at position 0 re-delivers every report (the
+		// slot is gone, as after node loss without replication): drop the
 		// local copies so the assembled stream stays exactly-once. This
 		// is the explicit degradation path — counted as a restart, never
 		// silent.
@@ -321,18 +321,15 @@ func (c *Client) streamAttempt(ctx context.Context, base, appName, id string, in
 		}
 		// Everything else comes once a session.
 		fields := strings.Fields(string(line))
-		if len(fields) == 0 {
-			continue
+		keyword := ""
+		if len(fields) > 0 {
+			keyword = fields[0]
 		}
-		switch fields[0] {
+		switch keyword {
 		case "r":
 			return brokenf(have, "serve: malformed report %q", line)
 		case "suspend":
 			return attemptResult{out: attemptSuspend, have: have}
-		case "restart":
-			// The server cannot resume this session (no durable store
-			// behind it): reconnect from scratch.
-			return attemptResult{out: attemptRestart, have: have}
 		case "moved":
 			// The session was handed to a peer: reconnect there.
 			if len(fields) != 3 {
@@ -359,6 +356,11 @@ func (c *Client) streamAttempt(ctx context.Context, base, appName, id string, in
 				return brokenf(have, "serve: end declares %d reports, client holds %d", n, len(have))
 			}
 			return attemptResult{out: attemptDone, have: have}
+		default:
+			// A record the protocol does not have is a server the
+			// client cannot follow: skipping it could complete a stream
+			// the server meant to stop.
+			return brokenf(have, "serve: unknown record %q", line)
 		}
 	}
 }

@@ -54,14 +54,16 @@ import (
 	"sparseap/internal/worstcase"
 )
 
-// Config tunes the server. The zero value is usable for tests; New fills
-// defaults.
+// Config tunes the server. Store is required; New fills defaults for
+// the rest.
 type Config struct {
-	// Store is the durable checkpoint store backing session resume; nil
-	// disables resumability (sessions still stream, but a crash loses
-	// them). A replica.Store here extends the delivery barrier across
-	// nodes: reports release only once the covering window is durable on
-	// the replication quorum, so a client can fail over to a follower
+	// Store is the durable checkpoint store backing session resume. It
+	// is required, and New panics without one: a report is released only
+	// once the capture covering it is durable, and that barrier is what
+	// lets a session suspend, survive a kill and move to a peer. A
+	// replica.Store here extends the barrier across nodes: reports
+	// release only once the covering window is durable on the
+	// replication quorum, so a client can fail over to a follower
 	// without replay divergence.
 	Store checkpoint.Store
 	// Every is the checkpoint capture interval in input symbols
@@ -91,8 +93,8 @@ type Config struct {
 
 	// Peers are base URLs of sibling serve nodes (e.g.
 	// "http://10.0.0.2:8425"): migration targets for /v1/migrate and
-	// DrainMigrate, health-watched with hysteresis (see cluster.go). An
-	// empty list disables the peer watcher.
+	// DrainMigrate. A peer's /healthz is probed only when a session is
+	// about to move to it (see pickPeer in cluster.go).
 	Peers []string
 
 	// Registry receives the serve-path counters; New creates one when
@@ -193,21 +195,22 @@ type Server struct {
 	killCh chan struct{} // closed by Abort: simulated crash for chaos tests
 	idle   sync.Cond     // broadcast when nSess drops (Drain waits on it)
 
-	peers       []*peer       // watched migration targets (see cluster.go)
-	peerStop    chan struct{} // closed by stopPeers
-	peerStopped bool
-	peerWG      sync.WaitGroup
-	peerNext    int // round-robin cursor for upPeer
+	peerNext   int          // round-robin cursor for pickPeer
+	peerClient *http.Client // health probes and session transfers to peers
 
-	recv *replica.Receiver // follower side of checkpoint shipping; nil without a store
+	recv *replica.Receiver // follower side of checkpoint shipping
 
 	hsMu sync.Mutex
 	hs   *http.Server
 }
 
 // New builds a server with no resident applications; add them with
-// AddApp.
+// AddApp. It panics when cfg.Store is nil: every session resumes from
+// the store, and there is no store-less mode to fall back to.
 func New(cfg Config) *Server {
+	if cfg.Store == nil {
+		panic("serve: Config.Store is required: sessions resume from it")
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
@@ -218,15 +221,12 @@ func New(cfg Config) *Server {
 		active:  map[string]*session{},
 		killCh:  make(chan struct{}),
 
-		peerStop: make(chan struct{}),
+		peerClient: &http.Client{Timeout: transferTimeout},
 	}
 	s.idle.L = &s.mu
-	if cfg.Store != nil {
-		// Shipments apply through the LOCAL store so a received slot is
-		// never relayed onward.
-		s.recv = replica.NewReceiver(s.localStore(), s.reg)
-	}
-	s.startPeerWatch()
+	// Shipments apply through the LOCAL store so a received slot is
+	// never relayed onward.
+	s.recv = replica.NewReceiver(s.localStore(), s.reg)
 	return s
 }
 
@@ -266,9 +266,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/apps", s.handleApps)
 	mux.HandleFunc("POST /v1/migrate", s.handleMigrate)
 	mux.HandleFunc("POST /v1/migrate/accept", s.handleMigrateAccept)
-	if s.recv != nil {
-		s.recv.Mount(mux)
-	}
+	s.recv.Mount(mux)
 	return mux
 }
 
@@ -297,7 +295,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 // drain is Drain and DrainMigrate once they have chosen how a session is
 // asked to leave: it marks the server draining, puts the request to every
 // live session, waits until all have unwound or timeout elapses, and
-// closes the HTTP server, the peer watcher and the replication streams.
+// closes the HTTP server and the replication streams.
 func (s *Server) drain(timeout time.Duration, what string, request func(*session)) error {
 	s.mu.Lock()
 	s.draining = true
@@ -323,7 +321,6 @@ func (s *Server) drain(timeout time.Duration, what string, request func(*session
 	if hs != nil {
 		hs.Close()
 	}
-	s.stopPeers()
 	s.endLinks()
 	if stranded > 0 {
 		return fmt.Errorf("serve: %s timed out with %d sessions still live", what, stranded)
@@ -350,7 +347,6 @@ func (s *Server) Abort() {
 	if hs != nil {
 		hs.Close()
 	}
-	s.stopPeers()
 	s.endLinks()
 }
 
@@ -362,9 +358,7 @@ func (s *Server) endLinks() {
 	if c, ok := s.cfg.Store.(interface{ Close() error }); ok {
 		c.Close()
 	}
-	if s.recv != nil {
-		s.recv.Close()
-	}
+	s.recv.Close()
 }
 
 // killed reports whether Abort has fired.

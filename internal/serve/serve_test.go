@@ -61,8 +61,17 @@ type harness struct {
 	ts *httptest.Server
 }
 
+// startServer serves net as app "test". A config without a store gets
+// one in a fresh temporary directory: every server is durable.
 func startServer(t *testing.T, cfg Config, net *automata.Network) *harness {
 	t.Helper()
+	if cfg.Store == nil {
+		store, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = store
+	}
 	s := New(cfg)
 	if err := s.AddApp("test", net, "test/v1"); err != nil {
 		t.Fatal(err)
@@ -70,6 +79,17 @@ func startServer(t *testing.T, cfg Config, net *automata.Network) *harness {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return &harness{s: s, ts: ts}
+}
+
+// TestNewRequiresStore: every node is durable, so a config without a
+// store is refused when the server is built, not when a session needs it.
+func TestNewRequiresStore(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a config without a store")
+		}
+	}()
+	New(Config{})
 }
 
 // waitCompleted blocks until the server has counted tenant t0's session as
@@ -258,49 +278,6 @@ func TestDrainSuspendsAndResumes(t *testing.T) {
 	}
 }
 
-// TestDrainWithoutStoreRestarts drains a server that has no checkpoint
-// store mid-stream. Suspend is meaningless without durable state, so the
-// server must send a restart record and the client must rebuild the
-// stream from scratch against the next server — still exactly-once.
-func TestDrainWithoutStoreRestarts(t *testing.T) {
-	testleak.Check(t)
-	net := testNet(t)
-	input := testInput(1 << 17)
-	h1 := startServer(t, Config{}, net)
-	var url atomic.Value
-	url.Store(h1.ts.URL)
-	cl := &Client{
-		URL:    func() string { return url.Load().(string) },
-		Tenant: "t0",
-		Chunk:  512,
-		Pace:   200 * time.Microsecond,
-	}
-
-	drained := make(chan error, 1)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		h2 := startServer(t, Config{}, net)
-		url.Store(h2.ts.URL)
-		drained <- h1.s.Drain(5 * time.Second)
-	}()
-
-	res, err := cl.Stream(context.Background(), "test", input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derr := <-drained; derr != nil {
-		t.Fatalf("drain: %v", derr)
-	}
-	if err := sameReports(res.Reports, oracle.Reports[sim.Report](net, input)); err != nil {
-		t.Fatalf("post-drain stream not bit-identical: %v", err)
-	}
-	snap := h1.s.Registry().Snapshot()
-	if snap[`serve_sessions_restarted{tenant="t0"}`] == 0 && cl.Restarts.Load() == 0 {
-		t.Fatalf("drain raced past the stream: restarted=%v restarts=%d (stream too fast for the test)",
-			snap[`serve_sessions_restarted{tenant="t0"}`], cl.Restarts.Load())
-	}
-}
-
 // attemptAgainst runs one stream attempt of a 64-symbol input against a
 // server that answers 200 with exactly body and closes the connection —
 // what a client sees of a server it cannot trust, or of one that died
@@ -355,7 +332,9 @@ func TestStreamClientDiscardsTruncatedLine(t *testing.T) {
 // length, declaring the reports the client holds (a malformed one used to
 // read as done, and the position was never looked at). A 200 without a
 // readable X-Resume-Pos breaks the attempt too (it used to read as
-// position 0, and a client holding reports counted a restart).
+// position 0, and a client holding reports counted a restart). A record
+// whose keyword the protocol does not have breaks the attempt, the retired
+// "restart" included (unknown keywords used to be skipped).
 func TestStreamClientHoldsRecordsToTheirGrammar(t *testing.T) {
 	for _, c := range []struct {
 		name, pos, body string
@@ -376,6 +355,9 @@ func TestStreamClientHoldsRecordsToTheirGrammar(t *testing.T) {
 		{"resume position absent", "", "r 10 1\nend 64 1\n", attemptBroken, 0, "bad resume pos"},
 		{"resume position not a number", "x", "r 10 1\nend 64 1\n", attemptBroken, 0, "bad resume pos"},
 		{"resume position negative", "-1", "r 10 1\nend 64 1\n", attemptBroken, 0, "bad resume pos"},
+		{"retired restart record", "0", "r 10 1\nrestart 5\nend 64 1\n", attemptBroken, 1, `unknown record "restart 5\n"`},
+		{"unknown keyword", "0", "hello\nr 10 1\nend 64 1\n", attemptBroken, 0, `unknown record "hello\n"`},
+		{"empty line", "0", "r 10 1\n\nend 64 1\n", attemptBroken, 1, `unknown record "\n"`},
 	} {
 		ar := attemptAgainst(t, c.pos, c.body)
 		if ar.out != c.out || len(ar.have) != c.have {

@@ -8,8 +8,6 @@
 //
 //	r <pos> <state>    one match report
 //	suspend <pos>      server is draining; reconnect and resume
-//	restart <pos>      server cannot resume (no store); reconnect and
-//	                   restart from scratch, discarding local reports
 //	moved <addr> <pos> session handed to the peer at base URL <addr>;
 //	                   reconnect THERE with X-Session and X-Have-Reports
 //	                   and the stream resumes bit-identically
@@ -373,12 +371,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		rc.SetReadDeadline(time.Now().Add(d)) // body reads obey it too
 	}
 
-	restart := r.Header.Get("X-Restart") == "1"
-	resumable := s.cfg.Store != nil
-
 	var dec resumeDecision
-	if resumable && !restart {
-		var err error
+	if r.Header.Get("X-Restart") == "1" {
+		s.cfg.Store.Remove(slotName(id))
+	} else {
 		var ok bool
 		dec, ok, err = s.planResume(id, a, tenant, have)
 		if err != nil {
@@ -390,9 +386,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "session state diverged; restart", http.StatusConflict)
 			return
 		}
-	}
-	if resumable && restart {
-		s.cfg.Store.Remove(slotName(id))
 	}
 
 	sess.st = sim.NewStreamer(a.net)
@@ -423,19 +416,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("serve_reports_delivered").Add(int64(len(dec.replay)))
 	rc.Flush()
 
-	s.streamLoop(ctx, w, rc, r.Body, sess, resumable)
+	s.streamLoop(ctx, w, rc, r.Body, sess)
 }
 
 // saveFlush makes the current window durable, then releases it to the
 // client — the ordering exactly-once delivery rests on.
-func (s *Server) saveFlush(w http.ResponseWriter, rc *http.ResponseController, sess *session, resumable bool) error {
-	if resumable {
-		if err := s.saveSlot(sess); err != nil {
-			return err
-		}
-		s.reg.Counter("serve_checkpoint_saves").Inc()
-		sess.savedPos = sess.snap.Pos
+func (s *Server) saveFlush(w http.ResponseWriter, rc *http.ResponseController, sess *session) error {
+	if err := s.saveSlot(sess); err != nil {
+		return err
 	}
+	s.reg.Counter("serve_checkpoint_saves").Inc()
+	sess.savedPos = sess.snap.Pos
 	if err := sess.writeReports(w, sess.window); err != nil {
 		// The client is gone; the reports stay durable in the slot and
 		// the reconnect replays (and then counts) them.
@@ -488,7 +479,7 @@ func (sess *session) releaseWindow() {
 
 // streamLoop feeds the request body through the matcher, checkpointing
 // and releasing reports at every capture boundary.
-func (s *Server) streamLoop(ctx context.Context, w http.ResponseWriter, rc *http.ResponseController, body io.Reader, sess *session, resumable bool) {
+func (s *Server) streamLoop(ctx context.Context, w http.ResponseWriter, rc *http.ResponseController, body io.Reader, sess *session) {
 	every := s.cfg.Every
 	buf := make([]byte, readChunk)
 	pos := sess.st.Pos()
@@ -496,21 +487,11 @@ func (s *Server) streamLoop(ctx context.Context, w http.ResponseWriter, rc *http
 	suspend := func(reason string) {
 		// Server-side stop (drain or deadline): make the state durable,
 		// release what is covered, and tell the client to come back.
-		// Without a store there is nothing to resume from — a suspend
-		// would strand the client holding reports the next incarnation
-		// re-delivers — so tell it to restart the session from scratch
-		// instead (the client discards its local reports, keeping the
-		// final stream exactly-once).
-		if err := s.saveFlush(w, rc, sess, resumable); err != nil {
+		if err := s.saveFlush(w, rc, sess); err != nil {
 			return
 		}
-		if resumable {
-			fmt.Fprintf(w, "suspend %d\n", sess.st.Pos())
-			s.reg.Tenant("serve_sessions_suspended", sess.tenant).Inc()
-		} else {
-			fmt.Fprintf(w, "restart %d\n", sess.st.Pos())
-			s.reg.Tenant("serve_sessions_restarted", sess.tenant).Inc()
-		}
+		fmt.Fprintf(w, "suspend %d\n", sess.st.Pos())
+		s.reg.Tenant("serve_sessions_suspended", sess.tenant).Inc()
 		rc.Flush()
 		if reason == "deadline" {
 			s.reg.Tenant("serve_deadline_cancels", sess.tenant).Inc()
@@ -525,12 +506,7 @@ func (s *Server) streamLoop(ctx context.Context, w http.ResponseWriter, rc *http
 			// Handoff boundary: make the window durable and released
 			// (exactly as a periodic capture would), then transfer the
 			// slots and point the client at the peer.
-			if !resumable {
-				sess.finishMove(errors.New("serve: not resumable, cannot migrate"))
-				suspend("drain")
-				return
-			}
-			if err := s.saveFlush(w, rc, sess, resumable); err != nil {
+			if err := s.saveFlush(w, rc, sess); err != nil {
 				sess.finishMove(err)
 				return
 			}
@@ -557,13 +533,8 @@ func (s *Server) streamLoop(ctx context.Context, w http.ResponseWriter, rc *http
 				suspend("deadline")
 				return
 			}
-			if resumable && pos%every == 0 {
-				if err := s.saveFlush(w, rc, sess, resumable); err != nil {
-					return
-				}
-			} else if !resumable {
-				// No durability barrier without a store: deliver at once.
-				if err := s.saveFlush(w, rc, sess, false); err != nil {
+			if pos%every == 0 {
+				if err := s.saveFlush(w, rc, sess); err != nil {
 					return
 				}
 			}
@@ -575,16 +546,14 @@ func (s *Server) streamLoop(ctx context.Context, w http.ResponseWriter, rc *http
 			// Clean end of input: flush the tail, mark the stream done,
 			// and retire the session's slots. When the input ended on a
 			// capture boundary the slot already holds this very state.
-			if !resumable || pos != sess.savedPos || len(sess.window) > 0 {
-				if err := s.saveFlush(w, rc, sess, resumable); err != nil {
+			if pos != sess.savedPos || len(sess.window) > 0 {
+				if err := s.saveFlush(w, rc, sess); err != nil {
 					return
 				}
 			}
 			fmt.Fprintf(w, "end %d %d\n", sess.st.Pos(), sess.st.NumReports())
 			rc.Flush()
-			if resumable {
-				s.cfg.Store.Remove(slotName(sess.id))
-			}
+			s.cfg.Store.Remove(slotName(sess.id))
 			s.reg.Tenant("serve_sessions_completed", sess.tenant).Inc()
 			return
 		default:
@@ -599,7 +568,7 @@ func (s *Server) streamLoop(ctx context.Context, w http.ResponseWriter, rc *http
 			// Disconnect: capture so the reconnect resumes here instead
 			// of one interval back. The write side is likely dead; the
 			// durable slot is what matters.
-			if resumable && s.saveSlot(sess) == nil {
+			if s.saveSlot(sess) == nil {
 				s.reg.Counter("serve_checkpoint_saves").Inc()
 			}
 			s.reg.Tenant("serve_sessions_suspended", sess.tenant).Inc()

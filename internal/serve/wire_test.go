@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/checkpoint"
 	"sparseap/internal/sim"
 	"sparseap/internal/workloads"
 )
@@ -202,7 +203,11 @@ func buildPanelCase(tb testing.TB, name string) panelCase {
 // /v1/match body is encoding/json's rendering of the same reply, and a
 // /v1/stream response is Fprintf's rendering of the same records.
 func TestWireGolden(t *testing.T) {
-	s := New(Config{})
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Store: store})
 	var cases []panelCase
 	for _, name := range []string{"HM", "PEN", "TCP"} {
 		c := buildPanelCase(t, name)
