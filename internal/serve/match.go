@@ -1,9 +1,13 @@
-// One-shot matching with graceful degradation: /v1/match runs the SpAP
-// guarded executor by default, and a tenant whose inputs keep tripping
-// the guard is routed down the per-tenant ladder to the baseline kernel
-// — slower but immune to hot-set mispredictions — then probed back up
-// after a cooldown. Every mode produces the same report multiset, so
-// degradation changes latency, never answers.
+// One-shot matching with graceful degradation. Each app is routed once
+// (app.route): SpAP gains only by configuring fewer AP batches, so an app
+// that fits one batch, or whose hot half needs as many batches as the
+// whole network, runs every match on the baseline kernel without
+// consulting any ladder. The other apps run the SpAP guarded executor,
+// and a tenant whose inputs keep tripping the guard is routed down the
+// per-tenant ladder to the baseline kernel — slower but immune to hot-set
+// mispredictions — then probed back up after a cooldown. Every executor
+// produces the same report stream, so routing and degradation change
+// latency, never answers.
 //
 // # Reply
 //
@@ -14,13 +18,15 @@
 //
 // The strings are escaped as encoding/json escapes them (<, >, & and
 // U+2028/9 as \u sequences, invalid UTF-8 as U+FFFD); mode is guarded,
-// probe or baseline; n, pos and state are decimal integers without sign,
-// leading zero, fraction or exponent, n and pos in [0, MaxInt64] and state
-// in [0, MaxInt32]; reports are in the order the engine emitted them and an
-// input without reports carries []. The server writes no whitespace; the
-// client (decodeMatchReply in wire.go) allows it wherever JSON does, takes
-// the keys in any order, and refuses an unknown, repeated or missing key
-// and a number spelled or sized any other way.
+// probe or baseline, baseline meaning the kernel ran, because SpAP saves
+// the app no batch or because the tenant is demoted; n, pos and state are
+// decimal integers without sign, leading zero, fraction or exponent, n
+// and pos in [0, MaxInt64] and state in [0, MaxInt32]; reports are in
+// the order the engine emitted them and an input without reports carries
+// []. The server writes no whitespace; the client (decodeMatchReply in
+// wire.go) allows it wherever JSON does, takes the keys in any order, and
+// refuses an unknown, repeated or missing key and a number spelled or
+// sized any other way.
 package serve
 
 import (
@@ -31,7 +37,6 @@ import (
 	"strconv"
 	"time"
 
-	"sparseap/internal/hotcold"
 	"sparseap/internal/sim"
 	"sparseap/internal/spap"
 )
@@ -76,7 +81,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		ctx = c
 	}
-	input, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxMatchBytes))
+	input, err := readMatchBody(w, r)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -89,21 +94,24 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 
 	resp := matchResponse{App: a.name}
 	var reports []sim.Report
-	t := s.tenantOf(tenant)
-	mode := t.ladder.Next()
-	var part *hotcold.Partition
-	if mode != spap.ModeBaseline {
-		var perr error
-		if part, perr = a.partition(s.apCfg.Capacity); perr != nil {
+	kernel, part, perr := a.route(s.apCfg.Capacity)
+	var ladder *spap.Ladder
+	mode := spap.ModeBaseline
+	if !kernel {
+		ladder = s.tenantOf(tenant).ladder
+		mode = ladder.Next()
+		if mode != spap.ModeBaseline && perr != nil {
 			// Partitioning failure is permanent for this app: run the
 			// baseline kernel rather than failing the tenant's request.
 			mode = spap.ModeBaseline
+		}
+		if mode == spap.ModeBaseline {
+			s.reg.Tenant("serve_degraded", tenant).Inc()
 		}
 	}
 	resp.Mode = mode.String()
 
 	if mode == spap.ModeBaseline {
-		s.reg.Tenant("serve_degraded", tenant).Inc()
 		sres, serr := sim.RunContext(ctx, a.net, input, sim.Options{CollectReports: true}, nil)
 		if serr != nil {
 			matchError(w, serr)
@@ -117,7 +125,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		tripped := spap.Tripped(res)
-		t.ladder.ObserveGuarded(mode, tripped)
+		ladder.ObserveGuarded(mode, tripped)
 		if tripped {
 			s.reg.Tenant("serve_guard_trips", tenant).Inc()
 		}
@@ -125,6 +133,20 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.finishMatch(w, tenant, &resp, reports)
+}
+
+// readMatchBody reads the request body, at most maxMatchBytes of it. A
+// declared length within the bound is read into one allocation of that
+// size; a chunked or oversized body goes through io.ReadAll, whose
+// MaxBytesError the caller answers 413.
+func readMatchBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxMatchBytes)
+	if n := r.ContentLength; n >= 0 && n <= maxMatchBytes {
+		input := make([]byte, n)
+		_, err := io.ReadFull(body, input)
+		return input, err
+	}
+	return io.ReadAll(body)
 }
 
 // finishMatch counts the served match and writes the reply: resp's header

@@ -1,25 +1,47 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 
+	"sparseap/internal/ap"
 	"sparseap/internal/automata"
+	"sparseap/internal/hotcold"
 	"sparseap/internal/oracle"
 	"sparseap/internal/spap"
 	"sparseap/internal/testleak"
+	"sparseap/internal/workloads"
 )
 
+// matchCase is one input of a match burst with the oracle's reports for
+// it.
+type matchCase struct {
+	input []byte
+	want  []oracle.Report
+}
+
+// matchCases runs the oracle once on each of matchLens' inputs to net.
+func matchCases(net *automata.Network, input func(n int) []byte) []matchCase {
+	cases := make([]matchCase, len(matchLens))
+	for i, n := range matchLens {
+		cases[i].input = input(n)
+		cases[i].want = oracle.Run(net, cases[i].input).Reports
+	}
+	return cases
+}
+
 // sameAsOracle compares a /v1/match reply report-by-report with the
-// oracle's run of the same input.
-func sameAsOracle(m *matchResponse, net *automata.Network, input []byte) error {
-	want := oracle.Run(net, input).Reports
+// oracle's reports for the same input.
+func sameAsOracle(m *matchResponse, want []oracle.Report) error {
 	if int(m.NumReports) != len(want) || len(m.Reports) != len(want) {
 		return fmt.Errorf("%d reports (%d listed), want %d", m.NumReports, len(m.Reports), len(want))
 	}
@@ -37,27 +59,34 @@ func sameAsOracle(m *matchResponse, net *automata.Network, input []byte) error {
 var matchLens = []int{0, 1, 37, 1024, 4096, 8192, 16384, 32768}
 
 // TestMatchIdenticalToSimRun checks the answers of /v1/match, not just
-// their count: under every ladder mode each reply must be bit-identical
-// to sim.Run on the same input — degradation changes latency, never
-// answers.
+// their count: on either route and under every ladder mode each reply
+// must be bit-identical to sim.Run on the same input — routing and
+// degradation change latency, never answers. The ladder cells serve
+// Protomata, whose hot half needs one AP batch of the whole network's two,
+// so its matches run SpAP (424 reports in 32 KiB, against Brill's 31);
+// testNet fits one batch and runs on the kernel.
 func TestMatchIdenticalToSimRun(t *testing.T) {
 	testleak.Check(t)
-	net := testNet(t)
+	pro, err := workloads.Build("Pro", workloads.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spapCases := matchCases(pro.Net, func(n int) []byte { return pro.Input[:n] })
 	tenants := []string{"t0", "t1", "t2"}
 
-	// burst fires 32 concurrent requests across matchLens and the three
+	// burst fires 32 concurrent requests across the cases and the three
 	// tenants and requires every reply to carry wantMode and sim.Run's
 	// reports.
-	burst := func(t *testing.T, h *harness, wantMode string) {
+	burst := func(t *testing.T, h *harness, cases []matchCase, wantMode string) {
 		var wg sync.WaitGroup
-		errs := make(chan error, 4*len(matchLens))
-		for i := 0; i < 4*len(matchLens); i++ {
+		errs := make(chan error, 4*len(cases))
+		for i := 0; i < 4*len(cases); i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				input := testInput(matchLens[i%len(matchLens)])
+				c := cases[i%len(cases)]
 				cl := &Client{URL: func() string { return h.ts.URL }, Tenant: tenants[i%len(tenants)]}
-				m, shed, _, err := cl.Match(context.Background(), "test", input)
+				m, shed, _, err := cl.Match(context.Background(), "test", c.input)
 				if err != nil || shed {
 					errs <- fmt.Errorf("match %d: shed=%v err=%v", i, shed, err)
 					return
@@ -66,8 +95,8 @@ func TestMatchIdenticalToSimRun(t *testing.T) {
 					errs <- fmt.Errorf("match %d: mode = %q, want %q", i, m.Mode, wantMode)
 					return
 				}
-				if err := sameAsOracle(m, net, input); err != nil {
-					errs <- fmt.Errorf("match %d (len %d): %v", i, len(input), err)
+				if err := sameAsOracle(m, c.want); err != nil {
+					errs <- fmt.Errorf("match %d (len %d): %v", i, len(c.input), err)
 				}
 			}(i)
 		}
@@ -78,45 +107,61 @@ func TestMatchIdenticalToSimRun(t *testing.T) {
 		}
 	}
 
+	t.Run("kernel", func(t *testing.T) {
+		// SpAP can save testNet no batch, so every match runs on the
+		// kernel without consulting the ladder: the tenants stay guarded
+		// and none is counted degraded.
+		net := testNet(t)
+		h := startServer(t, Config{Ladder: spap.LadderConfig{TripLimit: 1}}, net)
+		burst(t, h, matchCases(net, testInput), "baseline")
+		for _, name := range tenants {
+			if mode := h.s.tenantOf(name).ladder.Mode(); mode != spap.ModeGuarded {
+				t.Errorf("tenant %s: ladder at %v, want guarded", name, mode)
+			}
+		}
+		if n := h.s.Registry().Total("serve_degraded"); n != 0 {
+			t.Errorf("serve_degraded = %d on kernel-routed matches, want 0", n)
+		}
+	})
+
 	t.Run("guarded", func(t *testing.T) {
 		// A trip limit no burst reaches: the tenants stay on the guarded
 		// path whatever the guard makes of these inputs.
-		h := startServer(t, Config{Ladder: spap.LadderConfig{TripLimit: 1 << 30}}, net)
-		burst(t, h, "guarded")
+		h := startServer(t, Config{Ladder: spap.LadderConfig{TripLimit: 1 << 30}}, pro.Net)
+		burst(t, h, spapCases, "guarded")
 	})
 
 	t.Run("baseline", func(t *testing.T) {
 		// Demoted tenants with a cooldown longer than the burst: every
 		// request takes the baseline kernel.
-		h := startServer(t, Config{Ladder: spap.LadderConfig{TripLimit: 1, Cooldown: 1 << 30}}, net)
+		h := startServer(t, Config{Ladder: spap.LadderConfig{TripLimit: 1, Cooldown: 1 << 30}}, pro.Net)
 		for _, name := range tenants {
 			h.s.tenantOf(name).ladder.ObserveGuarded(spap.ModeGuarded, true)
 		}
-		burst(t, h, "baseline")
+		burst(t, h, spapCases, "baseline")
 	})
 
 	t.Run("probe", func(t *testing.T) {
 		// One probe slot exists per cooldown, so this cell is sequential:
 		// demote, spend the one-request cooldown, and the next request is
 		// the probe.
-		h := startServer(t, Config{Ladder: spap.LadderConfig{TripLimit: 1, Cooldown: 1}}, net)
+		h := startServer(t, Config{Ladder: spap.LadderConfig{TripLimit: 1, Cooldown: 1}}, pro.Net)
 		cl := &Client{URL: func() string { return h.ts.URL }, Tenant: "victim"}
 		ladder := h.s.tenantOf("victim").ladder
-		for _, n := range matchLens {
-			input := testInput(n)
+		for _, c := range spapCases {
 			if ladder.Mode() == spap.ModeGuarded {
 				ladder.ObserveGuarded(spap.ModeGuarded, true)
 			}
 			for _, wantMode := range []string{"baseline", "probe"} {
-				m, shed, _, err := cl.Match(context.Background(), "test", input)
+				m, shed, _, err := cl.Match(context.Background(), "test", c.input)
 				if err != nil || shed {
-					t.Fatalf("len %d: shed=%v err=%v", n, shed, err)
+					t.Fatalf("len %d: shed=%v err=%v", len(c.input), shed, err)
 				}
 				if m.Mode != wantMode {
-					t.Fatalf("len %d: mode = %q, want %q", n, m.Mode, wantMode)
+					t.Fatalf("len %d: mode = %q, want %q", len(c.input), m.Mode, wantMode)
 				}
-				if err := sameAsOracle(m, net, input); err != nil {
-					t.Fatalf("len %d, %s: %v", n, wantMode, err)
+				if err := sameAsOracle(m, c.want); err != nil {
+					t.Fatalf("len %d, %s: %v", len(c.input), wantMode, err)
 				}
 			}
 		}
@@ -155,16 +200,66 @@ func TestMatchDeadlineAnswers504(t *testing.T) {
 	}
 }
 
-// TestMatchBodyTooLargeAnswers413 posts a body over maxMatchBytes.
+// TestMatchBodyTooLargeAnswers413 posts a body over maxMatchBytes, once
+// with its length declared and once chunked, with no length to size the
+// read by.
 func TestMatchBodyTooLargeAnswers413(t *testing.T) {
 	testleak.Check(t)
 	h := startServer(t, Config{}, testNet(t))
-	status, body := post(t, h.ts.URL+"/v1/match?app=test", testInput(maxMatchBytes+1), nil)
+	url := h.ts.URL + "/v1/match?app=test"
+	status, body := post(t, url, testInput(maxMatchBytes+1), nil)
 	if status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d (%s), want 413", status, strings.TrimSpace(body))
 	}
-	if status, _ := post(t, h.ts.URL+"/v1/match?app=test", testInput(maxMatchBytes), nil); status != http.StatusOK {
+	if status, _ := post(t, url, testInput(maxMatchBytes), nil); status != http.StatusOK {
 		t.Fatalf("body at the limit: status = %d, want 200", status)
+	}
+	chunked := func(n int) int {
+		req, err := http.NewRequest(http.MethodPost, url, io.MultiReader(bytes.NewReader(testInput(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = -1
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	if status := chunked(maxMatchBytes + 1); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("chunked body over the limit: status = %d, want 413", status)
+	}
+	if status := chunked(4096); status != http.StatusOK {
+		t.Fatalf("chunked body within the limit: status = %d, want 200", status)
+	}
+}
+
+// TestMatchBodyShortOfDeclaredLength sends a body that ends, its write
+// side closed, before the Content-Length it declared: the read sized by
+// that length must see the early end and answer 400 rather than match
+// the bytes that did arrive.
+func TestMatchBodyShortOfDeclaredLength(t *testing.T) {
+	testleak.Check(t)
+	h := startServer(t, Config{}, testNet(t))
+	conn, err := net.Dial("tcp", h.ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/match?app=test HTTP/1.1\r\nHost: test\r\nContent-Length: 100\r\n\r\n%s", testInput(50))
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d (%s), want 400", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 }
 
@@ -207,5 +302,66 @@ func TestHeaderValidation(t *testing.T) {
 		if status != http.StatusOK {
 			t.Errorf("%s: well-formed headers: status = %d (%s), want 200", path, status, strings.TrimSpace(body))
 		}
+	}
+}
+
+// TestMatchRouteFollowsBatchModel holds the match route to the AP model
+// over the 26 apps at 1/8: an app's matches run on the baseline kernel
+// exactly when its hot network needs at least as many AP batches as the
+// whole network, and the counts the route decides on are the executors'
+// own — the whole count ap.BaselineCycles', the hot count the guarded
+// executor's BaseAPBatches on a 4 KiB input. Its guard never trips, so the
+// count is of the partition the route built, not of a widened one or of
+// the fallback that replaces it (SPM's input trips the default guard).
+func TestMatchRouteFollowsBatchModel(t *testing.T) {
+	apps, err := workloads.BuildAll(workloads.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ap.DefaultConfig()
+	kernels := 0
+	for _, w := range apps {
+		input := w.Input[:4096]
+		a := &app{name: w.Abbr, net: w.Net}
+		kernel, part, perr := a.route(cfg.Capacity)
+		if perr != nil {
+			t.Errorf("%s: route: %v", w.Abbr, perr)
+			continue
+		}
+		whole, _, err := ap.BaselineCycles(w.Net, len(input), cfg.Capacity)
+		if err != nil || a.whole != whole {
+			t.Errorf("%s: route counts %d whole batches, ap.BaselineCycles %d (%v)", w.Abbr, a.whole, whole, err)
+			continue
+		}
+		if part == nil {
+			// Only a one-batch app is routed without a partition; build
+			// one here to learn its hot count.
+			if whole > 1 {
+				t.Errorf("%s: no partition for %d batches", w.Abbr, whole)
+				continue
+			}
+			if part, err = hotcold.BuildWithStrategy(w.Net, hotcold.StrategyStatic,
+				hotcold.StrategyInput{}, hotcold.Options{Capacity: cfg.Capacity}); err != nil {
+				t.Fatalf("%s: %v", w.Abbr, err)
+			}
+		}
+		res, err := spap.RunGuarded(context.Background(), part, input, cfg, spap.Guard{MinReports: math.MaxInt64}, spap.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Abbr, err)
+		}
+		hot := res.BaseAPBatches
+		if a.part != nil && a.hot != hot {
+			t.Errorf("%s: route counts %d hot batches, the guarded executor configured %d", w.Abbr, a.hot, hot)
+		}
+		if kernel != (hot >= whole) {
+			t.Errorf("%s: kernel route = %v with %d hot of %d batches", w.Abbr, kernel, hot, whole)
+		}
+		if kernel {
+			kernels++
+		}
+		t.Logf("%-8s whole %d hot %d kernel %v", w.Abbr, whole, hot, kernel)
+	}
+	if kernels == 0 || kernels == len(apps) {
+		t.Errorf("%d of %d apps routed to the kernel: the suite no longer tells the routes apart", kernels, len(apps))
 	}
 }

@@ -19,9 +19,11 @@
 //     resume protocol);
 //   - SIGTERM drains gracefully: in-flight sessions are checkpointed and
 //     suspended, clients reconnect to the next process;
-//   - guard-tripped tenants degrade down a per-tenant ladder from SpAP
-//     execution to the baseline kernel instead of failing (internal/spap
-//     Ladder), and recover via cooldown probes;
+//   - /v1/match runs SpAP only for apps whose hot half saves an AP
+//     batch, the baseline kernel for the rest; on SpAP, guard-tripped
+//     tenants degrade down a per-tenant ladder to the baseline kernel
+//     instead of failing (internal/spap Ladder), and recover via cooldown
+//     probes;
 //   - request deadlines propagate from the X-Deadline-Ms header through
 //     context into every executor.
 //
@@ -131,16 +133,19 @@ func (c Config) withDefaults() Config {
 }
 
 // app is one resident application: the network, its shared compiled
-// image, and the lazily built SpAP partition.
+// image, and the lazily decided match route.
 type app struct {
 	name        string
 	net         *automata.Network
 	img         *sim.Image
 	fingerprint string
 
-	once sync.Once
-	part *hotcold.Partition
-	perr error
+	once   sync.Once
+	whole  int  // AP batches of the whole network
+	hot    int  // AP batches of the partition's hot network; 0 without one
+	kernel bool // SpAP saves no batch: matches run the baseline kernel
+	part   *hotcold.Partition
+	perr   error
 
 	wcOnce  sync.Once
 	wcBound int // certified worst-case frontier width
@@ -167,14 +172,31 @@ func (a *app) engineCost() int64 {
 	return a.img.EngineFootprintBounded(a.frontierBound()) + sessionOverheadBytes
 }
 
-// partition builds (once) the static hot/cold partition the SpAP match
-// path runs on.
-func (a *app) partition(capacity int) (*hotcold.Partition, error) {
+// route decides (once) which executor the app's matches run on. SpAP
+// gains only by configuring fewer AP batches, since each batch streams the
+// whole input again (ap.BaselineCycles). So an app that fits one batch
+// runs on the baseline kernel and builds no partition, and so does one
+// whose static partition leaves a hot network needing as many batches as
+// the whole. Otherwise part is the partition the guarded executor runs
+// on, or perr says why it could not be built.
+func (a *app) route(capacity int) (kernel bool, part *hotcold.Partition, perr error) {
 	a.once.Do(func() {
+		whole, err := ap.PartitionNFAs(a.net, capacity)
+		a.whole = len(whole)
+		if err == nil && a.whole <= 1 {
+			a.kernel = true
+			return
+		}
 		a.part, a.perr = hotcold.BuildWithStrategy(a.net, hotcold.StrategyStatic,
 			hotcold.StrategyInput{}, hotcold.Options{Capacity: capacity})
+		if err != nil || a.perr != nil {
+			return
+		}
+		hot, herr := ap.PartitionNFAs(a.part.Hot, capacity)
+		a.hot = len(hot)
+		a.kernel = herr == nil && a.hot >= a.whole
 	})
-	return a.part, a.perr
+	return a.kernel, a.part, a.perr
 }
 
 // Server is the multi-tenant streaming match service.

@@ -18,6 +18,7 @@ import (
 	"sparseap/internal/spap"
 	"sparseap/internal/symset"
 	"sparseap/internal/testleak"
+	"sparseap/internal/workloads"
 )
 
 // testNet builds a small network that reports often: an all-input start
@@ -509,11 +510,16 @@ func TestStreamDeadlineSuspends(t *testing.T) {
 
 // TestDegradationLadderRouting demotes a tenant's ladder and checks the
 // match path routes it to the baseline kernel with identical reports,
-// then promotes it back through a clean probe.
+// then promotes it back through a clean probe. It serves Protomata, an
+// app whose hot half saves an AP batch, since only such an app's matches
+// consult the ladder.
 func TestDegradationLadderRouting(t *testing.T) {
 	testleak.Check(t)
-	net := testNet(t)
-	input := testInput(8192)
+	pro, err := workloads.Build("Pro", workloads.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, input := pro.Net, pro.Input[:8192]
 	h := startServer(t, Config{Ladder: spap.LadderConfig{TripLimit: 1, Cooldown: 1}}, net)
 
 	match := func(tenant string) *matchResponse {

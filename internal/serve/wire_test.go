@@ -232,7 +232,9 @@ func TestWireGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		resp, body := fetch("/v1/match?app="+c.name, c.input)
-		want := refEncodeMatchReply(c.name, "guarded", int64(len(c.reports)), c.reports)
+		// SpAP saves none of the three apps a batch, so each runs on the
+		// kernel.
+		want := refEncodeMatchReply(c.name, "baseline", int64(len(c.reports)), c.reports)
 		if !bytes.Equal(body, want) {
 			t.Errorf("%s: /v1/match body (%d bytes) is not encoding/json's (%d bytes)", c.name, len(body), len(want))
 		}
