@@ -1,4 +1,4 @@
-// Command anml2dot converts an ANML automaton (or a compiled regex) into
+// Command anml2dot converts an ANML automaton (or compiled regexes) into
 // Graphviz DOT for visualization:
 //
 //	anml2dot -anml fig2.anml > fig2.dot
@@ -10,45 +10,17 @@ import (
 	"fmt"
 	"os"
 
-	"sparseap"
 	"sparseap/internal/anml"
+	"sparseap/internal/cli"
 )
 
 func main() {
-	var (
-		anmlPath = flag.String("anml", "", "ANML file to convert")
-		regex    = flag.String("regex", "", "regex to compile and convert")
-		name     = flag.String("name", "automaton", "graph name")
-	)
-	flag.Parse()
+	src := cli.Command("anml2dot", cli.Spec{Sources: cli.ANML | cli.Regex})
+	name := flag.String("name", "automaton", "graph name")
+	src.Parse()
 
-	var (
-		net *sparseap.Network
-		err error
-	)
-	switch {
-	case *anmlPath != "":
-		f, ferr := os.Open(*anmlPath)
-		if ferr != nil {
-			fail(ferr)
-		}
-		net, err = sparseap.ReadANML(f)
-		f.Close()
-	case *regex != "":
-		net, err = sparseap.CompileRegex([]string{*regex})
-	default:
-		flag.Usage()
-		os.Exit(2)
+	if err := anml.WriteDOT(os.Stdout, src.Targets()[0].Net, *name); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if err != nil {
-		fail(err)
-	}
-	if err := anml.WriteDOT(os.Stdout, net, *name); err != nil {
-		fail(err)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -24,9 +24,8 @@ import (
 	"strings"
 	"time"
 
-	"sparseap/internal/ap"
+	"sparseap/internal/cli"
 	"sparseap/internal/exp"
-	"sparseap/internal/workloads"
 )
 
 type experiment struct {
@@ -56,14 +55,9 @@ func experiments() []experiment {
 }
 
 func main() {
-	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiments, or 'all'")
-		divisor  = flag.Int("divisor", 8, "scale divisor vs the paper's Table II")
-		inputLen = flag.Int("input", 131072, "input stream length in bytes")
-		capacity = flag.Int("capacity", 0, "AP half-core capacity in STEs (default: the paper's 24000 / divisor)")
-		seed     = flag.Int64("seed", 1, "generation seed")
-	)
-	flag.Parse()
+	src := cli.Command("apbench", cli.Spec{Scale: true, Capacity: cli.Model})
+	expFlag := flag.String("exp", "all", "comma-separated experiments, or 'all'")
+	src.Parse()
 
 	// Every requested name is checked before anything runs: a typo beside
 	// a valid name must not cost a minute-long run that silently lacks it.
@@ -87,17 +81,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *divisor <= 0 {
-		fmt.Fprintln(os.Stderr, "apbench: -divisor must be positive")
-		os.Exit(2)
-	}
-	if *capacity <= 0 {
-		*capacity = ap.PaperConfig().Capacity / *divisor
-	}
-	wl := workloads.Config{InputLen: *inputLen, Divisor: *divisor, Seed: *seed}
-	suite := exp.NewSuite(wl, ap.DefaultConfig().WithCapacity(*capacity))
+	wl := src.Workloads
+	suite := exp.NewSuite(wl, src.AP)
 	fmt.Printf("sparseap benchmark harness: divisor=%d input=%d capacity=%d seed=%d\n\n",
-		*divisor, *inputLen, *capacity, *seed)
+		wl.Divisor, wl.InputLen, src.AP.Capacity, wl.Seed)
 	for _, e := range exps {
 		if !wanted["all"] && !wanted[e.name] {
 			continue

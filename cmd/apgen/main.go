@@ -14,48 +14,30 @@ import (
 	"path/filepath"
 
 	"sparseap/internal/anml"
+	"sparseap/internal/cli"
 	"sparseap/internal/lint"
-	"sparseap/internal/workloads"
 )
 
 func main() {
+	src := cli.Command("apgen", cli.Spec{Sources: cli.App | cli.All, Scale: true, Capacity: cli.Checks})
 	var (
-		appName  = flag.String("app", "", "application abbreviation")
-		all      = flag.Bool("all", false, "emit every application")
-		outDir   = flag.String("o", ".", "output directory")
-		divisor  = flag.Int("divisor", 8, "scale divisor")
-		inputLen = flag.Int("input", 131072, "input length")
-		seed     = flag.Int64("seed", 1, "generation seed")
-		noLint   = flag.Bool("nolint", false, "skip linting the emitted networks")
-		strict   = flag.Bool("strict", false, "fail (exit 1) when the linter reports findings instead of warning")
-		capacity = flag.Int("capacity", 3000, "half-core capacity for the lint capacity analyzer")
-		opt      = flag.Bool("opt", false, "emit the minimized networks (proof-carrying rewriter) instead of the raw generated ones")
+		outDir = flag.String("o", ".", "output directory")
+		noLint = flag.Bool("nolint", false, "skip linting the emitted networks")
+		strict = flag.Bool("strict", false, "fail (exit 1) when the linter reports findings instead of warning")
+		opt    = flag.Bool("opt", false, "emit the minimized networks (proof-carrying rewriter) instead of the raw generated ones")
 	)
-	flag.Parse()
-	cfg := workloads.Config{Divisor: *divisor, InputLen: *inputLen, Seed: *seed, Optimize: *opt}
-
-	var names []string
-	switch {
-	case *all:
-		names = workloads.Names()
-	case *appName != "":
-		names = []string{*appName}
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
+	src.Parse()
+	src.Workloads.Optimize = *opt
+	targets := src.Targets()
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fail(err)
 	}
-	for _, name := range names {
-		app, err := workloads.Build(name, cfg)
-		if err != nil {
-			fail(err)
-		}
+	for _, t := range targets {
+		name, app := t.Name, t.App
 		// Lint every emitted network so downstream tools never ingest a
 		// suspect automaton: warn by default, fail under -strict.
 		if !*noLint {
-			res := lint.Run(app.Net, lint.Options{Capacity: *capacity})
+			res := lint.Run(app.Net, lint.Options{Capacity: src.AP.Capacity})
 			if len(res.Diags) > 0 {
 				fmt.Fprintf(os.Stderr, "apgen: lint %s: %s\n", name, res.Summary())
 				for _, d := range res.Diags {

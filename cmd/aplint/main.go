@@ -27,26 +27,11 @@ import (
 
 	"sparseap/internal/anml"
 	"sparseap/internal/automata"
+	"sparseap/internal/cli"
 	"sparseap/internal/hotcold"
 	"sparseap/internal/lint"
-	"sparseap/internal/regexc"
 	"sparseap/internal/rewrite"
-	"sparseap/internal/symset"
-	"sparseap/internal/workloads"
 )
-
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
-
-// target is one network to lint.
-type target struct {
-	name  string
-	net   *automata.Network
-	input []byte // profiling stream for -partition, when available
-}
 
 // report is the per-target JSON payload.
 type report struct {
@@ -60,17 +45,15 @@ type report struct {
 }
 
 func main() {
+	src := cli.Command("aplint", cli.Spec{
+		Sources: cli.App | cli.All | cli.ANML | cli.In | cli.Regex,
+		Scale:   true, Capacity: cli.Checks, Lax: true,
+	})
 	var (
-		appName   = flag.String("app", "", "built-in application abbreviation")
-		all       = flag.Bool("all", false, "lint every generated application")
-		anmlPath  = flag.String("anml", "", "ANML automaton file")
-		inPath    = flag.String("in", "", "input stream file (profiling source for -anml -partition)")
-		regexes   multiFlag
 		list      = flag.Bool("list", false, "list every registered analyzer and exit")
 		jsonOut   = flag.Bool("json", false, "emit diagnostics as JSON")
 		enable    = flag.String("enable", "", "comma-separated codes/names to run exclusively")
 		disable   = flag.String("disable", "", "comma-separated codes/names to skip")
-		capacity  = flag.Int("capacity", 3000, "AP half-core capacity for the capacity analyzer (0 disables)")
 		partition = flag.Float64("partition", 0, "also build a hot/cold partition profiling this input fraction and run the partition analyzers")
 		strict    = flag.Bool("strict", false, "exit non-zero on warnings, not only errors")
 		alphaSpec = flag.String("alphabet", "", "assumed input alphabet as a symbol class (e.g. '[a-z0-9]'); empty = all 256 symbols")
@@ -78,29 +61,24 @@ func main() {
 		diffOnly  = flag.Bool("diff", false, "dry-run the rewriter and print per-NFA state/edge deltas without writing")
 		outPath   = flag.String("o", "", "minimized-ANML output path for -fix (default stdout)")
 		maxPer    = flag.Int("max", 20, "max diagnostics printed per code per target in text mode (0 = unlimited)")
-		divisor   = flag.Int("divisor", 8, "workload scale divisor (with -app/-all)")
-		inputLen  = flag.Int("input", 131072, "generated input length (with -app/-all)")
-		seed      = flag.Int64("seed", 1, "generation seed (with -app/-all)")
 	)
-	flag.Var(&regexes, "regex", "pattern to compile and lint (repeatable)")
-	flag.Parse()
+	src.Parse()
 
 	if *list {
 		listAnalyzers()
 		return
 	}
+	alphabet, err := cli.Alphabet(*alphaSpec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "aplint: -alphabet:", err)
+		os.Exit(2)
+	}
+	capacity := src.AP.Capacity
 	opts := lint.Options{
-		Capacity: *capacity,
+		Capacity: capacity,
 		Enable:   splitCodes(*enable),
 		Disable:  splitCodes(*disable),
-	}
-	if *alphaSpec != "" {
-		a, err := symset.Parse(bracketed(*alphaSpec))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aplint: -alphabet:", err)
-			os.Exit(2)
-		}
-		opts.Alphabet = a
+		Alphabet: alphabet,
 	}
 	// A typo'd filter would otherwise silently lint nothing and report
 	// "clean"; reject anything that names no registered analyzer.
@@ -110,13 +88,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	targets, err := resolve(*appName, *all, *anmlPath, *inPath, regexes,
-		workloads.Config{Divisor: *divisor, InputLen: *inputLen, Seed: *seed})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aplint:", err)
-		os.Exit(2)
-	}
-
+	targets := src.Targets()
 	if *fix && len(targets) != 1 {
 		fmt.Fprintln(os.Stderr, "aplint: -fix needs exactly one target (it writes one minimized network)")
 		os.Exit(2)
@@ -125,14 +97,14 @@ func main() {
 	var reports []report
 	var merged lint.Result
 	for _, t := range targets {
-		rep := report{Name: t.name, States: t.net.Len(), NFAs: t.net.NumNFAs()}
-		res := lint.Run(t.net, opts)
+		rep := report{Name: t.Name, States: t.Net.Len(), NFAs: t.Net.NumNFAs()}
+		res := lint.Run(t.Net, opts)
 		rep.Diags = res.Diags
 		rep.Skipped = res.Skipped
 		if *partition > 0 {
-			pres, err := lintPartition(t, *partition, *capacity, opts)
+			pres, err := lintPartition(t, *partition, capacity, opts)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "aplint: %s: partition: %v\n", t.name, err)
+				fmt.Fprintf(os.Stderr, "aplint: %s: partition: %v\n", t.Name, err)
 				os.Exit(2)
 			}
 			rep.Partition = true
@@ -142,19 +114,15 @@ func main() {
 			lint.SortDiagnostics(rep.Diags)
 		}
 		if *fix || *diffOnly {
-			ropts := rewrite.Options{Alphabet: opts.Alphabet, Capacity: *capacity}
-			if *capacity <= 0 {
-				ropts.Capacity = -1 // capacity checking disabled: merge unguarded
-			}
-			rres, err := rewrite.Rewrite(t.net, ropts)
+			rres, err := rewrite.Rewrite(t.Net, rewrite.Options{Alphabet: opts.Alphabet, Capacity: capacity})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "aplint: %s: rewrite: %v\n", t.name, err)
+				fmt.Fprintf(os.Stderr, "aplint: %s: rewrite: %v\n", t.Name, err)
 				os.Exit(2)
 			}
 			rep.Rewrite = &rres.Stats
 			if *fix {
-				if err := writeMinimized(*outPath, rres.Net, t.name); err != nil {
-					fmt.Fprintf(os.Stderr, "aplint: %s: %v\n", t.name, err)
+				if err := writeMinimized(*outPath, rres.Net, t.Name); err != nil {
+					fmt.Fprintf(os.Stderr, "aplint: %s: %v\n", t.Name, err)
 					os.Exit(2)
 				}
 			}
@@ -203,84 +171,24 @@ func writeMinimized(path string, net *automata.Network, name string) error {
 	return f.Close()
 }
 
-// bracketed wraps a bare multi-symbol class in [] so users can write
-// -alphabet a-z as well as the full '[a-z]' symset syntax.
-func bracketed(spec string) string {
-	if spec == "*" || len(spec) == 1 || strings.HasPrefix(spec, "[") {
-		return spec
-	}
-	if len(spec) == 2 && spec[0] == '\\' {
-		return spec // a single escaped symbol or class shorthand
-	}
-	return "[" + spec + "]"
-}
-
 // lintPartition profiles a fraction of the target's input, builds the
 // hot/cold partition, and runs the partition analyzers over it.
-func lintPartition(t target, frac float64, capacity int, opts lint.Options) (*lint.Result, error) {
-	if len(t.input) == 0 {
+func lintPartition(t cli.Target, frac float64, capacity int, opts lint.Options) (*lint.Result, error) {
+	if len(t.Input) == 0 {
 		return nil, fmt.Errorf("no input stream to profile (use -in with -anml)")
 	}
-	n := int(frac * float64(len(t.input)))
+	n := int(frac * float64(len(t.Input)))
 	if n < 1 {
 		n = 1
 	}
-	if n > len(t.input) {
-		n = len(t.input)
+	if n > len(t.Input) {
+		n = len(t.Input)
 	}
-	part, err := hotcold.BuildFromProfile(t.net, t.input[:n], hotcold.Options{Capacity: capacity})
+	part, err := hotcold.BuildFromProfile(t.Net, t.Input[:n], hotcold.Options{Capacity: capacity})
 	if err != nil {
 		return nil, err
 	}
 	return lint.RunPartition(part.LintInfo(), opts), nil
-}
-
-// resolve builds the lint targets from the flag combination.
-func resolve(appName string, all bool, anmlPath, inPath string, regexes []string, cfg workloads.Config) ([]target, error) {
-	switch {
-	case all:
-		apps, err := workloads.BuildAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ts := make([]target, len(apps))
-		for i, a := range apps {
-			ts[i] = target{name: a.Abbr, net: a.Net, input: a.Input}
-		}
-		return ts, nil
-	case appName != "":
-		a, err := workloads.Build(appName, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []target{{name: a.Abbr, net: a.Net, input: a.Input}}, nil
-	case anmlPath != "":
-		f, err := os.Open(anmlPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		// Lax read: aplint's job is to report structural findings, so a
-		// broken network must reach the analyzers instead of failing I/O.
-		net, err := anml.ReadLax(f)
-		if err != nil {
-			return nil, err
-		}
-		t := target{name: anmlPath, net: net}
-		if inPath != "" {
-			if t.input, err = os.ReadFile(inPath); err != nil {
-				return nil, err
-			}
-		}
-		return []target{t}, nil
-	case len(regexes) > 0:
-		net, err := regexc.CompileAll(regexes, regexc.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return []target{{name: "regex", net: net}}, nil
-	}
-	return nil, fmt.Errorf("need -app, -all, -anml or -regex (try: aplint -all)")
 }
 
 // printText renders one target's findings in the line-oriented text format.

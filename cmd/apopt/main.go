@@ -26,17 +26,10 @@ import (
 
 	"sparseap/internal/anml"
 	"sparseap/internal/automata"
+	"sparseap/internal/cli"
 	"sparseap/internal/metrics"
 	"sparseap/internal/rewrite"
-	"sparseap/internal/symset"
-	"sparseap/internal/workloads"
 )
-
-// optTarget is one network to minimize.
-type optTarget struct {
-	name string
-	net  *automata.Network
-}
 
 // optReport is the per-target JSON payload.
 type optReport struct {
@@ -46,37 +39,24 @@ type optReport struct {
 }
 
 func main() {
+	src := cli.Command("apopt", cli.Spec{Sources: cli.App | cli.All | cli.ANML, Scale: true, Capacity: cli.Checks})
 	var (
-		appName   = flag.String("app", "", "built-in application abbreviation")
-		all       = flag.Bool("all", false, "minimize every generated application")
-		anmlPath  = flag.String("anml", "", "ANML automaton file")
 		outPath   = flag.String("o", "", "output: ANML path for one target, directory with -all ('-' = stdout; empty = dry run)")
 		diffOnly  = flag.Bool("diff", false, "dry run: report per-NFA state/edge deltas without writing")
 		alphaSpec = flag.String("alphabet", "", "assumed input alphabet as a symbol class (e.g. '[a-z0-9]'); empty = all 256 symbols")
-		capacity  = flag.Int("capacity", rewrite.DefaultCapacity, "AP half-core capacity guarding cross-NFA merges (<0 = unguarded)")
 		check     = flag.Bool("check", false, "re-verify the full certificate chain of the rewrite")
 		jsonOut   = flag.Bool("json", false, "emit statistics as JSON")
 		maxPer    = flag.Int("max", 20, "max changed NFAs listed per target in text mode (0 = unlimited)")
-		divisor   = flag.Int("divisor", 8, "workload scale divisor (with -app/-all)")
-		inputLen  = flag.Int("input", 131072, "generated input length (with -app/-all)")
-		seed      = flag.Int64("seed", 1, "generation seed (with -app/-all)")
 	)
-	flag.Parse()
+	src.Parse()
 
-	ropts := rewrite.Options{Capacity: *capacity}
-	if *alphaSpec != "" {
-		a, err := symset.Parse(bracketed(*alphaSpec))
-		if err != nil {
-			fail(2, fmt.Errorf("-alphabet: %w", err))
-		}
-		ropts.Alphabet = a
-	}
-	targets, err := resolve(*appName, *all, *anmlPath,
-		workloads.Config{Divisor: *divisor, InputLen: *inputLen, Seed: *seed})
+	alphabet, err := cli.Alphabet(*alphaSpec)
 	if err != nil {
-		fail(2, err)
+		fail(2, fmt.Errorf("-alphabet: %w", err))
 	}
-	if *outPath != "" && *outPath != "-" && *all {
+	ropts := rewrite.Options{Alphabet: alphabet, Capacity: src.AP.Capacity}
+	targets := src.Targets()
+	if *outPath != "" && *outPath != "-" && src.All {
 		if err := os.MkdirAll(*outPath, 0o755); err != nil {
 			fail(2, err)
 		}
@@ -85,25 +65,27 @@ func main() {
 	var reports []optReport
 	table := metrics.NewTable("App", "States", "Min", "Δ%", "Edges", "Min", "NFAs", "Min")
 	for _, t := range targets {
-		res, err := rewrite.Rewrite(t.net, ropts)
+		// An -anml target is named by its file name without .anml.
+		name := strings.TrimSuffix(filepath.Base(t.Name), ".anml")
+		res, err := rewrite.Rewrite(t.Net, ropts)
 		if err != nil {
-			fail(2, fmt.Errorf("%s: %w", t.name, err))
+			fail(2, fmt.Errorf("%s: %w", name, err))
 		}
 		if *check {
 			if err := res.Check(ropts.Alphabet); err != nil {
-				fail(1, fmt.Errorf("%s: certificate check failed: %w", t.name, err))
+				fail(1, fmt.Errorf("%s: certificate check failed: %w", name, err))
 			}
 		}
-		rep := optReport{Name: t.name, Stats: &res.Stats}
+		rep := optReport{Name: name, Stats: &res.Stats}
 		if *outPath != "" && !*diffOnly {
-			rep.Out, err = write(*outPath, t.name, res.Net, *all)
+			rep.Out, err = write(*outPath, name, res.Net, src.All)
 			if err != nil {
-				fail(2, fmt.Errorf("%s: %w", t.name, err))
+				fail(2, fmt.Errorf("%s: %w", name, err))
 			}
 		}
 		reports = append(reports, rep)
 		st := &res.Stats
-		table.AddRowf(t.name, st.StatesBefore, st.StatesAfter, savings(st),
+		table.AddRowf(name, st.StatesBefore, st.StatesAfter, savings(st),
 			st.EdgesBefore, st.EdgesAfter, st.NFAsBefore, st.NFAsAfter)
 	}
 
@@ -180,52 +162,6 @@ func write(outPath, name string, net *automata.Network, all bool) (string, error
 		return "", err
 	}
 	return path, f.Close()
-}
-
-// resolve builds the targets from the flag combination.
-func resolve(appName string, all bool, anmlPath string, cfg workloads.Config) ([]optTarget, error) {
-	switch {
-	case all:
-		apps, err := workloads.BuildAll(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ts := make([]optTarget, len(apps))
-		for i, a := range apps {
-			ts[i] = optTarget{name: a.Abbr, net: a.Net}
-		}
-		return ts, nil
-	case appName != "":
-		a, err := workloads.Build(appName, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []optTarget{{name: a.Abbr, net: a.Net}}, nil
-	case anmlPath != "":
-		f, err := os.Open(anmlPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		net, err := anml.Read(f)
-		if err != nil {
-			return nil, err
-		}
-		return []optTarget{{name: strings.TrimSuffix(filepath.Base(anmlPath), ".anml"), net: net}}, nil
-	}
-	return nil, fmt.Errorf("need -app, -all or -anml (try: apopt -all)")
-}
-
-// bracketed wraps a bare multi-symbol class in [] so users can write
-// -alphabet a-z as well as the full '[a-z]' symset syntax.
-func bracketed(spec string) string {
-	if spec == "*" || len(spec) == 1 || strings.HasPrefix(spec, "[") {
-		return spec
-	}
-	if len(spec) == 2 && spec[0] == '\\' {
-		return spec
-	}
-	return "[" + spec + "]"
 }
 
 func fail(code int, err error) {

@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"sparseap/internal/checkpoint"
+	"sparseap/internal/cli"
 	"sparseap/internal/metrics"
 	"sparseap/internal/replica"
 	"sparseap/internal/serve"
@@ -57,13 +58,11 @@ import (
 )
 
 func main() {
+	src := cli.Command("apserve", cli.Spec{Scale: true})
 	var (
 		addr     = flag.String("addr", ":8425", "listen address (server mode)")
 		storeDir = flag.String("store", "", "checkpoint store directory, required in server mode: sessions resume from it")
 		apps     = flag.String("apps", "HM,PEN,TCP", "comma-separated workload abbreviations to make resident")
-		divisor  = flag.Int("divisor", 8, "workload scale divisor")
-		inputLen = flag.Int("input", 131072, "generated input length")
-		seed     = flag.Int64("seed", 1, "generation seed")
 		every    = flag.Int64("every", 0, "checkpoint capture interval in symbols (0 = 8192)")
 
 		maxSessions  = flag.Int("max-sessions", 256, "global concurrent session cap (shed 503 beyond)")
@@ -82,9 +81,9 @@ func main() {
 		streams = flag.Int("streams", 2, "verified stream sessions per app (loadgen mode)")
 		pace    = flag.Duration("pace", 0, "sleep between stream chunk writes, stretching streams for chaos kills (loadgen mode)")
 	)
-	flag.Parse()
+	src.Parse()
 
-	cfg := workloads.Config{Divisor: *divisor, InputLen: *inputLen, Seed: *seed}
+	cfg := src.Workloads
 	abbrs := splitList(*apps)
 
 	if *loadgen {
@@ -101,6 +100,7 @@ func main() {
 		fatal(err)
 	}
 	scfg := serve.Config{
+		AP:           src.AP,
 		Store:        store,
 		Registry:     metrics.NewRegistry(),
 		Every:        *every,

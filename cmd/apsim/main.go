@@ -8,7 +8,8 @@
 //	apsim -anml rules.anml -in traffic.bin    # user-provided automaton
 //
 // Flags select the system (-system ap|apcpu|spap|all), the profiling
-// fraction (-profile 0.01) and the half-core capacity (-capacity 3000).
+// fraction (-profile 0.01) and the half-core capacity (-capacity; by
+// default the paper's 24000 / -divisor, 3000 at the default scale).
 //
 // Resilience flags: -timeout bounds the wall-clock of each execution
 // (partial statistics are printed on expiry); -guard runs the BaseAP/SpAP
@@ -17,6 +18,13 @@
 // injected stuck faults onto spare STEs (-spares per block, 0 = minimum)
 // and fails if the repaired run's reports diverge from the fault-free
 // network's.
+//
+// Checkpointing: -checkpoint DIR captures state every -every symbols, and
+// -resume continues from it. The store's fingerprint names the app, its
+// scale and the capacity, and a run whose fingerprint differs is refused
+// on -resume, never spliced. A store written by an older apsim at a
+// non-default -divisor without -capacity recorded cap3000, not the scaled
+// capacity this apsim runs at, so it is refused.
 package main
 
 import (
@@ -29,23 +37,20 @@ import (
 	"os"
 
 	"sparseap"
+	"sparseap/internal/cli"
 	"sparseap/internal/lint"
+	"sparseap/internal/rewrite"
 	"sparseap/internal/sim"
-	"sparseap/internal/workloads"
 )
 
 func main() {
+	src := cli.Command("apsim", cli.Spec{
+		Sources: cli.App | cli.ANML | cli.In, Scale: true, Capacity: cli.Model, NeedInput: true,
+	})
 	var (
-		appName   = flag.String("app", "", "built-in application abbreviation (see apstat -list)")
-		anmlPath  = flag.String("anml", "", "ANML automaton file")
-		inPath    = flag.String("in", "", "input stream file (with -anml)")
 		system    = flag.String("system", "all", "execution system: ap, apcpu, spap, or all")
 		profile   = flag.Float64("profile", 0.01, "profiling input fraction")
 		strategy  = flag.String("strategy", "profiled", "partition strategy: profiled (paper, default) or static (profile-free hotness analysis)")
-		capacity  = flag.Int("capacity", 3000, "AP half-core capacity in STEs")
-		divisor   = flag.Int("divisor", 8, "workload scale divisor (with -app)")
-		inputLen  = flag.Int("input", 131072, "generated input length (with -app)")
-		seed      = flag.Int64("seed", 1, "generation seed (with -app)")
 		trace     = flag.String("trace", "", "write a per-cycle frontier-size CSV to this file")
 		noLint    = flag.Bool("nolint", false, "skip linting the ingested network")
 		opt       = flag.Bool("opt", false, "minimize the network with the proof-carrying rewriter before execution")
@@ -62,27 +67,26 @@ func main() {
 		ckResume  = flag.Bool("resume", false, "resume from the -checkpoint directory instead of starting fresh")
 		reportOut = flag.String("reportout", "", "write the final report stream (one 'pos state' line per report) to this file")
 	)
-	flag.Parse()
-
-	net, input, err := load(*appName, *anmlPath, *inPath, *divisor, *inputLen, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	src.Parse()
+	cfg := src.AP
+	t := src.Targets()[0]
+	net, input := t.Net, t.Input
 	if *opt {
-		min, st, err := sparseap.Minimize(net)
+		// Merges are guarded at the half-core the run models.
+		min, err := rewrite.Rewrite(net, rewrite.Options{Capacity: cfg.Capacity})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "apsim: minimize:", err)
 			os.Exit(1)
 		}
+		st := min.Stats
 		fmt.Printf("minimized:     states %d -> %d, edges %d -> %d, NFAs %d -> %d (report stream certified identical)\n",
 			st.StatesBefore, st.StatesAfter, st.EdgesBefore, st.EdgesAfter, st.NFAsBefore, st.NFAsAfter)
-		net = min
+		net = min.Net
 	}
 	// Lint whatever we are about to execute — generated app or external
 	// ANML: warn by default, fail under -strict.
 	if !*noLint {
-		if res := lint.Run(net, lint.Options{Capacity: *capacity}); len(res.Diags) > 0 {
+		if res := lint.Run(net, lint.Options{Capacity: cfg.Capacity}); len(res.Diags) > 0 {
 			fmt.Fprintf(os.Stderr, "apsim: lint: %s (run aplint for details)\n", res.Summary())
 			if *strict {
 				os.Exit(1)
@@ -102,7 +106,6 @@ func main() {
 		fmt.Printf("frontier trace written to %s\n\n", *trace)
 	}
 
-	cfg := sparseap.DefaultAPConfig().WithCapacity(*capacity)
 	eng := sparseap.NewEngine(cfg)
 
 	// Fault injection: stuck-at faults transform the network before any
@@ -158,8 +161,7 @@ func main() {
 			os.Exit(1)
 		}
 		store = s
-		fp := runFingerprint(*appName, *anmlPath, *inPath, *divisor, *inputLen, *seed,
-			*capacity, *system, *guard, *preflight, *opt, *faultSpec, *faultSeed)
+		fp := runFingerprint(src, *system, *guard, *preflight, *opt, *faultSpec, *faultSeed)
 		var m *sparseap.CheckpointManifest
 		if *ckResume {
 			m, err = store.ResumeManifest(fp, int64(len(input)))
@@ -326,14 +328,14 @@ func main() {
 
 // runFingerprint renders the invocation parameters that determine a run's
 // checkpointed state, for the manifest's identity check.
-func runFingerprint(app, anml, in string, divisor, inputLen int, seed int64, capacity int, system string, guard, preflight, opt bool, faultSpec string, faultSeed int64) string {
-	var src string
-	if app != "" {
-		src = workloads.Config{Divisor: divisor, InputLen: inputLen, Seed: seed, Optimize: opt}.Fingerprint(app)
-	} else {
-		src = fmt.Sprintf("anml:%s:in:%s:opt%t", anml, in, opt)
+func runFingerprint(src *cli.Flags, system string, guard, preflight, opt bool, faultSpec string, faultSeed int64) string {
+	id := fmt.Sprintf("anml:%s:in:%s:opt%t", src.ANML, src.In, opt)
+	if src.App != "" {
+		wl := src.Workloads
+		wl.Optimize = opt
+		id = wl.Fingerprint(src.App)
 	}
-	fp := fmt.Sprintf("%s/cap%d/sys%s/guard%t/fault:%s:s%d", src, capacity, system, guard, faultSpec, faultSeed)
+	fp := fmt.Sprintf("%s/cap%d/sys%s/guard%t/fault:%s:s%d", id, src.AP.Capacity, system, guard, faultSpec, faultSeed)
 	if preflight {
 		// Appended only when set so fingerprints of plain guarded runs
 		// keep their historical form: a preflighted run may execute a
@@ -380,37 +382,4 @@ func writeTrace(path string, net *sparseap.Network, input []byte) error {
 		fmt.Fprintf(w, "%d,%d,%d\n", i, eng.FrontierLen(), reports)
 	}
 	return w.Flush()
-}
-
-// load resolves the application from flags.
-func load(appName, anmlPath, inPath string, divisor, inputLen int, seed int64) (*sparseap.Network, []byte, error) {
-	switch {
-	case appName != "":
-		app, err := workloads.Build(appName, workloads.Config{
-			Divisor: divisor, InputLen: inputLen, Seed: seed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return app.Net, app.Input, nil
-	case anmlPath != "":
-		if inPath == "" {
-			return nil, nil, fmt.Errorf("apsim: -anml requires -in")
-		}
-		f, err := os.Open(anmlPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		net, err := sparseap.ReadANML(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		input, err := os.ReadFile(inPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		return net, input, nil
-	}
-	return nil, nil, fmt.Errorf("apsim: need -app or -anml (try -app Snort)")
 }

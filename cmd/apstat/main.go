@@ -16,7 +16,7 @@ import (
 	"strings"
 
 	"sparseap"
-	"sparseap/internal/ap"
+	"sparseap/internal/cli"
 	"sparseap/internal/exp"
 	"sparseap/internal/graph"
 	"sparseap/internal/hotness"
@@ -27,72 +27,42 @@ import (
 )
 
 func main() {
+	src := cli.Command("apstat", cli.Spec{Sources: cli.App | cli.All | cli.ANML, Scale: true})
 	var (
-		list     = flag.Bool("list", false, "list built-in application names")
-		all      = flag.Bool("all", false, "print Table II for the whole suite")
-		appName  = flag.String("app", "", "built-in application abbreviation")
-		anmlPath = flag.String("anml", "", "ANML automaton file")
-		divisor  = flag.Int("divisor", 8, "workload scale divisor")
-		inputLen = flag.Int("input", 131072, "generated input length")
-		seed     = flag.Int64("seed", 1, "generation seed")
-		hot      = flag.Bool("hotness", false, "also show the static hotness analysis (predicted hot fraction, per-NFA cut layers; with -app, accuracy vs the actual hot set)")
-		worst    = flag.Bool("worstcase", false, "also show the certified worst-case analysis (frontier/report bounds by layer, adversarial witness, bound/witness gap); with -all, the whole-suite table and its gap geomean. Exits nonzero on a soundness violation; with -all also on a witness below the canonical input's peak or a gap geomean above 4")
+		list  = flag.Bool("list", false, "list built-in application names")
+		hot   = flag.Bool("hotness", false, "also show the static hotness analysis (predicted hot fraction, per-NFA cut layers; with -app, accuracy vs the actual hot set)")
+		worst = flag.Bool("worstcase", false, "also show the certified worst-case analysis (frontier/report bounds by layer, adversarial witness, bound/witness gap); with -all, the whole-suite table and its gap geomean. Exits nonzero on a soundness violation; with -all also on a witness below the canonical input's peak or a gap geomean above 4")
 	)
-	flag.Parse()
-	wl := workloads.Config{Divisor: *divisor, InputLen: *inputLen, Seed: *seed}
+	src.Parse()
 
 	switch {
 	case *list:
 		for _, n := range workloads.Names() {
 			fmt.Println(n)
 		}
-	case *all && *worst:
-		if err := printWorstTable(wl); err != nil {
+	case src.All && *worst:
+		if err := printWorstTable(src.Targets()); err != nil {
 			fail(err)
 		}
-	case *all:
-		suite := exp.NewSuite(wl, ap.DefaultConfig())
-		res, err := exp.Table2(suite)
+	case src.All:
+		res, err := exp.Table2(exp.NewSuite(src.Workloads, src.AP))
 		if err != nil {
 			fail(err)
 		}
 		fmt.Println(res.Render())
-	case *appName != "":
-		app, err := workloads.Build(*appName, wl)
-		if err != nil {
-			fail(err)
-		}
-		printStats(app.Name, app.Net)
-		if *hot {
-			printHotness(app.Net, app.Input)
-		}
-		if *worst {
-			if !printWorstCase(app.Net, app.Input) {
-				fail(fmt.Errorf("apstat: worst-case analysis unsound for %s", app.Name))
-			}
-		}
-	case *anmlPath != "":
-		f, err := os.Open(*anmlPath)
-		if err != nil {
-			fail(err)
-		}
-		net, err := sparseap.ReadANML(f)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-		printStats(*anmlPath, net)
-		if *hot {
-			printHotness(net, nil)
-		}
-		if *worst {
-			if !printWorstCase(net, nil) {
-				fail(fmt.Errorf("apstat: worst-case analysis unsound for %s", *anmlPath))
-			}
-		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		t := src.Targets()[0]
+		name := t.Name
+		if t.App != nil {
+			name = t.App.Name
+		}
+		printStats(name, t.Net)
+		if *hot {
+			printHotness(t.Net, t.Input)
+		}
+		if *worst && !printWorstCase(t.Net, t.Input) {
+			fail(fmt.Errorf("apstat: worst-case analysis unsound for %s", name))
+		}
 	}
 }
 
@@ -252,11 +222,7 @@ func worstGates(rows []worstRow) error {
 // printWorstTable renders the whole-suite worst-case table: per-app
 // bounds, witness and canonical-input peaks, gaps and their geomean. Its
 // error is worstGates' verdict on those rows.
-func printWorstTable(wl workloads.Config) error {
-	apps, err := workloads.BuildAll(wl)
-	if err != nil {
-		return err
-	}
+func printWorstTable(apps []cli.Target) error {
 	t := metrics.NewTable("App", "Bound", "L1", "L2", "L3", "Report", "Witness", "Canon", "Gap", "Sound")
 	rows := make([]worstRow, 0, len(apps))
 	for _, app := range apps {
@@ -267,11 +233,11 @@ func printWorstTable(wl workloads.Config) error {
 		})
 		canon := a.Validate(app.Input)
 		row := worstRow{
-			app: app.Abbr, witness: rep.PeakFrontier, canon: canon.PeakFrontier,
+			app: app.Name, witness: rep.PeakFrontier, canon: canon.PeakFrontier,
 			gap: rep.Gap, sound: rep.Sound && canon.Sound,
 		}
 		rows = append(rows, row)
-		t.AddRowf(app.Abbr, a.FrontierBound, a.Bound1, a.BoundPair, a.BoundGram,
+		t.AddRowf(app.Name, a.FrontierBound, a.Bound1, a.BoundPair, a.BoundGram,
 			a.ReportBound, row.witness, row.canon, row.gap, row.sound)
 	}
 	t.AddRow("geomean", "", "", "", "", "", "", "", fmt.Sprintf("%.3f", gapGeomean(rows)))

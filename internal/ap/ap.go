@@ -64,6 +64,13 @@ func PaperConfig() Config {
 	return c
 }
 
+// Scaled returns the half-core that matches workloads generated at
+// divisor: the paper's 24K STEs divided by it, so Scaled(8) is
+// DefaultConfig.
+func Scaled(divisor int) Config {
+	return DefaultConfig().WithCapacity(PaperConfig().Capacity / divisor)
+}
+
 // WithCapacity returns a copy of c with the given STE capacity and a block
 // count scaled to cover it.
 func (c Config) WithCapacity(capacity int) Config {

@@ -65,6 +65,24 @@ func TestWithCapacity(t *testing.T) {
 	}
 }
 
+// TestScaled pins the one capacity rule every command and the service
+// read: the paper's 24K-STE half-core divided by the workload divisor,
+// with the default 1/8 scale landing exactly on DefaultConfig.
+func TestScaled(t *testing.T) {
+	if got := Scaled(8); got != DefaultConfig() {
+		t.Errorf("Scaled(8) = %+v, want DefaultConfig %+v", got, DefaultConfig())
+	}
+	for _, d := range []int{1, 4, 8, 64} {
+		c := Scaled(d)
+		if c.Capacity != 24000/d {
+			t.Errorf("Scaled(%d).Capacity = %d, want %d", d, c.Capacity, 24000/d)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("Scaled(%d): %v", d, err)
+		}
+	}
+}
+
 func TestAddressRoundTrip(t *testing.T) {
 	c := PaperConfig()
 	for _, i := range []int{0, 1, 255, 256, 4095, 23999} {

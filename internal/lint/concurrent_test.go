@@ -20,7 +20,7 @@ func TestLintAndRewriteShareNetwork(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		net := oracle.Network(r, 60)
 		wantLint := lint.Run(net.Clone(), lint.Options{})
-		wantRw, wantErr := rewrite.Rewrite(net.Clone(), rewrite.Options{})
+		wantRw, wantErr := rewrite.Rewrite(net.Clone(), rewrite.Options{Capacity: 3000})
 
 		var (
 			wg      sync.WaitGroup
@@ -30,7 +30,7 @@ func TestLintAndRewriteShareNetwork(t *testing.T) {
 		)
 		wg.Add(2)
 		go func() { defer wg.Done(); gotLint = lint.Run(net, lint.Options{}) }()
-		go func() { defer wg.Done(); gotRw, gotErr = rewrite.Rewrite(net, rewrite.Options{}) }()
+		go func() { defer wg.Done(); gotRw, gotErr = rewrite.Rewrite(net, rewrite.Options{Capacity: 3000}) }()
 		wg.Wait()
 
 		if !reflect.DeepEqual(gotLint.Diags, wantLint.Diags) {

@@ -514,14 +514,14 @@ func (d *draw) spap(net *automata.Network, want oracle.Result) {
 // nothing, OrigOf and NewID round-trip, the oracle reports the same on the
 // rewritten network through OrigOf, and arms 1 and 5 hold there.
 func (d *draw) rewriter() {
-	res, err := rewrite.Rewrite(d.net, rewrite.Options{})
+	res, err := rewrite.Rewrite(d.net, rewrite.Options{Capacity: 3000})
 	if err != nil {
 		d.fatalf("Rewrite: %v", err)
 	}
 	if err := res.Check(symset.Set{}); err != nil {
 		d.fatalf("certificates: %v", err)
 	}
-	if again, err := rewrite.Rewrite(res.Net, rewrite.Options{}); err != nil || again.Changed() {
+	if again, err := rewrite.Rewrite(res.Net, rewrite.Options{Capacity: 3000}); err != nil || again.Changed() {
 		d.fatalf("second rewrite: %v, changed %v", err, err == nil && again.Changed())
 	}
 	if len(res.OrigOf) != res.Net.Len() || len(res.NewID) != d.net.Len() {

@@ -25,12 +25,6 @@ import (
 	"sparseap/internal/symset"
 )
 
-// DefaultCapacity bounds the size of a fused weakly-connected component
-// produced by cross-NFA merging. It mirrors the default half-core STE
-// capacity of internal/ap: a merged component larger than this could not
-// be placed in one batch, which would cost more than the merge saves.
-const DefaultCapacity = 3000
-
 // maxSubsumeGroup caps the sibling-group size the quadratic subsumption
 // scan will consider; larger groups are handled by bisimulation merging.
 const maxSubsumeGroup = 512
@@ -42,8 +36,10 @@ type Options struct {
 	// the full 256-symbol alphabet (always sound).
 	Alphabet symset.Set
 	// Capacity demotes merges that would fuse a weakly-connected
-	// component beyond this many states. 0 means DefaultCapacity;
-	// negative means unguarded.
+	// component beyond this many states, the AP half-core's STE count: a
+	// merged component larger than that could not be placed in one batch,
+	// which would cost more than the merge saves. Zero or negative means
+	// unguarded.
 	Capacity int
 }
 
@@ -52,13 +48,6 @@ func (o Options) alphabet() symset.Set {
 		return symset.All()
 	}
 	return o.Alphabet
-}
-
-func (o Options) capacity() int {
-	if o.Capacity == 0 {
-		return DefaultCapacity
-	}
-	return o.Capacity
 }
 
 // NFADelta is the size change of one original NFA. States and edges of
@@ -603,7 +592,7 @@ func (p *plan) planMerge() {
 // applied.
 func (p *plan) applyGuard(candidates [][]automata.StateID) {
 	net := p.net
-	limit := p.opts.capacity()
+	limit := p.opts.Capacity
 
 	// Weak components of the kept, pre-merge network (pruned edges
 	// excluded — they will not exist in the output).
@@ -636,7 +625,7 @@ func (p *plan) applyGuard(candidates [][]automata.StateID) {
 				rep[m] = cl[0]
 			}
 		}
-		if limit < 0 {
+		if limit <= 0 {
 			break
 		}
 		comp := p.weakComponents(func(s automata.StateID) automata.StateID { return rep[s] })

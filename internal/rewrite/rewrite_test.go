@@ -124,7 +124,7 @@ func TestRemoveUnreachableAndDead(t *testing.T) {
 	m.Connect(s0, s1)
 	m.Connect(s1, s2)
 	net := automata.NewNetwork(m)
-	res := mustRewrite(t, net, rewrite.Options{})
+	res := mustRewrite(t, net, rewrite.Options{Capacity: 3000})
 	if res.Net.Len() != 0 {
 		t.Fatalf("expected empty network, got %d states", res.Net.Len())
 	}
@@ -132,7 +132,7 @@ func TestRemoveUnreachableAndDead(t *testing.T) {
 		t.Fatalf("stats: %+v, want 2 unreachable + 1 dead", res.Stats)
 	}
 	checkEquivalent(t, net, res, []byte("abcabc"), symset.Set{})
-	checkIdempotent(t, res, rewrite.Options{})
+	checkIdempotent(t, res, rewrite.Options{Capacity: 3000})
 }
 
 func TestPruneDuplicateAndAllInputEdges(t *testing.T) {
@@ -143,7 +143,7 @@ func TestPruneDuplicateAndAllInputEdges(t *testing.T) {
 	m.Connect(s0, s1) // duplicate
 	m.Connect(s1, s0) // edge into an all-input start: a no-op
 	net := automata.NewNetwork(m)
-	res := mustRewrite(t, net, rewrite.Options{})
+	res := mustRewrite(t, net, rewrite.Options{Capacity: 3000})
 	if res.Stats.EdgesPruned != 2 {
 		t.Fatalf("EdgesPruned = %d, want 2 (one duplicate, one all-input target)", res.Stats.EdgesPruned)
 	}
@@ -151,7 +151,7 @@ func TestPruneDuplicateAndAllInputEdges(t *testing.T) {
 		t.Fatalf("EdgesAfter = %d, want 1", res.Stats.EdgesAfter)
 	}
 	checkEquivalent(t, net, res, []byte("ababab"), symset.Set{})
-	checkIdempotent(t, res, rewrite.Options{})
+	checkIdempotent(t, res, rewrite.Options{Capacity: 3000})
 }
 
 func TestSubsumedSibling(t *testing.T) {
@@ -168,7 +168,7 @@ func TestSubsumedSibling(t *testing.T) {
 	m.Connect(u, tail)
 	m.Connect(v, tail)
 	net := automata.NewNetwork(m)
-	res := mustRewrite(t, net, rewrite.Options{})
+	res := mustRewrite(t, net, rewrite.Options{Capacity: 3000})
 	if res.Stats.Subsumed != 1 {
 		t.Fatalf("Subsumed = %d, want 1 (stats %+v)", res.Stats.Subsumed, res.Stats)
 	}
@@ -176,7 +176,7 @@ func TestSubsumedSibling(t *testing.T) {
 		t.Fatalf("subsumed state %d should be deleted", u)
 	}
 	checkEquivalent(t, net, res, []byte("abxbxcx"), symset.Set{})
-	checkIdempotent(t, res, rewrite.Options{})
+	checkIdempotent(t, res, rewrite.Options{Capacity: 3000})
 }
 
 // twoNFAStartFold builds two NFAs with identical all-input starts and
@@ -196,7 +196,7 @@ func twoNFAStartFold() *automata.Network {
 
 func TestStartFoldingAcrossNFAs(t *testing.T) {
 	net := twoNFAStartFold()
-	res := mustRewrite(t, net, rewrite.Options{})
+	res := mustRewrite(t, net, rewrite.Options{Capacity: 3000})
 	// The two starts fold (identical match, all-input), which makes the
 	// two mids bisimilar too: 6 states become 4, one fused NFA.
 	if res.Stats.StartsFolded != 1 {
@@ -206,7 +206,7 @@ func TestStartFoldingAcrossNFAs(t *testing.T) {
 		t.Fatalf("got %d states in %d NFAs, want 4 in 1 (stats %+v)", res.Net.Len(), res.Net.NumNFAs(), res.Stats)
 	}
 	checkEquivalent(t, net, res, []byte("abxabyab"), symset.Set{})
-	checkIdempotent(t, res, rewrite.Options{})
+	checkIdempotent(t, res, rewrite.Options{Capacity: 3000})
 	checkMaps(t, net, res)
 }
 
@@ -273,7 +273,7 @@ func TestAlphabetRestrictedRewrite(t *testing.T) {
 	m.Connect(s0, good)
 	net := automata.NewNetwork(m)
 	alpha := symset.Range('a', 'z')
-	opts := rewrite.Options{Alphabet: alpha}
+	opts := rewrite.Options{Alphabet: alpha, Capacity: 3000}
 	res := mustRewrite(t, net, opts)
 	if res.Net.Len() != 2 {
 		t.Fatalf("got %d states, want 2 (stats %+v)", res.Net.Len(), res.Stats)
@@ -291,7 +291,7 @@ func TestNoStartNFADeleted(t *testing.T) {
 	o1 := orphan.Add(symset.Single('c'), automata.StartNone, true)
 	orphan.Connect(o0, o1)
 	net := automata.NewNetwork(withStart, orphan)
-	res := mustRewrite(t, net, rewrite.Options{})
+	res := mustRewrite(t, net, rewrite.Options{Capacity: 3000})
 	if res.Net.NumNFAs() != 1 || res.Net.Len() != 1 {
 		t.Fatalf("got %d states in %d NFAs, want the orphan NFA deleted", res.Net.Len(), res.Net.NumNFAs())
 	}
@@ -300,7 +300,7 @@ func TestNoStartNFADeleted(t *testing.T) {
 
 func TestEmptyNetwork(t *testing.T) {
 	net := &automata.Network{}
-	res := mustRewrite(t, net, rewrite.Options{})
+	res := mustRewrite(t, net, rewrite.Options{Capacity: 3000})
 	if res.Changed() || res.Net.Len() != 0 {
 		t.Fatalf("empty network must pass through unchanged")
 	}
@@ -376,7 +376,7 @@ func TestSuiteEquivalence(t *testing.T) {
 		app := app
 		t.Run(app.Abbr, func(t *testing.T) {
 			t.Parallel()
-			res := mustRewrite(t, app.Net, rewrite.Options{})
+			res := mustRewrite(t, app.Net, rewrite.Options{Capacity: 3000})
 			checkMaps(t, app.Net, res)
 			if res.Net.Len() > 0 {
 				if err := res.Net.Validate(); err != nil {
@@ -384,7 +384,7 @@ func TestSuiteEquivalence(t *testing.T) {
 				}
 			}
 			checkEquivalent(t, app.Net, res, app.Input, symset.Set{})
-			checkIdempotent(t, res, rewrite.Options{})
+			checkIdempotent(t, res, rewrite.Options{Capacity: 3000})
 		})
 	}
 }

@@ -94,7 +94,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 
 	resp := matchResponse{App: a.name}
 	var reports []sim.Report
-	kernel, part, perr := a.route(s.apCfg.Capacity)
+	kernel, part, perr := a.route(s.cfg.AP.Capacity)
 	var ladder *spap.Ladder
 	mode := spap.ModeBaseline
 	if !kernel {
@@ -119,7 +119,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		reports, resp.NumReports = sres.Reports, sres.NumReports
 	} else {
-		res, rerr := spap.RunGuarded(ctx, part, input, s.apCfg, spap.Guard{}, spap.Options{CollectReports: true})
+		res, rerr := spap.RunGuarded(ctx, part, input, s.cfg.AP, spap.Guard{}, spap.Options{CollectReports: true})
 		if rerr != nil {
 			matchError(w, rerr)
 			return

@@ -365,3 +365,51 @@ func TestMatchRouteFollowsBatchModel(t *testing.T) {
 		t.Errorf("%d of %d apps routed to the kernel: the suite no longer tells the routes apart", kernels, len(apps))
 	}
 }
+
+// TestMatchRouteReadsConfigAP: the route counts batches against
+// Config.AP, the half-core apserve derives from -divisor. Protomata needs
+// two batches of the default 3K half-core and its hot half one, so SpAP
+// runs its matches; the 24K half-core of -divisor 1 holds it whole, so
+// the kernel does. The zero value is the default half-core.
+func TestMatchRouteReadsConfigAP(t *testing.T) {
+	testleak.Check(t)
+	pro, err := workloads.Build("Pro", workloads.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := pro.Input[:4096]
+	want := oracle.Run(pro.Net, input).Reports
+	for _, tc := range []struct {
+		name        string
+		cfg         ap.Config
+		whole, hot  int
+		wantMode    string
+		wantCapUsed int
+	}{
+		{"zero value", ap.Config{}, 2, 1, "guarded", ap.DefaultConfig().Capacity},
+		{"divisor 1", ap.Scaled(1), 1, 0, "baseline", 24000},
+	} {
+		h := startServer(t, Config{AP: tc.cfg, Ladder: spap.LadderConfig{TripLimit: 1 << 30}}, pro.Net)
+		if got := h.s.cfg.AP.Capacity; got != tc.wantCapUsed {
+			t.Errorf("%s: server half-core %d STEs, want %d", tc.name, got, tc.wantCapUsed)
+		}
+		cl := &Client{URL: func() string { return h.ts.URL }, Tenant: "t0"}
+		m, shed, _, err := cl.Match(context.Background(), "test", input)
+		if err != nil || shed {
+			t.Fatalf("%s: shed=%v err=%v", tc.name, shed, err)
+		}
+		if m.Mode != tc.wantMode {
+			t.Errorf("%s: mode = %q, want %q", tc.name, m.Mode, tc.wantMode)
+		}
+		if err := sameAsOracle(m, want); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		h.s.mu.Lock()
+		a := h.s.apps["test"]
+		h.s.mu.Unlock()
+		if a.whole != tc.whole || a.hot != tc.hot {
+			t.Errorf("%s: route counted %d whole and %d hot batches, want %d and %d",
+				tc.name, a.whole, a.hot, tc.whole, tc.hot)
+		}
+	}
+}

@@ -75,6 +75,11 @@ type Config struct {
 	// across a kill.
 	Every int64
 
+	// AP is the half-core the match route counts batches against and the
+	// guarded executor runs on; the zero value means ap.DefaultConfig().
+	// apserve passes ap.Scaled(-divisor), the half-core of its apps' scale.
+	AP ap.Config
+
 	// MaxSessions caps globally concurrent sessions (streams + matches);
 	// default 256. Excess is shed with 503.
 	MaxSessions int
@@ -110,6 +115,9 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Every <= 0 {
 		c.Every = checkpoint.DefaultEvery
+	}
+	if c.AP == (ap.Config{}) {
+		c.AP = ap.DefaultConfig()
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
@@ -201,9 +209,8 @@ func (a *app) route(capacity int) (kernel bool, part *hotcold.Partition, perr er
 
 // Server is the multi-tenant streaming match service.
 type Server struct {
-	cfg   Config
-	reg   *metrics.Registry
-	apCfg ap.Config
+	cfg Config
+	reg *metrics.Registry
 
 	mu        sync.Mutex
 	apps      map[string]*app
@@ -237,7 +244,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
-		apCfg:   ap.DefaultConfig(),
 		apps:    map[string]*app{},
 		tenants: map[string]*tenant{},
 		active:  map[string]*session{},

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"sparseap/internal/ap"
 	"sparseap/internal/automata"
 	"sparseap/internal/lint"
 	"sparseap/internal/rewrite"
@@ -72,8 +73,9 @@ type Config struct {
 	Seed int64
 	// Optimize passes the generated network through the proof-carrying
 	// rewriter (internal/rewrite) before returning it, so downstream
-	// batching and partitioning see the minimized STE count. The report
-	// stream is provably unchanged.
+	// batching and partitioning see the minimized STE count. Its merges
+	// are guarded at the half-core of this divisor, ap.Scaled(Divisor).
+	// The report stream is provably unchanged.
 	Optimize bool
 }
 
@@ -110,11 +112,10 @@ func (c Config) scaled(paperCount int) int {
 }
 
 // depthCap limits a paper NFA depth so that the deepest NFA still fits the
-// half-core matching this divisor (24K/Divisor STEs): a single NFA may not
+// half-core matching this divisor (ap.Scaled): a single NFA may not
 // exceed a half-core on the AP, so depths shrink along with capacities.
 func (c Config) depthCap(paperDepth int) int {
-	halfCore := 24000 / c.Divisor
-	limit := halfCore * 7 / 10
+	limit := ap.Scaled(c.Divisor).Capacity * 7 / 10
 	if limit < 8 {
 		limit = 8
 	}
@@ -174,7 +175,7 @@ func Build(abbr string, cfg Config) (*App, error) {
 		return nil, fmt.Errorf("workloads: %s: generated invalid network: %w", abbr, res.Err())
 	}
 	if cfg.Optimize {
-		res, err := rewrite.Rewrite(app.Net, rewrite.Options{})
+		res, err := rewrite.Rewrite(app.Net, rewrite.Options{Capacity: ap.Scaled(cfg.Divisor).Capacity})
 		if err != nil {
 			return nil, fmt.Errorf("workloads: %s: optimize: %w", abbr, err)
 		}

@@ -11,7 +11,8 @@
 # of the bench/ module, a diff of the root package's API against
 # testdata/api.txt, the list of internal exports nothing but tests
 # reaches against testdata/uncalled.txt, a check that internal/lint does
-# not link the rewriter,
+# not link the rewriter, a check that no command declares its own source
+# or scale flags (internal/cli registers them),
 # race-detector pass over the whole module, a fuzz
 # smoke pass over the parser/compiler/slot-file/executor-differential/
 # slot-pair/replication-frame/report-codec fuzz targets, the
@@ -113,6 +114,15 @@ if go list -deps ./internal/lint | grep -x 'sparseap/internal/rewrite' >/dev/nul
     exit 1
 fi
 
+# The source and scale flags are registered once, by internal/cli, so
+# every command reads one network source and one capacity rule
+# (ap.Scaled(-divisor) unless -capacity is given).
+step "cmd/ declares no source or scale flag of its own"
+if grep -rnE 'flag\.[A-Za-z0-9]+\((&[^,]+, *)?"(app|all|anml|in|regex|divisor|input|seed|capacity)"' cmd/; then
+    echo "the flags above belong to internal/cli (cli.Command)" >&2
+    exit 1
+fi
+
 if [[ $short -eq 0 ]]; then
     step "go test -race (whole module)"
     # Under the race detector on a 2-core box the whole module takes
@@ -151,7 +161,7 @@ if [[ $short -eq 0 ]]; then
     for seed in 1 2 3; do
         for spec in "stuckoff=0.02" "drop=0.05"; do
             for app in Fermi HM PEN Snort; do
-                args=(-app "$app" -divisor 64 -input 8192 -capacity 375
+                args=(-app "$app" -divisor 64 -input 8192
                       -system spap -guard -timeout 60s
                       -fault "$spec" -faultseed "$seed" -nolint)
                 [[ "$spec" == stuckoff=* ]] && args+=(-repair)

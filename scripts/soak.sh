@@ -31,7 +31,7 @@ trap 'rm -rf "$work"' EXIT
 apsim="$work/apsim"
 go build -o "$apsim" ./cmd/apsim
 
-common=(-divisor "$divisor" -input "$input" -capacity 375 -system spap -guard -nolint)
+common=(-divisor "$divisor" -input "$input" -system spap -guard -nolint)
 
 # u64_at FILE OFFSET: the 64-bit integer at OFFSET (od reads in host byte
 # order; the records are little-endian, like every host this runs on).

@@ -120,12 +120,12 @@ func Speedup(baselineCycles, newCycles int64) float64 {
 
 // Minimize runs the proof-carrying semantic rewriter (dataflow-based
 // unreachable/dead elimination, edge pruning, subsumption, and
-// capacity-guarded bisimulation merging, including cross-NFA start
-// folding). Every removal and merge carries a certificate that is
+// bisimulation merging guarded at DefaultAPConfig's capacity, including
+// cross-NFA start folding). Every removal and merge carries a certificate that is
 // machine-checked before being applied, and the report stream is
 // bit-identical up to state renumbering.
 func Minimize(net *Network) (*Network, MinimizeStats, error) {
-	res, err := rewrite.Rewrite(net, rewrite.Options{})
+	res, err := rewrite.Rewrite(net, rewrite.Options{Capacity: ap.DefaultConfig().Capacity})
 	if err != nil {
 		return nil, MinimizeStats{}, err
 	}
