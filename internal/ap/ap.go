@@ -66,8 +66,13 @@ func PaperConfig() Config {
 
 // Scaled returns the half-core that matches workloads generated at
 // divisor: the paper's 24K STEs divided by it, so Scaled(8) is
-// DefaultConfig.
+// DefaultConfig. divisor must be > 0: Scaled panics otherwise, where a
+// negative divisor would yield a negative capacity and 0 a division by
+// zero.
 func Scaled(divisor int) Config {
+	if divisor <= 0 {
+		panic(fmt.Sprintf("ap: Scaled(%d): the divisor must be > 0", divisor))
+	}
 	return DefaultConfig().WithCapacity(PaperConfig().Capacity / divisor)
 }
 

@@ -83,6 +83,22 @@ func TestScaled(t *testing.T) {
 	}
 }
 
+// TestScaledPanicsOnNonPositiveDivisor: no divisor <= 0 names a scale, so
+// Scaled refuses it rather than return a negative capacity (or divide by
+// zero).
+func TestScaledPanicsOnNonPositiveDivisor(t *testing.T) {
+	for _, d := range []int{0, -8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Scaled(%d) returned", d)
+				}
+			}()
+			Scaled(d)
+		}()
+	}
+}
+
 func TestAddressRoundTrip(t *testing.T) {
 	c := PaperConfig()
 	for _, i := range []int{0, 1, 255, 256, 4095, 23999} {

@@ -38,6 +38,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,6 +66,9 @@ const (
 	blockSize = 4096
 	// numStripes is how many locks the names of a store are hashed onto.
 	numStripes = 64
+	// maxRecordBuf caps the record buffer a stripe keeps between saves: a
+	// larger record is encoded into a buffer that is dropped after it.
+	maxRecordBuf = 1 << 20
 )
 
 // ErrNoCheckpoint is returned by Load when no record of the name
@@ -89,6 +93,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //     stronger barrier — e.g. a replication quorum — returns only once
 //     that barrier holds, because callers release side effects the
 //     moment Save returns);
+//   - Save keeps no reference to payload once it returns, so a caller may
+//     reuse the buffer for its next save;
 //   - Load prefers the latest record and falls back to the previous good
 //     one, returning ErrNoCheckpoint only when none survives;
 //   - all methods are safe for concurrent use across names.
@@ -150,6 +156,7 @@ type DirStore struct {
 type stripe struct {
 	mu    sync.Mutex
 	slots map[string]slot
+	rec   []byte // the buffer Save encodes a record into, reused under mu
 }
 
 // slot is what the store knows of a slot file: enough to overwrite the
@@ -262,13 +269,13 @@ type record struct {
 
 func (r record) payload() []byte { return r.raw[r.body:] }
 
-// encodeRecord renders a tagged record (a tombstone with tombMagic): the
-// header, then the length-prefixed name and the payload. The CRC covers
-// the magic, the rest of the header, the name and the payload, so neither
-// header damage nor a magic turned into the untagged one passes.
-func encodeRecord(magic, name string, version uint32, seq uint64, payload []byte) []byte {
-	var e Enc
-	e.buf = make([]byte, 0, headerLen+8+len(name)+len(payload))
+// appendRecord appends a tagged record (a tombstone with tombMagic) to
+// dst: the header, then the length-prefixed name and the payload. The CRC
+// covers the magic, the rest of the header, the name and the payload, so
+// neither header damage nor a magic turned into the untagged one passes.
+func appendRecord(dst []byte, magic, name string, version uint32, seq uint64, payload []byte) []byte {
+	start := len(dst)
+	e := Enc{buf: slices.Grow(dst, headerLen+8+len(name)+len(payload))}
 	e.buf = append(e.buf, magic...)
 	e.U32(version)
 	e.U64(seq)
@@ -276,8 +283,9 @@ func encodeRecord(magic, name string, version uint32, seq uint64, payload []byte
 	e.U32(0) // the CRC, once the body is in
 	e.String(name)
 	e.buf = append(e.buf, payload...)
-	crc := crc32.Update(crc32.Checksum(e.buf[:headerLen-4], castagnoli), castagnoli, e.buf[headerLen:])
-	binary.LittleEndian.PutUint32(e.buf[headerLen-4:], crc)
+	rec := e.buf[start:]
+	crc := crc32.Update(crc32.Checksum(rec[:headerLen-4], castagnoli), castagnoli, rec[headerLen:])
+	binary.LittleEndian.PutUint32(rec[headerLen-4:], crc)
 	return e.buf
 }
 
@@ -399,7 +407,9 @@ func buildImage(seq uint64, rec []byte, carry []record, minCap int64) (img []byt
 
 // Save persists payload as the latest checkpoint of name and returns once
 // it is durable. The records of the two saves before it are not touched,
-// so a crash at any point leaves them loadable.
+// so a crash at any point leaves them loadable. The record is encoded
+// into the stripe's buffer, so an in-place save allocates next to nothing
+// however large its payload.
 func (s *DirStore) Save(name string, version uint32, payload []byte) error {
 	st := s.lock(name)
 	defer s.unlock(st)
@@ -407,7 +417,10 @@ func (s *DirStore) Save(name string, version uint32, payload []byte) error {
 	if !known {
 		sl = s.take(name, int64(headerLen+8+len(name)+len(payload)))
 	}
-	rec := encodeRecord(namedMagic, name, version, sl.seq, payload)
+	rec := appendRecord(st.rec[:0], namedMagic, name, version, sl.seq, payload)
+	if st.rec = rec[:0]; cap(rec) > maxRecordBuf {
+		st.rec = nil
+	}
 	var err error
 	inPlace := int64(len(rec)) <= sl.cap
 	if inPlace {
@@ -479,7 +492,7 @@ func (s *DirStore) rebuild(name string, version uint32, payload []byte, sl slot)
 		sl.seq = max(sl.seq, recs[0].seq+1)
 	}
 	var img []byte
-	img, sl.cap = buildImage(sl.seq, encodeRecord(namedMagic, name, version, sl.seq, payload), carry, regionCap(int64(len(old))))
+	img, sl.cap = buildImage(sl.seq, appendRecord(nil, namedMagic, name, version, sl.seq, payload), carry, regionCap(int64(len(old))))
 	if exists {
 		tmp := sl.path + ".tmp"
 		if err := writeSynced(tmp, os.O_TRUNC, img); err != nil {
@@ -608,7 +621,7 @@ func (s *DirStore) Remove(name string) error {
 	} else if sl.cap == 0 {
 		return os.Remove(sl.path)
 	}
-	err := overwrite(sl.path, encodeRecord(tombMagic, name, 0, sl.seq, nil), int64(sl.seq%numRegions)*sl.cap, false)
+	err := overwrite(sl.path, appendRecord(nil, tombMagic, name, 0, sl.seq, nil), int64(sl.seq%numRegions)*sl.cap, false)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -111,7 +112,7 @@ func TestSaveCrashPoints(t *testing.T) {
 			}
 			return s, dir
 		}
-		rec := encodeRecord(namedMagic, "run", 1, uint64(n+1), payloadOf(n+1, small))
+		rec := appendRecord(nil, namedMagic, "run", 1, uint64(n+1), payloadOf(n+1, small))
 		for _, cut := range cuts(rec) {
 			t.Run(fmt.Sprintf("n=%d/overwrite cut at %d", n, cut), func(t *testing.T) {
 				s, dir := completed(t)
@@ -143,7 +144,7 @@ func TestSaveCrashPoints(t *testing.T) {
 					t.Fatal(err)
 				}
 				carry, _ := scan(old, "run")
-				img, _ := buildImage(uint64(n+1), encodeRecord(namedMagic, "run", 1, uint64(n+1), payloadOf(n+1, big)), carry, regionCap(int64(len(old))))
+				img, _ := buildImage(uint64(n+1), appendRecord(nil, namedMagic, "run", 1, uint64(n+1), payloadOf(n+1, big)), carry, regionCap(int64(len(old))))
 				if err := os.WriteFile(s.path("run")+".tmp", img[:c.part(len(img))], 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -156,7 +157,7 @@ func TestSaveCrashPoints(t *testing.T) {
 	for _, part := range []int{0, 1, headerLen + small/2, blockSize, 2 * blockSize} {
 		t.Run(fmt.Sprintf("first image cut at %d", part), func(t *testing.T) {
 			dir := t.TempDir()
-			rec := encodeRecord(namedMagic, "run", 1, 0, payloadOf(0, small))
+			rec := appendRecord(nil, namedMagic, "run", 1, 0, payloadOf(0, small))
 			img, _ := buildImage(0, rec, nil, 0)
 			if err := os.WriteFile(filepath.Join(dir, "run.ckpt"), img[:part], 0o644); err != nil {
 				t.Fatal(err)
@@ -179,7 +180,7 @@ func TestSaveCrashPoints(t *testing.T) {
 	// A new name's first save goes into the file a removed name left, in
 	// place, after that name's tombstone. Cut short, it leaves the file
 	// free: neither name loads, and the retried save goes through.
-	rec := encodeRecord(namedMagic, "next", 1, 4, payloadOf(9, small))
+	rec := appendRecord(nil, namedMagic, "next", 1, 4, payloadOf(9, small))
 	for _, cut := range cuts(rec) {
 		t.Run(fmt.Sprintf("recycled first save cut at %d", cut), func(t *testing.T) {
 			dir := t.TempDir()
@@ -722,5 +723,29 @@ func checkRecycled(t *testing.T, img []byte, bRec record, bOff int64) {
 		if want != nil && (err != nil || !bytes.Equal(latest, want) || (perr == nil && !bytes.Equal(prev, want))) {
 			t.Fatalf("%s: Load = %.12q (%v), LoadPrevious = %.12q (%v); want its first save", name, latest, err, prev, perr)
 		}
+	}
+}
+
+// TestSaveInPlaceAllocationBytes: an in-place save encodes its record
+// into the stripe's buffer, so the bytes it allocates (the opened file and
+// its path) do not follow the payload. A save of 56 KiB allocates under
+// 4 KiB; encoding into a fresh record would allocate the whole 56 KiB.
+func TestSaveInPlaceAllocationBytes(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	payload := payloadOf(1, 56<<10)
+	for i := 0; i < 4; i++ { // sizes the file and the stripe's buffer
+		mustSave(t, s, "run", payload)
+	}
+	const saves = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < saves; i++ {
+		mustSave(t, s, "run", payload)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / saves
+	t.Logf("%d bytes allocated per in-place save", per)
+	if per >= 4<<10 {
+		t.Fatalf("an in-place save of %d bytes allocates %d bytes, want < 4096", len(payload), per)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"sparseap/internal/checkpoint"
 )
@@ -93,7 +94,7 @@ func (p Pair) Frame(name string) []byte {
 // body that is not one whole pair yield an error and no part of a pair.
 // What follows the frame on r is left unread.
 func ReceivePair(r io.Reader) (name string, p Pair, err error) {
-	f, err := readFrame(r)
+	f, _, err := readFrame(r, nil)
 	switch {
 	case err != nil:
 		return "", Pair{}, err
@@ -164,45 +165,48 @@ func appendFrame(dst []byte, f frame) []byte {
 // frames. Any other error is a frame that is not whole and verified —
 // truncated, of an unknown kind, over maxName or maxBody, failing its CRC
 // or naming what validName refuses — and nothing of it is returned. The
-// body is r's alone: the caller may keep it.
-func readFrame(r io.Reader) (frame, error) {
+// frame is read into buf when it fits, else into a new buffer, and rest
+// is the buffer used: the body aliases rest, so a caller that reads the
+// next frame into rest must be done with this one's body first. With a
+// nil buf the body is the caller's to keep.
+func readFrame(r io.Reader, buf []byte) (f frame, rest []byte, err error) {
 	var h [frameHeader]byte
 	if n, err := io.ReadFull(r, h[:]); err != nil {
 		if n == 0 {
-			return frame{}, io.EOF
+			return frame{}, nil, io.EOF
 		}
-		return frame{}, fmt.Errorf("truncated frame header: %w", err)
+		return frame{}, nil, fmt.Errorf("truncated frame header: %w", err)
 	}
-	f := frame{kind: h[0], seq: binary.LittleEndian.Uint64(h[1:]), version: binary.LittleEndian.Uint32(h[9:])}
+	f = frame{kind: h[0], seq: binary.LittleEndian.Uint64(h[1:]), version: binary.LittleEndian.Uint32(h[9:])}
 	nameLen, bodyLen := binary.LittleEndian.Uint16(h[13:]), binary.LittleEndian.Uint32(h[15:])
 	switch {
 	case f.kind < frameSlot || f.kind > frameRemove:
-		return frame{}, fmt.Errorf("unknown frame kind %d", f.kind)
+		return frame{}, nil, fmt.Errorf("unknown frame kind %d", f.kind)
 	case nameLen > maxName:
-		return frame{}, fmt.Errorf("frame name of %d bytes", nameLen)
+		return frame{}, nil, fmt.Errorf("frame name of %d bytes", nameLen)
 	case bodyLen > maxBody:
-		return frame{}, errBodyTooLarge
+		return frame{}, nil, errBodyTooLarge
 	}
 	// Past 1 MiB the buffer grows only as bytes arrive: a length is a claim.
-	n, rest, err := int(nameLen)+int(bodyLen)+4, []byte(nil), error(nil)
+	n := int(nameLen) + int(bodyLen) + 4
 	if n <= 1<<20 {
-		rest = make([]byte, n)
+		rest = slices.Grow(buf[:0], n)[:n]
 		_, err = io.ReadFull(r, rest)
 	} else if rest, err = io.ReadAll(io.LimitReader(r, int64(n))); err == nil && len(rest) < n {
 		err = io.ErrUnexpectedEOF
 	}
 	if err != nil {
-		return frame{}, fmt.Errorf("truncated frame: %w", err)
+		return frame{}, nil, fmt.Errorf("truncated frame: %w", err)
 	}
 	end := len(rest) - 4
 	if crc32.Update(crc32.Checksum(h[:], castagnoli), castagnoli, rest[:end]) != binary.LittleEndian.Uint32(rest[end:]) {
-		return frame{}, errChecksum
+		return frame{}, nil, errChecksum
 	}
 	if f.name = string(rest[:nameLen]); !validName(f.name) {
-		return frame{}, fmt.Errorf("bad checkpoint name %q", f.name)
+		return frame{}, nil, fmt.Errorf("bad checkpoint name %q", f.name)
 	}
 	f.body = rest[nameLen:end:end]
-	return f, nil
+	return f, rest, nil
 }
 
 // appendAck appends the acknowledgement of frame seq to dst.

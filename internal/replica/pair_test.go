@@ -122,7 +122,7 @@ func TestFrameLayout(t *testing.T) {
 	if got := appendFrame(nil, f); !bytes.Equal(got, want) {
 		t.Fatalf("frame encodes to % x, want % x", got, want)
 	}
-	if got, err := readFrame(bytes.NewReader(want)); err != nil || !reflect.DeepEqual(got, f) {
+	if got, _, err := readFrame(bytes.NewReader(want), nil); err != nil || !reflect.DeepEqual(got, f) {
 		t.Fatalf("readFrame = %+v, %v", got, err)
 	}
 	if got := appendAck(nil, 2, ackFailed); !bytes.Equal(got, []byte{2, 0, 0, 0, 0, 0, 0, 0, 1}) {
@@ -132,10 +132,10 @@ func TestFrameLayout(t *testing.T) {
 	// as a small one does.
 	big := frame{kind: frameSlot, seq: 1, name: "s", body: bytes.Repeat([]byte{7}, 2<<20)}
 	enc := appendFrame(nil, big)
-	if got, err := readFrame(bytes.NewReader(enc)); err != nil || !reflect.DeepEqual(got, big) {
+	if got, _, err := readFrame(bytes.NewReader(enc), nil); err != nil || !reflect.DeepEqual(got, big) {
 		t.Fatalf("2 MiB frame: %v", err)
 	}
-	if _, err := readFrame(bytes.NewReader(enc[:len(enc)-1])); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(enc[:len(enc)-1]), nil); err == nil {
 		t.Fatal("accepted a 2 MiB frame cut short")
 	}
 }
@@ -160,7 +160,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	binary.LittleEndian.PutUint32(past[15:], maxBody+1) // a body length past the cap
 	f.Add(past)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, err := readFrame(bytes.NewReader(b))
+		fr, _, err := readFrame(bytes.NewReader(b), nil)
 		if err != nil {
 			return
 		}
@@ -172,14 +172,14 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("accepted % x, which re-encodes to % x", b, enc)
 		}
 		for n := range enc {
-			if _, err := readFrame(bytes.NewReader(enc[:n])); err == nil {
+			if _, _, err := readFrame(bytes.NewReader(enc[:n]), nil); err == nil {
 				t.Fatalf("accepted the frame cut to %d of %d bytes", n, len(enc))
 			}
 		}
 		for i := range enc {
 			flipped := bytes.Clone(enc)
 			flipped[i] ^= 0xff
-			if _, err := readFrame(bytes.NewReader(flipped)); err == nil {
+			if _, _, err := readFrame(bytes.NewReader(flipped), nil); err == nil {
 				t.Fatalf("accepted the frame with byte %d flipped", i)
 			}
 		}

@@ -125,8 +125,31 @@ func (rc *Receiver) handleStream(w http.ResponseWriter, r *http.Request) {
 		wmu     sync.Mutex // acks come from the apply goroutines
 		out     []byte
 		applies sync.WaitGroup
+		bufMu   sync.Mutex
+		bufs    [][]byte // frame buffers no frame in flight holds
 	)
 	defer applies.Wait()
+	// Each frame is read into a buffer from bufs, which goes back once the
+	// frame is applied: the store's Save copies a payload into its record
+	// before it returns, so nothing reads the buffer after that. There is
+	// one buffer per apply in flight, and one past 1 MiB (a frame readFrame
+	// grew as its bytes arrived) is dropped.
+	take := func() (b []byte) {
+		bufMu.Lock()
+		if n := len(bufs); n > 0 {
+			b, bufs = bufs[n-1], bufs[:n-1]
+		}
+		bufMu.Unlock()
+		return b
+	}
+	give := func(b []byte) {
+		if cap(b) > 1<<20 {
+			return
+		}
+		bufMu.Lock()
+		bufs = append(bufs, b)
+		bufMu.Unlock()
+	}
 	ack := func(f frame, status byte, t0 time.Time) {
 		wmu.Lock()
 		defer wmu.Unlock()
@@ -139,7 +162,7 @@ func (rc *Receiver) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for {
-		f, err := readFrame(r.Body)
+		f, buf, err := readFrame(r.Body, take())
 		var pair Pair
 		if err == nil && f.kind == framePair {
 			pair, err = decodePair(f.body)
@@ -154,6 +177,7 @@ func (rc *Receiver) handleStream(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case !rc.fresh(f.name, epoch, f.seq):
 			ack(f, ackOK, t0) // a replay: acknowledged, not written again
+			give(buf)
 		case f.kind == frameRemove:
 			rc.store.Remove(f.name) // best-effort: a leftover slot is harmless
 			// The name is finished (session IDs are never reused), so its
@@ -163,11 +187,13 @@ func (rc *Receiver) handleStream(w http.ResponseWriter, r *http.Request) {
 			delete(rc.seen, f.name)
 			rc.mu.Unlock()
 			ack(f, ackOK, t0)
+			give(buf)
 		default:
 			applies.Add(1)
 			go func() {
 				defer applies.Done()
 				ack(f, rc.apply(f, pair), t0)
+				give(buf)
 			}()
 		}
 	}

@@ -372,7 +372,7 @@ func TestClusterTransferTruncatedThenIdempotent(t *testing.T) {
 	// two capture points and save both, producing a latest+prev pair
 	// with an empty window (every report already released).
 	var all []sim.Report
-	sess := &session{id: id, tenant: "t0", app: a.h.s.lookupApp("test"), snap: &sim.Snapshot{}}
+	sess := &session{id: id, tenant: "t0", app: a.h.s.lookupApp("test"), sessionBufs: newSessionBufs().(*sessionBufs)}
 	sess.st = sim.NewStreamer(net)
 	sess.st.OnReport = func(pos int64, state automata.StateID) {
 		all = append(all, sim.Report{Pos: pos, State: state})

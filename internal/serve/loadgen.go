@@ -13,8 +13,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -111,7 +113,12 @@ const (
 func (c *Client) Stream(ctx context.Context, appName string, input []byte) (*StreamResult, error) {
 	id := newSessionID()
 	backoff := streamBackoff
-	var have []sim.Report
+	list := reportLists.Get().(*[]sim.Report)
+	have := (*list)[:0]
+	defer func() {
+		*list = pooled(have) // an oversized list may be the result: never pooled
+		reportLists.Put(list)
+	}()
 	restart := false
 	baseIdx := 0 // rotation cursor into bases()
 	moved := ""  // non-empty: a moved record named the next base
@@ -160,7 +167,11 @@ func (c *Client) Stream(ctx context.Context, appName string, input []byte) (*Str
 		}
 		switch ar.out {
 		case attemptDone:
-			return &StreamResult{Session: id, Reports: have}, nil
+			res := &StreamResult{Session: id, Reports: have}
+			if !oversized(have) {
+				res.Reports = slices.Clone(have) // have goes back to the pool
+			}
+			return res, nil
 		case attemptMoved:
 			moved = ar.moved // reconnect where the session went
 		case attemptShed:
@@ -217,6 +228,29 @@ type attemptResult struct {
 // reports held so far and what was wrong with the stream.
 func brokenf(have []sim.Report, format string, args ...any) attemptResult {
 	return attemptResult{out: attemptBroken, have: have, err: fmt.Errorf(format, args...)}
+}
+
+// readers holds the 64 KiB response readers of finished stream attempts.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
+// reportLists holds the report lists of finished streams. A stream
+// collects its reports into one and returns a copy of exactly their
+// length, so it allocates its result once; a list past maxPooledBytes is
+// itself the result and never goes back.
+var reportLists = sync.Pool{New: func() any { return new([]sim.Report) }}
+
+// minHave is the report capacity a list starts at once it gets its first
+// report.
+const minHave = 1024
+
+// appendReport appends rep to have, doubling the capacity from minHave
+// when it is full: the lists a list outgrows sum to less than the one
+// that holds it, where append's ~1.25x steps on a large list sum to ~4x.
+func appendReport(have []sim.Report, rep sim.Report) []sim.Report {
+	if len(have) == cap(have) {
+		have = append(make([]sim.Report, 0, max(minHave, 2*cap(have))), have...)
+	}
+	return append(have, rep)
 }
 
 // streamAttempt makes one connection to base and runs it until end,
@@ -303,7 +337,12 @@ func (c *Client) streamAttempt(ctx context.Context, base, appName, id string, in
 	}()
 	defer pw.CloseWithError(io.ErrClosedPipe) // unblock the writer on any exit
 
-	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(resp.Body)
+	defer func() {
+		br.Reset(nil) // drop the body; what the lines aliased is dead by now
+		readers.Put(br)
+	}()
 	for {
 		line, rerr := br.ReadSlice('\n')
 		if rerr != nil {
@@ -316,7 +355,7 @@ func (c *Client) streamAttempt(ctx context.Context, base, appName, id string, in
 			return attemptResult{out: attemptBroken, have: have}
 		}
 		if rep, ok := parseReportLine(line); ok {
-			have = append(have, rep)
+			have = appendReport(have, rep)
 			continue
 		}
 		// Everything else comes once a session.
@@ -413,10 +452,23 @@ func (c *Client) matchOnce(ctx context.Context, base, appName string, input []by
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, false, 0, fmt.Errorf("serve: match status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readReply(resp)
 	if err != nil {
 		return nil, false, 0, err
 	}
 	res, err = decodeMatchReply(body)
 	return res, false, 0, err
+}
+
+// readReply reads a reply body into one buffer of its declared length, as
+// readMatchBody does on the server. Without a length, or past
+// maxMatchBytes (a length is a claim), io.ReadAll grows the buffer only as
+// bytes arrive.
+func readReply(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxMatchBytes {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(resp.Body)
 }

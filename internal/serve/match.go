@@ -34,6 +34,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -150,14 +151,19 @@ func readMatchBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 // finishMatch counts the served match and writes the reply: resp's header
-// fields and the executor's reports, rendered into one buffer (a pair of
-// five-digit numbers takes 14 bytes) and handed over in one write.
+// fields and the executor's reports, rendered into one pooled buffer (a
+// pair of five-digit numbers takes 14 bytes) and handed over in one write.
+// The write copies or sends the bytes before it returns, so the buffer
+// goes back to the pool then, unless it grew past maxPooledBytes.
 func (s *Server) finishMatch(w http.ResponseWriter, tenant string, resp *matchResponse, reports []sim.Report) {
 	s.reg.Tenant("serve_matches", tenant).Inc()
-	body := appendMatchReply(make([]byte, 0, 128+16*len(reports)), resp.App, resp.Mode, resp.NumReports, reports)
+	buf := s.replies.Get().(*[]byte)
+	body := appendMatchReply(slices.Grow((*buf)[:0], 128+16*len(reports)), resp.App, resp.Mode, resp.NumReports, reports)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
+	*buf = pooled(body)
+	s.replies.Put(buf)
 }
 
 // matchError maps executor errors to HTTP: deadline and cancellation are

@@ -221,6 +221,9 @@ type Server struct {
 	memImages int64               // resident shared images
 	draining  bool
 
+	bufs    sync.Pool // *sessionBufs of finished sessions (session.go)
+	replies sync.Pool // *[]byte a match reply is rendered into (match.go)
+
 	killCh chan struct{} // closed by Abort: simulated crash for chaos tests
 	idle   sync.Cond     // broadcast when nSess drops (Drain waits on it)
 
@@ -252,6 +255,8 @@ func New(cfg Config) *Server {
 		peerClient: &http.Client{Timeout: transferTimeout},
 	}
 	s.idle.L = &s.mu
+	s.bufs.New = newSessionBufs
+	s.replies.New = func() any { return new([]byte) }
 	// Shipments apply through the LOCAL store so a received slot is
 	// never relayed onward.
 	s.recv = replica.NewReceiver(s.localStore(), s.reg)

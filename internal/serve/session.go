@@ -67,6 +67,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 
 	"sparseap/internal/automata"
 	"sparseap/internal/checkpoint"
@@ -84,19 +85,73 @@ const sessionOverheadBytes = 64 << 10
 // next checkpoint boundary so captures land exactly on schedule).
 const readChunk = 32 << 10
 
-// session is one live stream session.
+// maxPooledBytes caps a buffer that goes back to the Server's pool: one a
+// report storm grew past it (RF1, RF2) is dropped, so the pool never pins
+// a storm's memory for the sessions after it.
+const maxPooledBytes = 1 << 20
+
+// sessionBufs are the buffers a session's reads, captures and deliveries
+// reuse. They come from the Server's pool when the session starts and go
+// back to it once handleStream has unwound.
+type sessionBufs struct {
+	window []sim.Report   // reports not yet released to the client
+	snap   *sim.Snapshot  // capture buffer
+	enc    checkpoint.Enc // encode buffer
+	out    []byte         // buffer a window is rendered into
+	in     []byte         // request body read buffer, readChunk long
+}
+
+func newSessionBufs() any {
+	return &sessionBufs{snap: &sim.Snapshot{}, in: make([]byte, readChunk)}
+}
+
+// oversized reports whether b's backing array holds more than
+// maxPooledBytes.
+func oversized[T any](b []T) bool {
+	var z T
+	return uintptr(cap(b))*unsafe.Sizeof(z) > maxPooledBytes
+}
+
+// pooled returns b emptied for the pool, or nil when it is oversized.
+func pooled[T any](b []T) []T {
+	if oversized(b) {
+		return nil
+	}
+	return b[:0]
+}
+
+// putBufs returns a finished session's buffers to the pool, truncated,
+// dropping each one grown past maxPooledBytes. Nothing may read them
+// afterwards: the caller is handleStream's last deferred step, once the
+// session is unregistered and its stream loop, any transfer and every
+// save of it have returned.
+func (s *Server) putBufs(b *sessionBufs) {
+	b.window = pooled(b.window)
+	b.out = pooled(b.out)
+	if oversized(b.enc.Bytes()) {
+		b.enc = checkpoint.Enc{}
+	}
+	b.enc.Reset()
+	if oversized(b.snap.Frontier) || oversized(b.snap.Ever) {
+		b.snap = &sim.Snapshot{}
+	}
+	s.bufs.Put(b)
+}
+
+// session is one live stream session. Its sessionBufs (the report
+// window, the capture, the encoded record, the rendered reports and the
+// body read buffer) are borrowed from the Server's pool for the life of
+// handleStream and returned, truncated, after the session is unregistered
+// and its loop has unwound, so no goroutine or transfer can still read
+// them; a buffer past maxPooledBytes (1 MiB) is dropped instead.
 type session struct {
 	id     string
 	tenant string
 	app    *app
 	st     *sim.Streamer
 
-	window []sim.Report // reports not yet released to the client
-	floor  int64        // reports already released (delivery floor)
-
-	snap *sim.Snapshot  // reused capture buffer
-	enc  checkpoint.Enc // reused encode buffer
-	out  []byte         // reused buffer a window is rendered into
+	*sessionBufs
+	floor int64 // reports already released (delivery floor)
 
 	savedPos int64 // input position of the last durable capture (-1: none yet)
 
@@ -342,7 +397,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		tenant:  tenant,
 		app:     a,
 		drainCh: make(chan struct{}),
-		snap:    &sim.Snapshot{},
 
 		savedPos: -1,
 	}
@@ -350,12 +404,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "session busy", http.StatusConflict)
 		return
 	}
+	sess.sessionBufs = s.bufs.Get().(*sessionBufs)
 	defer func() {
 		s.unregisterSession(id)
 		// A migrate request can land just as this stream unwinds; its
 		// requestMove would otherwise park a waiter forever. finishMove
 		// is idempotent, so a handoff that already answered is a no-op.
 		sess.finishMove(errors.New("serve: session ended before handoff"))
+		s.putBufs(sess.sessionBufs)
 	}()
 
 	// Deadline propagation: the header deadline joins the request
@@ -481,7 +537,7 @@ func (sess *session) releaseWindow() {
 // and releasing reports at every capture boundary.
 func (s *Server) streamLoop(ctx context.Context, w http.ResponseWriter, rc *http.ResponseController, body io.Reader, sess *session) {
 	every := s.cfg.Every
-	buf := make([]byte, readChunk)
+	buf := sess.in
 	pos := sess.st.Pos()
 
 	suspend := func(reason string) {

@@ -62,7 +62,8 @@ type App struct {
 	StartOfData bool
 }
 
-// Config scales generation.
+// Config scales generation. Build refuses a negative InputLen or
+// Divisor; 0 means the default.
 type Config struct {
 	// InputLen is the input stream length; the default 131072 (128 KiB)
 	// is 1/8 of the paper's 1 MiB.
@@ -158,6 +159,12 @@ func Build(abbr string, cfg Config) (*App, error) {
 	b, ok := registry[abbr]
 	if !ok {
 		return nil, fmt.Errorf("workloads: unknown application %q (known: %v)", abbr, Names())
+	}
+	if cfg.Divisor < 0 {
+		return nil, fmt.Errorf("workloads: divisor %d is negative", cfg.Divisor)
+	}
+	if cfg.InputLen < 0 {
+		return nil, fmt.Errorf("workloads: input length %d is negative", cfg.InputLen)
 	}
 	cfg = cfg.withDefaults()
 	// Each app gets an independent deterministic stream derived from the

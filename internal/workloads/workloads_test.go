@@ -30,6 +30,33 @@ func TestBuildUnknown(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsNegativeDivisor: a negative divisor once floored every
+// NFA count at 1 and built a 1-NFA app; 0 still means the default 8.
+func TestBuildRejectsNegativeDivisor(t *testing.T) {
+	if _, err := Build("HM", Config{InputLen: 4096, Divisor: -8}); err == nil {
+		t.Fatal("Build accepted divisor -8")
+	}
+	def, err := Build("HM", Config{InputLen: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eight, err := Build("HM", Config{InputLen: 4096, Divisor: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Net.Len() != eight.Net.Len() {
+		t.Fatalf("divisor 0 built %d states, divisor 8 %d", def.Net.Len(), eight.Net.Len())
+	}
+}
+
+// TestBuildRejectsNegativeInputLen: a negative input length is an error,
+// not a default.
+func TestBuildRejectsNegativeInputLen(t *testing.T) {
+	if _, err := Build("HM", Config{InputLen: -1, Divisor: 64}); err == nil {
+		t.Fatal("Build accepted input length -1")
+	}
+}
+
 func TestBuildAllValidAndGrouped(t *testing.T) {
 	apps, err := BuildAll(fastCfg())
 	if err != nil {

@@ -10,7 +10,8 @@
 # backticks exists, and each stays under its size cap), vet and smoke test
 # of the bench/ module, a diff of the root package's API against
 # testdata/api.txt, the list of internal exports nothing but tests
-# reaches against testdata/uncalled.txt, a check that internal/lint does
+# reaches against testdata/uncalled.txt, the allocation byte gates of the
+# slot store and the stream path, a check that internal/lint does
 # not link the rewriter, a check that no command declares its own source
 # or scale flags (internal/cli registers them),
 # race-detector pass over the whole module, a fuzz
@@ -104,6 +105,15 @@ diff -u testdata/api.txt <(go doc -short .)
 # reason it stays, in testdata/uncalled.txt; a new one is a reviewed diff.
 step "uncalled internal exports match testdata/uncalled.txt"
 go test -count=1 -run '^TestUncalledExports$' .
+
+# The store and the stream path are held to bytes, not object counts: an
+# in-place save of 56 KiB allocates under 4 KiB, and a warmed report-heavy
+# session at most twice its report slice plus 512 KiB. The race detector
+# makes sync.Pool drop a share of what is put back, so the tight bounds
+# are the ones checked here, outside the race pass.
+step "allocation byte gates (in-place save, report-heavy session; no -race)"
+go test -count=1 -run '^TestSaveInPlaceAllocationBytes$' ./internal/checkpoint
+go test -count=1 -run '^TestReportHeavySessionAllocationBytes$' ./internal/serve
 
 # lint checks a network against what placement sees; shrinking it is the
 # rewriter's own pass (apopt, aplint -fix/-diff). Linking the rewriter
