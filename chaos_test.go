@@ -70,9 +70,11 @@ func sameReports(a, b []sparseap.Report) bool {
 
 // TestChaosSoakBaseAPSpAP kills each suite application at five seeded
 // points spread across its whole execution and resumes from the durable
-// store every time. The final report stream must be bit-identical to the
-// uninterrupted run's — no duplicates, no losses — and every kill point
-// must actually fire.
+// store every time; after the first kill it also corrupts the newest
+// checkpoint record, so a resume must fall back to the record before it.
+// The final report stream must be bit-identical to the uninterrupted
+// run's — no duplicates, no losses — and every kill point must actually
+// fire.
 func TestChaosSoakBaseAPSpAP(t *testing.T) {
 	apps := []string{"HM", "Snort", "Fermi", "PEN", "TCP"}
 	if testing.Short() {
@@ -97,26 +99,40 @@ func TestChaosSoakBaseAPSpAP(t *testing.T) {
 			for i := 1; i <= 5; i++ {
 				kills.at = append(kills.at, probe.checks*int64(2*i-1)/10)
 			}
-			store, err := sparseap.OpenCheckpointStore(t.TempDir())
+			dir := t.TempDir()
+			store, err := sparseap.OpenCheckpointStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got *sparseap.ExecResult
+			corrupted, recovered := false, false
 			for attempt := 0; ; attempt++ {
 				if attempt > len(kills.at)+2 {
 					t.Fatalf("kill/resume loop did not converge after %d attempts", attempt)
 				}
-				ck := &sparseap.CheckpointRunner{Store: store, Name: "spap", Every: 256, CrashAt: kills.hook}
+				ck := &sparseap.CheckpointRunner{Store: store, Name: "spap", Every: 128, CrashAt: kills.hook}
 				got, err = eng.RunBaseAPSpAPContext(ctx, p, app.Input, ck)
+				if got != nil && got.Resume.Recovered {
+					recovered = true
+				}
 				if err == nil {
 					break
 				}
 				if !errors.Is(err, sparseap.ErrCrashInjected) {
 					t.Fatalf("attempt %d: %v", attempt, err)
 				}
+				if !corrupted {
+					// Flip a byte in the newest record; the next resume must
+					// fall back to the checkpoint before it.
+					ckpttest.DamageLatest(t, dir, "spap")
+					corrupted = true
+				}
 			}
 			if kills.next != len(kills.at) {
 				t.Fatalf("only %d of %d kill points fired", kills.next, len(kills.at))
+			}
+			if !recovered {
+				t.Fatal("no resume reported Resume.Recovered after the newest record was corrupted")
 			}
 			if !sameReports(got.Reports, want.Reports) {
 				t.Fatalf("resumed stream diverged: %d vs %d reports", len(got.Reports), len(want.Reports))
@@ -171,58 +187,6 @@ func TestChaosSoakGuarded(t *testing.T) {
 	}
 	if (got.Guard == nil) != (want.Guard == nil) {
 		t.Fatalf("guard stats presence diverged")
-	}
-}
-
-// TestChaosSoakBaselineWithCorruption soaks the baseline system and, on
-// top of the kill/resume loop, corrupts the newest checkpoint slot after
-// the first crash: recovery must come from the previous good slot and the
-// stream must still match exactly.
-func TestChaosSoakBaselineWithCorruption(t *testing.T) {
-	ctx := context.Background()
-	app, eng, _ := soakApp(t, "HM")
-	want, _, err := eng.RunBaselineContext(ctx, app.Net, app.Input, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantReports := oracle.Reports[sparseap.Report](app.Net, app.Input)
-
-	dir := t.TempDir()
-	store, err := sparseap.OpenCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kills := &chaosKills{at: []int64{900, 2100, 3300}}
-	corrupted := false
-	var got []sparseap.Report
-	var res *sparseap.BaselineResult
-	for attempt := 0; ; attempt++ {
-		if attempt > len(kills.at)+2 {
-			t.Fatalf("kill/resume loop did not converge after %d attempts", attempt)
-		}
-		ck := &sparseap.CheckpointRunner{Store: store, Name: "baseline", Every: 256, CrashAt: kills.hook}
-		res, got, err = eng.RunBaselineContext(ctx, app.Net, app.Input, ck)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, sparseap.ErrCrashInjected) {
-			t.Fatalf("attempt %d: %v", attempt, err)
-		}
-		if !corrupted {
-			// Flip a byte in the newest record; the next resume must fall
-			// back to the checkpoint before it.
-			ckpttest.DamageLatest(t, dir, "baseline")
-			corrupted = true
-		}
-	}
-	if kills.next != len(kills.at) || !corrupted {
-		t.Fatalf("only %d of %d kill points fired", kills.next, len(kills.at))
-	}
-	if res.Batches != want.Batches || res.Reports != want.Reports {
-		t.Fatalf("baseline result diverged: %+v vs %+v", res, want)
-	}
-	if !sameReports(got, wantReports) {
-		t.Fatalf("baseline resumed stream diverged: %d vs %d reports", len(got), len(wantReports))
 	}
 }
 

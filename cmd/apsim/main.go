@@ -19,8 +19,11 @@
 // and fails if the repaired run's reports diverge from the fault-free
 // network's.
 //
-// Checkpointing: -checkpoint DIR captures state every -every symbols, and
-// -resume continues from it. The store's fingerprint names the app, its
+// Checkpointing: -checkpoint DIR captures the BaseAP/SpAP system's state
+// every -every symbols, and -resume continues from it. The baseline pass
+// keeps no checkpoint and reruns from symbol 0, so -system ap and apcpu,
+// where nothing would be saved or polled, refuse -checkpoint and a crash=
+// fault plan (exit 2). The store's fingerprint names the app, its
 // scale and the capacity, and a run whose fingerprint differs is refused
 // on -resume, never spliced. A store written by an older apsim at a
 // non-default -divisor without -capacity recorded cap3000, not the scaled
@@ -62,12 +65,21 @@ func main() {
 		faultSeed = flag.Int64("faultseed", 1, "fault-injection seed (with -fault)")
 		repair    = flag.Bool("repair", false, "repair injected stuck faults via spare-STE remapping and verify report equivalence")
 		spares    = flag.Int("spares", 0, "spare STEs per block for -repair (0 = the minimum that suffices)")
-		ckDir     = flag.String("checkpoint", "", "durable checkpoint directory: state is captured every -every symbols so a killed run can -resume")
+		ckDir     = flag.String("checkpoint", "", "durable checkpoint directory for -system spap or all: the BaseAP/SpAP state is captured every -every symbols so a killed run can -resume (the baseline pass reruns)")
 		ckEvery   = flag.Int64("every", 0, "checkpoint capture interval in input symbols (0 = 8192)")
 		ckResume  = flag.Bool("resume", false, "resume from the -checkpoint directory instead of starting fresh")
 		reportOut = flag.String("reportout", "", "write the final report stream (one 'pos state' line per report) to this file")
 	)
 	src.Parse()
+	plan, err := sparseap.ParseFaultPlan(*faultSpec, *faultSeed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if err := checkFlags(*system, *ckDir != "", plan.CrashRate); err != nil {
+		fmt.Fprintln(os.Stderr, "apsim:", err)
+		os.Exit(2)
+	}
 	cfg := src.AP
 	t := src.Targets()[0]
 	net, input := t.Net, t.Input
@@ -111,11 +123,6 @@ func main() {
 	// Fault injection: stuck-at faults transform the network before any
 	// execution (optionally repaired via spare STEs); the remaining fault
 	// classes hook into the partitioned executors through eng.Faults.
-	plan, err := sparseap.ParseFaultPlan(*faultSpec, *faultSeed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	inj := sparseap.NewFaultInjector(plan)
 	if inj.Active() {
 		eng.Faults = inj
@@ -179,19 +186,15 @@ func main() {
 		}
 		fmt.Printf("checkpoint:    dir %s, every %d symbols, epoch %d\n", *ckDir, ev, epoch)
 	}
-	// mkRunner builds the per-system checkpoint stream, or nil when the run
-	// has neither a store nor a crash plan; the chaos hook is wired even
-	// without -checkpoint so crash plans kill plain runs too.
-	useCk := store != nil || plan.CrashRate > 0
-	mkRunner := func(name string) *sparseap.CheckpointRunner {
-		if !useCk {
-			return nil
-		}
-		r := &sparseap.CheckpointRunner{Store: store, Name: name, Every: *ckEvery}
+	// ck is the BaseAP/SpAP checkpoint stream, nil when the run has neither
+	// a store nor a crash plan; the chaos hook is wired even without
+	// -checkpoint so crash plans kill plain runs too.
+	var ck *sparseap.CheckpointRunner
+	if store != nil || plan.CrashRate > 0 {
+		ck = &sparseap.CheckpointRunner{Store: store, Name: "spap", Every: *ckEvery}
 		if inj.Active() {
-			r.CrashAt = func(pos int64) bool { return inj.CrashAt(epoch, pos) }
+			ck.CrashAt = func(pos int64) bool { return inj.CrashAt(epoch, pos) }
 		}
-		return r
 	}
 	writeReports := func(reports []sparseap.Report) {
 		if *reportOut == "" {
@@ -234,9 +237,8 @@ func main() {
 	}
 
 	ctx, cancel := runCtx()
-	base, baseReports, err := eng.RunBaselineContext(ctx, net, input, mkRunner("baseline"))
+	base, baseReports, err := eng.RunBaselineContext(ctx, net, input)
 	cancel()
-	crashExit(err)
 	fatal(err)
 	fmt.Printf("baseline AP:   %d batches, %d cycles, %d reports, %.3f ms%s\n",
 		base.Batches, base.Cycles, base.Reports, base.TimeNS/1e6, note(err))
@@ -278,9 +280,9 @@ func main() {
 		g := sparseap.DefaultGuard()
 		g.Preflight = *preflight
 		if *guard {
-			res, err = eng.RunGuarded(ctx, part, input, g, mkRunner("spap"))
+			res, err = eng.RunGuarded(ctx, part, input, g, ck)
 		} else {
-			res, err = eng.RunBaseAPSpAPContext(ctx, part, input, mkRunner("spap"))
+			res, err = eng.RunBaseAPSpAPContext(ctx, part, input, ck)
 		}
 		cancel()
 		crashExit(err)
@@ -324,6 +326,22 @@ func main() {
 			writeReports(res.Reports)
 		}
 	}
+}
+
+// checkFlags refuses flags nothing would act on: under -system ap or apcpu
+// no phase polls a checkpoint runner, so -checkpoint would save nothing and
+// a crash= fault plan would kill nothing.
+func checkFlags(system string, checkpoint bool, crashRate float64) error {
+	if system != "ap" && system != "apcpu" {
+		return nil
+	}
+	switch {
+	case checkpoint:
+		return fmt.Errorf("-checkpoint needs -system spap or all: the %s system keeps no checkpoint", system)
+	case crashRate > 0:
+		return fmt.Errorf("a crash= fault plan needs -system spap or all: the %s system polls no crash point", system)
+	}
+	return nil
 }
 
 // runFingerprint renders the invocation parameters that determine a run's

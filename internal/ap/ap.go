@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"sparseap/internal/automata"
-	"sparseap/internal/checkpoint"
 	"sparseap/internal/sim"
 )
 
@@ -208,22 +207,18 @@ type BaselineResult struct {
 // are produced functionally (they are identical to a single full-network
 // pass because batches are independent); cycles follow the batching model.
 func RunBaseline(net *automata.Network, input []byte, cfg Config) (*BaselineResult, error) {
-	res, _, err := RunBaselineContext(context.Background(), net, input, cfg, false, nil)
+	res, _, err := RunBaselineContext(context.Background(), net, input, cfg, false)
 	return res, err
 }
 
-// RunBaselineContext is RunBaseline with cancellation and durable
-// checkpoints: the simulation pass (sim.RunContext) polls ctx, snapshots
-// its engine through ck every Runner.Every symbols, and resumes from the
-// newest valid checkpoint instead of re-streaming from symbol 0; a nil ck
-// checkpoints nothing. The batching model is unchanged — every batch is
-// charged for the symbols processed — so a resumed run returns what an
-// uninterrupted one does. When collect is true the report stream
-// (restored prefix + re-run suffix, bit-identical to an uninterrupted
-// run's) is returned alongside the summary. On cancellation or an injected
-// crash the partial result is returned with the error; the result is nil
-// only for configuration, partitioning or checkpoint-load errors.
-func RunBaselineContext(ctx context.Context, net *automata.Network, input []byte, cfg Config, collect bool, ck *checkpoint.Runner) (*BaselineResult, []sim.Report, error) {
+// RunBaselineContext is RunBaseline with cancellation: the simulation pass
+// (sim.RunContext) polls ctx, and a cancelled run returns its partial
+// result with the error, every batch charged for the symbols processed.
+// The pass keeps no checkpoint: the batching model lies over one
+// functional pass that is cheap to rerun from symbol 0. When collect is
+// true the report stream is returned alongside the summary. The result is
+// nil only for configuration or partitioning errors.
+func RunBaselineContext(ctx context.Context, net *automata.Network, input []byte, cfg Config, collect bool) (*BaselineResult, []sim.Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -231,10 +226,7 @@ func RunBaselineContext(ctx context.Context, net *automata.Network, input []byte
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := sim.RunContext(ctx, net, input, sim.Options{CollectReports: collect}, ck)
-	if res == nil {
-		return nil, nil, err
-	}
+	res, err := sim.RunContext(ctx, net, input, sim.Options{CollectReports: collect})
 	return &BaselineResult{
 		Batches: len(batches),
 		Cycles:  int64(len(batches)) * res.Symbols,

@@ -3,8 +3,9 @@
 // restart from a recent snapshot instead of re-streaming from symbol 0,
 // while still emitting a bit-identical report stream.
 //
-// The package deals in opaque payloads: the sim/ap/spap executors
-// serialize their own state with Enc/Dec and hand the bytes to a Store.
+// The package deals in opaque payloads: the spap executors and the serve
+// layer serialize their own state with Enc/Dec and hand the bytes to a
+// Store.
 // The Store's job is crash consistency:
 //
 //   - a name owns one slot file of three block-aligned regions; the save
@@ -40,16 +41,13 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
 
-// Magic identifies an untagged checkpoint record (8 bytes, versioned
-// separately), written before records named their owner; it belongs to
-// its file's name. Tagged records and tombstones have magics of their own.
+// The magics (8 bytes, versioned separately) of a record, which names its
+// owner, and of a tombstone, which ends its owner's records.
 const (
-	Magic      = "SPAPCKPT"
 	namedMagic = "SPAPCKPN"
 	tombMagic  = "SPAPCKPR"
 )
@@ -172,7 +170,7 @@ var _ Store = (*DirStore)(nil)
 
 // Open creates (if needed) and opens a checkpoint directory: it indexes
 // each slot file under the name of its newest record, and deletes the
-// .prev and .tmp files the parent format or a cut-short image left.
+// .tmp files a cut-short image left.
 func Open(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -188,14 +186,14 @@ func Open(dir string) (*DirStore, error) {
 	for _, ent := range entries {
 		path := filepath.Join(dir, ent.Name())
 		switch filepath.Ext(path) {
-		case ".prev", ".tmp":
+		case ".tmp":
 			os.Remove(path) // one left behind is swept again next time
 		case ".ckpt":
 			img, err := os.ReadFile(path)
 			if err != nil {
 				return nil, fmt.Errorf("checkpoint: %w", err)
 			}
-			recs, _ := scan(img, path)
+			recs, _ := scan(img)
 			sl, name := slot{path: path}, ""
 			if len(recs) > 0 {
 				sl.seq, name = recs[0].seq+1, recs[0].name
@@ -261,7 +259,7 @@ func (s *DirStore) release(name string, sl slot) {
 type record struct {
 	seq     uint64
 	version uint32
-	name    string // the owner: a tagged record's own, else the file's
+	name    string // the owner
 	tomb    bool
 	raw     []byte // header + body, aliasing the file image
 	body    int    // offset of the payload in raw
@@ -269,10 +267,10 @@ type record struct {
 
 func (r record) payload() []byte { return r.raw[r.body:] }
 
-// appendRecord appends a tagged record (a tombstone with tombMagic) to
-// dst: the header, then the length-prefixed name and the payload. The CRC
-// covers the magic, the rest of the header, the name and the payload, so
-// neither header damage nor a magic turned into the untagged one passes.
+// appendRecord appends a record (a tombstone with tombMagic) to dst: the
+// header, then the length-prefixed name and the payload. The CRC covers
+// the magic, the rest of the header, the name and the payload, so no
+// header damage passes.
 func appendRecord(dst []byte, magic, name string, version uint32, seq uint64, payload []byte) []byte {
 	start := len(dst)
 	e := Enc{buf: slices.Grow(dst, headerLen+8+len(name)+len(payload))}
@@ -289,19 +287,11 @@ func appendRecord(dst []byte, magic, name string, version uint32, seq uint64, pa
 	return e.buf
 }
 
-// decodeRecord verifies the record that starts at b[0]; an untagged one
-// belongs to file. Whatever follows it in b — region padding, the tail of
-// a longer record it overwrote — is ignored.
-func decodeRecord(b []byte, file string) (record, error) {
-	if len(b) < headerLen {
-		return record{}, fmt.Errorf("bad magic")
-	}
-	from := 0 // a tagged record's CRC starts at its magic
-	switch string(b[:8]) {
-	case Magic:
-		from = 8 // version|seq|len|payload, as before the tag
-	case namedMagic, tombMagic:
-	default:
+// decodeRecord verifies the record that starts at b[0]. Whatever follows
+// it in b — region padding, the tail of a longer record it overwrote — is
+// ignored.
+func decodeRecord(b []byte) (record, error) {
+	if len(b) < headerLen || (string(b[:8]) != namedMagic && string(b[:8]) != tombMagic) {
 		return record{}, fmt.Errorf("bad magic")
 	}
 	d := NewDec(b[8:headerLen])
@@ -310,18 +300,15 @@ func decodeRecord(b []byte, file string) (record, error) {
 		return record{}, fmt.Errorf("truncated payload (%d of %d bytes)", len(b)-headerLen, n)
 	}
 	raw := b[:headerLen+int(n)]
-	if crc32.Update(crc32.Checksum(raw[from:headerLen-4], castagnoli), castagnoli, raw[headerLen:]) != crc {
+	if crc32.Update(crc32.Checksum(raw[:headerLen-4], castagnoli), castagnoli, raw[headerLen:]) != crc {
 		return record{}, fmt.Errorf("CRC mismatch")
 	}
-	r := record{seq: seq, version: version, name: file, tomb: string(b[:8]) == tombMagic, raw: raw, body: headerLen}
-	if from == 0 {
-		d = NewDec(raw[headerLen:])
-		if r.name = d.String(); d.Err() != nil {
-			return record{}, fmt.Errorf("bad name: %v", d.Err())
-		}
-		r.body += d.off
+	d = NewDec(raw[headerLen:])
+	name := d.String()
+	if d.Err() != nil {
+		return record{}, fmt.Errorf("bad name: %v", d.Err())
 	}
-	return r, nil
+	return record{seq: seq, version: version, name: name, tomb: string(b[:8]) == tombMagic, raw: raw, body: headerLen + d.off}, nil
 }
 
 // own returns name's records among recs (newest first): the run of them
@@ -337,8 +324,7 @@ func own(name string, recs []record) []record {
 }
 
 // regionCap returns the region capacity of a slot file of the given size,
-// or 0 for a size no slot image has: a file the parent format wrote (one
-// record at offset 0) or one something truncated.
+// or 0 for a size no slot image has: one something truncated.
 func regionCap(size int64) int64 {
 	if size > 0 && size%(numRegions*blockSize) == 0 {
 		return size / numRegions
@@ -346,20 +332,18 @@ func regionCap(size int64) int64 {
 	return 0
 }
 
-// scan returns the records of the slot image of the file at path that
-// verify, newest first, and the first verification failure of a region that has been
-// written (nil when every written region verifies). A well-formed image is
-// read at its three region offsets; any other file is searched at every
-// block boundary, which finds the single record of a parent-format file
-// and whatever records a truncation left whole.
-func scan(img []byte, path string) (recs []record, damage error) {
-	file := strings.TrimSuffix(filepath.Base(path), ".ckpt")
+// scan returns the records of a slot image that verify, newest first, and
+// the first verification failure of a region that has been written (nil
+// when every written region verifies). A well-formed image is read at its
+// three region offsets; any other file is searched at every block
+// boundary, which finds whatever records a truncation left whole.
+func scan(img []byte) (recs []record, damage error) {
 	step := regionCap(int64(len(img)))
 	if step == 0 {
 		step = blockSize
 	}
 	for off := int64(0); off < int64(len(img)); {
-		r, err := decodeRecord(img[off:], file)
+		r, err := decodeRecord(img[off:])
 		if err == nil {
 			recs = append(recs, r)
 			off = roundUp(off+int64(len(r.raw)), step)
@@ -466,13 +450,12 @@ func overwrite(path string, rec []byte, off int64, sync bool) error {
 
 // rebuild writes a whole new slot image for name: the new record plus the
 // latest and previous of name's records in the file it replaces, which
-// may be a slot file with smaller regions, a free one, a parent-format
-// single-record file, or damaged. A name without a file continues
-// <name>.ckpt, or gets a new file if another name holds that one. A new
-// file is created under its final name; an existing one is replaced by
-// temp + rename, so its records stay loadable until the new image is
-// complete. Either way the directory is synced before returning: a new
-// name has to survive a power cut too.
+// may be a slot file with smaller regions, a free one, or damaged. A name
+// without a file continues <name>.ckpt, or gets a new file if another
+// name holds that one. A new file is created under its final name; an
+// existing one is replaced by temp + rename, so its records stay loadable
+// until the new image is complete. Either way the directory is synced
+// before returning: a new name has to survive a power cut too.
 func (s *DirStore) rebuild(name string, version uint32, payload []byte, sl slot) (slot, error) {
 	fresh := sl.path == ""
 	if fresh {
@@ -483,7 +466,7 @@ func (s *DirStore) rebuild(name string, version uint32, payload []byte, sl slot)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return sl, err
 	}
-	recs, _ := scan(old, sl.path)
+	recs, _ := scan(old)
 	carry := own(name, recs)
 	if fresh && exists && len(carry) == 0 {
 		sl.path, exists, old, recs = s.path(fmt.Sprintf("%s.%x", name, time.Now().UnixNano())), false, nil, nil
@@ -546,7 +529,7 @@ func (s *DirStore) read(name string) (recs []record, damage error) {
 		}
 		return nil, err
 	}
-	recs, damage = scan(img, sl.path)
+	recs, damage = scan(img)
 	if recs = own(name, recs); len(recs) > 0 && !known {
 		st.slots[name] = sl // another handle saved it
 	}
@@ -641,7 +624,7 @@ func (s *DirStore) Clear() error {
 	}
 	for _, ent := range entries {
 		name := ent.Name()
-		if ext := filepath.Ext(name); ext == ".ckpt" || ext == ".prev" || ext == ".tmp" {
+		if ext := filepath.Ext(name); ext == ".ckpt" || ext == ".tmp" {
 			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
 				return fmt.Errorf("checkpoint: %w", err)
 			}

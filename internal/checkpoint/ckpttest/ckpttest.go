@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -22,9 +21,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Latest locates the newest record of name that verifies: the path of the
 // slot file whose newest record is name's, the record's offset in it and
-// its length, header included. A tagged record names its owner after the
-// header; an untagged one belongs to its file's name. It fails the test
-// when no file in dir is name's.
+// its length, header included. A record names its owner after the header.
+// It fails the test when no file in dir is name's.
 func Latest(t testing.TB, dir, name string) (path string, off, n int64) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
@@ -38,14 +36,8 @@ func Latest(t testing.TB, dir, name string) (path string, off, n int64) {
 		}
 		found, owner, newest := false, "", uint64(0)
 		for o := 0; o+headerLen <= len(b); o += blockSize {
-			from, who := 0, strings.TrimSuffix(filepath.Base(file), ".ckpt")
-			switch string(b[o : o+8]) {
-			case "SPAPCKPT": // untagged: the CRC starts after the magic
-				from = 8
-			case "SPAPCKPN":
-			case "SPAPCKPR": // a tombstone belongs to no one
-				who = ""
-			default:
+			magic := string(b[o : o+8])
+			if magic != "SPAPCKPN" && magic != "SPAPCKPR" {
 				continue
 			}
 			seq := binary.LittleEndian.Uint64(b[o+12:])
@@ -54,11 +46,12 @@ func Latest(t testing.TB, dir, name string) (path string, off, n int64) {
 				continue
 			}
 			end := o + headerLen + int(blen)
-			crc := crc32.Update(crc32.Checksum(b[o+from:o+28], castagnoli), castagnoli, b[o+headerLen:end])
+			crc := crc32.Update(crc32.Checksum(b[o:o+28], castagnoli), castagnoli, b[o+headerLen:end])
 			if crc != binary.LittleEndian.Uint32(b[o+28:]) {
 				continue
 			}
-			if from == 0 && who != "" {
+			who := "" // a tombstone (SPAPCKPR) belongs to no one
+			if magic == "SPAPCKPN" {
 				nlen := binary.LittleEndian.Uint64(b[o+headerLen:])
 				who = string(b[o+headerLen+8 : o+headerLen+8+int(nlen)])
 			}

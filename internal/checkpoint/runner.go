@@ -28,7 +28,7 @@ type Runner struct {
 	// degrades to a no-op, so executors need no nil-guards).
 	Store Store
 	// Name is the checkpoint stream name within the store (one per
-	// execution phase family, e.g. "baseline", "spap").
+	// executor run that shares it, e.g. "spap").
 	Name string
 	// Every is the capture interval in input symbols (0 = DefaultEvery).
 	Every int64

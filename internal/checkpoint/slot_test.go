@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -76,7 +75,7 @@ func onDisk(t testing.TB, s *DirStore, name string) (seqs [numRegions]int64, siz
 	}
 	for r := range seqs {
 		seqs[r] = -1
-		if rec, err := decodeRecord(img[int64(r)*c:int64(r+1)*c], name); err == nil {
+		if rec, err := decodeRecord(img[int64(r)*c : int64(r+1)*c]); err == nil {
 			seqs[r] = int64(rec.seq)
 		}
 	}
@@ -143,7 +142,7 @@ func TestSaveCrashPoints(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				carry, _ := scan(old, "run")
+				carry, _ := scan(old)
 				img, _ := buildImage(uint64(n+1), appendRecord(nil, namedMagic, "run", 1, uint64(n+1), payloadOf(n+1, big)), carry, regionCap(int64(len(old))))
 				if err := os.WriteFile(s.path("run")+".tmp", img[:c.part(len(img))], 0o644); err != nil {
 					t.Fatal(err)
@@ -311,51 +310,27 @@ func TestRegrowKeepsLatestAndPrevious(t *testing.T) {
 	}
 }
 
-// A directory the parent commit wrote: one record per file, the latest in
-// name.ckpt and the one before it in name.ckpt.prev (bytes taken from
-// that commit's encodeFile), plus a temp file a kill left behind.
-const (
-	parentLatest = "53504150434b505403000000070000000000000014000000000000000e4645ac706172656e742d666f726d6174206c6174657374"
-	parentPrev   = "53504150434b5054030000000600000000000000160000000000000035e399a3706172656e742d666f726d61742070726576696f7573"
-)
-
-func parentFormatDir(t *testing.T) string {
-	t.Helper()
+// TestOpenSweepsTempAndClearEmpties: Open indexes a slot file under its
+// name and deletes the temp image a killed rebuild left; after Remove of a
+// file this process has sized, the free file stays and no handle loads or
+// lists the name; Clear leaves an empty directory.
+func TestOpenSweepsTempAndClearEmpties(t *testing.T) {
 	dir := t.TempDir()
-	for name, content := range map[string]string{"run.ckpt": parentLatest, "run.ckpt.prev": parentPrev, "run.ckpt.tmp": parentPrev[:40]} {
-		b, err := hex.DecodeString(content)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	mustSave(t, mustOpen(t, dir), "run", payloadOf(0, 100))
+	if err := os.WriteFile(filepath.Join(dir, "run.ckpt.tmp"), payloadOf(1, 40), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return dir
-}
-
-func TestParentFormatDirectoryResumes(t *testing.T) {
-	dir := parentFormatDir(t)
 	s := mustOpen(t, dir)
-	payload, version, fellback, err := s.Load("run")
-	if err != nil || fellback || version != 3 || string(payload) != "parent-format latest" {
-		t.Fatalf("Load = %q v%d fellback=%v err=%v", payload, version, fellback, err)
-	}
-	wantLoads(t, s, []byte("parent-format latest"), nil) // the .prev file is not read
 	if names, err := s.Names(); err != nil || len(names) != 1 || names[0] != "run" {
 		t.Fatalf("Names = %v, %v", names, err)
 	}
-	// The next save turns the file into a slot image that carries the old
-	// record and continues its sequence (7).
-	mustSave(t, s, "run", []byte("first save of this commit"))
-	wantLoads(t, s, []byte("first save of this commit"), []byte("parent-format latest"))
-	if seqs, _ := onDisk(t, s, "run"); seqs != [numRegions]int64{-1, 7, 8} {
-		t.Fatalf("regions hold %v, want [-1 7 8]", seqs)
+	if left, _ := os.ReadDir(dir); len(left) != 1 || left[0].Name() != "run.ckpt" {
+		t.Fatalf("Open left %v, want run.ckpt alone", left)
 	}
+	mustSave(t, s, "run", payloadOf(1, 100)) // sizes the file in this process
 	if err := s.Remove("run"); err != nil {
 		t.Fatal(err)
 	}
-	// The slot file stays, free for the next name; Open swept the rest.
 	for _, s := range []*DirStore{s, mustOpen(t, dir)} {
 		if got, _, _, err := s.Load("run"); !errors.Is(err, ErrNoCheckpoint) {
 			t.Fatalf("Load after Remove = %q, %v", got, err)
@@ -370,12 +345,13 @@ func TestParentFormatDirectoryResumes(t *testing.T) {
 	if left, _ := os.ReadDir(dir); len(left) != 1 || left[0].Name() != "run.ckpt" {
 		t.Fatalf("Remove left %v behind, want the free run.ckpt alone", left)
 	}
-
-	s = mustOpen(t, parentFormatDir(t))
+	if err := os.WriteFile(filepath.Join(dir, "run.ckpt.tmp"), payloadOf(2, 40), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if left, _ := os.ReadDir(s.dir); len(left) != 0 {
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Fatalf("Clear left %v behind", left)
 	}
 }
@@ -610,7 +586,7 @@ func FuzzSlotFileDamage(f *testing.F) {
 		f.Fatal(err)
 	}
 	regionSize := regionCap(int64(len(pristine)))
-	saved, _ := scan(pristine, "run") // saves 4, 3, 2
+	saved, _ := scan(pristine) // saves 4, 3, 2
 
 	// a's saves 0-2 size the regions at two blocks; its tombstone (3) goes
 	// to region 0 and b's first save (4) to region 1, over a's save 1.
@@ -630,7 +606,7 @@ func FuzzSlotFileDamage(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rrecs, _ := scan(recycled, "a")
+	rrecs, _ := scan(recycled)
 	if len(rrecs) != numRegions || !rrecs[1].tomb || rrecs[0].name != "b" || rrecs[2].name != "a" {
 		f.Fatalf("the recycled image holds %d records, want b's, a tombstone and a's", len(rrecs))
 	}
@@ -639,10 +615,11 @@ func FuzzSlotFileDamage(f *testing.F) {
 	f.Add([]byte("junk"), uint8(0), uint32(0), false)
 	f.Add([]byte{0}, uint8(1), uint32(headerLen), false)
 	f.Add(bytes.Repeat([]byte{0xff}, 9000), uint8(2), uint32(100), false)
-	f.Add([]byte(Magic), uint8(1), uint32(0), false)
+	f.Add([]byte(namedMagic), uint8(0), uint32(0), false) // the recycled image's tombstone
 	f.Add([]byte(nil), uint8(0), uint32(2*blockSize), true)
 	f.Add([]byte(nil), uint8(0), uint32(numRegions*blockSize), true)
 	f.Add([]byte(nil), uint8(0), uint32(len(pristine)-1), true)
+	f.Add([]byte(tombMagic), uint8(1), uint32(0), false) // the newest record
 	damage := func(pristine []byte, data []byte, region uint8, at uint32, truncate bool) []byte {
 		img := append([]byte(nil), pristine...)
 		if truncate {

@@ -350,24 +350,16 @@ func maxNFA(net *automata.Network) int {
 	return n
 }
 
-// Arm 4: the baseline AP run with checkpoints, crashed and resumed.
+// Arm 4: the baseline AP run.
 func (d *draw) baseline() {
-	type run struct {
-		res     ap.BaselineResult
-		reports []sim.Report
-	}
 	cfg := ap.DefaultConfig().WithCapacity(maxNFA(d.net) + d.src.Intn(d.net.Len()+1))
-	whole, resumed := crashResume(d, func(ck *checkpoint.Runner) (run, error) {
-		res, reports, err := ap.RunBaselineContext(context.Background(), d.net, d.in, cfg, true, ck)
-		if res == nil {
-			return run{}, err
-		}
-		return run{*res, reports}, err
-	})
-	d.sameReports("baseline", whole.reports, d.want.Reports)
-	d.sameReports("baseline, crash-resumed", resumed.reports, d.want.Reports)
-	if resumed.res != whole.res {
-		d.fatalf("baseline: crash-resumed %+v, uninterrupted %+v", resumed.res, whole.res)
+	res, reports, err := ap.RunBaselineContext(context.Background(), d.net, d.in, cfg, true)
+	if err != nil {
+		d.fatalf("baseline: %v", err)
+	}
+	d.sameReports("baseline", reports, d.want.Reports)
+	if res.Reports != int64(len(d.want.Reports)) {
+		d.fatalf("baseline: %d reports counted, the oracle has %d", res.Reports, len(d.want.Reports))
 	}
 }
 

@@ -113,7 +113,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	resp.Mode = mode.String()
 
 	if mode == spap.ModeBaseline {
-		sres, serr := sim.RunContext(ctx, a.net, input, sim.Options{CollectReports: true}, nil)
+		sres, serr := sim.RunContext(ctx, a.net, input, sim.Options{CollectReports: true})
 		if serr != nil {
 			matchError(w, serr)
 			return

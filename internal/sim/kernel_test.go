@@ -894,7 +894,7 @@ func TestPooledRuntimeConcurrentUse(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			go func(tracked bool) {
 				defer wg.Done()
-				res, err := RunContext(context.Background(), net, input, Options{CollectReports: true, TrackEnabled: tracked}, nil)
+				res, err := RunContext(context.Background(), net, input, Options{CollectReports: true, TrackEnabled: tracked})
 				if err != nil {
 					errs <- err
 					return

@@ -35,7 +35,6 @@ import (
 
 	"sparseap/internal/automata"
 	"sparseap/internal/bitvec"
-	"sparseap/internal/checkpoint"
 )
 
 // cancelCheckInterval is how many symbols an execution loop processes
@@ -168,16 +167,6 @@ type Result struct {
 	EverEnabled *bitvec.Vec
 	// Symbols is the number of input symbols processed.
 	Symbols int64
-	// Resumed reports whether the run continued from a stored checkpoint.
-	Resumed bool
-	// ResumePos is the input position execution restarted from (0 when
-	// not resumed).
-	ResumePos int64
-	// Recovered reports whether the latest checkpoint slot was corrupt
-	// and the run fell back to the previous good one.
-	Recovered bool
-	// Saves counts the checkpoints persisted during this call.
-	Saves int64
 }
 
 // NewEngine builds a fresh engine for net with the given options. The
@@ -675,21 +664,49 @@ func (e *Engine) SparseSteps() int64 { return e.sparseSteps }
 
 // Run executes net over input and returns the result summary.
 func Run(net *automata.Network, input []byte, opts Options) *Result {
-	res, _ := RunContext(context.Background(), net, input, opts, nil)
+	res, _ := RunContext(context.Background(), net, input, opts)
 	return res
 }
 
-// RunContext is Run with cancellation and, when ck is non-nil, durable
-// checkpoints: a pooled engine runs input through Engine.execute, which
-// polls ctx every cancelCheckInterval symbols, captures a snapshot every
-// ck.Every symbols and resumes from the newest valid one. On cancellation
-// or an injected crash the partial result (Symbols records how far it got)
-// is returned with the error. The result is nil only when the stored
-// checkpoint cannot be loaded or does not fit net.
-func RunContext(ctx context.Context, net *automata.Network, input []byte, opts Options, ck *checkpoint.Runner) (*Result, error) {
+// RunContext is Run with cancellation: a pooled engine runs input through
+// Engine.execute, which polls ctx every cancelCheckInterval symbols. On
+// cancellation the partial result (Symbols records how far it got) is
+// returned with the error.
+func RunContext(ctx context.Context, net *automata.Network, input []byte, opts Options) (*Result, error) {
 	e := AcquireEngine(net, opts)
 	defer e.Release()
-	return e.execute(ctx, input, ck)
+	return e.execute(ctx, input)
+}
+
+// execute runs a freshly configured engine over input through Engine.Run,
+// one cancelCheckInterval chunk at a time, polling ctx before each.
+func (e *Engine) execute(ctx context.Context, input []byte) (*Result, error) {
+	n := int64(len(input))
+	for i := int64(0); i < n; i += cancelCheckInterval {
+		if cancelled(ctx) {
+			return e.result(i), ctx.Err()
+		}
+		e.Run(i, input[i:min(n, i+cancelCheckInterval)])
+	}
+	return e.result(n), nil
+}
+
+// result summarizes the run after pos symbols.
+func (e *Engine) result(pos int64) *Result {
+	res := &Result{NumReports: e.numReports, Symbols: pos}
+	if e.reportsWanted {
+		if cap(e.reports) > maxPooledReportCap {
+			// Release is about to drop a slice this large: hand it over
+			// instead of copying it.
+			res.Reports, e.reports = e.reports, nil
+		} else {
+			res.Reports = append([]Report(nil), e.reports...)
+		}
+	}
+	if e.ever != nil {
+		res.EverEnabled = e.ever.Clone()
+	}
+	return res
 }
 
 // HotStates runs net over input and returns the ever-enabled set. This is

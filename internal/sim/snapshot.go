@@ -12,19 +12,17 @@
 // stream bit-identical to the uninterrupted run — the equivalence bar the
 // checkpoint layer proves.
 //
-// Capture cost is O(bitmap words + pending plan) plus O(collected reports)
-// when the run persists them, with zero allocation in steady state (the
-// Snapshot's buffers are reused across captures), so taking one every few
-// thousand symbols is invisible next to the step kernel.
+// Capture cost is O(bitmap words + pending plan), with zero allocation in
+// steady state (the Snapshot's buffers are reused across captures), so
+// taking one every few thousand symbols is invisible next to the step
+// kernel.
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/bits"
 
-	"sparseap/internal/automata"
 	"sparseap/internal/checkpoint"
 )
 
@@ -184,161 +182,6 @@ func (s *Snapshot) Decode(d *checkpoint.Dec) error {
 	s.DenseSteps = d.I64()
 	s.SparseSteps = d.I64()
 	return d.Err()
-}
-
-// runStateVersion versions the engine-run checkpoint record (snapshot +
-// collected report prefix + completion flag).
-const runStateVersion = 1
-
-// encodeRunState renders the full resumable state of an engine run:
-// completion flag, snapshot at pos, and the collected report prefix
-// (restored prefix + reports collected since).
-func encodeRunState(enc *checkpoint.Enc, snap *Snapshot, done bool, prefix, cur []Report) {
-	enc.Reset()
-	enc.Bool(done)
-	snap.Encode(enc)
-	enc.U64(uint64(len(prefix) + len(cur)))
-	for _, r := range prefix {
-		enc.I64(r.Pos)
-		enc.I32(int32(r.State))
-	}
-	for _, r := range cur {
-		enc.I64(r.Pos)
-		enc.I32(int32(r.State))
-	}
-}
-
-// decodeRunState parses an engine-run checkpoint record.
-func decodeRunState(payload []byte) (snap *Snapshot, done bool, reports []Report, err error) {
-	d := checkpoint.NewDec(payload)
-	done = d.Bool()
-	snap = &Snapshot{}
-	if err := snap.Decode(d); err != nil {
-		return nil, false, nil, err
-	}
-	n := d.I64()
-	if d.Err() == nil && (n < 0 || n > int64(len(payload))) {
-		return nil, false, nil, fmt.Errorf("checkpoint: implausible report count %d", n)
-	}
-	for i := int64(0); i < n && d.Err() == nil; i++ {
-		pos := d.I64()
-		st := automata.StateID(d.I32())
-		reports = append(reports, Report{Pos: pos, State: st})
-	}
-	if err := d.Done(); err != nil {
-		return nil, false, nil, err
-	}
-	return snap, done, reports, nil
-}
-
-// execute runs a freshly configured engine over input with periodic
-// durable snapshots through ck, resuming from the newest valid checkpoint
-// when one exists; a nil or store-less runner saves nothing. The final
-// report stream (restored prefix + re-run suffix) is bit-identical to an
-// uninterrupted run: reports for positions before the resume point come
-// from the checkpoint, later ones from live execution, and the report
-// cursor guarantees no duplicates across the boundary. Between the
-// positions the runner needs control at, and the context polls, the
-// engine runs through Engine.Run. On cancellation or injected crash the
-// partial result is returned with the error; the last persisted
-// checkpoint remains valid for the next attempt.
-func (e *Engine) execute(ctx context.Context, input []byte, ck *checkpoint.Runner) (*Result, error) {
-	res := &Result{}
-	var prefix []Report
-	start := int64(0)
-	payload, _, fellback, err := ck.Load()
-	switch {
-	case err == nil:
-		snap, done, reports, derr := decodeRunState(payload)
-		if derr != nil {
-			return nil, derr
-		}
-		if done {
-			// The run already finished; rebuild its result without
-			// re-executing anything.
-			res.Resumed = true
-			res.Recovered = fellback
-			res.ResumePos = snap.Pos
-			res.NumReports = snap.NumReports
-			res.Symbols = snap.Pos
-			if e.reportsWanted {
-				res.Reports = reports
-			}
-			if e.ever != nil {
-				if rerr := e.Restore(snap); rerr != nil {
-					return nil, rerr
-				}
-				res.EverEnabled = e.ever.Clone()
-			}
-			return res, nil
-		}
-		if rerr := e.Restore(snap); rerr != nil {
-			return nil, rerr
-		}
-		prefix = reports
-		start = snap.Pos
-		res.Resumed = true
-		res.Recovered = fellback
-		res.ResumePos = start
-	case !errors.Is(err, checkpoint.ErrNoCheckpoint):
-		return nil, err
-	}
-
-	enc := &checkpoint.Enc{}
-	snap := &Snapshot{}
-	save := func(pos int64, done bool) error {
-		e.Snapshot(snap, pos)
-		encodeRunState(enc, snap, done, prefix, e.reports)
-		if serr := ck.Save(runStateVersion, enc.Bytes()); serr != nil {
-			return serr
-		}
-		res.Saves++
-		return nil
-	}
-	finish := func(pos int64, runErr error) (*Result, error) {
-		res.NumReports = e.numReports
-		res.Symbols = pos
-		if e.reportsWanted {
-			if len(prefix) == 0 && cap(e.reports) > maxPooledReportCap {
-				// Release is about to drop a slice this large: hand it
-				// over instead of copying it.
-				res.Reports, e.reports = e.reports, nil
-			} else {
-				res.Reports = append(prefix, e.reports...)
-			}
-		}
-		if e.ever != nil {
-			res.EverEnabled = e.ever.Clone()
-		}
-		return res, runErr
-	}
-	n := int64(len(input))
-	i := start
-	for hook := ck.Next(i); i < n; {
-		if i >= hook {
-			if ck.Due(i) {
-				if serr := save(i, false); serr != nil {
-					return finish(i, serr)
-				}
-			}
-			if cerr := ck.Check(i); cerr != nil {
-				return finish(i, cerr)
-			}
-			hook = ck.Next(i + 1)
-		}
-		if i&(cancelCheckInterval-1) == 0 && cancelled(ctx) {
-			return finish(i, ctx.Err())
-		}
-		end := min(hook, n, (i|(cancelCheckInterval-1))+1)
-		e.Run(i, input[i:end])
-		i = end
-	}
-	if ck.Enabled() {
-		if serr := save(n, true); serr != nil {
-			return finish(n, serr)
-		}
-	}
-	return finish(n, nil)
 }
 
 // Snapshot captures the streamer's matcher state (engine plus stream

@@ -10,7 +10,6 @@ import (
 
 	"sparseap/internal/automata"
 	"sparseap/internal/checkpoint"
-	"sparseap/internal/checkpoint/ckpttest"
 	"sparseap/internal/symset"
 )
 
@@ -230,132 +229,6 @@ func TestRefusedRestoreLeavesPooledEngineClean(t *testing.T) {
 	}
 	if !reportsMatch(e.Reports(), want) {
 		t.Fatalf("engine acquired after a refused restore: %d reports, want %d", len(e.Reports()), len(want))
-	}
-}
-
-// TestRunCheckpointedCrashResumeEquivalence kills the run at several
-// seeded positions, resumes from the store each time, and requires the
-// final stream to be bit-identical to an uninterrupted run with zero
-// duplicate reports.
-func TestRunCheckpointedCrashResumeEquivalence(t *testing.T) {
-	net := figure2()
-	input := fig2Input(4096, 11)
-	opts := Options{CollectReports: true, TrackEnabled: true}
-	want := Run(net, input, opts)
-
-	store, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kills := []int64{63, 500, 1777, 2900, 4000}
-	killed := 0
-	ck := &checkpoint.Runner{Store: store, Name: "run", Every: 128,
-		CrashAt: func(pos int64) bool {
-			if killed < len(kills) && pos == kills[killed] {
-				killed++
-				return true
-			}
-			return false
-		}}
-
-	var res *Result
-	for attempt := 0; ; attempt++ {
-		if attempt > len(kills)+1 {
-			t.Fatalf("did not converge after %d attempts", attempt)
-		}
-		res, err = RunContext(context.Background(), net, input, opts, ck)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, checkpoint.ErrCrashInjected) {
-			t.Fatalf("attempt %d: %v", attempt, err)
-		}
-	}
-	if killed != len(kills) {
-		t.Fatalf("only %d of %d kill points fired", killed, len(kills))
-	}
-	if !res.Resumed {
-		t.Fatal("final attempt did not resume from the store")
-	}
-	if !reportsMatch(res.Reports, want.Reports) {
-		t.Fatalf("resumed stream diverged: %d vs %d reports", len(res.Reports), len(want.Reports))
-	}
-	if res.NumReports != want.NumReports {
-		t.Fatalf("NumReports = %d, want %d (duplicates or losses across resume)", res.NumReports, want.NumReports)
-	}
-	if !res.EverEnabled.Equal(want.EverEnabled) {
-		t.Fatal("ever-enabled vector diverged across resumes")
-	}
-}
-
-// TestRunCheckpointedRecoversFromCorruptLatest corrupts the newest slot
-// after a crash; the resume must fall back to the previous good
-// checkpoint and still reproduce the reference stream exactly.
-func TestRunCheckpointedRecoversFromCorruptLatest(t *testing.T) {
-	net := figure2()
-	input := fig2Input(2048, 5)
-	opts := Options{CollectReports: true}
-	want := Run(net, input, opts)
-
-	dir := t.TempDir()
-	store, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashed := false
-	ck := &checkpoint.Runner{Store: store, Name: "run", Every: 256,
-		CrashAt: func(pos int64) bool {
-			if !crashed && pos == 1100 {
-				crashed = true
-				return true
-			}
-			return false
-		}}
-	if _, err := RunContext(context.Background(), net, input, opts, ck); !errors.Is(err, checkpoint.ErrCrashInjected) {
-		t.Fatalf("expected injected crash, got %v", err)
-	}
-	// Flip a payload byte in the newest record; the save before it must
-	// take over.
-	ckpttest.DamageLatest(t, dir, "run")
-	res, err := RunContext(context.Background(), net, input, opts, ck)
-	if err != nil {
-		t.Fatalf("resume after corruption: %v", err)
-	}
-	if !res.Resumed || !res.Recovered {
-		t.Fatalf("Resumed=%v Recovered=%v, want both true", res.Resumed, res.Recovered)
-	}
-	if !reportsMatch(res.Reports, want.Reports) {
-		t.Fatalf("recovered stream diverged: %d vs %d reports", len(res.Reports), len(want.Reports))
-	}
-}
-
-// TestRunCheckpointedDoneShortCircuit re-invokes a completed run: the
-// stored done-state must rebuild the result without re-executing.
-func TestRunCheckpointedDoneShortCircuit(t *testing.T) {
-	net := figure2()
-	input := fig2Input(1024, 9)
-	opts := Options{CollectReports: true}
-	store, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := &checkpoint.Runner{Store: store, Name: "run", Every: 128}
-	first, err := RunContext(context.Background(), net, input, opts, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := RunContext(context.Background(), net, input, opts, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.Resumed || again.ResumePos != int64(len(input)) {
-		t.Fatalf("Resumed=%v ResumePos=%d, want short-circuit at %d", again.Resumed, again.ResumePos, len(input))
-	}
-	if again.Saves != 0 {
-		t.Fatalf("done-state replay persisted %d saves, want 0", again.Saves)
-	}
-	if !reportsMatch(again.Reports, first.Reports) {
-		t.Fatal("replayed result diverged from the original")
 	}
 }
 

@@ -42,16 +42,12 @@ u64_at() { od -An -tu8 -j "$2" -N8 "$1" | tr -d ' '; }
 # records). A slot file holds up to three records, each starting on a
 # 4 KiB boundary with the header magic:8 version:u32 seq:u64 len:u64
 # crc:u32 (28 bytes, little-endian) followed by len body bytes; the magic
-# is "SPAPCKPN" for a record that names its owner (a tombstone's,
-# "SPAPCKPR", is skipped) and "SPAPCKPT" for one of the older format.
+# is "SPAPCKPN" for a record (a tombstone's, "SPAPCKPR", is skipped).
 damage_newest_record() {
     local file=$1 size off best=-1 best_off=0 seq
     size=$(stat -c %s "$file")
     for (( off = 0; off + 28 <= size; off += 4096 )); do
-        case $(dd if="$file" bs=1 skip="$off" count=8 2>/dev/null) in
-            SPAPCKPN | SPAPCKPT) ;;
-            *) continue ;;
-        esac
+        [[ $(dd if="$file" bs=1 skip="$off" count=8 2>/dev/null) == SPAPCKPN ]] || continue
         seq=$(u64_at "$file" $((off + 12)))
         if (( seq > best )); then best=$seq best_off=$off; fi
     done

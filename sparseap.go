@@ -14,9 +14,10 @@
 //	fmt.Println(sparseap.Speedup(base.Cycles, res.TotalCycles))
 //
 // Each execution system of the paper's Table III has one plain Engine
-// method and one context-taking method; where the system can checkpoint,
-// the context-taking method also takes a *CheckpointRunner, and a nil
-// runner means no checkpointing. The heavy lifting lives in the internal
+// method and one context-taking method. The BaseAP/SpAP system is the one
+// that checkpoints: RunBaseAPSpAPContext and RunGuarded also take a
+// *CheckpointRunner, and a nil runner means no checkpointing; the baseline
+// pass is cheap to rerun and reruns from symbol 0. The heavy lifting lives in the internal
 // packages (automata model, functional simulator, AP hardware model,
 // partitioner, SpAP executor, checkpoint store, workload generators); this
 // package holds what the commands and examples reach of them.
@@ -223,14 +224,12 @@ func (e *Engine) RunBaseline(net *Network, input []byte) (*BaselineResult, error
 	return ap.RunBaseline(net, input, e.AP)
 }
 
-// RunBaselineContext is RunBaseline with cancellation and durable
-// checkpoints through ck (nil: none), returning the full report stream
-// too: the restored prefix plus the re-run suffix, bit-identical to an
-// uninterrupted run's. On cancellation or an injected crash the partial
-// result is returned with the error, and the last persisted checkpoint
-// stays valid for the next attempt.
-func (e *Engine) RunBaselineContext(ctx context.Context, net *Network, input []byte, ck *CheckpointRunner) (*BaselineResult, []Report, error) {
-	return ap.RunBaselineContext(ctx, net, input, e.AP, true, ck)
+// RunBaselineContext is RunBaseline with cancellation, returning the full
+// report stream too. On cancellation the partial result is returned with
+// the error. It keeps no checkpoint: an interrupted pass reruns from
+// symbol 0.
+func (e *Engine) RunBaselineContext(ctx context.Context, net *Network, input []byte) (*BaselineResult, []Report, error) {
+	return ap.RunBaselineContext(ctx, net, input, e.AP, true)
 }
 
 // RunBaseAPSpAP executes a partition under the BaseAP/SpAP system and
